@@ -49,12 +49,6 @@ def thd_sample_sensitivities(emf_a: np.ndarray, emf_b: np.ndarray, index_set,
     return out
 
 
-def thd_state_sensitivity(emf_a, emf_b, index_set, mats: DerivativeDftMatrices,
-                          i: int) -> float:
-    """Sensitivity of the THD to flux sample i (unit flux perturbation)."""
-    return float(thd_sample_sensitivities(emf_a, emf_b, index_set, mats)[i])
-
-
 @dataclass
 class AdjointSet:
     """Per-angle adjoint solutions (stator and rotor coefficient blocks)."""
@@ -64,9 +58,6 @@ class AdjointSet:
 
     def rotor_fields(self):
         return [s.u_rt for s in self.states]
-
-    def stator_fields(self):
-        return [s.u_st for s in self.states]
 
 
 def solve_adjoints(pre: CouplingPrecomp, winding_vector: np.ndarray,
@@ -149,8 +140,3 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
         np.add.at(g, di[valid], contrib[..., 0][valid])
         np.add.at(g, n_pts + di[valid], contrib[..., 1][valid])
     return g
-
-
-def shape_derivative(gradient: np.ndarray, w_stacked: np.ndarray) -> float:
-    """Directional derivative dJ(direction W) = g . w (linear in W)."""
-    return float(np.dot(gradient, w_stacked))

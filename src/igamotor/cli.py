@@ -20,33 +20,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import (
-    assemble_coupling,
-    assemble_rhs,
-    assemble_stiffness,
-    assemble_winding_vector,
-    build_reluctivity_map,
-    eval_field,
-)
+from .assembly import eval_field
 from .coupling import (
-    CouplingBlocks,
     assemble_full_saddle,
-    harmonic_orders,
     precompute_from_blocks,
     rotation_sweep,
     solve_at_angle,
     sweep_angles,
 )
 from .errors import ConfigError, IgaError
-from .fourier import attach_spectrum
 from .geometry import (
     MachineConfig,
     build_demo_machine,
-    build_dof_map,
     dump_geometry,
     locate_polar,
 )
-from .optim import OptimizerConfig, run_optimization
+from .optim import MachineSolver, OptimizerConfig, run_optimization
 
 DEFAULT_SOLVE = {"alpha": 0.0, "grid_r": 24, "grid_theta": 90}
 DEFAULT_BENCH = {"levels": [1, 2, 3], "harmonics": [6, 20, 36, 50],
@@ -71,8 +60,7 @@ def _from_dict(cls, data: dict, path: str):
 class RunConfig:
     """Validated run configuration (machine + optimizer + command options)."""
 
-    TOP_KEYS = {"machine", "optimizer", "output_dir", "workers", "seed",
-                "solve", "bench", "optimize"}
+    TOP_KEYS = {"machine", "optimizer", "output_dir", "solve", "bench", "optimize"}
 
     def __init__(self, doc: dict):
         unknown = set(doc) - self.TOP_KEYS
@@ -81,10 +69,6 @@ class RunConfig:
         self.machine = _from_dict(MachineConfig, doc.get("machine", {}), "machine")
         self.optimizer = _from_dict(OptimizerConfig, doc.get("optimizer", {}), "optimizer")
         self.output_dir = Path(doc.get("output_dir", "out"))
-        self.workers = int(doc.get("workers", 1))
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        self.seed = int(doc.get("seed", 0))
         self.solve = dict(DEFAULT_SOLVE)
         solve_doc = doc.get("solve", {})
         if set(solve_doc) - set(DEFAULT_SOLVE):
@@ -132,28 +116,13 @@ def _write_csv(path: Path, cfg_hash: str, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _machine_state(mc: MachineConfig):
-    stator, rotor = build_demo_machine(mc)
-    dm_st, dm_rt = build_dof_map(stator), build_dof_map(rotor)
-    orders = harmonic_orders(mc.n_harmonics,
-                             mc.pole_pairs if mc.harmonics_multiple_of_poles else 1)
-    blocks = CouplingBlocks(
-        assemble_stiffness(stator, dm_st, build_reluctivity_map(stator, mc)),
-        assemble_stiffness(rotor, dm_rt, build_reluctivity_map(rotor, mc)),
-        assemble_coupling(stator, dm_st, orders),
-        assemble_coupling(rotor, dm_rt, orders),
-        assemble_rhs(stator, dm_st, mc, t=0.0),
-        assemble_rhs(rotor, dm_rt, mc),
-        orders)
-    return stator, rotor, dm_st, dm_rt, blocks
-
-
 def cmd_solve(cfg: RunConfig) -> None:
     mc = cfg.machine
-    stator, rotor, dm_st, dm_rt, blocks = _machine_state(mc)
-    pre = precompute_from_blocks(blocks)
+    solver = MachineSolver(mc)
+    stator, rotor = solver.stator, solver.rotor0
+    dm_st, dm_rt = solver.dm_st, solver.dm_rt
     alpha = float(cfg.solve["alpha"])
-    sol = solve_at_angle(pre, alpha)
+    sol = solve_at_angle(solver.precompute(rotor), alpha)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
@@ -187,14 +156,8 @@ def cmd_solve(cfg: RunConfig) -> None:
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
-    mc = cfg.machine
-    stator, rotor, dm_st, dm_rt, blocks = _machine_state(mc)
-    pre = precompute_from_blocks(blocks)
-    winding = assemble_winding_vector(stator, dm_st, mc, phase=1)
-    angles = sweep_angles(mc.pole_pairs, mc.n_angles)
-    sweep = rotation_sweep(pre, angles, winding, mc.pole_pairs * mc.length_z,
-                           workers=cfg.workers)
-    attach_spectrum(sweep, mc.index_set)
+    solver = MachineSolver(cfg.machine)
+    sweep, _ = solver.evaluate(solver.rotor0)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "psi.csv", cfg.hash, "angle,psi",
@@ -218,8 +181,7 @@ def cmd_optimize(cfg: RunConfig) -> None:
             (snap_dir / ("rotor_iter_%03d.json" % state.iteration)).write_text(
                 dump_geometry(state.rotor))
 
-    state = run_optimization(cfg.machine, cfg.optimizer, workers=cfg.workers,
-                             callback=callback)
+    state = run_optimization(cfg.machine, cfg.optimizer, callback=callback)
     _write_csv(out / "history.csv", cfg.hash, "iteration,thd,step,min_detj",
                [(it, float(thd), float(step), float(mind))
                 for it, thd, step, mind in state.history])
@@ -242,12 +204,13 @@ def cmd_bench(cfg: RunConfig) -> None:
                 print("bench: skipping level=%s n_harmonics=%s (%s)"
                       % (level, n_h, exc), file=sys.stderr)
                 continue
-            stator, rotor, dm_st, dm_rt, blocks = _machine_state(mc)
-            dofs = dm_st.n_free + dm_rt.n_free
+            solver = MachineSolver(mc)
+            blocks = solver.blocks(solver.rotor0)
+            dofs = solver.dm_st.n_free + solver.dm_rt.n_free
             angles = sweep_angles(mc.pole_pairs, int(b["n_angles"]))
             t0 = time.perf_counter()
             pre = precompute_from_blocks(blocks)
-            time_pre = time.perf_counter() - t0
+            t_pre = time.perf_counter() - t0
             solve_at_angle(pre, 0.0)  # warmup
             t_int, t_post = [], []
             for _ in range(int(b["repetitions"])):
@@ -261,7 +224,7 @@ def cmd_bench(cfg: RunConfig) -> None:
                     assemble_full_saddle(blocks, float(alpha))
                     t_full.append(time.perf_counter() - t0)
             rows.append((dofs, int(n_h), statistics.median(t_full),
-                         statistics.median(t_int), time_pre,
+                         statistics.median(t_int), t_pre,
                          statistics.median(t_post)))
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -27,9 +27,7 @@ the directly assembled full system is the primary correctness oracle.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -135,12 +133,8 @@ def assemble_full_saddle(blocks: CouplingBlocks, alpha: float) -> FullSaddleSolu
     u_st_c = zc[:n_st]
     u_rt_c = zc[n_st:n_st + n_rt]
     lam = zc[n_st + n_rt:]
-    u_scale = max(float(np.abs(u_st_c.real).max(initial=0.0)),
-                  float(np.abs(u_rt_c.real).max(initial=0.0)), 1e-300)
-    im_rel = max(float(np.abs(u_st_c.imag).max(initial=0.0)),
-                 float(np.abs(u_rt_c.imag).max(initial=0.0))) / u_scale
     return FullSaddleSolution(alpha, u_st_c.real.copy(), u_rt_c.real.copy(), lam,
-                              S, block_res, im_rel)
+                              S, block_res, _realness(u_st_c, u_rt_c))
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +168,6 @@ class CouplingPrecomp:
     st: SidePrecomp
     rt: SidePrecomp
     orders: np.ndarray
-    time_pre: float
 
     def verify(self, tol: float = 1e-12) -> float:
         """Max relative deviation of stored products from recomputation."""
@@ -191,19 +184,12 @@ class CouplingPrecomp:
         return worst
 
 
-def precompute_coupling(K_st, K_rt, G_st, G_rt, j_st, j_rt, orders) -> CouplingPrecomp:
+def precompute_from_blocks(blocks: CouplingBlocks) -> CouplingPrecomp:
     """Factor both stiffness blocks and precompute every angle-independent
     product of the interface elimination."""
-    t0 = time.perf_counter()
-    st = precompute_side(K_st, G_st, np.asarray(j_st, dtype=float))
-    rt = precompute_side(K_rt, G_rt, np.asarray(j_rt, dtype=float))
-    return CouplingPrecomp(st, rt, np.asarray(orders, dtype=int),
-                           time_pre=time.perf_counter() - t0)
-
-
-def precompute_from_blocks(blocks: CouplingBlocks) -> CouplingPrecomp:
-    return precompute_coupling(blocks.K_st, blocks.K_rt, blocks.G_st, blocks.G_rt,
-                               blocks.j_st, blocks.j_rt, blocks.orders)
+    st = precompute_side(blocks.K_st, blocks.G_st, np.asarray(blocks.j_st, dtype=float))
+    rt = precompute_side(blocks.K_rt, blocks.G_rt, np.asarray(blocks.j_rt, dtype=float))
+    return CouplingPrecomp(st, rt, np.asarray(blocks.orders, dtype=int))
 
 
 @dataclass
@@ -215,13 +201,6 @@ class AngleSolution:
     u_st: np.ndarray
     u_rt: np.ndarray
     im_rel: float
-    time_interface: float = 0.0
-    time_post: float = 0.0
-
-
-def interface_matrix(pre: CouplingPrecomp, alpha: float) -> np.ndarray:
-    r = rotation_phases(pre.orders, alpha)
-    return pre.rt.H + np.conj(r)[:, None] * pre.st.H * r[None, :]
 
 
 def solve_interface(pre: CouplingPrecomp, alpha: float,
@@ -244,6 +223,21 @@ def _realness(u_st_c: np.ndarray, u_rt_c: np.ndarray) -> float:
                float(np.abs(u_rt_c.imag).max(initial=0.0))) / scale
 
 
+def _fields(pre: CouplingPrecomp, alpha: float, lam: np.ndarray,
+            y_st: np.ndarray | None, y_rt: np.ndarray | None,
+            check_real: bool) -> AngleSolution:
+    """Interior fields u_* = y_* + X_* R lam from interface coefficients."""
+    r = rotation_phases(pre.orders, alpha)
+    ys = pre.st.y if y_st is None else y_st
+    yr = pre.rt.y if y_rt is None else y_rt
+    u_st_c = ys + pre.st.X @ (r * lam)
+    u_rt_c = yr + pre.rt.X @ lam
+    im_rel = _realness(u_st_c, u_rt_c)
+    if check_real and im_rel > REALNESS_TOL:
+        raise StabilityError("reconstructed fields have imaginary residue %.3e" % im_rel)
+    return AngleSolution(alpha, lam, u_st_c.real.copy(), u_rt_c.real.copy(), im_rel)
+
+
 def solve_at_angle(pre: CouplingPrecomp, alpha: float,
                    y_st: np.ndarray | None = None,
                    y_rt: np.ndarray | None = None,
@@ -256,20 +250,8 @@ def solve_at_angle(pre: CouplingPrecomp, alpha: float,
     right-hand side b_* (y_* = K_*^-1 b_*, g_* = G_*^H y_*); the adjoint
     sweep uses this with the THD sensitivity load.
     """
-    t0 = time.perf_counter()
     lam = solve_interface(pre, alpha, g_st, g_rt)
-    t1 = time.perf_counter()
-    r = rotation_phases(pre.orders, alpha)
-    ys = pre.st.y if y_st is None else y_st
-    yr = pre.rt.y if y_rt is None else y_rt
-    u_st_c = ys + pre.st.X @ (r * lam)
-    u_rt_c = yr + pre.rt.X @ lam
-    t2 = time.perf_counter()
-    im_rel = _realness(u_st_c, u_rt_c)
-    if check_real and im_rel > REALNESS_TOL:
-        raise StabilityError("reconstructed fields have imaginary residue %.3e" % im_rel)
-    return AngleSolution(alpha, lam, u_st_c.real.copy(), u_rt_c.real.copy(),
-                         im_rel, time_interface=t1 - t0, time_post=t2 - t1)
+    return _fields(pre, alpha, lam, y_st, y_rt, check_real)
 
 
 def sweep_angles(pole_pairs: int, n_angles: int) -> np.ndarray:
@@ -279,14 +261,12 @@ def sweep_angles(pole_pairs: int, n_angles: int) -> np.ndarray:
 
 def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
                    winding_vector: np.ndarray | None = None,
-                   flux_scale: float = 1.0,
-                   keep_states: bool = False,
-                   workers: int = 1) -> SweepResult:
+                   flux_scale: float = 1.0) -> SweepResult:
     """Solve the interface problem at every angle of one electrical period.
 
-    In the default low-memory mode only the flux linkage sample and the
-    interface coefficients are kept per angle; interior fields can be
-    reconstructed on demand from the stored coefficients.
+    Only the flux linkage sample and the interface coefficients are kept per
+    angle; interior fields are reconstructed on demand from the stored
+    coefficients (reconstruct_state).
     """
     angles = np.asarray(angles, dtype=float)
     n = angles.size
@@ -295,24 +275,17 @@ def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
     psi_im = np.zeros(n)
     t_int = np.zeros(n)
     t_post = np.zeros(n)
-    states = [None] * n if keep_states else None
 
     chi_y = chi_X = None
     if winding_vector is not None:
         chi_y = float(winding_vector @ pre.st.y)
         chi_X = winding_vector @ pre.st.X    # row vector of length n_harmonics
 
-    def run(j: int):
+    for j in range(n):
         t0 = time.perf_counter()
         lam = solve_interface(pre, angles[j])
         t1 = time.perf_counter()
         lambdas[j] = lam
-        if keep_states:
-            r = rotation_phases(pre.orders, angles[j])
-            u_st_c = pre.st.y + pre.st.X @ (r * lam)
-            u_rt_c = pre.rt.y + pre.rt.X @ lam
-            states[j] = AngleSolution(angles[j], lam, u_st_c.real.copy(),
-                                      u_rt_c.real.copy(), _realness(u_st_c, u_rt_c))
         if winding_vector is not None:
             r = rotation_phases(pre.orders, angles[j])
             val = chi_y + chi_X @ (r * lam)
@@ -320,19 +293,12 @@ def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
             psi_im[j] = flux_scale * val.imag
         t_post[j] = time.perf_counter() - t1
         t_int[j] = t1 - t0
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(n)))
-    else:
-        for j in range(n):
-            run(j)
     if winding_vector is not None and np.abs(psi).max() > 0.0:
         if np.abs(psi_im).max() / np.abs(psi).max() > REALNESS_TOL:
             raise StabilityError("flux linkage has imaginary residue %.3e"
                                  % (np.abs(psi_im).max() / np.abs(psi).max()))
-    return SweepResult(angles=angles, psi=psi, lambdas=lambdas, states=states,
-                       time_pre=pre.time_pre, time_interface=t_int, time_post=t_post)
+    return SweepResult(angles=angles, psi=psi, lambdas=lambdas,
+                       time_interface=t_int, time_post=t_post)
 
 
 def full_residual(pre: CouplingPrecomp, sol: AngleSolution) -> float:
@@ -353,11 +319,5 @@ def full_residual(pre: CouplingPrecomp, sol: AngleSolution) -> float:
 
 def reconstruct_state(pre: CouplingPrecomp, alpha: float, lam: np.ndarray,
                       check_real: bool = True) -> AngleSolution:
-    """Interior fields from stored interface coefficients (low-memory mode)."""
-    r = rotation_phases(pre.orders, alpha)
-    u_st_c = pre.st.y + pre.st.X @ (r * lam)
-    u_rt_c = pre.rt.y + pre.rt.X @ lam
-    im_rel = _realness(u_st_c, u_rt_c)
-    if check_real and im_rel > REALNESS_TOL:
-        raise StabilityError("reconstructed fields have imaginary residue %.3e" % im_rel)
-    return AngleSolution(alpha, lam, u_st_c.real.copy(), u_rt_c.real.copy(), im_rel)
+    """Interior fields from interface coefficients stored by a sweep."""
+    return _fields(pre, alpha, lam, None, None, check_real)

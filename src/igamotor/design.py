@@ -63,11 +63,6 @@ class DesignSpace:
     def n_dofs(self) -> int:
         return 2 * self.free.size
 
-    def unit_direction(self, point_index: int, component: int) -> np.ndarray:
-        w = np.zeros(self.n_dofs)
-        w[component * self.n_points + point_index] = 1.0
-        return w
-
     def displace(self, model: MultipatchModel, w_stacked: np.ndarray,
                  delta: float) -> MultipatchModel:
         """Control points move by -delta * W; untouched patches are shared

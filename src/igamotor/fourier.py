@@ -27,8 +27,6 @@ class SweepResult:
     emf_b: Optional[np.ndarray] = None      # sine EMF coefficients B_n
     thd: Optional[float] = None
     index_set: Optional[tuple] = None
-    states: Optional[list] = None           # AngleSolution list when kept
-    time_pre: float = 0.0
     time_interface: np.ndarray = field(default_factory=lambda: np.zeros(0))
     time_post: np.ndarray = field(default_factory=lambda: np.zeros(0))
 

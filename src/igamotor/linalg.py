@@ -75,10 +75,6 @@ def factorize(K: sp.spmatrix, check_symmetry: bool = True) -> SpdFactorization:
     return SpdFactorization(lu, n)
 
 
-def solve_multi(F: SpdFactorization, B: np.ndarray) -> np.ndarray:
-    return F.solve_multi(B)
-
-
 def real_lu(S: sp.spmatrix):
     """Plain sparse LU (general real matrix), for saddle-point oracles."""
     try:

@@ -4,7 +4,6 @@ guard, control point update, termination on stalled decrease.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,6 +19,7 @@ from .assembly import (
     build_reluctivity_map,
 )
 from .coupling import (
+    CouplingBlocks,
     CouplingPrecomp,
     harmonic_orders,
     precompute_side,
@@ -68,7 +68,8 @@ class OptimizationState:
 
 
 class MachineSolver:
-    """Fixed-stator evaluation pipeline for one machine configuration.
+    """The assembled machine for one configuration, shared by the optimizer
+    and every CLI command.
 
     The stator side (stiffness factorization, coupling moments, winding) is
     assembled once; per rotor geometry only the rotor stiffness is rebuilt.
@@ -77,12 +78,8 @@ class MachineSolver:
     fixed) and are cached from the initial rotor.
     """
 
-    def __init__(self, cfg: MachineConfig, workers: int = 1):
-        if cfg.current_amplitude != 0.0:
-            raise ConfigError("shape optimization expects the no-load machine "
-                              "(current_amplitude = 0)")
+    def __init__(self, cfg: MachineConfig):
         self.cfg = cfg
-        self.workers = workers
         self.stator, self.rotor0 = build_demo_machine(cfg)
         self.dm_st = build_dof_map(self.stator)
         self.dm_rt = build_dof_map(self.rotor0)
@@ -100,18 +97,22 @@ class MachineSolver:
         self._j_rt = assemble_rhs(self.rotor0, self.dm_rt, cfg)
         self.relmap_rt = build_reluctivity_map(self.rotor0, cfg)
 
+    def blocks(self, rotor: MultipatchModel) -> CouplingBlocks:
+        """Unfactored blocks of the coupled system for one rotor."""
+        st = self._st_pre
+        return CouplingBlocks(st.K, assemble_stiffness(rotor, self.dm_rt, self.relmap_rt),
+                              st.G, self._G_rt, st.j, self._j_rt, self.orders)
+
     def precompute(self, rotor: MultipatchModel) -> CouplingPrecomp:
-        t0 = time.perf_counter()
+        """Reuses the stator factorization; factors only the rotor side."""
         K_rt = assemble_stiffness(rotor, self.dm_rt, self.relmap_rt)
         rt = precompute_side(K_rt, self._G_rt, self._j_rt)
-        return CouplingPrecomp(self._st_pre, rt, self.orders,
-                               time_pre=time.perf_counter() - t0)
+        return CouplingPrecomp(self._st_pre, rt, self.orders)
 
     def evaluate(self, rotor: MultipatchModel):
         """(sweep with spectrum attached, precomputation) for one rotor."""
         pre = self.precompute(rotor)
-        sweep = rotation_sweep(pre, self.angles, self.winding, self.flux_scale,
-                               workers=self.workers)
+        sweep = rotation_sweep(pre, self.angles, self.winding, self.flux_scale)
         return attach_spectrum(sweep, self.cfg.index_set), pre
 
 
@@ -149,7 +150,6 @@ def line_search(solver: MachineSolver, design: DesignSpace,
 
 
 def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
-                     workers: int = 1,
                      callback=None) -> OptimizationState:
     """Minimize the EMF THD over the free rotor control points.
 
@@ -157,8 +157,11 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
     line search exhausts its step set (no progress), or at the iteration
     cap.  The partial history is preserved when an iteration raises.
     """
+    if cfg.current_amplitude != 0.0:
+        raise ConfigError("shape optimization expects the no-load machine "
+                          "(current_amplitude = 0)")
     opt = opt or OptimizerConfig()
-    solver = MachineSolver(cfg, workers=workers)
+    solver = MachineSolver(cfg)
     rotor = solver.rotor0
     design = DesignSpace(rotor, solver.dm_rt)
     mats = build_derivative_dft(cfg.n_angles)

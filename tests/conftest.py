@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from igamotor.assembly import (
-    assemble_coupling,
-    assemble_rhs,
-    assemble_stiffness,
-    assemble_winding_vector,
-    build_reluctivity_map,
-)
-from igamotor.coupling import CouplingBlocks, harmonic_orders
+from igamotor.assembly import assemble_winding_vector
 from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
+from igamotor.optim import MachineSolver
 
 
 def coarse_config(**overrides):
@@ -35,17 +29,9 @@ def coarse_dofmaps(coarse_machine):
 
 
 @pytest.fixture(scope="session")
-def coarse_blocks(coarse_cfg, coarse_machine, coarse_dofmaps):
-    stator, rotor = coarse_machine
-    dm_st, dm_rt = coarse_dofmaps
-    orders = harmonic_orders(coarse_cfg.n_harmonics)
-    K_st = assemble_stiffness(stator, dm_st, build_reluctivity_map(stator, coarse_cfg))
-    K_rt = assemble_stiffness(rotor, dm_rt, build_reluctivity_map(rotor, coarse_cfg))
-    G_st = assemble_coupling(stator, dm_st, orders)
-    G_rt = assemble_coupling(rotor, dm_rt, orders)
-    j_st = assemble_rhs(stator, dm_st, coarse_cfg, t=0.0)
-    j_rt = assemble_rhs(rotor, dm_rt, coarse_cfg)
-    return CouplingBlocks(K_st, K_rt, G_st, G_rt, j_st, j_rt, orders)
+def coarse_blocks(coarse_cfg):
+    solver = MachineSolver(coarse_cfg)
+    return solver.blocks(solver.rotor0)
 
 
 @pytest.fixture(scope="session")

@@ -12,18 +12,13 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from igamotor.assembly import (
-    assemble_coupling,
     assemble_load,
-    assemble_rhs,
     assemble_stiffness,
     assemble_winding_vector,
-    build_reluctivity_map,
     l2_error,
 )
 from igamotor.coupling import (
-    CouplingBlocks,
     assemble_full_saddle,
-    harmonic_orders,
     precompute_from_blocks,
     rotation_sweep,
     solve_at_angle,
@@ -37,7 +32,7 @@ from igamotor.geometry import (
     build_dof_map,
     edge_nodes,
 )
-from igamotor.optim import OptimizerConfig, run_optimization
+from igamotor.optim import MachineSolver, OptimizerConfig, run_optimization
 from igamotor.splines import (
     KnotVector,
     bspline_basis,
@@ -58,25 +53,15 @@ def _report(number, name, detail):
     print("ACCEPTANCE %d (%s): PASS (%s)" % (number, name, detail))
 
 
-def _machine_blocks(cfg, multiples=False):
-    stator, rotor = build_demo_machine(cfg)
-    dm_st, dm_rt = build_dof_map(stator), build_dof_map(rotor)
-    orders = harmonic_orders(cfg.n_harmonics, cfg.pole_pairs if multiples else 1)
-    blocks = CouplingBlocks(
-        assemble_stiffness(stator, dm_st, build_reluctivity_map(stator, cfg)),
-        assemble_stiffness(rotor, dm_rt, build_reluctivity_map(rotor, cfg)),
-        assemble_coupling(stator, dm_st, orders),
-        assemble_coupling(rotor, dm_rt, orders),
-        assemble_rhs(stator, dm_st, cfg, t=0.0),
-        assemble_rhs(rotor, dm_rt, cfg),
-        orders)
-    return stator, rotor, dm_st, dm_rt, blocks
+def _machine_blocks(cfg):
+    solver = MachineSolver(cfg)
+    return solver.dm_st, solver.dm_rt, solver.blocks(solver.rotor0)
 
 
 def test_acceptance_1_schur_equals_full_system():
     t0 = time.perf_counter()
     cfg = MachineConfig(refinement=0, n_harmonics=12, n_angles=12)
-    *_, blocks = _machine_blocks(cfg)
+    _, _, blocks = _machine_blocks(cfg)
     pre = precompute_from_blocks(blocks)
     worst = 0.0
     for alpha in sweep_angles(cfg.pole_pairs, 8):
@@ -99,7 +84,6 @@ def test_acceptance_2_gradient_matches_finite_differences():
     from igamotor.coupling import reconstruct_state
     from igamotor.design import DesignSpace
     from igamotor.fourier import build_derivative_dft
-    from igamotor.optim import MachineSolver
 
     t0 = time.perf_counter()
     cfg = MachineConfig(refinement=0, n_harmonics=12, n_angles=12,
@@ -176,7 +160,7 @@ def test_acceptance_4_online_cost_scaling():
     states = {}
     for level in levels:
         cfg = MachineConfig(refinement=level, n_harmonics=20, n_angles=12)
-        *_, dm_st, dm_rt, blocks = _machine_blocks(cfg)
+        dm_st, dm_rt, blocks = _machine_blocks(cfg)
         pre = precompute_from_blocks(blocks)
         angles = sweep_angles(cfg.pole_pairs, 8)
         rotation_sweep(pre, angles)  # warmup

@@ -42,6 +42,19 @@ def test_main_exit_codes(tmp_path):
     assert main(["solve", "--config", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("key", ["workers", "seed"])
+def test_removed_top_level_keys_are_config_errors(tmp_path, key):
+    cfg_path = write_config(tmp_path, **{key: 1})
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+
+
+def test_loaded_machine_sweeps_but_does_not_optimize(tmp_path):
+    cfg_path = write_config(tmp_path, machine=dict(BASE_MACHINE, current_amplitude=1.0),
+                            optimizer={"max_iterations": 1})
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    assert main(["optimize", "--config", str(cfg_path)]) == 2
+
+
 def test_solve_outputs_and_divergence(tmp_path):
     cfg_path = write_config(tmp_path, solve={"alpha": 0.05, "grid_r": 8,
                                              "grid_theta": 18})
@@ -54,25 +67,14 @@ def test_solve_outputs_and_divergence(tmp_path):
 
     # divergence oracle: B = (du/dy, -du/dx) is divergence free; finite
     # differences on a polar grid inside one smooth patch stay small
-    from igamotor.assembly import (assemble_coupling, assemble_rhs,
-                                   assemble_stiffness, build_reluctivity_map,
-                                   eval_field)
-    from igamotor.coupling import (CouplingBlocks, harmonic_orders,
-                                   precompute_from_blocks, solve_at_angle)
-    from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map, locate_polar
+    from igamotor.assembly import eval_field
+    from igamotor.coupling import precompute_from_blocks, solve_at_angle
+    from igamotor.geometry import MachineConfig, locate_polar
+    from igamotor.optim import MachineSolver
 
-    mc = MachineConfig(**BASE_MACHINE)
-    stator, rotor = build_demo_machine(mc)
-    dm_st, dm_rt = build_dof_map(stator), build_dof_map(rotor)
-    orders = harmonic_orders(mc.n_harmonics, mc.pole_pairs)
-    blocks = CouplingBlocks(
-        assemble_stiffness(stator, dm_st, build_reluctivity_map(stator, mc)),
-        assemble_stiffness(rotor, dm_rt, build_reluctivity_map(rotor, mc)),
-        assemble_coupling(stator, dm_st, orders),
-        assemble_coupling(rotor, dm_rt, orders),
-        assemble_rhs(stator, dm_st, mc, t=0.0),
-        assemble_rhs(rotor, dm_rt, mc), orders)
-    sol = solve_at_angle(precompute_from_blocks(blocks), 0.0)
+    solver = MachineSolver(MachineConfig(**BASE_MACHINE))
+    rotor, dm_rt = solver.rotor0, solver.dm_rt
+    sol = solve_at_angle(precompute_from_blocks(solver.blocks(rotor)), 0.0)
     u_rt = dm_rt.expand(sol.u_rt)
 
     a, b = rotor.meta["sector_bounds"][1]       # one magnet-ring sector width

@@ -136,9 +136,10 @@ def test_rotational_consistency_of_flux(coarse_cfg, pre, coarse_winding):
 
 
 def test_sweep_single_angle_matches_solve(pre, coarse_winding):
-    sw = rotation_sweep(pre, np.array([0.31]), coarse_winding, 0.3, keep_states=True)
+    sw = rotation_sweep(pre, np.array([0.31]), coarse_winding, 0.3)
     sol = solve_at_angle(pre, 0.31)
-    np.testing.assert_allclose(sw.states[0].u_st, sol.u_st, atol=1e-15)
+    np.testing.assert_allclose(reconstruct_state(pre, 0.31, sw.lambdas[0]).u_st, sol.u_st,
+                               atol=1e-15)
     np.testing.assert_array_equal(sw.lambdas[0], sol.lam)
 
 
@@ -151,10 +152,3 @@ def test_sweep_zero_mean_and_reconstruction(coarse_cfg, pre, coarse_winding):
     direct = solve_at_angle(pre, angles[3])
     np.testing.assert_allclose(state.u_rt, direct.u_rt, atol=1e-15)
 
-
-def test_sweep_workers_deterministic(pre, coarse_winding):
-    angles = sweep_angles(3, 8)
-    a = rotation_sweep(pre, angles, coarse_winding, 0.3, workers=1)
-    b = rotation_sweep(pre, angles, coarse_winding, 0.3, workers=4)
-    assert np.array_equal(a.psi, b.psi)
-    assert np.array_equal(a.lambdas, b.lambdas)
