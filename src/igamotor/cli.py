@@ -3,7 +3,7 @@
 One JSON configuration file drives everything; flags only pick the
 subcommand and the config path, so runs are reproducible from a single
 artifact.  Outputs are CSV/JSON files with the config hash embedded as a
-comment line; identical configs produce byte-identical non-timing outputs.
+comment line; identical configs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -13,21 +13,13 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from .assembly import eval_field
-from .coupling import (
-    assemble_full_saddle,
-    precompute_from_blocks,
-    rotation_sweep,
-    solve_at_angle,
-    sweep_angles,
-)
+from .coupling import solve_at_angle
 from .errors import ConfigError, IgaError
 from .geometry import (
     MachineConfig,
@@ -38,8 +30,6 @@ from .geometry import (
 from .optim import MachineSolver, OptimizerConfig, run_optimization
 
 DEFAULT_SOLVE = {"alpha": 0.0, "grid_r": 24, "grid_theta": 90}
-DEFAULT_BENCH = {"levels": [1, 2, 3], "harmonics": [6, 20, 36, 50],
-                 "n_angles": 8, "repetitions": 10, "full_angles": 4}
 DEFAULT_OPTIMIZE = {"snapshots": False}
 
 
@@ -60,7 +50,7 @@ def _from_dict(cls, data: dict, path: str):
 class RunConfig:
     """Validated run configuration (machine + optimizer + command options)."""
 
-    TOP_KEYS = {"machine", "optimizer", "output_dir", "solve", "bench", "optimize"}
+    TOP_KEYS = {"machine", "optimizer", "output_dir", "solve", "optimize"}
 
     def __init__(self, doc: dict):
         unknown = set(doc) - self.TOP_KEYS
@@ -69,24 +59,12 @@ class RunConfig:
         self.machine = _from_dict(MachineConfig, doc.get("machine", {}), "machine")
         self.optimizer = _from_dict(OptimizerConfig, doc.get("optimizer", {}), "optimizer")
         self.output_dir = Path(doc.get("output_dir", "out"))
-        self.solve = dict(DEFAULT_SOLVE)
-        solve_doc = doc.get("solve", {})
-        if set(solve_doc) - set(DEFAULT_SOLVE):
-            raise ConfigError("unknown key(s) %s under 'solve'"
-                              % sorted(set(solve_doc) - set(DEFAULT_SOLVE)))
-        self.solve.update(solve_doc)
-        self.bench = dict(DEFAULT_BENCH)
-        bench_doc = doc.get("bench", {})
-        if set(bench_doc) - set(DEFAULT_BENCH):
-            raise ConfigError("unknown key(s) %s under 'bench'"
-                              % sorted(set(bench_doc) - set(DEFAULT_BENCH)))
-        self.bench.update(bench_doc)
-        self.optimize = dict(DEFAULT_OPTIMIZE)
-        optimize_doc = doc.get("optimize", {})
-        if set(optimize_doc) - set(DEFAULT_OPTIMIZE):
-            raise ConfigError("unknown key(s) %s under 'optimize'"
-                              % sorted(set(optimize_doc) - set(DEFAULT_OPTIMIZE)))
-        self.optimize.update(optimize_doc)
+        for name, defaults in (("solve", DEFAULT_SOLVE), ("optimize", DEFAULT_OPTIMIZE)):
+            section = doc.get(name, {})
+            if set(section) - set(defaults):
+                raise ConfigError("unknown key(s) %s under '%s'"
+                                  % (sorted(set(section) - set(defaults)), name))
+            setattr(self, name, dict(defaults, **section))
         self.hash = hashlib.sha256(
             json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -169,6 +147,18 @@ def cmd_sweep(cfg: RunConfig) -> None:
     (out / "thd.txt").write_text("# config %s\n%r\n" % (cfg.hash, sweep.thd))
 
 
+def _write_optimization(cfg: RunConfig, state) -> None:
+    out = cfg.output_dir
+    _write_csv(out / "history.csv", cfg.hash, "iteration,thd,step,min_detj",
+               [(it, float(thd), float(step), float(mind))
+                for it, thd, step, mind in state.history])
+    (out / "rotor_optimized.json").write_text(dump_geometry(state.rotor))
+    (out / "summary.txt").write_text(
+        "# config %s\nreason %s\niterations %d\nthd_initial %r\nthd_final %r\n"
+        % (cfg.hash, state.reason, state.iteration, state.history[0][1],
+           state.objective))
+
+
 def cmd_optimize(cfg: RunConfig) -> None:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -181,56 +171,13 @@ def cmd_optimize(cfg: RunConfig) -> None:
             (snap_dir / ("rotor_iter_%03d.json" % state.iteration)).write_text(
                 dump_geometry(state.rotor))
 
-    state = run_optimization(cfg.machine, cfg.optimizer, callback=callback)
-    _write_csv(out / "history.csv", cfg.hash, "iteration,thd,step,min_detj",
-               [(it, float(thd), float(step), float(mind))
-                for it, thd, step, mind in state.history])
-    (out / "rotor_optimized.json").write_text(dump_geometry(state.rotor))
-    (out / "summary.txt").write_text(
-        "# config %s\nreason %s\niterations %d\nthd_initial %r\nthd_final %r\n"
-        % (cfg.hash, state.reason, state.iteration, state.history[0][1],
-           state.objective))
-
-
-def cmd_bench(cfg: RunConfig) -> None:
-    rows = []
-    b = cfg.bench
-    for level in b["levels"]:
-        for n_h in b["harmonics"]:
-            try:
-                mc = dataclasses.replace(cfg.machine, refinement=int(level),
-                                         n_harmonics=int(n_h))
-            except ConfigError as exc:
-                print("bench: skipping level=%s n_harmonics=%s (%s)"
-                      % (level, n_h, exc), file=sys.stderr)
-                continue
-            solver = MachineSolver(mc)
-            blocks = solver.blocks(solver.rotor0)
-            dofs = solver.dm_st.n_free + solver.dm_rt.n_free
-            angles = sweep_angles(mc.pole_pairs, int(b["n_angles"]))
-            t0 = time.perf_counter()
-            pre = precompute_from_blocks(blocks)
-            t_pre = time.perf_counter() - t0
-            solve_at_angle(pre, 0.0)  # warmup
-            t_int, t_post = [], []
-            for _ in range(int(b["repetitions"])):
-                sweep = rotation_sweep(pre, angles)
-                t_int.extend(sweep.time_interface.tolist())
-                t_post.extend(sweep.time_post.tolist())
-            t_full = []
-            for alpha in angles[:int(b["full_angles"])]:
-                for _ in range(int(b["repetitions"])):
-                    t0 = time.perf_counter()
-                    assemble_full_saddle(blocks, float(alpha))
-                    t_full.append(time.perf_counter() - t0)
-            rows.append((dofs, int(n_h), statistics.median(t_full),
-                         statistics.median(t_int), t_pre,
-                         statistics.median(t_post)))
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "bench.csv", cfg.hash,
-               "dofs,n_harmonics,time_full_s,time_interface_s,time_pre_s,time_post_s",
-               rows)
+    try:
+        state = run_optimization(cfg.machine, cfg.optimizer, callback=callback)
+    except IgaError as exc:
+        if hasattr(exc, "partial_state"):
+            _write_optimization(cfg, exc.partial_state)
+        raise
+    _write_optimization(cfg, state)
 
 
 def cmd_export(cfg: RunConfig) -> None:
@@ -245,7 +192,6 @@ COMMANDS = {
     "solve": cmd_solve,
     "sweep": cmd_sweep,
     "optimize": cmd_optimize,
-    "bench": cmd_bench,
     "export": cmd_export,
 }
 

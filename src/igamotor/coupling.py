@@ -26,7 +26,6 @@ the directly assembled full system is the primary correctness oracle.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +155,7 @@ class SidePrecomp:
 
 def precompute_side(K: sp.spmatrix, G: np.ndarray, j: np.ndarray) -> SidePrecomp:
     factor = factorize(K)
-    X = factor.solve_multi(G)
+    X = factor.solve(G)
     y = factor.solve(j)
     return SidePrecomp(K, factor, G, j, X, y, G.conj().T @ X, G.conj().T @ y)
 
@@ -173,7 +172,7 @@ class CouplingPrecomp:
         """Max relative deviation of stored products from recomputation."""
         worst = 0.0
         for side in (self.st, self.rt):
-            X2 = side.factor.solve_multi(side.G)
+            X2 = side.factor.solve(side.G)
             H2 = side.G.conj().T @ X2
             scale = max(float(np.abs(side.H).max()), 1e-300)
             worst = max(worst, float(np.abs(H2 - side.H).max()) / scale)
@@ -273,8 +272,6 @@ def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
     lambdas = np.zeros((n, pre.orders.size), dtype=complex)
     psi = np.zeros(n)
     psi_im = np.zeros(n)
-    t_int = np.zeros(n)
-    t_post = np.zeros(n)
 
     chi_y = chi_X = None
     if winding_vector is not None:
@@ -282,23 +279,18 @@ def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
         chi_X = winding_vector @ pre.st.X    # row vector of length n_harmonics
 
     for j in range(n):
-        t0 = time.perf_counter()
         lam = solve_interface(pre, angles[j])
-        t1 = time.perf_counter()
         lambdas[j] = lam
         if winding_vector is not None:
             r = rotation_phases(pre.orders, angles[j])
             val = chi_y + chi_X @ (r * lam)
             psi[j] = flux_scale * val.real
             psi_im[j] = flux_scale * val.imag
-        t_post[j] = time.perf_counter() - t1
-        t_int[j] = t1 - t0
     if winding_vector is not None and np.abs(psi).max() > 0.0:
         if np.abs(psi_im).max() / np.abs(psi).max() > REALNESS_TOL:
             raise StabilityError("flux linkage has imaginary residue %.3e"
                                  % (np.abs(psi_im).max() / np.abs(psi).max()))
-    return SweepResult(angles=angles, psi=psi, lambdas=lambdas,
-                       time_interface=t_int, time_post=t_post)
+    return SweepResult(angles=angles, psi=psi, lambdas=lambdas)
 
 
 def full_residual(pre: CouplingPrecomp, sol: AngleSolution) -> float:

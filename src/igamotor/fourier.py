@@ -8,7 +8,7 @@ THD, so exported EMF values are per unit angular frequency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,8 +27,6 @@ class SweepResult:
     emf_b: Optional[np.ndarray] = None      # sine EMF coefficients B_n
     thd: Optional[float] = None
     index_set: Optional[tuple] = None
-    time_interface: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    time_post: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def flux_linkage(u_st: np.ndarray, winding_vector: np.ndarray,

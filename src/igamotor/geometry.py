@@ -60,7 +60,6 @@ class MachineConfig:
     r_outer: float = 0.095
     magnet_span: float = 0.7        # fraction of the pole pitch
     slot_span: float = 0.5          # fraction of the slot pitch
-    degree: int = 2
     refinement: int = 2
     mu_r_iron: float = 500.0
     mu_r_magnet: float = 1.05
@@ -86,8 +85,6 @@ class MachineConfig:
             raise ConfigError("magnet_span must be in (0, 1)")
         if not 0.0 < self.slot_span < 1.0:
             raise ConfigError("slot_span must be in (0, 1)")
-        if self.degree != 2:
-            raise ConfigError("only degree 2 is supported (exact circular arcs)")
         if self.refinement < 0:
             raise ConfigError("refinement must be >= 0")
         if self.n_angles < 2 or self.n_angles % 2:

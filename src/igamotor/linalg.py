@@ -27,6 +27,8 @@ class SpdFactorization:
         self.n = n
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve for one right-hand side or a block of columns; complex
+        right-hand sides become two real solves."""
         b = np.asarray(b)
         if b.shape[0] != self.n:
             raise ValueError("right-hand side length %d != %d" % (b.shape[0], self.n))
@@ -34,18 +36,6 @@ class SpdFactorization:
             return self._lu.solve(np.ascontiguousarray(b.real)) \
                 + 1j * self._lu.solve(np.ascontiguousarray(b.imag))
         return self._lu.solve(np.ascontiguousarray(b, dtype=float))
-
-    def solve_multi(self, B: np.ndarray) -> np.ndarray:
-        """Column-wise solves; complex columns become two real solves."""
-        B = np.asarray(B)
-        if B.ndim == 1:
-            return self.solve(B)
-        if B.shape[0] != self.n:
-            raise ValueError("right-hand side rows %d != %d" % (B.shape[0], self.n))
-        if np.iscomplexobj(B):
-            return self.solve_multi(np.ascontiguousarray(B.real)) \
-                + 1j * self.solve_multi(np.ascontiguousarray(B.imag))
-        return self._lu.solve(np.ascontiguousarray(B, dtype=float))
 
 
 def factorize(K: sp.spmatrix, check_symmetry: bool = True) -> SpdFactorization:

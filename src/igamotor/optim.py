@@ -44,8 +44,7 @@ from .linalg import factorize
 class OptimizerConfig:
     tol: Optional[float] = None            # default 1e-6 * initial objective
     delta_floor: float = 2.0 ** -20
-    eps_jacobian: Optional[float] = None   # default eps_jacobian_rel * initial min det J
-    eps_jacobian_rel: float = 1e-3
+    eps_jacobian_rel: float = 1e-3         # validity floor / initial min det J
     max_iterations: int = 100
 
     def __post_init__(self):
@@ -169,8 +168,7 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
     sweep, pre = solver.evaluate(rotor)
     objective = sweep.thd
     _, min_detj = check_mesh_validity(rotor, 0.0)
-    eps_jacobian = opt.eps_jacobian if opt.eps_jacobian is not None \
-        else opt.eps_jacobian_rel * min_detj
+    eps_jacobian = opt.eps_jacobian_rel * min_detj
     tol = opt.tol if opt.tol is not None else 1e-6 * objective
 
     state = OptimizationState(0, rotor, objective, None, None, 0.0,

@@ -42,9 +42,16 @@ def test_main_exit_codes(tmp_path):
     assert main(["solve", "--config", str(missing)]) == 2
 
 
-@pytest.mark.parametrize("key", ["workers", "seed"])
+REMOVED_KEYS = {"workers": 1, "seed": 1, "bench": {}, "machine.degree": 2,
+                "optimizer.eps_jacobian": 1e-8}
+
+
+@pytest.mark.parametrize("key", list(REMOVED_KEYS))
 def test_removed_top_level_keys_are_config_errors(tmp_path, key):
-    cfg_path = write_config(tmp_path, **{key: 1})
+    doc = {"machine": dict(BASE_MACHINE)}
+    section, _, name = key.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[name] = REMOVED_KEYS[key]
+    cfg_path = write_config(tmp_path, **doc)
     assert main(["sweep", "--config", str(cfg_path)]) == 2
 
 
@@ -136,28 +143,41 @@ def test_optimize_outputs(tmp_path):
     assert len(final.patches) > 0
 
 
-def test_bench_outputs_and_skips(tmp_path):
-    cfg_path = write_config(tmp_path, bench={"levels": [0, 1], "harmonics": [6, 50],
-                                             "n_angles": 4, "repetitions": 1,
-                                             "full_angles": 1})
-    assert main(["bench", "--config", str(cfg_path)]) == 0
-    lines = ((tmp_path / "out") / "bench.csv").read_text().strip().splitlines()
-    assert lines[1] == "dofs,n_harmonics,time_full_s,time_interface_s,time_pre_s,time_post_s"
-    rows = [line.split(",") for line in lines[2:]]
-    # n_harmonics = 50 is too rich for these refinements and is skipped
-    assert [int(r[1]) for r in rows] == [6, 6]
-    assert int(rows[1][0]) > int(rows[0][0])
+def test_optimize_failure_keeps_partial_history(tmp_path, monkeypatch):
+    import igamotor.optim
+    from igamotor.errors import StabilityError
+
+    solve_adjoints = igamotor.optim.solve_adjoints
+    calls = []
+
+    def fail_second_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise StabilityError("injected adjoint failure")
+        return solve_adjoints(*args, **kwargs)
+
+    monkeypatch.setattr(igamotor.optim, "solve_adjoints", fail_second_call)
+    cfg_path = write_config(tmp_path, optimizer={"max_iterations": 3})
+    assert main(["optimize", "--config", str(cfg_path)]) == 3
+    out = tmp_path / "out"
+    lines = (out / "history.csv").read_text().strip().splitlines()
+    assert [int(line.split(",")[0]) for line in lines[2:]] == [0, 1]
+    assert "reason error\n" in (out / "summary.txt").read_text()
+    assert (out / "rotor_optimized.json").exists()
 
 
 def test_determinism_byte_identical(tmp_path):
     cfg_path = write_config(tmp_path, solve={"alpha": 0.2, "grid_r": 6,
-                                             "grid_theta": 12})
+                                             "grid_theta": 12},
+                            optimizer={"max_iterations": 2})
     outputs = {}
     for run in ("a", "b"):
-        assert main(["solve", "--config", str(cfg_path)]) == 0
-        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        for command in ("solve", "sweep", "export", "optimize"):
+            assert main([command, "--config", str(cfg_path)]) == 0
         out = tmp_path / "out"
         outputs[run] = {name: (out / name).read_bytes()
                         for name in ("field.csv", "u_coeffs.csv", "psi.csv",
-                                     "spectrum.csv", "thd.txt")}
+                                     "spectrum.csv", "thd.txt", "history.csv",
+                                     "rotor_optimized.json", "summary.txt",
+                                     "stator.json", "rotor.json")}
     assert outputs["a"] == outputs["b"]

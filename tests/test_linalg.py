@@ -41,13 +41,13 @@ def test_machine_stiffness_residual(coarse_cfg, coarse_blocks, rng):
 def test_solve_multi_contracts(rng):
     K = random_spd(40, rng)
     F = factorize(K)
-    assert np.array_equal(F.solve_multi(np.zeros((40, 3))), np.zeros((40, 3)))
-    X = F.solve_multi(K.toarray())
+    assert np.array_equal(F.solve(np.zeros((40, 3))), np.zeros((40, 3)))
+    X = F.solve(K.toarray())
     np.testing.assert_allclose(X, np.eye(40), atol=1e-10)
     bz = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     np.testing.assert_array_equal(F.solve(bz), F.solve(bz.real) + 1j * F.solve(bz.imag))
     with pytest.raises(ValueError):
-        F.solve_multi(np.zeros((17, 2)))
+        F.solve(np.zeros((17, 2)))
 
 
 def test_factorization_reuse_matches_fresh_solves(rng):
