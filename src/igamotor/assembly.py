@@ -1,10 +1,14 @@
 """Quadrature and Galerkin assembly on multipatch NURBS models.
 
 Per-patch tables of basis values, physical gradients and weighted Jacobian
-determinants are built once per geometry (the parametric part is cached per
-knot vector) and reused by stiffness, source, winding, coupling and metric
-assembly.  Element contributions are merged in a fixed patch/element order,
-so assembled operators are bit-reproducible.
+determinants are built per geometry and reused by stiffness, source,
+winding, coupling and metric assembly.  The rational basis values and
+parametric derivatives at the Gauss points depend on the knots, degrees and
+weights only, never on the control points; a shape update moves control
+points alone, so these parts are cached per (knots, degrees, weights, Gauss
+count) and every shape the optimizer tries rebuilds only the Jacobian.
+Element contributions are merged in a fixed patch/element order, so
+assembled operators are bit-reproducible.
 """
 from __future__ import annotations
 
@@ -77,7 +81,9 @@ class PatchTables:
 
     Shapes: E elements, Q points per element, L = (p_u+1)(p_v+1) local
     functions.  ``grad`` holds physical gradients; ``wdet`` the quadrature
-    weight times det(J).
+    weight times det(J).  ``dofs`` and ``val`` depend on the knots and
+    weights only: they are shared, read-only arrays from the space cache
+    (as are the quadrature weights behind ``wdet``).
     """
 
     dofs: np.ndarray      # (E, L) patch-local dof indices
@@ -88,13 +94,23 @@ class PatchTables:
     xy: np.ndarray        # (E, Q, 2)
 
 
-def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
-                       require_regular: bool = True) -> PatchTables:
-    pu, pv = patch.knots_u.degree, patch.knots_v.degree
-    if n_gauss is None:
-        n_gauss = max(pu, pv) + 1
-    xu, wu, vu, du, fu = _basis_table_1d(patch.knots_u, n_gauss)
-    xv, wv, vv, dv, fv = _basis_table_1d(patch.knots_v, n_gauss)
+_SPACE_CACHE: dict = {}
+
+
+def _space_tables(patch: NurbsPatch, n_gauss: int):
+    """Shape-invariant quadrature data of a patch: local dof indices (E, L),
+    rational basis values R and parametric derivatives Rx, Ry (E, Q, L) and
+    tensor quadrature weights w2 (E, Q).  Cached on the knots, degrees,
+    weights and Gauss count; the arrays are shared and read-only."""
+    ku, kv = patch.knots_u, patch.knots_v
+    key = (ku.knots.tobytes(), ku.degree, kv.knots.tobytes(), kv.degree,
+           patch.weights.tobytes(), patch.weights.shape, n_gauss)
+    hit = _SPACE_CACHE.get(key)
+    if hit is not None:
+        return hit
+    pu, pv = ku.degree, kv.degree
+    xu, wu, vu, du, fu = _basis_table_1d(ku, n_gauss)
+    xv, wv, vv, dv, fv = _basis_table_1d(kv, n_gauss)
     n_eu, n_ev = xu.shape[0], xv.shape[0]
     lu, lv = pu + 1, pv + 1
     n_loc = lu * lv
@@ -121,15 +137,34 @@ def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
     R = B * wl[:, None, :] / W[..., None]
     Rx = wl[:, None, :] * (Bx * W[..., None] - B * Wx[..., None]) / (W * W)[..., None]
     Ry = wl[:, None, :] * (By * W[..., None] - B * Wy[..., None]) / (W * W)[..., None]
+    for arr in (dofs, R, Rx, Ry, w2):
+        arr.setflags(write=False)
+    space = (dofs, R, Rx, Ry, w2)
+    _SPACE_CACHE[key] = space
+    return space
 
+
+def _jacobian(patch: NurbsPatch, n_gauss: int | None):
+    """Per-geometry part: (space tables, local control points, the two
+    Jacobian columns, det J) at the Gauss points."""
+    if n_gauss is None:
+        n_gauss = max(patch.knots_u.degree, patch.knots_v.degree) + 1
+    space = _space_tables(patch, n_gauss)
+    dofs, _, Rx, Ry, _ = space
     P = patch.points.reshape(-1, 2)[dofs]                  # (E, L, 2)
-    xy = np.einsum("eql,elc->eqc", R, P)
     j_xi = np.einsum("eql,elc->eqc", Rx, P)
     j_eta = np.einsum("eql,elc->eqc", Ry, P)
     detj = j_xi[..., 0] * j_eta[..., 1] - j_xi[..., 1] * j_eta[..., 0]
+    return space, P, j_xi, j_eta, detj
+
+
+def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
+                       require_regular: bool = True) -> PatchTables:
+    (dofs, R, Rx, Ry, w2), P, j_xi, j_eta, detj = _jacobian(patch, n_gauss)
     if require_regular and np.any(detj <= 0.0):
         raise AssemblyError("singular or inverted Jacobian at a quadrature point "
                             "(min det J = %.3e)" % float(detj.min()))
+    xy = np.einsum("eql,elc->eqc", R, P)
     grad = np.empty(R.shape + (2,))
     grad[..., 0] = (j_eta[..., 1, None] * Rx - j_xi[..., 1, None] * Ry) / detj[..., None]
     grad[..., 1] = (-j_eta[..., 0, None] * Rx + j_xi[..., 0, None] * Ry) / detj[..., None]
@@ -137,8 +172,8 @@ def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
 
 
 def patch_min_detj(patch: NurbsPatch, n_gauss: int | None = None) -> float:
-    tables = build_patch_tables(patch, n_gauss, require_regular=False)
-    return float(tables.detj.min())
+    """Minimum det J over the Gauss points; builds no gradients."""
+    return float(_jacobian(patch, n_gauss)[-1].min())
 
 
 def patch_area(patch: NurbsPatch, n_gauss: int | None = None) -> float:

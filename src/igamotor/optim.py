@@ -52,6 +52,8 @@ class OptimizerConfig:
             raise ConfigError("tol must be positive")
         if self.delta_floor <= 0 or self.eps_jacobian_rel <= 0 or self.max_iterations < 0:
             raise ConfigError("optimizer parameters must be positive")
+        if self.delta_floor > 1.0:
+            raise ConfigError("delta_floor must not exceed 1, the first trial step")
 
 
 @dataclass

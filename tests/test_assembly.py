@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from igamotor import assembly
 from igamotor.assembly import (
     MU0,
+    PatchTables,
     assemble_coupling,
     assemble_load,
     assemble_rhs,
@@ -16,7 +20,9 @@ from igamotor.assembly import (
     gauss_rule,
     l2_error,
     patch_area,
+    patch_min_detj,
 )
+from igamotor.design import DesignSpace
 from igamotor.errors import AssemblyError, ConfigError, GeometryError
 from igamotor.geometry import (
     MachineConfig,
@@ -304,6 +310,67 @@ def test_metric_constant_field_gives_area():
     w = np.concatenate([np.ones(n), np.zeros(n)])  # W = (1, 0), DW = 0
     area = patch_area(model.patches[0])
     assert abs(w @ (B @ w) - area) < 1e-12
+
+
+# ---------------------------------------------------------------- table cache
+
+def _clear_table_caches():
+    assembly._SPACE_CACHE.clear()
+    assembly._TABLE_CACHE.clear()
+
+
+def _assert_tables_equal(a, b):
+    for f in fields(PatchTables):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def test_patch_tables_cold_and_warm_cache_agree(coarse_machine, coarse_dofmaps, rng):
+    _, rotor = coarse_machine
+    _, dm_rt = coarse_dofmaps
+    design = DesignSpace(rotor, dm_rt)
+    moved = design.displace(rotor, 1e-5 * rng.standard_normal(design.n_dofs), 1.0)
+    pid = design.patch_ids[0]
+    shapes = (rotor.patches[pid], moved.patches[pid])
+    cold = []
+    for patch in shapes:
+        _clear_table_caches()
+        cold.append(build_patch_tables(patch))
+    assert not np.array_equal(cold[0].detj, cold[1].detj)
+    # warm: the cache entry was filled by the other shape
+    for patch, other, ref in zip(shapes, shapes[::-1], cold):
+        _clear_table_caches()
+        build_patch_tables(other)
+        n_entries = len(assembly._SPACE_CACHE)
+        warm = build_patch_tables(patch)
+        assert len(assembly._SPACE_CACHE) == n_entries
+        _assert_tables_equal(ref, warm)
+
+
+def test_patch_min_detj_matches_full_tables(coarse_machine):
+    for model in coarse_machine:
+        for patch in model.patches:
+            full = build_patch_tables(patch, require_regular=False)
+            assert patch_min_detj(patch) == full.detj.min()
+
+
+def test_space_cache_keys_on_weights():
+    plain = square_model(p=2, n_elements=2).patches[0]
+    weights = plain.weights.copy()
+    weights[1, 1] = 2.0
+    bumped = NurbsPatch(plain.knots_u, plain.knots_v, plain.points, weights)
+    a = build_patch_tables(plain)
+    b = build_patch_tables(bumped)
+    assert not np.array_equal(a.val, b.val)
+    _clear_table_caches()
+    _assert_tables_equal(b, build_patch_tables(bumped))
+
+
+def test_cached_tables_are_read_only():
+    tab = build_patch_tables(square_model(p=2, n_elements=2).patches[0])
+    with pytest.raises(ValueError):
+        tab.val[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        tab.dofs[0, 0] = 0
 
 
 # ---------------------------------------------------------------- manufactured

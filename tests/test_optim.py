@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from igamotor.cli import main
 from igamotor.design import DesignSpace
 from igamotor.errors import ConfigError
-from igamotor.geometry import build_dof_map, check_mesh_validity
+from igamotor.geometry import MachineConfig, build_dof_map, check_mesh_validity
 from igamotor.optim import (
     LineSearchResult,
     MachineSolver,
@@ -125,6 +128,16 @@ def test_optimizer_config_validation():
         opt_cfg(delta_floor=0.0)
 
 
+def test_optimizer_config_rejects_delta_floor_above_first_step(tmp_path):
+    # the line search starts at delta = 1: a higher floor would try no step
+    assert opt_cfg(delta_floor=1.0).delta_floor == 1.0
+    with pytest.raises(ConfigError):
+        opt_cfg(delta_floor=2.0)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"optimizer": {"delta_floor": 2.0}}))
+    assert main(["optimize", "--config", str(cfg_path)]) == 2
+
+
 def test_run_optimization_zero_iterations():
     cfg = coarse_config(harmonics_multiple_of_poles=True)
     state = run_optimization(cfg, opt_cfg(max_iterations=0))
@@ -157,6 +170,31 @@ def test_run_optimization_short_run_contracts():
         assert min_det > 0.0
     # descent certificate on the last computed direction
     assert state.gradient @ state.descent > 0.0
+
+
+# history rows (iteration, THD, step, min det J) of the first three iterations
+# on the acceptance-6 configuration, recorded before the space-table cache
+# was introduced; a change of trajectory shows up here first
+LOCKED_TRAJECTORY = [
+    (0, 0.18476981858838099, 0.0, 1.973747362519722e-05),
+    (1, 0.13353844690131472, 0.0078125, 4.690347008207329e-06),
+    (2, 0.13001526223842588, 0.00390625, 2.0905113318426244e-06),
+    (3, 0.1285299397508302, 0.0078125, 3.6544321501894504e-07),
+]
+
+
+def test_run_optimization_trajectory_is_locked():
+    cfg = MachineConfig(refinement=0, n_harmonics=12, n_angles=60,
+                        harmonics_multiple_of_poles=True)
+    state = run_optimization(cfg, opt_cfg(max_iterations=3))
+    assert len(state.history) == len(LOCKED_TRAJECTORY)
+    for row, locked in zip(state.history, LOCKED_TRAJECTORY):
+        assert row[0] == locked[0]
+        assert row[2] == locked[2]            # steps are powers of two
+        np.testing.assert_allclose(row[1], locked[1], rtol=1e-12, atol=0.0)
+        # det J of the most compressed element cancels: the BLAS thread
+        # count alone moves it by 2e-12 relative at iteration 3
+        np.testing.assert_allclose(row[3], locked[3], rtol=1e-10, atol=0.0)
 
 
 def test_run_optimization_rejects_loaded_machine():
