@@ -4,8 +4,9 @@ The objective THD(Psi_1 .. Psi_N) sees each rotor position only through the
 flux linkage sample, so the adjoint load at angle i is the winding vector
 scaled by the THD sample sensitivity.  The coupled operator is Hermitian,
 hence its real split is symmetric and the adjoint solves reuse the forward
-interface elimination unchanged, one extra stator solve for the winding
-direction amortized over all angles.
+interface elimination unchanged: one extra stator solve for the winding
+direction and one interface solve over the array of angles.  Only the rotor
+block of the adjoint state enters the gradient, so only it is reconstructed.
 
 The gradient over design directions W (geometry-space basis fields, two
 components per free control point) integrates, per rotor angle,
@@ -23,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import build_patch_tables, magnetization_perp
-from .coupling import CouplingPrecomp, solve_at_angle
+from .coupling import CouplingPrecomp, require_real, solve_interface
 from .design import DesignSpace
 from .errors import DegenerateSignalError
 from .fourier import DerivativeDftMatrices
 from .geometry import DofMap, MachineConfig, MultipatchModel
+from .linalg import matvec
 
 
 def thd_sample_sensitivities(emf_a: np.ndarray, emf_b: np.ndarray, index_set,
@@ -51,39 +53,33 @@ def thd_sample_sensitivities(emf_a: np.ndarray, emf_b: np.ndarray, index_set,
 
 @dataclass
 class AdjointSet:
-    """Per-angle adjoint solutions (stator and rotor coefficient blocks)."""
+    """Adjoint interface coefficients and rotor fields, one row per angle."""
 
-    states: list
-    sensitivities: np.ndarray
+    lambdas: np.ndarray
+    rotor: np.ndarray
 
     def rotor_fields(self):
-        return [s.u_rt for s in self.states]
+        return self.rotor
 
 
 def solve_adjoints(pre: CouplingPrecomp, winding_vector: np.ndarray,
                    sensitivities: np.ndarray, angles: np.ndarray,
-                   flux_scale: float, check_real: bool = True) -> AdjointSet:
+                   flux_scale: float) -> AdjointSet:
     """Solve the coupled system for the adjoint load -s_i * flux_scale * chi
     (stator block) at every rotor angle.
 
     The operator is Hermitian, so the forward elimination applies verbatim;
-    only the reduced right-hand side changes, and it is a scalar multiple of
-    one precomputable stator solve.
+    only the reduced right-hand side changes, and it is a per-angle multiple
+    of one precomputable stator solve.  The rotor block carries no load, so
+    its adjoint field is X_rt lam.
     """
-    sens = np.asarray(sensitivities, dtype=float)
+    coef = -np.asarray(sensitivities, dtype=float) * flux_scale
     y_chi = pre.st.factor.solve(np.asarray(winding_vector, dtype=float))
-    g_chi = pre.st.G.conj().T @ y_chi
-    zero_rt = np.zeros(pre.rt.y.size)
-    zero_g = np.zeros(pre.orders.size, dtype=complex)
-    states = []
-    for s_i, alpha in zip(sens, np.asarray(angles, dtype=float)):
-        coef = -s_i * flux_scale
-        sol = solve_at_angle(pre, float(alpha),
-                             y_st=coef * y_chi, y_rt=zero_rt,
-                             g_st=coef * g_chi, g_rt=zero_g,
-                             check_real=check_real)
-        states.append(sol)
-    return AdjointSet(states, sens)
+    lambdas = solve_interface(pre, angles, g_st=coef[:, None] * (pre.st.G.conj().T @ y_chi),
+                              g_rt=0)
+    rotor = matvec(pre.rt.X, lambdas)
+    require_real(rotor)
+    return AdjointSet(lambdas, rotor.real.copy())
 
 
 def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
@@ -103,8 +99,8 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
     """
     lookup = reluctivity_by_tag.__getitem__ if isinstance(reluctivity_by_tag, dict) \
         else reluctivity_by_tag
-    U = np.stack([dofmap.expand(u) for u in u_rt_list], axis=1)   # (n_global, NL)
-    P = np.stack([dofmap.expand(p) for p in p_rt_list], axis=1)
+    U = dofmap.expand(np.transpose(u_rt_list))     # (n_global, NL)
+    P = dofmap.expand(np.transpose(p_rt_list))
     g = np.zeros(design.n_dofs)
     n_pts = design.n_points
     magnet_pids = [pid for pid, tag in enumerate(model.tags)

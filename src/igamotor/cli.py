@@ -3,7 +3,8 @@
 One JSON configuration file drives everything; flags only pick the
 subcommand and the config path, so runs are reproducible from a single
 artifact.  Outputs are CSV/JSON files with the config hash embedded as a
-comment line; identical configs produce byte-identical outputs.
+comment line; identical configs produce byte-identical outputs on the same
+machine, library versions and BLAS thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -24,6 +25,7 @@ from .errors import ConfigError, IgaError
 from .geometry import (
     MachineConfig,
     build_demo_machine,
+    checked_int,
     dump_geometry,
     locate_polar,
 )
@@ -33,18 +35,27 @@ DEFAULT_SOLVE = {"alpha": 0.0, "grid_r": 24, "grid_theta": 90}
 DEFAULT_OPTIMIZE = {"snapshots": False}
 
 
-def _from_dict(cls, data: dict, path: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - fields
+def _checked(value, types: tuple, message: str):
+    """value if its exact type is one of types (a bool is no number)."""
+    if type(value) not in types:
+        raise ConfigError("%s, got %r" % (message, value))
+    return value
+
+
+def _section(doc: dict, name: str, keys) -> dict:
+    section = _checked(doc.get(name, {}), (dict,), "'%s' must be a JSON object" % name)
+    unknown = set(section) - set(keys)
     if unknown:
-        raise ConfigError("unknown key(s) %s under '%s'" % (sorted(unknown), path))
-    coerced = dict(data)
-    if "index_set" in coerced and coerced["index_set"] is not None:
-        coerced["index_set"] = tuple(coerced["index_set"])
+        raise ConfigError("unknown key(s) %s under '%s'" % (sorted(unknown), name))
+    return section
+
+
+def _from_dict(cls, doc: dict, name: str):
+    data = _section(doc, name, [f.name for f in dataclasses.fields(cls)])
     try:
-        return cls(**coerced)
+        return cls(**data)
     except TypeError as exc:
-        raise ConfigError("bad value under '%s': %s" % (path, exc)) from exc
+        raise ConfigError("bad value under '%s': %s" % (name, exc)) from exc
 
 
 class RunConfig:
@@ -56,15 +67,19 @@ class RunConfig:
         unknown = set(doc) - self.TOP_KEYS
         if unknown:
             raise ConfigError("unknown top-level key(s) %s" % sorted(unknown))
-        self.machine = _from_dict(MachineConfig, doc.get("machine", {}), "machine")
-        self.optimizer = _from_dict(OptimizerConfig, doc.get("optimizer", {}), "optimizer")
-        self.output_dir = Path(doc.get("output_dir", "out"))
+        self.machine = _from_dict(MachineConfig, doc, "machine")
+        self.optimizer = _from_dict(OptimizerConfig, doc, "optimizer")
+        self.output_dir = Path(_checked(doc.get("output_dir", "out"), (str,),
+                                        "output_dir must be a string"))
         for name, defaults in (("solve", DEFAULT_SOLVE), ("optimize", DEFAULT_OPTIMIZE)):
-            section = doc.get(name, {})
-            if set(section) - set(defaults):
-                raise ConfigError("unknown key(s) %s under '%s'"
-                                  % (sorted(set(section) - set(defaults)), name))
-            setattr(self, name, dict(defaults, **section))
+            setattr(self, name, dict(defaults, **_section(doc, name, defaults)))
+        _checked(self.optimize["snapshots"], (bool,), "optimize.snapshots must be true or false")
+        alpha = float(_checked(self.solve["alpha"], (int, float), "solve.alpha must be a number"))
+        if not np.isfinite(alpha):
+            raise ConfigError("solve.alpha must be finite, got %r" % alpha)
+        self.solve["alpha"] = alpha
+        for key in ("grid_r", "grid_theta"):
+            self.solve[key] = checked_int(self.solve[key], "solve." + key, 1)
         self.hash = hashlib.sha256(
             json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -99,7 +114,7 @@ def cmd_solve(cfg: RunConfig) -> None:
     solver = MachineSolver(mc)
     stator, rotor = solver.stator, solver.rotor0
     dm_st, dm_rt = solver.dm_st, solver.dm_rt
-    alpha = float(cfg.solve["alpha"])
+    alpha, n_r, n_t = cfg.solve["alpha"], cfg.solve["grid_r"], cfg.solve["grid_theta"]
     sol = solve_at_angle(solver.precompute(rotor), alpha)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -110,7 +125,6 @@ def cmd_solve(cfg: RunConfig) -> None:
 
     # polar sample grid at cell centers; rotor samples are taken in the rotor
     # frame and reported at their laboratory position
-    n_r, n_t = int(cfg.solve["grid_r"]), int(cfg.solve["grid_theta"])
     u_st_g, u_rt_g = dm_st.expand(sol.u_st), dm_rt.expand(sol.u_rt)
     rows = []
     for i in range(n_r):

@@ -1,5 +1,5 @@
 """Harmonic stator-rotor coupling: the coupled saddle-point system, its
-angle-independent precomputation, the small interface problem solved per
+angle-independent precomputation, the small interface problem at every
 rotor angle, field reconstruction, and rotation sweeps.
 
 The coupled system in (u_st, u_rt, lambda) enforces continuity of the
@@ -21,8 +21,10 @@ problem
 
 and the interior fields are reconstructed as u_st = y_st + X_st R lam,
 u_rt = y_rt + X_rt lam with X_* = K_*^-1 G_*, y_* = K_*^-1 j_*.  Only the
-n_harmonics-dimensional complex system depends on the angle; agreement with
-the directly assembled full system is the primary correctness oracle.
+n_harmonics-dimensional complex system depends on the angle, so the angle is
+an array axis: given an array of angles, rotation_phases, solve_interface and
+reconstruct_state return one row per angle.  Agreement with the directly
+assembled full system is the primary correctness oracle.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import scipy.sparse as sp
 
 from .errors import StabilityError
 from .fourier import SweepResult
-from .linalg import SpdFactorization, complex_lu_solve, factorize, real_lu
+from .linalg import SpdFactorization, complex_lu_solve, factorize, matvec, real_lu
 
 REALNESS_TOL = 1e-9
 
@@ -52,8 +54,9 @@ def harmonic_orders(n_harmonics: int, multiples_of: int = 1) -> np.ndarray:
     return base * int(multiples_of)
 
 
-def rotation_phases(orders: np.ndarray, alpha: float) -> np.ndarray:
-    return np.exp(1j * np.asarray(orders) * alpha)
+def rotation_phases(orders: np.ndarray, alpha) -> np.ndarray:
+    """Phases e^{i l_k alpha}: shape (n_h,) for one angle, (n, n_h) for n."""
+    return np.exp(1j * np.asarray(orders) * np.asarray(alpha)[..., None])
 
 
 def rotation_matrix(orders, alpha: float) -> np.ndarray:
@@ -126,12 +129,9 @@ def assemble_full_saddle(blocks: CouplingBlocks, alpha: float) -> FullSaddleSolu
     zc = z[:b.size] + 1j * z[b.size:]
     resid = M @ zc - b
     scale = max(float(np.linalg.norm(b)), 1e-300)
-    cuts = np.cumsum([0, n_st, n_rt, n_h])
-    block_res = np.array([np.linalg.norm(resid[cuts[i]:cuts[i + 1]]) / scale
-                          for i in range(3)])
-    u_st_c = zc[:n_st]
-    u_rt_c = zc[n_st:n_st + n_rt]
-    lam = zc[n_st + n_rt:]
+    cuts = [n_st, n_st + n_rt]
+    block_res = np.array([np.linalg.norm(part) / scale for part in np.split(resid, cuts)])
+    u_st_c, u_rt_c, lam = np.split(zc, cuts)
     return FullSaddleSolution(alpha, u_st_c.real.copy(), u_rt_c.real.copy(), lam,
                               S, block_res, _realness(u_st_c, u_rt_c))
 
@@ -193,64 +193,58 @@ def precompute_from_blocks(blocks: CouplingBlocks) -> CouplingPrecomp:
 
 @dataclass
 class AngleSolution:
-    """One rotor position: interface coefficients and reconstructed fields."""
+    """Interface coefficients and fields at one angle, or one row per angle."""
 
-    alpha: float
+    alpha: float | np.ndarray
     lam: np.ndarray
     u_st: np.ndarray
     u_rt: np.ndarray
-    im_rel: float
+    im_rel: float | np.ndarray
 
 
-def solve_interface(pre: CouplingPrecomp, alpha: float,
+def solve_interface(pre: CouplingPrecomp, alpha,
                     g_st: np.ndarray | None = None,
                     g_rt: np.ndarray | None = None) -> np.ndarray:
-    """Interface coefficients at one angle for the default or a caller
-    supplied reduced right-hand side (g_* = G_*^H K_*^-1 b_*)."""
+    """Interface coefficients at one angle (or one row per angle) for the
+    default or a caller supplied reduced right-hand side g_* = G_*^H K_*^-1 b_*."""
     r = rotation_phases(pre.orders, alpha)
-    K_int = pre.rt.H + np.conj(r)[:, None] * pre.st.H * r[None, :]
+    K_int = pre.rt.H + np.conj(r)[..., :, None] * pre.st.H * r[..., None, :]
     gs = pre.st.g if g_st is None else g_st
     gr = pre.rt.g if g_rt is None else g_rt
     f_int = -(np.conj(r) * gs + gr)
     return complex_lu_solve(K_int, f_int)
 
 
-def _realness(u_st_c: np.ndarray, u_rt_c: np.ndarray) -> float:
-    scale = max(float(np.abs(u_st_c.real).max(initial=0.0)),
-                float(np.abs(u_rt_c.real).max(initial=0.0)), 1e-300)
-    return max(float(np.abs(u_st_c.imag).max(initial=0.0)),
-               float(np.abs(u_rt_c.imag).max(initial=0.0))) / scale
+def _realness(*fields: np.ndarray):
+    """Largest imaginary over largest real part of the fields, per angle."""
+    re = np.max([np.abs(u.real).max(axis=-1, initial=0.0) for u in fields], axis=0)
+    im = np.max([np.abs(u.imag).max(axis=-1, initial=0.0) for u in fields], axis=0)
+    return im / np.maximum(re, 1e-300)
 
 
-def _fields(pre: CouplingPrecomp, alpha: float, lam: np.ndarray,
-            y_st: np.ndarray | None, y_rt: np.ndarray | None,
-            check_real: bool) -> AngleSolution:
-    """Interior fields u_* = y_* + X_* R lam from interface coefficients."""
+def require_real(*fields: np.ndarray):
+    """Per-angle imaginary residue of reconstructed fields; raises
+    StabilityError when it exceeds REALNESS_TOL at any angle."""
+    im_rel = _realness(*fields)
+    if np.max(im_rel) > REALNESS_TOL:
+        raise StabilityError("reconstructed fields have imaginary residue %.3e"
+                             % np.max(im_rel))
+    return im_rel
+
+
+def reconstruct_state(pre: CouplingPrecomp, alpha, lam: np.ndarray) -> AngleSolution:
+    """Interior fields u_st = y_st + X_st R lam, u_rt = y_rt + X_rt lam from
+    interface coefficients, at one angle or one row per angle."""
     r = rotation_phases(pre.orders, alpha)
-    ys = pre.st.y if y_st is None else y_st
-    yr = pre.rt.y if y_rt is None else y_rt
-    u_st_c = ys + pre.st.X @ (r * lam)
-    u_rt_c = yr + pre.rt.X @ lam
-    im_rel = _realness(u_st_c, u_rt_c)
-    if check_real and im_rel > REALNESS_TOL:
-        raise StabilityError("reconstructed fields have imaginary residue %.3e" % im_rel)
+    u_st_c = pre.st.y + matvec(pre.st.X, r * lam)
+    u_rt_c = pre.rt.y + matvec(pre.rt.X, lam)
+    im_rel = require_real(u_st_c, u_rt_c)
     return AngleSolution(alpha, lam, u_st_c.real.copy(), u_rt_c.real.copy(), im_rel)
 
 
-def solve_at_angle(pre: CouplingPrecomp, alpha: float,
-                   y_st: np.ndarray | None = None,
-                   y_rt: np.ndarray | None = None,
-                   g_st: np.ndarray | None = None,
-                   g_rt: np.ndarray | None = None,
-                   check_real: bool = True) -> AngleSolution:
-    """Solve the interface problem at one angle and reconstruct both fields.
-
-    Passing y_*/g_* solves the same coupled operator for a different
-    right-hand side b_* (y_* = K_*^-1 b_*, g_* = G_*^H y_*); the adjoint
-    sweep uses this with the THD sensitivity load.
-    """
-    lam = solve_interface(pre, alpha, g_st, g_rt)
-    return _fields(pre, alpha, lam, y_st, y_rt, check_real)
+def solve_at_angle(pre: CouplingPrecomp, alpha: float) -> AngleSolution:
+    """Solve the interface problem at one angle and reconstruct both fields."""
+    return reconstruct_state(pre, alpha, solve_interface(pre, alpha))
 
 
 def sweep_angles(pole_pairs: int, n_angles: int) -> np.ndarray:
@@ -263,33 +257,21 @@ def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
                    flux_scale: float = 1.0) -> SweepResult:
     """Solve the interface problem at every angle of one electrical period.
 
-    Only the flux linkage sample and the interface coefficients are kept per
-    angle; interior fields are reconstructed on demand from the stored
+    Only the flux linkage samples and the interface coefficients are kept;
+    interior fields are reconstructed on demand from the stored
     coefficients (reconstruct_state).
     """
     angles = np.asarray(angles, dtype=float)
-    n = angles.size
-    lambdas = np.zeros((n, pre.orders.size), dtype=complex)
-    psi = np.zeros(n)
-    psi_im = np.zeros(n)
-
-    chi_y = chi_X = None
+    lambdas = solve_interface(pre, angles)
+    psi = np.zeros(angles.size)
     if winding_vector is not None:
-        chi_y = float(winding_vector @ pre.st.y)
         chi_X = winding_vector @ pre.st.X    # row vector of length n_harmonics
-
-    for j in range(n):
-        lam = solve_interface(pre, angles[j])
-        lambdas[j] = lam
-        if winding_vector is not None:
-            r = rotation_phases(pre.orders, angles[j])
-            val = chi_y + chi_X @ (r * lam)
-            psi[j] = flux_scale * val.real
-            psi_im[j] = flux_scale * val.imag
-    if winding_vector is not None and np.abs(psi).max() > 0.0:
-        if np.abs(psi_im).max() / np.abs(psi).max() > REALNESS_TOL:
-            raise StabilityError("flux linkage has imaginary residue %.3e"
-                                 % (np.abs(psi_im).max() / np.abs(psi).max()))
+        val = float(winding_vector @ pre.st.y) \
+            + matvec(chi_X, rotation_phases(pre.orders, angles) * lambdas)
+        psi = flux_scale * val.real
+        peak, im_peak = np.abs(psi).max(), np.abs(flux_scale * val.imag).max()
+        if peak > 0.0 and im_peak / peak > REALNESS_TOL:
+            raise StabilityError("flux linkage has imaginary residue %.3e" % (im_peak / peak))
     return SweepResult(angles=angles, psi=psi, lambdas=lambdas)
 
 
@@ -307,9 +289,3 @@ def full_residual(pre: CouplingPrecomp, sol: AngleSolution) -> float:
                 float(np.abs(pre.st.K.data).max()) * np.linalg.norm(sol.u_st),
                 1e-300)
     return float(num / scale)
-
-
-def reconstruct_state(pre: CouplingPrecomp, alpha: float, lam: np.ndarray,
-                      check_real: bool = True) -> AngleSolution:
-    """Interior fields from interface coefficients stored by a sweep."""
-    return _fields(pre, alpha, lam, None, None, check_real)

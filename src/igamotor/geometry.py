@@ -46,6 +46,16 @@ class RegionTag:
             raise ValueError("coil tag needs phase 1..3 and sign +-1")
 
 
+def checked_int(value, name: str, low: int) -> int:
+    """value as an int if integral (k == int(k)) and >= low, else ConfigError."""
+    try:
+        if value == int(value) and value >= low:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError("%s must be an integer >= %d, got %r" % (name, low, value))
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Demo machine parameters.  All lengths in meters, angles in radians."""
@@ -73,38 +83,31 @@ class MachineConfig:
     index_set: Optional[tuple] = None  # THD index set; None = all resolvable
 
     def __post_init__(self):
+        for name, low in (("pole_pairs", 1), ("refinement", 0), ("n_harmonics", 1),
+                          ("n_angles", 2)):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name, low))
         radii = (self.r_shaft, self.r_rotor_iron, self.r_magnet, self.r_interface,
                  self.r_stator_inner, self.r_slot_outer, self.r_outer)
         if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("radii must be positive and strictly increasing: %r" % (radii,))
-        if not self.r_magnet < self.r_interface < self.r_stator_inner:
-            raise ConfigError("interface radius must lie strictly inside the air gap")
-        if self.pole_pairs < 1:
-            raise ConfigError("pole_pairs must be >= 1")
         if not 0.0 < self.magnet_span < 1.0:
             raise ConfigError("magnet_span must be in (0, 1)")
         if not 0.0 < self.slot_span < 1.0:
             raise ConfigError("slot_span must be in (0, 1)")
-        if self.refinement < 0:
-            raise ConfigError("refinement must be >= 0")
-        if self.n_angles < 2 or self.n_angles % 2:
-            raise ConfigError("n_angles must be even and >= 2")
-        if self.n_harmonics < 1:
-            raise ConfigError("n_harmonics must be >= 1")
+        if self.n_angles % 2:
+            raise ConfigError("n_angles must be even")
         if min(self.mu_r_iron, self.mu_r_magnet, self.remanence, self.length_z,
                self.n_turns) <= 0:
             raise ConfigError("material and scale parameters must be positive")
         if self.index_set is not None:
-            idx = tuple(self.index_set)
+            idx = tuple(checked_int(k, "index_set entry", 0) for k in self.index_set)
             if 1 not in idx:
                 raise ConfigError("index_set must contain the fundamental harmonic 1")
-            if any(k != int(k) or k < 0 for k in idx):
-                raise ConfigError("index_set entries must be nonnegative integers")
             if max(idx) >= self.n_angles // 2:
                 raise ConfigError("index_set exceeds the %d harmonics resolvable "
                                   "from n_angles=%d" % (self.n_angles // 2 - 1,
                                                         self.n_angles))
-            object.__setattr__(self, "index_set", tuple(int(k) for k in idx))
+            object.__setattr__(self, "index_set", idx)
         for side, n_trace in (("rotor", self.rotor_trace_dofs),
                               ("stator", self.stator_trace_dofs)):
             if 2 * self.n_harmonics + 1 > n_trace:
@@ -188,13 +191,10 @@ class DofMap:
         return self.free_globals.size
 
     def expand(self, u_free: np.ndarray) -> np.ndarray:
-        """Free-dof vector -> full global vector (zeros on Dirichlet dofs)."""
-        full = np.zeros(self.n_global, dtype=u_free.dtype)
+        """Free-dof vector(s) along axis 0 -> global (zeros on Dirichlet dofs)."""
+        full = np.zeros((self.n_global,) + u_free.shape[1:], dtype=u_free.dtype)
         full[self.free_globals] = u_free
         return full
-
-    def restrict(self, vec_global: np.ndarray) -> np.ndarray:
-        return vec_global[self.free_globals]
 
 
 def _check_conforming(model: MultipatchModel, pa, ea, pb, eb, reverse):

@@ -1,11 +1,13 @@
-"""Linear algebra contracts: sparse SPD factorization with multi-RHS solves
-and small dense complex LU.
+"""Linear algebra contracts: sparse SPD factorization with multi-RHS solves,
+and dense complex LU solves and matrix-vector products over stacks.
 
 The sparse factorization wraps SuperLU in symmetric mode with a
 fill-reducing ordering; one factorization is amortized over the many
 harmonic right-hand sides and rotor angles of the coupling precomputation.
 Complex right-hand sides are solved as two real solves, so the sparse
-operator itself stays real.
+operator itself stays real.  The interface systems of all rotor angles come
+as one (n_angles, n_h, n_h) stack, factored matrix by matrix, so a stacked
+solve carries the bits of one solve per angle.
 """
 from __future__ import annotations
 
@@ -74,21 +76,31 @@ def real_lu(S: sp.spmatrix):
 
 
 def complex_lu_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a dense complex system by partially pivoted LU.
+    """Solve a dense complex system, or a stack (..., n, n) of them with one
+    right-hand side (..., n) each, by partially pivoted LU per matrix.
 
-    Raises SingularSystemError when the smallest pivot falls below
-    1e-14 times the matrix norm.
+    Raises SingularSystemError when the smallest pivot of any matrix falls
+    below 1e-14 times its norm.
     """
     A = np.asarray(A, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
-    if b.shape[0] != A.shape[0]:
+    if b.shape[:A.ndim - 1] != A.shape[:-1]:
         raise ValueError("dimension mismatch")
+    x = np.empty_like(b)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(A, check_finite=False)
-    scale = np.linalg.norm(A)
-    if not np.all(np.isfinite(lu)) or np.min(np.abs(np.diag(lu))) < 1e-14 * scale:
-        raise SingularSystemError("interface system numerically singular")
-    return sla.lu_solve((lu, piv), b, check_finite=False)
+        for i in np.ndindex(A.shape[:-2]):
+            lu, piv = sla.lu_factor(A[i], check_finite=False)
+            if not np.all(np.isfinite(lu)) \
+                    or np.min(np.abs(np.diag(lu))) < 1e-14 * np.linalg.norm(A[i]):
+                raise SingularSystemError("interface system numerically singular")
+            x[i] = sla.lu_solve((lu, piv), b[i], check_finite=False)
+    return x
+
+
+def matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X @ v for one vector v or each row of a stack v (..., n): one
+    matrix-vector product per row, so rows keep the single-vector bits."""
+    return np.matmul(X, v[..., None])[..., 0]

@@ -36,6 +36,7 @@ from .geometry import (
     build_demo_machine,
     build_dof_map,
     check_mesh_validity,
+    checked_int,
 )
 from .linalg import factorize
 
@@ -48,9 +49,11 @@ class OptimizerConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iterations",
+                           checked_int(self.max_iterations, "max_iterations", 0))
         if self.tol is not None and self.tol <= 0:
             raise ConfigError("tol must be positive")
-        if self.delta_floor <= 0 or self.eps_jacobian_rel <= 0 or self.max_iterations < 0:
+        if self.delta_floor <= 0 or self.eps_jacobian_rel <= 0:
             raise ConfigError("optimizer parameters must be positive")
         if self.delta_floor > 1.0:
             raise ConfigError("delta_floor must not exceed 1, the first trial step")
@@ -119,8 +122,7 @@ class MachineSolver:
 
 def descent_field(gradient: np.ndarray, metric) -> np.ndarray:
     """Riesz representative of the gradient in the deformation metric."""
-    W = factorize(metric).solve(np.asarray(gradient, dtype=float))
-    return W
+    return factorize(metric).solve(np.asarray(gradient, dtype=float))
 
 
 @dataclass
@@ -184,8 +186,7 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
                                             sweep.index_set, mats)
             adj = solve_adjoints(pre, solver.winding, sens, solver.angles,
                                  solver.flux_scale)
-            u_rt = [reconstruct_state(pre, a, lam).u_rt
-                    for a, lam in zip(solver.angles, sweep.lambdas)]
+            u_rt = reconstruct_state(pre, solver.angles, sweep.lambdas).u_rt
             gradient = assemble_shape_gradient(rotor, solver.dm_rt, design,
                                                u_rt, adj.rotor_fields(),
                                                solver.relmap_rt, solver.cfg)

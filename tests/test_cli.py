@@ -55,6 +55,30 @@ def test_removed_top_level_keys_are_config_errors(tmp_path, key):
     assert main(["sweep", "--config", str(cfg_path)]) == 2
 
 
+MALFORMED = {
+    "refinement-1.5": ("sweep", "machine.refinement", 1.5),
+    "pole_pairs-2.5": ("sweep", "machine.pole_pairs", 2.5),
+    "n_harmonics-7.5": ("sweep", "machine.n_harmonics", 7.5),
+    "machine-list": ("sweep", "machine", []),
+    "max_iterations-1.5": ("optimize", "optimizer.max_iterations", 1.5),
+    "alpha-string": ("solve", "solve.alpha", "x"),
+    "alpha-nan": ("solve", "solve.alpha", float("nan")),
+    "grid_r-string": ("solve", "solve.grid_r", "x"),
+    "grid_r-0": ("solve", "solve.grid_r", 0),
+    "output_dir-number": ("export", "output_dir", 5),
+    "snapshots-string": ("optimize", "optimize.snapshots", "yes"),
+}
+
+
+@pytest.mark.parametrize("command, key, value", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_values_are_config_errors(tmp_path, command, key, value):
+    doc = {"machine": dict(BASE_MACHINE)}
+    section, _, name = key.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[name] = value
+    cfg_path = write_config(tmp_path, **doc)
+    assert main([command, "--config", str(cfg_path)]) == 2
+
+
 def test_loaded_machine_sweeps_but_does_not_optimize(tmp_path):
     cfg_path = write_config(tmp_path, machine=dict(BASE_MACHINE, current_amplitude=1.0),
                             optimizer={"max_iterations": 1})

@@ -10,8 +10,10 @@ from igamotor.coupling import (
     rotation_matrix,
     rotation_sweep,
     solve_at_angle,
+    solve_interface,
     sweep_angles,
 )
+from igamotor.errors import StabilityError
 from igamotor.fourier import attach_spectrum
 
 
@@ -141,6 +143,40 @@ def test_sweep_single_angle_matches_solve(pre, coarse_winding):
     np.testing.assert_allclose(reconstruct_state(pre, 0.31, sw.lambdas[0]).u_st, sol.u_st,
                                atol=1e-15)
     np.testing.assert_array_equal(sw.lambdas[0], sol.lam)
+
+
+def test_stacked_reconstruction_matches_per_angle_calls(coarse_cfg, pre):
+    angles = sweep_angles(coarse_cfg.pole_pairs, coarse_cfg.n_angles)
+    lambdas = solve_interface(pre, angles)
+    stacked = reconstruct_state(pre, angles, lambdas)
+    assert stacked.u_st.shape == (angles.size, pre.st.y.size)
+    for i, alpha in enumerate(angles):
+        single = reconstruct_state(pre, alpha, lambdas[i])
+        np.testing.assert_array_equal(lambdas[i], solve_interface(pre, alpha))
+        np.testing.assert_array_equal(stacked.u_st[i], single.u_st)
+        np.testing.assert_array_equal(stacked.u_rt[i], single.u_rt)
+        assert stacked.im_rel[i] == single.im_rel
+
+
+def test_realness_guard_is_per_angle(coarse_cfg, coarse_blocks, pre):
+    # without sources the fields are X lam, so a tiny random complex row is
+    # as non-physical at its own angle as a large one; against the largest
+    # real part of the whole stack its residue would be far below the gate
+    from dataclasses import replace
+    pre0 = precompute_from_blocks(replace(coarse_blocks, j_st=np.zeros_like(coarse_blocks.j_st),
+                                          j_rt=np.zeros_like(coarse_blocks.j_rt)))
+    angles = sweep_angles(coarse_cfg.pole_pairs, coarse_cfg.n_angles)
+    lambdas = solve_interface(pre, angles)
+    good = reconstruct_state(pre0, angles, lambdas)
+    assert good.im_rel.shape == angles.shape and np.all(good.im_rel < 1e-9)
+    rng = np.random.default_rng(5)
+    bad = lambdas.copy()
+    bad[4] = 1e-12 * np.abs(lambdas).max() * (rng.standard_normal(lambdas.shape[1])
+                                              + 1j * rng.standard_normal(lambdas.shape[1]))
+    with pytest.raises(StabilityError):
+        reconstruct_state(pre0, angles, bad)
+    keep = np.arange(angles.size) != 4
+    reconstruct_state(pre0, angles[keep], bad[keep])
 
 
 def test_sweep_zero_mean_and_reconstruction(coarse_cfg, pre, coarse_winding):

@@ -80,3 +80,22 @@ def test_complex_lu_examples(rng):
     with pytest.raises(SingularSystemError):
         complex_lu_solve(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex),
                          np.array([1.0, 2.0], dtype=complex))
+
+
+def test_complex_lu_stack_matches_per_matrix_solves(rng):
+    A = rng.standard_normal((5, 12, 12)) + 1j * rng.standard_normal((5, 12, 12)) \
+        + 4 * np.eye(12)
+    b = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+    x = complex_lu_solve(A, b)
+    assert x.shape == (5, 12)
+    for i in range(5):
+        np.testing.assert_array_equal(x[i], complex_lu_solve(A[i], b[i]))
+
+
+def test_complex_lu_stack_rejects_one_singular_matrix(rng):
+    A = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6)) + 3 * np.eye(6)
+    b = rng.standard_normal((4, 6)) + 0j
+    complex_lu_solve(A, b)
+    A[2] = np.outer(A[2, 0], np.ones(6))    # rank one
+    with pytest.raises(SingularSystemError):
+        complex_lu_solve(A, b)
