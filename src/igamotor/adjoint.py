@@ -2,10 +2,10 @@
 
 The objective THD(Psi_1 .. Psi_N) sees each rotor position only through the
 flux linkage sample, so the adjoint load at angle i is the winding vector
-scaled by the THD sample sensitivity.  The coupled operator is Hermitian,
-hence its real split is symmetric and the adjoint solves reuse the forward
-interface elimination unchanged: one extra stator solve for the winding
-direction and one interface solve over the array of angles.  Only the rotor
+scaled by the THD sample sensitivity.  The coupled operator is symmetric,
+so the adjoint solves reuse the forward interface elimination unchanged:
+one extra stator solve for the winding direction and one interface solve
+over the array of angles.  Only the rotor
 block of the adjoint state enters the gradient, so only it is reconstructed.
 
 The gradient over design directions W (geometry-space basis fields, two
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import build_patch_tables, magnetization_perp
-from .coupling import CouplingPrecomp, require_real, solve_interface
+from .coupling import CouplingPrecomp, solve_interface
 from .design import DesignSpace
 from .errors import DegenerateSignalError
 from .fourier import DerivativeDftMatrices
@@ -68,18 +68,16 @@ def solve_adjoints(pre: CouplingPrecomp, winding_vector: np.ndarray,
     """Solve the coupled system for the adjoint load -s_i * flux_scale * chi
     (stator block) at every rotor angle.
 
-    The operator is Hermitian, so the forward elimination applies verbatim;
+    The operator is symmetric, so the forward elimination applies verbatim;
     only the reduced right-hand side changes, and it is a per-angle multiple
     of one precomputable stator solve.  The rotor block carries no load, so
     its adjoint field is X_rt lam.
     """
     coef = -np.asarray(sensitivities, dtype=float) * flux_scale
     y_chi = pre.st.factor.solve(np.asarray(winding_vector, dtype=float))
-    lambdas = solve_interface(pre, angles, g_st=coef[:, None] * (pre.st.G.conj().T @ y_chi),
+    lambdas = solve_interface(pre, angles, g_st=coef[:, None] * (pre.st.G.T @ y_chi),
                               g_rt=0)
-    rotor = matvec(pre.rt.X, lambdas)
-    require_real(rotor)
-    return AdjointSet(lambdas, rotor.real.copy())
+    return AdjointSet(lambdas, matvec(pre.rt.X, lambdas))
 
 
 def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,

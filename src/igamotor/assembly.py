@@ -238,10 +238,9 @@ def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeff_of_tag,
         data.append(ke.reshape(-1))
     if not rows:
         raise AssemblyError("no patch contributes to the operator")
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.n_global, dofmap.n_global))
-    return mat.tocsr()
+    # rebinding frees the per-patch pieces before the CSR conversion
+    data, rows, cols = np.concatenate(data), np.concatenate(rows), np.concatenate(cols)
+    return sp.coo_matrix((data, (rows, cols)), shape=(dofmap.n_global, dofmap.n_global)).tocsr()
 
 
 def _restrict(mat: sp.csr_matrix, dofmap: DofMap) -> sp.csr_matrix:
@@ -339,7 +338,7 @@ def l2_error(model: MultipatchModel, dofmap: DofMap, u_free: np.ndarray,
 
 
 def coupling_gauss_count(degree: int, orders) -> int:
-    """Interface rule: enough points for the basis and the e^{-i l theta}
+    """Interface rule: enough points for the basis and the cos/sin(l theta)
     oscillation on one element."""
     max_order = int(np.max(np.abs(orders))) if len(orders) else 0
     return max(degree + 1, max_order // 2 + 2 + (max_order % 2))
@@ -348,10 +347,11 @@ def coupling_gauss_count(degree: int, orders) -> int:
 def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
                       r_interface: float | None = None,
                       n_gauss: int | None = None) -> np.ndarray:
-    """Dense complex moments of interface traces against e^{-i l theta}.
+    """Dense real moments of interface traces against the real harmonics.
 
-    Column k holds -(stator) or +(rotor) integrals of w_i e^{-i l_k theta}
-    R dtheta over the interface circle.  Rows of dofs without interface
+    Column k holds -(stator) or +(rotor) integrals of w_i h_k(theta) R dtheta
+    over the interface circle, with h_k = cos(l_k theta) for l_k >= 0 and
+    h_k = sin(|l_k| theta) for l_k < 0.  Rows of dofs without interface
     support are exactly zero.
     """
     orders = np.asarray(orders, dtype=int)
@@ -362,7 +362,7 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
     if n_gauss is None:
         n_gauss = coupling_gauss_count(max(p.knots_u.degree for p in model.patches), orders)
     rule = gauss_rule(n_gauss)
-    G = np.zeros((dofmap.n_global, orders.size), dtype=complex)
+    G = np.zeros((dofmap.n_global, orders.size))
     for pid, edge in model.interface_edges:
         patch = model.patches[pid]
         kv, w_edge, p_edge = edge_discretization(patch, edge)
@@ -385,9 +385,10 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
                         "interface edge leaves the coupling circle by %.3e" % abs(r - radius))
                 theta = np.arctan2(point[1], point[0])
                 dtheta = (point[0] * tangent[1] - point[1] * tangent[0]) / (r * r)
-                phases = np.exp(-1j * orders * theta)
+                harmonics = np.where(orders >= 0, np.cos(orders * theta),
+                                     np.sin(-orders * theta))
                 local = edge_globals[span - p:span + 1]
-                G[local, :] += sign * radius * dtheta * wq * np.outer(R, phases)
+                G[local, :] += sign * radius * dtheta * wq * np.outer(R, harmonics)
     return G[dofmap.free_globals]
 
 

@@ -23,7 +23,6 @@ from .coupling import (
     CouplingPrecomp,
     harmonic_orders,
     precompute_side,
-    reconstruct_state,
     rotation_sweep,
     sweep_angles,
 )
@@ -38,7 +37,7 @@ from .geometry import (
     check_mesh_validity,
     checked_int,
 )
-from .linalg import factorize
+from .linalg import factorize, matvec
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
                                             sweep.index_set, mats)
             adj = solve_adjoints(pre, solver.winding, sens, solver.angles,
                                  solver.flux_scale)
-            u_rt = reconstruct_state(pre, solver.angles, sweep.lambdas).u_rt
+            u_rt = pre.rt.y + matvec(pre.rt.X, sweep.lambdas)   # rotor block only
             gradient = assemble_shape_gradient(rotor, solver.dm_rt, design,
                                                u_rt, adj.rotor_fields(),
                                                solver.relmap_rt, solver.cfg)

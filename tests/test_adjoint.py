@@ -10,9 +10,8 @@ from igamotor.adjoint import (
 from igamotor.coupling import (
     build_full_matrix,
     precompute_from_blocks,
-    real_split,
     reconstruct_state,
-    rotation_phases,
+    rotation_matrix,
     solve_interface,
     sweep_angles,
 )
@@ -127,8 +126,8 @@ def _stator_adjoint(pre, solver, s, angles, adj):
     coef_i = -s_i * flux_scale, one row per angle."""
     coef = -np.asarray(s) * solver.flux_scale
     y_chi = pre.st.factor.solve(solver.winding)
-    r = rotation_phases(pre.orders, angles)
-    return (coef[:, None] * y_chi + matvec(pre.st.X, r * adj.lambdas)).real
+    R = rotation_matrix(pre.orders, angles)
+    return coef[:, None] * y_chi + matvec(pre.st.X, matvec(R, adj.lambdas))
 
 
 def test_adjoints_zero_sensitivities_give_zero(forward, solver):
@@ -151,13 +150,10 @@ def test_adjoint_solves_transposed_system(forward, solver, mats, coarse_blocks):
     for i in (0, 5):
         alpha = solver.angles[i]
         M = build_full_matrix(blocks, alpha)
-        S = real_split(M)
-        asym = (S - S.T).tocoo()
-        scale = np.abs(S.data).max()
+        asym = (M - M.T).tocoo()
+        scale = np.abs(M.data).max()
         assert asym.nnz == 0 or np.abs(asym.data).max() < 1e-12 * scale
-        q = np.concatenate([u_st[i].astype(complex),
-                            adj.rotor[i].astype(complex),
-                            adj.lambdas[i]])
+        q = np.concatenate([u_st[i], adj.rotor[i], adj.lambdas[i]])
         c = np.concatenate([-s[i] * solver.flux_scale * solver.winding,
                             np.zeros(pre.rt.y.size + pre.orders.size)])
         resid = np.linalg.norm(M @ q - c) / np.linalg.norm(c)
@@ -170,15 +166,11 @@ def test_adjoint_duality_identity(forward, solver, mats, rng):
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
     delta_j = rng.standard_normal(pre.rt.y.size)
     y_pert = pre.rt.factor.solve(delta_j)
-    g_pert = pre.rt.G.conj().T @ y_pert
-    # the field of the rotor load delta_j alone (no stator load): a random
-    # load excites the one unpaired truncated harmonic, so the perturbed
-    # field has genuine imaginary residue; the duality identity pairs the
-    # real parts (real-split system), so it is built here without the
-    # realness gate of reconstruct_state
-    lam_pert = solve_interface(pre, solver.angles, g_st=np.zeros(pre.orders.size, complex),
+    g_pert = pre.rt.G.T @ y_pert
+    # the stator field of the rotor load delta_j alone (no stator load)
+    lam_pert = solve_interface(pre, solver.angles, g_st=np.zeros(pre.orders.size),
                                g_rt=g_pert)
-    du_st = matvec(pre.st.X, rotation_phases(pre.orders, solver.angles) * lam_pert).real
+    du_st = matvec(pre.st.X, matvec(rotation_matrix(pre.orders, solver.angles), lam_pert))
     lhs = rhs = 0.0
     for i in range(solver.angles.size):
         lhs += s[i] * solver.flux_scale * float(solver.winding @ du_st[i])
@@ -254,7 +246,7 @@ def test_gradient_zero_for_zero_sources(solver, coarse_blocks):
     zeros = np.zeros(n)
     adj = solve_adjoints(pre0, solver.winding, zeros, solver.angles, solver.flux_scale)
     u_rt = [reconstruct_state(pre0, a, lam).u_rt
-            for a, lam in zip(solver.angles, np.zeros((n, solver.orders.size), complex))]
+            for a, lam in zip(solver.angles, np.zeros((n, solver.orders.size)))]
     g = assemble_shape_gradient(solver.rotor0, solver.dm_rt, design, u_rt,
                                 adj.rotor_fields(), solver.relmap_rt, solver.cfg)
     assert np.array_equal(g, np.zeros_like(g))

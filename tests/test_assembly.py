@@ -231,8 +231,9 @@ def test_coupling_rows_zero_off_interface(coarse_machine, coarse_dofmaps):
 
 
 def test_coupling_harmonic_orthogonality_improves_with_refinement(coarse_cfg):
-    # interpolate e^{-i l theta} on the rotor trace; moments approach
-    # 2 pi R delta_{mk} under refinement
+    # interpolate cos(l theta) (l >= 0) or sin(|l| theta) (l < 0) on the
+    # rotor trace; moments approach pi R delta_{mk} (2 pi R for l = 0) under
+    # refinement
     errors = []
     for ref in (0, 1):
         cfg = coarse_config(refinement=ref)
@@ -261,12 +262,12 @@ def test_coupling_harmonic_orthogonality_improves_with_refinement(coarse_cfg):
         worst = 0.0
         circ = 2 * np.pi * cfg.r_interface
         for m, lm in enumerate(orders):
-            target = np.exp(-1j * lm * thetas)
+            target = np.cos(lm * thetas) if lm >= 0 else np.sin(-lm * thetas)
             coeffs, *_ = np.linalg.lstsq(A, target, rcond=None)
-            full = np.zeros(dm.n_global, dtype=complex)
+            full = np.zeros(dm.n_global)
             full[on_iface] = coeffs
-            moments = G.conj().T @ full[dm.free_globals]
-            expected = circ * (np.arange(orders.size) == m)
+            moments = G.T @ full[dm.free_globals]
+            expected = (circ if lm == 0 else circ / 2) * (np.arange(orders.size) == m)
             worst = max(worst, np.abs(moments - expected).max() / circ)
         errors.append(worst)
     assert errors[1] < 0.5 * errors[0]

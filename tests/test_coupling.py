@@ -13,7 +13,6 @@ from igamotor.coupling import (
     solve_interface,
     sweep_angles,
 )
-from igamotor.errors import StabilityError
 from igamotor.fourier import attach_spectrum
 
 
@@ -27,27 +26,37 @@ def test_harmonic_orders_default_and_restricted():
     np.testing.assert_array_equal(harmonic_orders(12),
                                   [-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6])
     np.testing.assert_array_equal(harmonic_orders(4, multiples_of=3), [-6, -3, 3, 6])
-    for n in (4, 5, 12, 36):  # closed under negation: realness of real sources
+    for n in (4, 5, 12, 36):  # closed under negation: every l > 0 has a cos and a sin column
         orders = set(harmonic_orders(n).tolist())
         assert {-o for o in orders} == orders
 
 
 def test_rotation_matrix_properties():
-    orders = np.array([1, 2])
-    np.testing.assert_array_equal(rotation_matrix(orders, 0.0), np.eye(2))
+    orders = np.array([-2, -1, 0, 1, 2])
+    np.testing.assert_array_equal(rotation_matrix(orders, 0.0), np.eye(5))
     np.testing.assert_allclose(rotation_matrix(orders, np.pi),
-                               np.diag([-1.0 + 0j, 1.0 + 0j]), atol=1e-15)
+                               np.diag([1.0, -1.0, 1.0, -1.0, 1.0]), atol=1e-15)
     a, b = 0.37, -1.2
     Ra, Rb = rotation_matrix(orders, a), rotation_matrix(orders, b)
     np.testing.assert_allclose(Ra @ Rb, rotation_matrix(orders, a + b), atol=1e-15)
-    np.testing.assert_allclose(Ra @ rotation_matrix(orders, -a), np.eye(2), atol=1e-15)
-    assert np.allclose(np.abs(np.diag(Ra)), 1.0, atol=1e-15)
+    np.testing.assert_allclose(Ra.T @ Ra, np.eye(5), atol=1e-15)
+    # l = 1 block: cos column 3, sin column 1; R[s,c] = sin a, R[c,s] = -sin a
+    assert Ra[3, 3] == Ra[1, 1] == np.cos(a)
+    assert Ra[1, 3] == -Ra[3, 1] == np.sin(a)
+    stack = rotation_matrix(orders, np.array([a, b]))
+    assert stack.shape == (2, 5, 5)
+    np.testing.assert_array_equal(stack[0], Ra)
+    np.testing.assert_array_equal(stack[1], Rb)
+    for bad in ([1, 2], [-1, 1, 1]):
+        with pytest.raises(ValueError):
+            rotation_matrix(bad, a)
 
 
 def test_full_matrix_is_hermitian(coarse_blocks):
     M = build_full_matrix(coarse_blocks, 0.41)
+    assert not np.iscomplexobj(M.data)    # real symmetric, hence Hermitian
     scale = np.abs(M.data).max()
-    assert np.abs((M - M.getH()).data).max() < 1e-14 * scale if (M - M.getH()).nnz else True
+    assert np.abs((M - M.T).data).max() < 1e-14 * scale if (M - M.T).nnz else True
 
 
 def test_full_saddle_zero_rhs_gives_zero(coarse_blocks):
@@ -62,7 +71,7 @@ def test_full_saddle_zero_rhs_gives_zero(coarse_blocks):
 def test_full_saddle_residuals_and_realness(coarse_blocks):
     sol = assemble_full_saddle(coarse_blocks, 0.0)
     assert np.all(sol.block_residuals < 1e-9)
-    assert sol.im_rel < 1e-9
+    assert not any(np.iscomplexobj(u) for u in (sol.u_st, sol.u_rt, sol.lam))
 
 
 def test_schur_matches_full_system(coarse_cfg, coarse_blocks, pre):
@@ -82,9 +91,8 @@ def test_interface_jump_moments_vanish(coarse_blocks, pre):
     # the trace jump against every coupled harmonic
     alpha = 0.23
     sol = solve_at_angle(pre, alpha)
-    r = np.exp(1j * coarse_blocks.orders * alpha)
-    moments = -(np.conj(r)[:, None] * coarse_blocks.G_st.conj().T) @ sol.u_st \
-        - coarse_blocks.G_rt.conj().T @ sol.u_rt
+    R = rotation_matrix(coarse_blocks.orders, alpha)
+    moments = -(coarse_blocks.G_st @ R).T @ sol.u_st - coarse_blocks.G_rt.T @ sol.u_rt
     scale = 2 * np.pi * 0.0525 * np.abs(sol.u_st).max()
     assert np.abs(moments).max() < 1e-9 * scale
 
@@ -111,10 +119,14 @@ def test_precompute_column_residuals(coarse_blocks, pre):
             assert np.linalg.norm(resid) < 1e-10 * max(1.0, np.linalg.norm(side.G[:, k]))
 
 
-def test_realness_invariant(pre):
-    for alpha in (0.0, 0.11, 0.9):
+def test_realness_invariant(pre, coarse_winding):
+    # real arithmetic throughout: no stage of the coupling path goes complex
+    arrays = [pre.st.G, pre.st.X, pre.st.H, pre.st.g, pre.rt.G, pre.rt.X, pre.rt.H, pre.rt.g]
+    for alpha in (0.0, 0.11, 0.9, np.array([0.11, 0.9])):
         sol = solve_at_angle(pre, alpha)
-        assert sol.im_rel < 1e-9
+        arrays += [sol.lam, sol.u_st, sol.u_rt]
+    arrays.append(rotation_sweep(pre, np.array([0.0, 0.11]), coarse_winding).psi)
+    assert all(a.dtype == np.float64 for a in arrays)
 
 
 def test_angle_solution_full_residual(pre):
@@ -155,28 +167,41 @@ def test_stacked_reconstruction_matches_per_angle_calls(coarse_cfg, pre):
         np.testing.assert_array_equal(lambdas[i], solve_interface(pre, alpha))
         np.testing.assert_array_equal(stacked.u_st[i], single.u_st)
         np.testing.assert_array_equal(stacked.u_rt[i], single.u_rt)
-        assert stacked.im_rel[i] == single.im_rel
 
 
-def test_realness_guard_is_per_angle(coarse_cfg, coarse_blocks, pre):
-    # without sources the fields are X lam, so a tiny random complex row is
-    # as non-physical at its own angle as a large one; against the largest
-    # real part of the whole stack its residue would be far below the gate
-    from dataclasses import replace
-    pre0 = precompute_from_blocks(replace(coarse_blocks, j_st=np.zeros_like(coarse_blocks.j_st),
-                                          j_rt=np.zeros_like(coarse_blocks.j_rt)))
-    angles = sweep_angles(coarse_cfg.pole_pairs, coarse_cfg.n_angles)
-    lambdas = solve_interface(pre, angles)
-    good = reconstruct_state(pre0, angles, lambdas)
-    assert good.im_rel.shape == angles.shape and np.all(good.im_rel < 1e-9)
-    rng = np.random.default_rng(5)
-    bad = lambdas.copy()
-    bad[4] = 1e-12 * np.abs(lambdas).max() * (rng.standard_normal(lambdas.shape[1])
-                                              + 1j * rng.standard_normal(lambdas.shape[1]))
-    with pytest.raises(StabilityError):
-        reconstruct_state(pre0, angles, bad)
-    keep = np.arange(angles.size) != 4
-    reconstruct_state(pre0, angles[keep], bad[keep])
+def _complex_moments(G, orders):
+    """Moments against e^{-i l theta} from the real cos/sin moments:
+    G_c[:, +-l] = G[:, c_l] -+ i G[:, s_l]."""
+    col = {int(l): k for k, l in enumerate(orders)}
+    Gc = np.empty(G.shape, dtype=complex)
+    for k, l in enumerate(orders):
+        c, s = col[abs(int(l))], col[-abs(int(l))]
+        Gc[:, k] = G[:, c] - 1j * np.sign(l) * G[:, s] if l else G[:, c]
+    return Gc
+
+
+def test_real_basis_matches_complex_oracle(coarse_cfg, pre, coarse_winding):
+    # the complex harmonic coupling, solved as a Hermitian interface system
+    # with diagonal phases e^{i l alpha}, must give the real path's fields
+    scale = coarse_cfg.pole_pairs * coarse_cfg.length_z
+    angles = np.array([0.0, 0.13, 0.41, 1.7, 2.9])
+    sw = rotation_sweep(pre, angles, coarse_winding, scale)
+    real = reconstruct_state(pre, angles, sw.lambdas)
+    orders = pre.orders
+    X_st, X_rt = (_complex_moments(side.X, orders) for side in (pre.st, pre.rt))
+    G_st, G_rt = (_complex_moments(side.G, orders) for side in (pre.st, pre.rt))
+    H_st, H_rt = G_st.conj().T @ X_st, G_rt.conj().T @ X_rt
+    g_st, g_rt = G_st.conj().T @ pre.st.y, G_rt.conj().T @ pre.rt.y
+    for i, alpha in enumerate(angles):
+        r = np.exp(1j * orders * alpha)
+        K_int = H_rt + np.conj(r)[:, None] * H_st * r[None, :]
+        lam = np.linalg.solve(K_int, -(np.conj(r) * g_st + g_rt))
+        u_st = pre.st.y + X_st @ (r * lam)
+        u_rt = pre.rt.y + X_rt @ lam
+        psi = scale * (coarse_winding @ u_st)
+        for ref, got in ((u_st, real.u_st[i]), (u_rt, real.u_rt[i])):
+            assert np.abs(ref - got).max() < 1e-12 * np.abs(ref).max()
+        assert abs(psi - sw.psi[i]) < 1e-12 * np.abs(sw.psi).max()
 
 
 def test_sweep_zero_mean_and_reconstruction(coarse_cfg, pre, coarse_winding):

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from igamotor.errors import FactorizationError, SingularSystemError
-from igamotor.linalg import complex_lu_solve, factorize
+from igamotor.linalg import factorize, spd_stack_solve
 
 
 def random_spd(n, rng):
@@ -44,8 +44,8 @@ def test_solve_multi_contracts(rng):
     assert np.array_equal(F.solve(np.zeros((40, 3))), np.zeros((40, 3)))
     X = F.solve(K.toarray())
     np.testing.assert_allclose(X, np.eye(40), atol=1e-10)
-    bz = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    np.testing.assert_array_equal(F.solve(bz), F.solve(bz.real) + 1j * F.solve(bz.imag))
+    with pytest.raises(ValueError):    # a cast would drop the imaginary part
+        F.solve(rng.standard_normal(40) + 1j * rng.standard_normal(40))
     with pytest.raises(ValueError):
         F.solve(np.zeros((17, 2)))
 
@@ -68,34 +68,38 @@ def test_determinism_bitwise(rng):
     assert np.array_equal(x1, x2)
 
 
-def test_complex_lu_examples(rng):
-    np.testing.assert_array_equal(complex_lu_solve(np.eye(3), np.array([1, 2j, 3.0])),
-                                  np.array([1, 2j, 3.0]))
-    x = complex_lu_solve(np.diag([2j, -1.0]), np.array([2j, 3.0]))
-    np.testing.assert_allclose(x, [1.0, -3.0], atol=1e-15)
-    A = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36)) + 6 * np.eye(36)
-    b = rng.standard_normal(36) + 1j * rng.standard_normal(36)
-    x = complex_lu_solve(A, b)
+def test_spd_stack_solve_examples(rng):
+    np.testing.assert_array_equal(spd_stack_solve(np.eye(3), np.array([1, 2, 3.0])),
+                                  np.array([1, 2, 3.0]))
+    x = spd_stack_solve(np.diag([2.0, 4.0]), np.array([2.0, 3.0]))
+    np.testing.assert_allclose(x, [1.0, 0.75], atol=1e-15)
+    A = random_spd(36, rng).toarray()
+    b = rng.standard_normal(36)
+    x = spd_stack_solve(A, b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-12
     with pytest.raises(SingularSystemError):
-        complex_lu_solve(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex),
-                         np.array([1.0, 2.0], dtype=complex))
+        spd_stack_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        spd_stack_solve(np.eye(2), np.array([1.0, 2j]))
+    with pytest.raises(ValueError):
+        spd_stack_solve(np.eye(2) + 0j, np.array([1.0, 2.0]))
 
 
-def test_complex_lu_stack_matches_per_matrix_solves(rng):
-    A = rng.standard_normal((5, 12, 12)) + 1j * rng.standard_normal((5, 12, 12)) \
-        + 4 * np.eye(12)
-    b = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
-    x = complex_lu_solve(A, b)
+def test_spd_stack_solve_matches_per_matrix_solves(rng):
+    A = np.stack([random_spd(12, rng).toarray() for _ in range(5)])
+    b = rng.standard_normal((5, 12))
+    x = spd_stack_solve(A, b)
     assert x.shape == (5, 12)
     for i in range(5):
-        np.testing.assert_array_equal(x[i], complex_lu_solve(A[i], b[i]))
+        np.testing.assert_array_equal(x[i], spd_stack_solve(A[i], b[i]))
 
 
-def test_complex_lu_stack_rejects_one_singular_matrix(rng):
-    A = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6)) + 3 * np.eye(6)
-    b = rng.standard_normal((4, 6)) + 0j
-    complex_lu_solve(A, b)
-    A[2] = np.outer(A[2, 0], np.ones(6))    # rank one
+@pytest.mark.parametrize("kind", ["singular", "indefinite"])
+def test_spd_stack_solve_rejects_one_bad_matrix(rng, kind):
+    A = np.stack([random_spd(6, rng).toarray() for _ in range(4)])
+    b = rng.standard_normal((4, 6))
+    spd_stack_solve(A, b)
+    v = rng.standard_normal(6)
+    A[2] = np.outer(v, v) if kind == "singular" else np.diag([1.0, 2, 3, -1e-3, 5, 6])
     with pytest.raises(SingularSystemError):
-        complex_lu_solve(A, b)
+        spd_stack_solve(A, b)
