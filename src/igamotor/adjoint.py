@@ -16,6 +16,12 @@ components per free control point) integrates, per rotor angle,
 
 the latter written as printed even though it vanishes identically under the
 default mask (deformation fields are zero on magnets).
+
+The sum over angles is taken first, per element, as C_e = U_e P_e^T over
+the element's forward and adjoint coefficients; T = A^T C_e A at each Gauss
+point (A the local basis gradients) is then the angle-summed grad u grad p^T,
+and the element contribution is A (nu w (tr T I - T - T^T)), all as batched
+matrix products.
 """
 from __future__ import annotations
 
@@ -99,38 +105,45 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
         else reluctivity_by_tag
     U = dofmap.expand(np.transpose(u_rt_list))     # (n_global, NL)
     P = dofmap.expand(np.transpose(p_rt_list))
-    g = np.zeros(design.n_dofs)
     n_pts = design.n_points
     magnet_pids = [pid for pid, tag in enumerate(model.tags)
                    if tag.kind == "magnet" and cfg is not None
                    and design.mask[dofmap.patch_maps[pid].reshape(-1)].any()]
+    targets, contribs = [], []
     for pid in list(design.patch_ids) + magnet_pids:
         tag = model.tags[pid]
         tab = build_patch_tables(model.patches[pid], n_gauss)
         gd = dofmap.patch_maps[pid].reshape(-1)[tab.dofs]          # (E, L)
         di = design.index[gd]
-        if not (di >= 0).any():
+        valid = di >= 0
+        if not valid.any():
             continue
-        gu = np.einsum("eqlc,eln->eqcn", tab.grad, U[gd])
-        gp = np.einsum("eqlc,eln->eqcn", tab.grad, P[gd])
-        T = np.einsum("eqcn,eqdn->eqcd", gu, gp)                    # sum over angles
+        n_el, n_q, n_loc = tab.val.shape
+        # A[e] = [grad at point 0 | grad at point 1 | ...]: (L, 2Q)
+        A = tab.grad.transpose(0, 2, 1, 3).reshape(n_el, n_loc, 2 * n_q)
+        C = U[gd] @ P[gd].transpose(0, 2, 1)                        # (E, L, L), angles summed
+        CA = (C @ A).reshape(n_el, n_loc, n_q, 2).transpose(0, 2, 1, 3)
+        T = tab.grad.transpose(0, 1, 3, 2) @ CA                     # (E, Q, 2, 2)
         trT = T[..., 0, 0] + T[..., 1, 1]
-        Tsym = T + T.swapaxes(-1, -2)
-        nu_w = lookup(tag) * tab.wdet
-        contrib = np.zeros(gd.shape + (2,))                         # (E, L, 2)
-        for c in (0, 1):
-            contrib[..., c] = np.einsum("eql,eq->el", tab.grad[..., c], nu_w * trT) \
-                - np.einsum("eqld,eqd->el", tab.grad, nu_w[..., None] * Tsym[..., :, c])
+        M = -(T + T.transpose(0, 1, 3, 2))
+        M[..., 0, 0] += trT
+        M[..., 1, 1] += trT
+        M *= (lookup(tag) * tab.wdet)[..., None, None]              # nu w (tr T I - T - T^T)
         if tag.kind == "magnet":
             mperp = magnetization_perp(tag, cfg, tab.xy)            # (E, Q, 2)
-            gp_sum = gp.sum(axis=3)                                 # (E, Q, 2)
-            dot_pm = np.einsum("eqc,eqc->eq", gp_sum, mperp)
-            for c in (0, 1):
-                contrib[..., c] += np.einsum("eql,eq->el", tab.grad[..., c],
-                                             tab.wdet * dot_pm) \
-                    - np.einsum("eqld,eqd->el", tab.grad,
-                                (tab.wdet * gp_sum[..., c])[..., None] * mperp)
-        valid = di >= 0
-        np.add.at(g, di[valid], contrib[..., 0][valid])
-        np.add.at(g, n_pts + di[valid], contrib[..., 1][valid])
-    return g
+            gp_sum = (tab.grad * P[gd].sum(axis=2)[:, None, :, None]).sum(axis=2)
+            dot_pm = (gp_sum * mperp).sum(axis=-1)
+            # w (gp . m I - m gp^T)
+            M_mag = -mperp[..., :, None] * gp_sum[..., None, :]
+            M_mag[..., 0, 0] += dot_pm
+            M_mag[..., 1, 1] += dot_pm
+            M += tab.wdet[..., None, None] * M_mag
+        contrib = A @ M.reshape(n_el, 2 * n_q, 2)                   # (E, L, 2)
+        targets.append(di[valid])
+        contribs.append(contrib[valid])
+    if not targets:
+        return np.zeros(design.n_dofs)
+    targets = np.concatenate(targets)
+    contribs = np.concatenate(contribs)
+    return np.concatenate([np.bincount(targets, weights=contribs[:, c], minlength=n_pts)
+                           for c in (0, 1)])

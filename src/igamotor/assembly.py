@@ -7,6 +7,14 @@ parametric derivatives at the Gauss points depend on the knots, degrees and
 weights only, never on the control points; a shape update moves control
 points alone, so these parts are cached per (knots, degrees, weights, Gauss
 count) and every shape the optimizer tries rebuilds only the Jacobian.
+
+The element kernels are batched matrix products over the elements of a
+patch (``np.matmul``, so BLAS does the contractions).  The sparsity pattern
+of a global matrix depends on the element dof tables alone, so its CSR
+index arrays and the CSR slot of every element-matrix entry are cached per
+(dof tables, n_global); a new shape only sums its element entries into the
+CSR data with ``np.bincount``.  Coupling moments are evaluated on all
+interface elements and Gauss points at once from the cached 1D tables.
 Element contributions are merged in a fixed patch/element order, so
 assembled operators are bit-reproducible.
 """
@@ -19,7 +27,7 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigError, GeometryError
 from .geometry import DofMap, MachineConfig, MultipatchModel, RegionTag, edge_discretization, edge_nodes
-from .splines import KnotVector, NurbsPatch, bspline_basis, nurbs_basis
+from .splines import KnotVector, NurbsPatch, bspline_basis
 
 MU0 = 4e-7 * np.pi
 
@@ -151,9 +159,9 @@ def _jacobian(patch: NurbsPatch, n_gauss: int | None):
         n_gauss = max(patch.knots_u.degree, patch.knots_v.degree) + 1
     space = _space_tables(patch, n_gauss)
     dofs, _, Rx, Ry, _ = space
-    P = patch.points.reshape(-1, 2)[dofs]                  # (E, L, 2)
-    j_xi = np.einsum("eql,elc->eqc", Rx, P)
-    j_eta = np.einsum("eql,elc->eqc", Ry, P)
+    P = patch.points.reshape(-1, 2).take(dofs, axis=0)     # (E, L, 2)
+    j_xi = Rx @ P                                          # (E, Q, 2)
+    j_eta = Ry @ P
     detj = j_xi[..., 0] * j_eta[..., 1] - j_xi[..., 1] * j_eta[..., 0]
     return space, P, j_xi, j_eta, detj
 
@@ -164,10 +172,13 @@ def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
     if require_regular and np.any(detj <= 0.0):
         raise AssemblyError("singular or inverted Jacobian at a quadrature point "
                             "(min det J = %.3e)" % float(detj.min()))
-    xy = np.einsum("eql,elc->eqc", R, P)
+    xy = R @ P
+    # physical gradient J^-T (d/dxi, d/deta), with the (E, Q) factors divided first
     grad = np.empty(R.shape + (2,))
-    grad[..., 0] = (j_eta[..., 1, None] * Rx - j_xi[..., 1, None] * Ry) / detj[..., None]
-    grad[..., 1] = (-j_eta[..., 0, None] * Rx + j_xi[..., 0, None] * Ry) / detj[..., None]
+    np.subtract((j_eta[..., 1] / detj)[..., None] * Rx,
+                (j_xi[..., 1] / detj)[..., None] * Ry, out=grad[..., 0])
+    np.subtract((j_xi[..., 0] / detj)[..., None] * Ry,
+                (j_eta[..., 0] / detj)[..., None] * Rx, out=grad[..., 1])
     return PatchTables(dofs, R, grad, detj, w2 * detj, xy)
 
 
@@ -218,29 +229,71 @@ def magnetization_perp(tag: RegionTag, cfg: MachineConfig, xy: np.ndarray) -> np
 # --------------------------------------------------------------------------
 # global assembly
 
-def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeff_of_tag,
+_SCATTER_CACHE: dict = {}
+
+
+def _csr_scatter(element_dofs, n_global: int):
+    """Sparsity pattern of a matrix assembled from element matrices on the
+    (E, L) global dof tables ``element_dofs``: canonical CSR ``indptr`` and
+    ``indices``, and ``slots``, the CSR data position of every element-matrix
+    entry in table/element/row/column order.  The pattern does not change
+    with the shape, so it is cached on the tables and n_global; the arrays
+    are shared and read-only."""
+    key = (n_global, tuple(gd.shape for gd in element_dofs),
+           b"".join(gd.tobytes() for gd in element_dofs))
+    hit = _SCATTER_CACHE.get(key)
+    if hit is not None:
+        return hit
+    # entry (l, m) of element e is the pair row * n_global + col
+    entries = np.concatenate([(gd[:, :, None] * n_global + gd[:, None, :]).reshape(-1)
+                              for gd in element_dofs])
+    # sorted unique pairs: row-major order, no duplicates
+    pairs, slots = np.unique(entries, return_inverse=True)
+    index_type = np.int32 if max(entries.size, n_global) < np.iinfo(np.int32).max else np.int64
+    del entries
+    indptr = np.zeros(n_global + 1, dtype=index_type)
+    np.cumsum(np.bincount(pairs // n_global, minlength=n_global), out=indptr[1:])
+    scatter = (indptr, (pairs % n_global).astype(index_type),
+               slots.reshape(-1).astype(index_type))
+    for arr in scatter:
+        arr.setflags(write=False)
+    _SCATTER_CACHE[key] = scatter
+    return scatter
+
+
+def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
                mass: float = 0.0, n_gauss: int | None = None) -> sp.csr_matrix:
-    """Sum over patches of coeff * grad-grad (plus optional mass term) on the
-    glued global numbering (no boundary elimination)."""
-    rows, cols, data = [], [], []
-    for pid, (patch, tag) in enumerate(zip(model.patches, model.tags)):
-        coeff = coeff_of_tag(tag)
+    """Sum over patches of coeffs[pid] * grad-grad (plus optional mass term)
+    on the glued global numbering (no boundary elimination); patches with a
+    zero coefficient are skipped.
+
+    Element matrices are batched products over the E elements of a patch:
+    grad-grad is (E, L, 2Q) @ (E, 2Q, L) with the columns of the left factor
+    the (point, component) pairs, the mass term (E, L, Q) @ (E, Q, L).
+    Their entries are summed into the CSR data by ``np.bincount`` over the
+    cached scatter, in patch/element order."""
+    element_dofs, blocks = [], []
+    for pid, (patch, coeff) in enumerate(zip(model.patches, coeffs)):
         if coeff == 0.0:
             continue
         tab = build_patch_tables(patch, n_gauss)
-        gd = dofmap.patch_maps[pid].reshape(-1)[tab.dofs]  # (E, L)
-        ke = coeff * np.einsum("eqlc,eq,eqmc->elm", tab.grad, tab.wdet, tab.grad)
+        n_el, n_q, n_loc = tab.val.shape
+        A = tab.grad.transpose(0, 2, 1, 3).reshape(n_el, n_loc, 2 * n_q)
+        Aw = A * np.repeat(tab.wdet, 2, axis=1)[:, None, :]
+        ke = coeff * (A @ Aw.transpose(0, 2, 1))
         if mass:
-            ke += mass * np.einsum("eql,eq,eqm->elm", tab.val, tab.wdet, tab.val)
-        n_loc = gd.shape[1]
-        rows.append(np.repeat(gd, n_loc, axis=1).reshape(-1))
-        cols.append(np.tile(gd, (1, n_loc)).reshape(-1))
-        data.append(ke.reshape(-1))
-    if not rows:
+            ke += mass * (tab.val.transpose(0, 2, 1) @ (tab.val * tab.wdet[..., None]))
+        element_dofs.append(dofmap.patch_maps[pid].reshape(-1)[tab.dofs])  # (E, L)
+        blocks.append(ke.reshape(-1))
+    if not blocks:
         raise AssemblyError("no patch contributes to the operator")
-    # rebinding frees the per-patch pieces before the CSR conversion
-    data, rows, cols = np.concatenate(data), np.concatenate(rows), np.concatenate(cols)
-    return sp.coo_matrix((data, (rows, cols)), shape=(dofmap.n_global, dofmap.n_global)).tocsr()
+    indptr, indices, slots = _csr_scatter(element_dofs, dofmap.n_global)
+    # rebinding frees the per-patch blocks before bincount copies the slots
+    blocks = np.concatenate(blocks)
+    data = np.bincount(slots, weights=blocks, minlength=indices.size)
+    # the matrix gets its own index arrays: callers may modify it in place
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                         shape=(dofmap.n_global, dofmap.n_global))
 
 
 def _restrict(mat: sp.csr_matrix, dofmap: DofMap) -> sp.csr_matrix:
@@ -259,7 +312,8 @@ def assemble_stiffness(model: MultipatchModel, dofmap: DofMap,
     for tag in set(model.tags):
         if lookup(tag) <= 0.0:
             raise AssemblyError("reluctivity must be positive for tag %r" % (tag,))
-    return _restrict(_h1_matrix(model, dofmap, lookup, n_gauss=n_gauss), dofmap)
+    coeffs = [lookup(tag) for tag in model.tags]
+    return _restrict(_h1_matrix(model, dofmap, coeffs, n_gauss=n_gauss), dofmap)
 
 
 def assemble_winding_vector(model: MultipatchModel, dofmap: DofMap,
@@ -361,34 +415,35 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
     radius = float(r_interface if r_interface is not None else model.r_interface)
     if n_gauss is None:
         n_gauss = coupling_gauss_count(max(p.knots_u.degree for p in model.patches), orders)
-    rule = gauss_rule(n_gauss)
     G = np.zeros((dofmap.n_global, orders.size))
     for pid, edge in model.interface_edges:
         patch = model.patches[pid]
         kv, w_edge, p_edge = edge_discretization(patch, edge)
-        nodes = edge_nodes(patch.n_u, patch.n_v, edge)
+        if np.any(w_edge <= 0.0):
+            raise ValueError("weights must be positive")
         gmap = dofmap.patch_maps[pid]
-        edge_globals = np.array([gmap[i, j] for i, j in nodes])
-        brk = kv.breakpoints()
-        p = kv.degree
-        for e in range(brk.size - 1):
-            a, b = brk[e], brk[e + 1]
-            for q in range(rule.points.size):
-                s = a + (b - a) * rule.points[q]
-                wq = (b - a) * rule.weights[q]
-                span, R, dR = nurbs_basis(kv, w_edge, s)
-                point = R @ p_edge[span - p:span + 1]
-                tangent = dR @ p_edge[span - p:span + 1]
-                r = np.hypot(point[0], point[1])
-                if abs(r - radius) > 1e-10 * max(1.0, radius):
-                    raise GeometryError(
-                        "interface edge leaves the coupling circle by %.3e" % abs(r - radius))
-                theta = np.arctan2(point[1], point[0])
-                dtheta = (point[0] * tangent[1] - point[1] * tangent[0]) / (r * r)
-                harmonics = np.where(orders >= 0, np.cos(orders * theta),
-                                     np.sin(-orders * theta))
-                local = edge_globals[span - p:span + 1]
-                G[local, :] += sign * radius * dtheta * wq * np.outer(R, harmonics)
+        edge_globals = np.array([gmap[i, j] for i, j in edge_nodes(patch.n_u, patch.n_v, edge)])
+        # every element x Gauss point at once: (Ne, Q) parameters, (Ne, Q, p+1) basis
+        _, wq, N, dN, first = _basis_table_1d(kv, n_gauss)
+        local = first[:, None] + np.arange(kv.degree + 1)      # (Ne, p+1)
+        wl = w_edge[local][:, None, :]
+        W = (wl * N).sum(axis=-1, keepdims=True)
+        dW = (wl * dN).sum(axis=-1, keepdims=True)
+        R = wl * N / W
+        dR = wl * (dN * W - N * dW) / (W * W)
+        point = R @ p_edge[local]                               # (Ne, Q, 2)
+        tangent = dR @ p_edge[local]
+        r = np.hypot(point[..., 0], point[..., 1])
+        off = np.abs(r - radius).max()
+        if off > 1e-10 * max(1.0, radius):
+            raise GeometryError("interface edge leaves the coupling circle by %.3e" % off)
+        theta = np.arctan2(point[..., 1], point[..., 0])
+        dtheta = (point[..., 0] * tangent[..., 1] - point[..., 1] * tangent[..., 0]) / (r * r)
+        angle = theta[..., None] * np.abs(orders)
+        harmonics = np.where(orders >= 0, np.cos(angle), np.sin(angle))  # (Ne, Q, n_h)
+        weighted = R * (sign * radius * dtheta * wq)[..., None]
+        moments = weighted.transpose(0, 2, 1) @ harmonics      # (Ne, p+1, n_h)
+        np.add.at(G, edge_globals[local].reshape(-1), moments.reshape(-1, orders.size))
     return G[dofmap.free_globals]
 
 
@@ -399,12 +454,16 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
 
     The bilinear form integrates the Frobenius product of the Jacobians plus
     the pointwise product of the fields; with componentwise scalar fields it
-    block-decouples into two identical scalar H1 matrices.
+    block-decouples into two identical scalar H1 matrices.  Only patches
+    holding a masked dof are integrated: the others add nothing to the
+    masked rows and columns.
     """
-    idx = np.flatnonzero(np.asarray(design_mask, dtype=bool))
+    mask = np.asarray(design_mask, dtype=bool)
+    idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise ConfigError("design mask selects no degrees of freedom")
-    H = _h1_matrix(model, dofmap, lambda tag: 1.0, mass=1.0, n_gauss=n_gauss)
+    coeffs = [float(mask[gmap.reshape(-1)].any()) for gmap in dofmap.patch_maps]
+    H = _h1_matrix(model, dofmap, coeffs, mass=1.0, n_gauss=n_gauss)
     Hm = H[idx][:, idx].tocsr()
     return sp.block_diag([Hm, Hm], format="csr")
 

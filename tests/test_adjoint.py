@@ -264,3 +264,65 @@ def test_magnet_term_silent_under_default_mask(forward, solver, mats):
                                         adj.rotor_fields(), solver.relmap_rt,
                                         cfg=None)
     assert np.array_equal(g_with, g_without)
+
+
+def _shape_gradient_oracle(model, dofmap, design, u_rt_list, p_rt_list, relmap, cfg):
+    """The gradient as per-angle einsum contractions: physical gradients of
+    every forward and adjoint field, then T = sum over angles of gu gp^T."""
+    from igamotor.assembly import build_patch_tables, magnetization_perp
+
+    U = dofmap.expand(np.transpose(u_rt_list))
+    P = dofmap.expand(np.transpose(p_rt_list))
+    g = np.zeros(design.n_dofs)
+    n_pts = design.n_points
+    magnet_pids = [pid for pid, tag in enumerate(model.tags)
+                   if tag.kind == "magnet" and cfg is not None
+                   and design.mask[dofmap.patch_maps[pid].reshape(-1)].any()]
+    for pid in list(design.patch_ids) + magnet_pids:
+        tag = model.tags[pid]
+        tab = build_patch_tables(model.patches[pid])
+        gd = dofmap.patch_maps[pid].reshape(-1)[tab.dofs]
+        di = design.index[gd]
+        gu = np.einsum("eqlc,eln->eqcn", tab.grad, U[gd])
+        gp = np.einsum("eqlc,eln->eqcn", tab.grad, P[gd])
+        T = np.einsum("eqcn,eqdn->eqcd", gu, gp)
+        trT = T[..., 0, 0] + T[..., 1, 1]
+        Tsym = T + T.swapaxes(-1, -2)
+        nu_w = relmap[tag] * tab.wdet
+        contrib = np.zeros(gd.shape + (2,))
+        for c in (0, 1):
+            contrib[..., c] = np.einsum("eql,eq->el", tab.grad[..., c], nu_w * trT) \
+                - np.einsum("eqld,eqd->el", tab.grad, nu_w[..., None] * Tsym[..., :, c])
+        if tag.kind == "magnet":
+            mperp = magnetization_perp(tag, cfg, tab.xy)
+            gp_sum = gp.sum(axis=3)
+            dot_pm = np.einsum("eqc,eqc->eq", gp_sum, mperp)
+            for c in (0, 1):
+                contrib[..., c] += np.einsum("eql,eq->el", tab.grad[..., c], tab.wdet * dot_pm) \
+                    - np.einsum("eqld,eqd->el", tab.grad,
+                                (tab.wdet * gp_sum[..., c])[..., None] * mperp)
+        valid = di >= 0
+        np.add.at(g, di[valid], contrib[..., 0][valid])
+        np.add.at(g, n_pts + di[valid], contrib[..., 1][valid])
+    return g
+
+
+@pytest.mark.parametrize("deform_kinds", [("rotor_iron", "rotor_air"),
+                                          ("rotor_iron", "rotor_air", "magnet")])
+def test_gradient_matches_per_angle_einsum_oracle(forward, solver, mats, deform_kinds):
+    # the second mask moves magnet control points, so the magnet term is live
+    sweep, pre = forward
+    rng = np.random.default_rng(11)
+    rotor0 = solver.rotor0
+    space = DesignSpace(rotor0, solver.dm_rt)
+    moved = space.displace(rotor0, 1e-5 * rng.standard_normal(space.n_dofs), 1.0)
+    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
+    adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
+    u_rt = pre.rt.y + matvec(pre.rt.X, sweep.lambdas)
+    for rotor in (rotor0, moved):
+        design = DesignSpace(rotor, solver.dm_rt, deform_kinds=deform_kinds)
+        args = (rotor, solver.dm_rt, design, u_rt, adj.rotor, solver.relmap_rt, solver.cfg)
+        produced = assemble_shape_gradient(*args)
+        expected = _shape_gradient_oracle(*args)
+        assert np.abs(expected).max() > 0.0
+        assert np.abs(produced - expected).max() < 1e-13 * np.abs(expected).max()

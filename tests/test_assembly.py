@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from igamotor import assembly
@@ -29,8 +30,17 @@ from igamotor.geometry import (
     MultipatchModel,
     RegionTag,
     build_dof_map,
+    edge_discretization,
+    edge_nodes,
 )
-from igamotor.splines import KnotVector, NurbsPatch, bspline_basis, insert_knots, make_arc_patch
+from igamotor.splines import (
+    KnotVector,
+    NurbsPatch,
+    bspline_basis,
+    insert_knots,
+    make_arc_patch,
+    nurbs_basis,
+)
 
 from conftest import coarse_config
 
@@ -87,7 +97,7 @@ def test_stiffness_patch_test_linear_field():
     model = square_model(p=2, n_elements=3, dirichlet=True)
     dm = build_dof_map(model)
     from igamotor.assembly import _h1_matrix
-    K = _h1_matrix(model, dm, lambda tag: 1.0)
+    K = _h1_matrix(model, dm, [1.0])
     coeffs = dm.points[:, 0]
     resid = K @ coeffs
     interior = ~dm.dirichlet
@@ -105,6 +115,73 @@ def test_stiffness_spd_on_machine(coarse_cfg, coarse_machine, coarse_dofmaps):
         for _ in range(20):
             x = rng.standard_normal(dm.n_free)
             assert x @ (K @ x) > 0.0
+
+
+def _displaced_rotor(rotor, dm, rng, amplitude=1e-5):
+    design = DesignSpace(rotor, dm)
+    return design.displace(rotor, amplitude * rng.standard_normal(design.n_dofs), 1.0)
+
+
+def _machine_cases(coarse_machine, coarse_dofmaps):
+    """(model, dofmap) for the coarse stator, rotor and a displaced rotor."""
+    (stator, rotor), (dm_st, dm_rt) = coarse_machine, coarse_dofmaps
+    moved = _displaced_rotor(rotor, dm_rt, np.random.default_rng(3))
+    return [(stator, dm_st), (rotor, dm_rt), (moved, dm_rt)]
+
+
+def _rel_diff(a, b):
+    a = a.toarray() if sp.issparse(a) else np.asarray(a)
+    b = b.toarray() if sp.issparse(b) else np.asarray(b)
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def _h1_einsum_oracle(model, dm, coeffs, mass=0.0):
+    """The element kernels as einsum contractions summed by a COO -> CSR
+    conversion: the reference for the batched kernels and cached scatter."""
+    rows, cols, data = [], [], []
+    for pid, (patch, coeff) in enumerate(zip(model.patches, coeffs)):
+        if coeff == 0.0:
+            continue
+        tab = build_patch_tables(patch)
+        gd = dm.patch_maps[pid].reshape(-1)[tab.dofs]
+        ke = coeff * np.einsum("eqlc,eq,eqmc->elm", tab.grad, tab.wdet, tab.grad)
+        if mass:
+            ke += mass * np.einsum("eql,eq,eqm->elm", tab.val, tab.wdet, tab.val)
+        n_loc = gd.shape[1]
+        rows.append(np.repeat(gd, n_loc, axis=1).reshape(-1))
+        cols.append(np.tile(gd, (1, n_loc)).reshape(-1))
+        data.append(ke.reshape(-1))
+    data, rows, cols = np.concatenate(data), np.concatenate(rows), np.concatenate(cols)
+    return sp.coo_matrix((data, (rows, cols)), shape=(dm.n_global, dm.n_global)).tocsr()
+
+
+def test_h1_matrix_matches_einsum_oracle(coarse_cfg, coarse_machine, coarse_dofmaps):
+    for model, dm in _machine_cases(coarse_machine, coarse_dofmaps):
+        relmap = build_reluctivity_map(model, coarse_cfg)
+        coeffs = [relmap[tag] for tag in model.tags]
+        ones = [1.0] * len(model.patches)
+        for cs, mass in ((coeffs, 0.0), (ones, 1.0)):
+            produced = assembly._h1_matrix(model, dm, cs, mass=mass)
+            expected = _h1_einsum_oracle(model, dm, cs, mass=mass)
+            assert _rel_diff(produced, expected) < 1e-13
+
+
+def test_patch_tables_match_einsum_oracle(coarse_machine, coarse_dofmaps):
+    for model, _ in _machine_cases(coarse_machine, coarse_dofmaps):
+        for patch in model.patches:
+            tab = build_patch_tables(patch)
+            n_gauss = max(patch.knots_u.degree, patch.knots_v.degree) + 1
+            dofs, R, Rx, Ry, w2 = assembly._space_tables(patch, n_gauss)
+            P = patch.points.reshape(-1, 2)[dofs]
+            j_xi = np.einsum("eql,elc->eqc", Rx, P)
+            j_eta = np.einsum("eql,elc->eqc", Ry, P)
+            detj = j_xi[..., 0] * j_eta[..., 1] - j_xi[..., 1] * j_eta[..., 0]
+            grad = np.stack([(j_eta[..., 1, None] * Rx - j_xi[..., 1, None] * Ry),
+                             (-j_eta[..., 0, None] * Rx + j_xi[..., 0, None] * Ry)],
+                            axis=-1) / detj[..., None, None]
+            assert _rel_diff(tab.detj, detj) < 1e-13
+            assert _rel_diff(tab.grad, grad) < 1e-13
+            assert _rel_diff(tab.xy, np.einsum("eql,elc->eqc", R, P)) < 1e-13
 
 
 def test_stiffness_rejects_folded_patch():
@@ -274,12 +351,64 @@ def test_coupling_harmonic_orthogonality_improves_with_refinement(coarse_cfg):
     assert errors[1] < 5e-3
 
 
+def _coupling_point_loop_oracle(model, dm, orders):
+    """Coupling moments by one scalar ``nurbs_basis`` call per Gauss point."""
+    sign = -1.0 if model.side == "stator" else 1.0
+    radius = model.r_interface
+    n_gauss = assembly.coupling_gauss_count(max(p.knots_u.degree for p in model.patches),
+                                            orders)
+    rule = gauss_rule(n_gauss)
+    G = np.zeros((dm.n_global, orders.size))
+    for pid, edge in model.interface_edges:
+        patch = model.patches[pid]
+        kv, w_edge, p_edge = edge_discretization(patch, edge)
+        edge_globals = np.array([dm.patch_maps[pid][i, j]
+                                 for i, j in edge_nodes(patch.n_u, patch.n_v, edge)])
+        brk = kv.breakpoints()
+        p = kv.degree
+        for e in range(brk.size - 1):
+            a, b = brk[e], brk[e + 1]
+            for q in range(n_gauss):
+                span, R, dR = nurbs_basis(kv, w_edge, a + (b - a) * rule.points[q])
+                point = R @ p_edge[span - p:span + 1]
+                tangent = dR @ p_edge[span - p:span + 1]
+                r = np.hypot(point[0], point[1])
+                theta = np.arctan2(point[1], point[0])
+                dtheta = (point[0] * tangent[1] - point[1] * tangent[0]) / (r * r)
+                harmonics = np.where(orders >= 0, np.cos(orders * theta),
+                                     np.sin(-orders * theta))
+                G[edge_globals[span - p:span + 1], :] += (
+                    sign * radius * dtheta * (b - a) * rule.weights[q] * np.outer(R, harmonics))
+    return G[dm.free_globals]
+
+
+def test_coupling_matches_point_loop_oracle(coarse_machine, coarse_dofmaps):
+    orders = np.array([-9, -6, -3, 0, 3, 6, 9])
+    for model, dm in _machine_cases(coarse_machine, coarse_dofmaps):
+        produced = assemble_coupling(model, dm, orders)
+        assert _rel_diff(produced, _coupling_point_loop_oracle(model, dm, orders)) < 1e-13
+
+
 def test_coupling_rejects_off_circle_edge():
     patch = make_arc_patch(0.04, 0.05, 0.0, 0.5)
     model = MultipatchModel([patch], [RegionTag("rotor_air")], side="rotor",
                             r_interface=0.06, interface_edges=[(0, "u1")])
     dm = build_dof_map(model)
     with pytest.raises(GeometryError):
+        assemble_coupling(model, dm, np.array([0, 1]))
+
+
+def test_coupling_rejects_nonpositive_edge_weights():
+    patch = make_arc_patch(0.04, 0.05, 0.0, 0.5)
+    model = MultipatchModel([patch], [RegionTag("rotor_air")], side="rotor",
+                            r_interface=0.05, interface_edges=[(0, "u1")])
+    dm = build_dof_map(model)
+    assert assemble_coupling(model, dm, np.array([0, 1])).any()
+    # NurbsPatch rejects such weights itself, so plant them behind its back
+    weights = patch.weights.copy()
+    weights[-1, 1] = 0.0
+    object.__setattr__(patch, "weights", weights)
+    with pytest.raises(ValueError):
         assemble_coupling(model, dm, np.array([0, 1]))
 
 
@@ -302,6 +431,24 @@ def test_metric_is_spd_and_block_decoupled(coarse_machine, coarse_dofmaps, rng):
         assemble_vector_metric(rotor, dm_rt, np.zeros(dm_rt.n_global, dtype=bool))
 
 
+def _assert_csr_identical(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_metric_equals_all_patch_matrix_bitwise(coarse_machine, coarse_dofmaps):
+    for model, dm in _machine_cases(coarse_machine, coarse_dofmaps)[1:]:
+        mask = DesignSpace(model, dm).mask
+        without = [not mask[gmap.reshape(-1)].any() for gmap in dm.patch_maps]
+        assert any(without)          # the magnet patches hold no masked dof
+        idx = np.flatnonzero(mask)
+        H = assembly._h1_matrix(model, dm, [1.0] * len(model.patches), mass=1.0)
+        Hm = H[idx][:, idx].tocsr()
+        _assert_csr_identical(assemble_vector_metric(model, dm, mask),
+                              sp.block_diag([Hm, Hm], format="csr"))
+
+
 def test_metric_constant_field_gives_area():
     model = square_model(p=2, n_elements=2, dirichlet=False)
     dm = build_dof_map(model)
@@ -318,6 +465,7 @@ def test_metric_constant_field_gives_area():
 def _clear_table_caches():
     assembly._SPACE_CACHE.clear()
     assembly._TABLE_CACHE.clear()
+    assembly._SCATTER_CACHE.clear()
 
 
 def _assert_tables_equal(a, b):
@@ -372,6 +520,58 @@ def test_cached_tables_are_read_only():
         tab.val[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         tab.dofs[0, 0] = 0
+
+
+# ---------------------------------------------------------------- scatter cache
+
+def test_h1_matrix_csr_is_canonical(coarse_machine, coarse_dofmaps):
+    for model, dm in _machine_cases(coarse_machine, coarse_dofmaps):
+        K = assembly._h1_matrix(model, dm, [1.0] * len(model.patches))
+        assert K.has_canonical_format
+
+
+def test_scatter_cold_and_warm_cache_agree_bitwise(coarse_machine, coarse_dofmaps):
+    _, rotor, moved = [m for m, _ in _machine_cases(coarse_machine, coarse_dofmaps)]
+    _, dm_rt = coarse_dofmaps
+    ones = [1.0] * len(rotor.patches)
+    _clear_table_caches()
+    cold = assembly._h1_matrix(rotor, dm_rt, ones)
+    n_entries = len(assembly._SCATTER_CACHE)
+    _assert_csr_identical(assembly._h1_matrix(rotor, dm_rt, ones), cold)
+    # warm: the scatter was filled by another shape on the same dof map
+    _clear_table_caches()
+    assembly._h1_matrix(moved, dm_rt, ones)
+    warm = assembly._h1_matrix(rotor, dm_rt, ones)
+    assert len(assembly._SCATTER_CACHE) == n_entries
+    _assert_csr_identical(warm, cold)
+
+
+def test_scatter_cache_misses_on_a_different_dof_map(coarse_machine, coarse_dofmaps):
+    import dataclasses
+
+    _, rotor = coarse_machine
+    _, dm = coarse_dofmaps
+    ones = [1.0] * len(rotor.patches)
+    K = assembly._h1_matrix(rotor, dm, ones)
+    n_entries = len(assembly._SCATTER_CACHE)
+    perm = np.random.default_rng(5).permutation(dm.n_global)
+    renumbered = dataclasses.replace(dm, patch_maps=[perm[m] for m in dm.patch_maps])
+    K_perm = assembly._h1_matrix(rotor, renumbered, ones)
+    assert len(assembly._SCATTER_CACHE) == n_entries + 1
+    assert np.array_equal(K_perm[perm][:, perm].toarray(), K.toarray())
+
+
+def test_scatter_arrays_are_read_only_and_not_handed_out(coarse_machine, coarse_dofmaps):
+    _clear_table_caches()
+    _, rotor = coarse_machine
+    _, dm = coarse_dofmaps
+    K = assembly._h1_matrix(rotor, dm, [1.0] * len(rotor.patches))
+    (indptr, indices, slots), = assembly._SCATTER_CACHE.values()
+    for arr in (indptr, indices, slots):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert not np.shares_memory(K.indices, indices)
+    assert not np.shares_memory(K.indptr, indptr)
 
 
 # ---------------------------------------------------------------- manufactured
