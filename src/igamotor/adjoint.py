@@ -11,11 +11,10 @@ block of the adjoint state enters the gradient, so only it is reconstructed.
 The gradient over design directions W (geometry-space basis fields, two
 components per free control point) integrates, per rotor angle,
 
-    nu (div W I - DW - DW^T) grad u . grad p        over deforming patches
-    (div W I - DW^T) grad p . (-M2, M1)             over magnet patches,
+    nu (div W I - DW - DW^T) grad u . grad p        over deforming patches.
 
-the latter written as printed even though it vanishes identically under the
-default mask (deformation fields are zero on magnets).
+The design space holds no control point of a magnet patch, so W vanishes
+on the magnets and the magnetization source contributes no shape term.
 
 The sum over angles is taken first, per element, as C_e = U_e P_e^T over
 the element's forward and adjoint coefficients; T = A^T C_e A at each Gauss
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import build_patch_tables, magnetization_perp
+from .assembly import build_patch_tables
 from .coupling import CouplingPrecomp, solve_interface
 from .design import DesignSpace
 from .errors import DegenerateSignalError
@@ -89,30 +88,22 @@ def solve_adjoints(pre: CouplingPrecomp, winding_vector: np.ndarray,
 def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
                             design: DesignSpace,
                             u_rt_list, p_rt_list,
-                            reluctivity_by_tag,
-                            cfg: MachineConfig | None = None,
-                            n_gauss: int | None = None) -> np.ndarray:
+                            reluctivity_by_tag: dict,
+                            cfg: MachineConfig | None = None) -> np.ndarray:
     """Gradient entries g_m = dJ(direction W_m) over the free design dofs.
 
     u_rt_list/p_rt_list hold the per-angle forward and adjoint rotor
     coefficient vectors (free dofs).  Integrals are restricted to patches
     where the design basis has support; entries for dofs without support in
-    deforming patches are exactly zero.  When cfg is given the magnet-region
-    term is integrated as well (it contributes only for masks that move
-    magnet control points).
+    deforming patches are exactly zero.  ``cfg`` is ignored; it stays for
+    callers that pass it positionally.
     """
-    lookup = reluctivity_by_tag.__getitem__ if isinstance(reluctivity_by_tag, dict) \
-        else reluctivity_by_tag
     U = dofmap.expand(np.transpose(u_rt_list))     # (n_global, NL)
     P = dofmap.expand(np.transpose(p_rt_list))
     n_pts = design.n_points
-    magnet_pids = [pid for pid, tag in enumerate(model.tags)
-                   if tag.kind == "magnet" and cfg is not None
-                   and design.mask[dofmap.patch_maps[pid].reshape(-1)].any()]
     targets, contribs = [], []
-    for pid in list(design.patch_ids) + magnet_pids:
-        tag = model.tags[pid]
-        tab = build_patch_tables(model.patches[pid], n_gauss)
+    for pid in design.patch_ids:
+        tab = build_patch_tables(model.patches[pid])
         gd = dofmap.patch_maps[pid].reshape(-1)[tab.dofs]          # (E, L)
         di = design.index[gd]
         valid = di >= 0
@@ -128,16 +119,8 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
         M = -(T + T.transpose(0, 1, 3, 2))
         M[..., 0, 0] += trT
         M[..., 1, 1] += trT
-        M *= (lookup(tag) * tab.wdet)[..., None, None]              # nu w (tr T I - T - T^T)
-        if tag.kind == "magnet":
-            mperp = magnetization_perp(tag, cfg, tab.xy)            # (E, Q, 2)
-            gp_sum = (tab.grad * P[gd].sum(axis=2)[:, None, :, None]).sum(axis=2)
-            dot_pm = (gp_sum * mperp).sum(axis=-1)
-            # w (gp . m I - m gp^T)
-            M_mag = -mperp[..., :, None] * gp_sum[..., None, :]
-            M_mag[..., 0, 0] += dot_pm
-            M_mag[..., 1, 1] += dot_pm
-            M += tab.wdet[..., None, None] * M_mag
+        nu = reluctivity_by_tag[model.tags[pid]]
+        M *= (nu * tab.wdet)[..., None, None]                       # nu w (tr T I - T - T^T)
         contrib = A @ M.reshape(n_el, 2 * n_q, 2)                   # (E, L, 2)
         targets.append(di[valid])
         contribs.append(contrib[valid])

@@ -7,6 +7,7 @@ parametric derivatives at the Gauss points depend on the knots, degrees and
 weights only, never on the control points; a shape update moves control
 points alone, so these parts are cached per (knots, degrees, weights, Gauss
 count) and every shape the optimizer tries rebuilds only the Jacobian.
+They come from :func:`igamotor.splines.rational_basis` on whole tables.
 
 The element kernels are batched matrix products over the elements of a
 patch (``np.matmul``, so BLAS does the contractions).  The sparsity pattern
@@ -16,7 +17,8 @@ index arrays and the CSR slot of every element-matrix entry are cached per
 CSR data with ``np.bincount``.  Coupling moments are evaluated on all
 interface elements and Gauss points at once from the cached 1D tables.
 Element contributions are merged in a fixed patch/element order, so
-assembled operators are bit-reproducible.
+assembled operators are bit-reproducible.  :func:`eval_field` evaluates
+a field on the basis of :func:`igamotor.splines.patch_basis`.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigError, GeometryError
 from .geometry import DofMap, MachineConfig, MultipatchModel, RegionTag, edge_discretization, edge_nodes
-from .splines import KnotVector, NurbsPatch, bspline_basis
+from .splines import KnotVector, NurbsPatch, bspline_basis, patch_basis, rational_basis
 
 MU0 = 4e-7 * np.pi
 
@@ -139,12 +141,7 @@ def _space_tables(patch: NurbsPatch, n_gauss: int):
     w2 = np.einsum("uq,vr->uvqr", wu, wv).reshape(E, Q)
 
     wl = patch.weights.reshape(-1)[dofs]                   # (E, L)
-    W = np.einsum("eql,el->eq", B, wl)
-    Wx = np.einsum("eql,el->eq", Bx, wl)
-    Wy = np.einsum("eql,el->eq", By, wl)
-    R = B * wl[:, None, :] / W[..., None]
-    Rx = wl[:, None, :] * (Bx * W[..., None] - B * Wx[..., None]) / (W * W)[..., None]
-    Ry = wl[:, None, :] * (By * W[..., None] - B * Wy[..., None]) / (W * W)[..., None]
+    R, Rx, Ry = rational_basis(wl[:, None, :], B, Bx, By)
     for arr in (dofs, R, Rx, Ry, w2):
         arr.setflags(write=False)
     space = (dofs, R, Rx, Ry, w2)
@@ -182,9 +179,9 @@ def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
     return PatchTables(dofs, R, grad, detj, w2 * detj, xy)
 
 
-def patch_min_detj(patch: NurbsPatch, n_gauss: int | None = None) -> float:
+def patch_min_detj(patch: NurbsPatch) -> float:
     """Minimum det J over the Gauss points; builds no gradients."""
-    return float(_jacobian(patch, n_gauss)[-1].min())
+    return float(_jacobian(patch, None)[-1].min())
 
 
 def patch_area(patch: NurbsPatch, n_gauss: int | None = None) -> float:
@@ -262,7 +259,7 @@ def _csr_scatter(element_dofs, n_global: int):
 
 
 def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
-               mass: float = 0.0, n_gauss: int | None = None) -> sp.csr_matrix:
+               mass: float = 0.0) -> sp.csr_matrix:
     """Sum over patches of coeffs[pid] * grad-grad (plus optional mass term)
     on the glued global numbering (no boundary elimination); patches with a
     zero coefficient are skipped.
@@ -276,7 +273,7 @@ def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
     for pid, (patch, coeff) in enumerate(zip(model.patches, coeffs)):
         if coeff == 0.0:
             continue
-        tab = build_patch_tables(patch, n_gauss)
+        tab = build_patch_tables(patch)
         n_el, n_q, n_loc = tab.val.shape
         A = tab.grad.transpose(0, 2, 1, 3).reshape(n_el, n_loc, 2 * n_q)
         Aw = A * np.repeat(tab.wdet, 2, axis=1)[:, None, :]
@@ -302,18 +299,14 @@ def _restrict(mat: sp.csr_matrix, dofmap: DofMap) -> sp.csr_matrix:
 
 
 def assemble_stiffness(model: MultipatchModel, dofmap: DofMap,
-                       reluctivity_by_tag, n_gauss: int | None = None) -> sp.csr_matrix:
+                       reluctivity_by_tag: dict) -> sp.csr_matrix:
     """Free-dof stiffness matrix of -div(nu grad u); symmetric positive
     definite after Dirichlet row/column elimination."""
-    if isinstance(reluctivity_by_tag, dict):
-        lookup = reluctivity_by_tag.__getitem__
-    else:
-        lookup = reluctivity_by_tag
     for tag in set(model.tags):
-        if lookup(tag) <= 0.0:
+        if reluctivity_by_tag[tag] <= 0.0:
             raise AssemblyError("reluctivity must be positive for tag %r" % (tag,))
-    coeffs = [lookup(tag) for tag in model.tags]
-    return _restrict(_h1_matrix(model, dofmap, coeffs, n_gauss=n_gauss), dofmap)
+    coeffs = [reluctivity_by_tag[tag] for tag in model.tags]
+    return _restrict(_h1_matrix(model, dofmap, coeffs), dofmap)
 
 
 def assemble_winding_vector(model: MultipatchModel, dofmap: DofMap,
@@ -399,7 +392,6 @@ def coupling_gauss_count(degree: int, orders) -> int:
 
 
 def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
-                      r_interface: float | None = None,
                       n_gauss: int | None = None) -> np.ndarray:
     """Dense real moments of interface traces against the real harmonics.
 
@@ -412,7 +404,7 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
     if model.side not in ("stator", "rotor"):
         raise GeometryError("coupling assembly needs a stator or rotor model")
     sign = -1.0 if model.side == "stator" else 1.0
-    radius = float(r_interface if r_interface is not None else model.r_interface)
+    radius = float(model.r_interface)
     if n_gauss is None:
         n_gauss = coupling_gauss_count(max(p.knots_u.degree for p in model.patches), orders)
     G = np.zeros((dofmap.n_global, orders.size))
@@ -426,11 +418,7 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
         # every element x Gauss point at once: (Ne, Q) parameters, (Ne, Q, p+1) basis
         _, wq, N, dN, first = _basis_table_1d(kv, n_gauss)
         local = first[:, None] + np.arange(kv.degree + 1)      # (Ne, p+1)
-        wl = w_edge[local][:, None, :]
-        W = (wl * N).sum(axis=-1, keepdims=True)
-        dW = (wl * dN).sum(axis=-1, keepdims=True)
-        R = wl * N / W
-        dR = wl * (dN * W - N * dW) / (W * W)
+        R, dR = rational_basis(w_edge[local][:, None, :], N, dN)
         point = R @ p_edge[local]                               # (Ne, Q, 2)
         tangent = dR @ p_edge[local]
         r = np.hypot(point[..., 0], point[..., 1])
@@ -448,8 +436,7 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
 
 
 def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
-                           design_mask: np.ndarray,
-                           n_gauss: int | None = None) -> sp.csr_matrix:
+                           design_mask: np.ndarray) -> sp.csr_matrix:
     """H1-type metric for planar deformation fields restricted to masked dofs.
 
     The bilinear form integrates the Frobenius product of the Jacobians plus
@@ -463,7 +450,7 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
     if idx.size == 0:
         raise ConfigError("design mask selects no degrees of freedom")
     coeffs = [float(mask[gmap.reshape(-1)].any()) for gmap in dofmap.patch_maps]
-    H = _h1_matrix(model, dofmap, coeffs, mass=1.0, n_gauss=n_gauss)
+    H = _h1_matrix(model, dofmap, coeffs, mass=1.0)
     Hm = H[idx][:, idx].tocsr()
     return sp.block_diag([Hm, Hm], format="csr")
 
@@ -473,29 +460,11 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
 
 def eval_field(model: MultipatchModel, dofmap: DofMap, u_global: np.ndarray,
                pid: int, xi: float, eta: float):
-    """(point, value, physical gradient) of a coefficient field on a patch."""
+    """(point, value, physical gradient) of a coefficient field on a patch,
+    from one basis evaluation; the gradient is J^-T (du/dxi, du/deta)."""
     patch = model.patches[pid]
-    su, Bu, dBu = bspline_basis(patch.knots_u, xi)
-    sv, Bv, dBv = bspline_basis(patch.knots_v, eta)
-    pu, pv = patch.knots_u.degree, patch.knots_v.degree
-    sl_u = slice(su - pu, su + 1)
-    sl_v = slice(sv - pv, sv + 1)
-    wl = patch.weights[sl_u, sl_v]
-    Pl = patch.points[sl_u, sl_v]
-    cl = u_global[dofmap.patch_maps[pid][sl_u, sl_v]]
-
-    Bw = np.outer(Bu, Bv) * wl
-    Bw_u = np.outer(dBu, Bv) * wl
-    Bw_v = np.outer(Bu, dBv) * wl
-    W, W_u, W_v = Bw.sum(), Bw_u.sum(), Bw_v.sum()
-    R = Bw / W
-    R_u = (Bw_u * W - Bw * W_u) / (W * W)
-    R_v = (Bw_v * W - Bw * W_v) / (W * W)
-
-    point = np.tensordot(R, Pl, axes=([0, 1], [0, 1]))
-    jac = np.stack([np.tensordot(R_u, Pl, axes=([0, 1], [0, 1])),
-                    np.tensordot(R_v, Pl, axes=([0, 1], [0, 1]))], axis=1)
-    value = float((R * cl).sum())
-    grad_ref = np.array([(R_u * cl).sum(), (R_v * cl).sum()])
-    grad = np.linalg.solve(jac.T, grad_ref)
-    return point, value, grad
+    local, R, R_xi, R_eta = patch_basis(patch, xi, eta)
+    P = patch.points[local].reshape(-1, 2)
+    c = u_global[dofmap.patch_maps[pid][local].reshape(-1)]
+    dR = np.stack([R_xi, R_eta])                           # (2, L)
+    return R @ P, float(R @ c), np.linalg.solve(dR @ P, dR @ c)

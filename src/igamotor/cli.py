@@ -25,6 +25,7 @@ from .errors import ConfigError, IgaError
 from .geometry import (
     MachineConfig,
     build_demo_machine,
+    checked_float,
     checked_int,
     dump_geometry,
     locate_polar,
@@ -74,10 +75,7 @@ class RunConfig:
         for name, defaults in (("solve", DEFAULT_SOLVE), ("optimize", DEFAULT_OPTIMIZE)):
             setattr(self, name, dict(defaults, **_section(doc, name, defaults)))
         _checked(self.optimize["snapshots"], (bool,), "optimize.snapshots must be true or false")
-        alpha = float(_checked(self.solve["alpha"], (int, float), "solve.alpha must be a number"))
-        if not np.isfinite(alpha):
-            raise ConfigError("solve.alpha must be finite, got %r" % alpha)
-        self.solve["alpha"] = alpha
+        self.solve["alpha"] = checked_float(self.solve["alpha"], "solve.alpha")
         for key in ("grid_r", "grid_theta"):
             self.solve[key] = checked_int(self.solve[key], "solve." + key, 1)
         self.hash = hashlib.sha256(

@@ -2,11 +2,12 @@
 
 A deformation field lives in the rotor geometry's own NURBS space, so one
 coefficient step moves the corresponding control points and the perturbed
-geometry is exactly the transported one.  Masked out (held fixed): every
-control point of a magnet patch, the interface circle, and the shaft
-boundary; everything else in the rotor iron/air patches is free, two
-components per point.  Vectors over the design space are stacked
-[x-components; y-components].
+geometry is exactly the transported one.  Only the rotor iron and air
+patches deform.  Masked out (held fixed): every control point of a magnet
+patch, the interface circle, and the shaft boundary; everything else in
+the deforming patches is free, two components per point.  The magnets
+never move, which is why the shape gradient carries no magnetization term.
+Vectors over the design space are stacked [x-components; y-components].
 """
 from __future__ import annotations
 
@@ -18,12 +19,13 @@ from .errors import ConfigError
 from .geometry import DofMap, MultipatchModel, edge_nodes
 from .splines import NurbsPatch
 
+DEFORM_KINDS = ("rotor_iron", "rotor_air")
+
 
 @dataclass
 class DesignSpace:
     model: MultipatchModel
     dofmap: DofMap
-    deform_kinds: tuple = ("rotor_iron", "rotor_air")
     mask: np.ndarray = field(init=False)
     free: np.ndarray = field(init=False)
     index: np.ndarray = field(init=False)
@@ -35,7 +37,7 @@ class DesignSpace:
         in_fixed = np.zeros(dm.n_global, dtype=bool)
         for pid, tag in enumerate(self.model.tags):
             flat = dm.patch_maps[pid].reshape(-1)
-            if tag.kind in self.deform_kinds:
+            if tag.kind in DEFORM_KINDS:
                 in_deform[flat] = True
             else:
                 in_fixed[flat] = True
@@ -52,7 +54,7 @@ class DesignSpace:
         self.index[self.free] = np.arange(self.free.size)
         self.patch_ids = tuple(
             pid for pid, tag in enumerate(self.model.tags)
-            if tag.kind in self.deform_kinds
+            if tag.kind in DEFORM_KINDS
             and mask[dm.patch_maps[pid].reshape(-1)].any())
 
     @property

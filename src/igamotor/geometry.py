@@ -11,7 +11,8 @@ coupling happens weakly through interface harmonics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -47,13 +48,21 @@ class RegionTag:
 
 
 def checked_int(value, name: str, low: int) -> int:
-    """value as an int if integral (k == int(k)) and >= low, else ConfigError."""
+    """value as an int if integral (k == int(k)) and >= low, else ConfigError
+    (a bool is no number)."""
     try:
-        if value == int(value) and value >= low:
+        if not isinstance(value, bool) and value == int(value) and value >= low:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError("%s must be an integer >= %d, got %r" % (name, low, value))
+
+
+def checked_float(value, name: str) -> float:
+    """value as a float if a finite number, else ConfigError (a bool is no number)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ConfigError("%s must be a finite number, got %r" % (name, value))
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -83,9 +92,15 @@ class MachineConfig:
     index_set: Optional[tuple] = None  # THD index set; None = all resolvable
 
     def __post_init__(self):
+        for f in fields(self):            # every float field: a finite number
+            if f.type == "float":
+                object.__setattr__(self, f.name, checked_float(getattr(self, f.name), f.name))
         for name, low in (("pole_pairs", 1), ("refinement", 0), ("n_harmonics", 1),
                           ("n_angles", 2)):
             object.__setattr__(self, name, checked_int(getattr(self, name), name, low))
+        if not isinstance(self.harmonics_multiple_of_poles, bool):
+            raise ConfigError("harmonics_multiple_of_poles must be true or false, got %r"
+                              % (self.harmonics_multiple_of_poles,))
         radii = (self.r_shaft, self.r_rotor_iron, self.r_magnet, self.r_interface,
                  self.r_stator_inner, self.r_slot_outer, self.r_outer)
         if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):

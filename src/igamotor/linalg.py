@@ -40,22 +40,22 @@ class SpdFactorization:
         return self._lu.solve(np.ascontiguousarray(b, dtype=float))
 
 
-def factorize(K: sp.spmatrix, check_symmetry: bool = True) -> SpdFactorization:
+def factorize(K: sp.spmatrix) -> SpdFactorization:
     """Factorize a sparse SPD matrix for repeated solves.
 
-    With diagonal pivoting preferred, a symmetric matrix factors with the
-    signs of its eigenvalue inertia on the U diagonal, so indefiniteness
-    shows up as a nonpositive pivot.
+    The matrix must be symmetric to 1e-12 of its largest entry.  With
+    diagonal pivoting preferred, a symmetric matrix factors with the signs
+    of its eigenvalue inertia on the U diagonal, so indefiniteness shows up
+    as a nonpositive pivot.
     """
     K = K.tocsc()
     n = K.shape[0]
     if K.shape[0] != K.shape[1]:
         raise FactorizationError("matrix is not square: %r" % (K.shape,))
-    if check_symmetry:
-        probe = (K - K.T).tocoo()
-        scale = max(1.0, float(np.max(np.abs(K.data))) if K.nnz else 1.0)
-        if probe.nnz and float(np.max(np.abs(probe.data))) > 1e-12 * scale:
-            raise FactorizationError("matrix is not symmetric")
+    probe = (K - K.T).tocoo()
+    scale = max(1.0, float(np.max(np.abs(K.data))) if K.nnz else 1.0)
+    if probe.nnz and float(np.max(np.abs(probe.data))) > 1e-12 * scale:
+        raise FactorizationError("matrix is not symmetric")
     try:
         lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})

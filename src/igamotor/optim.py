@@ -35,6 +35,7 @@ from .geometry import (
     build_demo_machine,
     build_dof_map,
     check_mesh_validity,
+    checked_float,
     checked_int,
 )
 from .linalg import factorize, matvec
@@ -50,6 +51,10 @@ class OptimizerConfig:
     def __post_init__(self):
         object.__setattr__(self, "max_iterations",
                            checked_int(self.max_iterations, "max_iterations", 0))
+        if self.tol is not None:
+            object.__setattr__(self, "tol", checked_float(self.tol, "tol"))
+        for name in ("delta_floor", "eps_jacobian_rel"):
+            object.__setattr__(self, name, checked_float(getattr(self, name), name))
         if self.tol is not None and self.tol <= 0:
             raise ConfigError("tol must be positive")
         if self.delta_floor <= 0 or self.eps_jacobian_rel <= 0:

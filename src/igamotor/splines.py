@@ -1,6 +1,10 @@
 """B-spline and NURBS kernels: basis evaluation, first derivatives, surface
 patches and knot insertion.
 
+The rational basis and its derivatives (the quotient rule) are formed in
+one place, :func:`rational_basis`, for any leading axes: point evaluation
+and the batched quadrature tables of :mod:`igamotor.assembly` share it.
+
 All parameter domains are normalized to [0, 1]; knot vectors given on another
 range are rescaled on construction.  Indexing is 0-based throughout.  The
 right endpoint evaluates in the last nonempty span (clamped convention).
@@ -131,6 +135,17 @@ def bspline_basis(kv: KnotVector, x: float):
     return span, N[:p + 1], derivs
 
 
+def rational_basis(w, N, *dN):
+    """Rational basis R = w N / W and its derivatives w (dN W - N dW) / W^2,
+    with W = sum w N, over the last axis (the local functions) of N and of
+    each derivative table in dN; w broadcasts against them, so any leading
+    axes (elements, points) evaluate at once.  Returns (R, *dR)."""
+    wN = w * N
+    W = wN.sum(axis=-1, keepdims=True)
+    return (wN / W,) + tuple(
+        w * (d * W - N * (w * d).sum(axis=-1, keepdims=True)) / (W * W) for d in dN)
+
+
 def nurbs_basis(kv: KnotVector, weights, x: float):
     """Rational basis functions and first derivatives at x.
 
@@ -143,11 +158,7 @@ def nurbs_basis(kv: KnotVector, weights, x: float):
     if np.any(w <= 0.0):
         raise ValueError("weights must be positive")
     span, N, dN = bspline_basis(kv, x)
-    wl = w[span - kv.degree:span + 1]
-    W = wl @ N
-    dW = wl @ dN
-    R = wl * N / W
-    dR = wl * (dN * W - N * dW) / (W * W)
+    R, dR = rational_basis(w[span - kv.degree:span + 1], N, dN)
     return span, R, dR
 
 
@@ -202,6 +213,21 @@ class NurbsPatch:
         return self.knots_v.n
 
 
+def patch_basis(patch: NurbsPatch, xi: float, eta: float):
+    """Nonzero rational basis at (xi, eta): the two slices of the control
+    grid (points, weights, dof map) it belongs to, and R, R_xi, R_eta
+    flattened in row-major order of that (p_u + 1, p_v + 1) block."""
+    su, Bu, dBu = bspline_basis(patch.knots_u, xi)
+    sv, Bv, dBv = bspline_basis(patch.knots_v, eta)
+    local = (slice(su - patch.knots_u.degree, su + 1),
+             slice(sv - patch.knots_v.degree, sv + 1))
+    R, R_xi, R_eta = rational_basis(patch.weights[local].reshape(-1),
+                                    np.outer(Bu, Bv).reshape(-1),
+                                    np.outer(dBu, Bv).reshape(-1),
+                                    np.outer(Bu, dBv).reshape(-1))
+    return local, R, R_xi, R_eta
+
+
 def eval_patch(patch: NurbsPatch, xi: float, eta: float):
     """Map a parameter point through the patch.
 
@@ -212,25 +238,9 @@ def eval_patch(patch: NurbsPatch, xi: float, eta: float):
     jac : ndarray, shape (2, 2)
         Columns are dF/dxi and dF/deta.
     """
-    su, Bu, dBu = bspline_basis(patch.knots_u, xi)
-    sv, Bv, dBv = bspline_basis(patch.knots_v, eta)
-    pu, pv = patch.knots_u.degree, patch.knots_v.degree
-    wl = patch.weights[su - pu:su + 1, sv - pv:sv + 1]
-    Pl = patch.points[su - pu:su + 1, sv - pv:sv + 1, :]
-    Bw = np.outer(Bu, Bv) * wl
-    Bw_u = np.outer(dBu, Bv) * wl
-    Bw_v = np.outer(Bu, dBv) * wl
-    A = Bw.sum()
-    A_u = Bw_u.sum()
-    A_v = Bw_v.sum()
-    S = np.tensordot(Bw, Pl, axes=([0, 1], [0, 1]))
-    S_u = np.tensordot(Bw_u, Pl, axes=([0, 1], [0, 1]))
-    S_v = np.tensordot(Bw_v, Pl, axes=([0, 1], [0, 1]))
-    point = S / A
-    jac = np.empty((2, 2))
-    jac[:, 0] = (S_u * A - S * A_u) / (A * A)
-    jac[:, 1] = (S_v * A - S * A_v) / (A * A)
-    return point, jac
+    local, R, R_xi, R_eta = patch_basis(patch, xi, eta)
+    P = patch.points[local].reshape(-1, 2)
+    return R @ P, np.stack([R_xi @ P, R_eta @ P], axis=1)
 
 
 def _insert_one_u(knots: np.ndarray, p: int, Pw: np.ndarray, x: float):

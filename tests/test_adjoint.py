@@ -18,7 +18,7 @@ from igamotor.coupling import (
 from igamotor.design import DesignSpace
 from igamotor.errors import DegenerateSignalError
 from igamotor.fourier import build_derivative_dft, emf_spectrum, thd
-from igamotor.geometry import edge_nodes
+from igamotor.geometry import build_demo_machine, build_dof_map, edge_nodes
 from igamotor.linalg import matvec
 from igamotor.optim import MachineSolver
 
@@ -252,33 +252,28 @@ def test_gradient_zero_for_zero_sources(solver, coarse_blocks):
     assert np.array_equal(g, np.zeros_like(g))
 
 
-def test_magnet_term_silent_under_default_mask(forward, solver, mats):
-    sweep, pre = forward
-    design = DesignSpace(solver.rotor0, solver.dm_rt)
-    g_with = _gradient(solver, sweep, pre, mats, design)
-    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
-    adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
-    u_rt = [reconstruct_state(pre, a, lam).u_rt
-            for a, lam in zip(solver.angles, sweep.lambdas)]
-    g_without = assemble_shape_gradient(solver.rotor0, solver.dm_rt, design, u_rt,
-                                        adj.rotor_fields(), solver.relmap_rt,
-                                        cfg=None)
-    assert np.array_equal(g_with, g_without)
+@pytest.mark.parametrize("refinement", [0, 1, 2])
+def test_design_mask_holds_no_magnet_control_point(refinement):
+    # the shape gradient has no magnetization term: it relies on this
+    rotor = build_demo_machine(coarse_config(refinement=refinement, n_harmonics=4))[1]
+    dm = build_dof_map(rotor)
+    design = DesignSpace(rotor, dm)
+    magnets = [pid for pid, tag in enumerate(rotor.tags) if tag.kind == "magnet"]
+    assert magnets and not set(magnets) & set(design.patch_ids)
+    for pid in magnets:
+        assert not design.mask[dm.patch_maps[pid].reshape(-1)].any()
 
 
-def _shape_gradient_oracle(model, dofmap, design, u_rt_list, p_rt_list, relmap, cfg):
+def _shape_gradient_oracle(model, dofmap, design, u_rt_list, p_rt_list, relmap):
     """The gradient as per-angle einsum contractions: physical gradients of
     every forward and adjoint field, then T = sum over angles of gu gp^T."""
-    from igamotor.assembly import build_patch_tables, magnetization_perp
+    from igamotor.assembly import build_patch_tables
 
     U = dofmap.expand(np.transpose(u_rt_list))
     P = dofmap.expand(np.transpose(p_rt_list))
     g = np.zeros(design.n_dofs)
     n_pts = design.n_points
-    magnet_pids = [pid for pid, tag in enumerate(model.tags)
-                   if tag.kind == "magnet" and cfg is not None
-                   and design.mask[dofmap.patch_maps[pid].reshape(-1)].any()]
-    for pid in list(design.patch_ids) + magnet_pids:
+    for pid in design.patch_ids:
         tag = model.tags[pid]
         tab = build_patch_tables(model.patches[pid])
         gd = dofmap.patch_maps[pid].reshape(-1)[tab.dofs]
@@ -293,24 +288,13 @@ def _shape_gradient_oracle(model, dofmap, design, u_rt_list, p_rt_list, relmap, 
         for c in (0, 1):
             contrib[..., c] = np.einsum("eql,eq->el", tab.grad[..., c], nu_w * trT) \
                 - np.einsum("eqld,eqd->el", tab.grad, nu_w[..., None] * Tsym[..., :, c])
-        if tag.kind == "magnet":
-            mperp = magnetization_perp(tag, cfg, tab.xy)
-            gp_sum = gp.sum(axis=3)
-            dot_pm = np.einsum("eqc,eqc->eq", gp_sum, mperp)
-            for c in (0, 1):
-                contrib[..., c] += np.einsum("eql,eq->el", tab.grad[..., c], tab.wdet * dot_pm) \
-                    - np.einsum("eqld,eqd->el", tab.grad,
-                                (tab.wdet * gp_sum[..., c])[..., None] * mperp)
         valid = di >= 0
         np.add.at(g, di[valid], contrib[..., 0][valid])
         np.add.at(g, n_pts + di[valid], contrib[..., 1][valid])
     return g
 
 
-@pytest.mark.parametrize("deform_kinds", [("rotor_iron", "rotor_air"),
-                                          ("rotor_iron", "rotor_air", "magnet")])
-def test_gradient_matches_per_angle_einsum_oracle(forward, solver, mats, deform_kinds):
-    # the second mask moves magnet control points, so the magnet term is live
+def test_gradient_matches_per_angle_einsum_oracle(forward, solver, mats):
     sweep, pre = forward
     rng = np.random.default_rng(11)
     rotor0 = solver.rotor0
@@ -320,8 +304,8 @@ def test_gradient_matches_per_angle_einsum_oracle(forward, solver, mats, deform_
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
     u_rt = pre.rt.y + matvec(pre.rt.X, sweep.lambdas)
     for rotor in (rotor0, moved):
-        design = DesignSpace(rotor, solver.dm_rt, deform_kinds=deform_kinds)
-        args = (rotor, solver.dm_rt, design, u_rt, adj.rotor, solver.relmap_rt, solver.cfg)
+        design = DesignSpace(rotor, solver.dm_rt)
+        args = (rotor, solver.dm_rt, design, u_rt, adj.rotor, solver.relmap_rt)
         produced = assemble_shape_gradient(*args)
         expected = _shape_gradient_oracle(*args)
         assert np.abs(expected).max() > 0.0

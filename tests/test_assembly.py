@@ -42,7 +42,7 @@ from igamotor.splines import (
     nurbs_basis,
 )
 
-from conftest import coarse_config
+from conftest import coarse_config, homogeneous_eval, weighted_arc_patch
 
 
 def square_model(p=1, n_elements=1, tag=RegionTag("rotor_air"), dirichlet=True):
@@ -248,6 +248,27 @@ def test_rhs_magnet_against_slow_quadrature_oracle(coarse_cfg):
     scale_ref = np.abs(vec).max()
     np.testing.assert_allclose(produced, vec[dm.free_globals], rtol=0,
                                atol=1e-12 * scale_ref)
+
+
+def test_eval_field_matches_homogeneous_oracle(coarse_machine, coarse_dofmaps):
+    # the field is one more coordinate of the control data: (x, y, u)
+    weighted = MultipatchModel([weighted_arc_patch()], [RegionTag("magnet", sign=1)])
+    cases = list(zip(coarse_machine, coarse_dofmaps)) + [(weighted, build_dof_map(weighted))]
+    rng = np.random.default_rng(12)
+    for model, dm in cases:
+        u_global = rng.standard_normal(dm.n_global)
+        for pid in range(0, len(model.patches), 5):
+            patch = model.patches[pid]
+            ctrl = np.concatenate([patch.points, u_global[dm.patch_maps[pid]][..., None]],
+                                  axis=-1)
+            for xi, eta in rng.uniform(0.0, 1.0, size=(10, 2)):
+                point, value, grad = eval_field(model, dm, u_global, pid, xi, eta)
+                ref, ref_jac = homogeneous_eval(patch, ctrl, xi, eta)
+                ref_grad = np.linalg.solve(ref_jac[:2].T, ref_jac[2])
+                assert np.linalg.det(ref_jac[:2]) > 0.0
+                assert np.abs(point - ref[:2]).max() <= 1e-13 * np.abs(ref[:2]).max()
+                assert abs(value - ref[2]) <= 1e-13 * np.abs(u_global).max()
+                assert np.abs(grad - ref_grad).max() <= 1e-13 * np.abs(ref_grad).max()
 
 
 # ---------------------------------------------------------------- winding

@@ -67,6 +67,15 @@ MALFORMED = {
     "grid_r-0": ("solve", "solve.grid_r", 0),
     "output_dir-number": ("export", "output_dir", 5),
     "snapshots-string": ("optimize", "optimize.snapshots", "yes"),
+    "refinement-true": ("sweep", "machine.refinement", True),
+    "n_turns-true": ("sweep", "machine.n_turns", True),
+    "harmonics_multiple_of_poles-string": ("sweep", "machine.harmonics_multiple_of_poles",
+                                           "yes"),
+    "remanence-nan": ("sweep", "machine.remanence", float("nan")),
+    "current_amplitude-nan": ("sweep", "machine.current_amplitude", float("nan")),
+    "r_outer-inf": ("sweep", "machine.r_outer", float("inf")),
+    "delta_floor-nan": ("optimize", "optimizer.delta_floor", float("nan")),
+    "tol-nan": ("optimize", "optimizer.tol", float("nan")),
 }
 
 

@@ -15,6 +15,8 @@ from igamotor.splines import (
     scale_patch,
 )
 
+from conftest import homogeneous_eval, weighted_arc_patch
+
 
 def linear_kv():
     return KnotVector([0.0, 0.0, 1.0, 1.0], 1)
@@ -142,6 +144,17 @@ def test_quarter_circle_curve_radius():
 
 
 # ---------------------------------------------------------------- patches
+
+def test_eval_patch_matches_homogeneous_oracle(coarse_machine):
+    patches = [p for model in coarse_machine for p in model.patches[::5]]
+    rng = np.random.default_rng(8)
+    for patch in patches + [weighted_arc_patch()]:
+        for xi, eta in rng.uniform(0.0, 1.0, size=(10, 2)):
+            point, jac = eval_patch(patch, xi, eta)
+            ref_point, ref_jac = homogeneous_eval(patch, patch.points, xi, eta)
+            assert np.abs(point - ref_point).max() <= 1e-13 * np.abs(ref_point).max()
+            assert np.abs(jac - ref_jac).max() <= 1e-13 * np.abs(ref_jac).max()
+
 
 def test_eval_patch_identity_square():
     patch = unit_square_patch()
