@@ -440,10 +440,11 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
     """H1-type metric for planar deformation fields restricted to masked dofs.
 
     The bilinear form integrates the Frobenius product of the Jacobians plus
-    the pointwise product of the fields; with componentwise scalar fields it
-    block-decouples into two identical scalar H1 matrices.  Only patches
-    holding a masked dof are integrated: the others add nothing to the
-    masked rows and columns.
+    the pointwise product of the fields.  Componentwise, it acts on the x
+    and y fields alike, so the returned (n_masked, n_masked) matrix is the
+    scalar block of the componentwise metric.  Only patches holding a
+    masked dof are integrated: the others add nothing to the masked rows
+    and columns.
     """
     mask = np.asarray(design_mask, dtype=bool)
     idx = np.flatnonzero(mask)
@@ -451,8 +452,7 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
         raise ConfigError("design mask selects no degrees of freedom")
     coeffs = [float(mask[gmap.reshape(-1)].any()) for gmap in dofmap.patch_maps]
     H = _h1_matrix(model, dofmap, coeffs, mass=1.0)
-    Hm = H[idx][:, idx].tocsr()
-    return sp.block_diag([Hm, Hm], format="csr")
+    return H[idx][:, idx].tocsr()
 
 
 # --------------------------------------------------------------------------

@@ -26,8 +26,13 @@ reconstructed as u_st = y_st + X_st R lam, u_rt = y_rt + X_rt lam with
 X_* = K_*^-1 G_*, y_* = K_*^-1 j_*.  Only the n_harmonics-dimensional system
 depends on the angle, so the angle is an array axis: given an array of
 angles, rotation_matrix, solve_interface and reconstruct_state return one
-row per angle.  Agreement with the directly assembled full system is the
-primary correctness oracle.
+row per angle.
+
+CouplingPrecomp is the one representation of the coupled system: it holds
+K, G and j of each side beside the factorizations and products, and the
+harmonic orders.  The full-system oracles (assemble_full_saddle,
+full_residual) read their blocks from it; agreement with the directly
+solved full system is the primary correctness oracle.
 """
 from __future__ import annotations
 
@@ -76,19 +81,6 @@ def rotation_matrix(orders, alpha) -> np.ndarray:
 
 
 @dataclass
-class CouplingBlocks:
-    """Assembled blocks of the coupled system for one machine state."""
-
-    K_st: sp.spmatrix
-    K_rt: sp.spmatrix
-    G_st: np.ndarray
-    G_rt: np.ndarray
-    j_st: np.ndarray
-    j_rt: np.ndarray
-    orders: np.ndarray
-
-
-@dataclass
 class FullSaddleSolution:
     """Direct solution of the coupled block system (verification oracle)."""
 
@@ -100,24 +92,26 @@ class FullSaddleSolution:
     block_residuals: np.ndarray
 
 
-def build_full_matrix(blocks: CouplingBlocks, alpha: float) -> sp.csr_matrix:
-    """Symmetric block matrix of the coupled system at one angle."""
-    Gst_r = blocks.G_st @ rotation_matrix(blocks.orders, alpha)
+def build_full_matrix(pre: CouplingPrecomp, alpha: float) -> sp.csr_matrix:
+    """Symmetric block matrix of the coupled system at one angle, from the
+    stiffness and moment blocks held by the precomputation."""
+    Gst_r = pre.st.G @ rotation_matrix(pre.orders, alpha)
     return sp.bmat([
-        [blocks.K_st, None, sp.csr_matrix(-Gst_r)],
-        [None, blocks.K_rt, sp.csr_matrix(-blocks.G_rt)],
-        [sp.csr_matrix(-Gst_r.T), sp.csr_matrix(-blocks.G_rt.T), None],
+        [pre.st.K, None, sp.csr_matrix(-Gst_r)],
+        [None, pre.rt.K, sp.csr_matrix(-pre.rt.G)],
+        [sp.csr_matrix(-Gst_r.T), sp.csr_matrix(-pre.rt.G.T), None],
     ], format="csr")
 
 
-def assemble_full_saddle(blocks: CouplingBlocks, alpha: float) -> FullSaddleSolution:
-    """Assemble and solve the full coupled system at one angle directly; the
-    result is the oracle against which the interface elimination is
-    validated."""
-    n_st = blocks.j_st.size
-    n_rt = blocks.j_rt.size
-    M = build_full_matrix(blocks, alpha)
-    b = np.concatenate([blocks.j_st, blocks.j_rt, np.zeros(blocks.orders.size)])
+def assemble_full_saddle(pre: CouplingPrecomp, alpha: float) -> FullSaddleSolution:
+    """Assemble and solve the full coupled system at one angle by a sparse
+    LU of the saddle matrix, independent of the factorizations and products
+    in ``pre``; the result is the oracle against which the interface
+    elimination is validated."""
+    n_st = pre.st.j.size
+    n_rt = pre.rt.j.size
+    M = build_full_matrix(pre, alpha)
+    b = np.concatenate([pre.st.j, pre.rt.j, np.zeros(pre.orders.size)])
     try:
         z = real_lu(M).solve(b)
     except Exception as exc:
@@ -176,14 +170,6 @@ class CouplingPrecomp:
         if worst > tol:
             raise StabilityError("precomputed products drift by %.3e" % worst)
         return worst
-
-
-def precompute_from_blocks(blocks: CouplingBlocks) -> CouplingPrecomp:
-    """Factor both stiffness blocks and precompute every angle-independent
-    product of the interface elimination."""
-    st = precompute_side(blocks.K_st, blocks.G_st, np.asarray(blocks.j_st, dtype=float))
-    rt = precompute_side(blocks.K_rt, blocks.G_rt, np.asarray(blocks.j_rt, dtype=float))
-    return CouplingPrecomp(st, rt, np.asarray(blocks.orders, dtype=int))
 
 
 @dataclass

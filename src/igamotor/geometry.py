@@ -16,11 +16,20 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, ConformityError, GeometryError
 from .splines import KnotVector, NurbsPatch, eval_patch, insert_knots, make_arc_patch
 
 EDGES = ("u0", "u1", "v0", "v1")
+
+# Size bounds, so that a config typo exits as a ConfigError instead of
+# exhausting memory.  A refinement-4 design step (47,736 dofs) peaks near
+# 0.4 GB; a million dofs is about 20 times that.
+MAX_DOFS = 1_000_000
+# build_derivative_dft holds 8 n_angles^2 bytes: 134 MB at 4,096 angles.
+MAX_ANGLES = 4096
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,12 @@ class MachineConfig:
         for name, low in (("pole_pairs", 1), ("refinement", 0), ("n_harmonics", 1),
                           ("n_angles", 2)):
             object.__setattr__(self, name, checked_int(getattr(self, name), name, low))
+        if self.n_angles > MAX_ANGLES:
+            raise ConfigError("n_angles=%d exceeds %d" % (self.n_angles, MAX_ANGLES))
+        # from MAX_DOFS.bit_length() on, 2 ** refinement alone exceeds the bound
+        if self.refinement >= MAX_DOFS.bit_length() or self.n_dofs > MAX_DOFS:
+            raise ConfigError("pole_pairs=%d, refinement=%d imply more than %d dofs"
+                              % (self.pole_pairs, self.refinement, MAX_DOFS))
         if not isinstance(self.harmonics_multiple_of_poles, bool):
             raise ConfigError("harmonics_multiple_of_poles must be true or false, got %r"
                               % (self.harmonics_multiple_of_poles,))
@@ -137,6 +152,16 @@ class MachineConfig:
     @property
     def stator_sectors(self) -> int:
         return 12 * self.pole_pairs  # slot | tooth per slot pitch
+
+    @property
+    def n_dofs(self) -> int:
+        """Glued control points of the demo machine, both sides, Dirichlet
+        dofs included.  Each side has three rings of degree-2 patches with
+        2^r + 2 points per direction: 3 (2^r + 2) - 2 radially, and 2^r + 1
+        angularly per sector around the closed ring, over 6 p rotor and
+        12 p stator sectors."""
+        cells = 2 ** self.refinement
+        return 18 * self.pole_pairs * (cells + 1) * (3 * cells + 4)
 
     @property
     def rotor_trace_dofs(self) -> int:
@@ -231,41 +256,28 @@ def _check_conforming(model: MultipatchModel, pa, ea, pb, eb, reverse):
 def build_dof_map(model: MultipatchModel) -> DofMap:
     """Glue matched edges into one global numbering and mark Dirichlet dofs.
 
-    Gluing is the equivalence closure over control points of matched edges;
-    Dirichlet dofs are exactly the control points of the declared boundary
-    edges (their basis functions span the boundary trace).
+    Gluing is the equivalence closure over control points of matched edges:
+    the connected components of the graph of matched node pairs, numbered
+    by their lowest node.  Dirichlet dofs are exactly the control points of
+    the declared boundary edges (their basis functions span the boundary
+    trace).
     """
     shapes = [(p.n_u, p.n_v) for p in model.patches]
     offsets = np.cumsum([0] + [nu * nv for nu, nv in shapes])
     total = int(offsets[-1])
-    parent = np.arange(total)
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def node_ids(p, edge):
+        return [offsets[p] + i * shapes[p][1] + j for i, j in edge_nodes(*shapes[p], edge)]
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    def node_id(p, i, j):
-        return offsets[p] + i * shapes[p][1] + j
-
+    rows, cols = [], []
     for pa, ea, pb, eb, reverse in model.connectivity:
         _check_conforming(model, pa, ea, pb, eb, reverse)
-        na = edge_nodes(*shapes[pa], ea)
-        nb = edge_nodes(*shapes[pb], eb)
-        if reverse:
-            nb = nb[::-1]
-        for (ia, ja), (ib, jb) in zip(na, nb):
-            union(node_id(pa, ia, ja), node_id(pb, ib, jb))
-
-    roots = np.array([find(a) for a in range(total)])
-    uniq, global_of_node = np.unique(roots, return_inverse=True)
-    n_global = uniq.size
+        nb = node_ids(pb, eb)
+        rows += node_ids(pa, ea)
+        cols += nb[::-1] if reverse else nb
+    graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(total, total))
+    n_global, labels = connected_components(graph, directed=False)
+    global_of_node = labels.astype(int)
 
     patch_maps = []
     points = np.zeros((n_global, 2))

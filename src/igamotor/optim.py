@@ -19,7 +19,6 @@ from .assembly import (
     build_reluctivity_map,
 )
 from .coupling import (
-    CouplingBlocks,
     CouplingPrecomp,
     harmonic_orders,
     precompute_side,
@@ -105,12 +104,6 @@ class MachineSolver:
         self._j_rt = assemble_rhs(self.rotor0, self.dm_rt, cfg)
         self.relmap_rt = build_reluctivity_map(self.rotor0, cfg)
 
-    def blocks(self, rotor: MultipatchModel) -> CouplingBlocks:
-        """Unfactored blocks of the coupled system for one rotor."""
-        st = self._st_pre
-        return CouplingBlocks(st.K, assemble_stiffness(rotor, self.dm_rt, self.relmap_rt),
-                              st.G, self._G_rt, st.j, self._j_rt, self.orders)
-
     def precompute(self, rotor: MultipatchModel) -> CouplingPrecomp:
         """Reuses the stator factorization; factors only the rotor side."""
         K_rt = assemble_stiffness(rotor, self.dm_rt, self.relmap_rt)
@@ -125,8 +118,14 @@ class MachineSolver:
 
 
 def descent_field(gradient: np.ndarray, metric) -> np.ndarray:
-    """Riesz representative of the gradient in the deformation metric."""
-    return factorize(metric).solve(np.asarray(gradient, dtype=float))
+    """Riesz representative of the stacked [x; y] gradient in the deformation
+    metric.  ``metric`` is its scalar block (assemble_vector_metric): one
+    factorization solves the x and y halves as two columns."""
+    g = np.asarray(gradient, dtype=float)
+    n = metric.shape[0]
+    if g.shape != (2 * n,):
+        raise ValueError("gradient length %d != 2 x metric size %d" % (g.size, n))
+    return factorize(metric).solve(g.reshape(2, n).T).T.reshape(-1)
 
 
 @dataclass

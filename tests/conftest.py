@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from igamotor.assembly import assemble_winding_vector
+from igamotor.coupling import CouplingPrecomp, precompute_side
 from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
 from igamotor.optim import MachineSolver
 from igamotor.splines import NurbsPatch, bspline_basis, insert_knots, make_arc_patch
@@ -34,6 +35,13 @@ def homogeneous_eval(patch, ctrl, xi, eta):
     return S / A, jac
 
 
+def zero_source_precompute(pre):
+    """The same coupled system with both loads j_st, j_rt set to zero."""
+    st, rt = (precompute_side(side.K, side.G, np.zeros_like(side.j))
+              for side in (pre.st, pre.rt))
+    return CouplingPrecomp(st, rt, pre.orders)
+
+
 def weighted_arc_patch():
     """A refined magnet-ring arc patch with random weights in [0.5, 2]."""
     patch = insert_knots(make_arc_patch(0.045, 0.05, 0.2, 0.8), [0.3, 0.6], [0.5])
@@ -58,9 +66,9 @@ def coarse_dofmaps(coarse_machine):
 
 
 @pytest.fixture(scope="session")
-def coarse_blocks(coarse_cfg):
+def coarse_pre(coarse_cfg):
     solver = MachineSolver(coarse_cfg)
-    return solver.blocks(solver.rotor0)
+    return solver.precompute(solver.rotor0)
 
 
 @pytest.fixture(scope="session")

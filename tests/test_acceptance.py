@@ -19,7 +19,6 @@ from igamotor.assembly import (
 )
 from igamotor.coupling import (
     assemble_full_saddle,
-    precompute_from_blocks,
     rotation_sweep,
     solve_at_angle,
     solve_interface,
@@ -54,19 +53,18 @@ def _report(number, name, detail):
     print("ACCEPTANCE %d (%s): PASS (%s)" % (number, name, detail))
 
 
-def _machine_blocks(cfg):
+def _machine_precompute(cfg):
     solver = MachineSolver(cfg)
-    return solver.dm_st, solver.dm_rt, solver.blocks(solver.rotor0)
+    return solver.dm_st, solver.dm_rt, solver.precompute(solver.rotor0)
 
 
 def test_acceptance_1_schur_equals_full_system():
     t0 = time.perf_counter()
     cfg = MachineConfig(refinement=0, n_harmonics=12, n_angles=12)
-    _, _, blocks = _machine_blocks(cfg)
-    pre = precompute_from_blocks(blocks)
+    _, _, pre = _machine_precompute(cfg)
     worst = 0.0
     for alpha in sweep_angles(cfg.pole_pairs, 8):
-        full = assemble_full_saddle(blocks, float(alpha))
+        full = assemble_full_saddle(pre, float(alpha))
         fast = solve_at_angle(pre, float(alpha))
         num = np.linalg.norm(np.concatenate([fast.u_st - full.u_st,
                                              fast.u_rt - full.u_rt]))
@@ -161,15 +159,14 @@ def test_acceptance_4_online_cost_scaling():
     states = {}
     for level in levels:
         cfg = MachineConfig(refinement=level, n_harmonics=20, n_angles=12)
-        dm_st, dm_rt, blocks = _machine_blocks(cfg)
-        pre = precompute_from_blocks(blocks)
+        dm_st, dm_rt, pre = _machine_precompute(cfg)
         angles = sweep_angles(cfg.pole_pairs, 8)
         rotation_sweep(pre, angles)  # warmup
-        states[level] = (dm_st.n_free + dm_rt.n_free, blocks, pre, angles)
+        states[level] = (dm_st.n_free + dm_rt.n_free, pre, angles)
     interface_times = {level: [] for level in levels}
     for _ in range(5):  # interleaved to wash out drift
         for level in levels:
-            _, _, pre, angles = states[level]
+            _, pre, angles = states[level]
             for alpha in angles:
                 t0 = time.perf_counter()
                 solve_interface(pre, alpha)
@@ -177,11 +174,11 @@ def test_acceptance_4_online_cost_scaling():
     medians = {level: statistics.median(interface_times[level]) for level in levels}
     full_times = {}
     for level in levels:
-        dofs, blocks, _, angles = states[level]
+        dofs, pre, angles = states[level]
         samples = []
         for alpha in angles[:2]:
             t0 = time.perf_counter()
-            assemble_full_saddle(blocks, float(alpha))
+            assemble_full_saddle(pre, float(alpha))
             samples.append(time.perf_counter() - t0)
         full_times[level] = statistics.median(samples)
     spread = max(medians.values()) / min(medians.values())

@@ -9,7 +9,6 @@ from igamotor.adjoint import (
 )
 from igamotor.coupling import (
     build_full_matrix,
-    precompute_from_blocks,
     reconstruct_state,
     rotation_matrix,
     solve_interface,
@@ -22,7 +21,7 @@ from igamotor.geometry import build_demo_machine, build_dof_map, edge_nodes
 from igamotor.linalg import matvec
 from igamotor.optim import MachineSolver
 
-from conftest import coarse_config
+from conftest import coarse_config, zero_source_precompute
 
 
 @pytest.fixture(scope="module")
@@ -139,17 +138,14 @@ def test_adjoints_zero_sensitivities_give_zero(forward, solver):
     assert np.array_equal(adj.rotor, np.zeros_like(adj.rotor))
 
 
-def test_adjoint_solves_transposed_system(forward, solver, mats, coarse_blocks):
-    import dataclasses
+def test_adjoint_solves_transposed_system(forward, solver, mats):
     sweep, pre = forward
-    blocks = dataclasses.replace(coarse_blocks, G_st=pre.st.G, G_rt=pre.rt.G,
-                                 orders=pre.orders)
     s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
     u_st = _stator_adjoint(pre, solver, s, solver.angles, adj)
     for i in (0, 5):
         alpha = solver.angles[i]
-        M = build_full_matrix(blocks, alpha)
+        M = build_full_matrix(pre, alpha)
         asym = (M - M.T).tocoo()
         scale = np.abs(M.data).max()
         assert asym.nnz == 0 or np.abs(asym.data).max() < 1e-12 * scale
@@ -234,13 +230,8 @@ def test_gradient_zero_outside_deforming_patches(forward, solver, mats):
     assert np.array_equal(g[design.n_points:][iron_only], np.zeros(iron_only.sum()))
 
 
-def test_gradient_zero_for_zero_sources(solver, coarse_blocks):
-    import dataclasses
-    blocks0 = dataclasses.replace(coarse_blocks, G_st=solver._st_pre.G,
-                                  G_rt=solver._G_rt, orders=solver.orders,
-                                  j_st=np.zeros_like(coarse_blocks.j_st),
-                                  j_rt=np.zeros_like(coarse_blocks.j_rt))
-    pre0 = precompute_from_blocks(blocks0)
+def test_gradient_zero_for_zero_sources(forward, solver):
+    pre0 = zero_source_precompute(forward[1])
     design = DesignSpace(solver.rotor0, solver.dm_rt)
     n = solver.cfg.n_angles
     zeros = np.zeros(n)

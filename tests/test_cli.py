@@ -88,6 +88,19 @@ def test_malformed_values_are_config_errors(tmp_path, command, key, value):
     assert main([command, "--config", str(cfg_path)]) == 2
 
 
+UNBUILDABLE = {"n_angles-1e12": ("n_angles", 10 ** 12),
+               "refinement-1e5": ("refinement", 10 ** 5),
+               "pole_pairs-1e9": ("pole_pairs", 10 ** 9)}
+
+
+@pytest.mark.parametrize("key, value", list(UNBUILDABLE.values()), ids=list(UNBUILDABLE))
+def test_unbuildable_machines_are_config_errors(tmp_path, key, value):
+    # checked when the config loads, before any command builds the machine
+    cfg_path = write_config(tmp_path, machine=dict(BASE_MACHINE, **{key: value}))
+    with pytest.raises(ConfigError):
+        load_config(str(cfg_path))
+
+
 def test_loaded_machine_sweeps_but_does_not_optimize(tmp_path):
     cfg_path = write_config(tmp_path, machine=dict(BASE_MACHINE, current_amplitude=1.0),
                             optimizer={"max_iterations": 1})
@@ -108,13 +121,13 @@ def test_solve_outputs_and_divergence(tmp_path):
     # divergence oracle: B = (du/dy, -du/dx) is divergence free; finite
     # differences on a polar grid inside one smooth patch stay small
     from igamotor.assembly import eval_field
-    from igamotor.coupling import precompute_from_blocks, solve_at_angle
+    from igamotor.coupling import solve_at_angle
     from igamotor.geometry import MachineConfig, locate_polar
     from igamotor.optim import MachineSolver
 
     solver = MachineSolver(MachineConfig(**BASE_MACHINE))
     rotor, dm_rt = solver.rotor0, solver.dm_rt
-    sol = solve_at_angle(precompute_from_blocks(solver.blocks(rotor)), 0.0)
+    sol = solve_at_angle(solver.precompute(rotor), 0.0)
     u_rt = dm_rt.expand(sol.u_rt)
 
     a, b = rotor.meta["sector_bounds"][1]       # one magnet-ring sector width

@@ -5,7 +5,6 @@ from igamotor.coupling import (
     assemble_full_saddle,
     build_full_matrix,
     harmonic_orders,
-    precompute_from_blocks,
     reconstruct_state,
     rotation_matrix,
     rotation_sweep,
@@ -15,10 +14,12 @@ from igamotor.coupling import (
 )
 from igamotor.fourier import attach_spectrum
 
+from conftest import zero_source_precompute
+
 
 @pytest.fixture(scope="module")
-def pre(coarse_blocks):
-    return precompute_from_blocks(coarse_blocks)
+def pre(coarse_pre):
+    return coarse_pre
 
 
 def test_harmonic_orders_default_and_restricted():
@@ -52,33 +53,30 @@ def test_rotation_matrix_properties():
             rotation_matrix(bad, a)
 
 
-def test_full_matrix_is_hermitian(coarse_blocks):
-    M = build_full_matrix(coarse_blocks, 0.41)
+def test_full_matrix_is_hermitian(pre):
+    M = build_full_matrix(pre, 0.41)
     assert not np.iscomplexobj(M.data)    # real symmetric, hence Hermitian
     scale = np.abs(M.data).max()
     assert np.abs((M - M.T).data).max() < 1e-14 * scale if (M - M.T).nnz else True
 
 
-def test_full_saddle_zero_rhs_gives_zero(coarse_blocks):
-    from dataclasses import replace
-    blocks0 = replace(coarse_blocks, j_st=np.zeros_like(coarse_blocks.j_st),
-                      j_rt=np.zeros_like(coarse_blocks.j_rt))
-    sol = assemble_full_saddle(blocks0, 0.3)
+def test_full_saddle_zero_rhs_gives_zero(pre):
+    sol = assemble_full_saddle(zero_source_precompute(pre), 0.3)
     assert np.array_equal(sol.u_st, np.zeros_like(sol.u_st))
     assert np.array_equal(sol.lam, np.zeros_like(sol.lam))
 
 
-def test_full_saddle_residuals_and_realness(coarse_blocks):
-    sol = assemble_full_saddle(coarse_blocks, 0.0)
+def test_full_saddle_residuals_and_realness(pre):
+    sol = assemble_full_saddle(pre, 0.0)
     assert np.all(sol.block_residuals < 1e-9)
     assert not any(np.iscomplexobj(u) for u in (sol.u_st, sol.u_rt, sol.lam))
 
 
-def test_schur_matches_full_system(coarse_cfg, coarse_blocks, pre):
+def test_schur_matches_full_system(coarse_cfg, pre):
     rng = np.random.default_rng(11)
     period = 2 * np.pi / coarse_cfg.pole_pairs
     for alpha in rng.uniform(0.0, period, size=8):
-        full = assemble_full_saddle(coarse_blocks, alpha)
+        full = assemble_full_saddle(pre, alpha)
         fast = solve_at_angle(pre, alpha)
         num = np.linalg.norm(np.concatenate([fast.u_st - full.u_st,
                                              fast.u_rt - full.u_rt]))
@@ -86,22 +84,19 @@ def test_schur_matches_full_system(coarse_cfg, coarse_blocks, pre):
         assert num / den < 1e-10
 
 
-def test_interface_jump_moments_vanish(coarse_blocks, pre):
+def test_interface_jump_moments_vanish(pre):
     # third block row evaluated on the reconstructed solution: moments of
     # the trace jump against every coupled harmonic
     alpha = 0.23
     sol = solve_at_angle(pre, alpha)
-    R = rotation_matrix(coarse_blocks.orders, alpha)
-    moments = -(coarse_blocks.G_st @ R).T @ sol.u_st - coarse_blocks.G_rt.T @ sol.u_rt
+    R = rotation_matrix(pre.orders, alpha)
+    moments = -(pre.st.G @ R).T @ sol.u_st - pre.rt.G.T @ sol.u_rt
     scale = 2 * np.pi * 0.0525 * np.abs(sol.u_st).max()
     assert np.abs(moments).max() < 1e-9 * scale
 
 
-def test_zero_sources_give_zero_solution(coarse_blocks):
-    from dataclasses import replace
-    blocks0 = replace(coarse_blocks, j_st=np.zeros_like(coarse_blocks.j_st),
-                      j_rt=np.zeros_like(coarse_blocks.j_rt))
-    pre0 = precompute_from_blocks(blocks0)
+def test_zero_sources_give_zero_solution(pre):
+    pre0 = zero_source_precompute(pre)
     sol = solve_at_angle(pre0, 0.7)
     assert np.array_equal(sol.lam, np.zeros_like(sol.lam))
     assert np.array_equal(sol.u_st, np.zeros_like(sol.u_st))
@@ -111,11 +106,10 @@ def test_precompute_products_verify(pre):
     assert pre.verify(tol=1e-12) < 1e-12
 
 
-def test_precompute_column_residuals(coarse_blocks, pre):
+def test_precompute_column_residuals(pre):
     for side in (pre.st, pre.rt):
-        K = coarse_blocks.K_st if side is pre.st else coarse_blocks.K_rt
         for k in (0, side.G.shape[1] - 1):
-            resid = K @ side.X[:, k] - side.G[:, k]
+            resid = side.K @ side.X[:, k] - side.G[:, k]
             assert np.linalg.norm(resid) < 1e-10 * max(1.0, np.linalg.norm(side.G[:, k]))
 
 

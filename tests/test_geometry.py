@@ -3,6 +3,8 @@ import pytest
 
 from igamotor.errors import ConfigError, ConformityError
 from igamotor.geometry import (
+    MAX_ANGLES,
+    MAX_DOFS,
     MachineConfig,
     MultipatchModel,
     RegionTag,
@@ -11,11 +13,12 @@ from igamotor.geometry import (
     check_mesh_validity,
     dump_geometry,
     edge_discretization,
+    edge_nodes,
     load_geometry,
     locate_polar,
 )
 from igamotor.assembly import patch_area
-from igamotor.splines import KnotVector, NurbsPatch, eval_patch
+from igamotor.splines import KnotVector, NurbsPatch, eval_patch, make_arc_patch
 
 from conftest import coarse_config
 
@@ -36,6 +39,30 @@ def test_config_rejects_inconsistent_radii():
         coarse_config(n_angles=7)
     with pytest.raises(ConfigError):
         coarse_config(n_harmonics=30)  # trace too poor at refinement 0
+
+
+@pytest.mark.parametrize("overrides", [{"n_angles": 10 ** 12}, {"n_angles": MAX_ANGLES + 2},
+                                       {"refinement": 10 ** 5}, {"refinement": 7},
+                                       {"pole_pairs": 10 ** 9}])
+def test_config_rejects_unbuildable_sizes(overrides):
+    # rejected before any machine is built or any array allocated
+    with pytest.raises(ConfigError):
+        MachineConfig(**overrides)
+
+
+def test_config_size_bounds_admit_their_limits():
+    assert MachineConfig(n_angles=MAX_ANGLES).n_angles == MAX_ANGLES
+    assert MachineConfig(refinement=6, pole_pairs=4).n_dofs <= MAX_DOFS   # 917,280
+    with pytest.raises(ConfigError):
+        MachineConfig(refinement=6, pole_pairs=5)                          # 1,146,600
+
+
+@pytest.mark.parametrize("pole_pairs", [2, 3])
+@pytest.mark.parametrize("refinement", [0, 1, 2])
+def test_config_dof_count_is_exact(pole_pairs, refinement):
+    cfg = coarse_config(pole_pairs=pole_pairs, refinement=refinement, n_harmonics=4)
+    stator, rotor = build_demo_machine(cfg)
+    assert cfg.n_dofs == build_dof_map(stator).n_global + build_dof_map(rotor).n_global
 
 
 def test_config_validates_index_set():
@@ -98,6 +125,49 @@ def test_region_areas_sum_to_annulus(coarse_cfg, coarse_machine):
 
 # ---------------------------------------------------------------- dof map
 
+def union_find_numbering(model):
+    """Global number of every patch node, patch by patch: the equivalence
+    closure of matched edge nodes by union-find, classes numbered in order
+    of their lowest node."""
+    shapes = [(p.n_u, p.n_v) for p in model.patches]
+    offsets = np.cumsum([0] + [nu * nv for nu, nv in shapes])
+    parent = list(range(int(offsets[-1])))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for pa, ea, pb, eb, reverse in model.connectivity:
+        na = edge_nodes(*shapes[pa], ea)
+        nb = edge_nodes(*shapes[pb], eb)
+        for (ia, ja), (ib, jb) in zip(na, nb[::-1] if reverse else nb):
+            ra = find(offsets[pa] + ia * shapes[pa][1] + ja)
+            rb = find(offsets[pb] + ib * shapes[pb][1] + jb)
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = [find(a) for a in range(len(parent))]
+    return np.unique(roots, return_inverse=True)[1]
+
+
+def _ring_model(m=4):
+    patches = [make_arc_patch(1.0, 2.0, s * np.pi / 2, (s + 1) * np.pi / 2) for s in range(m)]
+    conn = [(s, "v1", (s + 1) % m, "v0", False) for s in range(m)]
+    return MultipatchModel(patches, [RegionTag("rotor_air")] * m, connectivity=conn)
+
+
+@pytest.mark.parametrize("refinement", [0, 1, 2])
+def test_dof_map_numbering_matches_union_find(refinement):
+    models = list(build_demo_machine(coarse_config(refinement=refinement, n_harmonics=4)))
+    for model in models + [_ring_model()]:
+        dm = build_dof_map(model)
+        flat = np.concatenate([g.reshape(-1) for g in dm.patch_maps])
+        oracle = union_find_numbering(model)
+        assert flat.dtype == oracle.dtype
+        assert np.array_equal(flat, oracle)
+        assert dm.n_global == oracle.max() + 1
+
+
 def test_dof_map_two_patches_share_edge():
     model = MultipatchModel(
         patches=[square_patch_p2(0.0), square_patch_p2(1.0)],
@@ -111,13 +181,7 @@ def test_dof_map_two_patches_share_edge():
 
 def test_dof_map_ring_closure():
     m = 4
-    patches, conn = [], []
-    from igamotor.splines import make_arc_patch
-    for s in range(m):
-        patches.append(make_arc_patch(1.0, 2.0, s * np.pi / 2, (s + 1) * np.pi / 2))
-        conn.append((s, "v1", (s + 1) % m, "v0", False))
-    model = MultipatchModel(patches, [RegionTag("rotor_air")] * m, connectivity=conn)
-    dm = build_dof_map(model)
+    dm = build_dof_map(_ring_model(m))
     assert dm.n_global == m * 9 - m * 3
 
 
@@ -128,7 +192,6 @@ def test_dof_map_dirichlet_marks_boundary(coarse_machine, coarse_dofmaps):
         n_marked = int(dm.dirichlet.sum())
         boundary = set()
         for pid, edge in model.dirichlet_edges:
-            from igamotor.geometry import edge_nodes
             for i, j in edge_nodes(model.patches[pid].n_u, model.patches[pid].n_v, edge):
                 boundary.add(dm.patch_maps[pid][i, j])
         assert n_marked == len(boundary)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from igamotor.assembly import assemble_vector_metric
 from igamotor.cli import main
 from igamotor.design import DesignSpace
 from igamotor.errors import ConfigError
 from igamotor.geometry import MachineConfig, build_dof_map, check_mesh_validity
+from igamotor.linalg import factorize
 from igamotor.optim import (
     LineSearchResult,
     MachineSolver,
@@ -29,15 +31,38 @@ def test_descent_field_identities(coarse_machine, coarse_dofmaps, rng):
     _, dm_rt = coarse_dofmaps
     design = DesignSpace(rotor, dm_rt)
     n = design.n_dofs
-    eye = sp.identity(n, format="csc")
+    eye = sp.identity(design.n_points, format="csc")
     assert np.array_equal(descent_field(np.zeros(n), eye), np.zeros(n))
     g = rng.standard_normal(n)
     np.testing.assert_allclose(descent_field(g, eye), g, atol=1e-14)
-    from igamotor.assembly import assemble_vector_metric
     B = assemble_vector_metric(rotor, dm_rt, design.mask)
     W = descent_field(g, B)
+    BW = np.concatenate([B @ W[:design.n_points], B @ W[design.n_points:]])
     assert g @ W > 0.0
-    assert abs(g @ W - W @ (B @ W)) < 1e-8 * abs(g @ W)
+    assert abs(g @ W - W @ BW) < 1e-8 * abs(g @ W)
+
+
+def test_descent_field_matches_block_diagonal_metric(coarse_machine, coarse_dofmaps, rng):
+    # oracle: the componentwise metric as the two-block matrix diag(H, H),
+    # factorized whole
+    _, rotor = coarse_machine
+    _, dm_rt = coarse_dofmaps
+    design = DesignSpace(rotor, dm_rt)
+    H = assemble_vector_metric(rotor, dm_rt, design.mask)
+    g = rng.standard_normal(design.n_dofs)
+    ref = factorize(sp.block_diag([H, H], format="csr")).solve(g)
+    W = descent_field(g, H)
+    assert np.abs(W - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_descent_field_rejects_mismatched_gradient(coarse_machine, coarse_dofmaps):
+    _, rotor = coarse_machine
+    _, dm_rt = coarse_dofmaps
+    design = DesignSpace(rotor, dm_rt)
+    H = assemble_vector_metric(rotor, dm_rt, design.mask)
+    for n in (design.n_points, design.n_dofs - 1, design.n_dofs + 2):
+        with pytest.raises(ValueError):
+            descent_field(np.ones(n), H)
 
 
 class QuadraticEvaluator:
