@@ -149,12 +149,15 @@ def _space_tables(patch: NurbsPatch, n_gauss: int):
     return space
 
 
+def _check_gauss(patch: NurbsPatch) -> int:
+    """Gauss points per direction of the mesh check: degree + 1."""
+    return max(patch.knots_u.degree, patch.knots_v.degree) + 1
+
+
 def _jacobian(patch: NurbsPatch, n_gauss: int | None):
     """Per-geometry part: (space tables, local control points, the two
     Jacobian columns, det J) at the Gauss points."""
-    if n_gauss is None:
-        n_gauss = max(patch.knots_u.degree, patch.knots_v.degree) + 1
-    space = _space_tables(patch, n_gauss)
+    space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss)
     dofs, _, Rx, Ry, _ = space
     P = patch.points.reshape(-1, 2).take(dofs, axis=0)     # (E, L, 2)
     j_xi = Rx @ P                                          # (E, Q, 2)
@@ -182,6 +185,41 @@ def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
 def patch_min_detj(patch: NurbsPatch) -> float:
     """Minimum det J over the Gauss points; builds no gradients."""
     return float(_jacobian(patch, None)[-1].min())
+
+
+def detj_quadratic(patches, disps):
+    """det J at the Gauss points of each patch with its control points moved
+    to ``points - delta * disp`` (``disps``: one (n_u, n_v, 2) array per
+    patch), as the exact quadratic a - delta b + delta^2 c: the map is
+    linear in the control points.
+
+    Returns flat (a, b, c, margin) over all those points; patches that
+    share cached space tables are stacked into one product.  ``margin`` is
+    1e-12 times the magnitude sum |Rx|(|P| + |D|) x |Ry|(|P| + |D|) of the
+    cross products, which bounds, with a wide safety factor, the rounding
+    error of both the direct det J of a moved patch and of the polynomial,
+    for 0 <= delta <= 1.
+    """
+    groups = {}
+    for patch, disp in zip(patches, disps):
+        space = _space_tables(patch, _check_gauss(patch))
+        _, points, moves = groups.setdefault(id(space), (space, [], []))
+        points.append(patch.points.reshape(-1, 2))
+        moves.append(disp.reshape(-1, 2))
+    out = []
+    for (dofs, _, Rx, Ry, _), points, moves in groups.values():
+        P = np.stack(points).take(dofs, axis=1)            # (G, E, L, 2)
+        D = np.stack(moves).take(dofs, axis=1)
+        j_xi, j_eta, k_xi, k_eta = Rx @ P, Ry @ P, Rx @ D, Ry @ D
+        a = j_xi[..., 0] * j_eta[..., 1] - j_xi[..., 1] * j_eta[..., 0]
+        b = (j_xi[..., 0] * k_eta[..., 1] + k_xi[..., 0] * j_eta[..., 1]
+             - j_xi[..., 1] * k_eta[..., 0] - k_xi[..., 1] * j_eta[..., 0])
+        c = k_xi[..., 0] * k_eta[..., 1] - k_xi[..., 1] * k_eta[..., 0]
+        size = np.abs(P) + np.abs(D)
+        m_xi, m_eta = np.abs(Rx) @ size, np.abs(Ry) @ size
+        margin = 1e-12 * (m_xi[..., 0] * m_eta[..., 1] + m_xi[..., 1] * m_eta[..., 0])
+        out.append((a, b, c, margin))
+    return tuple(np.concatenate([x[i].reshape(-1) for x in out]) for i in range(4))
 
 
 def patch_area(patch: NurbsPatch, n_gauss: int | None = None) -> float:

@@ -65,16 +65,22 @@ class DesignSpace:
     def n_dofs(self) -> int:
         return 2 * self.free.size
 
-    def displace(self, model: MultipatchModel, w_stacked: np.ndarray,
-                 delta: float) -> MultipatchModel:
-        """Control points move by -delta * W; untouched patches are shared
-        (bit-identical) with the input model."""
+    def displacement(self, w_stacked: np.ndarray) -> np.ndarray:
+        """(n_global, 2) displacement of every glued control point under the
+        stacked design vector W; zero off the free points."""
         w_stacked = np.asarray(w_stacked, dtype=float)
         if w_stacked.shape != (self.n_dofs,):
             raise ValueError("expected %d design components" % self.n_dofs)
         disp = np.zeros((self.dofmap.n_global, 2))
         disp[self.free, 0] = w_stacked[:self.n_points]
         disp[self.free, 1] = w_stacked[self.n_points:]
+        return disp
+
+    def displace(self, model: MultipatchModel, w_stacked: np.ndarray,
+                 delta: float) -> MultipatchModel:
+        """Control points move by -delta * W; untouched patches are shared
+        (bit-identical) with the input model."""
+        disp = self.displacement(w_stacked)
         moving = set(self.patch_ids)
         new_patches = []
         for pid, patch in enumerate(model.patches):

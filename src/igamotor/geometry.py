@@ -20,7 +20,14 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, ConformityError, GeometryError
-from .splines import KnotVector, NurbsPatch, eval_patch, insert_knots, make_arc_patch
+from .splines import (
+    MAX_ARC_SWEEP,
+    KnotVector,
+    NurbsPatch,
+    eval_patch,
+    insert_knots,
+    make_arc_patch,
+)
 
 EDGES = ("u0", "u1", "v0", "v1")
 
@@ -124,6 +131,11 @@ class MachineConfig:
             raise ConfigError("magnet_span must be in (0, 1)")
         if not 0.0 < self.slot_span < 1.0:
             raise ConfigError("slot_span must be in (0, 1)")
+        for side, bounds in zip(("rotor", "stator"), self.sector_bounds()):
+            bad = [b - a for a, b in bounds if not 0.0 < b - a <= MAX_ARC_SWEEP]
+            if bad:
+                raise ConfigError("%s sector sweep %.6f rad outside (0, pi/2], the span "
+                                  "of one arc patch" % (side, bad[0]))
         if self.n_angles % 2:
             raise ConfigError("n_angles must be even")
         if min(self.mu_r_iron, self.mu_r_magnet, self.remanence, self.length_z,
@@ -144,6 +156,24 @@ class MachineConfig:
                 raise ConfigError(
                     "n_harmonics=%d too rich for %s trace (%d dofs); need "
                     "2*n_harmonics+1 <= trace dofs" % (self.n_harmonics, side, n_trace))
+
+    def sector_bounds(self):
+        """(rotor, stator) lists of the (theta0, theta1) arc of every sector
+        that build_demo_machine forms: gap | magnet | gap per pole and
+        slot | tooth per slot pitch."""
+        pitch = 2 * np.pi / (2 * self.pole_pairs)
+        gap = 0.5 * (1.0 - self.magnet_span) * pitch
+        rotor = []
+        for pole in range(2 * self.pole_pairs):
+            a = pole * pitch
+            rotor += [(a, a + gap), (a + gap, a + pitch - gap), (a + pitch - gap, a + pitch)]
+        slot_pitch = 2 * np.pi / (6 * self.pole_pairs)
+        stator = []
+        for s in range(6 * self.pole_pairs):
+            a = s * slot_pitch
+            stator += [(a, a + self.slot_span * slot_pitch),
+                       (a + self.slot_span * slot_pitch, a + slot_pitch)]
+        return rotor, stator
 
     @property
     def rotor_sectors(self) -> int:
@@ -206,10 +236,21 @@ def edge_nodes(n_u: int, n_v: int, edge: str):
     raise ValueError("unknown edge %r" % (edge,))
 
 
+_EDGE_SLICES = {"u0": (0, slice(None)), "u1": (-1, slice(None)),
+               "v0": (slice(None), 0), "v1": (slice(None), -1)}
+
+
+def _edge_index(edge: str):
+    """Index of an edge in an (n_u, n_v, ...) grid: the edge_nodes of the
+    edge, in their running order, as one basic slice."""
+    if edge not in _EDGE_SLICES:
+        raise ValueError("unknown edge %r" % (edge,))
+    return _EDGE_SLICES[edge]
+
+
 def edge_discretization(patch: NurbsPatch, edge: str):
     """Knot vector, weights and control points of the 1D edge curve."""
-    nodes = edge_nodes(patch.n_u, patch.n_v, edge)
-    idx = tuple(np.array(k) for k in zip(*nodes))
+    idx = _edge_index(edge)
     kv = patch.knots_v if edge in ("u0", "u1") else patch.knots_u
     return kv, patch.weights[idx], patch.points[idx]
 
@@ -237,20 +278,55 @@ class DofMap:
         return full
 
 
-def _check_conforming(model: MultipatchModel, pa, ea, pb, eb, reverse):
-    patch_a, patch_b = model.patches[pa], model.patches[pb]
-    kva, wa, qa = edge_discretization(patch_a, ea)
-    kvb, wb, qb = edge_discretization(patch_b, eb)
-    if reverse:
-        wb, qb = wb[::-1], qb[::-1]
-    if kva.degree != kvb.degree or kva.knots.size != kvb.knots.size:
-        raise ConformityError("edge (%d,%s)-(%d,%s): degree/knot count mismatch"
-                              % (pa, ea, pb, eb))
-    if not np.allclose(kva.knots, kvb.knots, atol=1e-14):
-        raise ConformityError("edge (%d,%s)-(%d,%s): knot vectors differ" % (pa, ea, pb, eb))
-    scale = max(1.0, float(np.max(np.abs(qa))))
-    if not (np.allclose(qa, qb, atol=1e-12 * scale) and np.allclose(wa, wb, atol=1e-12)):
-        raise ConformityError("edge (%d,%s)-(%d,%s): control data differ" % (pa, ea, pb, eb))
+def _not_close(a: list, b: list, atol) -> np.ndarray:
+    """Per array pair: whether a value fails np.allclose's test
+    |a - b| <= atol + 1e-5 |b| (equal infinities pass, NaN never), for all
+    pairs in one comparison; ``atol`` is a scalar or one value per pair."""
+    sizes = [x.size for x in a]
+    starts = np.cumsum([0] + sizes[:-1])
+    a, b = np.concatenate(a), np.concatenate(b)
+    atol = np.repeat(np.broadcast_to(atol, len(sizes)), sizes)
+    with np.errstate(invalid="ignore"):          # inf - inf: decided by a == b
+        close = (a == b) | ((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b))
+    return ~np.logical_and.reduceat(close, starts)
+
+
+def _check_conforming(model: MultipatchModel):
+    """Raise ConformityError for the first connection whose edges differ in
+    degree or knot count, knots (atol 1e-14), or control data: points
+    (atol 1e-12 max(1, max |point|)) and weights (atol 1e-12)."""
+    conn = model.connectivity
+    knots, points, weights = ([], []), ([], []), ([], [])
+    scale = []
+    mismatch = None
+    for k, (pa, ea, pb, eb, reverse) in enumerate(conn):
+        kva, wa, qa = edge_discretization(model.patches[pa], ea)
+        kvb, wb, qb = edge_discretization(model.patches[pb], eb)
+        if kva.degree != kvb.degree or kva.knots.size != kvb.knots.size:
+            mismatch = k
+            break
+        if reverse:
+            wb, qb = wb[::-1], qb[::-1]
+        for pair, x, y in ((knots, kva.knots, kvb.knots),
+                           (points, qa.reshape(-1), qb.reshape(-1)),
+                           (weights, wa, wb)):
+            pair[0].append(x)
+            pair[1].append(y)
+        scale.append(max(1.0, float(np.abs(qa).max())))
+
+    def fail(k, what):
+        pa, ea, pb, eb, _ = conn[k]
+        raise ConformityError("edge (%d,%s)-(%d,%s): %s" % (pa, ea, pb, eb, what))
+
+    if knots[0]:
+        bad_knots = _not_close(*knots, 1e-14)
+        bad = (bad_knots | _not_close(*points, 1e-12 * np.array(scale))
+               | _not_close(*weights, 1e-12))
+        if bad.any():
+            k = int(np.argmax(bad))
+            fail(k, "knot vectors differ" if bad_knots[k] else "control data differ")
+    if mismatch is not None:
+        fail(mismatch, "degree/knot count mismatch")
 
 
 def build_dof_map(model: MultipatchModel) -> DofMap:
@@ -265,17 +341,18 @@ def build_dof_map(model: MultipatchModel) -> DofMap:
     shapes = [(p.n_u, p.n_v) for p in model.patches]
     offsets = np.cumsum([0] + [nu * nv for nu, nv in shapes])
     total = int(offsets[-1])
+    nodes = [offsets[p] + np.arange(nu * nv).reshape(nu, nv)
+             for p, (nu, nv) in enumerate(shapes)]
 
-    def node_ids(p, edge):
-        return [offsets[p] + i * shapes[p][1] + j for i, j in edge_nodes(*shapes[p], edge)]
-
+    _check_conforming(model)
     rows, cols = [], []
     for pa, ea, pb, eb, reverse in model.connectivity:
-        _check_conforming(model, pa, ea, pb, eb, reverse)
-        nb = node_ids(pb, eb)
-        rows += node_ids(pa, ea)
-        cols += nb[::-1] if reverse else nb
-    graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(total, total))
+        nb = nodes[pb][_edge_index(eb)]
+        rows.append(nodes[pa][_edge_index(ea)])
+        cols.append(nb[::-1] if reverse else nb)
+    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
+    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=int)
+    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
     n_global, labels = connected_components(graph, directed=False)
     global_of_node = labels.astype(int)
 
@@ -290,8 +367,7 @@ def build_dof_map(model: MultipatchModel) -> DofMap:
 
     dirichlet = np.zeros(n_global, dtype=bool)
     for p, edge in model.dirichlet_edges:
-        for i, j in edge_nodes(*shapes[p], edge):
-            dirichlet[patch_maps[p][i, j]] = True
+        dirichlet[patch_maps[p][_edge_index(edge)]] = True
 
     free_globals = np.flatnonzero(~dirichlet)
     free_index = np.full(n_global, -1, dtype=int)
@@ -443,17 +519,9 @@ def build_demo_machine(cfg: MachineConfig):
     inset in the iron of the magnet ring; the stator carries a balanced
     three-phase winding, one slot per pole per phase.
     """
-    poles = 2 * cfg.pole_pairs
-    pitch = 2 * np.pi / poles
-    gap = 0.5 * (1.0 - cfg.magnet_span) * pitch
-
-    rotor_sectors = []
+    rotor_sectors, stator_sectors = cfg.sector_bounds()
     rotor_kinds = []  # per sector of the magnet ring
-    for pole in range(poles):
-        a = pole * pitch
-        rotor_sectors += [(a, a + gap),
-                          (a + gap, a + pitch - gap),
-                          (a + pitch - gap, a + pitch)]
+    for pole in range(2 * cfg.pole_pairs):
         sign = 1 if pole % 2 == 0 else -1
         rotor_kinds += [RegionTag("rotor_iron"),
                         RegionTag("magnet", sign=sign),
@@ -477,14 +545,8 @@ def build_demo_machine(cfg: MachineConfig):
         interface="outer",
     )
 
-    n_slots = 6 * cfg.pole_pairs
-    slot_pitch = 2 * np.pi / n_slots
-    stator_sectors = []
     slot_tags = []
-    for s in range(n_slots):
-        a = s * slot_pitch
-        stator_sectors += [(a, a + cfg.slot_span * slot_pitch),
-                           (a + cfg.slot_span * slot_pitch, a + slot_pitch)]
+    for s in range(6 * cfg.pole_pairs):
         phase, sign = _winding_layout(s)
         slot_tags += [RegionTag("coil", phase=phase, sign=sign),
                       RegionTag("stator_iron")]

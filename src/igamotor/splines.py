@@ -300,6 +300,10 @@ def scale_patch(patch: NurbsPatch, factor: float) -> NurbsPatch:
     return replace(patch, points=patch.points * factor)
 
 
+# widest sector one quadratic rational arc spans (90 degrees, rounding allowed)
+MAX_ARC_SWEEP = np.pi / 2 + 1e-12
+
+
 def make_arc_patch(r_inner: float, r_outer: float, theta0: float, theta1: float,
                    ) -> NurbsPatch:
     """Exact annular sector patch: u radial, v angular, degree 2 in both.
@@ -309,7 +313,7 @@ def make_arc_patch(r_inner: float, r_outer: float, theta0: float, theta1: float,
     Orientation gives det(J) > 0 for theta1 > theta0.
     """
     sweep = theta1 - theta0
-    if not 0.0 < sweep <= np.pi / 2 + 1e-12:
+    if not 0.0 < sweep <= MAX_ARC_SWEEP:
         raise GeometryError("arc sweep %.6f rad outside (0, pi/2]" % sweep)
     if not 0.0 < r_inner < r_outer:
         raise GeometryError("radii must satisfy 0 < r_inner < r_outer")

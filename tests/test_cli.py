@@ -76,6 +76,8 @@ MALFORMED = {
     "r_outer-inf": ("sweep", "machine.r_outer", float("inf")),
     "delta_floor-nan": ("optimize", "optimizer.delta_floor", float("nan")),
     "tol-nan": ("optimize", "optimizer.tol", float("nan")),
+    # magnet sector 0.7 pi: wider than one arc patch
+    "pole_pairs-1": ("export", "machine.pole_pairs", 1),
 }
 
 

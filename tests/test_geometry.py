@@ -41,6 +41,29 @@ def test_config_rejects_inconsistent_radii():
         coarse_config(n_harmonics=30)  # trace too poor at refinement 0
 
 
+@pytest.mark.parametrize("overrides", [
+    {"pole_pairs": 1},                                  # magnet 0.7 pi
+    {"pole_pairs": 1, "magnet_span": 0.95},             # magnet 0.95 pi
+    {"pole_pairs": 1, "magnet_span": 0.5 + 1e-9},       # magnet just above pi/2
+    {"pole_pairs": 1, "magnet_span": 1e-300},           # magnet sweep rounds to 0
+])
+def test_config_rejects_sectors_wider_than_one_arc_patch(overrides):
+    with pytest.raises(ConfigError, match="sector sweep"):
+        coarse_config(n_harmonics=4, **overrides)
+
+
+@pytest.mark.parametrize("pole_pairs, magnet_span, slot_span",
+                         [(1, 0.5, 0.5), (1, 0.45, 0.99), (2, 0.99, 0.01), (3, 0.7, 0.5)])
+def test_config_sector_bounds_are_the_built_sectors(pole_pairs, magnet_span, slot_span):
+    cfg = coarse_config(pole_pairs=pole_pairs, magnet_span=magnet_span,
+                        slot_span=slot_span, n_harmonics=4)
+    stator, rotor = build_demo_machine(cfg)
+    rotor_bounds, stator_bounds = cfg.sector_bounds()
+    assert rotor.meta["sector_bounds"] == [list(b) for b in rotor_bounds]
+    assert stator.meta["sector_bounds"] == [list(b) for b in stator_bounds]
+    assert all(0.0 < b - a <= np.pi / 2 + 1e-12 for a, b in rotor_bounds + stator_bounds)
+
+
 @pytest.mark.parametrize("overrides", [{"n_angles": 10 ** 12}, {"n_angles": MAX_ANGLES + 2},
                                        {"refinement": 10 ** 5}, {"refinement": 7},
                                        {"pole_pairs": 10 ** 9}])
@@ -206,6 +229,96 @@ def test_dof_map_rejects_nonconforming_edges():
                             connectivity=[(0, "u1", 1, "u0", False)])
     with pytest.raises(ConformityError):
         build_dof_map(model)
+
+
+def allclose_conformity(model):
+    """Oracle: the message of the first connection failing the per-edge
+    np.allclose tests (degree and knot count, knots, then points and
+    weights), or None."""
+    for pa, ea, pb, eb, reverse in model.connectivity:
+        kva, wa, qa = edge_discretization(model.patches[pa], ea)
+        kvb, wb, qb = edge_discretization(model.patches[pb], eb)
+        if reverse:
+            wb, qb = wb[::-1], qb[::-1]
+        label = "edge (%d,%s)-(%d,%s): " % (pa, ea, pb, eb)
+        if kva.degree != kvb.degree or kva.knots.size != kvb.knots.size:
+            return label + "degree/knot count mismatch"
+        with np.errstate(all="ignore"):
+            if not np.allclose(kva.knots, kvb.knots, atol=1e-14):
+                return label + "knot vectors differ"
+            scale = max(1.0, float(np.max(np.abs(qa))))
+            if not (np.allclose(qa, qb, atol=1e-12 * scale)
+                    and np.allclose(wa, wb, atol=1e-12)):
+                return label + "control data differ"
+    return None
+
+
+def _strip(n, edit=None, knot=0.5, degree=2):
+    """n unit patches side by side along x, glued u1-u0 (the last pair
+    reversed along the edge); edit(i, points, weights) may change patch i."""
+    patches = []
+    for i in range(n):
+        kv = KnotVector([0, 0, 0, knot, 1, 1, 1], 2)
+        kv_v = KnotVector([0] * (degree + 1) + [1] * (degree + 1), degree)
+        g_u = np.array([0.0, 0.5 * knot, 0.25 + 0.5 * knot, 1.0])
+        g_v = np.linspace(0.0, 1.0, degree + 1)
+        pts = np.stack(np.meshgrid(g_u + i, g_v, indexing="ij"), axis=-1)
+        weights = np.ones(pts.shape[:2])
+        if i == n - 1:                          # reversed v direction
+            pts = pts[:, ::-1].copy()
+        if edit is not None:
+            edit(i, pts, weights)
+        patches.append(NurbsPatch(kv, kv_v, pts, weights))
+    connectivity = [(i, "u1", i + 1, "u0", i + 1 == n - 1) for i in range(n - 1)]
+    return MultipatchModel(patches, [RegionTag("rotor_air")] * n, connectivity=connectivity)
+
+
+def _shift(target, amount, axis=0):
+    def edit(i, pts, weights):
+        if i == target:
+            pts[0, :, axis] += amount * pts[0, :, axis] + 1e-300
+    return edit
+
+
+CONFORMITY_CASES = {
+    "conforming": _strip(4),
+    "rtol-inside": _strip(4, _shift(2, 0.9e-5)),
+    "rtol-outside": _strip(4, _shift(2, 2e-5)),
+    "reversed-edge-differs": _strip(4, _shift(3, 1e-3, axis=1)),
+    "weight-differs": _strip(4, lambda i, p, w: w.__setitem__((0, 1), 1.0 + 1e-4 * (i == 1))),
+    "weight-inside": _strip(4, lambda i, p, w: w.__setitem__((0, 1), 1.0 + 1e-6 * (i == 1))),
+    "equal-infinities": _strip(3, lambda i, p, w: p.__setitem__((slice(None), [0, -1], 1),
+                                                                np.inf)),
+    "inf-vs-finite": _strip(3, lambda i, p, w: p.__setitem__((0, 0, 1),
+                                                             np.inf if i == 2 else p[0, 0, 1])),
+    "nan": _strip(3, lambda i, p, w: p.__setitem__((0, 1, 0), np.nan if i == 1 else p[0, 1, 0])),
+    "knots-differ-first": MultipatchModel(
+        _strip(2).patches + _strip(2, knot=0.5 + 1e-3).patches[:1],
+        [RegionTag("rotor_air")] * 3,
+        connectivity=[(0, "v1", 2, "v1", False), (0, "u1", 1, "u0", True)]),
+    "degree-after-control": MultipatchModel(
+        _strip(3, _shift(1, 1e-3)).patches + _strip(1, degree=3).patches,
+        [RegionTag("rotor_air")] * 4,
+        connectivity=[(0, "u1", 1, "u0", False), (2, "u1", 3, "u0", False)]),
+    "degree-first": MultipatchModel(
+        _strip(3, _shift(1, 1e-3)).patches + _strip(1, degree=3).patches,
+        [RegionTag("rotor_air")] * 4,
+        connectivity=[(2, "u1", 3, "u0", False), (0, "u1", 1, "u0", False)]),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFORMITY_CASES))
+def test_conformity_check_matches_allclose_oracle(name):
+    model = CONFORMITY_CASES[name]
+    expected = allclose_conformity(model)
+    if expected is None:
+        build_dof_map(model)
+    else:
+        with pytest.raises(ConformityError) as err:
+            build_dof_map(model)
+        assert str(err.value) == expected
+    assert (expected is None) == (name in ("conforming", "rtol-inside", "weight-inside",
+                                           "equal-infinities"))
 
 
 # ---------------------------------------------------------------- validity

@@ -1,20 +1,30 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import Phase, given, settings, strategies as st
 
-from igamotor.assembly import assemble_vector_metric
+from igamotor import optim
+from igamotor.assembly import assemble_vector_metric, detj_quadratic
 from igamotor.cli import main
 from igamotor.design import DesignSpace
 from igamotor.errors import ConfigError
-from igamotor.geometry import MachineConfig, build_dof_map, check_mesh_validity
+from igamotor.geometry import (
+    MachineConfig,
+    MultipatchModel,
+    build_demo_machine,
+    build_dof_map,
+    check_mesh_validity,
+)
 from igamotor.linalg import factorize
 from igamotor.optim import (
     LineSearchResult,
     MachineSolver,
     OptimizerConfig,
     descent_field,
+    detj_screen,
     line_search,
     run_optimization,
 )
@@ -99,21 +109,44 @@ def _single_patch_design():
     return model, dm, DesignSpace(model, dm)
 
 
-def test_line_search_quadratic_toy_matches_hand_analysis():
+def _toy_hand_analysis():
     model, dm, design = _single_patch_design()
     pts0 = model.patches[0].points.reshape(-1, 2)
     target = pts0 + np.array([0.05, -0.02])   # optimum: rigid shift
     ev = QuadraticEvaluator(design, model, target)
-    J0 = ev.evaluate(model)[0].thd
     # steepest descent in coefficient space: W = grad J = 2 (P - P*)
     diff = pts0 - target
     W = np.concatenate([2 * diff[design.free, 0], 2 * diff[design.free, 1]])
-    result = line_search(ev, design, model, J0, W, eps_jacobian=0.0, opt=opt_cfg())
+    return ev, design, model, ev.evaluate(model)[0].thd, W, 0.0, opt_cfg()
+
+
+def _toy_folding():
+    model, dm, design = _single_patch_design()
+    _, min_det0 = check_mesh_validity(model, 0.0)
+    pts0 = model.patches[0].points.reshape(-1, 2)
+    target = pts0 + np.array([0.8, 0.0])      # delta=1 folds the patch
+    ev = QuadraticEvaluator(design, model, target)
+    diff = pts0 - target
+    W = np.concatenate([2 * diff[design.free, 0], 2 * diff[design.free, 1]])
+    return ev, design, model, ev.evaluate(model)[0].thd, W, 1e-3 * min_det0, opt_cfg()
+
+
+def _toy_below_floor():
+    model, dm, design = _single_patch_design()
+    ev = QuadraticEvaluator(design, model, model.patches[0].points.reshape(-1, 2))
+    # already optimal: no decrease possible
+    return (ev, design, model, ev.evaluate(model)[0].thd, np.ones(design.n_dofs), 0.0,
+            opt_cfg(delta_floor=2.0 ** -6))
+
+
+def test_line_search_quadratic_toy_matches_hand_analysis():
+    ev, design, model, J0, W, eps, opt = _toy_hand_analysis()
+    result = line_search(ev, design, model, J0, W, eps_jacobian=eps, opt=opt)
     # J((1 - 2 d) ** 2 scaling): d = 1 overshoots to J0 (no decrease), d = 1/2 exact
     assert result is not None and result.delta == 0.5
     assert result.objective < 1e-25
     # halving W doubles the accepted step onto the same geometry
-    result2 = line_search(ev, design, model, J0, 0.5 * W, eps_jacobian=0.0, opt=opt_cfg())
+    result2 = line_search(ev, design, model, J0, 0.5 * W, eps_jacobian=eps, opt=opt)
     assert result2.delta == 2 * result.delta
     assert result2.objective == result.objective
     for a, b in zip(result.rotor.patches, result2.rotor.patches):
@@ -121,29 +154,157 @@ def test_line_search_quadratic_toy_matches_hand_analysis():
 
 
 def test_line_search_halves_until_mesh_valid():
-    model, dm, design = _single_patch_design()
-    _, min_det0 = check_mesh_validity(model, 0.0)
-    pts0 = model.patches[0].points.reshape(-1, 2)
-    target = pts0 + np.array([0.8, 0.0])      # delta=1 folds the patch
-    ev = QuadraticEvaluator(design, model, target)
-    J0 = ev.evaluate(model)[0].thd
-    diff = pts0 - target
-    W = np.concatenate([2 * diff[design.free, 0], 2 * diff[design.free, 1]])
-    eps = 1e-3 * min_det0
-    result = line_search(ev, design, model, J0, W, eps_jacobian=eps, opt=opt_cfg())
+    ev, design, model, J0, W, eps, opt = _toy_folding()
+    result = line_search(ev, design, model, J0, W, eps_jacobian=eps, opt=opt)
     assert result is not None and result.delta < 1.0
     ok, min_det = check_mesh_validity(result.rotor, eps)
     assert ok and min_det > eps
 
 
 def test_line_search_rejection_below_floor():
-    model, dm, design = _single_patch_design()
-    ev = QuadraticEvaluator(design, model, model.patches[0].points.reshape(-1, 2))
-    J0 = ev.evaluate(model)[0].thd  # already optimal: no decrease possible
-    W = np.ones(design.n_dofs)
-    result = line_search(ev, design, model, J0, W, eps_jacobian=0.0,
-                         opt=opt_cfg(delta_floor=2.0 ** -6))
-    assert result is None
+    ev, design, model, J0, W, eps, opt = _toy_below_floor()
+    assert line_search(ev, design, model, J0, W, eps_jacobian=eps, opt=opt) is None
+
+
+# ---------------------------------------------------------------- det J screen
+
+def unscreened_line_search(solver, design, rotor, objective, W, eps_jacobian, opt):
+    """Oracle: the plain halving loop, which displaces, checks and (when
+    valid) evaluates every step of the ladder."""
+    delta = 1.0
+    while delta >= opt.delta_floor:
+        trial = design.displace(rotor, W, delta)
+        ok, min_detj = check_mesh_validity(trial, eps_jacobian)
+        if ok:
+            sweep, pre = solver.evaluate(trial)
+            if sweep.thd < objective:
+                return LineSearchResult(delta, trial, sweep.thd, sweep, pre, min_detj)
+        delta *= 0.5
+    return None
+
+
+def assert_same_step(result, oracle):
+    if oracle is None:
+        assert result is None
+        return
+    assert result.delta == oracle.delta
+    assert result.objective == oracle.objective
+    assert result.min_detj == oracle.min_detj
+    for a, b in zip(result.rotor.patches, oracle.rotor.patches, strict=True):
+        assert np.array_equal(a.points, b.points)
+
+
+@pytest.mark.parametrize("case", [_toy_hand_analysis, _toy_folding, _toy_below_floor])
+def test_screened_line_search_equals_unscreened_on_toys(case):
+    args = case()
+    assert_same_step(line_search(*args), unscreened_line_search(*args))
+
+
+ACCEPTANCE_CFG = MachineConfig(refinement=0, n_harmonics=12, n_angles=60,
+                               harmonics_multiple_of_poles=True)
+
+
+def test_screened_line_search_equals_unscreened_on_demo_trajectory(monkeypatch):
+    # to termination: late iterates sit just above the validity floor
+    steps = []
+
+    def both(*args):
+        result = line_search(*args)
+        assert_same_step(result, unscreened_line_search(*args))
+        steps.append(None if result is None else result.delta)
+        return result
+
+    monkeypatch.setattr(optim, "line_search", both)
+    state = run_optimization(ACCEPTANCE_CFG, opt_cfg())
+    assert steps[:3] == [row[2] for row in LOCKED_TRAJECTORY[1:]]
+    assert state.iteration >= 3 and len(steps) >= state.iteration
+
+
+def test_demo_optimization_checks_only_the_steps_it_takes(monkeypatch):
+    # every mesh check past the initial one is a trial rotor the line
+    # search built; a screened step is never built
+    calls = []
+    real = optim.check_mesh_validity
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optim, "check_mesh_validity", counted)
+    state = run_optimization(ACCEPTANCE_CFG, opt_cfg())
+    assert state.iteration >= 3 and state.reason in ("tol", "no_progress")
+    assert len(calls) <= state.iteration + 1
+
+
+def _design_min_detj(model, design):
+    """check_mesh_validity's minimum over the design patches alone."""
+    sub = MultipatchModel([model.patches[p] for p in design.patch_ids],
+                          [model.tags[p] for p in design.patch_ids])
+    return check_mesh_validity(sub, 0.0)[1]
+
+
+@functools.lru_cache(maxsize=None)
+def coarse_rotor_design():
+    # built here, not taken from fixtures, so that a failing example's
+    # report shows the drawn numbers only
+    _, rotor = build_demo_machine(coarse_config())
+    return rotor, DesignSpace(rotor, build_dof_map(rotor))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-5.0, -0.5),
+       k=st.integers(0, 20))
+# no explain phase: it traces every line of the machine code and takes
+# minutes to report a failure
+@settings(max_examples=40, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+def test_detj_screen_bounds_the_direct_check(seed, log_scale, k):
+    rotor, design = coarse_rotor_design()
+    W = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(design.n_dofs)
+    delta = 2.0 ** -k
+    a, b, c, margin = detj_screen(design, rotor, W)
+    quad = a - delta * b + delta * delta * c
+    trial = design.displace(rotor, W, delta)
+    direct = _design_min_detj(trial, design)
+    patches = [trial.patches[p] for p in design.patch_ids]
+    moved = detj_quadratic(patches, [np.zeros(p.points.shape) for p in patches])[0]
+    # scalars only below, so that a failure report stays small
+    screened = float((quad + margin).min())    # what the line search skips on
+    unscreened = float(quad.min())
+    widest = float(margin.max())
+    pointwise_excess = float((np.abs(quad - moved) - margin).max())
+    floor_ratio = widest / float(a.min())
+    assert screened >= direct                  # an upper bound of the direct minimum
+    assert abs(unscreened - direct) <= widest
+    # pointwise, against the direct det J of every moved design patch
+    assert pointwise_excess <= 0.0
+    # and the margin is far below the validity floor (1e-3 min det J)
+    assert floor_ratio < 1e-6
+
+
+def test_detj_screen_forms_no_coefficients_off_the_design_patches(
+        coarse_machine, coarse_dofmaps, monkeypatch, rng):
+    _, rotor = coarse_machine
+    _, dm_rt = coarse_dofmaps
+    design = DesignSpace(rotor, dm_rt)
+    W = 1e-3 * rng.standard_normal(design.n_dofs)
+    seen = []
+    real = optim.detj_quadratic
+
+    def recorded(patches, disps):
+        seen.extend(patches)
+        return real(patches, disps)
+
+    monkeypatch.setattr(optim, "detj_quadratic", recorded)
+    a, b, c, margin = detj_screen(design, rotor, W)
+    assert [id(p) for p in seen] == [id(rotor.patches[p]) for p in design.patch_ids]
+    assert 0 < len(design.patch_ids) < len(rotor.patches)
+    # 3 x 3 Gauss points per element, one element per patch at refinement 0
+    assert a.size == b.size == c.size == margin.size == 9 * len(design.patch_ids)
+    # the premise: displace shares every other patch
+    trial = design.displace(rotor, W, 1.0)
+    for pid, patch in enumerate(rotor.patches):
+        if pid not in design.patch_ids:
+            assert trial.patches[pid] is patch
 
 
 def test_optimizer_config_validation():
@@ -209,9 +370,7 @@ LOCKED_TRAJECTORY = [
 
 
 def test_run_optimization_trajectory_is_locked():
-    cfg = MachineConfig(refinement=0, n_harmonics=12, n_angles=60,
-                        harmonics_multiple_of_poles=True)
-    state = run_optimization(cfg, opt_cfg(max_iterations=3))
+    state = run_optimization(ACCEPTANCE_CFG, opt_cfg(max_iterations=3))
     assert len(state.history) == len(LOCKED_TRAJECTORY)
     for row, locked in zip(state.history, LOCKED_TRAJECTORY):
         assert row[0] == locked[0]
