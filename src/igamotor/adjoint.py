@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import build_patch_tables
+from .assembly import _batch_tables, _patch_batches
 from .coupling import CouplingPrecomp, solve_interface
 from .design import DesignSpace
 from .errors import DegenerateSignalError
@@ -100,33 +100,29 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
     """
     U = dofmap.expand(np.transpose(u_rt_list))     # (n_global, NL)
     P = dofmap.expand(np.transpose(p_rt_list))
-    n_pts = design.n_points
-    targets, contribs = [], []
-    for pid in design.patch_ids:
-        tab = build_patch_tables(model.patches[pid])
-        gd = dofmap.patch_maps[pid].reshape(-1)[tab.dofs]          # (E, L)
-        di = design.index[gd]
-        valid = di >= 0
-        if not valid.any():
-            continue
-        n_el, n_q, n_loc = tab.val.shape
-        # A[e] = [grad at point 0 | grad at point 1 | ...]: (L, 2Q)
-        A = tab.grad.transpose(0, 2, 1, 3).reshape(n_el, n_loc, 2 * n_q)
-        C = U[gd] @ P[gd].transpose(0, 2, 1)                        # (E, L, L), angles summed
-        CA = (C @ A).reshape(n_el, n_loc, n_q, 2).transpose(0, 2, 1, 3)
-        T = tab.grad.transpose(0, 1, 3, 2) @ CA                     # (E, Q, 2, 2)
+    pids = design.patch_ids
+    targets, contribs = [None] * len(pids), [None] * len(pids)
+    for ids, space, X in _patch_batches([model.patches[pid] for pid in pids]):
+        _, grad, wdet = _batch_tables(space, X)
+        n_batch, n_el, n_q, n_loc = grad.shape[:4]
+        maps = np.stack([dofmap.patch_maps[pids[i]].reshape(-1) for i in ids])
+        gd = maps[:, space[0]]                                      # (G, E, L)
+        # A[g, e] = [grad at point 0 | grad at point 1 | ...]: (L, 2Q)
+        A = grad.transpose(0, 1, 3, 2, 4).reshape(n_batch, n_el, n_loc, 2 * n_q)
+        C = U[gd] @ P[gd].transpose(0, 1, 3, 2)                     # (G, E, L, L), angles summed
+        CA = (C @ A).reshape(n_batch, n_el, n_loc, n_q, 2).transpose(0, 1, 3, 2, 4)
+        T = grad.transpose(0, 1, 2, 4, 3) @ CA                      # (G, E, Q, 2, 2)
         trT = T[..., 0, 0] + T[..., 1, 1]
-        M = -(T + T.transpose(0, 1, 3, 2))
+        M = -(T + T.transpose(0, 1, 2, 4, 3))
         M[..., 0, 0] += trT
         M[..., 1, 1] += trT
-        nu = reluctivity_by_tag[model.tags[pid]]
-        M *= (nu * tab.wdet)[..., None, None]                       # nu w (tr T I - T - T^T)
-        contrib = A @ M.reshape(n_el, 2 * n_q, 2)                   # (E, L, 2)
-        targets.append(di[valid])
-        contribs.append(contrib[valid])
-    if not targets:
-        return np.zeros(design.n_dofs)
+        nu = np.array([reluctivity_by_tag[model.tags[pids[i]]] for i in ids])
+        M *= (nu[:, None, None] * wdet)[..., None, None]            # nu w (tr T I - T - T^T)
+        contrib = A @ M.reshape(n_batch, n_el, 2 * n_q, 2)          # (G, E, L, 2)
+        for i, di, c in zip(ids, design.index[gd], contrib):
+            valid = di >= 0
+            targets[i], contribs[i] = di[valid], c[valid]
     targets = np.concatenate(targets)
     contribs = np.concatenate(contribs)
-    return np.concatenate([np.bincount(targets, weights=contribs[:, c], minlength=n_pts)
-                           for c in (0, 1)])
+    return np.concatenate([np.bincount(targets, weights=contribs[:, c],
+                                       minlength=design.n_points) for c in (0, 1)])

@@ -9,16 +9,28 @@ points alone, so these parts are cached per (knots, degrees, weights, Gauss
 count) and every shape the optimizer tries rebuilds only the Jacobian.
 They come from :func:`igamotor.splines.rational_basis` on whole tables.
 
-The element kernels are batched matrix products over the elements of a
-patch (``np.matmul``, so BLAS does the contractions).  The sparsity pattern
-of a global matrix depends on the element dof tables alone, so its CSR
-index arrays and the CSR slot of every element-matrix entry are cached per
-(dof tables, n_global); a new shape only sums its element entries into the
-CSR data with ``np.bincount``.  Coupling moments are evaluated on all
-interface elements and Gauss points at once from the cached 1D tables.
-Element contributions are merged in a fixed patch/element order, so
-assembled operators are bit-reproducible.  :func:`eval_field` evaluates
-a field on the basis of :func:`igamotor.splines.patch_basis`.
+The element kernels are batched matrix products (``np.matmul``, so BLAS
+does the contractions) over a (G, E, Q, L) stack: G patches that share one
+cached space, E elements each, Q Gauss points, L local functions.  The
+demo rotor's 54 patches share 3 spaces and the stator's 108 share 1, so
+at refinement 0, where a patch is one element, the stiffness, metric,
+shape gradient and mesh check run a few batches, not one Python pass per
+patch.  A batch holds at most 256 elements (and at least one patch): that
+is one refinement-4 patch, so fine meshes keep one-patch batches and the
+memory of the per-patch kernels, while whole-group stacks would hold every
+patch's gradients at once.  Each entry is computed as for a single patch
+and element blocks are summed in patch order, so batching changes no bit;
+:func:`build_patch_tables` is the one-patch case of the same kernel.
+
+The sparsity pattern of a global matrix depends on the element dof tables
+alone, so its CSR index arrays and the CSR slot of every element-matrix
+entry are cached per (dof tables, n_global); a new shape only sums its
+element entries into the CSR data with ``np.bincount``.  Coupling
+moments are evaluated on all interface elements and Gauss points at once
+from the cached 1D tables.  Element contributions are merged in a fixed
+patch/element order, so assembled operators are bit-reproducible.
+:func:`eval_field` evaluates a field on the basis of
+:func:`igamotor.splines.patch_basis`.
 """
 from __future__ import annotations
 
@@ -154,37 +166,74 @@ def _check_gauss(patch: NurbsPatch) -> int:
     return max(patch.knots_u.degree, patch.knots_v.degree) + 1
 
 
-def _jacobian(patch: NurbsPatch, n_gauss: int | None):
-    """Per-geometry part: (space tables, local control points, the two
-    Jacobian columns, det J) at the Gauss points."""
-    space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss)
-    dofs, _, Rx, Ry, _ = space
-    P = patch.points.reshape(-1, 2).take(dofs, axis=0)     # (E, L, 2)
-    j_xi = Rx @ P                                          # (E, Q, 2)
+# at most this many elements per batch: one refinement-4 patch (16 x 16)
+_BATCH_ELEMENTS = 256
+
+
+def _patch_batches(patches):
+    """Group ``patches`` by their shared space tables (mesh-check Gauss
+    count) and stack each group's local control points in chunks of at
+    most ``_BATCH_ELEMENTS`` elements, and at least one patch.
+
+    Yields (ids, space, P): ids the chunk's positions in ``patches``,
+    increasing; P its (G, E, L, 2) local control points.  Groups come in
+    order of first appearance and chunks in patch order."""
+    groups = {}
+    for i, patch in enumerate(patches):
+        space = _space_tables(patch, _check_gauss(patch))
+        groups.setdefault(id(space), (space, []))[1].append(i)
+    for space, ids in groups.values():
+        dofs = space[0]
+        step = max(1, _BATCH_ELEMENTS // dofs.shape[0])
+        for k in range(0, len(ids), step):
+            chunk = ids[k:k + step]
+            P = np.stack([patches[i].points.reshape(-1, 2) for i in chunk]).take(dofs, axis=1)
+            yield chunk, space, P
+
+
+def _jacobian(space, P):
+    """The two Jacobian columns (G, E, Q, 2) and det J (G, E, Q) at the
+    Gauss points of a stack of patches on one space, P (G, E, L, 2)."""
+    _, _, Rx, Ry, _ = space
+    j_xi = Rx @ P
     j_eta = Ry @ P
     detj = j_xi[..., 0] * j_eta[..., 1] - j_xi[..., 1] * j_eta[..., 0]
-    return space, P, j_xi, j_eta, detj
+    return j_xi, j_eta, detj
 
 
-def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
-                       require_regular: bool = True) -> PatchTables:
-    (dofs, R, Rx, Ry, w2), P, j_xi, j_eta, detj = _jacobian(patch, n_gauss)
+def _batch_tables(space, P, require_regular: bool = True):
+    """(det J, physical gradients, weight x det J) of a stack of patches on
+    one space: (G, E, Q), (G, E, Q, L, 2), (G, E, Q).  Every entry is
+    computed as for a single patch, so it is bitwise the same in any batch."""
+    _, R, Rx, Ry, w2 = space
+    j_xi, j_eta, detj = _jacobian(space, P)
     if require_regular and np.any(detj <= 0.0):
         raise AssemblyError("singular or inverted Jacobian at a quadrature point "
                             "(min det J = %.3e)" % float(detj.min()))
-    xy = R @ P
-    # physical gradient J^-T (d/dxi, d/deta), with the (E, Q) factors divided first
-    grad = np.empty(R.shape + (2,))
+    # physical gradient J^-T (d/dxi, d/deta), with the (G, E, Q) factors divided first
+    grad = np.empty(detj.shape + R.shape[-1:] + (2,))
     np.subtract((j_eta[..., 1] / detj)[..., None] * Rx,
                 (j_xi[..., 1] / detj)[..., None] * Ry, out=grad[..., 0])
     np.subtract((j_xi[..., 0] / detj)[..., None] * Ry,
                 (j_eta[..., 0] / detj)[..., None] * Rx, out=grad[..., 1])
-    return PatchTables(dofs, R, grad, detj, w2 * detj, xy)
+    return detj, grad, w2 * detj
 
 
-def patch_min_detj(patch: NurbsPatch) -> float:
-    """Minimum det J over the Gauss points; builds no gradients."""
-    return float(_jacobian(patch, None)[-1].min())
+def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
+                       require_regular: bool = True) -> PatchTables:
+    """Tables of one patch: the one-patch stack of :func:`_batch_tables`."""
+    space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss)
+    dofs, R = space[:2]
+    P = patch.points.reshape(-1, 2).take(dofs, axis=0)[None]   # (1, E, L, 2)
+    detj, grad, wdet = _batch_tables(space, P, require_regular)
+    return PatchTables(dofs, R, grad[0], detj[0], wdet[0], (R @ P)[0])
+
+
+def min_detj(patches) -> float:
+    """Minimum det J over the mesh-check Gauss points of all ``patches``,
+    from the Jacobians of :func:`_patch_batches`; builds no gradients."""
+    return min((float(_jacobian(space, P)[-1].min())
+                for _, space, P in _patch_batches(patches)), default=np.inf)
 
 
 def detj_quadratic(patches, disps):
@@ -193,23 +242,15 @@ def detj_quadratic(patches, disps):
     patch), as the exact quadratic a - delta b + delta^2 c: the map is
     linear in the control points.
 
-    Returns flat (a, b, c, margin) over all those points; patches that
-    share cached space tables are stacked into one product.  ``margin`` is
-    1e-12 times the magnitude sum |Rx|(|P| + |D|) x |Ry|(|P| + |D|) of the
-    cross products, which bounds, with a wide safety factor, the rounding
-    error of both the direct det J of a moved patch and of the polynomial,
-    for 0 <= delta <= 1.
+    Returns flat (a, b, c, margin) over all those points, in the batch
+    order of :func:`_patch_batches`.  ``margin`` is 1e-12 times the
+    magnitude sum |Rx|(|P| + |D|) x |Ry|(|P| + |D|) of the cross products,
+    which bounds, with a wide safety factor, the rounding error of both the
+    direct det J of a moved patch and of the polynomial, for 0 <= delta <= 1.
     """
-    groups = {}
-    for patch, disp in zip(patches, disps):
-        space = _space_tables(patch, _check_gauss(patch))
-        _, points, moves = groups.setdefault(id(space), (space, [], []))
-        points.append(patch.points.reshape(-1, 2))
-        moves.append(disp.reshape(-1, 2))
     out = []
-    for (dofs, _, Rx, Ry, _), points, moves in groups.values():
-        P = np.stack(points).take(dofs, axis=1)            # (G, E, L, 2)
-        D = np.stack(moves).take(dofs, axis=1)
+    for ids, (dofs, _, Rx, Ry, _), P in _patch_batches(patches):
+        D = np.stack([disps[i].reshape(-1, 2) for i in ids]).take(dofs, axis=1)
         j_xi, j_eta, k_xi, k_eta = Rx @ P, Ry @ P, Rx @ D, Ry @ D
         a = j_xi[..., 0] * j_eta[..., 1] - j_xi[..., 1] * j_eta[..., 0]
         b = (j_xi[..., 0] * k_eta[..., 1] + k_xi[..., 0] * j_eta[..., 1]
@@ -302,28 +343,31 @@ def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
     on the glued global numbering (no boundary elimination); patches with a
     zero coefficient are skipped.
 
-    Element matrices are batched products over the E elements of a patch:
-    grad-grad is (E, L, 2Q) @ (E, 2Q, L) with the columns of the left factor
-    the (point, component) pairs, the mass term (E, L, Q) @ (E, Q, L).
-    Their entries are summed into the CSR data by ``np.bincount`` over the
-    cached scatter, in patch/element order."""
-    element_dofs, blocks = [], []
-    for pid, (patch, coeff) in enumerate(zip(model.patches, coeffs)):
-        if coeff == 0.0:
-            continue
-        tab = build_patch_tables(patch)
-        n_el, n_q, n_loc = tab.val.shape
-        A = tab.grad.transpose(0, 2, 1, 3).reshape(n_el, n_loc, 2 * n_q)
-        Aw = A * np.repeat(tab.wdet, 2, axis=1)[:, None, :]
-        ke = coeff * (A @ Aw.transpose(0, 2, 1))
-        if mass:
-            ke += mass * (tab.val.transpose(0, 2, 1) @ (tab.val * tab.wdet[..., None]))
-        element_dofs.append(dofmap.patch_maps[pid].reshape(-1)[tab.dofs])  # (E, L)
-        blocks.append(ke.reshape(-1))
-    if not blocks:
+    Element matrices are batched products over the elements of a patch
+    batch (:func:`_patch_batches`): grad-grad is (G, E, L, 2Q) @
+    (G, E, 2Q, L) with the columns of the left factor the (point, component)
+    pairs, the mass term (E, L, Q) @ (G, E, Q, L).  Their entries are summed
+    into the CSR data by ``np.bincount`` over the cached scatter, in
+    patch/element order."""
+    pids = [pid for pid, coeff in enumerate(coeffs) if coeff != 0.0]
+    if not pids:
         raise AssemblyError("no patch contributes to the operator")
+    element_dofs, blocks = [None] * len(pids), [None] * len(pids)
+    for ids, space, P in _patch_batches([model.patches[pid] for pid in pids]):
+        dofs, val = space[:2]
+        _, grad, wdet = _batch_tables(space, P)
+        n_batch, n_el, n_q, n_loc = grad.shape[:4]
+        A = grad.transpose(0, 1, 3, 2, 4).reshape(n_batch, n_el, n_loc, 2 * n_q)
+        Aw = A * np.repeat(wdet, 2, axis=-1)[..., None, :]
+        coeff = np.array([coeffs[pids[i]] for i in ids])[:, None, None, None]
+        ke = coeff * (A @ Aw.transpose(0, 1, 3, 2))
+        if mass:
+            ke += mass * (val.transpose(0, 2, 1) @ (val * wdet[..., None]))
+        for i, block in zip(ids, ke):
+            element_dofs[i] = dofmap.patch_maps[pids[i]].reshape(-1)[dofs]  # (E, L)
+            blocks[i] = block.reshape(-1)
     indptr, indices, slots = _csr_scatter(element_dofs, dofmap.n_global)
-    # rebinding frees the per-patch blocks before bincount copies the slots
+    # rebinding frees the per-batch blocks before bincount copies the slots
     blocks = np.concatenate(blocks)
     data = np.bincount(slots, weights=blocks, minlength=indices.size)
     # the matrix gets its own index arrays: callers may modify it in place

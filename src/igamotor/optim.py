@@ -28,7 +28,7 @@ from .coupling import (
     sweep_angles,
 )
 from .design import DesignSpace
-from .errors import ConfigError, IgaError
+from .errors import ConfigError, DegenerateSignalError, IgaError
 from .fourier import attach_spectrum, build_derivative_dft
 from .geometry import (
     MachineConfig,
@@ -40,6 +40,9 @@ from .geometry import (
     checked_int,
 )
 from .linalg import factorize, matvec
+
+# below this the THD is the rounding noise of a distortion-free spectrum
+THD_ROUNDOFF = 1e4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,11 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
     line search exhausts its step set (no progress), or at the iteration
     cap.  The partial history is preserved when an iteration raises.
 
+    An initial THD below ``THD_ROUNDOFF`` = 1e4 x machine epsilon (2.2e-12)
+    is rounding noise of a distortion-free spectrum, not a distortion to
+    reduce: it raises DegenerateSignalError, with the initial history row
+    kept, before the first step.
+
     Each line search screens its steps with the exact det J quadratic and
     builds only the trial rotors that can pass the mesh check; the screen
     skips only steps the check would reject, so the trajectory, history
@@ -213,6 +221,9 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
     if callback:
         callback(state)
     try:
+        if objective < THD_ROUNDOFF:
+            raise DegenerateSignalError("initial THD %.3e is at round-off level: "
+                                        "nothing to optimize" % objective)
         for it in range(1, opt.max_iterations + 1):
             sens = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b,
                                             sweep.index_set, mats)

@@ -7,6 +7,7 @@ from igamotor.adjoint import (
     solve_adjoints,
     thd_sample_sensitivities,
 )
+from igamotor.assembly import build_reluctivity_map
 from igamotor.coupling import (
     build_full_matrix,
     reconstruct_state,
@@ -301,3 +302,53 @@ def test_gradient_matches_per_angle_einsum_oracle(forward, solver, mats):
         expected = _shape_gradient_oracle(*args)
         assert np.abs(expected).max() > 0.0
         assert np.abs(produced - expected).max() < 1e-13 * np.abs(expected).max()
+
+
+def _shape_gradient_per_patch_oracle(model, dofmap, design, u_rt_list, p_rt_list, relmap):
+    """The per-patch form of ``assemble_shape_gradient``: one
+    ``build_patch_tables`` and one stack of element products per design
+    patch, summed by ``np.bincount`` in patch order.  Batching patches must
+    not change a bit."""
+    from igamotor.assembly import build_patch_tables
+
+    U = dofmap.expand(np.transpose(u_rt_list))
+    P = dofmap.expand(np.transpose(p_rt_list))
+    targets, contribs = [], []
+    for pid in design.patch_ids:
+        tab = build_patch_tables(model.patches[pid])
+        gd = dofmap.patch_maps[pid].reshape(-1)[tab.dofs]
+        di = design.index[gd]
+        valid = di >= 0
+        if not valid.any():
+            continue
+        n_el, n_q, n_loc = tab.val.shape
+        A = tab.grad.transpose(0, 2, 1, 3).reshape(n_el, n_loc, 2 * n_q)
+        C = U[gd] @ P[gd].transpose(0, 2, 1)
+        CA = (C @ A).reshape(n_el, n_loc, n_q, 2).transpose(0, 2, 1, 3)
+        T = tab.grad.transpose(0, 1, 3, 2) @ CA
+        trT = T[..., 0, 0] + T[..., 1, 1]
+        M = -(T + T.transpose(0, 1, 3, 2))
+        M[..., 0, 0] += trT
+        M[..., 1, 1] += trT
+        M *= (relmap[model.tags[pid]] * tab.wdet)[..., None, None]
+        targets.append(di[valid])
+        contribs.append((A @ M.reshape(n_el, 2 * n_q, 2))[valid])
+    targets, contribs = np.concatenate(targets), np.concatenate(contribs)
+    return np.concatenate([np.bincount(targets, weights=contribs[:, c],
+                                       minlength=design.n_points) for c in (0, 1)])
+
+
+@pytest.mark.parametrize("refinement", [0, 2])
+def test_gradient_equals_per_patch_loop_bitwise(refinement):
+    cfg = coarse_config(refinement=refinement)
+    _, rotor = build_demo_machine(cfg)
+    dm = build_dof_map(rotor)
+    relmap = build_reluctivity_map(rotor, cfg)
+    rng = np.random.default_rng(12)
+    space = DesignSpace(rotor, dm)
+    moved = space.displace(rotor, 1e-5 * rng.standard_normal(space.n_dofs), 1.0)
+    u_rt, p_rt = rng.standard_normal((2, 5, dm.n_free))
+    for model in (rotor, moved):
+        args = (model, dm, DesignSpace(model, dm), u_rt, p_rt, relmap)
+        assert np.array_equal(assemble_shape_gradient(*args),
+                              _shape_gradient_per_patch_oracle(*args))

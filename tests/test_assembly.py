@@ -21,7 +21,6 @@ from igamotor.assembly import (
     gauss_rule,
     l2_error,
     patch_area,
-    patch_min_detj,
 )
 from igamotor.design import DesignSpace
 from igamotor.errors import AssemblyError, ConfigError, GeometryError
@@ -29,7 +28,9 @@ from igamotor.geometry import (
     MachineConfig,
     MultipatchModel,
     RegionTag,
+    build_demo_machine,
     build_dof_map,
+    check_mesh_validity,
     edge_discretization,
     edge_nodes,
 )
@@ -513,11 +514,18 @@ def test_patch_tables_cold_and_warm_cache_agree(coarse_machine, coarse_dofmaps, 
         _assert_tables_equal(ref, warm)
 
 
-def test_patch_min_detj_matches_full_tables(coarse_machine):
-    for model in coarse_machine:
-        for patch in model.patches:
-            full = build_patch_tables(patch, require_regular=False)
-            assert patch_min_detj(patch) == full.detj.min()
+def test_mesh_check_min_equals_per_patch_tables_bitwise(coarse_machine):
+    stator, rotor = coarse_machine
+    patches = list(rotor.patches)
+    p = patches[20]
+    patches[20] = NurbsPatch(p.knots_u, p.knots_v, p.points[::-1].copy(), p.weights[::-1].copy())
+    folded = rotor.with_patches(patches)
+    for model in (stator, rotor, folded):
+        ok, min_det = check_mesh_validity(model, 0.0)
+        per_patch = min(build_patch_tables(q, require_regular=False).detj.min()
+                        for q in model.patches)
+        assert min_det == per_patch
+        assert ok == (model is not folded)
 
 
 def test_space_cache_keys_on_weights():
@@ -538,6 +546,65 @@ def test_cached_tables_are_read_only():
         tab.val[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         tab.dofs[0, 0] = 0
+
+
+# ---------------------------------------------------------------- patch batches
+
+def test_patch_batches_group_by_space_within_256_elements():
+    fine = square_model(n_elements=16).patches[0]       # 256 elements
+    coarse = square_model(n_elements=1).patches[0]
+    batches = list(assembly._patch_batches([fine, coarse, fine, coarse, fine]))
+    # a 256-element patch fills a batch alone: the memory budget of one patch
+    assert [ids for ids, _, _ in batches] == [[0], [2], [4], [1, 3]]
+    for ids, (dofs, _, _, _, _), P in batches:
+        assert P.shape == (len(ids),) + dofs.shape + (2,)
+
+
+def _h1_per_patch_oracle(model, dm, coeffs, mass=0.0):
+    """The per-patch form of ``_h1_matrix``: one ``build_patch_tables`` and
+    one stack of element products per patch, summed through the cached
+    scatter in patch order.  Batching patches must not change a bit."""
+    element_dofs, blocks = [], []
+    for pid, (patch, coeff) in enumerate(zip(model.patches, coeffs)):
+        if coeff == 0.0:
+            continue
+        tab = build_patch_tables(patch)
+        n_el, n_q, n_loc = tab.val.shape
+        A = tab.grad.transpose(0, 2, 1, 3).reshape(n_el, n_loc, 2 * n_q)
+        Aw = A * np.repeat(tab.wdet, 2, axis=1)[:, None, :]
+        ke = coeff * (A @ Aw.transpose(0, 2, 1))
+        if mass:
+            ke += mass * (tab.val.transpose(0, 2, 1) @ (tab.val * tab.wdet[..., None]))
+        element_dofs.append(dm.patch_maps[pid].reshape(-1)[tab.dofs])
+        blocks.append(ke.reshape(-1))
+    indptr, indices, slots = assembly._csr_scatter(element_dofs, dm.n_global)
+    data = np.bincount(slots, weights=np.concatenate(blocks), minlength=indices.size)
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(dm.n_global, dm.n_global))
+
+
+@pytest.fixture(scope="module", params=[0, 2])
+def refined_cases(request):
+    """(model, dofmap) for the stator, rotor and a displaced rotor at
+    refinements 0 and 2."""
+    stator, rotor = build_demo_machine(coarse_config(refinement=request.param))
+    return _machine_cases((stator, rotor), (build_dof_map(stator), build_dof_map(rotor)))
+
+
+def test_operators_equal_per_patch_loop_bitwise(coarse_cfg, refined_cases):
+    for model, dm in refined_cases:
+        relmap = build_reluctivity_map(model, coarse_cfg)
+        expected = _h1_per_patch_oracle(model, dm, [relmap[tag] for tag in model.tags])
+        _assert_csr_identical(assemble_stiffness(model, dm, relmap),
+                              assembly._restrict(expected, dm))
+    for model, dm in refined_cases[1:]:
+        mask = DesignSpace(model, dm).mask
+        coeffs = [float(mask[gmap.reshape(-1)].any()) for gmap in dm.patch_maps]
+        idx = np.flatnonzero(mask)
+        expected = _h1_per_patch_oracle(model, dm, coeffs, mass=1.0)
+        _assert_csr_identical(assemble_vector_metric(model, dm, mask),
+                              expected[idx][:, idx].tocsr())
+    for model, _ in refined_cases:
+        assert max(len(ids) for ids, _, _ in assembly._patch_batches(model.patches)) > 1
 
 
 # ---------------------------------------------------------------- scatter cache

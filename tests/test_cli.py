@@ -214,6 +214,19 @@ def test_optimize_failure_keeps_partial_history(tmp_path, monkeypatch):
     assert (out / "rotor_optimized.json").exists()
 
 
+def test_optimize_round_off_thd_exits_3_with_partial_outputs(tmp_path):
+    # integer orders at refinement 0: the initial THD is 9.49e-16
+    cfg_path = write_config(tmp_path, machine={"refinement": 0, "n_harmonics": 12,
+                                               "n_angles": 12},
+                            optimizer={"max_iterations": 2})
+    assert main(["optimize", "--config", str(cfg_path)]) == 3
+    out = tmp_path / "out"
+    lines = (out / "history.csv").read_text().strip().splitlines()
+    assert [int(line.split(",")[0]) for line in lines[2:]] == [0]
+    assert "reason error\niterations 0\n" in (out / "summary.txt").read_text()
+    assert (out / "rotor_optimized.json").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg_path = write_config(tmp_path, solve={"alpha": 0.2, "grid_r": 6,
                                              "grid_theta": 12},

@@ -10,7 +10,7 @@ from igamotor import optim
 from igamotor.assembly import assemble_vector_metric, detj_quadratic
 from igamotor.cli import main
 from igamotor.design import DesignSpace
-from igamotor.errors import ConfigError
+from igamotor.errors import ConfigError, DegenerateSignalError
 from igamotor.geometry import (
     MachineConfig,
     MultipatchModel,
@@ -385,3 +385,13 @@ def test_run_optimization_rejects_loaded_machine():
     cfg = coarse_config(current_amplitude=1.0, harmonics_multiple_of_poles=True)
     with pytest.raises(ConfigError):
         run_optimization(cfg, opt_cfg(max_iterations=1))
+
+
+def test_run_optimization_refuses_round_off_thd():
+    # integer orders on the CI config: the initial THD is 9.49e-16
+    cfg = coarse_config()
+    with pytest.raises(DegenerateSignalError) as err:
+        run_optimization(cfg, opt_cfg(max_iterations=2))
+    state = err.value.partial_state
+    assert state.reason == "error" and state.iteration == 0
+    assert len(state.history) == 1 and state.history[0][1] < optim.THD_ROUNDOFF
