@@ -102,7 +102,7 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
     P = dofmap.expand(np.transpose(p_rt_list))
     pids = design.patch_ids
     targets, contribs = [None] * len(pids), [None] * len(pids)
-    for ids, space, X in _patch_batches([model.patches[pid] for pid in pids]):
+    for ids, space, X in _patch_batches([model.patches[pid] for pid in pids], dofmap.plan):
         _, grad, wdet = _batch_tables(space, X)
         n_batch, n_el, n_q, n_loc = grad.shape[:4]
         maps = np.stack([dofmap.patch_maps[pids[i]].reshape(-1) for i in ids])

@@ -5,9 +5,16 @@ determinants are built per geometry and reused by stiffness, source,
 winding, coupling and metric assembly.  The rational basis values and
 parametric derivatives at the Gauss points depend on the knots, degrees and
 weights only, never on the control points; a shape update moves control
-points alone, so these parts are cached per (knots, degrees, weights, Gauss
-count) and every shape the optimizer tries rebuilds only the Jacobian.
-They come from :func:`igamotor.splines.rational_basis` on whole tables.
+points alone, so every shape the optimizer tries rebuilds only the
+Jacobian.  These space tables, and the 1D tables they are built from, come
+from :func:`igamotor.splines.rational_basis` on whole tables.
+
+Space tables are shared between patches whose knots, degrees, weights and
+Gauss count have equal values (the demo stator's 108 patches share one).
+The module keys them by those values in weak-valued caches: an entry lives
+as long as something holds it (an assembly plan, or a loop over patches
+for its duration), so nothing stays cached once the machines that used it
+are freed.
 
 The element kernels are batched matrix products (``np.matmul``, so BLAS
 does the contractions) over a (G, E, Q, L) stack: G patches that share one
@@ -22,18 +29,27 @@ patch's gradients at once.  Each entry is computed as for a single patch
 and element blocks are summed in patch order, so batching changes no bit;
 :func:`build_patch_tables` is the one-patch case of the same kernel.
 
-The sparsity pattern of a global matrix depends on the element dof tables
-alone, so its CSR index arrays and the CSR slot of every element-matrix
-entry are cached per (dof tables, n_global); a new shape only sums its
-element entries into the CSR data with ``np.bincount``.  Coupling
+What depends on the dof map alone is owned by its :class:`AssemblyPlan`
+(``DofMap.plan``), built on first use and freed with the dof map, so with
+the machine that holds it.  The plan keeps the grouping of a patch list
+into batches, and the sparsity pattern of each operator directly in its
+restricted numbering (free dofs for the stiffness, masked dofs for the
+metric): CSR index arrays and the CSR slot of every element-matrix entry,
+with the entries of eliminated rows and columns sent one past the data.
+A new shape only sums its element entries into the CSR data with
+``np.bincount``.  The plan serves the models whose patches carry the dof
+map's own knots and weights objects, which ``DesignSpace.displace`` shares
+between rotors; other models are grouped and scattered afresh.  Coupling
 moments are evaluated on all interface elements and Gauss points at once
-from the cached 1D tables.  Element contributions are merged in a fixed
-patch/element order, so assembled operators are bit-reproducible.
-:func:`eval_field` evaluates a field on the basis of
-:func:`igamotor.splines.patch_basis`.
+from the 1D tables.  Element contributions are merged in a fixed
+patch/element order, so assembled operators are bit-reproducible, and a
+restricted operator is bitwise the unrestricted one with its eliminated
+rows and columns removed.  :func:`eval_field` evaluates a field on the
+basis of :func:`igamotor.splines.patch_basis`.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +78,26 @@ def gauss_rule(n: int) -> GaussRule:
 # --------------------------------------------------------------------------
 # cached 1D basis tables
 
-_TABLE_CACHE: dict = {}
+class _Entry:
+    """Read-only arrays of a weak cache entry, unpacked and indexed like a
+    tuple.  ``parents``, the entries it was built from, live as long as it."""
+
+    __slots__ = ("arrays", "parents", "__weakref__")
+
+    def __init__(self, arrays, parents=()):
+        for arr in arrays:
+            arr.setflags(write=False)
+        self.arrays = arrays
+        self.parents = parents
+
+    def __iter__(self):
+        return iter(self.arrays)
+
+    def __getitem__(self, index):
+        return self.arrays[index]
+
+
+_TABLE_CACHE = weakref.WeakValueDictionary()
 
 
 def _basis_table_1d(kv: KnotVector, n_gauss: int):
@@ -90,9 +125,7 @@ def _basis_table_1d(kv: KnotVector, n_gauss: int):
             vals[e, q] = N
             ders[e, q] = dN
         first[e] = span - p
-    for arr in (params, weights, vals, ders, first):
-        arr.setflags(write=False)
-    table = (params, weights, vals, ders, first)
+    table = _Entry((params, weights, vals, ders, first))
     _TABLE_CACHE[key] = table
     return table
 
@@ -116,14 +149,15 @@ class PatchTables:
     xy: np.ndarray        # (E, Q, 2)
 
 
-_SPACE_CACHE: dict = {}
+_SPACE_CACHE = weakref.WeakValueDictionary()
 
 
 def _space_tables(patch: NurbsPatch, n_gauss: int):
     """Shape-invariant quadrature data of a patch: local dof indices (E, L),
     rational basis values R and parametric derivatives Rx, Ry (E, Q, L) and
-    tensor quadrature weights w2 (E, Q).  Cached on the knots, degrees,
-    weights and Gauss count; the arrays are shared and read-only."""
+    tensor quadrature weights w2 (E, Q).  Cached, while held, on the values
+    of the knots, degrees, weights and Gauss count; the arrays are shared
+    and read-only."""
     ku, kv = patch.knots_u, patch.knots_v
     key = (ku.knots.tobytes(), ku.degree, kv.knots.tobytes(), kv.degree,
            patch.weights.tobytes(), patch.weights.shape, n_gauss)
@@ -131,8 +165,9 @@ def _space_tables(patch: NurbsPatch, n_gauss: int):
     if hit is not None:
         return hit
     pu, pv = ku.degree, kv.degree
-    xu, wu, vu, du, fu = _basis_table_1d(ku, n_gauss)
-    xv, wv, vv, dv, fv = _basis_table_1d(kv, n_gauss)
+    table_u, table_v = _basis_table_1d(ku, n_gauss), _basis_table_1d(kv, n_gauss)
+    xu, wu, vu, du, fu = table_u
+    xv, wv, vv, dv, fv = table_v
     n_eu, n_ev = xu.shape[0], xv.shape[0]
     lu, lv = pu + 1, pv + 1
     n_loc = lu * lv
@@ -154,9 +189,7 @@ def _space_tables(patch: NurbsPatch, n_gauss: int):
 
     wl = patch.weights.reshape(-1)[dofs]                   # (E, L)
     R, Rx, Ry = rational_basis(wl[:, None, :], B, Bx, By)
-    for arr in (dofs, R, Rx, Ry, w2):
-        arr.setflags(write=False)
-    space = (dofs, R, Rx, Ry, w2)
+    space = _Entry((dofs, R, Rx, Ry, w2), (table_u, table_v))
     _SPACE_CACHE[key] = space
     return space
 
@@ -170,25 +203,30 @@ def _check_gauss(patch: NurbsPatch) -> int:
 _BATCH_ELEMENTS = 256
 
 
-def _patch_batches(patches):
+def _group(patches):
     """Group ``patches`` by their shared space tables (mesh-check Gauss
-    count) and stack each group's local control points in chunks of at
-    most ``_BATCH_ELEMENTS`` elements, and at least one patch.
-
-    Yields (ids, space, P): ids the chunk's positions in ``patches``,
-    increasing; P its (G, E, L, 2) local control points.  Groups come in
-    order of first appearance and chunks in patch order."""
+    count) in chunks of at most ``_BATCH_ELEMENTS`` elements, and at least
+    one patch: [(ids, space)], ids the chunk's positions in ``patches``,
+    increasing.  Groups come in order of first appearance and chunks in
+    patch order."""
     groups = {}
     for i, patch in enumerate(patches):
         space = _space_tables(patch, _check_gauss(patch))
         groups.setdefault(id(space), (space, []))[1].append(i)
+    chunks = []
     for space, ids in groups.values():
-        dofs = space[0]
-        step = max(1, _BATCH_ELEMENTS // dofs.shape[0])
-        for k in range(0, len(ids), step):
-            chunk = ids[k:k + step]
-            P = np.stack([patches[i].points.reshape(-1, 2) for i in chunk]).take(dofs, axis=1)
-            yield chunk, space, P
+        step = max(1, _BATCH_ELEMENTS // space[0].shape[0])
+        chunks.extend((ids[k:k + step], space) for k in range(0, len(ids), step))
+    return chunks
+
+
+def _patch_batches(patches, plan=None):
+    """Yields (ids, space, P) for each chunk of :func:`_group`, taken from
+    ``plan`` (an :class:`AssemblyPlan`) when given: P the chunk's
+    (G, E, L, 2) local control points."""
+    for ids, space in (_group(patches) if plan is None else plan.groups(patches)):
+        P = np.stack([patches[i].points.reshape(-1, 2) for i in ids]).take(space[0], axis=1)
+        yield ids, space, P
 
 
 def _jacobian(space, P):
@@ -219,24 +257,30 @@ def _batch_tables(space, P, require_regular: bool = True):
     return detj, grad, w2 * detj
 
 
-def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
-                       require_regular: bool = True) -> PatchTables:
-    """Tables of one patch: the one-patch stack of :func:`_batch_tables`."""
-    space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss)
+def _tables_on(space, patch: NurbsPatch, require_regular: bool = True) -> PatchTables:
+    """Tables of one patch on its space: the one-patch stack of
+    :func:`_batch_tables`."""
     dofs, R = space[:2]
     P = patch.points.reshape(-1, 2).take(dofs, axis=0)[None]   # (1, E, L, 2)
     detj, grad, wdet = _batch_tables(space, P, require_regular)
     return PatchTables(dofs, R, grad[0], detj[0], wdet[0], (R @ P)[0])
 
 
-def min_detj(patches) -> float:
+def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
+                       require_regular: bool = True) -> PatchTables:
+    """Tables of one patch (mesh-check Gauss count by default)."""
+    space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss)
+    return _tables_on(space, patch, require_regular)
+
+
+def min_detj(patches, plan=None) -> float:
     """Minimum det J over the mesh-check Gauss points of all ``patches``,
     from the Jacobians of :func:`_patch_batches`; builds no gradients."""
     return min((float(_jacobian(space, P)[-1].min())
-                for _, space, P in _patch_batches(patches)), default=np.inf)
+                for _, space, P in _patch_batches(patches, plan)), default=np.inf)
 
 
-def detj_quadratic(patches, disps):
+def detj_quadratic(patches, disps, plan=None):
     """det J at the Gauss points of each patch with its control points moved
     to ``points - delta * disp`` (``disps``: one (n_u, n_v, 2) array per
     patch), as the exact quadratic a - delta b + delta^2 c: the map is
@@ -249,7 +293,7 @@ def detj_quadratic(patches, disps):
     direct det J of a moved patch and of the polynomial, for 0 <= delta <= 1.
     """
     out = []
-    for ids, (dofs, _, Rx, Ry, _), P in _patch_batches(patches):
+    for ids, (dofs, _, Rx, Ry, _), P in _patch_batches(patches, plan):
         D = np.stack([disps[i].reshape(-1, 2) for i in ids]).take(dofs, axis=1)
         j_xi, j_eta, k_xi, k_eta = Rx @ P, Ry @ P, Rx @ D, Ry @ D
         a = j_xi[..., 0] * j_eta[..., 1] - j_xi[..., 1] * j_eta[..., 0]
@@ -305,56 +349,143 @@ def magnetization_perp(tag: RegionTag, cfg: MachineConfig, xy: np.ndarray) -> np
 # --------------------------------------------------------------------------
 # global assembly
 
-_SCATTER_CACHE: dict = {}
+def _csr_scatter(groups, maps, n_global: int, keep=None):
+    """Sparsity pattern of a matrix assembled from the element matrices of
+    patches in the chunks ``groups`` ([(ids, space)] as from :func:`_group`),
+    patch i with the global numbers ``maps[i]`` of its flat control points,
+    on the rows and columns of the bool mask ``keep`` (all when None) in
+    their increasing order: canonical CSR ``indptr`` and ``indices``, and
+    ``slots``, the CSR data position of every element-matrix entry in
+    patch/element/row/column order.  An entry in a dropped row or column
+    gets slot ``indices.size``, one past the data.
 
-
-def _csr_scatter(element_dofs, n_global: int):
-    """Sparsity pattern of a matrix assembled from element matrices on the
-    (E, L) global dof tables ``element_dofs``: canonical CSR ``indptr`` and
-    ``indices``, and ``slots``, the CSR data position of every element-matrix
-    entry in table/element/row/column order.  The pattern does not change
-    with the shape, so it is cached on the tables and n_global; the arrays
-    are shared and read-only."""
-    key = (n_global, tuple(gd.shape for gd in element_dofs),
-           b"".join(gd.tobytes() for gd in element_dofs))
-    hit = _SCATTER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    # entry (l, m) of element e is the pair row * n_global + col
-    entries = np.concatenate([(gd[:, :, None] * n_global + gd[:, None, :]).reshape(-1)
-                              for gd in element_dofs])
+    The patches of a space share one dof table, so its distinct local
+    (row, col) pairs are found once, and the global sort runs over the
+    distinct pairs of each patch, not over every element-matrix entry."""
+    if keep is None:
+        index, n = None, n_global
+    else:
+        index = np.cumsum(keep) - 1
+        n = int(index[-1]) + 1
+        index[~keep] = -1
+    dropped = n * n                        # sorts after every kept pair
+    local = {}
+    codes, where, size = [], [None] * len(maps), 0
+    for ids, space in groups:
+        dofs = space[0]
+        if id(dofs) not in local:
+            n_loc = maps[ids[0]].size
+            pairs, inverse = np.unique((dofs[:, :, None] * n_loc + dofs[:, None, :]).reshape(-1),
+                                       return_inverse=True)
+            local[id(dofs)] = (pairs // n_loc, pairs % n_loc, inverse.reshape(-1))
+        rows, cols, inverse = local[id(dofs)]
+        numbers = np.stack([maps[i] for i in ids])
+        if index is not None:
+            numbers = index[numbers]
+        row, col = numbers[:, rows], numbers[:, cols]
+        code = row * n + col               # the pair (row, col)
+        if index is not None:
+            code[(row < 0) | (col < 0)] = dropped
+        codes.append(code.reshape(-1))
+        for k, i in enumerate(ids):
+            where[i] = size + k * rows.size + inverse
+        size += code.size
     # sorted unique pairs: row-major order, no duplicates
-    pairs, slots = np.unique(entries, return_inverse=True)
-    index_type = np.int32 if max(entries.size, n_global) < np.iinfo(np.int32).max else np.int64
-    del entries
-    indptr = np.zeros(n_global + 1, dtype=index_type)
-    np.cumsum(np.bincount(pairs // n_global, minlength=n_global), out=indptr[1:])
-    scatter = (indptr, (pairs % n_global).astype(index_type),
-               slots.reshape(-1).astype(index_type))
-    for arr in scatter:
-        arr.setflags(write=False)
-    _SCATTER_CACHE[key] = scatter
-    return scatter
+    pairs, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    del codes
+    where = np.concatenate(where)
+    if pairs.size and pairs[-1] == dropped:
+        pairs = pairs[:-1]
+    index_type = np.int32 if max(where.size, n) < np.iinfo(np.int32).max else np.int64
+    slots = inverse.reshape(-1).astype(index_type)[where]
+    indptr = np.zeros(n + 1, dtype=index_type)
+    np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
+    return indptr, (pairs % n).astype(index_type), slots
+
+
+class AssemblyPlan:
+    """The shape-independent assembly data of one dof map
+    (``DofMap.plan``): patch batches and CSR scatters.
+
+    A shape update moves control points only, so every model whose patches
+    are on the dof map's own knots and weights objects (the ones it was
+    built from, which ``DesignSpace.displace`` shares between rotors) has
+    the same grouping of patches into batches on shared spaces and the same
+    sparsity pattern.  The plan keeps both, per patch list and per
+    restriction, and is freed with the dof map.  Patches on other knots or
+    weights objects are grouped and scattered afresh on every call.
+    """
+
+    def __init__(self, dofmap: DofMap):
+        self._maps = dofmap.patch_maps
+        self._n_global = dofmap.n_global
+        # id of the weights -> (dof map patch id, knots_u, knots_v, weights)
+        self._bases = {id(w): (pid, ku, kv, w)
+                       for pid, (ku, kv, w) in enumerate(dofmap.patch_bases)}
+        self._groups = {}
+        self._scatters = {}
+
+    def _pids(self, patches):
+        """The dof map's patch ids of ``patches``, or None when a patch is
+        not on the dof map's own knots and weights objects."""
+        pids = []
+        for patch in patches:
+            base = self._bases.get(id(patch.weights))
+            if base is None or base[1] is not patch.knots_u or base[2] is not patch.knots_v:
+                return None
+            pids.append(base[0])
+        return tuple(pids)
+
+    def groups(self, patches):
+        """:func:`_group` of ``patches``, kept for the dof map's own patches."""
+        key = self._pids(patches)
+        if key is None:
+            return _group(patches)
+        hit = self._groups.get(key)
+        if hit is None:
+            hit = self._groups[key] = _group(patches)
+        return hit
+
+    def scatter(self, patches, pids, keep=None):
+        """:func:`_csr_scatter` of ``patches`` on the dof map's patches
+        ``pids``, restricted to ``keep``; the arrays are read-only and kept
+        for the dof map's own patches."""
+        cached = self._pids(patches) == tuple(pids)
+        key = (tuple(pids), None if keep is None else keep.tobytes())
+        hit = self._scatters.get(key) if cached else None
+        if hit is not None:
+            return hit
+        scatter = _csr_scatter(self.groups(patches), [self._maps[pid].reshape(-1) for pid in pids],
+                               self._n_global, keep)
+        for arr in scatter:
+            arr.setflags(write=False)
+        if cached:
+            self._scatters[key] = scatter
+        return scatter
 
 
 def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
-               mass: float = 0.0) -> sp.csr_matrix:
+               mass: float = 0.0, keep=None) -> sp.csr_matrix:
     """Sum over patches of coeffs[pid] * grad-grad (plus optional mass term)
-    on the glued global numbering (no boundary elimination); patches with a
-    zero coefficient are skipped.
+    on the glued global numbering (no boundary elimination), or on the dofs
+    of the bool mask ``keep``; patches with a zero coefficient are skipped.
 
     Element matrices are batched products over the elements of a patch
     batch (:func:`_patch_batches`): grad-grad is (G, E, L, 2Q) @
     (G, E, 2Q, L) with the columns of the left factor the (point, component)
     pairs, the mass term (E, L, Q) @ (G, E, Q, L).  Their entries are summed
-    into the CSR data by ``np.bincount`` over the cached scatter, in
-    patch/element order."""
+    into the CSR data by ``np.bincount`` over the plan's scatter, in
+    patch/element order; the entries of dropped dofs fall into the slot
+    past the data.  So every kept entry is the sum of the same terms in the
+    same order as in the unrestricted matrix."""
     pids = [pid for pid, coeff in enumerate(coeffs) if coeff != 0.0]
     if not pids:
         raise AssemblyError("no patch contributes to the operator")
-    element_dofs, blocks = [None] * len(pids), [None] * len(pids)
-    for ids, space, P in _patch_batches([model.patches[pid] for pid in pids]):
-        dofs, val = space[:2]
+    patches = [model.patches[pid] for pid in pids]
+    plan = dofmap.plan
+    blocks = [None] * len(pids)
+    for ids, space, P in _patch_batches(patches, plan):
+        val = space[1]
         _, grad, wdet = _batch_tables(space, P)
         n_batch, n_el, n_q, n_loc = grad.shape[:4]
         A = grad.transpose(0, 1, 3, 2, 4).reshape(n_batch, n_el, n_loc, 2 * n_q)
@@ -364,20 +495,14 @@ def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
         if mass:
             ke += mass * (val.transpose(0, 2, 1) @ (val * wdet[..., None]))
         for i, block in zip(ids, ke):
-            element_dofs[i] = dofmap.patch_maps[pids[i]].reshape(-1)[dofs]  # (E, L)
             blocks[i] = block.reshape(-1)
-    indptr, indices, slots = _csr_scatter(element_dofs, dofmap.n_global)
+    indptr, indices, slots = plan.scatter(patches, pids, keep)
+    n = indptr.size - 1
     # rebinding frees the per-batch blocks before bincount copies the slots
     blocks = np.concatenate(blocks)
-    data = np.bincount(slots, weights=blocks, minlength=indices.size)
+    data = np.bincount(slots, weights=blocks, minlength=indices.size + 1)[:indices.size]
     # the matrix gets its own index arrays: callers may modify it in place
-    return sp.csr_matrix((data, indices.copy(), indptr.copy()),
-                         shape=(dofmap.n_global, dofmap.n_global))
-
-
-def _restrict(mat: sp.csr_matrix, dofmap: DofMap) -> sp.csr_matrix:
-    free = dofmap.free_globals
-    return mat[free][:, free].tocsr()
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
 
 def assemble_stiffness(model: MultipatchModel, dofmap: DofMap,
@@ -388,7 +513,18 @@ def assemble_stiffness(model: MultipatchModel, dofmap: DofMap,
         if reluctivity_by_tag[tag] <= 0.0:
             raise AssemblyError("reluctivity must be positive for tag %r" % (tag,))
     coeffs = [reluctivity_by_tag[tag] for tag in model.tags]
-    return _restrict(_h1_matrix(model, dofmap, coeffs), dofmap)
+    return _h1_matrix(model, dofmap, coeffs, keep=~dofmap.dirichlet)
+
+
+def _tables_by_patch(model: MultipatchModel, pids, n_gauss):
+    """(pid, :func:`build_patch_tables`) for each pid.  The spaces met stay
+    held until the loop ends, so patches on one space build it once."""
+    held = {}
+    for pid in pids:
+        patch = model.patches[pid]
+        space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss)
+        held[id(space)] = space
+        yield pid, _tables_on(space, patch)
 
 
 def assemble_winding_vector(model: MultipatchModel, dofmap: DofMap,
@@ -401,10 +537,10 @@ def assemble_winding_vector(model: MultipatchModel, dofmap: DofMap,
     density against u and the flux linkage is pole_pairs * l_z * chi^T u.
     """
     vec = np.zeros(dofmap.n_global)
-    for pid, (patch, tag) in enumerate(zip(model.patches, model.tags)):
-        if tag.kind != "coil" or tag.phase != phase:
-            continue
-        tab = build_patch_tables(patch, n_gauss)
+    pids = [pid for pid, tag in enumerate(model.tags)
+            if tag.kind == "coil" and tag.phase == phase]
+    for pid, tab in _tables_by_patch(model, pids, n_gauss):
+        tag = model.tags[pid]
         area = float(tab.wdet.sum())
         density = tag.sign * cfg.n_turns / area
         contrib = density * np.einsum("eql,eq->el", tab.val, tab.wdet)
@@ -425,11 +561,9 @@ def assemble_rhs(model: MultipatchModel, dofmap: DofMap, cfg: MachineConfig,
             if current != 0.0:
                 free += current * assemble_winding_vector(model, dofmap, cfg, phase, n_gauss)
         return free
-    for pid, (patch, tag) in enumerate(zip(model.patches, model.tags)):
-        if tag.kind != "magnet":
-            continue
-        tab = build_patch_tables(patch, n_gauss)
-        mperp = magnetization_perp(tag, cfg, tab.xy)
+    pids = [pid for pid, tag in enumerate(model.tags) if tag.kind == "magnet"]
+    for pid, tab in _tables_by_patch(model, pids, n_gauss):
+        mperp = magnetization_perp(model.tags[pid], cfg, tab.xy)
         contrib = np.einsum("eqc,eqlc,eq->el", mperp, tab.grad, tab.wdet)
         np.add.at(vec, dofmap.patch_maps[pid].reshape(-1)[tab.dofs].reshape(-1),
                   contrib.reshape(-1))
@@ -440,8 +574,7 @@ def assemble_load(model: MultipatchModel, dofmap: DofMap, f,
                   n_gauss: int | None = None) -> np.ndarray:
     """Free-dof load vector of a scalar source f(x, y) (manufactured cases)."""
     vec = np.zeros(dofmap.n_global)
-    for pid, patch in enumerate(model.patches):
-        tab = build_patch_tables(patch, n_gauss)
+    for pid, tab in _tables_by_patch(model, range(len(model.patches)), n_gauss):
         fvals = f(tab.xy[..., 0], tab.xy[..., 1])
         contrib = np.einsum("eq,eql,eq->el", fvals, tab.val, tab.wdet)
         np.add.at(vec, dofmap.patch_maps[pid].reshape(-1)[tab.dofs].reshape(-1),
@@ -456,8 +589,7 @@ def l2_error(model: MultipatchModel, dofmap: DofMap, u_free: np.ndarray,
     u_global = dofmap.expand(u_free)
     err2 = 0.0
     ref2 = 0.0
-    for pid, patch in enumerate(model.patches):
-        tab = build_patch_tables(patch, n_gauss)
+    for pid, tab in _tables_by_patch(model, range(len(model.patches)), n_gauss):
         coeffs = u_global[dofmap.patch_maps[pid].reshape(-1)[tab.dofs]]
         uh = np.einsum("eql,el->eq", tab.val, coeffs)
         ux = exact(tab.xy[..., 0], tab.xy[..., 1])
@@ -497,8 +629,10 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
             raise ValueError("weights must be positive")
         gmap = dofmap.patch_maps[pid]
         edge_globals = np.array([gmap[i, j] for i, j in edge_nodes(patch.n_u, patch.n_v, edge)])
-        # every element x Gauss point at once: (Ne, Q) parameters, (Ne, Q, p+1) basis
-        _, wq, N, dN, first = _basis_table_1d(kv, n_gauss)
+        # every element x Gauss point at once: (Ne, Q) parameters, (Ne, Q, p+1) basis;
+        # ``table`` stays bound into the next edge's lookup, which then hits
+        table = _basis_table_1d(kv, n_gauss)
+        _, wq, N, dN, first = table
         local = first[:, None] + np.arange(kv.degree + 1)      # (Ne, p+1)
         R, dR = rational_basis(w_edge[local][:, None, :], N, dN)
         point = R @ p_edge[local]                               # (Ne, Q, 2)
@@ -529,12 +663,10 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
     and columns.
     """
     mask = np.asarray(design_mask, dtype=bool)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
+    if not mask.any():
         raise ConfigError("design mask selects no degrees of freedom")
     coeffs = [float(mask[gmap.reshape(-1)].any()) for gmap in dofmap.patch_maps]
-    H = _h1_matrix(model, dofmap, coeffs, mass=1.0)
-    return H[idx][:, idx].tocsr()
+    return _h1_matrix(model, dofmap, coeffs, mass=1.0, keep=mask)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import DofMap, MultipatchModel, edge_nodes
-from .splines import NurbsPatch
 
 DEFORM_KINDS = ("rotor_iron", "rotor_air")
 
@@ -30,6 +29,7 @@ class DesignSpace:
     free: np.ndarray = field(init=False)
     index: np.ndarray = field(init=False)
     patch_ids: tuple = field(init=False)
+    nodes: np.ndarray = field(init=False)   # globals of the design patches' points, in patch order
 
     def __post_init__(self):
         dm = self.dofmap
@@ -56,6 +56,7 @@ class DesignSpace:
             pid for pid, tag in enumerate(self.model.tags)
             if tag.kind in DEFORM_KINDS
             and mask[dm.patch_maps[pid].reshape(-1)].any())
+        self.nodes = np.concatenate([dm.patch_maps[pid].reshape(-1) for pid in self.patch_ids])
 
     @property
     def n_points(self) -> int:
@@ -79,15 +80,19 @@ class DesignSpace:
     def displace(self, model: MultipatchModel, w_stacked: np.ndarray,
                  delta: float) -> MultipatchModel:
         """Control points move by -delta * W; untouched patches are shared
-        (bit-identical) with the input model."""
+        (bit-identical) with the input model.
+
+        The design patches move in one gathered step; each moved patch
+        shares the knots and weights objects of its input patch
+        (:meth:`NurbsPatch.with_points`)."""
         disp = self.displacement(w_stacked)
-        moving = set(self.patch_ids)
-        new_patches = []
-        for pid, patch in enumerate(model.patches):
-            if pid not in moving:
-                new_patches.append(patch)
-                continue
-            moved = patch.points - delta * disp[self.dofmap.patch_maps[pid]]
-            new_patches.append(NurbsPatch(patch.knots_u, patch.knots_v,
-                                          moved, patch.weights))
+        parents = [model.patches[pid] for pid in self.patch_ids]
+        points = np.concatenate([patch.points.reshape(-1, 2) for patch in parents])
+        moved = points - delta * disp[self.nodes]
+        new_patches = list(model.patches)
+        start = 0
+        for pid, patch in zip(self.patch_ids, parents):
+            stop = start + patch.points.shape[0] * patch.points.shape[1]
+            new_patches[pid] = patch.with_points(moved[start:stop].reshape(patch.points.shape))
+            start = stop
         return model.with_patches(new_patches)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -25,7 +26,7 @@ from .splines import (
     KnotVector,
     NurbsPatch,
     eval_patch,
-    insert_knots,
+    insert_knots_stack,
     make_arc_patch,
 )
 
@@ -266,6 +267,16 @@ class DofMap:
     free_globals: np.ndarray         # free position -> global
     points: np.ndarray               # representative control point per global
     weights: np.ndarray
+    # per patch (knots_u, knots_v, weights): the objects of the NURBS bases numbered
+    patch_bases: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def plan(self):
+        """The :class:`igamotor.assembly.AssemblyPlan` of this numbering:
+        built on first use and freed with the dof map."""
+        from .assembly import AssemblyPlan  # deferred: assembly imports geometry
+
+        return AssemblyPlan(self)
 
     @property
     def n_free(self) -> int:
@@ -373,18 +384,21 @@ def build_dof_map(model: MultipatchModel) -> DofMap:
     free_index = np.full(n_global, -1, dtype=int)
     free_index[free_globals] = np.arange(free_globals.size)
     return DofMap(n_global, patch_maps, dirichlet, free_index, free_globals,
-                  points, weights)
+                  points, weights,
+                  tuple((p.knots_u, p.knots_v, p.weights) for p in model.patches))
 
 
-def check_mesh_validity(model: MultipatchModel, eps_jacobian: float = 0.0):
+def check_mesh_validity(model: MultipatchModel, eps_jacobian: float = 0.0,
+                        dofmap: Optional[DofMap] = None):
     """True iff det(J) > eps_jacobian at every quadrature point.
 
     Returns (valid, min_det); the minimum comes from one batched pass over
-    the patches (:func:`igamotor.assembly.min_detj`).
+    the patches (:func:`igamotor.assembly.min_detj`).  Given the model's
+    dof map, the pass reuses the patch grouping of its assembly plan.
     """
     from .assembly import min_detj  # deferred: assembly imports geometry
 
-    min_det = min_detj(model.patches)
+    min_det = min_detj(model.patches, None if dofmap is None else dofmap.plan)
     return bool(min_det > eps_jacobian), float(min_det)
 
 
@@ -446,11 +460,13 @@ def load_geometry(text: str) -> MultipatchModel:
 # --------------------------------------------------------------------------
 # demo machine construction
 
-def _refine_uniform(patch: NurbsPatch, level: int) -> NurbsPatch:
+def _refine_uniform(patches, level: int) -> list:
+    """Uniform refinement of patches on one pair of knot vectors, as one
+    stacked knot insertion."""
     if level == 0:
-        return patch
+        return list(patches)
     cuts = [i / 2 ** level for i in range(1, 2 ** level)]
-    return insert_knots(patch, cuts, cuts)
+    return insert_knots_stack(patches, cuts, cuts)
 
 
 def _winding_layout(slot: int):
@@ -474,10 +490,9 @@ def _build_annular_side(radii, ring_tags, sector_bounds, side, r_interface,
     for r in range(n_rings):
         for s in range(n_sec):
             th0, th1 = sector_bounds[s]
-            patch = _refine_uniform(make_arc_patch(radii[r], radii[r + 1], th0, th1),
-                                    refinement)
-            patches.append(patch)
+            patches.append(make_arc_patch(radii[r], radii[r + 1], th0, th1))
             tags.append(ring_tags(r, s))
+    patches = _refine_uniform(patches, refinement)
 
     def pid(r, s):
         return r * n_sec + s

@@ -150,7 +150,8 @@ def detj_screen(design: DesignSpace, rotor: MultipatchModel, W: np.ndarray):
     points at which a step can lose mesh validity."""
     disp = design.displacement(W)
     return detj_quadratic([rotor.patches[pid] for pid in design.patch_ids],
-                          [disp[design.dofmap.patch_maps[pid]] for pid in design.patch_ids])
+                          [disp[design.dofmap.patch_maps[pid]] for pid in design.patch_ids],
+                          design.dofmap.plan)
 
 
 def line_search(solver: MachineSolver, design: DesignSpace,
@@ -173,7 +174,7 @@ def line_search(solver: MachineSolver, design: DesignSpace,
     while delta >= opt.delta_floor:
         if (a - delta * b + delta * delta * c + margin).min() > eps_jacobian:
             trial = design.displace(rotor, W, delta)
-            ok, min_detj = check_mesh_validity(trial, eps_jacobian)
+            ok, min_detj = check_mesh_validity(trial, eps_jacobian, design.dofmap)
             if ok:
                 sweep, pre = solver.evaluate(trial)
                 if sweep.thd < objective:
@@ -211,7 +212,7 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
 
     sweep, pre = solver.evaluate(rotor)
     objective = sweep.thd
-    _, min_detj = check_mesh_validity(rotor, 0.0)
+    _, min_detj = check_mesh_validity(rotor, 0.0, solver.dm_rt)
     eps_jacobian = opt.eps_jacobian_rel * min_detj
     tol = opt.tol if opt.tol is not None else 1e-6 * objective
 

@@ -204,6 +204,20 @@ class NurbsPatch:
         object.__setattr__(self, "points", P)
         object.__setattr__(self, "weights", w)
 
+    def with_points(self, points) -> "NurbsPatch":
+        """The patch on the same knots and weights, shared objects that are
+        not checked again, with new control points of the same shape."""
+        P = np.asarray(points, dtype=float)
+        if P.shape != self.points.shape:
+            raise ValueError("control net shape %r does not match %r"
+                             % (P.shape, self.points.shape))
+        P.setflags(write=False)
+        moved = object.__new__(NurbsPatch)
+        for name, value in (("knots_u", self.knots_u), ("knots_v", self.knots_v),
+                            ("points", P), ("weights", self.weights)):
+            object.__setattr__(moved, name, value)
+        return moved
+
     @property
     def n_u(self) -> int:
         return self.knots_u.n
@@ -246,15 +260,15 @@ def eval_patch(patch: NurbsPatch, xi: float, eta: float):
 def _insert_one_u(knots: np.ndarray, p: int, Pw: np.ndarray, x: float):
     """Boehm insertion of a single knot into the u direction.
 
-    ``Pw`` is the homogeneous control grid, shape (n_u, n_v, 3).
+    ``Pw`` is the homogeneous control grid, shape (n_u, ...): the u index
+    first, any further axes (v, patches, coordinates) carried along.
     """
     n = knots.size - p - 1
     if x >= 1.0:
         span = n - 1
     else:
         span = min(max(int(np.searchsorted(knots, x, side="right")) - 1, p), n - 1)
-    nu, nv, _ = Pw.shape
-    Q = np.empty((nu + 1, nv, 3))
+    Q = np.empty((Pw.shape[0] + 1,) + Pw.shape[1:])
     Q[:span - p + 1] = Pw[:span - p + 1]
     Q[span + 1:] = Pw[span:]
     for i in range(span - p + 1, span + 1):
@@ -264,13 +278,21 @@ def _insert_one_u(knots: np.ndarray, p: int, Pw: np.ndarray, x: float):
     return new_knots, Q
 
 
-def insert_knots(patch: NurbsPatch, new_knots_u=(), new_knots_v=()) -> NurbsPatch:
-    """Insert knots without changing the mapped geometry.
+def insert_knots_stack(patches, new_knots_u=(), new_knots_v=()) -> list:
+    """:func:`insert_knots` on patches that share their knots and degrees,
+    as one (n_u, n_v, G, 3) stack of homogeneous control nets.
 
-    New knots must lie strictly inside (0, 1) and resulting interior
-    multiplicities may not exceed the degree.
+    Every entry is computed by the same Boehm arithmetic as for one patch,
+    so each refined patch is bitwise the one-patch result.  The refined
+    patches share one pair of knot vectors.
     """
-    for kv, new in ((patch.knots_u, new_knots_u), (patch.knots_v, new_knots_v)):
+    patches = list(patches)
+    ref = patches[0]
+    for patch in patches[1:]:
+        for a, b in ((patch.knots_u, ref.knots_u), (patch.knots_v, ref.knots_v)):
+            if a.degree != b.degree or not np.array_equal(a.knots, b.knots):
+                raise ValueError("stacked knot insertion needs patches on the same knots")
+    for kv, new in ((ref.knots_u, new_knots_u), (ref.knots_v, new_knots_v)):
         combined = list(kv.knots) + [float(x) for x in new]
         for x in new:
             x = float(x)
@@ -278,21 +300,34 @@ def insert_knots(patch: NurbsPatch, new_knots_u=(), new_knots_v=()) -> NurbsPatc
                 raise ValueError("inserted knot %r not strictly inside (0, 1)" % (x,))
             if combined.count(x) > kv.degree:
                 raise ValueError("knot %r would exceed multiplicity %d" % (x, kv.degree))
-    Pw = np.concatenate([patch.points * patch.weights[..., None],
-                         patch.weights[..., None]], axis=2)
-    ku = patch.knots_u.knots.copy()
+    P = np.stack([patch.points for patch in patches], axis=2)     # (n_u, n_v, G, 2)
+    w = np.stack([patch.weights for patch in patches], axis=2)    # (n_u, n_v, G)
+    Pw = np.concatenate([P * w[..., None], w[..., None]], axis=3)
+    ku = ref.knots_u.knots.copy()
     for x in sorted(new_knots_u):
-        ku, Pw = _insert_one_u(ku, patch.knots_u.degree, Pw, float(x))
-    kv = patch.knots_v.knots.copy()
+        ku, Pw = _insert_one_u(ku, ref.knots_u.degree, Pw, float(x))
+    kv = ref.knots_v.knots.copy()
     if len(new_knots_v):
-        Pw = Pw.transpose(1, 0, 2)
+        Pw = Pw.transpose(1, 0, 2, 3)
         for x in sorted(new_knots_v):
-            kv, Pw = _insert_one_u(kv, patch.knots_v.degree, Pw, float(x))
-        Pw = Pw.transpose(1, 0, 2)
+            kv, Pw = _insert_one_u(kv, ref.knots_v.degree, Pw, float(x))
+        Pw = Pw.transpose(1, 0, 2, 3)
+    # one contiguous net per patch, laid out as the one-patch grid
+    Pw = np.ascontiguousarray(Pw.transpose(2, 0, 1, 3))            # (G, n_u, n_v, 3)
     w = Pw[..., 2]
     pts = Pw[..., :2] / w[..., None]
-    return NurbsPatch(KnotVector(ku, patch.knots_u.degree),
-                      KnotVector(kv, patch.knots_v.degree), pts, w)
+    knots_u = KnotVector(ku, ref.knots_u.degree)
+    knots_v = KnotVector(kv, ref.knots_v.degree)
+    return [NurbsPatch(knots_u, knots_v, pts[g], w[g]) for g in range(len(patches))]
+
+
+def insert_knots(patch: NurbsPatch, new_knots_u=(), new_knots_v=()) -> NurbsPatch:
+    """Insert knots without changing the mapped geometry.
+
+    New knots must lie strictly inside (0, 1) and resulting interior
+    multiplicities may not exceed the degree.
+    """
+    return insert_knots_stack([patch], new_knots_u, new_knots_v)[0]
 
 
 def scale_patch(patch: NurbsPatch, factor: float) -> NurbsPatch:
@@ -302,6 +337,8 @@ def scale_patch(patch: NurbsPatch, factor: float) -> NurbsPatch:
 
 # widest sector one quadratic rational arc spans (90 degrees, rounding allowed)
 MAX_ARC_SWEEP = np.pi / 2 + 1e-12
+# the one-element quadratic knot vector of every arc patch (immutable, shared)
+_ARC_KNOTS = KnotVector(np.array([0, 0, 0, 1, 1, 1], dtype=float), 2)
 
 
 def make_arc_patch(r_inner: float, r_outer: float, theta0: float, theta1: float,
@@ -328,5 +365,4 @@ def make_arc_patch(r_inner: float, r_outer: float, theta0: float, theta1: float,
     radii = np.array([r_inner, 0.5 * (r_inner + r_outer), r_outer])
     points = radii[:, None, None] * unit[None, :, :]
     weights = np.broadcast_to(np.array([1.0, w_mid, 1.0]), (3, 3)).copy()
-    kv = KnotVector(np.array([0, 0, 0, 1, 1, 1], dtype=float), 2)
-    return NurbsPatch(kv, kv, points, weights)
+    return NurbsPatch(_ARC_KNOTS, _ARC_KNOTS, points, weights)

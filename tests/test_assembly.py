@@ -1,3 +1,6 @@
+import dataclasses
+import gc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -23,6 +26,7 @@ from igamotor.assembly import (
     patch_area,
 )
 from igamotor.design import DesignSpace
+from igamotor.optim import MachineSolver
 from igamotor.errors import AssemblyError, ConfigError, GeometryError
 from igamotor.geometry import (
     MachineConfig,
@@ -484,7 +488,6 @@ def test_metric_constant_field_gives_area():
 def _clear_table_caches():
     assembly._SPACE_CACHE.clear()
     assembly._TABLE_CACHE.clear()
-    assembly._SCATTER_CACHE.clear()
 
 
 def _assert_tables_equal(a, b):
@@ -504,10 +507,12 @@ def test_patch_tables_cold_and_warm_cache_agree(coarse_machine, coarse_dofmaps, 
         _clear_table_caches()
         cold.append(build_patch_tables(patch))
     assert not np.array_equal(cold[0].detj, cold[1].detj)
-    # warm: the cache entry was filled by the other shape
+    # warm: the cache entry was filled by the other shape, and is held as
+    # an assembly plan holds it
     for patch, other, ref in zip(shapes, shapes[::-1], cold):
         _clear_table_caches()
         build_patch_tables(other)
+        held = assembly._space_tables(other, assembly._check_gauss(other))
         n_entries = len(assembly._SPACE_CACHE)
         warm = build_patch_tables(patch)
         assert len(assembly._SPACE_CACHE) == n_entries
@@ -562,8 +567,9 @@ def test_patch_batches_group_by_space_within_256_elements():
 
 def _h1_per_patch_oracle(model, dm, coeffs, mass=0.0):
     """The per-patch form of ``_h1_matrix``: one ``build_patch_tables`` and
-    one stack of element products per patch, summed through the cached
-    scatter in patch order.  Batching patches must not change a bit."""
+    one stack of element products per patch, summed into the sorted unique
+    (row, col) pairs of all element entries in patch order.  Batching
+    patches and the plan's scatter must not change a bit."""
     element_dofs, blocks = [], []
     for pid, (patch, coeff) in enumerate(zip(model.patches, coeffs)):
         if coeff == 0.0:
@@ -577,9 +583,14 @@ def _h1_per_patch_oracle(model, dm, coeffs, mass=0.0):
             ke += mass * (tab.val.transpose(0, 2, 1) @ (tab.val * tab.wdet[..., None]))
         element_dofs.append(dm.patch_maps[pid].reshape(-1)[tab.dofs])
         blocks.append(ke.reshape(-1))
-    indptr, indices, slots = assembly._csr_scatter(element_dofs, dm.n_global)
-    data = np.bincount(slots, weights=np.concatenate(blocks), minlength=indices.size)
-    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(dm.n_global, dm.n_global))
+    # the pattern: sorted unique (row, col) pairs of all element entries
+    n = dm.n_global
+    entries = np.concatenate([(gd[:, :, None] * n + gd[:, None, :]).reshape(-1)
+                              for gd in element_dofs])
+    pairs, slots = np.unique(entries, return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs // n, minlength=n))])
+    data = np.bincount(slots.reshape(-1), weights=np.concatenate(blocks), minlength=pairs.size)
+    return sp.csr_matrix((data, pairs % n, indptr), shape=(n, n))
 
 
 @pytest.fixture(scope="module", params=[0, 2])
@@ -594,8 +605,9 @@ def test_operators_equal_per_patch_loop_bitwise(coarse_cfg, refined_cases):
     for model, dm in refined_cases:
         relmap = build_reluctivity_map(model, coarse_cfg)
         expected = _h1_per_patch_oracle(model, dm, [relmap[tag] for tag in model.tags])
+        free = dm.free_globals
         _assert_csr_identical(assemble_stiffness(model, dm, relmap),
-                              assembly._restrict(expected, dm))
+                              expected[free][:, free].tocsr())
     for model, dm in refined_cases[1:]:
         mask = DesignSpace(model, dm).mask
         coeffs = [float(mask[gmap.reshape(-1)].any()) for gmap in dm.patch_maps]
@@ -605,6 +617,48 @@ def test_operators_equal_per_patch_loop_bitwise(coarse_cfg, refined_cases):
                               expected[idx][:, idx].tocsr())
     for model, _ in refined_cases:
         assert max(len(ids) for ids, _, _ in assembly._patch_batches(model.patches)) > 1
+
+
+def _restrict_oracle(mat, keep):
+    """The full matrix with the rows and columns outside ``keep`` removed."""
+    idx = np.flatnonzero(keep)
+    return mat[idx][:, idx].tocsr()
+
+
+def test_restricted_operators_equal_full_assembly_restricted_bitwise(coarse_cfg, refined_cases):
+    for model, dm in refined_cases:
+        relmap = build_reluctivity_map(model, coarse_cfg)
+        full = assembly._h1_matrix(model, dm, [relmap[tag] for tag in model.tags])
+        _assert_csr_identical(assemble_stiffness(model, dm, relmap),
+                              _restrict_oracle(full, ~dm.dirichlet))
+    for model, dm in refined_cases[1:]:
+        mask = DesignSpace(model, dm).mask
+        coeffs = [float(mask[gmap.reshape(-1)].any()) for gmap in dm.patch_maps]
+        full = assembly._h1_matrix(model, dm, coeffs, mass=1.0)
+        _assert_csr_identical(assemble_vector_metric(model, dm, mask),
+                              _restrict_oracle(full, mask))
+
+
+def _module_cache_sizes():
+    return {name: len(value) for name, value in vars(assembly).items()
+            if isinstance(value, (dict, weakref.WeakValueDictionary)) and not name.startswith("__")}
+
+
+def test_plans_and_cached_tables_are_freed_with_their_machines():
+    gc.collect()
+    before = _module_cache_sizes()
+    assert {"_SPACE_CACHE", "_TABLE_CACHE"} <= set(before)
+    plans = []
+    for refinement in (1, 0, 1):
+        solver = MachineSolver(coarse_config(refinement=refinement))
+        solver.evaluate(solver.rotor0)
+        plans += [weakref.ref(solver.dm_st.plan), weakref.ref(solver.dm_rt.plan)]
+        assert len(assembly._SPACE_CACHE) > 0
+        del solver
+    gc.collect()
+    assert all(plan() is None for plan in plans)
+    after = _module_cache_sizes()
+    assert all(after[name] <= size for name, size in before.items()), (before, after)
 
 
 # ---------------------------------------------------------------- scatter cache
@@ -620,29 +674,50 @@ def test_scatter_cold_and_warm_cache_agree_bitwise(coarse_machine, coarse_dofmap
     _, dm_rt = coarse_dofmaps
     ones = [1.0] * len(rotor.patches)
     _clear_table_caches()
-    cold = assembly._h1_matrix(rotor, dm_rt, ones)
-    n_entries = len(assembly._SCATTER_CACHE)
-    _assert_csr_identical(assembly._h1_matrix(rotor, dm_rt, ones), cold)
+    fresh = dataclasses.replace(dm_rt)             # a new dof map: a cold plan
+    cold = assembly._h1_matrix(rotor, fresh, ones)
+    n_entries = len(fresh.plan._scatters)
+    _assert_csr_identical(assembly._h1_matrix(rotor, fresh, ones), cold)
     # warm: the scatter was filled by another shape on the same dof map
     _clear_table_caches()
-    assembly._h1_matrix(moved, dm_rt, ones)
-    warm = assembly._h1_matrix(rotor, dm_rt, ones)
-    assert len(assembly._SCATTER_CACHE) == n_entries
+    fresh = dataclasses.replace(dm_rt)
+    assembly._h1_matrix(moved, fresh, ones)
+    warm = assembly._h1_matrix(rotor, fresh, ones)
+    assert len(fresh.plan._scatters) == n_entries
     _assert_csr_identical(warm, cold)
 
 
-def test_scatter_cache_misses_on_a_different_dof_map(coarse_machine, coarse_dofmaps):
-    import dataclasses
+def test_plan_assembles_foreign_patches_afresh_and_equally(coarse_cfg, coarse_machine, coarse_dofmaps):
+    # a JSON round trip gives equal values on new knots and weights objects:
+    # the plan neither serves nor stores them, and the operators keep their bits
+    from igamotor.geometry import dump_geometry, load_geometry
 
+    _, rotor = coarse_machine
+    dm = dataclasses.replace(coarse_dofmaps[1])
+    copy = load_geometry(dump_geometry(rotor))
+    relmap = build_reluctivity_map(rotor, coarse_cfg)
+    mask = DesignSpace(rotor, dm).mask
+    own = (assemble_stiffness(rotor, dm, relmap), assemble_vector_metric(rotor, dm, mask))
+    kept = (dict(dm.plan._groups), dict(dm.plan._scatters))
+    foreign = (assemble_stiffness(copy, dm, relmap), assemble_vector_metric(copy, dm, mask))
+    for cache, before in zip((dm.plan._groups, dm.plan._scatters), kept):
+        assert cache.keys() == before.keys()
+        assert all(cache[key] is before[key] for key in before)
+    for a, b in zip(own, foreign):
+        _assert_csr_identical(a, b)
+    assert check_mesh_validity(copy, 0.0, dm) == check_mesh_validity(rotor, 0.0, dm)
+
+
+def test_scatter_cache_misses_on_a_different_dof_map(coarse_machine, coarse_dofmaps):
     _, rotor = coarse_machine
     _, dm = coarse_dofmaps
     ones = [1.0] * len(rotor.patches)
     K = assembly._h1_matrix(rotor, dm, ones)
-    n_entries = len(assembly._SCATTER_CACHE)
     perm = np.random.default_rng(5).permutation(dm.n_global)
     renumbered = dataclasses.replace(dm, patch_maps=[perm[m] for m in dm.patch_maps])
     K_perm = assembly._h1_matrix(rotor, renumbered, ones)
-    assert len(assembly._SCATTER_CACHE) == n_entries + 1
+    assert renumbered.plan is not dm.plan
+    assert len(renumbered.plan._scatters) == 1
     assert np.array_equal(K_perm[perm][:, perm].toarray(), K.toarray())
 
 
@@ -650,8 +725,9 @@ def test_scatter_arrays_are_read_only_and_not_handed_out(coarse_machine, coarse_
     _clear_table_caches()
     _, rotor = coarse_machine
     _, dm = coarse_dofmaps
+    dm = dataclasses.replace(dm)
     K = assembly._h1_matrix(rotor, dm, [1.0] * len(rotor.patches))
-    (indptr, indices, slots), = assembly._SCATTER_CACHE.values()
+    (indptr, indices, slots), = dm.plan._scatters.values()
     for arr in (indptr, indices, slots):
         with pytest.raises(ValueError):
             arr[0] = 1

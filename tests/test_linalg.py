@@ -103,3 +103,48 @@ def test_spd_stack_solve_rejects_one_bad_matrix(rng, kind):
     A[2] = np.outer(v, v) if kind == "singular" else np.diag([1.0, 2, 3, -1e-3, 5, 6])
     with pytest.raises(SingularSystemError):
         spd_stack_solve(A, b)
+
+
+def _sparse_difference_rejects(K):
+    """The symmetry test as the sparse difference K - K^T: True when it
+    rejects K."""
+    K = K.tocsc()
+    probe = (K - K.T).tocoo()
+    scale = max(1.0, float(np.max(np.abs(K.data))) if K.nnz else 1.0)
+    return bool(probe.nnz and float(np.max(np.abs(probe.data))) > 1e-12 * scale)
+
+
+def _rejects_as_asymmetric(K):
+    try:
+        factorize(K)
+    except FactorizationError as exc:
+        return "not symmetric" in str(exc)
+    return False
+
+
+def test_symmetry_check_decides_as_the_sparse_difference():
+    n = 8
+    sym = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                   format="lil")
+    sym[0, 5] = sym[5, 0] = 0.5
+    cases = {"symmetric": (sym.tocsr(), False)}
+    below = sym.copy()
+    below[2, 3] += 1e-13                            # same pattern, within 1e-12
+    cases["asymmetric within tolerance"] = (below.tocsr(), False)
+    beyond = sym.copy()
+    beyond[2, 3] += 1e-9                            # same pattern, beyond 1e-12
+    cases["asymmetric beyond tolerance"] = (beyond.tocsr(), True)
+    coo = sym.tocoo()
+
+    def with_entry_1_6(value):                      # no (6, 1) entry
+        return sp.csr_matrix((np.append(coo.data, value),
+                              (np.append(coo.row, 1), np.append(coo.col, 6))), shape=(n, n))
+
+    cases["structurally asymmetric"] = (with_entry_1_6(1e-3), True)
+    zero = with_entry_1_6(0.0)                      # a stored zero: values symmetric
+    assert zero.nnz == sym.nnz + 1
+    cases["structurally asymmetric, numerically symmetric"] = (zero, False)
+    for name, (K, rejects) in cases.items():
+        for form in (K, K.tocsc()):
+            assert _sparse_difference_rejects(form) == rejects, name
+            assert _rejects_as_asymmetric(form) == rejects, name

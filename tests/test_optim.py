@@ -290,9 +290,9 @@ def test_detj_screen_forms_no_coefficients_off_the_design_patches(
     seen = []
     real = optim.detj_quadratic
 
-    def recorded(patches, disps):
+    def recorded(patches, disps, *plan):
         seen.extend(patches)
-        return real(patches, disps)
+        return real(patches, disps, *plan)
 
     monkeypatch.setattr(optim, "detj_quadratic", recorded)
     a, b, c, margin = detj_screen(design, rotor, W)
@@ -395,3 +395,48 @@ def test_run_optimization_refuses_round_off_thd():
     state = err.value.partial_state
     assert state.reason == "error" and state.iteration == 0
     assert len(state.history) == 1 and state.history[0][1] < optim.THD_ROUNDOFF
+
+
+def test_line_search_trial_rotors_build_no_space_tables(monkeypatch):
+    # after the first rotor, every trial rotor is grouped and scattered from
+    # the rotor dof map's plan: no space-table lookup, hit or miss
+    from igamotor import assembly
+
+    lookups, trials = [], []
+    real_space, real_displace = assembly._space_tables, DesignSpace.displace
+
+    def space_tables(patch, n_gauss):
+        lookups.append(len(trials))
+        return real_space(patch, n_gauss)
+
+    def displace(self, *args):
+        trials.append(None)
+        return real_displace(self, *args)
+
+    monkeypatch.setattr(assembly, "_space_tables", space_tables)
+    monkeypatch.setattr(DesignSpace, "displace", displace)
+    state = run_optimization(ACCEPTANCE_CFG, opt_cfg(max_iterations=3))
+    assert state.iteration == 3 and len(trials) >= 3
+    assert lookups and max(lookups) == 0
+
+
+def test_displace_gathers_bitwise_and_shares_the_parent_space(coarse_machine, coarse_dofmaps, rng):
+    _, rotor = coarse_machine
+    _, dm_rt = coarse_dofmaps
+    design = DesignSpace(rotor, dm_rt)
+    W = rng.standard_normal(design.n_dofs)
+    for base in (rotor, design.displace(rotor, 1e-4 * W, 1.0)):
+        delta = 3e-5
+        moved = design.displace(base, W, delta)
+        disp = design.displacement(W)
+        for pid, (parent, patch) in enumerate(zip(base.patches, moved.patches)):
+            if pid not in design.patch_ids:
+                assert patch is parent
+                continue
+            expected = parent.points - delta * disp[dm_rt.patch_maps[pid]]
+            assert np.array_equal(patch.points, expected)
+            assert patch.knots_u is parent.knots_u and patch.knots_v is parent.knots_v
+            assert patch.weights is parent.weights
+            assert not patch.points.flags.writeable
+    with pytest.raises(ValueError):
+        rotor.patches[0].with_points(np.zeros((2, 2, 2)))

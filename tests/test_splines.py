@@ -10,6 +10,7 @@ from igamotor.splines import (
     eval_patch,
     find_span,
     insert_knots,
+    insert_knots_stack,
     make_arc_patch,
     nurbs_basis,
     scale_patch,
@@ -229,3 +230,70 @@ def test_insert_knots_multiplicity_guard():
         insert_knots(patch, new_knots_u=[0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
         insert_knots(patch, new_knots_u=[0.0])
+
+
+def _boehm_per_patch(patch, cuts):
+    """Per-patch Boehm insertion of ``cuts`` in both directions, on the
+    patch's own (n_u, n_v, 3) homogeneous grid: the loop form that stacked
+    refinement must reproduce bit for bit."""
+    def insert_u(knots, p, Pw, x):
+        n = knots.size - p - 1
+        span = min(max(int(np.searchsorted(knots, x, side="right")) - 1, p), n - 1)
+        Q = np.empty((Pw.shape[0] + 1,) + Pw.shape[1:])
+        Q[:span - p + 1] = Pw[:span - p + 1]
+        Q[span + 1:] = Pw[span:]
+        for i in range(span - p + 1, span + 1):
+            a = (x - knots[i]) / (knots[i + p] - knots[i])
+            Q[i] = a * Pw[i] + (1.0 - a) * Pw[i - 1]
+        return np.insert(knots, span + 1, x), Q
+
+    Pw = np.concatenate([patch.points * patch.weights[..., None],
+                         patch.weights[..., None]], axis=2)
+    ku, kv = patch.knots_u.knots, patch.knots_v.knots
+    for x in cuts:
+        ku, Pw = insert_u(ku, patch.knots_u.degree, Pw, x)
+    Pw = Pw.transpose(1, 0, 2)
+    for x in cuts:
+        kv, Pw = insert_u(kv, patch.knots_v.degree, Pw, x)
+    Pw = Pw.transpose(1, 0, 2)
+    return ku, kv, Pw[..., :2] / Pw[..., 2:], Pw[..., 2]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_stacked_refinement_equals_per_patch_insertion_bitwise(level):
+    rng = np.random.default_rng(level)
+    patches = []
+    for th0 in np.linspace(0.0, 5.0, 7):
+        arc = make_arc_patch(0.03, 0.05, th0, th0 + rng.uniform(0.2, 1.5))
+        weights = arc.weights * rng.uniform(0.5, 2.0, arc.weights.shape)
+        patches.append(NurbsPatch(arc.knots_u, arc.knots_v, arc.points, weights))
+    cuts = [i / 2 ** level for i in range(1, 2 ** level)]
+    stacked = insert_knots_stack(patches, cuts, cuts)
+    for patch, out in zip(patches, stacked):
+        single = insert_knots(patch, cuts, cuts)
+        ku, kv, points, weights = _boehm_per_patch(patch, cuts)
+        for ref in (single, out):
+            assert np.array_equal(ref.knots_u.knots, ku) and np.array_equal(ref.knots_v.knots, kv)
+        assert np.array_equal(out.points, single.points)
+        assert np.array_equal(out.weights, single.weights)
+        # the division is the one the one-patch path makes
+        assert np.array_equal(out.points, points) and np.array_equal(out.weights, weights)
+        assert out.points.flags.c_contiguous and not out.points.flags.writeable
+    with pytest.raises(ValueError):
+        insert_knots_stack([patches[0], stacked[0]], cuts, cuts)
+
+
+def test_demo_refinement_equals_per_patch_insertion_bitwise():
+    from igamotor.geometry import MachineConfig, build_demo_machine
+
+    coarse = build_demo_machine(MachineConfig(refinement=0, n_harmonics=12))
+    for level in (1, 4):
+        refined = build_demo_machine(MachineConfig(refinement=level, n_harmonics=12))
+        cuts = [i / 2 ** level for i in range(1, 2 ** level)]
+        for side0, side in zip(coarse, refined):
+            for patch0, patch in zip(side0.patches, side.patches):
+                single = insert_knots(patch0, cuts, cuts)
+                assert np.array_equal(patch.points, single.points)
+                assert np.array_equal(patch.weights, single.weights)
+                assert np.array_equal(patch.knots_u.knots, single.knots_u.knots)
+                assert np.array_equal(patch.knots_v.knots, single.knots_v.knots)
