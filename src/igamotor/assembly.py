@@ -11,10 +11,10 @@ from :func:`igamotor.splines.rational_basis` on whole tables.
 
 Space tables are shared between patches whose knots, degrees, weights and
 Gauss count have equal values (the demo stator's 108 patches share one).
-The module keys them by those values in weak-valued caches: an entry lives
-as long as something holds it (an assembly plan, or a loop over patches
-for its duration), so nothing stays cached once the machines that used it
-are freed.
+They and the 1D tables live in a dict keyed by those values, owned by the
+:class:`AssemblyPlan` of the dof map they serve (``plan.tables``), so they
+are freed with the machine; callers without a dof map fill a dict of
+their own for the one call.
 
 The element kernels are batched matrix products (``np.matmul``, so BLAS
 does the contractions) over a (G, E, Q, L) stack: G patches that share one
@@ -49,7 +49,6 @@ basis of :func:`igamotor.splines.patch_basis`.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,33 +77,13 @@ def gauss_rule(n: int) -> GaussRule:
 # --------------------------------------------------------------------------
 # cached 1D basis tables
 
-class _Entry:
-    """Read-only arrays of a weak cache entry, unpacked and indexed like a
-    tuple.  ``parents``, the entries it was built from, live as long as it."""
-
-    __slots__ = ("arrays", "parents", "__weakref__")
-
-    def __init__(self, arrays, parents=()):
-        for arr in arrays:
-            arr.setflags(write=False)
-        self.arrays = arrays
-        self.parents = parents
-
-    def __iter__(self):
-        return iter(self.arrays)
-
-    def __getitem__(self, index):
-        return self.arrays[index]
-
-
-_TABLE_CACHE = weakref.WeakValueDictionary()
-
-
-def _basis_table_1d(kv: KnotVector, n_gauss: int):
+def _basis_table_1d(kv: KnotVector, n_gauss: int, tables: dict):
     """Per-element Gauss data: parameters, scaled weights, basis values and
-    derivatives of the n nonzero functions, and the first nonzero index."""
+    derivatives of the n nonzero functions, and the first nonzero index.
+    Kept in ``tables`` under the values of the knots, degree and Gauss
+    count; the arrays are shared and read-only."""
     key = (kv.knots.tobytes(), kv.degree, n_gauss)
-    hit = _TABLE_CACHE.get(key)
+    hit = tables.get(key)
     if hit is not None:
         return hit
     rule = gauss_rule(n_gauss)
@@ -125,8 +104,9 @@ def _basis_table_1d(kv: KnotVector, n_gauss: int):
             vals[e, q] = N
             ders[e, q] = dN
         first[e] = span - p
-    table = _Entry((params, weights, vals, ders, first))
-    _TABLE_CACHE[key] = table
+    for arr in (params, weights, vals, ders, first):
+        arr.setflags(write=False)
+    table = tables[key] = (params, weights, vals, ders, first)
     return table
 
 
@@ -149,25 +129,21 @@ class PatchTables:
     xy: np.ndarray        # (E, Q, 2)
 
 
-_SPACE_CACHE = weakref.WeakValueDictionary()
-
-
-def _space_tables(patch: NurbsPatch, n_gauss: int):
+def _space_tables(patch: NurbsPatch, n_gauss: int, tables: dict):
     """Shape-invariant quadrature data of a patch: local dof indices (E, L),
     rational basis values R and parametric derivatives Rx, Ry (E, Q, L) and
-    tensor quadrature weights w2 (E, Q).  Cached, while held, on the values
-    of the knots, degrees, weights and Gauss count; the arrays are shared
-    and read-only."""
+    tensor quadrature weights w2 (E, Q).  Kept in ``tables``, next to the
+    1D tables (whose keys are shorter), under the values of the knots,
+    degrees, weights and Gauss count; the arrays are shared and read-only."""
     ku, kv = patch.knots_u, patch.knots_v
     key = (ku.knots.tobytes(), ku.degree, kv.knots.tobytes(), kv.degree,
            patch.weights.tobytes(), patch.weights.shape, n_gauss)
-    hit = _SPACE_CACHE.get(key)
+    hit = tables.get(key)
     if hit is not None:
         return hit
     pu, pv = ku.degree, kv.degree
-    table_u, table_v = _basis_table_1d(ku, n_gauss), _basis_table_1d(kv, n_gauss)
-    xu, wu, vu, du, fu = table_u
-    xv, wv, vv, dv, fv = table_v
+    xu, wu, vu, du, fu = _basis_table_1d(ku, n_gauss, tables)
+    xv, wv, vv, dv, fv = _basis_table_1d(kv, n_gauss, tables)
     n_eu, n_ev = xu.shape[0], xv.shape[0]
     lu, lv = pu + 1, pv + 1
     n_loc = lu * lv
@@ -189,8 +165,9 @@ def _space_tables(patch: NurbsPatch, n_gauss: int):
 
     wl = patch.weights.reshape(-1)[dofs]                   # (E, L)
     R, Rx, Ry = rational_basis(wl[:, None, :], B, Bx, By)
-    space = _Entry((dofs, R, Rx, Ry, w2), (table_u, table_v))
-    _SPACE_CACHE[key] = space
+    for arr in (dofs, R, Rx, Ry, w2):
+        arr.setflags(write=False)
+    space = tables[key] = (dofs, R, Rx, Ry, w2)
     return space
 
 
@@ -203,15 +180,15 @@ def _check_gauss(patch: NurbsPatch) -> int:
 _BATCH_ELEMENTS = 256
 
 
-def _group(patches):
+def _group(patches, tables: dict):
     """Group ``patches`` by their shared space tables (mesh-check Gauss
-    count) in chunks of at most ``_BATCH_ELEMENTS`` elements, and at least
-    one patch: [(ids, space)], ids the chunk's positions in ``patches``,
-    increasing.  Groups come in order of first appearance and chunks in
+    count, kept in ``tables``) in chunks of at most ``_BATCH_ELEMENTS``
+    elements, and at least one patch: [(ids, space)], ids the chunk's
+    positions in ``patches``, increasing.  Groups come in order of first appearance and chunks in
     patch order."""
     groups = {}
     for i, patch in enumerate(patches):
-        space = _space_tables(patch, _check_gauss(patch))
+        space = _space_tables(patch, _check_gauss(patch), tables)
         groups.setdefault(id(space), (space, []))[1].append(i)
     chunks = []
     for space, ids in groups.values():
@@ -220,11 +197,11 @@ def _group(patches):
     return chunks
 
 
-def _patch_batches(patches, plan=None):
+def _patch_batches(patches, plan):
     """Yields (ids, space, P) for each chunk of :func:`_group`, taken from
-    ``plan`` (an :class:`AssemblyPlan`) when given: P the chunk's
-    (G, E, L, 2) local control points."""
-    for ids, space in (_group(patches) if plan is None else plan.groups(patches)):
+    ``plan`` (an :class:`AssemblyPlan`, or None for a one-off grouping):
+    P the chunk's (G, E, L, 2) local control points."""
+    for ids, space in (_group(patches, {}) if plan is None else plan.groups(patches)):
         P = np.stack([patches[i].points.reshape(-1, 2) for i in ids]).take(space[0], axis=1)
         yield ids, space, P
 
@@ -269,22 +246,23 @@ def _tables_on(space, patch: NurbsPatch, require_regular: bool = True) -> PatchT
 def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
                        require_regular: bool = True) -> PatchTables:
     """Tables of one patch (mesh-check Gauss count by default)."""
-    space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss)
+    space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss, {})
     return _tables_on(space, patch, require_regular)
 
 
-def min_detj(patches, plan=None) -> float:
+def min_detj(patches, plan) -> float:
     """Minimum det J over the mesh-check Gauss points of all ``patches``,
-    from the Jacobians of :func:`_patch_batches`; builds no gradients."""
+    from the Jacobians of :func:`_patch_batches` on ``plan``; builds no
+    gradients."""
     return min((float(_jacobian(space, P)[-1].min())
                 for _, space, P in _patch_batches(patches, plan)), default=np.inf)
 
 
-def detj_quadratic(patches, disps, plan=None):
+def detj_quadratic(patches, disps, plan):
     """det J at the Gauss points of each patch with its control points moved
     to ``points - delta * disp`` (``disps``: one (n_u, n_v, 2) array per
     patch), as the exact quadratic a - delta b + delta^2 c: the map is
-    linear in the control points.
+    linear in the control points.  Patches are batched on ``plan``.
 
     Returns flat (a, b, c, margin) over all those points, in the batch
     order of :func:`_patch_batches`.  ``margin`` is 1e-12 times the
@@ -349,7 +327,7 @@ def magnetization_perp(tag: RegionTag, cfg: MachineConfig, xy: np.ndarray) -> np
 # --------------------------------------------------------------------------
 # global assembly
 
-def _csr_scatter(groups, maps, n_global: int, keep=None):
+def _csr_scatter(groups, maps, n_global: int, keep):
     """Sparsity pattern of a matrix assembled from the element matrices of
     patches in the chunks ``groups`` ([(ids, space)] as from :func:`_group`),
     patch i with the global numbers ``maps[i]`` of its flat control points,
@@ -405,7 +383,8 @@ def _csr_scatter(groups, maps, n_global: int, keep=None):
 
 class AssemblyPlan:
     """The shape-independent assembly data of one dof map
-    (``DofMap.plan``): patch batches and CSR scatters.
+    (``DofMap.plan``): space and 1D basis tables, patch batches and CSR
+    scatters.
 
     A shape update moves control points only, so every model whose patches
     are on the dof map's own knots and weights objects (the ones it was
@@ -414,6 +393,8 @@ class AssemblyPlan:
     sparsity pattern.  The plan keeps both, per patch list and per
     restriction, and is freed with the dof map.  Patches on other knots or
     weights objects are grouped and scattered afresh on every call.
+    ``tables`` keeps the space and 1D tables of every patch assembled
+    through the plan, keyed by value (:func:`_space_tables`).
     """
 
     def __init__(self, dofmap: DofMap):
@@ -422,6 +403,7 @@ class AssemblyPlan:
         # id of the weights -> (dof map patch id, knots_u, knots_v, weights)
         self._bases = {id(w): (pid, ku, kv, w)
                        for pid, (ku, kv, w) in enumerate(dofmap.patch_bases)}
+        self.tables = {}
         self._groups = {}
         self._scatters = {}
 
@@ -440,13 +422,13 @@ class AssemblyPlan:
         """:func:`_group` of ``patches``, kept for the dof map's own patches."""
         key = self._pids(patches)
         if key is None:
-            return _group(patches)
+            return _group(patches, self.tables)
         hit = self._groups.get(key)
         if hit is None:
-            hit = self._groups[key] = _group(patches)
+            hit = self._groups[key] = _group(patches, self.tables)
         return hit
 
-    def scatter(self, patches, pids, keep=None):
+    def scatter(self, patches, pids, keep):
         """:func:`_csr_scatter` of ``patches`` on the dof map's patches
         ``pids``, restricted to ``keep``; the arrays are read-only and kept
         for the dof map's own patches."""
@@ -465,10 +447,11 @@ class AssemblyPlan:
 
 
 def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
-               mass: float = 0.0, keep=None) -> sp.csr_matrix:
+               keep, mass: float = 0.0) -> sp.csr_matrix:
     """Sum over patches of coeffs[pid] * grad-grad (plus optional mass term)
-    on the glued global numbering (no boundary elimination), or on the dofs
-    of the bool mask ``keep``; patches with a zero coefficient are skipped.
+    on the dofs of the bool mask ``keep``, or on the whole glued global
+    numbering (no boundary elimination) when ``keep`` is None; patches with
+    a zero coefficient are skipped.
 
     Element matrices are batched products over the elements of a patch
     batch (:func:`_patch_batches`): grad-grad is (G, E, L, 2Q) @
@@ -516,15 +499,13 @@ def assemble_stiffness(model: MultipatchModel, dofmap: DofMap,
     return _h1_matrix(model, dofmap, coeffs, keep=~dofmap.dirichlet)
 
 
-def _tables_by_patch(model: MultipatchModel, pids, n_gauss):
-    """(pid, :func:`build_patch_tables`) for each pid.  The spaces met stay
-    held until the loop ends, so patches on one space build it once."""
-    held = {}
+def _tables_by_patch(model: MultipatchModel, dofmap: DofMap, pids, n_gauss):
+    """(pid, :func:`build_patch_tables`) for each pid, on the spaces kept
+    by the dof map's plan."""
     for pid in pids:
         patch = model.patches[pid]
-        space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss)
-        held[id(space)] = space
-        yield pid, _tables_on(space, patch)
+        n = _check_gauss(patch) if n_gauss is None else n_gauss
+        yield pid, _tables_on(_space_tables(patch, n, dofmap.plan.tables), patch)
 
 
 def assemble_winding_vector(model: MultipatchModel, dofmap: DofMap,
@@ -539,7 +520,7 @@ def assemble_winding_vector(model: MultipatchModel, dofmap: DofMap,
     vec = np.zeros(dofmap.n_global)
     pids = [pid for pid, tag in enumerate(model.tags)
             if tag.kind == "coil" and tag.phase == phase]
-    for pid, tab in _tables_by_patch(model, pids, n_gauss):
+    for pid, tab in _tables_by_patch(model, dofmap, pids, n_gauss):
         tag = model.tags[pid]
         area = float(tab.wdet.sum())
         density = tag.sign * cfg.n_turns / area
@@ -562,7 +543,7 @@ def assemble_rhs(model: MultipatchModel, dofmap: DofMap, cfg: MachineConfig,
                 free += current * assemble_winding_vector(model, dofmap, cfg, phase, n_gauss)
         return free
     pids = [pid for pid, tag in enumerate(model.tags) if tag.kind == "magnet"]
-    for pid, tab in _tables_by_patch(model, pids, n_gauss):
+    for pid, tab in _tables_by_patch(model, dofmap, pids, n_gauss):
         mperp = magnetization_perp(model.tags[pid], cfg, tab.xy)
         contrib = np.einsum("eqc,eqlc,eq->el", mperp, tab.grad, tab.wdet)
         np.add.at(vec, dofmap.patch_maps[pid].reshape(-1)[tab.dofs].reshape(-1),
@@ -574,7 +555,7 @@ def assemble_load(model: MultipatchModel, dofmap: DofMap, f,
                   n_gauss: int | None = None) -> np.ndarray:
     """Free-dof load vector of a scalar source f(x, y) (manufactured cases)."""
     vec = np.zeros(dofmap.n_global)
-    for pid, tab in _tables_by_patch(model, range(len(model.patches)), n_gauss):
+    for pid, tab in _tables_by_patch(model, dofmap, range(len(model.patches)), n_gauss):
         fvals = f(tab.xy[..., 0], tab.xy[..., 1])
         contrib = np.einsum("eq,eql,eq->el", fvals, tab.val, tab.wdet)
         np.add.at(vec, dofmap.patch_maps[pid].reshape(-1)[tab.dofs].reshape(-1),
@@ -589,7 +570,7 @@ def l2_error(model: MultipatchModel, dofmap: DofMap, u_free: np.ndarray,
     u_global = dofmap.expand(u_free)
     err2 = 0.0
     ref2 = 0.0
-    for pid, tab in _tables_by_patch(model, range(len(model.patches)), n_gauss):
+    for pid, tab in _tables_by_patch(model, dofmap, range(len(model.patches)), n_gauss):
         coeffs = u_global[dofmap.patch_maps[pid].reshape(-1)[tab.dofs]]
         uh = np.einsum("eql,el->eq", tab.val, coeffs)
         ux = exact(tab.xy[..., 0], tab.xy[..., 1])
@@ -629,10 +610,8 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
             raise ValueError("weights must be positive")
         gmap = dofmap.patch_maps[pid]
         edge_globals = np.array([gmap[i, j] for i, j in edge_nodes(patch.n_u, patch.n_v, edge)])
-        # every element x Gauss point at once: (Ne, Q) parameters, (Ne, Q, p+1) basis;
-        # ``table`` stays bound into the next edge's lookup, which then hits
-        table = _basis_table_1d(kv, n_gauss)
-        _, wq, N, dN, first = table
+        # every element x Gauss point at once: (Ne, Q) parameters, (Ne, Q, p+1) basis
+        _, wq, N, dN, first = _basis_table_1d(kv, n_gauss, dofmap.plan.tables)
         local = first[:, None] + np.arange(kv.degree + 1)      # (Ne, p+1)
         R, dR = rational_basis(w_edge[local][:, None, :], N, dN)
         point = R @ p_edge[local]                               # (Ne, Q, 2)

@@ -268,7 +268,7 @@ class DofMap:
     points: np.ndarray               # representative control point per global
     weights: np.ndarray
     # per patch (knots_u, knots_v, weights): the objects of the NURBS bases numbered
-    patch_bases: tuple = field(default=(), repr=False)
+    patch_bases: tuple = field(repr=False)
 
     @cached_property
     def plan(self):

@@ -102,7 +102,7 @@ def test_stiffness_patch_test_linear_field():
     model = square_model(p=2, n_elements=3, dirichlet=True)
     dm = build_dof_map(model)
     from igamotor.assembly import _h1_matrix
-    K = _h1_matrix(model, dm, [1.0])
+    K = _h1_matrix(model, dm, [1.0], keep=None)
     coeffs = dm.points[:, 0]
     resid = K @ coeffs
     interior = ~dm.dirichlet
@@ -166,7 +166,7 @@ def test_h1_matrix_matches_einsum_oracle(coarse_cfg, coarse_machine, coarse_dofm
         coeffs = [relmap[tag] for tag in model.tags]
         ones = [1.0] * len(model.patches)
         for cs, mass in ((coeffs, 0.0), (ones, 1.0)):
-            produced = assembly._h1_matrix(model, dm, cs, mass=mass)
+            produced = assembly._h1_matrix(model, dm, cs, mass=mass, keep=None)
             expected = _h1_einsum_oracle(model, dm, cs, mass=mass)
             assert _rel_diff(produced, expected) < 1e-13
 
@@ -176,7 +176,7 @@ def test_patch_tables_match_einsum_oracle(coarse_machine, coarse_dofmaps):
         for patch in model.patches:
             tab = build_patch_tables(patch)
             n_gauss = max(patch.knots_u.degree, patch.knots_v.degree) + 1
-            dofs, R, Rx, Ry, w2 = assembly._space_tables(patch, n_gauss)
+            dofs, R, Rx, Ry, w2 = assembly._space_tables(patch, n_gauss, {})
             P = patch.points.reshape(-1, 2)[dofs]
             j_xi = np.einsum("eql,elc->eqc", Rx, P)
             j_eta = np.einsum("eql,elc->eqc", Ry, P)
@@ -468,7 +468,7 @@ def test_metric_equals_all_patch_matrix_bitwise(coarse_machine, coarse_dofmaps):
         without = [not mask[gmap.reshape(-1)].any() for gmap in dm.patch_maps]
         assert any(without)          # the magnet patches hold no masked dof
         idx = np.flatnonzero(mask)
-        H = assembly._h1_matrix(model, dm, [1.0] * len(model.patches), mass=1.0)
+        H = assembly._h1_matrix(model, dm, [1.0] * len(model.patches), mass=1.0, keep=None)
         _assert_csr_identical(assemble_vector_metric(model, dm, mask),
                               H[idx][:, idx].tocsr())
 
@@ -485,11 +485,6 @@ def test_metric_constant_field_gives_area():
 
 # ---------------------------------------------------------------- table cache
 
-def _clear_table_caches():
-    assembly._SPACE_CACHE.clear()
-    assembly._TABLE_CACHE.clear()
-
-
 def _assert_tables_equal(a, b):
     for f in fields(PatchTables):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
@@ -502,20 +497,16 @@ def test_patch_tables_cold_and_warm_cache_agree(coarse_machine, coarse_dofmaps, 
     moved = design.displace(rotor, 1e-5 * rng.standard_normal(design.n_dofs), 1.0)
     pid = design.patch_ids[0]
     shapes = (rotor.patches[pid], moved.patches[pid])
-    cold = []
-    for patch in shapes:
-        _clear_table_caches()
-        cold.append(build_patch_tables(patch))
+    cold = [build_patch_tables(patch) for patch in shapes]
     assert not np.array_equal(cold[0].detj, cold[1].detj)
-    # warm: the cache entry was filled by the other shape, and is held as
-    # an assembly plan holds it
+    # warm: the table entries were filled by the other shape
     for patch, other, ref in zip(shapes, shapes[::-1], cold):
-        _clear_table_caches()
-        build_patch_tables(other)
-        held = assembly._space_tables(other, assembly._check_gauss(other))
-        n_entries = len(assembly._SPACE_CACHE)
-        warm = build_patch_tables(patch)
-        assert len(assembly._SPACE_CACHE) == n_entries
+        tables = {}
+        assembly._space_tables(other, assembly._check_gauss(other), tables)
+        n_entries = len(tables)
+        warm = assembly._tables_on(assembly._space_tables(patch, assembly._check_gauss(patch),
+                                                          tables), patch)
+        assert len(tables) == n_entries
         _assert_tables_equal(ref, warm)
 
 
@@ -538,10 +529,9 @@ def test_space_cache_keys_on_weights():
     weights = plain.weights.copy()
     weights[1, 1] = 2.0
     bumped = NurbsPatch(plain.knots_u, plain.knots_v, plain.points, weights)
-    a = build_patch_tables(plain)
-    b = build_patch_tables(bumped)
+    tables = {}
+    a, b = (assembly._tables_on(assembly._space_tables(p, 3, tables), p) for p in (plain, bumped))
     assert not np.array_equal(a.val, b.val)
-    _clear_table_caches()
     _assert_tables_equal(b, build_patch_tables(bumped))
 
 
@@ -558,7 +548,7 @@ def test_cached_tables_are_read_only():
 def test_patch_batches_group_by_space_within_256_elements():
     fine = square_model(n_elements=16).patches[0]       # 256 elements
     coarse = square_model(n_elements=1).patches[0]
-    batches = list(assembly._patch_batches([fine, coarse, fine, coarse, fine]))
+    batches = list(assembly._patch_batches([fine, coarse, fine, coarse, fine], None))
     # a 256-element patch fills a batch alone: the memory budget of one patch
     assert [ids for ids, _, _ in batches] == [[0], [2], [4], [1, 3]]
     for ids, (dofs, _, _, _, _), P in batches:
@@ -616,7 +606,7 @@ def test_operators_equal_per_patch_loop_bitwise(coarse_cfg, refined_cases):
         _assert_csr_identical(assemble_vector_metric(model, dm, mask),
                               expected[idx][:, idx].tocsr())
     for model, _ in refined_cases:
-        assert max(len(ids) for ids, _, _ in assembly._patch_batches(model.patches)) > 1
+        assert max(len(ids) for ids, _, _ in assembly._patch_batches(model.patches, None)) > 1
 
 
 def _restrict_oracle(mat, keep):
@@ -628,32 +618,31 @@ def _restrict_oracle(mat, keep):
 def test_restricted_operators_equal_full_assembly_restricted_bitwise(coarse_cfg, refined_cases):
     for model, dm in refined_cases:
         relmap = build_reluctivity_map(model, coarse_cfg)
-        full = assembly._h1_matrix(model, dm, [relmap[tag] for tag in model.tags])
+        full = assembly._h1_matrix(model, dm, [relmap[tag] for tag in model.tags], keep=None)
         _assert_csr_identical(assemble_stiffness(model, dm, relmap),
                               _restrict_oracle(full, ~dm.dirichlet))
     for model, dm in refined_cases[1:]:
         mask = DesignSpace(model, dm).mask
         coeffs = [float(mask[gmap.reshape(-1)].any()) for gmap in dm.patch_maps]
-        full = assembly._h1_matrix(model, dm, coeffs, mass=1.0)
+        full = assembly._h1_matrix(model, dm, coeffs, mass=1.0, keep=None)
         _assert_csr_identical(assemble_vector_metric(model, dm, mask),
                               _restrict_oracle(full, mask))
 
 
 def _module_cache_sizes():
     return {name: len(value) for name, value in vars(assembly).items()
-            if isinstance(value, (dict, weakref.WeakValueDictionary)) and not name.startswith("__")}
+            if isinstance(value, (dict, list, set)) and not name.startswith("__")}
 
 
 def test_plans_and_cached_tables_are_freed_with_their_machines():
     gc.collect()
     before = _module_cache_sizes()
-    assert {"_SPACE_CACHE", "_TABLE_CACHE"} <= set(before)
     plans = []
     for refinement in (1, 0, 1):
         solver = MachineSolver(coarse_config(refinement=refinement))
         solver.evaluate(solver.rotor0)
         plans += [weakref.ref(solver.dm_st.plan), weakref.ref(solver.dm_rt.plan)]
-        assert len(assembly._SPACE_CACHE) > 0
+        assert solver.dm_st.plan.tables and solver.dm_rt.plan.tables
         del solver
     gc.collect()
     assert all(plan() is None for plan in plans)
@@ -665,7 +654,7 @@ def test_plans_and_cached_tables_are_freed_with_their_machines():
 
 def test_h1_matrix_csr_is_canonical(coarse_machine, coarse_dofmaps):
     for model, dm in _machine_cases(coarse_machine, coarse_dofmaps):
-        K = assembly._h1_matrix(model, dm, [1.0] * len(model.patches))
+        K = assembly._h1_matrix(model, dm, [1.0] * len(model.patches), keep=None)
         assert K.has_canonical_format
 
 
@@ -673,16 +662,14 @@ def test_scatter_cold_and_warm_cache_agree_bitwise(coarse_machine, coarse_dofmap
     _, rotor, moved = [m for m, _ in _machine_cases(coarse_machine, coarse_dofmaps)]
     _, dm_rt = coarse_dofmaps
     ones = [1.0] * len(rotor.patches)
-    _clear_table_caches()
     fresh = dataclasses.replace(dm_rt)             # a new dof map: a cold plan
-    cold = assembly._h1_matrix(rotor, fresh, ones)
+    cold = assembly._h1_matrix(rotor, fresh, ones, keep=None)
     n_entries = len(fresh.plan._scatters)
-    _assert_csr_identical(assembly._h1_matrix(rotor, fresh, ones), cold)
+    _assert_csr_identical(assembly._h1_matrix(rotor, fresh, ones, keep=None), cold)
     # warm: the scatter was filled by another shape on the same dof map
-    _clear_table_caches()
     fresh = dataclasses.replace(dm_rt)
-    assembly._h1_matrix(moved, fresh, ones)
-    warm = assembly._h1_matrix(rotor, fresh, ones)
+    assembly._h1_matrix(moved, fresh, ones, keep=None)
+    warm = assembly._h1_matrix(rotor, fresh, ones, keep=None)
     assert len(fresh.plan._scatters) == n_entries
     _assert_csr_identical(warm, cold)
 
@@ -712,21 +699,20 @@ def test_scatter_cache_misses_on_a_different_dof_map(coarse_machine, coarse_dofm
     _, rotor = coarse_machine
     _, dm = coarse_dofmaps
     ones = [1.0] * len(rotor.patches)
-    K = assembly._h1_matrix(rotor, dm, ones)
+    K = assembly._h1_matrix(rotor, dm, ones, keep=None)
     perm = np.random.default_rng(5).permutation(dm.n_global)
     renumbered = dataclasses.replace(dm, patch_maps=[perm[m] for m in dm.patch_maps])
-    K_perm = assembly._h1_matrix(rotor, renumbered, ones)
+    K_perm = assembly._h1_matrix(rotor, renumbered, ones, keep=None)
     assert renumbered.plan is not dm.plan
     assert len(renumbered.plan._scatters) == 1
     assert np.array_equal(K_perm[perm][:, perm].toarray(), K.toarray())
 
 
 def test_scatter_arrays_are_read_only_and_not_handed_out(coarse_machine, coarse_dofmaps):
-    _clear_table_caches()
     _, rotor = coarse_machine
     _, dm = coarse_dofmaps
     dm = dataclasses.replace(dm)
-    K = assembly._h1_matrix(rotor, dm, [1.0] * len(rotor.patches))
+    K = assembly._h1_matrix(rotor, dm, [1.0] * len(rotor.patches), keep=None)
     (indptr, indices, slots), = dm.plan._scatters.values()
     for arr in (indptr, indices, slots):
         with pytest.raises(ValueError):

@@ -266,7 +266,7 @@ def test_detj_screen_bounds_the_direct_check(seed, log_scale, k):
     trial = design.displace(rotor, W, delta)
     direct = _design_min_detj(trial, design)
     patches = [trial.patches[p] for p in design.patch_ids]
-    moved = detj_quadratic(patches, [np.zeros(p.points.shape) for p in patches])[0]
+    moved = detj_quadratic(patches, [np.zeros(p.points.shape) for p in patches], None)[0]
     # scalars only below, so that a failure report stays small
     screened = float((quad + margin).min())    # what the line search skips on
     unscreened = float(quad.min())
@@ -290,9 +290,9 @@ def test_detj_screen_forms_no_coefficients_off_the_design_patches(
     seen = []
     real = optim.detj_quadratic
 
-    def recorded(patches, disps, *plan):
+    def recorded(patches, disps, plan):
         seen.extend(patches)
-        return real(patches, disps, *plan)
+        return real(patches, disps, plan)
 
     monkeypatch.setattr(optim, "detj_quadratic", recorded)
     a, b, c, margin = detj_screen(design, rotor, W)
@@ -405,9 +405,9 @@ def test_line_search_trial_rotors_build_no_space_tables(monkeypatch):
     lookups, trials = [], []
     real_space, real_displace = assembly._space_tables, DesignSpace.displace
 
-    def space_tables(patch, n_gauss):
+    def space_tables(*args):
         lookups.append(len(trials))
-        return real_space(patch, n_gauss)
+        return real_space(*args)
 
     def displace(self, *args):
         trials.append(None)
