@@ -3,10 +3,11 @@
 The objective THD(Psi_1 .. Psi_N) sees each rotor position only through the
 flux linkage sample, so the adjoint load at angle i is the winding vector
 scaled by the THD sample sensitivity.  The coupled operator is symmetric,
-so the adjoint solves reuse the forward interface elimination unchanged:
-one extra stator solve for the winding direction and one interface solve
-over the array of angles.  Only the rotor
-block of the adjoint state enters the gradient, so only it is reconstructed.
+so the adjoint solves reuse the forward interface elimination unchanged,
+and the reduced adjoint load G_st^T K_st^-1 chi = X_st^T chi is the flux
+row the forward sweep already forms: the adjoint is one interface solve
+over the array of angles, with no stator solve.  Only the rotor block of
+the adjoint state enters the gradient, so only it is reconstructed.
 
 The gradient over design directions W (geometry-space basis fields, two
 components per free control point) integrates, per rotor angle,
@@ -17,10 +18,12 @@ The design space holds no control point of a magnet patch, so W vanishes
 on the magnets and the magnetization source contributes no shape term.
 
 The sum over angles is taken first, per element, as C_e = U_e P_e^T over
-the element's forward and adjoint coefficients; T = A^T C_e A at each Gauss
-point (A the local basis gradients) is then the angle-summed grad u grad p^T,
-and the element contribution is A (nu w (tr T I - T - T^T)), all as batched
-matrix products.
+the element's forward and adjoint coefficients, gathered from the
+angle-major free-dof rows; T = A^T C_e A at each Gauss point (A the local
+basis gradients) is then the angle-summed grad u grad p^T, and the element
+contribution is A (nu w (tr T I - T - T^T)), all as batched matrix
+products.  The gradients and weights are the rotor geometry that the dof
+map's assembly plan keeps for the stiffness and the metric.
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _batch_tables, _patch_batches
 from .coupling import CouplingPrecomp, solve_interface
 from .design import DesignSpace
 from .errors import DegenerateSignalError
@@ -58,10 +60,18 @@ def thd_sample_sensitivities(emf_a: np.ndarray, emf_b: np.ndarray, index_set,
 
 @dataclass
 class AdjointSet:
-    """Adjoint interface coefficients and rotor fields, one row per angle."""
+    """Adjoint interface coefficients, one row per angle, and the rotor's
+    X_rt.  The rotor fields X_rt lam (n_angles x n_free, 15 MB at
+    refinement 4) are formed on each request, not kept: a caller that
+    holds the set through the metric and the line search does not hold
+    them."""
 
     lambdas: np.ndarray
-    rotor: np.ndarray
+    X_rt: np.ndarray
+
+    @property
+    def rotor(self) -> np.ndarray:
+        return matvec(self.X_rt, self.lambdas)
 
     def rotor_fields(self):
         return self.rotor
@@ -75,14 +85,25 @@ def solve_adjoints(pre: CouplingPrecomp, winding_vector: np.ndarray,
 
     The operator is symmetric, so the forward elimination applies verbatim;
     only the reduced right-hand side changes, and it is a per-angle multiple
-    of one precomputable stator solve.  The rotor block carries no load, so
-    its adjoint field is X_rt lam.
+    of G_st^T K_st^-1 chi = X_st^T chi (K_st is symmetric): the row chi^T X_st
+    that maps the interface coefficients to the flux linkage in
+    :func:`igamotor.coupling.rotation_sweep`, so no stator solve is needed
+    and the adjoint is the exact transpose of the computed flux map.  The
+    rotor block carries no load, so its adjoint field is X_rt lam.
     """
     coef = -np.asarray(sensitivities, dtype=float) * flux_scale
-    y_chi = pre.st.factor.solve(np.asarray(winding_vector, dtype=float))
-    lambdas = solve_interface(pre, angles, g_st=coef[:, None] * (pre.st.G.T @ y_chi),
-                              g_rt=0)
-    return AdjointSet(lambdas, matvec(pre.rt.X, lambdas))
+    chi_X = np.asarray(winding_vector, dtype=float) @ pre.st.X
+    lambdas = solve_interface(pre, angles, g_st=coef[:, None] * chi_X, g_rt=0)
+    return AdjointSet(lambdas, pre.rt.X)
+
+
+def _element_values(V: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """(..., n) coefficients at the element dofs ``free`` (free numbers, -1
+    on an eliminated dof, where the coefficient is 0) of the angle-major
+    free-dof rows V (n, n_free), gathered through the transposed view."""
+    out = V.T[free]
+    out[free < 0] = 0.0
+    return out
 
 
 def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
@@ -93,36 +114,35 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
     """Gradient entries g_m = dJ(direction W_m) over the free design dofs.
 
     u_rt_list/p_rt_list hold the per-angle forward and adjoint rotor
-    coefficient vectors (free dofs).  Integrals are restricted to patches
-    where the design basis has support; entries for dofs without support in
-    deforming patches are exactly zero.  ``cfg`` is ignored; it stays for
-    callers that pass it positionally.
+    coefficient vectors (free dofs), one row per angle.  Integrals are
+    restricted to patches where the design basis has support; entries for
+    dofs without support in deforming patches are exactly zero.  The
+    element gradients and weights come from the plan's element tables, so
+    on the optimizer's rotor they are read, not rebuilt.  ``cfg`` is
+    ignored; it stays for callers that pass it positionally.
     """
-    U = dofmap.expand(np.transpose(u_rt_list))     # (n_global, NL)
-    P = dofmap.expand(np.transpose(p_rt_list))
-    pids = design.patch_ids
-    targets, contribs = [None] * len(pids), [None] * len(pids)
-    for ids, space, X in _patch_batches([model.patches[pid] for pid in pids], dofmap.plan):
-        _, grad, wdet = _batch_tables(space, X)
-        n_batch, n_el, n_q, n_loc = grad.shape[:4]
-        maps = np.stack([dofmap.patch_maps[pids[i]].reshape(-1) for i in ids])
-        gd = maps[:, space[0]]                                      # (G, E, L)
-        # A[g, e] = [grad at point 0 | grad at point 1 | ...]: (L, 2Q)
-        A = grad.transpose(0, 1, 3, 2, 4).reshape(n_batch, n_el, n_loc, 2 * n_q)
-        C = U[gd] @ P[gd].transpose(0, 1, 3, 2)                     # (G, E, L, L), angles summed
+    U = np.asarray(u_rt_list, dtype=float)          # (NL, n_free)
+    P = np.asarray(p_rt_list, dtype=float)
+    targets, contribs = {}, {}
+    for ids, space, wdet, grad, _ in dofmap.plan.element_tables(model, design.patch_ids):
+        n_batch, n_el, n_loc, n_q = grad.shape[:4]
+        gd = np.stack([dofmap.patch_maps[pid].reshape(-1) for pid in ids])[:, space[0]]
+        free = dofmap.free_index[gd]                                # (G, E, L)
+        A = grad.reshape(n_batch, n_el, n_loc, 2 * n_q)            # (L, 2Q) per element
+        C = _element_values(U, free) @ _element_values(P, free).transpose(0, 1, 3, 2)
         CA = (C @ A).reshape(n_batch, n_el, n_loc, n_q, 2).transpose(0, 1, 3, 2, 4)
-        T = grad.transpose(0, 1, 2, 4, 3) @ CA                      # (G, E, Q, 2, 2)
+        T = grad.transpose(0, 1, 3, 4, 2) @ CA                     # (G, E, Q, 2, 2)
         trT = T[..., 0, 0] + T[..., 1, 1]
         M = -(T + T.transpose(0, 1, 2, 4, 3))
         M[..., 0, 0] += trT
         M[..., 1, 1] += trT
-        nu = np.array([reluctivity_by_tag[model.tags[pids[i]]] for i in ids])
+        nu = np.array([reluctivity_by_tag[model.tags[pid]] for pid in ids])
         M *= (nu[:, None, None] * wdet)[..., None, None]            # nu w (tr T I - T - T^T)
         contrib = A @ M.reshape(n_batch, n_el, 2 * n_q, 2)          # (G, E, L, 2)
-        for i, di, c in zip(ids, design.index[gd], contrib):
+        for pid, di, c in zip(ids, design.index[gd], contrib):
             valid = di >= 0
-            targets[i], contribs[i] = di[valid], c[valid]
-    targets = np.concatenate(targets)
-    contribs = np.concatenate(contribs)
+            targets[pid], contribs[pid] = di[valid], c[valid]
+    targets = np.concatenate([targets[pid] for pid in design.patch_ids])
+    contribs = np.concatenate([contribs[pid] for pid in design.patch_ids])
     return np.concatenate([np.bincount(targets, weights=contribs[:, c],
                                        minlength=design.n_points) for c in (0, 1)])

@@ -23,29 +23,42 @@ demo rotor's 54 patches share 3 spaces and the stator's 108 share 1, so
 at refinement 0, where a patch is one element, the stiffness, metric,
 shape gradient and mesh check run a few batches, not one Python pass per
 patch.  A batch holds at most 256 elements (and at least one patch): that
-is one refinement-4 patch, so fine meshes keep one-patch batches and the
-memory of the per-patch kernels, while whole-group stacks would hold every
-patch's gradients at once.  Each entry is computed as for a single patch
-and element blocks are summed in patch order, so batching changes no bit;
-:func:`build_patch_tables` is the one-patch case of the same kernel.
+is one refinement-4 patch, so fine meshes keep one-patch batches, while
+whole-group stacks would hold every patch's transients at once.  Each
+entry is computed as for a single patch and element blocks are summed in
+patch order, so batching changes no bit; :func:`build_patch_tables` is the
+one-patch case of the same kernel.  Physical gradients are laid out
+(G, E, L, Q, 2), so the (L, 2Q) element operand of the kernels is a view.
+
+A rotor's geometry is built once per shape: the :class:`RotorGeometry`
+that the plan keeps for the last rotor it saw (keyed by the identity of
+its patch objects) holds det J, weight x det J, the physical gradients and
+the grad-grad element blocks Ge of every patch.  The stiffness reads nu Ge,
+the metric Ge plus its mass term, the shape gradient the gradients and
+weights, and the mesh check det J, so one design step builds each rotor
+patch's tables once instead of once per operator.  The next rotor replaces
+it, which frees a rejected trial's arrays.  Other models, the stator
+among them, are assembled once per machine: their tables are built batch
+by batch for the one call and never kept.
 
 What depends on the dof map alone is owned by its :class:`AssemblyPlan`
 (``DofMap.plan``), built on first use and freed with the dof map, so with
 the machine that holds it.  The plan keeps the grouping of a patch list
-into batches, and the sparsity pattern of each operator directly in its
-restricted numbering (free dofs for the stiffness, masked dofs for the
-metric): CSR index arrays and the CSR slot of every element-matrix entry,
-with the entries of eliminated rows and columns sent one past the data.
-A new shape only sums its element entries into the CSR data with
-``np.bincount``.  The plan serves the models whose patches carry the dof
-map's own knots and weights objects, which ``DesignSpace.displace`` shares
-between rotors; other models are grouped and scattered afresh.  Coupling
-moments are evaluated on all interface elements and Gauss points at once
-from the 1D tables.  Element contributions are merged in a fixed
-patch/element order, so assembled operators are bit-reproducible, and a
-restricted operator is bitwise the unrestricted one with its eliminated
-rows and columns removed.  :func:`eval_field` evaluates a field on the
-basis of :func:`igamotor.splines.patch_basis`.
+into batches, and the sparsity pattern of the rotor's operators directly
+in their restricted numbering (free dofs for the stiffness, masked dofs
+for the metric): CSR index arrays and the CSR slot of every
+element-matrix entry, with the entries of eliminated rows and columns sent
+one past the data.  A new shape only sums its element entries into the
+CSR data with ``np.bincount``.  The plan serves the models whose patches
+carry the dof map's own knots and weights objects, which
+``DesignSpace.displace`` shares between rotors; other models are grouped
+and scattered afresh.  Coupling moments are evaluated on all interface
+elements and Gauss points at once from the 1D tables.  Element
+contributions are merged in a fixed patch/element order, so assembled
+operators are bit-reproducible, and a restricted operator is bitwise the
+unrestricted one with its eliminated rows and columns removed.
+:func:`eval_field` evaluates a field on the basis of
+:func:`igamotor.splines.patch_basis`.
 """
 from __future__ import annotations
 
@@ -216,31 +229,56 @@ def _jacobian(space, P):
     return j_xi, j_eta, detj
 
 
-def _batch_tables(space, P, require_regular: bool = True):
-    """(det J, physical gradients, weight x det J) of a stack of patches on
-    one space: (G, E, Q), (G, E, Q, L, 2), (G, E, Q).  Every entry is
-    computed as for a single patch, so it is bitwise the same in any batch."""
-    _, R, Rx, Ry, w2 = space
-    j_xi, j_eta, detj = _jacobian(space, P)
-    if require_regular and np.any(detj <= 0.0):
+def _check_regular(detj):
+    """AssemblyError when det J <= 0 at a Gauss point of ``detj``."""
+    if np.any(detj <= 0.0):
         raise AssemblyError("singular or inverted Jacobian at a quadrature point "
                             "(min det J = %.3e)" % float(detj.min()))
+
+
+def _gradients(space, j_xi, j_eta, detj, wdet, grad):
+    """Write weight x det J (G, E, Q) and the physical gradients
+    (G, E, L, Q, 2) of a stack of patches on one space, from its
+    :func:`_jacobian`, to ``wdet`` and ``grad``.  The gradients are laid out
+    so that the (L, 2Q) element operand of the kernels is a view."""
+    _, R, Rx, Ry, w2 = space
     # physical gradient J^-T (d/dxi, d/deta), with the (G, E, Q) factors divided first
-    grad = np.empty(detj.shape + R.shape[-1:] + (2,))
     np.subtract((j_eta[..., 1] / detj)[..., None] * Rx,
-                (j_xi[..., 1] / detj)[..., None] * Ry, out=grad[..., 0])
+                (j_xi[..., 1] / detj)[..., None] * Ry, out=np.swapaxes(grad[..., 0], 2, 3))
     np.subtract((j_xi[..., 0] / detj)[..., None] * Ry,
-                (j_eta[..., 0] / detj)[..., None] * Rx, out=grad[..., 1])
-    return detj, grad, w2 * detj
+                (j_eta[..., 0] / detj)[..., None] * Rx, out=np.swapaxes(grad[..., 1], 2, 3))
+    np.multiply(w2, detj, out=wdet)
+
+
+def _table_shapes(detj, space):
+    """Shapes of weight x det J, physical gradients and grad-grad blocks of
+    a batch with det J ``detj`` (G, E, Q) on ``space``."""
+    n_batch, n_el, n_q = detj.shape
+    n_loc = space[1].shape[-1]
+    return detj.shape, (n_batch, n_el, n_loc, n_q, 2), (n_batch, n_el, n_loc, n_loc)
+
+
+def _batch_tables(space, P, require_regular: bool = True):
+    """(det J, physical gradients, weight x det J) of a stack of patches on
+    one space: (G, E, Q), (G, E, L, Q, 2), (G, E, Q).  Every entry is
+    computed as for a single patch, so it is bitwise the same in any batch."""
+    j_xi, j_eta, detj = _jacobian(space, P)
+    if require_regular:
+        _check_regular(detj)
+    wdet, grad, _ = _table_shapes(detj, space)
+    wdet, grad = np.empty(wdet), np.empty(grad)
+    _gradients(space, j_xi, j_eta, detj, wdet, grad)
+    return detj, grad, wdet
 
 
 def _tables_on(space, patch: NurbsPatch, require_regular: bool = True) -> PatchTables:
     """Tables of one patch on its space: the one-patch stack of
-    :func:`_batch_tables`."""
+    :func:`_batch_tables`, gradients as (E, Q, L, 2)."""
     dofs, R = space[:2]
     P = patch.points.reshape(-1, 2).take(dofs, axis=0)[None]   # (1, E, L, 2)
     detj, grad, wdet = _batch_tables(space, P, require_regular)
-    return PatchTables(dofs, R, grad[0], detj[0], wdet[0], (R @ P)[0])
+    return PatchTables(dofs, R, np.ascontiguousarray(grad[0].transpose(0, 2, 1, 3)),
+                       detj[0], wdet[0], (R @ P)[0])
 
 
 def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
@@ -338,8 +376,11 @@ def _csr_scatter(groups, maps, n_global: int, keep):
     gets slot ``indices.size``, one past the data.
 
     The patches of a space share one dof table, so its distinct local
-    (row, col) pairs are found once, and the global sort runs over the
-    distinct pairs of each patch, not over every element-matrix entry."""
+    (row, col) pairs are found once, and only the distinct pairs of each
+    patch are ordered globally.  They come in per-patch runs that are
+    nearly sorted already (a patch numbers most of its points in its own
+    order), so they are ordered by a stable sort, which merges such runs,
+    not by the quicksort of ``np.unique``; equal pairs then share a slot."""
     if keep is None:
         index, n = None, n_global
     else:
@@ -347,6 +388,8 @@ def _csr_scatter(groups, maps, n_global: int, keep):
         n = int(index[-1]) + 1
         index[~keep] = -1
     dropped = n * n                        # sorts after every kept pair
+    n_entries = sum(len(ids) * space[0].shape[0] * space[0].shape[1] ** 2 for ids, space in groups)
+    index_type = np.int32 if max(n_entries, n) < np.iinfo(np.int32).max else np.int64
     local = {}
     codes, where, size = [], [None] * len(maps), 0
     for ids, space in groups:
@@ -355,7 +398,8 @@ def _csr_scatter(groups, maps, n_global: int, keep):
             n_loc = maps[ids[0]].size
             pairs, inverse = np.unique((dofs[:, :, None] * n_loc + dofs[:, None, :]).reshape(-1),
                                        return_inverse=True)
-            local[id(dofs)] = (pairs // n_loc, pairs % n_loc, inverse.reshape(-1))
+            local[id(dofs)] = (pairs // n_loc, pairs % n_loc,
+                               inverse.reshape(-1).astype(index_type))
         rows, cols, inverse = local[id(dofs)]
         numbers = np.stack([maps[i] for i in ids])
         if index is not None:
@@ -368,33 +412,107 @@ def _csr_scatter(groups, maps, n_global: int, keep):
         for k, i in enumerate(ids):
             where[i] = size + k * rows.size + inverse
         size += code.size
-    # sorted unique pairs: row-major order, no duplicates
-    pairs, inverse = np.unique(np.concatenate(codes), return_inverse=True)
-    del codes
+    codes = np.concatenate(codes)
     where = np.concatenate(where)
+    # sorted unique pairs (row-major order, no duplicates) and the slot of each code
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    new = np.empty(codes.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    pairs = codes[new]
+    del codes
+    inverse = np.empty(order.size, dtype=index_type)
+    inverse[order] = np.cumsum(new, dtype=index_type) - 1
     if pairs.size and pairs[-1] == dropped:
         pairs = pairs[:-1]
-    index_type = np.int32 if max(where.size, n) < np.iinfo(np.int32).max else np.int64
-    slots = inverse.reshape(-1).astype(index_type)[where]
+    slots = inverse[where]
+    row = pairs // n
     indptr = np.zeros(n + 1, dtype=index_type)
-    np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
-    return indptr, (pairs % n).astype(index_type), slots
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return indptr, (pairs - row * n).astype(index_type), slots
+
+
+def _element_tables(jacobians, arrays=None):
+    """Yields (ids, space, wdet, grad, Ge) for each batch of ``jacobians``
+    [(ids, space, j_xi, j_eta, det J)]: :func:`_gradients` and Ge (G, E, L, L),
+    the grad-grad element blocks, the sum over Gauss points of w det J
+    grad R_a . grad R_b.  ``arrays`` yields the (wdet, grad, Ge) arrays to
+    fill per batch; new ones by default.  AssemblyError at the first batch
+    with det J <= 0."""
+    for ids, space, j_xi, j_eta, detj in jacobians:
+        _check_regular(detj)
+        if arrays is None:
+            wdet, grad, Ge = (np.empty(shape) for shape in _table_shapes(detj, space))
+        else:
+            wdet, grad, Ge = next(arrays)
+        _gradients(space, j_xi, j_eta, detj, wdet, grad)
+        n_batch, n_el, n_loc, n_q = grad.shape[:4]
+        # A[g, e] = [grad at point 0 | grad at point 1 | ...]: (L, 2Q), a view
+        A = grad.reshape(n_batch, n_el, n_loc, 2 * n_q)
+        Aw = A * np.repeat(wdet, 2, axis=-1)[..., None, :]
+        np.matmul(A, Aw.transpose(0, 1, 3, 2), out=Ge)
+        yield ids, space, wdet, grad, Ge
+
+
+class RotorGeometry:
+    """The quadrature geometry of one rotor, built once and read by every
+    operator on it: det J per batch of :func:`_patch_batches` at
+    construction (what the mesh check reads), then, on the first call of
+    :meth:`tables`, weight x det J, the physical gradients and the
+    grad-grad element blocks Ge of every patch (:func:`_element_tables`).
+    It holds its patches, so the identity key of :meth:`AssemblyPlan.geometry`
+    stays valid while it lives."""
+
+    def __init__(self, patches, plan):
+        self.patches = tuple(patches)
+        self._jacobians = [(ids, space) + _jacobian(space, P)
+                           for ids, space, P in _patch_batches(self.patches, plan)]
+        self.min_detj = min((float(jac[-1].min()) for jac in self._jacobians), default=np.inf)
+        self._tables = None
+
+    def tables(self):
+        """[(ids, space, wdet, grad, Ge)] per batch, ids the patch positions.
+
+        All of them are views of one block, allocated once per rotor: a
+        block that large is mapped and unmapped whole, so replacing the
+        rotor every design step leaves no long-lived arrays scattered among
+        the step's temporaries in the heap."""
+        if self._tables is None:
+            shapes = [shape for jac in self._jacobians for shape in _table_shapes(jac[-1], jac[1])]
+            sizes = [int(np.prod(shape)) for shape in shapes]
+            starts = np.cumsum([0] + sizes)
+            block = np.empty(starts[-1])
+            views = [block[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes)]
+            arrays = zip(views[0::3], views[1::3], views[2::3])   # (wdet, grad, Ge) per batch
+            self._tables = list(_element_tables(self._jacobians, arrays))
+            self._jacobians = None
+        return self._tables
 
 
 class AssemblyPlan:
-    """The shape-independent assembly data of one dof map
-    (``DofMap.plan``): space and 1D basis tables, patch batches and CSR
-    scatters.
+    """The assembly data of one dof map (``DofMap.plan``): space and 1D
+    basis tables, patch batches and CSR scatters, which do not depend on
+    the shape, and the :class:`RotorGeometry` of the last rotor assembled.
 
     A shape update moves control points only, so every model whose patches
     are on the dof map's own knots and weights objects (the ones it was
     built from, which ``DesignSpace.displace`` shares between rotors) has
     the same grouping of patches into batches on shared spaces and the same
-    sparsity pattern.  The plan keeps both, per patch list and per
-    restriction, and is freed with the dof map.  Patches on other knots or
-    weights objects are grouped and scattered afresh on every call.
-    ``tables`` keeps the space and 1D tables of every patch assembled
-    through the plan, keyed by value (:func:`_space_tables`).
+    sparsity pattern.  The plan keeps the groupings per patch list, and
+    the scatters of a rotor per restriction, and is freed with the dof
+    map.  Patches on other knots or weights objects are grouped and
+    scattered afresh on every call.  ``tables`` keeps the space and 1D
+    tables of every patch assembled through the plan, keyed by value
+    (:func:`_space_tables`).
+
+    The plan keeps the geometry of one rotor at a time, keyed by the
+    identity of its patch objects: a design step reads it in the stiffness,
+    the shape gradient, the metric and the mesh check, and the next rotor
+    replaces it, so a rejected trial's geometry is freed.  A model of
+    another side (the stator, assembled once per machine) keeps neither a
+    geometry nor a scatter: its tables are built batch by batch for the
+    one call.
     """
 
     def __init__(self, dofmap: DofMap):
@@ -406,6 +524,7 @@ class AssemblyPlan:
         self.tables = {}
         self._groups = {}
         self._scatters = {}
+        self._geometry = None
 
     def _pids(self, patches):
         """The dof map's patch ids of ``patches``, or None when a patch is
@@ -428,11 +547,12 @@ class AssemblyPlan:
             hit = self._groups[key] = _group(patches, self.tables)
         return hit
 
-    def scatter(self, patches, pids, keep):
-        """:func:`_csr_scatter` of ``patches`` on the dof map's patches
-        ``pids``, restricted to ``keep``; the arrays are read-only and kept
-        for the dof map's own patches."""
-        cached = self._pids(patches) == tuple(pids)
+    def scatter(self, model: MultipatchModel, pids, keep):
+        """:func:`_csr_scatter` of the patches ``pids`` of ``model``,
+        restricted to ``keep``; the arrays are read-only, and kept for a
+        rotor on the dof map's own patches (a stator is assembled once)."""
+        patches = [model.patches[pid] for pid in pids]
+        cached = model.side == "rotor" and self._pids(patches) == tuple(pids)
         key = (tuple(pids), None if keep is None else keep.tobytes())
         hit = self._scatters.get(key) if cached else None
         if hit is not None:
@@ -445,6 +565,46 @@ class AssemblyPlan:
             self._scatters[key] = scatter
         return scatter
 
+    def geometry(self, model: MultipatchModel) -> RotorGeometry | None:
+        """The kept :class:`RotorGeometry` of a rotor ``model``, built when
+        its patches are not those of the kept one (which it replaces);
+        None for a model of another side."""
+        if model.side != "rotor":
+            return None
+        kept = self._geometry
+        if kept is None or len(kept.patches) != len(model.patches) or any(
+                a is not b for a, b in zip(kept.patches, model.patches)):
+            self._geometry = None       # free the old rotor's arrays first
+            kept = self._geometry = RotorGeometry(model.patches, self)
+        return kept
+
+    def element_tables(self, model: MultipatchModel, pids):
+        """Yields (pids, space, wdet, grad, Ge) for batches covering the
+        patches ``pids`` of ``model`` (:func:`_element_tables`, with model
+        patch ids): read from a rotor's kept geometry, built batch by batch
+        for any other model."""
+        geometry = self.geometry(model)
+        if geometry is None:
+            patches = [model.patches[pid] for pid in pids]
+            jacobians = ((ids, space) + _jacobian(space, P)
+                         for ids, space, P in _patch_batches(patches, self))
+            for ids, *tables in _element_tables(jacobians):
+                yield [pids[i] for i in ids], *tables
+            return
+        wanted = set(pids)
+        for ids, space, wdet, grad, Ge in geometry.tables():
+            take = [k for k, pid in enumerate(ids) if pid in wanted]
+            if len(take) == len(ids):
+                yield ids, space, wdet, grad, Ge
+            elif take:
+                yield [ids[k] for k in take], space, wdet[take], grad[take], Ge[take]
+
+    def min_detj(self, model: MultipatchModel) -> float:
+        """:func:`min_detj` of all patches of ``model``, read from a rotor's
+        kept geometry."""
+        geometry = self.geometry(model)
+        return min_detj(model.patches, self) if geometry is None else geometry.min_detj
+
 
 def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
                keep, mass: float = 0.0) -> sp.csr_matrix:
@@ -453,36 +613,37 @@ def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
     numbering (no boundary elimination) when ``keep`` is None; patches with
     a zero coefficient are skipped.
 
-    Element matrices are batched products over the elements of a patch
-    batch (:func:`_patch_batches`): grad-grad is (G, E, L, 2Q) @
-    (G, E, 2Q, L) with the columns of the left factor the (point, component)
-    pairs, the mass term (E, L, Q) @ (G, E, Q, L).  Their entries are summed
-    into the CSR data by ``np.bincount`` over the plan's scatter, in
-    patch/element order; the entries of dropped dofs fall into the slot
-    past the data.  So every kept entry is the sum of the same terms in the
-    same order as in the unrestricted matrix."""
+    The grad-grad blocks Ge come from the plan's :meth:`AssemblyPlan.
+    element_tables`, the mass term is the batched product (E, L, Q) @
+    (G, E, Q, L).  The element entries are summed into the CSR data by
+    ``np.bincount`` over the plan's scatter, in patch/element order; the
+    entries of dropped dofs fall into the slot past the data.  So every
+    kept entry is the sum of the same terms in the same order as in the
+    unrestricted matrix."""
     pids = [pid for pid, coeff in enumerate(coeffs) if coeff != 0.0]
     if not pids:
         raise AssemblyError("no patch contributes to the operator")
-    patches = [model.patches[pid] for pid in pids]
     plan = dofmap.plan
-    blocks = [None] * len(pids)
-    for ids, space, P in _patch_batches(patches, plan):
-        val = space[1]
-        _, grad, wdet = _batch_tables(space, P)
-        n_batch, n_el, n_q, n_loc = grad.shape[:4]
-        A = grad.transpose(0, 1, 3, 2, 4).reshape(n_batch, n_el, n_loc, 2 * n_q)
-        Aw = A * np.repeat(wdet, 2, axis=-1)[..., None, :]
-        coeff = np.array([coeffs[pids[i]] for i in ids])[:, None, None, None]
-        ke = coeff * (A @ Aw.transpose(0, 1, 3, 2))
+    # each patch's element blocks go straight to their place in patch order,
+    # not into per-batch arrays joined at the end (a second 9 MB at refinement 4)
+    geometry = plan.geometry(model)
+    if geometry is None:
+        groups = [([pids[i] for i in ids], space)
+                  for ids, space in plan.groups([model.patches[pid] for pid in pids])]
+    else:
+        groups = [(ids, space) for ids, space, *_ in geometry.tables()]
+    sizes = {pid: space[0].size * space[0].shape[1] for ids, space in groups for pid in ids}
+    starts = dict(zip(pids, np.cumsum([0] + [sizes[pid] for pid in pids])))
+    blocks = np.empty(sum(sizes[pid] for pid in pids))
+    for ids, space, wdet, _, Ge in plan.element_tables(model, pids):
+        ke = np.array([coeffs[pid] for pid in ids])[:, None, None, None] * Ge
         if mass:
+            val = space[1]
             ke += mass * (val.transpose(0, 2, 1) @ (val * wdet[..., None]))
-        for i, block in zip(ids, ke):
-            blocks[i] = block.reshape(-1)
-    indptr, indices, slots = plan.scatter(patches, pids, keep)
+        for pid, block in zip(ids, ke.reshape(len(ids), -1)):
+            blocks[starts[pid]:starts[pid] + block.size] = block
+    indptr, indices, slots = plan.scatter(model, pids, keep)
     n = indptr.size - 1
-    # rebinding frees the per-batch blocks before bincount copies the slots
-    blocks = np.concatenate(blocks)
     data = np.bincount(slots, weights=blocks, minlength=indices.size + 1)[:indices.size]
     # the matrix gets its own index arrays: callers may modify it in place
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))

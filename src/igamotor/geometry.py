@@ -249,11 +249,14 @@ def _edge_index(edge: str):
     return _EDGE_SLICES[edge]
 
 
+def _edge_knots(patch: NurbsPatch, edge: str) -> KnotVector:
+    return patch.knots_v if edge in ("u0", "u1") else patch.knots_u
+
+
 def edge_discretization(patch: NurbsPatch, edge: str):
     """Knot vector, weights and control points of the 1D edge curve."""
     idx = _edge_index(edge)
-    kv = patch.knots_v if edge in ("u0", "u1") else patch.knots_u
-    return kv, patch.weights[idx], patch.points[idx]
+    return _edge_knots(patch, edge), patch.weights[idx], patch.points[idx]
 
 
 @dataclass
@@ -289,55 +292,57 @@ class DofMap:
         return full
 
 
-def _not_close(a: list, b: list, atol) -> np.ndarray:
-    """Per array pair: whether a value fails np.allclose's test
-    |a - b| <= atol + 1e-5 |b| (equal infinities pass, NaN never), for all
-    pairs in one comparison; ``atol`` is a scalar or one value per pair."""
-    sizes = [x.size for x in a]
-    starts = np.cumsum([0] + sizes[:-1])
-    a, b = np.concatenate(a), np.concatenate(b)
-    atol = np.repeat(np.broadcast_to(atol, len(sizes)), sizes)
+def _not_close(a: np.ndarray, b: np.ndarray, sizes: np.ndarray, atol) -> np.ndarray:
+    """Per segment of the flat arrays a and b (consecutive, of lengths
+    ``sizes``): whether a value fails np.allclose's test |a - b| <= atol +
+    1e-5 |b| (equal infinities pass, NaN never), for all segments in one
+    comparison; ``atol`` is a scalar or one value per segment."""
+    starts = np.cumsum(sizes) - sizes
+    atol = np.repeat(np.broadcast_to(atol, sizes.shape), sizes)
     with np.errstate(invalid="ignore"):          # inf - inf: decided by a == b
         close = (a == b) | ((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b))
     return ~np.logical_and.reduceat(close, starts)
 
 
-def _check_conforming(model: MultipatchModel):
+def _check_conforming(model: MultipatchModel, ends):
     """Raise ConformityError for the first connection whose edges differ in
     degree or knot count, knots (atol 1e-14), or control data: points
-    (atol 1e-12 max(1, max |point|)) and weights (atol 1e-12)."""
+    (atol 1e-12 max(1, max |point|)) and weights (atol 1e-12).  ``ends``
+    holds per connection the flat control point numbers (patch-major) of
+    both edges, matched in running order.  Every connection is compared in
+    the same few array operations."""
     conn = model.connectivity
-    knots, points, weights = ([], []), ([], []), ([], [])
-    scale = []
-    mismatch = None
-    for k, (pa, ea, pb, eb, reverse) in enumerate(conn):
-        kva, wa, qa = edge_discretization(model.patches[pa], ea)
-        kvb, wb, qb = edge_discretization(model.patches[pb], eb)
-        if kva.degree != kvb.degree or kva.knots.size != kvb.knots.size:
-            mismatch = k
-            break
-        if reverse:
-            wb, qb = wb[::-1], qb[::-1]
-        for pair, x, y in ((knots, kva.knots, kvb.knots),
-                           (points, qa.reshape(-1), qb.reshape(-1)),
-                           (weights, wa, wb)):
-            pair[0].append(x)
-            pair[1].append(y)
-        scale.append(max(1.0, float(np.abs(qa).max())))
-
-    def fail(k, what):
+    if not conn:
+        return
+    knots = [(_edge_knots(model.patches[pa], ea), _edge_knots(model.patches[pb], eb))
+             for pa, ea, pb, eb, _ in conn]
+    degree = np.array([[a.degree, b.degree] for a, b in knots])
+    count = np.array([[a.knots.size, b.knots.size] for a, b in knots])
+    mismatch = (degree[:, 0] != degree[:, 1]) | (count[:, 0] != count[:, 1])
+    bad_knots = np.zeros(len(conn), dtype=bool)
+    bad = mismatch.copy()
+    ok = np.flatnonzero(~mismatch)
+    if ok.size:
+        bad_knots[ok] = _not_close(np.concatenate([knots[k][0].knots for k in ok]),
+                                   np.concatenate([knots[k][1].knots for k in ok]),
+                                   count[ok, 0], 1e-14)
+        node_a = np.concatenate([ends[k][0] for k in ok])
+        node_b = np.concatenate([ends[k][1] for k in ok])
+        sizes = np.array([ends[k][0].size for k in ok])
+        points = np.concatenate([p.points.reshape(-1, 2) for p in model.patches])
+        weights = np.concatenate([p.weights.reshape(-1) for p in model.patches])
+        qa, qb = points[node_a], points[node_b]
+        # max(1, max |point|) of each edge a: fmax, as Python's max, takes 1 over a NaN
+        scale = np.fmax(1.0, np.maximum.reduceat(np.abs(qa).max(axis=1), np.cumsum(sizes) - sizes))
+        bad[ok] = (bad_knots[ok]
+                   | _not_close(qa.reshape(-1), qb.reshape(-1), 2 * sizes, 1e-12 * scale)
+                   | _not_close(weights[node_a], weights[node_b], sizes, 1e-12))
+    if bad.any():
+        k = int(np.argmax(bad))
         pa, ea, pb, eb, _ = conn[k]
+        what = ("degree/knot count mismatch" if mismatch[k]
+                else "knot vectors differ" if bad_knots[k] else "control data differ")
         raise ConformityError("edge (%d,%s)-(%d,%s): %s" % (pa, ea, pb, eb, what))
-
-    if knots[0]:
-        bad_knots = _not_close(*knots, 1e-14)
-        bad = (bad_knots | _not_close(*points, 1e-12 * np.array(scale))
-               | _not_close(*weights, 1e-12))
-        if bad.any():
-            k = int(np.argmax(bad))
-            fail(k, "knot vectors differ" if bad_knots[k] else "control data differ")
-    if mismatch is not None:
-        fail(mismatch, "degree/knot count mismatch")
 
 
 def build_dof_map(model: MultipatchModel) -> DofMap:
@@ -355,14 +360,13 @@ def build_dof_map(model: MultipatchModel) -> DofMap:
     nodes = [offsets[p] + np.arange(nu * nv).reshape(nu, nv)
              for p, (nu, nv) in enumerate(shapes)]
 
-    _check_conforming(model)
-    rows, cols = [], []
+    ends = []
     for pa, ea, pb, eb, reverse in model.connectivity:
         nb = nodes[pb][_edge_index(eb)]
-        rows.append(nodes[pa][_edge_index(ea)])
-        cols.append(nb[::-1] if reverse else nb)
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
-    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=int)
+        ends.append((nodes[pa][_edge_index(ea)], nb[::-1] if reverse else nb))
+    _check_conforming(model, ends)
+    rows = np.concatenate([a for a, _ in ends]) if ends else np.zeros(0, dtype=int)
+    cols = np.concatenate([b for _, b in ends]) if ends else np.zeros(0, dtype=int)
     graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
     n_global, labels = connected_components(graph, directed=False)
     global_of_node = labels.astype(int)
@@ -394,11 +398,13 @@ def check_mesh_validity(model: MultipatchModel, eps_jacobian: float = 0.0,
 
     Returns (valid, min_det); the minimum comes from one batched pass over
     the patches (:func:`igamotor.assembly.min_detj`).  Given the model's
-    dof map, the pass reuses the patch grouping of its assembly plan.
+    dof map, the pass reuses the patch grouping of its assembly plan, and a
+    rotor's det J is read from (or becomes) the geometry the plan keeps for
+    the operators on that rotor.
     """
     from .assembly import min_detj  # deferred: assembly imports geometry
 
-    min_det = min_detj(model.patches, None if dofmap is None else dofmap.plan)
+    min_det = min_detj(model.patches, None) if dofmap is None else dofmap.plan.min_detj(model)
     return bool(min_det > eps_jacobian), float(min_det)
 
 

@@ -67,11 +67,13 @@ def factorize(K: sp.spmatrix) -> SpdFactorization:
     scale = max(1.0, float(np.max(np.abs(K.data))) if K.nnz else 1.0)
     if asym.size and float(np.max(np.abs(asym))) > 1e-12 * scale:
         raise FactorizationError("matrix is not symmetric")
+    del csr, asym                    # the factorization's peak need not hold them
     try:
         lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationError("sparse factorization failed: %s" % exc) from exc
+    del K                            # nor the CSC copy while U is formed for its diagonal
     pivots = lu.U.diagonal()
     if np.any(pivots <= 0.0):
         raise FactorizationError("nonpositive pivot: matrix is not positive definite")

@@ -157,6 +157,25 @@ def test_adjoint_solves_transposed_system(forward, solver, mats):
         assert resid < 1e-9
 
 
+def test_solve_adjoints_needs_no_stator_solve(forward, solver, mats, monkeypatch):
+    # G_st^T K_st^-1 chi = X_st^T chi: the old form with its stator solve,
+    # then the adjoint with every stator solve raising
+    sweep, pre = forward
+    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
+    coef = -s * solver.flux_scale
+    g_st = coef[:, None] * (pre.st.G.T @ pre.st.factor.solve(solver.winding))
+    lambdas = solve_interface(pre, solver.angles, g_st=g_st, g_rt=0)
+    rotor = matvec(pre.rt.X, lambdas)
+
+    def no_solve(b):
+        raise AssertionError("stator solve in the adjoint")
+
+    monkeypatch.setattr(pre.st.factor, "solve", no_solve)
+    adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
+    for new, old in ((adj.lambdas, lambdas), (adj.rotor, rotor)):
+        assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+
 def test_adjoint_duality_identity(forward, solver, mats, rng):
     sweep, pre = forward
     s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)

@@ -650,6 +650,114 @@ def test_plans_and_cached_tables_are_freed_with_their_machines():
     assert all(after[name] <= size for name, size in before.items()), (before, after)
 
 
+# ---------------------------------------------------------------- rotor geometry
+
+def _count_builds(monkeypatch, name):
+    """{"patches": n}: the number of patches passed to the assembly kernel
+    ``name``, whose first argument after the space is a (G, ...) stack."""
+    counts = {}
+    kernel = getattr(assembly, name)
+
+    def counting(space, first, *args):
+        counts["patches"] = counts.get("patches", 0) + first.shape[0]
+        return kernel(space, first, *args)
+
+    monkeypatch.setattr(assembly, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("refinement", [0, 2])
+def test_design_pass_builds_each_rotor_patch_table_once(monkeypatch, refinement):
+    # stiffness -> shape gradient -> metric on a new rotor: one Jacobian and
+    # one set of gradients per rotor patch (three passes over the design
+    # patches without the kept geometry)
+    from igamotor.adjoint import assemble_shape_gradient
+
+    cfg = coarse_config(refinement=refinement)
+    solver = MachineSolver(cfg)
+    design = DesignSpace(solver.rotor0, solver.dm_rt)
+    rotor = design.displace(solver.rotor0, 1e-5 * np.ones(design.n_dofs), 1.0)
+    u, p = np.random.default_rng(4).standard_normal((2, 3, solver.dm_rt.n_free))
+    jacobians = _count_builds(monkeypatch, "_jacobian")
+    gradients = _count_builds(monkeypatch, "_gradients")
+    assemble_stiffness(rotor, solver.dm_rt, solver.relmap_rt)
+    assemble_shape_gradient(rotor, solver.dm_rt, design, u, p, solver.relmap_rt)
+    assemble_vector_metric(rotor, solver.dm_rt, design.mask)
+    assert check_mesh_validity(rotor, 0.0, solver.dm_rt)[0]
+    assert jacobians == gradients == {"patches": len(rotor.patches)}
+
+
+def test_replaced_rotor_geometry_is_freed_and_stator_geometry_never_kept(monkeypatch):
+    built = []
+
+    class Recorded(assembly.RotorGeometry):
+        def __init__(self, patches, plan):
+            super().__init__(patches, plan)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(assembly, "RotorGeometry", Recorded)
+    solver = MachineSolver(coarse_config(refinement=1))
+    design = DesignSpace(solver.rotor0, solver.dm_rt)
+    trials = [design.displace(solver.rotor0, np.ones(design.n_dofs), delta)
+              for delta in (1e-5, 2e-5)]
+    solver.evaluate(trials[0])
+    first = solver.dm_rt.plan._geometry
+    assert first.patches == tuple(trials[0].patches)
+    check_mesh_validity(solver.stator, 0.0, solver.dm_st)
+    solver.evaluate(trials[1])                  # the next trial replaces it
+    del first
+    gc.collect()
+    assert [ref() is not None for ref in built] == [False, True]
+    assert built[-1]().patches == tuple(trials[1].patches)
+    assert solver.dm_st.plan._geometry is None and not solver.dm_st.plan._scatters
+
+
+def test_foreign_rotor_geometry_is_rebuilt_not_reused(coarse_cfg, coarse_machine, coarse_dofmaps):
+    # equal values on other patch objects: a new geometry, equal operators
+    from igamotor.geometry import dump_geometry, load_geometry
+
+    _, rotor = coarse_machine
+    dm = dataclasses.replace(coarse_dofmaps[1])
+    relmap = build_reluctivity_map(rotor, coarse_cfg)
+    own = assemble_stiffness(rotor, dm, relmap)
+    kept = dm.plan._geometry
+    copy = load_geometry(dump_geometry(rotor))
+    _assert_csr_identical(assemble_stiffness(copy, dm, relmap), own)
+    assert dm.plan._geometry is not kept and dm.plan._geometry.patches == tuple(copy.patches)
+
+
+def _scatter_oracle(groups, maps, n_global, keep):
+    """The pattern and slots of every element-matrix entry (patch, element,
+    row, column order) by ``np.unique`` over all entries."""
+    index = np.arange(n_global) if keep is None else np.cumsum(keep) - 1
+    n = int(index[-1]) + 1
+    if keep is not None:
+        index[~keep] = -1
+    tables = {i: space[0] for ids, space in groups for i in ids}
+    entries = []
+    for i in sorted(tables):
+        gd = index[maps[i]][tables[i]]
+        row, col = gd[:, :, None], gd[:, None, :]
+        entries.append(np.where((row < 0) | (col < 0), n * n, row * n + col).reshape(-1))
+    pairs, slots = np.unique(np.concatenate(entries), return_inverse=True)
+    pairs = pairs[pairs < n * n]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs // n, minlength=n))])
+    return indptr, pairs % n, slots.reshape(-1)
+
+
+@pytest.mark.parametrize("refinement", [0, 2])
+def test_scatter_equals_np_unique_oracle(refinement):
+    for model in build_demo_machine(coarse_config(refinement=refinement)):
+        dm = build_dof_map(model)
+        groups = assembly._group(model.patches, {})
+        maps = [gmap.reshape(-1) for gmap in dm.patch_maps]
+        for keep in (None, ~dm.dirichlet):
+            produced = assembly._csr_scatter(groups, maps, dm.n_global, keep)
+            expected = _scatter_oracle(groups, maps, dm.n_global, keep)
+            for a, b in zip(produced, expected):
+                assert a.dtype == np.int32 and np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------- scatter cache
 
 def test_h1_matrix_csr_is_canonical(coarse_machine, coarse_dofmaps):

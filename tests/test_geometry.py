@@ -18,7 +18,7 @@ from igamotor.geometry import (
     locate_polar,
 )
 from igamotor.assembly import patch_area
-from igamotor.splines import KnotVector, NurbsPatch, eval_patch, make_arc_patch
+from igamotor.splines import KnotVector, NurbsPatch, eval_patch, insert_knots, make_arc_patch
 
 from conftest import coarse_config
 
@@ -319,6 +319,61 @@ def test_conformity_check_matches_allclose_oracle(name):
         assert str(err.value) == expected
     assert (expected is None) == (name in ("conforming", "rtol-inside", "weight-inside",
                                            "equal-infinities"))
+
+
+def _bump_knot(patch):
+    knots = patch.knots_u.knots.copy()
+    knots[patch.knots_u.degree + 1] += 1e-4
+    return NurbsPatch(KnotVector(knots, patch.knots_u.degree), patch.knots_v,
+                      patch.points, patch.weights)
+
+
+def _bump_edge(patch, what):
+    """The patch with the middle control point of its v1 edge moved, or its
+    weight changed, by 1e-3 relative."""
+    points, weights = patch.points.copy(), patch.weights.copy()
+    i = patch.n_u // 2
+    if what == "point":
+        points[i, -1] *= 1.0 + 1e-3
+    else:
+        weights[i, -1] *= 1.0 + 1e-3
+    return NurbsPatch(patch.knots_u, patch.knots_v, points, weights)
+
+
+def _cubic_in_u(patch):
+    knots = np.r_[np.zeros(4), np.linspace(0.0, 1.0, patch.n_u - 2)[1:-1], np.ones(4)]
+    return NurbsPatch(KnotVector(knots, 3), patch.knots_v, patch.points, patch.weights)
+
+
+DEMO_EDITS = {
+    "knot": (_bump_knot, "knot vectors differ"),
+    "point": (lambda patch: _bump_edge(patch, "point"), "control data differ"),
+    "weight": (lambda patch: _bump_edge(patch, "weight"), "control data differ"),
+    "degree": (_cubic_in_u, "degree/knot count mismatch"),
+    "count": (lambda patch: insert_knots(patch, new_knots_u=[0.3]), "degree/knot count mismatch"),
+}
+
+
+@pytest.mark.parametrize("edit", list(DEMO_EDITS))
+@pytest.mark.parametrize("refinement", [1, 2])
+def test_conformity_check_names_first_broken_demo_edge(edit, refinement):
+    # one patch of the demo rotor edited: the first connection it breaks is
+    # reported with the oracle's message.  A knot, degree or count change
+    # breaks both v edges of the patch, an edge point or weight its v1 edge.
+    rotor = build_demo_machine(coarse_config(refinement=refinement))[1]
+    target = len(rotor.patches) // 2
+    change, what = DEMO_EDITS[edit]
+    patches = list(rotor.patches)
+    patches[target] = change(patches[target])
+    model = rotor.with_patches(patches)
+    broken = {(target, "v1")} if edit in ("point", "weight") else {(target, "v0"), (target, "v1")}
+    pa, ea, pb, eb, _ = next(c for c in model.connectivity
+                             if {(c[0], c[1]), (c[2], c[3])} & broken)
+    expected = "edge (%d,%s)-(%d,%s): %s" % (pa, ea, pb, eb, what)
+    assert allclose_conformity(model) == expected
+    with pytest.raises(ConformityError) as err:
+        build_dof_map(model)
+    assert str(err.value) == expected
 
 
 # ---------------------------------------------------------------- validity
