@@ -26,7 +26,13 @@ reconstructed as u_st = y_st + X_st R lam, u_rt = y_rt + X_rt lam with
 X_* = K_*^-1 G_*, y_* = K_*^-1 j_*.  Only the n_harmonics-dimensional system
 depends on the angle, so the angle is an array axis: given an array of
 angles, rotation_matrix, solve_interface and reconstruct_state return one
-row per angle.
+row per angle.  solve_interface and rotation_sweep do not build the whole
+(n_angles, n_h, n_h) stack: they solve blocks of at most B angles, B set so
+that one block's stack takes about 128 KiB, and form each block's rotations
+once for K_int, the right-hand side and the flux linkage.  Each matrix gets
+the operations of its own single-angle solve, so the rows do not depend on
+the blocking.  reconstruct_state forms each interior field when it is
+first read.
 
 CouplingPrecomp is the one representation of the coupled system: it holds
 K, G and j of each side beside the factorizations and products, and the
@@ -36,7 +42,8 @@ solved full system is the primary correctness oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,6 +67,26 @@ def harmonic_orders(n_harmonics: int, multiples_of: int = 1) -> np.ndarray:
     return base * int(multiples_of)
 
 
+def _rotation_layout(orders):
+    """Checked orders with the (row, column) index pairs of R's sin and cos
+    entries."""
+    column = {l: k for k, l in enumerate(np.asarray(orders, dtype=int).tolist())}
+    if len(column) != len(orders) or any(-l not in column for l in column):
+        raise ValueError("harmonic orders must be distinct and closed under negation")
+    cols = np.arange(len(column))
+    return np.array(list(column)), [column[-l] for l in column], cols
+
+
+def _fill_rotation(R, layout, alpha):
+    """Write the angle-dependent entries of R(alpha) into R, whose other
+    entries are zero."""
+    orders, partner, cols = layout
+    phase = orders * np.asarray(alpha, dtype=float)[..., None]
+    R[..., partner, cols] = np.sin(phase)   # an l = 0 column is its own partner:
+    R[..., cols, cols] = np.cos(phase)      # its 0 is overwritten by cos 0 = 1
+    return R
+
+
 def rotation_matrix(orders, alpha) -> np.ndarray:
     """Real orthogonal R(alpha) taking rotor-frame harmonic moments to the
     stator frame: (n_h, n_h) for one angle, (n, n_h, n_h) for n angles.
@@ -67,17 +94,9 @@ def rotation_matrix(orders, alpha) -> np.ndarray:
     For l > 0 with cos column c and sin column s, R[c,c] = R[s,s] = cos l a
     and R[s,c] = -R[c,s] = sin l a; an l = 0 column is left fixed.
     """
-    column = {l: k for k, l in enumerate(np.asarray(orders, dtype=int).tolist())}
-    if len(column) != len(orders) or any(-l not in column for l in column):
-        raise ValueError("harmonic orders must be distinct and closed under negation")
-    orders = np.array(list(column))
-    partner = [column[-l] for l in column]
-    phase = orders * np.asarray(alpha, dtype=float)[..., None]
-    cols = np.arange(orders.size)
-    R = np.zeros(phase.shape + (orders.size,))
-    R[..., partner, cols] = np.sin(phase)   # an l = 0 column is its own partner:
-    R[..., cols, cols] = np.cos(phase)      # its 0 is overwritten by cos 0 = 1
-    return R
+    layout = _rotation_layout(orders)
+    n_h = layout[0].size
+    return _fill_rotation(np.zeros(np.shape(alpha) + (n_h, n_h)), layout, alpha)
 
 
 @dataclass
@@ -174,33 +193,83 @@ class CouplingPrecomp:
 
 @dataclass
 class AngleSolution:
-    """Interface coefficients and fields at one angle, or one row per angle."""
+    """Interface coefficients at one angle, or one row per angle.  The
+    interior fields u_st = y_st + X_st R lam and u_rt = y_rt + X_rt lam are
+    formed on first access, so a caller that reads only u_rt never forms
+    the stator field."""
 
+    pre: CouplingPrecomp = field(repr=False)
     alpha: float | np.ndarray
     lam: np.ndarray
-    u_st: np.ndarray
-    u_rt: np.ndarray
+
+    @cached_property
+    def u_st(self) -> np.ndarray:
+        R = rotation_matrix(self.pre.orders, self.alpha)
+        return self.pre.st.y + matvec(self.pre.st.X, matvec(R, self.lam))
+
+    @cached_property
+    def u_rt(self) -> np.ndarray:
+        return self.pre.rt.y + matvec(self.pre.rt.X, self.lam)
+
+
+# bytes of one (B, n_h, n_h) float64 stack of interface matrices: a sweep
+# holds three such stacks at a time (R, K_int and one temporary), whatever
+# its angle count, so its working set stays in cache
+_STACK_BYTES = 1 << 17
+
+
+def _block_angles(n_harmonics: int) -> int:
+    """Angles per block B: 28 at 24 harmonics, 113 at 12."""
+    return max(1, _STACK_BYTES // (8 * n_harmonics * n_harmonics))
+
+
+def _interface_blocks(pre: CouplingPrecomp, angles: np.ndarray, g_st, g_rt):
+    """Solve the interface problem over the 1-D ``angles`` in blocks of at
+    most B angles, yielding (rows, R, lam) per block.  R is formed once per
+    block and serves K_int, the right-hand side and the caller's products
+    with lam; it and K_int live in buffers reused by the next block.  A
+    per-angle right-hand side (one row per angle) is sliced per block, a
+    shared one used as is.  Every matrix gets the operations of its own
+    single-angle solve, so each row keeps its bits."""
+    layout = _rotation_layout(pre.orders)
+    n_h = pre.orders.size
+    step = _block_angles(n_h)
+    R = np.zeros((min(step, angles.size), n_h, n_h))    # zeros shared by every R
+    K_int = np.empty_like(R)
+    for start in range(0, angles.size, step):
+        rows = slice(start, start + step)
+        alpha = angles[rows]
+        Rb, Kb = R[:alpha.size], K_int[:alpha.size]
+        _fill_rotation(Rb, layout, alpha)
+        Rt = np.swapaxes(Rb, -1, -2)
+        np.matmul(Rt @ pre.st.H, Rb, out=Kb)
+        Kb += pre.rt.H                                  # H_rt + R^T H_st R
+        gs = g_st[rows] if np.ndim(g_st) > 1 else g_st
+        gr = g_rt[rows] if np.ndim(g_rt) > 1 else g_rt
+        yield rows, Rb, spd_stack_solve(Kb, -(matvec(Rt, gs) + gr))
 
 
 def solve_interface(pre: CouplingPrecomp, alpha,
                     g_st: np.ndarray | None = None,
                     g_rt: np.ndarray | None = None) -> np.ndarray:
-    """Interface coefficients at one angle (or one row per angle) for the
-    default or a caller supplied reduced right-hand side g_* = G_*^T K_*^-1 b_*."""
-    R = rotation_matrix(pre.orders, alpha)
-    Rt = np.swapaxes(R, -1, -2)
-    K_int = pre.rt.H + Rt @ pre.st.H @ R
-    gs = pre.st.g if g_st is None else g_st
-    gr = pre.rt.g if g_rt is None else g_rt
-    return spd_stack_solve(K_int, -(matvec(Rt, gs) + gr))
+    """Interface coefficients at one angle, or one row per angle of a 1-D
+    array, for the default or a caller supplied reduced right-hand side
+    g_* = G_*^T K_*^-1 b_*, shared by all angles or given per angle (one
+    row each)."""
+    angles = np.asarray(alpha, dtype=float)
+    lambdas = np.empty((angles.size, pre.orders.size))
+    for rows, _, lam in _interface_blocks(pre, angles.reshape(-1),
+                                          pre.st.g if g_st is None else g_st,
+                                          pre.rt.g if g_rt is None else g_rt):
+        lambdas[rows] = lam
+    return lambdas.reshape(angles.shape + pre.orders.shape)
 
 
 def reconstruct_state(pre: CouplingPrecomp, alpha, lam: np.ndarray) -> AngleSolution:
     """Interior fields u_st = y_st + X_st R lam, u_rt = y_rt + X_rt lam from
-    interface coefficients, at one angle or one row per angle."""
-    R = rotation_matrix(pre.orders, alpha)
-    return AngleSolution(alpha, lam, pre.st.y + matvec(pre.st.X, matvec(R, lam)),
-                         pre.rt.y + matvec(pre.rt.X, lam))
+    interface coefficients, at one angle or one row per angle; each field is
+    formed when it is first read."""
+    return AngleSolution(pre, alpha, lam)
 
 
 def solve_at_angle(pre: CouplingPrecomp, alpha: float) -> AngleSolution:
@@ -216,19 +285,24 @@ def sweep_angles(pole_pairs: int, n_angles: int) -> np.ndarray:
 def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
                    winding_vector: np.ndarray | None = None,
                    flux_scale: float = 1.0) -> SweepResult:
-    """Solve the interface problem at every angle of one electrical period.
+    """Solve the interface problem at every angle of a 1-D array (one
+    electrical period), block by block.
 
     Only the flux linkage samples and the interface coefficients are kept;
     interior fields are reconstructed on demand from the stored
     coefficients (reconstruct_state).
     """
     angles = np.asarray(angles, dtype=float)
-    lambdas = solve_interface(pre, angles)
+    lambdas = np.empty(angles.shape + pre.orders.shape)
     psi = np.zeros(angles.size)
     if winding_vector is not None:
         chi_X = winding_vector @ pre.st.X    # row vector of length n_harmonics
-        rotated = matvec(rotation_matrix(pre.orders, angles), lambdas)
-        psi = flux_scale * (float(winding_vector @ pre.st.y) + matvec(chi_X, rotated))
+    for rows, R, lam in _interface_blocks(pre, angles, pre.st.g, pre.rt.g):
+        lambdas[rows] = lam
+        if winding_vector is not None:
+            psi[rows] = matvec(chi_X, matvec(R, lam))
+    if winding_vector is not None:
+        psi = flux_scale * (float(winding_vector @ pre.st.y) + psi)
     return SweepResult(angles=angles, psi=psi, lambdas=lambdas)
 
 

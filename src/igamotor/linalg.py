@@ -5,9 +5,9 @@ The sparse factorization wraps SuperLU in symmetric mode with a
 fill-reducing ordering; one factorization is amortized over the many
 harmonic right-hand sides and rotor angles of the coupling precomputation.
 Everything is real: complex input is rejected rather than cast.  The
-interface systems of all rotor angles come as one (n_angles, n_h, n_h)
-stack and are solved by numpy's stacked gufuncs, which give every matrix
-the bits of its own single solve.
+interface systems of the rotor angles come as (n, n_h, n_h) stacks, a block
+of angles at a time, and are solved by numpy's stacked gufuncs, which give
+every matrix the bits of its own single solve.
 """
 from __future__ import annotations
 
@@ -101,12 +101,15 @@ def spd_stack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if b.shape[:A.ndim - 1] != A.shape[:-1]:
         raise ValueError("dimension mismatch")
+    # the Frobenius norms (as np.linalg.norm forms them) before the factor,
+    # and the factor freed once its pivots are read: one stack-sized
+    # temporary at a time
+    norm = np.sqrt(np.add.reduce(A * A, axis=(-2, -1)))
     try:
-        L = np.linalg.cholesky(A)
+        pivots = np.diagonal(np.linalg.cholesky(A), axis1=-2, axis2=-1) ** 2
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("interface system not positive definite") from exc
-    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-    if not np.all(pivots.min(axis=-1) >= 1e-14 * np.linalg.norm(A, axis=(-2, -1))):
+    if not np.all(pivots.min(axis=-1) >= 1e-14 * norm):
         raise SingularSystemError("interface system numerically singular")
     return np.linalg.solve(A, b[..., None])[..., 0]
 

@@ -24,6 +24,7 @@ from .coupling import (
     CouplingPrecomp,
     harmonic_orders,
     precompute_side,
+    reconstruct_state,
     rotation_sweep,
     sweep_angles,
 )
@@ -39,7 +40,7 @@ from .geometry import (
     checked_float,
     checked_int,
 )
-from .linalg import factorize, matvec
+from .linalg import factorize
 
 # below this the THD is the rounding noise of a distortion-free spectrum
 THD_ROUNDOFF = 1e4 * np.finfo(float).eps
@@ -230,9 +231,12 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
                                             sweep.index_set, mats)
             adj = solve_adjoints(pre, solver.winding, sens, solver.angles,
                                  solver.flux_scale)
-            u_rt = pre.rt.y + matvec(pre.rt.X, sweep.lambdas)   # rotor block only
+            # the forward rotor fields (15 MB at refinement 4) are passed, not
+            # named: nothing holds them through the metric and the line search
             gradient = assemble_shape_gradient(rotor, solver.dm_rt, design,
-                                               u_rt, adj.rotor_fields(),
+                                               reconstruct_state(pre, sweep.angles,
+                                                                 sweep.lambdas).u_rt,
+                                               adj.rotor_fields(),
                                                solver.relmap_rt, solver.cfg)
             metric = assemble_vector_metric(rotor, solver.dm_rt, design.mask)
             W = descent_field(gradient, metric)

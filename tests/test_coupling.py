@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from igamotor import coupling
 from igamotor.coupling import (
+    CouplingPrecomp,
     assemble_full_saddle,
     build_full_matrix,
     harmonic_orders,
@@ -13,13 +17,23 @@ from igamotor.coupling import (
     sweep_angles,
 )
 from igamotor.fourier import attach_spectrum
+from igamotor.optim import MachineSolver
 
-from conftest import zero_source_precompute
+from conftest import coarse_config, zero_source_precompute
 
 
 @pytest.fixture(scope="module")
 def pre(coarse_pre):
     return coarse_pre
+
+
+@pytest.fixture(scope="module")
+def solver24():
+    """A refinement-1 machine with 24 pole-multiple harmonics, the harmonic
+    count of the refinement-2 and -4 benchmarks, and its precomputation."""
+    solver = MachineSolver(coarse_config(refinement=1, n_harmonics=24,
+                                         harmonics_multiple_of_poles=True))
+    return solver, solver.precompute(solver.rotor0)
 
 
 def test_harmonic_orders_default_and_restricted():
@@ -207,3 +221,69 @@ def test_sweep_zero_mean_and_reconstruction(coarse_cfg, pre, coarse_winding):
     direct = solve_at_angle(pre, angles[3])
     np.testing.assert_allclose(state.u_rt, direct.u_rt, atol=1e-15)
 
+
+def test_blocked_solves_match_per_angle_solves(solver24, rng):
+    # every block size boundary: one angle, a partial block, one full block,
+    # one angle past it, and two full blocks with a partial third
+    solver, pre = solver24
+    B = coupling._block_angles(pre.orders.size)
+    assert (B, coupling._block_angles(12)) == (28, 113)
+    chi_X = solver.winding @ pre.st.X
+    for n in (1, B - 1, B, B + 1, 2 * B + 3):
+        angles = np.linspace(0.0, 2.0, n) + 0.013
+        single = np.array([solve_interface(pre, alpha) for alpha in angles])
+        np.testing.assert_array_equal(solve_interface(pre, angles), single)
+        sweep = rotation_sweep(pre, angles, solver.winding, solver.flux_scale)
+        np.testing.assert_array_equal(sweep.lambdas, single)
+        psi = [rotation_sweep(pre, angles[i:i + 1], solver.winding, solver.flux_scale).psi[0]
+               for i in range(n)]
+        np.testing.assert_array_equal(sweep.psi, psi)
+        # the adjoint form: a per-angle stator right-hand side, no rotor load
+        g_st = rng.standard_normal(n)[:, None] * chi_X
+        adjoint = [solve_interface(pre, alpha, g_st=g, g_rt=0) for alpha, g in zip(angles, g_st)]
+        np.testing.assert_array_equal(solve_interface(pre, angles, g_st=g_st, g_rt=0), adjoint)
+
+
+def test_sweep_memory_does_not_grow_with_angles(solver24):
+    # a sweep holds a few block-sized stacks, not one (n_angles, n_h, n_h)
+    # stack per intermediate: past the outputs, its peak is the same for
+    # 120 and 240 angles
+    solver, pre = solver24
+
+    def traced_peak(n_angles):
+        angles = np.linspace(0.0, 2.0, n_angles)
+        tracemalloc.start()
+        try:
+            sweep = rotation_sweep(pre, angles, solver.winding, solver.flux_scale)
+            return tracemalloc.get_traced_memory()[1], sweep.lambdas.nbytes + sweep.psi.nbytes
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(120)                      # first-call allocations out of the way
+    peak120, _ = traced_peak(120)
+    peak240, outputs240 = traced_peak(240)
+    assert peak120 < 1 << 20
+    assert peak240 - peak120 <= outputs240
+
+
+def test_rotor_field_never_reads_the_stator_solution(pre):
+    class Watched:
+        """The stator precomputation, recording which attributes are read."""
+
+        def __init__(self, side):
+            self.side, self.read = side, []
+
+        def __getattr__(self, name):
+            self.read.append(name)
+            return getattr(self.side, name)
+
+    angles = np.array([0.0, 0.3, 1.1])
+    lambdas = solve_interface(pre, angles)
+    stator = Watched(pre.st)
+    state = reconstruct_state(CouplingPrecomp(stator, pre.rt, pre.orders), angles, lambdas)
+    reference = reconstruct_state(pre, angles, lambdas)
+    np.testing.assert_array_equal(state.u_rt, reference.u_rt)
+    assert state.u_rt is state.u_rt               # formed once
+    assert stator.read == []
+    np.testing.assert_array_equal(state.u_st, reference.u_st)
+    assert "X" in stator.read

@@ -1,5 +1,7 @@
 import functools
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -440,3 +442,25 @@ def test_displace_gathers_bitwise_and_shares_the_parent_space(coarse_machine, co
             assert not patch.points.flags.writeable
     with pytest.raises(ValueError):
         rotor.patches[0].with_points(np.zeros((2, 2, 2)))
+
+
+def test_forward_rotor_fields_are_freed_before_the_line_search(monkeypatch):
+    # the n_angles x n_free forward rotor fields are read only by the shape
+    # gradient: nothing may keep them through the metric and the line search
+    received = []
+    real_gradient, real_search = optim.assemble_shape_gradient, optim.line_search
+
+    def gradient(model, dofmap, design, u_rt, *rest):
+        received.append(weakref.ref(u_rt))
+        return real_gradient(model, dofmap, design, u_rt, *rest)
+
+    def search(*args):
+        gc.collect()
+        assert received[-1]() is None
+        return real_search(*args)
+
+    monkeypatch.setattr(optim, "assemble_shape_gradient", gradient)
+    monkeypatch.setattr(optim, "line_search", search)
+    state = run_optimization(coarse_config(harmonics_multiple_of_poles=True),
+                             opt_cfg(max_iterations=2))
+    assert state.iteration == 2 and len(received) == 2
