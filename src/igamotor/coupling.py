@@ -35,10 +35,13 @@ the blocking.  reconstruct_state forms each interior field when it is
 first read.
 
 CouplingPrecomp is the one representation of the coupled system: it holds
-K, G and j of each side beside the factorizations and products, and the
-harmonic orders.  The full-system oracles (assemble_full_saddle,
-full_residual) read their blocks from it; agreement with the directly
-solved full system is the primary correctness oracle.
+K, G and j of each side beside the products X, y, H and g, and the
+harmonic orders.  No sparse factorization outlives the precomputation: each
+side's K is factored, solved once for the stacked columns [G j] and
+dropped, since the per-angle stage reads only the products.  The
+full-system oracles (assemble_full_saddle, full_residual) read their blocks
+from it; agreement with the directly solved full system is the primary
+correctness oracle.
 """
 from __future__ import annotations
 
@@ -50,7 +53,7 @@ import scipy.sparse as sp
 
 from .errors import StabilityError
 from .fourier import SweepResult
-from .linalg import SpdFactorization, factorize, matvec, real_lu, spd_stack_solve
+from .linalg import factorize, matvec, real_lu, spd_stack_solve
 
 
 def harmonic_orders(n_harmonics: int, multiples_of: int = 1) -> np.ndarray:
@@ -149,10 +152,11 @@ def assemble_full_saddle(pre: CouplingPrecomp, alpha: float) -> FullSaddleSoluti
 
 @dataclass
 class SidePrecomp:
-    """Angle-independent data of one side."""
+    """Angle-independent data of one side: its blocks and the products of
+    one solve with K, but not K's factorization, which no angle stage
+    reads."""
 
     K: sp.spmatrix
-    factor: SpdFactorization
     G: np.ndarray
     j: np.ndarray
     X: np.ndarray          # K^-1 G
@@ -161,31 +165,38 @@ class SidePrecomp:
     g: np.ndarray          # G^T K^-1 j
 
 
+def _solve_columns(K: sp.spmatrix, G: np.ndarray, j: np.ndarray):
+    """(X, y) = (K^-1 G, K^-1 j) from one solve of the stacked columns
+    [G j] with a factorization that is freed on return.  The solve returns
+    Fortran order, so X, a column slice, keeps the layout of a solve of G
+    alone, and every product with it its bits."""
+    Xy = factorize(K).solve(np.column_stack([G, j]))
+    return Xy[:, :-1], Xy[:, -1]
+
+
 def precompute_side(K: sp.spmatrix, G: np.ndarray, j: np.ndarray) -> SidePrecomp:
-    factor = factorize(K)
-    X = factor.solve(G)
-    y = factor.solve(j)
-    return SidePrecomp(K, factor, G, j, X, y, G.T @ X, G.T @ y)
+    X, y = _solve_columns(K, G, j)
+    return SidePrecomp(K, G, j, X, y, G.T @ X, G.T @ y)
 
 
 @dataclass
 class CouplingPrecomp:
-    """Factorized blocks and products reused by every angle solve."""
+    """Blocks and products reused by every angle solve."""
 
     st: SidePrecomp
     rt: SidePrecomp
     orders: np.ndarray
 
     def verify(self, tol: float = 1e-12) -> float:
-        """Max relative deviation of stored products from recomputation."""
+        """Max relative deviation of the stored products X, y, H and g from
+        their recomputation with a fresh factorization of each side's K."""
         worst = 0.0
         for side in (self.st, self.rt):
-            X2 = side.factor.solve(side.G)
-            H2 = side.G.T @ X2
-            scale = max(float(np.abs(side.H).max()), 1e-300)
-            worst = max(worst, float(np.abs(H2 - side.H).max()) / scale)
-            yscale = max(float(np.abs(side.y).max()), 1e-300)
-            worst = max(worst, float(np.abs(side.factor.solve(side.j) - side.y).max()) / yscale)
+            X2, y2 = _solve_columns(side.K, side.G, side.j)
+            for old, new in ((side.X, X2), (side.y, y2),
+                             (side.H, side.G.T @ X2), (side.g, side.G.T @ y2)):
+                scale = max(float(np.abs(old).max()), 1e-300)
+                worst = max(worst, float(np.abs(new - old).max()) / scale)
         if worst > tol:
             raise StabilityError("precomputed products drift by %.3e" % worst)
         return worst

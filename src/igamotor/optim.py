@@ -84,8 +84,10 @@ class MachineSolver:
     """The assembled machine for one configuration, shared by the optimizer
     and every CLI command.
 
-    The stator side (stiffness factorization, coupling moments, winding) is
-    assembled once; per rotor geometry only the rotor stiffness is rebuilt.
+    The stator side (stiffness, coupling moments and the products of its
+    one solve, winding) is assembled once; its factorization is dropped
+    after that solve.  Per rotor geometry only the rotor stiffness is
+    rebuilt, factored and solved.
     The magnet source and rotor coupling moments are invariant under the
     admissible deformations (magnet patches and the interface are masked
     fixed) and are cached from the initial rotor.
@@ -111,7 +113,8 @@ class MachineSolver:
         self.relmap_rt = build_reluctivity_map(self.rotor0, cfg)
 
     def precompute(self, rotor: MultipatchModel) -> CouplingPrecomp:
-        """Reuses the stator factorization; factors only the rotor side."""
+        """Reuses the stator products; factors only the rotor side, and
+        keeps its products but not its factorization."""
         K_rt = assemble_stiffness(rotor, self.dm_rt, self.relmap_rt)
         rt = precompute_side(K_rt, self._G_rt, self._j_rt)
         return CouplingPrecomp(self._st_pre, rt, self.orders)

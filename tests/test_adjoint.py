@@ -19,7 +19,7 @@ from igamotor.design import DesignSpace
 from igamotor.errors import DegenerateSignalError
 from igamotor.fourier import build_derivative_dft, emf_spectrum, thd
 from igamotor.geometry import build_demo_machine, build_dof_map, edge_nodes
-from igamotor.linalg import matvec
+from igamotor.linalg import SpdFactorization, factorize, matvec
 from igamotor.optim import MachineSolver
 
 from conftest import coarse_config, zero_source_precompute
@@ -125,7 +125,7 @@ def _stator_adjoint(pre, solver, s, angles, adj):
     """Stator adjoint fields coef_i K_st^-1 chi + X_st R(alpha_i) lam_i with
     coef_i = -s_i * flux_scale, one row per angle."""
     coef = -np.asarray(s) * solver.flux_scale
-    y_chi = pre.st.factor.solve(solver.winding)
+    y_chi = factorize(pre.st.K).solve(solver.winding)
     R = rotation_matrix(pre.orders, angles)
     return coef[:, None] * y_chi + matvec(pre.st.X, matvec(R, adj.lambdas))
 
@@ -159,18 +159,18 @@ def test_adjoint_solves_transposed_system(forward, solver, mats):
 
 def test_solve_adjoints_needs_no_stator_solve(forward, solver, mats, monkeypatch):
     # G_st^T K_st^-1 chi = X_st^T chi: the old form with its stator solve,
-    # then the adjoint with every stator solve raising
+    # then the adjoint with every sparse solve raising
     sweep, pre = forward
     s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
     coef = -s * solver.flux_scale
-    g_st = coef[:, None] * (pre.st.G.T @ pre.st.factor.solve(solver.winding))
+    g_st = coef[:, None] * (pre.st.G.T @ factorize(pre.st.K).solve(solver.winding))
     lambdas = solve_interface(pre, solver.angles, g_st=g_st, g_rt=0)
     rotor = matvec(pre.rt.X, lambdas)
 
-    def no_solve(b):
-        raise AssertionError("stator solve in the adjoint")
+    def no_solve(self, b):
+        raise AssertionError("sparse solve in the adjoint")
 
-    monkeypatch.setattr(pre.st.factor, "solve", no_solve)
+    monkeypatch.setattr(SpdFactorization, "solve", no_solve)
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
     for new, old in ((adj.lambdas, lambdas), (adj.rotor, rotor)):
         assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
@@ -181,7 +181,7 @@ def test_adjoint_duality_identity(forward, solver, mats, rng):
     s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
     delta_j = rng.standard_normal(pre.rt.y.size)
-    y_pert = pre.rt.factor.solve(delta_j)
+    y_pert = factorize(pre.rt.K).solve(delta_j)
     g_pert = pre.rt.G.T @ y_pert
     # the stator field of the rotor load delta_j alone (no stator load)
     lam_pert = solve_interface(pre, solver.angles, g_st=np.zeros(pre.orders.size),

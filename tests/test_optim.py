@@ -1,18 +1,20 @@
 import functools
 import gc
 import json
+import types
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import Phase, given, settings, strategies as st
 
 from igamotor import optim
 from igamotor.assembly import assemble_vector_metric, detj_quadratic
 from igamotor.cli import main
 from igamotor.design import DesignSpace
-from igamotor.errors import ConfigError, DegenerateSignalError
+from igamotor.errors import ConfigError, DegenerateSignalError, StabilityError
 from igamotor.geometry import (
     MachineConfig,
     MultipatchModel,
@@ -20,7 +22,7 @@ from igamotor.geometry import (
     build_dof_map,
     check_mesh_validity,
 )
-from igamotor.linalg import factorize
+from igamotor.linalg import SpdFactorization, factorize
 from igamotor.optim import (
     LineSearchResult,
     MachineSolver,
@@ -464,3 +466,42 @@ def test_forward_rotor_fields_are_freed_before_the_line_search(monkeypatch):
     state = run_optimization(coarse_config(harmonics_multiple_of_poles=True),
                              opt_cfg(max_iterations=2))
     assert state.iteration == 2 and len(received) == 2
+
+
+def _reachable(*roots):
+    """Every object reachable from ``roots`` through ``gc.get_referents``,
+    not entering classes, modules or functions (whose globals reach
+    everything)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, found, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.fixture(scope="module")
+def solver_r1():
+    return MachineSolver(coarse_config(refinement=1, harmonics_multiple_of_poles=True))
+
+
+def test_no_sparse_factorization_is_retained(solver_r1):
+    # each K is factored for one solve of [G j]: neither the machine nor an
+    # evaluated rotor keeps a factorization or its SuperLU
+    result = solver_r1.evaluate(solver_r1.rotor0)
+    objects = _reachable(solver_r1, result)
+    assert any(obj is result[1].rt.X for obj in objects)     # the walk reaches the products
+    assert not [obj for obj in objects if isinstance(obj, (SpdFactorization, spla.SuperLU))]
+
+
+def test_verify_detects_a_corrupted_product(solver_r1):
+    # verify factors each K itself, so it still sees drift in the stored X
+    _, pre = solver_r1.evaluate(solver_r1.rotor0)
+    assert pre.verify() < 1e-12
+    pre.rt.X[3, 2] += 1e-9 * np.abs(pre.rt.X).max()
+    with pytest.raises(StabilityError):
+        pre.verify()
