@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import _scatter_add
 from .coupling import CouplingPrecomp, solve_interface
 from .design import DesignSpace
 from .errors import DegenerateSignalError
@@ -74,6 +75,8 @@ class AdjointSet:
         return matvec(self.X_rt, self.lambdas)
 
     def rotor_fields(self):
+        """:attr:`rotor`, under the name ``perfbench/workloads.py`` calls,
+        its last caller; ROADMAP item 2's code change removes it."""
         return self.rotor
 
 
@@ -119,7 +122,8 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
     dofs without support in deforming patches are exactly zero.  The
     element gradients and weights come from the plan's element tables, so
     on the optimizer's rotor they are read, not rebuilt.  ``cfg`` is
-    ignored; it stays for callers that pass it positionally.
+    ignored: ``perfbench/workloads.py``, its last caller, passes it
+    positionally; ROADMAP item 2's code change removes it.
     """
     U = np.asarray(u_rt_list, dtype=float)          # (NL, n_free)
     P = np.asarray(p_rt_list, dtype=float)
@@ -144,5 +148,4 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
             targets[pid], contribs[pid] = di[valid], c[valid]
     targets = np.concatenate([targets[pid] for pid in design.patch_ids])
     contribs = np.concatenate([contribs[pid] for pid in design.patch_ids])
-    return np.concatenate([np.bincount(targets, weights=contribs[:, c],
-                                       minlength=design.n_points) for c in (0, 1)])
+    return _scatter_add(targets, contribs, design.n_points).T.reshape(-1)

@@ -1,62 +1,38 @@
 """Quadrature and Galerkin assembly on multipatch NURBS models.
 
-Per-patch tables of basis values, physical gradients and weighted Jacobian
-determinants are built per geometry and reused by stiffness, source,
-winding, coupling and metric assembly.  The rational basis values and
-parametric derivatives at the Gauss points depend on the knots, degrees and
-weights only, never on the control points; a shape update moves control
-points alone, so every shape the optimizer tries rebuilds only the
-Jacobian.  These space tables, and the 1D tables they are built from, come
-from :func:`igamotor.splines.rational_basis` on whole tables.
+Every integral reaches the mesh by one route: plan -> batches -> tables ->
+one scatter per quantity.
 
-Space tables are shared between patches whose knots, degrees, weights and
-Gauss count have equal values (the demo stator's 108 patches share one).
-They and the 1D tables live in a dict keyed by those values, owned by the
-:class:`AssemblyPlan` of the dof map they serve (``plan.tables``), so they
-are freed with the machine; callers without a dof map fill a dict of
-their own for the one call.
+* Plan: what depends on the dof map alone is owned by its
+  :class:`AssemblyPlan` (``DofMap.plan``) and freed with it: the basis
+  tables, the batches of each patch list and the CSR scatters of the
+  rotor's operators.  It serves models on the dof map's own knots and
+  weights objects, which ``DesignSpace.displace`` shares between rotors;
+  other models are grouped and scattered afresh.
+* Batches: patches whose knots, degrees, weights and Gauss count have
+  equal values share one space table, the rational basis values and
+  parametric derivatives at the Gauss points, which do not depend on the
+  control points (the demo rotor's 54 patches share 3, the stator's 108
+  share 1).  Patches on one space are stacked into batches of at most 256
+  elements, one refinement-4 patch, and at least one patch.
+* Tables: det J, weight x det J, physical gradients (laid out
+  (G, E, L, Q, 2), so the (L, 2Q) element operand is a view) and Gauss
+  points of a (G, E, Q, L) batch come from ``np.matmul`` stacks: G
+  patches, E elements, Q points, L local functions.  Each entry is
+  computed as for a single patch, so batching changes no bit;
+  :func:`build_patch_tables` is the one-patch case.  The plan keeps the
+  :class:`RotorGeometry` of the last rotor it saw, read by the stiffness,
+  the metric, the shape gradient and the mesh check; the next rotor
+  replaces it.  The stator's tables are built for the one call.
+* One scatter per quantity: element contributions are summed in
+  patch/element/local order by one ``np.bincount``, the operators into
+  the CSR data through the plan's slots, the vectors and the coupling
+  moments (every interface element of every edge evaluated in one pass)
+  into the global numbering by :func:`_scatter_add`, which adds each
+  entry's terms in the order of a sequential ``np.add.at``.  So assembled
+  quantities are bit-reproducible, and a restricted operator is bitwise
+  the unrestricted one with its eliminated rows and columns removed.
 
-The element kernels are batched matrix products (``np.matmul``, so BLAS
-does the contractions) over a (G, E, Q, L) stack: G patches that share one
-cached space, E elements each, Q Gauss points, L local functions.  The
-demo rotor's 54 patches share 3 spaces and the stator's 108 share 1, so
-at refinement 0, where a patch is one element, the stiffness, metric,
-shape gradient and mesh check run a few batches, not one Python pass per
-patch.  A batch holds at most 256 elements (and at least one patch): that
-is one refinement-4 patch, so fine meshes keep one-patch batches, while
-whole-group stacks would hold every patch's transients at once.  Each
-entry is computed as for a single patch and element blocks are summed in
-patch order, so batching changes no bit; :func:`build_patch_tables` is the
-one-patch case of the same kernel.  Physical gradients are laid out
-(G, E, L, Q, 2), so the (L, 2Q) element operand of the kernels is a view.
-
-A rotor's geometry is built once per shape: the :class:`RotorGeometry`
-that the plan keeps for the last rotor it saw (keyed by the identity of
-its patch objects) holds det J, weight x det J, the physical gradients and
-the grad-grad element blocks Ge of every patch.  The stiffness reads nu Ge,
-the metric Ge plus its mass term, the shape gradient the gradients and
-weights, and the mesh check det J, so one design step builds each rotor
-patch's tables once instead of once per operator.  The next rotor replaces
-it, which frees a rejected trial's arrays.  Other models, the stator
-among them, are assembled once per machine: their tables are built batch
-by batch for the one call and never kept.
-
-What depends on the dof map alone is owned by its :class:`AssemblyPlan`
-(``DofMap.plan``), built on first use and freed with the dof map, so with
-the machine that holds it.  The plan keeps the grouping of a patch list
-into batches, and the sparsity pattern of the rotor's operators directly
-in their restricted numbering (free dofs for the stiffness, masked dofs
-for the metric): CSR index arrays and the CSR slot of every
-element-matrix entry, with the entries of eliminated rows and columns sent
-one past the data.  A new shape only sums its element entries into the
-CSR data with ``np.bincount``.  The plan serves the models whose patches
-carry the dof map's own knots and weights objects, which
-``DesignSpace.displace`` shares between rotors; other models are grouped
-and scattered afresh.  Coupling moments are evaluated on all interface
-elements and Gauss points at once from the 1D tables.  Element
-contributions are merged in a fixed patch/element order, so assembled
-operators are bit-reproducible, and a restricted operator is bitwise the
-unrestricted one with its eliminated rows and columns removed.
 :func:`eval_field` evaluates a field on the basis of
 :func:`igamotor.splines.patch_basis`.
 """
@@ -68,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigError, GeometryError
-from .geometry import DofMap, MachineConfig, MultipatchModel, RegionTag, edge_discretization, edge_nodes
+from .geometry import DofMap, MachineConfig, MultipatchModel, RegionTag, _edge_index, edge_discretization
 from .splines import KnotVector, NurbsPatch, bspline_basis, patch_basis, rational_basis
 
 MU0 = 4e-7 * np.pi
@@ -125,13 +101,12 @@ def _basis_table_1d(kv: KnotVector, n_gauss: int, tables: dict):
 
 @dataclass
 class PatchTables:
-    """Tensorized quadrature data for one patch.
+    """The batch tables of one patch (:func:`build_patch_tables`).
 
     Shapes: E elements, Q points per element, L = (p_u+1)(p_v+1) local
     functions.  ``grad`` holds physical gradients; ``wdet`` the quadrature
     weight times det(J).  ``dofs`` and ``val`` depend on the knots and
-    weights only: they are shared, read-only arrays from the space cache
-    (as are the quadrature weights behind ``wdet``).
+    weights only: they are the read-only arrays of the space table.
     """
 
     dofs: np.ndarray      # (E, L) patch-local dof indices
@@ -193,15 +168,15 @@ def _check_gauss(patch: NurbsPatch) -> int:
 _BATCH_ELEMENTS = 256
 
 
-def _group(patches, tables: dict):
-    """Group ``patches`` by their shared space tables (mesh-check Gauss
-    count, kept in ``tables``) in chunks of at most ``_BATCH_ELEMENTS``
-    elements, and at least one patch: [(ids, space)], ids the chunk's
-    positions in ``patches``, increasing.  Groups come in order of first appearance and chunks in
-    patch order."""
+def _group(patches, tables: dict, n_gauss: int | None = None):
+    """Group ``patches`` by their shared space tables (kept in ``tables``;
+    mesh-check Gauss count when ``n_gauss`` is None) in chunks of at most
+    ``_BATCH_ELEMENTS`` elements, and at least one patch: [(ids, space)],
+    ids the chunk's positions in ``patches``, increasing.  Groups come in
+    order of first appearance and chunks in patch order."""
     groups = {}
     for i, patch in enumerate(patches):
-        space = _space_tables(patch, _check_gauss(patch), tables)
+        space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss, tables)
         groups.setdefault(id(space), (space, []))[1].append(i)
     chunks = []
     for space, ids in groups.values():
@@ -210,11 +185,12 @@ def _group(patches, tables: dict):
     return chunks
 
 
-def _patch_batches(patches, plan):
+def _patch_batches(patches, plan, n_gauss: int | None = None):
     """Yields (ids, space, P) for each chunk of :func:`_group`, taken from
     ``plan`` (an :class:`AssemblyPlan`, or None for a one-off grouping):
     P the chunk's (G, E, L, 2) local control points."""
-    for ids, space in (_group(patches, {}) if plan is None else plan.groups(patches)):
+    chunks = _group(patches, {}, n_gauss) if plan is None else plan.groups(patches, n_gauss)
+    for ids, space in chunks:
         P = np.stack([patches[i].points.reshape(-1, 2) for i in ids]).take(space[0], axis=1)
         yield ids, space, P
 
@@ -259,33 +235,26 @@ def _table_shapes(detj, space):
 
 
 def _batch_tables(space, P, require_regular: bool = True):
-    """(det J, physical gradients, weight x det J) of a stack of patches on
-    one space: (G, E, Q), (G, E, L, Q, 2), (G, E, Q).  Every entry is
-    computed as for a single patch, so it is bitwise the same in any batch."""
+    """(det J, physical gradients, weight x det J, Gauss points) of a stack
+    of patches on one space: (G, E, Q), (G, E, L, Q, 2), (G, E, Q),
+    (G, E, Q, 2).  Every entry is computed as for a single patch, so it is
+    bitwise the same in any batch."""
     j_xi, j_eta, detj = _jacobian(space, P)
     if require_regular:
         _check_regular(detj)
-    wdet, grad, _ = _table_shapes(detj, space)
-    wdet, grad = np.empty(wdet), np.empty(grad)
+    wdet, grad = (np.empty(shape) for shape in _table_shapes(detj, space)[:2])
     _gradients(space, j_xi, j_eta, detj, wdet, grad)
-    return detj, grad, wdet
-
-
-def _tables_on(space, patch: NurbsPatch, require_regular: bool = True) -> PatchTables:
-    """Tables of one patch on its space: the one-patch stack of
-    :func:`_batch_tables`, gradients as (E, Q, L, 2)."""
-    dofs, R = space[:2]
-    P = patch.points.reshape(-1, 2).take(dofs, axis=0)[None]   # (1, E, L, 2)
-    detj, grad, wdet = _batch_tables(space, P, require_regular)
-    return PatchTables(dofs, R, np.ascontiguousarray(grad[0].transpose(0, 2, 1, 3)),
-                       detj[0], wdet[0], (R @ P)[0])
+    return detj, grad, wdet, space[1] @ P
 
 
 def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
                        require_regular: bool = True) -> PatchTables:
-    """Tables of one patch (mesh-check Gauss count by default)."""
-    space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss, {})
-    return _tables_on(space, patch, require_regular)
+    """Tables of one patch: the one-patch batch of :func:`_patch_batches`
+    (mesh-check Gauss count by default), gradients as (E, Q, L, 2)."""
+    (_, space, P), = _patch_batches([patch], None, n_gauss)
+    detj, grad, wdet, xy = _batch_tables(space, P, require_regular)
+    return PatchTables(space[0], space[1], np.ascontiguousarray(grad[0].transpose(0, 2, 1, 3)),
+                       detj[0], wdet[0], xy[0])
 
 
 def min_detj(patches, plan) -> float:
@@ -349,13 +318,15 @@ def phase_current(cfg: MachineConfig, phase: int, t: float) -> float:
     return cfg.current_amplitude * np.cos(t - 2.0 * np.pi * (phase - 1) / 3.0)
 
 
-def magnetization_perp(tag: RegionTag, cfg: MachineConfig, xy: np.ndarray) -> np.ndarray:
-    """(-M2, M1) samples for a radially magnetized magnet patch.
+def magnetization_perp(sign, cfg: MachineConfig, xy: np.ndarray) -> np.ndarray:
+    """(-M2, M1) samples at the points ``xy`` (..., 2) of radially
+    magnetized magnets with the polarity ``sign`` (+-1, or an array of them
+    that broadcasts against ``xy[..., 0]``).
 
     |M| = remanence / mu0; the rotated vector is azimuthal.
     """
     r = np.linalg.norm(xy, axis=-1)
-    scale = tag.sign * cfg.remanence / MU0
+    scale = sign * cfg.remanence / MU0
     out = np.empty_like(xy)
     out[..., 0] = -xy[..., 1] / r * scale
     out[..., 1] = xy[..., 0] / r * scale
@@ -380,7 +351,8 @@ def _csr_scatter(groups, maps, n_global: int, keep):
     patch are ordered globally.  They come in per-patch runs that are
     nearly sorted already (a patch numbers most of its points in its own
     order), so they are ordered by a stable sort, which merges such runs,
-    not by the quicksort of ``np.unique``; equal pairs then share a slot."""
+    not by the quicksort of ``np.unique``; equal pairs then share a slot.
+    Each transient is freed once it has been read."""
     if keep is None:
         index, n = None, n_global
     else:
@@ -391,6 +363,7 @@ def _csr_scatter(groups, maps, n_global: int, keep):
     n_entries = sum(len(ids) * space[0].shape[0] * space[0].shape[1] ** 2 for ids, space in groups)
     index_type = np.int32 if max(n_entries, n) < np.iinfo(np.int32).max else np.int64
     local = {}
+    # where[i]: the start of patch i's codes and its entries' positions among them
     codes, where, size = [], [None] * len(maps), 0
     for ids, space in groups:
         dofs = space[0]
@@ -410,10 +383,9 @@ def _csr_scatter(groups, maps, n_global: int, keep):
             code[(row < 0) | (col < 0)] = dropped
         codes.append(code.reshape(-1))
         for k, i in enumerate(ids):
-            where[i] = size + k * rows.size + inverse
+            where[i] = (size + k * rows.size, inverse)
         size += code.size
     codes = np.concatenate(codes)
-    where = np.concatenate(where)
     # sorted unique pairs (row-major order, no duplicates) and the slot of each code
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
@@ -424,13 +396,18 @@ def _csr_scatter(groups, maps, n_global: int, keep):
     del codes
     inverse = np.empty(order.size, dtype=index_type)
     inverse[order] = np.cumsum(new, dtype=index_type) - 1
+    del order, new
     if pairs.size and pairs[-1] == dropped:
         pairs = pairs[:-1]
-    slots = inverse[where]
+    slots = np.concatenate([inverse[start + positions] for start, positions in where])
+    del inverse
     row = pairs // n
     indptr = np.zeros(n + 1, dtype=index_type)
     np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    return indptr, (pairs - row * n).astype(index_type), slots
+    row *= n
+    pairs -= row                           # the column of each pair
+    del row
+    return indptr, pairs.astype(index_type), slots
 
 
 def _element_tables(jacobians, arrays=None):
@@ -491,28 +468,16 @@ class RotorGeometry:
 
 
 class AssemblyPlan:
-    """The assembly data of one dof map (``DofMap.plan``): space and 1D
-    basis tables, patch batches and CSR scatters, which do not depend on
-    the shape, and the :class:`RotorGeometry` of the last rotor assembled.
-
-    A shape update moves control points only, so every model whose patches
-    are on the dof map's own knots and weights objects (the ones it was
-    built from, which ``DesignSpace.displace`` shares between rotors) has
-    the same grouping of patches into batches on shared spaces and the same
-    sparsity pattern.  The plan keeps the groupings per patch list, and
-    the scatters of a rotor per restriction, and is freed with the dof
-    map.  Patches on other knots or weights objects are grouped and
-    scattered afresh on every call.  ``tables`` keeps the space and 1D
-    tables of every patch assembled through the plan, keyed by value
-    (:func:`_space_tables`).
-
-    The plan keeps the geometry of one rotor at a time, keyed by the
-    identity of its patch objects: a design step reads it in the stiffness,
-    the shape gradient, the metric and the mesh check, and the next rotor
-    replaces it, so a rejected trial's geometry is freed.  A model of
-    another side (the stator, assembled once per machine) keeps neither a
-    geometry nor a scatter: its tables are built batch by batch for the
-    one call.
+    """The assembly data of one dof map (``DofMap.plan``), freed with it:
+    ``tables``, the space and 1D tables of every patch assembled through
+    it, keyed by value (:func:`_space_tables`); the batches of each list of
+    the dof map's own patches (a shape update moves control points only,
+    so every rotor has the same batches and sparsity patterns); a rotor's
+    CSR scatters per restriction; and the :class:`RotorGeometry` of the
+    last rotor, keyed by the identity of its patch objects, so the next
+    rotor frees a rejected trial's.  Patches on other knots or weights
+    objects are grouped and scattered afresh, and a stator, assembled once
+    per machine, keeps neither a geometry nor a scatter.
     """
 
     def __init__(self, dofmap: DofMap):
@@ -537,14 +502,14 @@ class AssemblyPlan:
             pids.append(base[0])
         return tuple(pids)
 
-    def groups(self, patches):
+    def groups(self, patches, n_gauss: int | None = None):
         """:func:`_group` of ``patches``, kept for the dof map's own patches."""
-        key = self._pids(patches)
-        if key is None:
-            return _group(patches, self.tables)
-        hit = self._groups.get(key)
+        pids = self._pids(patches)
+        if pids is None:
+            return _group(patches, self.tables, n_gauss)
+        hit = self._groups.get((pids, n_gauss))
         if hit is None:
-            hit = self._groups[key] = _group(patches, self.tables)
+            hit = self._groups[pids, n_gauss] = _group(patches, self.tables, n_gauss)
         return hit
 
     def scatter(self, model: MultipatchModel, pids, keep):
@@ -609,21 +574,19 @@ class AssemblyPlan:
 def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
                keep, mass: float = 0.0) -> sp.csr_matrix:
     """Sum over patches of coeffs[pid] * grad-grad (plus optional mass term)
-    on the dofs of the bool mask ``keep``, or on the whole glued global
-    numbering (no boundary elimination) when ``keep`` is None; patches with
-    a zero coefficient are skipped.
-
-    The grad-grad blocks Ge come from the plan's :meth:`AssemblyPlan.
-    element_tables`, the mass term is the batched product (E, L, Q) @
-    (G, E, Q, L).  The element entries are summed into the CSR data by
-    ``np.bincount`` over the plan's scatter, in patch/element order; the
-    entries of dropped dofs fall into the slot past the data.  So every
-    kept entry is the sum of the same terms in the same order as in the
-    unrestricted matrix."""
+    on the dofs of the bool mask ``keep`` (all, with no boundary
+    elimination, when None); patches with a zero coefficient are skipped.
+    The grad-grad blocks come from :meth:`AssemblyPlan.element_tables`.
+    The element entries are summed into the CSR data by one
+    ``np.bincount`` over the plan's scatter in patch/element order, those
+    of dropped dofs into the slot past the data, so every kept entry is the
+    sum of the same terms in the same order as in the unrestricted matrix."""
     pids = [pid for pid, coeff in enumerate(coeffs) if coeff != 0.0]
     if not pids:
         raise AssemblyError("no patch contributes to the operator")
     plan = dofmap.plan
+    # the scatter first, so its transients are freed before the blocks exist
+    indptr, indices, slots = plan.scatter(model, pids, keep)
     # each patch's element blocks go straight to their place in patch order,
     # not into per-batch arrays joined at the end (a second 9 MB at refinement 4)
     geometry = plan.geometry(model)
@@ -642,7 +605,6 @@ def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
             ke += mass * (val.transpose(0, 2, 1) @ (val * wdet[..., None]))
         for pid, block in zip(ids, ke.reshape(len(ids), -1)):
             blocks[starts[pid]:starts[pid] + block.size] = block
-    indptr, indices, slots = plan.scatter(model, pids, keep)
     n = indptr.size - 1
     data = np.bincount(slots, weights=blocks, minlength=indices.size + 1)[:indices.size]
     # the matrix gets its own index arrays: callers may modify it in place
@@ -660,13 +622,44 @@ def assemble_stiffness(model: MultipatchModel, dofmap: DofMap,
     return _h1_matrix(model, dofmap, coeffs, keep=~dofmap.dirichlet)
 
 
-def _tables_by_patch(model: MultipatchModel, dofmap: DofMap, pids, n_gauss):
-    """(pid, :func:`build_patch_tables`) for each pid, on the spaces kept
-    by the dof map's plan."""
-    for pid in pids:
-        patch = model.patches[pid]
-        n = _check_gauss(patch) if n_gauss is None else n_gauss
-        yield pid, _tables_on(_space_tables(patch, n, dofmap.plan.tables), patch)
+def _quadrature(model: MultipatchModel, dofmap: DofMap, pids, n_gauss):
+    """Yields (pids, gd, R, grad, wdet, xy) per batch of the patches
+    ``pids`` of ``model`` on the dof map's plan (:func:`_patch_batches`):
+    gd (G, E, L) the element functions' global dofs, R (E, Q, L) their
+    values and :func:`_batch_tables`.  AssemblyError where det J <= 0."""
+    patches = [model.patches[pid] for pid in pids]
+    for ids, space, P in _patch_batches(patches, dofmap.plan, n_gauss):
+        _, grad, wdet, xy = _batch_tables(space, P)
+        batch = [pids[i] for i in ids]
+        gd = np.stack([dofmap.patch_maps[pid].reshape(-1) for pid in batch]).take(space[0], axis=1)
+        yield batch, gd, space[1], grad, wdet, xy
+
+
+def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, ...) sums of the rows of ``values`` (N, ...) at the rows
+    ``index`` (N,).  One ``np.bincount`` over every (row, column) adds each
+    sum's terms in the given order, as a sequential ``np.add.at`` does, so
+    with its bits."""
+    n_col = int(np.prod(values.shape[1:]))
+    flat = (index[:, None] * n_col + np.arange(n_col)).reshape(-1)
+    total = np.bincount(flat, weights=values.reshape(-1), minlength=n * n_col)
+    return total.reshape((n,) + values.shape[1:])
+
+
+def _assemble_vector(model: MultipatchModel, dofmap: DofMap, pids, n_gauss, kernel) -> np.ndarray:
+    """Free-dof vector of the element contributions
+    ``kernel(sign, R, grad, wdet, xy)`` (G, E, L) of every batch of
+    :func:`_quadrature`, ``sign`` (G, 1, 1) the patches' region signs,
+    summed in patch/element/local order by one :func:`_scatter_add`."""
+    parts = {}                  # pid -> (global dofs, contributions)
+    for ids, gd, *tables in _quadrature(model, dofmap, pids, n_gauss):
+        sign = np.array([model.tags[pid].sign for pid in ids])[:, None, None]
+        parts.update(zip(ids, zip(gd, kernel(sign, *tables))))
+    if not parts:
+        return np.zeros(dofmap.n_free)
+    index, values = (np.concatenate([parts[pid][k].reshape(-1) for pid in sorted(parts)])
+                     for k in (0, 1))
+    return _scatter_add(index, values, dofmap.n_global)[dofmap.free_globals]
 
 
 def assemble_winding_vector(model: MultipatchModel, dofmap: DofMap,
@@ -678,24 +671,19 @@ def assemble_winding_vector(model: MultipatchModel, dofmap: DofMap,
     (sign per slot) and zero elsewhere, so chi^T u integrates the turn
     density against u and the flux linkage is pole_pairs * l_z * chi^T u.
     """
-    vec = np.zeros(dofmap.n_global)
+    def kernel(sign, R, grad, wdet, xy):
+        area = wdet.reshape(sign.size, -1).sum(axis=1)[:, None, None]
+        return sign * cfg.n_turns / area * np.einsum("eql,geq->gel", R, wdet)
+
     pids = [pid for pid, tag in enumerate(model.tags)
             if tag.kind == "coil" and tag.phase == phase]
-    for pid, tab in _tables_by_patch(model, dofmap, pids, n_gauss):
-        tag = model.tags[pid]
-        area = float(tab.wdet.sum())
-        density = tag.sign * cfg.n_turns / area
-        contrib = density * np.einsum("eql,eq->el", tab.val, tab.wdet)
-        np.add.at(vec, dofmap.patch_maps[pid].reshape(-1)[tab.dofs].reshape(-1),
-                  contrib.reshape(-1))
-    return vec[dofmap.free_globals]
+    return _assemble_vector(model, dofmap, pids, n_gauss, kernel)
 
 
 def assemble_rhs(model: MultipatchModel, dofmap: DofMap, cfg: MachineConfig,
                  t: float = 0.0, n_gauss: int | None = None) -> np.ndarray:
     """Source vector: coil currents on the stator side, permanent magnets on
     the rotor side (assembled once, in the rotor frame)."""
-    vec = np.zeros(dofmap.n_global)
     if model.side == "stator":
         free = np.zeros(dofmap.n_free)
         for phase in (1, 2, 3):
@@ -703,40 +691,39 @@ def assemble_rhs(model: MultipatchModel, dofmap: DofMap, cfg: MachineConfig,
             if current != 0.0:
                 free += current * assemble_winding_vector(model, dofmap, cfg, phase, n_gauss)
         return free
+
+    def kernel(sign, R, grad, wdet, xy):
+        mperp = magnetization_perp(sign, cfg, xy)
+        # (G, E, Q, L, 2), contiguous: einsum's summation order follows the layout
+        grad = np.ascontiguousarray(grad.transpose(0, 1, 3, 2, 4))
+        return np.einsum("geqc,geqlc,geq->gel", mperp, grad, wdet)
+
     pids = [pid for pid, tag in enumerate(model.tags) if tag.kind == "magnet"]
-    for pid, tab in _tables_by_patch(model, dofmap, pids, n_gauss):
-        mperp = magnetization_perp(model.tags[pid], cfg, tab.xy)
-        contrib = np.einsum("eqc,eqlc,eq->el", mperp, tab.grad, tab.wdet)
-        np.add.at(vec, dofmap.patch_maps[pid].reshape(-1)[tab.dofs].reshape(-1),
-                  contrib.reshape(-1))
-    return vec[dofmap.free_globals]
+    return _assemble_vector(model, dofmap, pids, n_gauss, kernel)
 
 
 def assemble_load(model: MultipatchModel, dofmap: DofMap, f,
                   n_gauss: int | None = None) -> np.ndarray:
     """Free-dof load vector of a scalar source f(x, y) (manufactured cases)."""
-    vec = np.zeros(dofmap.n_global)
-    for pid, tab in _tables_by_patch(model, dofmap, range(len(model.patches)), n_gauss):
-        fvals = f(tab.xy[..., 0], tab.xy[..., 1])
-        contrib = np.einsum("eq,eql,eq->el", fvals, tab.val, tab.wdet)
-        np.add.at(vec, dofmap.patch_maps[pid].reshape(-1)[tab.dofs].reshape(-1),
-                  contrib.reshape(-1))
-    return vec[dofmap.free_globals]
+    def kernel(sign, R, grad, wdet, xy):
+        return np.einsum("geq,eql,geq->gel", f(xy[..., 0], xy[..., 1]), R, wdet)
+
+    return _assemble_vector(model, dofmap, range(len(model.patches)), n_gauss, kernel)
 
 
 def l2_error(model: MultipatchModel, dofmap: DofMap, u_free: np.ndarray,
              exact, n_gauss: int | None = None):
     """(absolute, relative) L2 distance between a coefficient field and an
-    exact solution."""
+    exact solution; the per-patch integrals are summed in patch order."""
     u_global = dofmap.expand(u_free)
-    err2 = 0.0
-    ref2 = 0.0
-    for pid, tab in _tables_by_patch(model, dofmap, range(len(model.patches)), n_gauss):
-        coeffs = u_global[dofmap.patch_maps[pid].reshape(-1)[tab.dofs]]
-        uh = np.einsum("eql,el->eq", tab.val, coeffs)
-        ux = exact(tab.xy[..., 0], tab.xy[..., 1])
-        err2 += float(((uh - ux) ** 2 * tab.wdet).sum())
-        ref2 += float((ux ** 2 * tab.wdet).sum())
+    sums = {}
+    for ids, gd, R, _, wdet, xy in _quadrature(model, dofmap, range(len(model.patches)), n_gauss):
+        uh = np.einsum("eql,gel->geq", R, u_global[gd])
+        ux = exact(xy[..., 0], xy[..., 1])
+        terms = np.stack([(uh - ux) ** 2 * wdet, ux ** 2 * wdet], axis=1)   # (G, 2, E, Q)
+        sums.update(zip(ids, terms.reshape(len(ids), 2, -1).sum(axis=-1)))
+    # cumsum adds the patches' (error, reference) pairs one after the other
+    err2, ref2 = np.cumsum([sums[pid] for pid in sorted(sums)], axis=0)[-1]
     return np.sqrt(err2), np.sqrt(err2 / ref2) if ref2 > 0 else np.inf
 
 
@@ -754,40 +741,44 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
     Column k holds -(stator) or +(rotor) integrals of w_i h_k(theta) R dtheta
     over the interface circle, with h_k = cos(l_k theta) for l_k >= 0 and
     h_k = sin(|l_k| theta) for l_k < 0.  Rows of dofs without interface
-    support are exactly zero.
+    support are exactly zero.  The elements of every interface edge (edges
+    of one degree) are stacked and evaluated at once, then scattered in
+    edge/element/local order.
     """
     orders = np.asarray(orders, dtype=int)
     if model.side not in ("stator", "rotor"):
         raise GeometryError("coupling assembly needs a stator or rotor model")
+    if not model.interface_edges:
+        return np.zeros((dofmap.n_free, orders.size))
     sign = -1.0 if model.side == "stator" else 1.0
     radius = float(model.r_interface)
     if n_gauss is None:
         n_gauss = coupling_gauss_count(max(p.knots_u.degree for p in model.patches), orders)
-    G = np.zeros((dofmap.n_global, orders.size))
+    edges = []
     for pid, edge in model.interface_edges:
-        patch = model.patches[pid]
-        kv, w_edge, p_edge = edge_discretization(patch, edge)
-        if np.any(w_edge <= 0.0):
-            raise ValueError("weights must be positive")
-        gmap = dofmap.patch_maps[pid]
-        edge_globals = np.array([gmap[i, j] for i, j in edge_nodes(patch.n_u, patch.n_v, edge)])
-        # every element x Gauss point at once: (Ne, Q) parameters, (Ne, Q, p+1) basis
+        kv, w_edge, p_edge = edge_discretization(model.patches[pid], edge)
+        edge_globals = dofmap.patch_maps[pid][_edge_index(edge)]
+        # (Ne, Q) weights and (Ne, Q, p+1) basis of the edge's elements
         _, wq, N, dN, first = _basis_table_1d(kv, n_gauss, dofmap.plan.tables)
         local = first[:, None] + np.arange(kv.degree + 1)      # (Ne, p+1)
-        R, dR = rational_basis(w_edge[local][:, None, :], N, dN)
-        point = R @ p_edge[local]                               # (Ne, Q, 2)
-        tangent = dR @ p_edge[local]
-        r = np.hypot(point[..., 0], point[..., 1])
-        off = np.abs(r - radius).max()
-        if off > 1e-10 * max(1.0, radius):
-            raise GeometryError("interface edge leaves the coupling circle by %.3e" % off)
-        theta = np.arctan2(point[..., 1], point[..., 0])
-        dtheta = (point[..., 0] * tangent[..., 1] - point[..., 1] * tangent[..., 0]) / (r * r)
-        angle = theta[..., None] * np.abs(orders)
-        harmonics = np.where(orders >= 0, np.cos(angle), np.sin(angle))  # (Ne, Q, n_h)
-        weighted = R * (sign * radius * dtheta * wq)[..., None]
-        moments = weighted.transpose(0, 2, 1) @ harmonics      # (Ne, p+1, n_h)
-        np.add.at(G, edge_globals[local].reshape(-1), moments.reshape(-1, orders.size))
+        edges.append((edge_globals[local], w_edge[local], p_edge[local], wq, N, dN))
+    index, w, ctrl, wq, N, dN = (np.concatenate(arrays) for arrays in zip(*edges))
+    if np.any(w <= 0.0):
+        raise ValueError("weights must be positive")
+    R, dR = rational_basis(w[:, None, :], N, dN)
+    point = R @ ctrl                                            # (Ne, Q, 2)
+    tangent = dR @ ctrl
+    r = np.hypot(point[..., 0], point[..., 1])
+    off = np.abs(r - radius).max()
+    if off > 1e-10 * max(1.0, radius):
+        raise GeometryError("interface edge leaves the coupling circle by %.3e" % off)
+    theta = np.arctan2(point[..., 1], point[..., 0])
+    dtheta = (point[..., 0] * tangent[..., 1] - point[..., 1] * tangent[..., 0]) / (r * r)
+    angle = theta[..., None] * np.abs(orders)
+    harmonics = np.where(orders >= 0, np.cos(angle), np.sin(angle))  # (Ne, Q, n_h)
+    weighted = R * (sign * radius * dtheta * wq)[..., None]
+    moments = weighted.transpose(0, 2, 1) @ harmonics          # (Ne, p+1, n_h)
+    G = _scatter_add(index.reshape(-1), moments.reshape(-1, orders.size), dofmap.n_global)
     return G[dofmap.free_globals]
 
 

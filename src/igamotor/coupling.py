@@ -35,13 +35,13 @@ the blocking.  reconstruct_state forms each interior field when it is
 first read.
 
 CouplingPrecomp is the one representation of the coupled system: it holds
-K, G and j of each side beside the products X, y, H and g, and the
-harmonic orders.  No sparse factorization outlives the precomputation: each
-side's K is factored, solved once for the stacked columns [G j] and
-dropped, since the per-angle stage reads only the products.  The
-full-system oracles (assemble_full_saddle, full_residual) read their blocks
-from it; agreement with the directly solved full system is the primary
-correctness oracle.
+G and j of each side beside the products X, y, H and g, and the harmonic
+orders.  Each side's K is factored, solved once for the stacked columns
+[G j] and dropped with its factorization, since the per-angle stage reads
+only the products.  The full-system oracles (build_full_matrix,
+assemble_full_saddle, full_residual, CouplingPrecomp.verify) take K_st
+and K_rt as arguments; agreement with the directly solved full system is
+the primary correctness oracle.
 """
 from __future__ import annotations
 
@@ -114,25 +114,27 @@ class FullSaddleSolution:
     block_residuals: np.ndarray
 
 
-def build_full_matrix(pre: CouplingPrecomp, alpha: float) -> sp.csr_matrix:
+def build_full_matrix(pre: CouplingPrecomp, K_st: sp.spmatrix, K_rt: sp.spmatrix,
+                      alpha: float) -> sp.csr_matrix:
     """Symmetric block matrix of the coupled system at one angle, from the
-    stiffness and moment blocks held by the precomputation."""
+    stiffness blocks K_st, K_rt and the precomputation's moment blocks."""
     Gst_r = pre.st.G @ rotation_matrix(pre.orders, alpha)
     return sp.bmat([
-        [pre.st.K, None, sp.csr_matrix(-Gst_r)],
-        [None, pre.rt.K, sp.csr_matrix(-pre.rt.G)],
+        [K_st, None, sp.csr_matrix(-Gst_r)],
+        [None, K_rt, sp.csr_matrix(-pre.rt.G)],
         [sp.csr_matrix(-Gst_r.T), sp.csr_matrix(-pre.rt.G.T), None],
     ], format="csr")
 
 
-def assemble_full_saddle(pre: CouplingPrecomp, alpha: float) -> FullSaddleSolution:
-    """Assemble and solve the full coupled system at one angle by a sparse
-    LU of the saddle matrix, independent of the factorizations and products
-    in ``pre``; the result is the oracle against which the interface
-    elimination is validated."""
+def assemble_full_saddle(pre: CouplingPrecomp, K_st: sp.spmatrix, K_rt: sp.spmatrix,
+                         alpha: float) -> FullSaddleSolution:
+    """Assemble and solve the full coupled system with the stiffness blocks
+    K_st, K_rt at one angle by a sparse LU of the saddle matrix, independent
+    of the products in ``pre``; the result is the oracle against which the
+    interface elimination is validated."""
     n_st = pre.st.j.size
     n_rt = pre.rt.j.size
-    M = build_full_matrix(pre, alpha)
+    M = build_full_matrix(pre, K_st, K_rt, alpha)
     b = np.concatenate([pre.st.j, pre.rt.j, np.zeros(pre.orders.size)])
     try:
         z = real_lu(M).solve(b)
@@ -152,11 +154,10 @@ def assemble_full_saddle(pre: CouplingPrecomp, alpha: float) -> FullSaddleSoluti
 
 @dataclass
 class SidePrecomp:
-    """Angle-independent data of one side: its blocks and the products of
-    one solve with K, but not K's factorization, which no angle stage
-    reads."""
+    """Angle-independent data of one side: its moment and source blocks and
+    the products of one solve with K, but neither K nor its factorization,
+    which no angle stage reads."""
 
-    K: sp.spmatrix
     G: np.ndarray
     j: np.ndarray
     X: np.ndarray          # K^-1 G
@@ -176,7 +177,7 @@ def _solve_columns(K: sp.spmatrix, G: np.ndarray, j: np.ndarray):
 
 def precompute_side(K: sp.spmatrix, G: np.ndarray, j: np.ndarray) -> SidePrecomp:
     X, y = _solve_columns(K, G, j)
-    return SidePrecomp(K, G, j, X, y, G.T @ X, G.T @ y)
+    return SidePrecomp(G, j, X, y, G.T @ X, G.T @ y)
 
 
 @dataclass
@@ -187,12 +188,12 @@ class CouplingPrecomp:
     rt: SidePrecomp
     orders: np.ndarray
 
-    def verify(self, tol: float = 1e-12) -> float:
+    def verify(self, K_st: sp.spmatrix, K_rt: sp.spmatrix, tol: float = 1e-12) -> float:
         """Max relative deviation of the stored products X, y, H and g from
-        their recomputation with a fresh factorization of each side's K."""
+        their recomputation with fresh factorizations of K_st and K_rt."""
         worst = 0.0
-        for side in (self.st, self.rt):
-            X2, y2 = _solve_columns(side.K, side.G, side.j)
+        for side, K in ((self.st, K_st), (self.rt, K_rt)):
+            X2, y2 = _solve_columns(K, side.G, side.j)
             for old, new in ((side.X, X2), (side.y, y2),
                              (side.H, side.G.T @ X2), (side.g, side.G.T @ y2)):
                 scale = max(float(np.abs(old).max()), 1e-300)
@@ -317,16 +318,17 @@ def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
     return SweepResult(angles=angles, psi=psi, lambdas=lambdas)
 
 
-def full_residual(pre: CouplingPrecomp, sol: AngleSolution) -> float:
-    """Relative residual of an angle solution in the full coupled system
-    (checks the elimination algebra without assembling the block matrix)."""
+def full_residual(pre: CouplingPrecomp, K_st: sp.spmatrix, K_rt: sp.spmatrix,
+                  sol: AngleSolution) -> float:
+    """Relative residual of an angle solution in the full coupled system with
+    K_st, K_rt (checks the elimination algebra without the block matrix)."""
     Gst_r = pre.st.G @ rotation_matrix(pre.orders, sol.alpha)
-    res_st = pre.st.K @ sol.u_st - Gst_r @ sol.lam - pre.st.j
-    res_rt = pre.rt.K @ sol.u_rt - pre.rt.G @ sol.lam - pre.rt.j
+    res_st = K_st @ sol.u_st - Gst_r @ sol.lam - pre.st.j
+    res_rt = K_rt @ sol.u_rt - pre.rt.G @ sol.lam - pre.rt.j
     res_if = -Gst_r.T @ sol.u_st - pre.rt.G.T @ sol.u_rt
     num = np.sqrt(np.linalg.norm(res_st) ** 2 + np.linalg.norm(res_rt) ** 2
                   + np.linalg.norm(res_if) ** 2)
     scale = max(np.linalg.norm(pre.st.j), np.linalg.norm(pre.rt.j),
-                float(np.abs(pre.st.K.data).max()) * np.linalg.norm(sol.u_st),
+                float(np.abs(K_st.data).max()) * np.linalg.norm(sol.u_st),
                 1e-300)
     return float(num / scale)

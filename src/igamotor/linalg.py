@@ -114,7 +114,8 @@ def spd_stack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b[..., None])[..., 0]
 
 
-# perfbench/tracer.py looks the traced interface solve up under this name
+# perfbench/tracer.py, its last caller, traces the interface solve under
+# this name; ROADMAP item 2's code change removes the alias
 complex_lu_solve = spd_stack_solve
 
 

@@ -85,9 +85,9 @@ class MachineSolver:
     and every CLI command.
 
     The stator side (stiffness, coupling moments and the products of its
-    one solve, winding) is assembled once; its factorization is dropped
-    after that solve.  Per rotor geometry only the rotor stiffness is
-    rebuilt, factored and solved.
+    one solve, winding) is assembled once; its stiffness and factorization
+    are dropped after that solve.  Per rotor geometry only the rotor
+    stiffness is rebuilt, factored, solved and dropped.
     The magnet source and rotor coupling moments are invariant under the
     admissible deformations (magnet patches and the interface are masked
     fixed) and are cached from the initial rotor.
@@ -114,7 +114,7 @@ class MachineSolver:
 
     def precompute(self, rotor: MultipatchModel) -> CouplingPrecomp:
         """Reuses the stator products; factors only the rotor side, and
-        keeps its products but not its factorization."""
+        keeps its products, not its stiffness or factorization."""
         K_rt = assemble_stiffness(rotor, self.dm_rt, self.relmap_rt)
         rt = precompute_side(K_rt, self._G_rt, self._j_rt)
         return CouplingPrecomp(self._st_pre, rt, self.orders)
@@ -239,8 +239,7 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
             gradient = assemble_shape_gradient(rotor, solver.dm_rt, design,
                                                reconstruct_state(pre, sweep.angles,
                                                                  sweep.lambdas).u_rt,
-                                               adj.rotor_fields(),
-                                               solver.relmap_rt, solver.cfg)
+                                               adj.rotor, solver.relmap_rt)
             metric = assemble_vector_metric(rotor, solver.dm_rt, design.mask)
             W = descent_field(gradient, metric)
             if gradient @ W <= 0.0:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from igamotor.assembly import assemble_winding_vector
+from igamotor.assembly import assemble_stiffness, assemble_winding_vector, build_reluctivity_map
 from igamotor.coupling import CouplingPrecomp, precompute_side
 from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
 from igamotor.optim import MachineSolver
@@ -35,10 +35,19 @@ def homogeneous_eval(patch, ctrl, xi, eta):
     return S / A, jac
 
 
-def zero_source_precompute(pre):
+def machine_stiffness(solver):
+    """(K_st, K_rt) of ``solver``'s stator and initial rotor: the calls
+    ``MachineSolver`` makes, so the matrices it factored, bit for bit.  The
+    precomputation does not keep them."""
+    K_st = assemble_stiffness(solver.stator, solver.dm_st,
+                              build_reluctivity_map(solver.stator, solver.cfg))
+    return K_st, assemble_stiffness(solver.rotor0, solver.dm_rt, solver.relmap_rt)
+
+
+def zero_source_precompute(pre, K_st, K_rt):
     """The same coupled system with both loads j_st, j_rt set to zero."""
-    st, rt = (precompute_side(side.K, side.G, np.zeros_like(side.j))
-              for side in (pre.st, pre.rt))
+    st, rt = (precompute_side(K, side.G, np.zeros_like(side.j))
+              for side, K in ((pre.st, K_st), (pre.rt, K_rt)))
     return CouplingPrecomp(st, rt, pre.orders)
 
 
@@ -66,9 +75,20 @@ def coarse_dofmaps(coarse_machine):
 
 
 @pytest.fixture(scope="session")
-def coarse_pre(coarse_cfg):
-    solver = MachineSolver(coarse_cfg)
-    return solver.precompute(solver.rotor0)
+def coarse_solver(coarse_cfg):
+    return MachineSolver(coarse_cfg)
+
+
+@pytest.fixture(scope="session")
+def coarse_pre(coarse_solver):
+    return coarse_solver.precompute(coarse_solver.rotor0)
+
+
+@pytest.fixture(scope="session")
+def coarse_stiffness(coarse_solver):
+    """(K_st, K_rt) of the coarse machine: the blocks ``coarse_pre`` was
+    computed from."""
+    return machine_stiffness(coarse_solver)
 
 
 @pytest.fixture(scope="session")

@@ -42,6 +42,8 @@ from igamotor.splines import (
     make_arc_patch,
 )
 
+from conftest import machine_stiffness
+
 # Criterion 6 regression lock, recorded on the first verified run of this
 # suite (coarse refinement, n_harmonics=12 restricted to pole multiples,
 # n_angles=60): THD 0.18476982 -> 0.12815720 in 11 iterations (tol rule).
@@ -54,17 +56,20 @@ def _report(number, name, detail):
 
 
 def _machine_precompute(cfg):
+    """Dof maps, precomputation and the stiffness blocks (K_st, K_rt) that
+    the full-system oracle reads."""
     solver = MachineSolver(cfg)
-    return solver.dm_st, solver.dm_rt, solver.precompute(solver.rotor0)
+    return (solver.dm_st, solver.dm_rt, solver.precompute(solver.rotor0),
+            machine_stiffness(solver))
 
 
 def test_acceptance_1_schur_equals_full_system():
     t0 = time.perf_counter()
     cfg = MachineConfig(refinement=0, n_harmonics=12, n_angles=12)
-    _, _, pre = _machine_precompute(cfg)
+    _, _, pre, stiffness = _machine_precompute(cfg)
     worst = 0.0
     for alpha in sweep_angles(cfg.pole_pairs, 8):
-        full = assemble_full_saddle(pre, float(alpha))
+        full = assemble_full_saddle(pre, *stiffness, float(alpha))
         fast = solve_at_angle(pre, float(alpha))
         num = np.linalg.norm(np.concatenate([fast.u_st - full.u_st,
                                              fast.u_rt - full.u_rt]))
@@ -96,7 +101,7 @@ def test_acceptance_2_gradient_matches_finite_differences():
     u_rt = [reconstruct_state(pre, a, lam).u_rt
             for a, lam in zip(solver.angles, sweep.lambdas)]
     gradient = assemble_shape_gradient(solver.rotor0, solver.dm_rt, design, u_rt,
-                                       adj.rotor_fields(), solver.relmap_rt, cfg)
+                                       adj.rotor, solver.relmap_rt)
     rng = np.random.default_rng(20240817)
     directions = rng.choice(design.n_dofs, size=5, replace=False)
     steps = [10.0 ** (-k) * cfg.r_interface for k in range(4, 9)]
@@ -159,14 +164,14 @@ def test_acceptance_4_online_cost_scaling():
     states = {}
     for level in levels:
         cfg = MachineConfig(refinement=level, n_harmonics=20, n_angles=12)
-        dm_st, dm_rt, pre = _machine_precompute(cfg)
+        dm_st, dm_rt, pre, stiffness = _machine_precompute(cfg)
         angles = sweep_angles(cfg.pole_pairs, 8)
         rotation_sweep(pre, angles)  # warmup
-        states[level] = (dm_st.n_free + dm_rt.n_free, pre, angles)
+        states[level] = (dm_st.n_free + dm_rt.n_free, pre, angles, stiffness)
     interface_times = {level: [] for level in levels}
     for _ in range(5):  # interleaved to wash out drift
         for level in levels:
-            _, pre, angles = states[level]
+            _, pre, angles, _ = states[level]
             for alpha in angles:
                 t0 = time.perf_counter()
                 solve_interface(pre, alpha)
@@ -174,11 +179,11 @@ def test_acceptance_4_online_cost_scaling():
     medians = {level: statistics.median(interface_times[level]) for level in levels}
     full_times = {}
     for level in levels:
-        dofs, pre, angles = states[level]
+        dofs, pre, angles, stiffness = states[level]
         samples = []
         for alpha in angles[:2]:
             t0 = time.perf_counter()
-            assemble_full_saddle(pre, float(alpha))
+            assemble_full_saddle(pre, *stiffness, float(alpha))
             samples.append(time.perf_counter() - t0)
         full_times[level] = statistics.median(samples)
     spread = max(medians.values()) / min(medians.values())

@@ -22,7 +22,7 @@ from igamotor.geometry import build_demo_machine, build_dof_map, edge_nodes
 from igamotor.linalg import SpdFactorization, factorize, matvec
 from igamotor.optim import MachineSolver
 
-from conftest import coarse_config, zero_source_precompute
+from conftest import coarse_config, machine_stiffness, zero_source_precompute
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,12 @@ def solver():
 def forward(solver):
     sweep, pre = solver.evaluate(solver.rotor0)
     return sweep, pre
+
+
+@pytest.fixture(scope="module")
+def stiffness(solver):
+    """(K_st, K_rt) of the forward machine: the precomputation keeps neither."""
+    return machine_stiffness(solver)
 
 
 @pytest.fixture(scope="module")
@@ -121,32 +127,32 @@ def test_sensitivity_pure_fundamental_and_scaling(mats, solver):
 
 # ---------------------------------------------------------------- adjoints
 
-def _stator_adjoint(pre, solver, s, angles, adj):
+def _stator_adjoint(pre, K_st, solver, s, angles, adj):
     """Stator adjoint fields coef_i K_st^-1 chi + X_st R(alpha_i) lam_i with
     coef_i = -s_i * flux_scale, one row per angle."""
     coef = -np.asarray(s) * solver.flux_scale
-    y_chi = factorize(pre.st.K).solve(solver.winding)
+    y_chi = factorize(K_st).solve(solver.winding)
     R = rotation_matrix(pre.orders, angles)
     return coef[:, None] * y_chi + matvec(pre.st.X, matvec(R, adj.lambdas))
 
 
-def test_adjoints_zero_sensitivities_give_zero(forward, solver):
+def test_adjoints_zero_sensitivities_give_zero(forward, solver, stiffness):
     _, pre = forward
     angles = solver.angles[:4]
     adj = solve_adjoints(pre, solver.winding, np.zeros(4), angles, solver.flux_scale)
-    u_st = _stator_adjoint(pre, solver, np.zeros(4), angles, adj)
+    u_st = _stator_adjoint(pre, stiffness[0], solver, np.zeros(4), angles, adj)
     assert np.array_equal(u_st, np.zeros_like(u_st))
     assert np.array_equal(adj.rotor, np.zeros_like(adj.rotor))
 
 
-def test_adjoint_solves_transposed_system(forward, solver, mats):
+def test_adjoint_solves_transposed_system(forward, solver, stiffness, mats):
     sweep, pre = forward
     s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
-    u_st = _stator_adjoint(pre, solver, s, solver.angles, adj)
+    u_st = _stator_adjoint(pre, stiffness[0], solver, s, solver.angles, adj)
     for i in (0, 5):
         alpha = solver.angles[i]
-        M = build_full_matrix(pre, alpha)
+        M = build_full_matrix(pre, *stiffness, alpha)
         asym = (M - M.T).tocoo()
         scale = np.abs(M.data).max()
         assert asym.nnz == 0 or np.abs(asym.data).max() < 1e-12 * scale
@@ -157,13 +163,13 @@ def test_adjoint_solves_transposed_system(forward, solver, mats):
         assert resid < 1e-9
 
 
-def test_solve_adjoints_needs_no_stator_solve(forward, solver, mats, monkeypatch):
+def test_solve_adjoints_needs_no_stator_solve(forward, solver, stiffness, mats, monkeypatch):
     # G_st^T K_st^-1 chi = X_st^T chi: the old form with its stator solve,
     # then the adjoint with every sparse solve raising
     sweep, pre = forward
     s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
     coef = -s * solver.flux_scale
-    g_st = coef[:, None] * (pre.st.G.T @ factorize(pre.st.K).solve(solver.winding))
+    g_st = coef[:, None] * (pre.st.G.T @ factorize(stiffness[0]).solve(solver.winding))
     lambdas = solve_interface(pre, solver.angles, g_st=g_st, g_rt=0)
     rotor = matvec(pre.rt.X, lambdas)
 
@@ -176,12 +182,12 @@ def test_solve_adjoints_needs_no_stator_solve(forward, solver, mats, monkeypatch
         assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
 
 
-def test_adjoint_duality_identity(forward, solver, mats, rng):
+def test_adjoint_duality_identity(forward, solver, stiffness, mats, rng):
     sweep, pre = forward
     s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
     delta_j = rng.standard_normal(pre.rt.y.size)
-    y_pert = factorize(pre.rt.K).solve(delta_j)
+    y_pert = factorize(stiffness[1]).solve(delta_j)
     g_pert = pre.rt.G.T @ y_pert
     # the stator field of the rotor load delta_j alone (no stator load)
     lam_pert = solve_interface(pre, solver.angles, g_st=np.zeros(pre.orders.size),
@@ -202,7 +208,7 @@ def _gradient(solver, sweep, pre, mats, design):
     u_rt = [reconstruct_state(pre, a, lam).u_rt
             for a, lam in zip(solver.angles, sweep.lambdas)]
     return assemble_shape_gradient(solver.rotor0, solver.dm_rt, design, u_rt,
-                                   adj.rotor_fields(), solver.relmap_rt, solver.cfg)
+                                   adj.rotor, solver.relmap_rt)
 
 
 def test_gradient_matches_end_to_end_finite_difference(forward, solver, mats):
@@ -250,8 +256,8 @@ def test_gradient_zero_outside_deforming_patches(forward, solver, mats):
     assert np.array_equal(g[design.n_points:][iron_only], np.zeros(iron_only.sum()))
 
 
-def test_gradient_zero_for_zero_sources(forward, solver):
-    pre0 = zero_source_precompute(forward[1])
+def test_gradient_zero_for_zero_sources(forward, solver, stiffness):
+    pre0 = zero_source_precompute(forward[1], *stiffness)
     design = DesignSpace(solver.rotor0, solver.dm_rt)
     n = solver.cfg.n_angles
     zeros = np.zeros(n)
@@ -259,7 +265,7 @@ def test_gradient_zero_for_zero_sources(forward, solver):
     u_rt = [reconstruct_state(pre0, a, lam).u_rt
             for a, lam in zip(solver.angles, np.zeros((n, solver.orders.size)))]
     g = assemble_shape_gradient(solver.rotor0, solver.dm_rt, design, u_rt,
-                                adj.rotor_fields(), solver.relmap_rt, solver.cfg)
+                                adj.rotor, solver.relmap_rt)
     assert np.array_equal(g, np.zeros_like(g))
 
 

@@ -45,6 +45,7 @@ from igamotor.splines import (
     insert_knots,
     make_arc_patch,
     nurbs_basis,
+    rational_basis,
 )
 
 from conftest import coarse_config, homogeneous_eval, weighted_arc_patch
@@ -490,6 +491,17 @@ def _assert_tables_equal(a, b):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
+def _tables_in(tables, patch, n_gauss=None):
+    """The one-patch batch tables of ``patch`` on the space that ``_group``
+    finds in ``tables`` (or adds to it), as ``build_patch_tables`` lays
+    them out."""
+    (_, space), = assembly._group([patch], tables, n_gauss)
+    P = patch.points.reshape(-1, 2).take(space[0], axis=0)[None]
+    detj, grad, wdet, xy = assembly._batch_tables(space, P)
+    return PatchTables(space[0], space[1], np.ascontiguousarray(grad[0].transpose(0, 2, 1, 3)),
+                       detj[0], wdet[0], xy[0])
+
+
 def test_patch_tables_cold_and_warm_cache_agree(coarse_machine, coarse_dofmaps, rng):
     _, rotor = coarse_machine
     _, dm_rt = coarse_dofmaps
@@ -502,10 +514,9 @@ def test_patch_tables_cold_and_warm_cache_agree(coarse_machine, coarse_dofmaps, 
     # warm: the table entries were filled by the other shape
     for patch, other, ref in zip(shapes, shapes[::-1], cold):
         tables = {}
-        assembly._space_tables(other, assembly._check_gauss(other), tables)
+        assembly._group([other], tables)
         n_entries = len(tables)
-        warm = assembly._tables_on(assembly._space_tables(patch, assembly._check_gauss(patch),
-                                                          tables), patch)
+        warm = _tables_in(tables, patch)
         assert len(tables) == n_entries
         _assert_tables_equal(ref, warm)
 
@@ -530,7 +541,7 @@ def test_space_cache_keys_on_weights():
     weights[1, 1] = 2.0
     bumped = NurbsPatch(plain.knots_u, plain.knots_v, plain.points, weights)
     tables = {}
-    a, b = (assembly._tables_on(assembly._space_tables(p, 3, tables), p) for p in (plain, bumped))
+    a, b = (_tables_in(tables, p, 3) for p in (plain, bumped))
     assert not np.array_equal(a.val, b.val)
     _assert_tables_equal(b, build_patch_tables(bumped))
 
@@ -607,6 +618,106 @@ def test_operators_equal_per_patch_loop_bitwise(coarse_cfg, refined_cases):
                               expected[idx][:, idx].tocsr())
     for model, _ in refined_cases:
         assert max(len(ids) for ids, _, _ in assembly._patch_batches(model.patches, None)) > 1
+
+
+def _vector_loop_oracle(model, dm, pids, n_gauss, contribution):
+    """The per-patch form of the vector assemblies: one
+    ``build_patch_tables`` and one ``np.add.at`` per patch, in patch order;
+    ``contribution(pid, tables)`` gives the (E, L) element entries."""
+    vec = np.zeros(dm.n_global)
+    for pid in pids:
+        tab = build_patch_tables(model.patches[pid], n_gauss)
+        np.add.at(vec, dm.patch_maps[pid].reshape(-1)[tab.dofs].reshape(-1),
+                  contribution(pid, tab).reshape(-1))
+    return vec[dm.free_globals]
+
+
+def _l2_loop_oracle(model, dm, u_free, exact, n_gauss):
+    """``l2_error`` patch by patch, the sums accumulated in patch order."""
+    u_global = dm.expand(u_free)
+    err2 = ref2 = 0.0
+    for pid, patch in enumerate(model.patches):
+        tab = build_patch_tables(patch, n_gauss)
+        uh = np.einsum("eql,el->eq", tab.val, u_global[dm.patch_maps[pid].reshape(-1)[tab.dofs]])
+        ux = exact(tab.xy[..., 0], tab.xy[..., 1])
+        err2 += float(((uh - ux) ** 2 * tab.wdet).sum())
+        ref2 += float((ux ** 2 * tab.wdet).sum())
+    return np.sqrt(err2), np.sqrt(err2 / ref2)
+
+
+def _coupling_edge_loop_oracle(model, dm, orders, n_gauss):
+    """The coupling moments edge by edge: every element and Gauss point of
+    one edge at once from the 1D tables, one ``np.add.at`` per edge."""
+    sign = -1.0 if model.side == "stator" else 1.0
+    radius = float(model.r_interface)
+    if n_gauss is None:
+        n_gauss = assembly.coupling_gauss_count(max(p.knots_u.degree for p in model.patches),
+                                                orders)
+    G = np.zeros((dm.n_global, orders.size))
+    for pid, edge in model.interface_edges:
+        patch = model.patches[pid]
+        kv, w_edge, p_edge = edge_discretization(patch, edge)
+        gmap = dm.patch_maps[pid]
+        edge_globals = np.array([gmap[i, j] for i, j in edge_nodes(patch.n_u, patch.n_v, edge)])
+        _, wq, N, dN, first = assembly._basis_table_1d(kv, n_gauss, {})
+        local = first[:, None] + np.arange(kv.degree + 1)
+        R, dR = rational_basis(w_edge[local][:, None, :], N, dN)
+        point = R @ p_edge[local]
+        tangent = dR @ p_edge[local]
+        r = np.hypot(point[..., 0], point[..., 1])
+        theta = np.arctan2(point[..., 1], point[..., 0])
+        dtheta = (point[..., 0] * tangent[..., 1] - point[..., 1] * tangent[..., 0]) / (r * r)
+        angle = theta[..., None] * np.abs(orders)
+        harmonics = np.where(orders >= 0, np.cos(angle), np.sin(angle))
+        weighted = R * (sign * radius * dtheta * wq)[..., None]
+        moments = weighted.transpose(0, 2, 1) @ harmonics
+        np.add.at(G, edge_globals[local].reshape(-1), moments.reshape(-1, orders.size))
+    return G[dm.free_globals]
+
+
+def test_vectors_and_coupling_equal_per_patch_loops_bitwise(coarse_cfg, refined_cases):
+    # the batched assemblies with one scatter each against the per-patch
+    # (per-edge) loops they replaced, at the default and a wider Gauss rule
+    exact = lambda x, y: np.sin(40.0 * x) * np.cos(30.0 * y)
+    orders = np.array([-9, -6, -3, 3, 6, 9])
+    rng = np.random.default_rng(8)
+    for model, dm in refined_cases:
+        all_pids = range(len(model.patches))
+        for n_gauss in (None, 6):
+            produced = assemble_load(model, dm, exact, n_gauss=n_gauss)
+            expected = _vector_loop_oracle(model, dm, all_pids, n_gauss, lambda pid, tab: np.einsum(
+                "eq,eql,eq->el", exact(tab.xy[..., 0], tab.xy[..., 1]), tab.val, tab.wdet))
+            assert np.array_equal(produced, expected)
+            u = rng.standard_normal(dm.n_free)
+            assert np.array_equal(l2_error(model, dm, u, exact, n_gauss),
+                                  _l2_loop_oracle(model, dm, u, exact, n_gauss))
+            for patch in model.patches:
+                area = build_patch_tables(patch, n_gauss, require_regular=False).wdet.sum()
+                assert patch_area(patch, n_gauss) == float(area)
+            if model.side == "stator":
+                for phase in (1, 2, 3):
+                    pids = [pid for pid, tag in enumerate(model.tags)
+                            if tag.kind == "coil" and tag.phase == phase]
+
+                    def winding(pid, tab):
+                        density = model.tags[pid].sign * coarse_cfg.n_turns / float(tab.wdet.sum())
+                        return density * np.einsum("eql,eq->el", tab.val, tab.wdet)
+
+                    assert np.array_equal(
+                        assemble_winding_vector(model, dm, coarse_cfg, phase, n_gauss),
+                        _vector_loop_oracle(model, dm, pids, n_gauss, winding))
+            else:
+                pids = [pid for pid, tag in enumerate(model.tags) if tag.kind == "magnet"]
+
+                def magnet(pid, tab):
+                    mperp = assembly.magnetization_perp(model.tags[pid].sign, coarse_cfg, tab.xy)
+                    return np.einsum("eqc,eqlc,eq->el", mperp, tab.grad, tab.wdet)
+
+                assert np.array_equal(assemble_rhs(model, dm, coarse_cfg, n_gauss=n_gauss),
+                                      _vector_loop_oracle(model, dm, pids, n_gauss, magnet))
+        for n_gauss in (None, 12):
+            assert np.array_equal(assemble_coupling(model, dm, orders, n_gauss),
+                                  _coupling_edge_loop_oracle(model, dm, orders, n_gauss))
 
 
 def _restrict_oracle(mat, keep):

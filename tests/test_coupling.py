@@ -67,30 +67,31 @@ def test_rotation_matrix_properties():
             rotation_matrix(bad, a)
 
 
-def test_full_matrix_is_hermitian(pre):
-    M = build_full_matrix(pre, 0.41)
+def test_full_matrix_is_hermitian(pre, coarse_stiffness):
+    M = build_full_matrix(pre, *coarse_stiffness, 0.41)
     assert not np.iscomplexobj(M.data)    # real symmetric, hence Hermitian
     scale = np.abs(M.data).max()
     assert np.abs((M - M.T).data).max() < 1e-14 * scale if (M - M.T).nnz else True
 
 
-def test_full_saddle_zero_rhs_gives_zero(pre):
-    sol = assemble_full_saddle(zero_source_precompute(pre), 0.3)
+def test_full_saddle_zero_rhs_gives_zero(pre, coarse_stiffness):
+    sol = assemble_full_saddle(zero_source_precompute(pre, *coarse_stiffness),
+                               *coarse_stiffness, 0.3)
     assert np.array_equal(sol.u_st, np.zeros_like(sol.u_st))
     assert np.array_equal(sol.lam, np.zeros_like(sol.lam))
 
 
-def test_full_saddle_residuals_and_realness(pre):
-    sol = assemble_full_saddle(pre, 0.0)
+def test_full_saddle_residuals_and_realness(pre, coarse_stiffness):
+    sol = assemble_full_saddle(pre, *coarse_stiffness, 0.0)
     assert np.all(sol.block_residuals < 1e-9)
     assert not any(np.iscomplexobj(u) for u in (sol.u_st, sol.u_rt, sol.lam))
 
 
-def test_schur_matches_full_system(coarse_cfg, pre):
+def test_schur_matches_full_system(coarse_cfg, pre, coarse_stiffness):
     rng = np.random.default_rng(11)
     period = 2 * np.pi / coarse_cfg.pole_pairs
     for alpha in rng.uniform(0.0, period, size=8):
-        full = assemble_full_saddle(pre, alpha)
+        full = assemble_full_saddle(pre, *coarse_stiffness, alpha)
         fast = solve_at_angle(pre, alpha)
         num = np.linalg.norm(np.concatenate([fast.u_st - full.u_st,
                                              fast.u_rt - full.u_rt]))
@@ -109,21 +110,21 @@ def test_interface_jump_moments_vanish(pre):
     assert np.abs(moments).max() < 1e-9 * scale
 
 
-def test_zero_sources_give_zero_solution(pre):
-    pre0 = zero_source_precompute(pre)
+def test_zero_sources_give_zero_solution(pre, coarse_stiffness):
+    pre0 = zero_source_precompute(pre, *coarse_stiffness)
     sol = solve_at_angle(pre0, 0.7)
     assert np.array_equal(sol.lam, np.zeros_like(sol.lam))
     assert np.array_equal(sol.u_st, np.zeros_like(sol.u_st))
 
 
-def test_precompute_products_verify(pre):
-    assert pre.verify(tol=1e-12) < 1e-12
+def test_precompute_products_verify(pre, coarse_stiffness):
+    assert pre.verify(*coarse_stiffness, tol=1e-12) < 1e-12
 
 
-def test_precompute_column_residuals(pre):
-    for side in (pre.st, pre.rt):
+def test_precompute_column_residuals(pre, coarse_stiffness):
+    for side, K in zip((pre.st, pre.rt), coarse_stiffness):
         for k in (0, side.G.shape[1] - 1):
-            resid = side.K @ side.X[:, k] - side.G[:, k]
+            resid = K @ side.X[:, k] - side.G[:, k]
             assert np.linalg.norm(resid) < 1e-10 * max(1.0, np.linalg.norm(side.G[:, k]))
 
 
@@ -137,11 +138,11 @@ def test_realness_invariant(pre, coarse_winding):
     assert all(a.dtype == np.float64 for a in arrays)
 
 
-def test_angle_solution_full_residual(pre):
+def test_angle_solution_full_residual(pre, coarse_stiffness):
     from igamotor.coupling import full_residual
     for alpha in (0.0, 0.37, 1.8):
         sol = solve_at_angle(pre, alpha)
-        assert full_residual(pre, sol) < 1e-9
+        assert full_residual(pre, *coarse_stiffness, sol) < 1e-9
 
 
 def test_rotational_consistency_of_flux(coarse_cfg, pre, coarse_winding):

@@ -31,11 +31,12 @@ def test_factorize_rejects_indefinite_and_singular():
         factorize(sp.csc_matrix(np.array([[1.0, 0.0], [0.7, 1.0]])))
 
 
-def test_machine_stiffness_residual(coarse_cfg, coarse_pre, rng):
-    F = factorize(coarse_pre.rt.K)
+def test_machine_stiffness_residual(coarse_cfg, coarse_stiffness, rng):
+    K_rt = coarse_stiffness[1]
+    F = factorize(K_rt)
     b = rng.standard_normal(F.n)
     x = F.solve(b)
-    assert np.linalg.norm(coarse_pre.rt.K @ x - b) / np.linalg.norm(b) < 1e-10
+    assert np.linalg.norm(K_rt @ x - b) / np.linalg.norm(b) < 1e-10
 
 
 def test_solve_multi_contracts(rng):

@@ -33,7 +33,7 @@ from igamotor.optim import (
     run_optimization,
 )
 
-from conftest import coarse_config
+from conftest import coarse_config, machine_stiffness
 
 
 def opt_cfg(**kw):
@@ -491,17 +491,19 @@ def solver_r1():
 
 def test_no_sparse_factorization_is_retained(solver_r1):
     # each K is factored for one solve of [G j]: neither the machine nor an
-    # evaluated rotor keeps a factorization or its SuperLU
+    # evaluated rotor keeps a factorization, its SuperLU or K itself
     result = solver_r1.evaluate(solver_r1.rotor0)
     objects = _reachable(solver_r1, result)
     assert any(obj is result[1].rt.X for obj in objects)     # the walk reaches the products
     assert not [obj for obj in objects if isinstance(obj, (SpdFactorization, spla.SuperLU))]
+    assert not [obj for obj in objects if sp.issparse(obj)]
 
 
 def test_verify_detects_a_corrupted_product(solver_r1):
     # verify factors each K itself, so it still sees drift in the stored X
     _, pre = solver_r1.evaluate(solver_r1.rotor0)
-    assert pre.verify() < 1e-12
+    stiffness = machine_stiffness(solver_r1)
+    assert pre.verify(*stiffness) < 1e-12
     pre.rt.X[3, 2] += 1e-9 * np.abs(pre.rt.X).max()
     with pytest.raises(StabilityError):
-        pre.verify()
+        pre.verify(*stiffness)
