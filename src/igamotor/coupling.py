@@ -26,13 +26,20 @@ reconstructed as u_st = y_st + X_st R lam, u_rt = y_rt + X_rt lam with
 X_* = K_*^-1 G_*, y_* = K_*^-1 j_*.  Only the n_harmonics-dimensional system
 depends on the angle, so the angle is an array axis: given an array of
 angles, rotation_matrix, solve_interface and reconstruct_state return one
-row per angle.  solve_interface and rotation_sweep do not build the whole
-(n_angles, n_h, n_h) stack: they solve blocks of at most B angles, B set so
-that one block's stack takes about 128 KiB, and form each block's rotations
-once for K_int, the right-hand side and the flux linkage.  Each matrix gets
-the operations of its own single-angle solve, so the rows do not depend on
-the blocking.  reconstruct_state forms each interior field when it is
-first read.
+row per angle.  The stator repeats every slot pitch tau (CouplingPrecomp.
+period), so R(tau)^T H_st R(tau) = H_st and K_int(a + k tau) = K_int(a):
+solve_interface and rotation_sweep group the angles into classes a whole
+number of periods apart, and form, Cholesky-guard and solve one K_int per
+class, at its first angle, with one column per angle of the class (a
+full-period sweep of n angles has n / gcd(n, 6) classes: 20 at 120).  They
+do not build the whole (n_angles, n_h, n_h) stack: classes of equal size k
+are taken in blocks whose rotations (one per angle) and K_int stack fit
+three stacks of B matrices, B set so that one stack takes about 128 KiB,
+and each block's rotations are formed once for K_int, the right-hand sides
+and the flux linkage.  Each class gets the operations of its own solve, so
+the rows do not depend on the blocking, and an angle that shares its class
+with no other keeps the bits of its single-angle solve.  reconstruct_state
+forms each interior field when it is first read.
 
 CouplingPrecomp is the one representation of the coupled system: it holds
 G and j of each side beside the products X, y, H and g, and the harmonic
@@ -182,11 +189,15 @@ def precompute_side(K: sp.spmatrix, G: np.ndarray, j: np.ndarray) -> SidePrecomp
 
 @dataclass
 class CouplingPrecomp:
-    """Blocks and products reused by every angle solve."""
+    """Blocks and products reused by every angle solve, and the rotation
+    period of the stator, under which H_st is invariant: R(period)^T H_st
+    R(period) = H_st.  Angles a whole number of periods apart share one
+    interface matrix; with no period given none do."""
 
     st: SidePrecomp
     rt: SidePrecomp
     orders: np.ndarray
+    period: float | None = None
 
     def verify(self, K_st: sp.spmatrix, K_rt: sp.spmatrix, tol: float = 1e-12) -> float:
         """Max relative deviation of the stored products X, y, H and g from
@@ -225,9 +236,16 @@ class AngleSolution:
 
 
 # bytes of one (B, n_h, n_h) float64 stack of interface matrices: a sweep
-# holds three such stacks at a time (R, K_int and one temporary), whatever
-# its angle count, so its working set stays in cache
+# holds at most three such stacks at a time (R, K_int and one temporary),
+# whatever its angle count, so its working set stays in cache; only a class
+# of more than 3 B - 2 angles, whose rotations make up its block, exceeds them
 _STACK_BYTES = 1 << 17
+
+# two angles share an interface matrix when their difference is within this
+# many radians of a whole number of stator periods: about a thousand ulps of
+# an angle near 2 pi, while sweep angles 2 pi k / (p n) + offset one period
+# apart miss it by about 1e-15
+_PERIOD_TOL = 1e-12
 
 
 def _block_angles(n_harmonics: int) -> int:
@@ -235,30 +253,77 @@ def _block_angles(n_harmonics: int) -> int:
     return max(1, _STACK_BYTES // (8 * n_harmonics * n_harmonics))
 
 
+def _angle_classes(angles: np.ndarray, period: float | None) -> np.ndarray:
+    """Class number of each angle: sorted by residue modulo ``period`` (a
+    residue within _PERIOD_TOL below the period counts from 0), angles whose
+    residues lie within _PERIOD_TOL of their neighbour's share a class;
+    classes are numbered in the order of their residues.  Without a period
+    every angle is its own class."""
+    if period is None:
+        return np.arange(angles.size)
+    r = np.mod(angles, period)
+    r[period - r <= _PERIOD_TOL] -= period
+    order = np.argsort(r, kind="stable")
+    rs = r[order]
+    starts = np.zeros(angles.size, dtype=np.intp)     # 1 where a new class begins
+    np.greater(rs[1:] - rs[:-1], _PERIOD_TOL, out=starts[1:])
+    classes = np.empty_like(starts)
+    classes[order] = starts.cumsum()
+    return classes
+
+
+def _class_blocks(classes: np.ndarray, step: int) -> list:
+    """Angle indices (C, k) of each block: C classes of k angles each, a
+    class's angles in the order given and its first one in column 0.
+    Classes are grouped by size and taken C = max(1, 3 step // (k + 2)) at
+    a time, so that a block's rotations (C k matrices), interface matrices
+    and temporary (C each) fit the three step-matrix stacks of a block of
+    single angles, and every class is solved with its own k columns
+    whatever the block size.  Single angles come step to a block, as
+    without classes."""
+    sizes = np.bincount(classes)
+    members = np.argsort(classes, kind="stable")
+    first = np.cumsum(sizes) - sizes
+    blocks = []
+    for k in sorted(set(sizes.tolist())):
+        same, cols = first[sizes == k], np.arange(k)
+        per = max(1, 3 * step // (k + 2))
+        blocks += [members[same[start:start + per, None] + cols]
+                   for start in range(0, same.size, per)]
+    return blocks
+
+
 def _interface_blocks(pre: CouplingPrecomp, angles: np.ndarray, g_st, g_rt):
-    """Solve the interface problem over the 1-D ``angles`` in blocks of at
-    most B angles, yielding (rows, R, lam) per block.  R is formed once per
-    block and serves K_int, the right-hand side and the caller's products
-    with lam; it and K_int live in buffers reused by the next block.  A
-    per-angle right-hand side (one row per angle) is sliced per block, a
-    shared one used as is.  Every matrix gets the operations of its own
-    single-angle solve, so each row keeps its bits."""
+    """Solve the interface problem over the 1-D ``angles``, one interface
+    matrix per class of angles a whole number of stator periods apart,
+    yielding (rows, R, lam) per block of classes.  K_int of a class is
+    formed at its first angle, guarded by one Cholesky and solved once for
+    the class's right-hand sides -(R^T g_st + g_rt), one column per angle.
+    R is formed once per angle of the block and serves K_int, the
+    right-hand side and the caller's products with lam; it and K_int live in
+    buffers reused by the next block.  A per-angle right-hand side (one row
+    per angle) is gathered per block, a shared one used as is.  Each class
+    gets the operations of its own solve, so the rows do not depend on the
+    blocking, and angles in classes of their own keep the bits of their
+    single-angle solves."""
     layout = _rotation_layout(pre.orders)
     n_h = pre.orders.size
-    step = _block_angles(n_h)
-    R = np.zeros((min(step, angles.size), n_h, n_h))    # zeros shared by every R
-    K_int = np.empty_like(R)
-    for start in range(0, angles.size, step):
-        rows = slice(start, start + step)
-        alpha = angles[rows]
-        Rb, Kb = R[:alpha.size], K_int[:alpha.size]
-        _fill_rotation(Rb, layout, alpha)
+    blocks = _class_blocks(_angle_classes(angles, pre.period), _block_angles(n_h))
+    R = np.zeros((max((b.size for b in blocks), default=0), n_h, n_h))  # zeros shared by every R
+    K_int = np.empty((max((len(b) for b in blocks), default=0), n_h, n_h))
+    for block in blocks:
+        n_cls, k = block.shape
+        rows = block.reshape(-1)                          # class by class
+        Rb, Kb = R[:rows.size], K_int[:n_cls]
+        _fill_rotation(Rb, layout, angles[rows])
         Rt = np.swapaxes(Rb, -1, -2)
-        np.matmul(Rt @ pre.st.H, Rb, out=Kb)
-        Kb += pre.rt.H                                  # H_rt + R^T H_st R
+        np.matmul(Rt[::k] @ pre.st.H, Rb[::k], out=Kb)   # at each class's first angle
+        Kb += pre.rt.H                                    # H_rt + R^T H_st R
         gs = g_st[rows] if np.ndim(g_st) > 1 else g_st
         gr = g_rt[rows] if np.ndim(g_rt) > 1 else g_rt
-        yield rows, Rb, spd_stack_solve(Kb, -(matvec(Rt, gs) + gr))
+        f = -(matvec(Rt, gs) + gr).reshape(n_cls, k, n_h)
+        lam = spd_stack_solve(Kb, np.swapaxes(f, -1, -2))
+        yield rows, Rb, np.swapaxes(lam, -1, -2).reshape(rows.size, n_h)
 
 
 def solve_interface(pre: CouplingPrecomp, alpha,

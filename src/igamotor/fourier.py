@@ -80,8 +80,16 @@ def thd(A: np.ndarray, B: np.ndarray, index_set) -> float:
     fundamental = A[1] ** 2 + B[1] ** 2
     if fundamental <= 0.0:
         raise DegenerateSignalError("zero fundamental: THD undefined")
-    rest = sum(A[k] ** 2 + B[k] ** 2 for k in index_set if k != 1)
+    idx = np.array(index_set, dtype=int)
+    idx = idx[idx != 1]
+    # a running sum adds the terms one by one in index-set order
+    rest = np.cumsum(A[idx] ** 2 + B[idx] ** 2)[-1] if idx.size else 0.0
     return float(np.sqrt(rest / fundamental))
+
+
+# bytes of the complex spectra build_derivative_dft holds at a time: 2 MiB,
+# beside the 8 n_angles^2 bytes of its output (134 MB at 4,096 angles)
+_DFT_BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -94,18 +102,24 @@ class DerivativeDftMatrices:
 
 def build_derivative_dft(n_angles: int) -> DerivativeDftMatrices:
     """Columns are the spectra of unit samples, so M_a s reproduces the A
-    output of emf_spectrum(s) for every s (linearity of the DFT)."""
+    output of emf_spectrum(s) for every s (linearity of the DFT).  The unit
+    samples are transformed as rows of the identity, _DFT_BLOCK_BYTES of
+    complex spectra at a time, with emf_spectrum's operations, so every
+    column has the bits of emf_spectrum of its unit sample."""
     if n_angles % 2:
         raise ValueError("n_angles must be even")
     n_harm = n_angles // 2
     M_a = np.zeros((n_harm, n_angles))
     M_b = np.zeros((n_harm, n_angles))
-    for j in range(n_angles):
-        e = np.zeros(n_angles)
-        e[j] = 1.0
-        A, B = emf_spectrum(e)
-        M_a[:, j] = A
-        M_b[:, j] = B
+    k = np.arange(1, n_harm)
+    step = max(1, _DFT_BLOCK_BYTES // (16 * n_angles))
+    for start in range(0, n_angles, step):
+        cols = slice(start, min(start + step, n_angles))
+        E = np.eye(cols.stop - start, n_angles, start)          # unit samples
+        C = np.fft.fft(E, axis=-1) / n_angles
+        C_k, C_minus_k = C[:, 1:n_harm], C[:, :n_harm:-1]     # C[k], C[n - k]
+        M_a[1:, cols] = np.real(1j * k * (C_k - C_minus_k)).T
+        M_b[1:, cols] = np.real(-k * (C_k + C_minus_k)).T
     return DerivativeDftMatrices(M_a, M_b)
 
 

@@ -185,6 +185,12 @@ class MachineConfig:
         return 12 * self.pole_pairs  # slot | tooth per slot pitch
 
     @property
+    def stator_period(self) -> float:
+        """Rotation angle that maps the stator onto itself: one slot pitch,
+        a slot and a tooth sector of sector_bounds."""
+        return 2 * np.pi / (self.stator_sectors // 2)
+
+    @property
     def n_dofs(self) -> int:
         """Glued control points of the demo machine, both sides, Dirichlet
         dofs included.  Each side has three rings of degree-2 patches with

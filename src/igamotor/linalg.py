@@ -5,9 +5,11 @@ The sparse factorization wraps SuperLU in symmetric mode with a
 fill-reducing ordering; one factorization is amortized over the many
 harmonic right-hand sides and rotor angles of the coupling precomputation.
 Everything is real: complex input is rejected rather than cast.  The
-interface systems of the rotor angles come as (n, n_h, n_h) stacks, a block
-of angles at a time, and are solved by numpy's stacked gufuncs, which give
-every matrix the bits of its own single solve.
+interface systems of the rotor angles come as (n, n_h, n_h) stacks, one
+matrix per class of angles and a block of classes at a time, each with one
+right-hand side or a block of columns, one per angle of its class.  They
+are solved by numpy's stacked gufuncs, which give every matrix the bits of
+its own single solve with the same columns.
 """
 from __future__ import annotations
 
@@ -89,8 +91,8 @@ def real_lu(S: sp.spmatrix):
 
 
 def spd_stack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a dense SPD system, or a stack (..., n, n) of them with one
-    right-hand side (..., n) each.
+    """Solve a dense SPD system, or a stack (..., n, n) of them, for one
+    right-hand side (..., n) or a block of k columns (..., n, k) per matrix.
 
     Cholesky is the guard: raises SingularSystemError when any matrix is not
     positive definite or its smallest squared Cholesky pivot falls below
@@ -99,7 +101,7 @@ def spd_stack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     A, b = _real(A), _real(b)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
-    if b.shape[:A.ndim - 1] != A.shape[:-1]:
+    if b.ndim not in (A.ndim - 1, A.ndim) or b.shape[:A.ndim - 1] != A.shape[:-1]:
         raise ValueError("dimension mismatch")
     # the Frobenius norms (as np.linalg.norm forms them) before the factor,
     # and the factor freed once its pivots are read: one stack-sized
@@ -111,6 +113,8 @@ def spd_stack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularSystemError("interface system not positive definite") from exc
     if not np.all(pivots.min(axis=-1) >= 1e-14 * norm):
         raise SingularSystemError("interface system numerically singular")
+    if b.ndim == A.ndim:
+        return np.linalg.solve(A, b)
     return np.linalg.solve(A, b[..., None])[..., 0]
 
 

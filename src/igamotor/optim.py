@@ -117,7 +117,7 @@ class MachineSolver:
         keeps its products, not its stiffness or factorization."""
         K_rt = assemble_stiffness(rotor, self.dm_rt, self.relmap_rt)
         rt = precompute_side(K_rt, self._G_rt, self._j_rt)
-        return CouplingPrecomp(self._st_pre, rt, self.orders)
+        return CouplingPrecomp(self._st_pre, rt, self.orders, self.cfg.stator_period)
 
     def evaluate(self, rotor: MultipatchModel):
         """(sweep with spectrum attached, precomputation) for one rotor."""

@@ -215,7 +215,7 @@ def test_optimize_failure_keeps_partial_history(tmp_path, monkeypatch):
 
 
 def test_optimize_round_off_thd_exits_3_with_partial_outputs(tmp_path):
-    # integer orders at refinement 0: the initial THD is 9.49e-16
+    # integer orders at refinement 0: the initial THD is 2.96e-15
     cfg_path = write_config(tmp_path, machine={"refinement": 0, "n_harmonics": 12,
                                                "n_angles": 12},
                             optimizer={"max_iterations": 2})

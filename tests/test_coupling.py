@@ -16,8 +16,9 @@ from igamotor.coupling import (
     solve_interface,
     sweep_angles,
 )
-from igamotor.fourier import attach_spectrum
-from igamotor.optim import MachineSolver
+from igamotor.fourier import SweepResult, attach_spectrum
+from igamotor.linalg import spd_stack_solve
+from igamotor.optim import THD_ROUNDOFF, MachineSolver
 
 from conftest import coarse_config, zero_source_precompute
 
@@ -167,13 +168,18 @@ def test_sweep_single_angle_matches_solve(pre, coarse_winding):
 
 
 def test_stacked_reconstruction_matches_per_angle_calls(coarse_cfg, pre):
+    # the 12 sweep angles form 2 slot-pitch classes, each solved with the
+    # interface matrix of its first angle: lambda agrees with the
+    # single-angle solves to 1.4e-15 of its largest entry (measured), not
+    # bitwise; the reconstruction from one lambda is bitwise
     angles = sweep_angles(coarse_cfg.pole_pairs, coarse_cfg.n_angles)
     lambdas = solve_interface(pre, angles)
     stacked = reconstruct_state(pre, angles, lambdas)
     assert stacked.u_st.shape == (angles.size, pre.st.y.size)
     for i, alpha in enumerate(angles):
         single = reconstruct_state(pre, alpha, lambdas[i])
-        np.testing.assert_array_equal(lambdas[i], solve_interface(pre, alpha))
+        np.testing.assert_allclose(lambdas[i], solve_interface(pre, alpha),
+                                   rtol=0, atol=1e-14 * np.abs(lambdas[i]).max())
         np.testing.assert_array_equal(stacked.u_st[i], single.u_st)
         np.testing.assert_array_equal(stacked.u_rt[i], single.u_rt)
 
@@ -288,3 +294,109 @@ def test_rotor_field_never_reads_the_stator_solution(pre):
     assert stator.read == []
     np.testing.assert_array_equal(state.u_st, reference.u_st)
     assert "X" in stator.read
+
+
+@pytest.fixture(scope="module", params=[(r, m) for r in (0, 1, 2) for m in (True, False)],
+                ids=lambda p: "r%d-%s" % (p[0], "poles" if p[1] else "integers"))
+def period_solver(request):
+    """Machines at refinements 0-2 with pole-multiple and integer harmonic
+    orders (12 at refinement 0, 24 above), and their precomputations."""
+    refinement, multiples = request.param
+    solver = MachineSolver(coarse_config(refinement=refinement,
+                                         n_harmonics=12 if refinement == 0 else 24,
+                                         harmonics_multiple_of_poles=multiples))
+    return solver, solver.precompute(solver.rotor0)
+
+
+def test_stator_period_is_a_symmetry_of_the_stator_block(period_solver):
+    # one slot pitch maps the stator onto itself, so R^T H_st R = H_st
+    # (measured to 3.0e-14); one sector, half of it, does not (measured
+    # 6.3e-3 to 8.7e-2) as soon as two orders add up to the slot count 6 p:
+    # below that H_st pairs each order only with itself and every rotation
+    # keeps it (integer orders up to 6 at refinement 0)
+    solver, pre = period_solver
+    cfg = solver.cfg
+    assert pre.period == cfg.stator_period == 2 * np.pi / (6 * cfg.pole_pairs)
+    H = pre.st.H
+
+    def moved(angle):
+        R = rotation_matrix(pre.orders, angle)
+        return np.abs(R.T @ H @ R - H).max() / np.abs(H).max()
+
+    assert moved(cfg.stator_period) < 1e-12
+    if 2 * pre.orders.max() >= 6 * cfg.pole_pairs:
+        assert moved(cfg.stator_period / 2) > 1e-3
+
+
+def test_grouped_solves_match_per_angle_solves(period_solver):
+    # a full-period sweep shares one interface matrix per slot-pitch class;
+    # against each angle's own K_int, solved alone, lambda, psi, THD and the
+    # adjoint's lambda agree to 1e-12 relative (measured: 4.9e-14 at most)
+    solver, pre = period_solver
+    angles = sweep_angles(solver.cfg.pole_pairs, 120) + 0.0123
+    R = rotation_matrix(pre.orders, angles)
+    Rt = np.swapaxes(R, -1, -2)
+    K_int = [pre.rt.H + Rt[i] @ pre.st.H @ R[i] for i in range(angles.size)]
+    chi_X = solver.winding @ pre.st.X
+    g_st = np.random.default_rng(5).standard_normal(angles.size)[:, None] * chi_X
+
+    def per_angle(g, g_rt):
+        return np.array([spd_stack_solve(K_int[i], -(Rt[i] @ g[i] + g_rt))
+                         for i in range(angles.size)])
+
+    lam = per_angle(np.broadcast_to(pre.st.g, g_st.shape), pre.rt.g)
+    adjoint = per_angle(g_st, 0.0)
+    psi = solver.flux_scale * (float(solver.winding @ pre.st.y)
+                               + np.einsum("j,ijk,ik->i", chi_X, R, lam))
+    oracle = attach_spectrum(SweepResult(angles, psi))
+    sweep = attach_spectrum(rotation_sweep(pre, angles, solver.winding, solver.flux_scale))
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    close(sweep.lambdas, lam)
+    close(sweep.psi, psi)
+    close(solve_interface(pre, angles, g_st=g_st, g_rt=0), adjoint)
+    if oracle.thd > THD_ROUNDOFF:      # integer orders at refinement 0: round-off THD
+        assert abs(sweep.thd - oracle.thd) <= 1e-12 * oracle.thd
+    else:
+        assert sweep.thd < THD_ROUNDOFF
+
+
+def _class_count(angles, period):
+    return np.unique(coupling._angle_classes(angles, period)).size
+
+
+def test_angle_classes_one_per_slot_pitch_residue(coarse_cfg):
+    p, tau = coarse_cfg.pole_pairs, coarse_cfg.stator_period
+    for n in (12, 60, 120, 240):        # 6 | n: n / 6 classes of 6 angles
+        assert _class_count(sweep_angles(p, n) + 0.0123, tau) == n // 6
+    assert _class_count(sweep_angles(p, 16), tau) == 8
+    # whole multiples of the period, some just below one: a single class
+    assert _class_count(np.arange(7) * tau, tau) == 1
+    for n in (1, 27, 28, 29, 59):       # the linspace grids: no shared class
+        angles = np.linspace(0.0, 2.0, n) + 0.013
+        assert _class_count(angles, tau) == n
+    assert _class_count(sweep_angles(p, 120), None) == 120
+
+
+def test_rows_do_not_depend_on_block_size(solver24, monkeypatch):
+    # classes of 6 (a 120-angle period), 1 (a linspace grid) and 2 (a
+    # 16-angle period) angles, solved in blocks of one angle's stack up to
+    # one block for everything: every row keeps its bits
+    solver, pre = solver24
+    p = solver.cfg.pole_pairs
+    angles = np.concatenate([sweep_angles(p, 120) + 0.0123,
+                             np.linspace(0.0, 2.0, 7) + 0.013, sweep_angles(p, 16)])
+    g_st = np.random.default_rng(8).standard_normal(angles.size)[:, None] * (
+        solver.winding @ pre.st.X)
+    one_matrix = 8 * pre.orders.size ** 2
+    results = []
+    for stack_bytes in (one_matrix, 5 * one_matrix, coupling._STACK_BYTES, 1 << 24):
+        monkeypatch.setattr(coupling, "_STACK_BYTES", stack_bytes)
+        sweep = rotation_sweep(pre, angles, solver.winding, solver.flux_scale)
+        results.append((sweep.lambdas, sweep.psi,
+                        solve_interface(pre, angles, g_st=g_st, g_rt=0)))
+    for got in results[1:]:
+        for a, b in zip(results[0], got):
+            np.testing.assert_array_equal(a, b)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from igamotor import fourier
 from igamotor.errors import DegenerateSignalError
 from igamotor.fourier import (
     build_derivative_dft,
@@ -119,3 +120,43 @@ def test_derivative_dft_matrices_match_spectrum():
     # matrices reproduce the analytic cosine case
     A, B = mats.M_a @ samples(n, np.cos), mats.M_b @ samples(n, np.cos)
     assert abs(A[1]) < 1e-12 and abs(B[1] + 1.0) < 1e-12
+
+
+def _unit_sample_dft(n):
+    """M_a, M_b column by column: emf_spectrum of each unit sample."""
+    columns = [emf_spectrum(np.eye(n)[j]) for j in range(n)]
+    return (np.column_stack([A for A, _ in columns]),
+            np.column_stack([B for _, B in columns]))
+
+
+@pytest.mark.parametrize("n, block_columns", [(2, None), (60, None), (120, None), (120, 7)])
+def test_derivative_dft_equals_unit_sample_spectra_bitwise(monkeypatch, n, block_columns):
+    # one batched FFT per block of unit samples gives every column the
+    # bits of emf_spectrum of its unit sample; 7 columns a block puts block
+    # boundaries at 7, 14, ..., 119
+    if block_columns is not None:
+        monkeypatch.setattr(fourier, "_DFT_BLOCK_BYTES", 16 * n * block_columns)
+    mats = build_derivative_dft(n)
+    M_a, M_b = _unit_sample_dft(n)
+    np.testing.assert_array_equal(mats.M_a, M_a)
+    np.testing.assert_array_equal(mats.M_b, M_b)
+
+
+def test_thd_sums_in_index_set_order_bitwise():
+    # the running sum adds the non-fundamental terms in the order given,
+    # one at a time, as a plain loop does
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n_harm = int(rng.integers(3, 100))
+        A, B = rng.standard_normal(n_harm), rng.standard_normal(n_harm)
+        idx = tuple(rng.permutation(n_harm)[:int(rng.integers(1, n_harm))].tolist()) + (1,)
+        rest = 0.0
+        for k in idx:
+            if k != 1:
+                rest += A[k] ** 2 + B[k] ** 2
+        assert thd(A, B, idx) == float(np.sqrt(rest / (A[1] ** 2 + B[1] ** 2)))
+    assert thd(A, B, (1,)) == 0.0
+    with pytest.raises(ValueError):
+        thd(A, B, (1, n_harm))
+    with pytest.raises(ValueError):
+        thd(A, B, (1, -1))

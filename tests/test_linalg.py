@@ -95,6 +95,27 @@ def test_spd_stack_solve_matches_per_matrix_solves(rng):
         np.testing.assert_array_equal(x[i], spd_stack_solve(A[i], b[i]))
 
 
+def test_spd_stack_solve_column_blocks_match_per_column_solves(rng):
+    # k columns per matrix: each column solves as its own right-hand side,
+    # to rounding (the LU's triangular solves may block the columns); one
+    # column per matrix is the vector form, bit for bit
+    A = np.stack([random_spd(12, rng).toarray() for _ in range(5)])
+    b = rng.standard_normal((5, 12, 3))
+    x = spd_stack_solve(A, b)
+    assert x.shape == (5, 12, 3)
+    for i in range(5):
+        for j in range(3):
+            single = spd_stack_solve(A[i], b[i, :, j])
+            np.testing.assert_allclose(x[i, :, j], single, rtol=0,
+                                       atol=1e-14 * np.abs(single).max())
+    np.testing.assert_array_equal(spd_stack_solve(A, b[..., :1])[..., 0],
+                                  spd_stack_solve(A, b[..., 0]))
+    np.testing.assert_array_equal(spd_stack_solve(A[0], b[0]).shape, (12, 3))
+    for bad in (b[..., None], b[0, 0], b[:4]):
+        with pytest.raises(ValueError):
+            spd_stack_solve(A, bad)
+
+
 @pytest.mark.parametrize("kind", ["singular", "indefinite"])
 def test_spd_stack_solve_rejects_one_bad_matrix(rng, kind):
     A = np.stack([random_spd(6, rng).toarray() for _ in range(4)])

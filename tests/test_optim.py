@@ -392,7 +392,7 @@ def test_run_optimization_rejects_loaded_machine():
 
 
 def test_run_optimization_refuses_round_off_thd():
-    # integer orders on the CI config: the initial THD is 9.49e-16
+    # integer orders on the CI config: the initial THD is 2.96e-15
     cfg = coarse_config()
     with pytest.raises(DegenerateSignalError) as err:
         run_optimization(cfg, opt_cfg(max_iterations=2))
