@@ -7,7 +7,9 @@ vector potential across the air-gap circle weakly against real harmonics
 carried in the rotor frame: a column of order l >= 0 tests against
 cos(l theta), a column of order l < 0 against sin(|l| theta).  Rotation by
 alpha enters only through the real orthogonal matrix R(alpha), one 2x2
-rotation block per order pair.  With the trace moment matrices G_st
+rotation block per order pair, which the solves apply by its phases and
+never form: (R v)_k = cos(l_k a) v_k - sin(l_k a) v_p(k), with p(k) the
+column of order -l_k, and R^T = R(-a).  With the trace moment matrices G_st
 (negative sign convention) and G_rt, the system reads
 
     [ K_st        0      -G_st R(a) ] [u_st]   [j_st]
@@ -23,23 +25,22 @@ problem
 
 with K_int symmetric positive definite, and the interior fields are
 reconstructed as u_st = y_st + X_st R lam, u_rt = y_rt + X_rt lam with
-X_* = K_*^-1 G_*, y_* = K_*^-1 j_*.  Only the n_harmonics-dimensional system
-depends on the angle, so the angle is an array axis: given an array of
-angles, rotation_matrix, solve_interface and reconstruct_state return one
-row per angle.  The stator repeats every slot pitch tau (CouplingPrecomp.
-period), so R(tau)^T H_st R(tau) = H_st and K_int(a + k tau) = K_int(a):
-solve_interface and rotation_sweep group the angles into classes a whole
-number of periods apart, and form, Cholesky-guard and solve one K_int per
-class, at its first angle, with one column per angle of the class (a
-full-period sweep of n angles has n / gcd(n, 6) classes: 20 at 120).  They
-do not build the whole (n_angles, n_h, n_h) stack: classes of equal size k
-are taken in blocks whose rotations (one per angle) and K_int stack fit
-three stacks of B matrices, B set so that one stack takes about 128 KiB,
-and each block's rotations are formed once for K_int, the right-hand sides
-and the flux linkage.  Each class gets the operations of its own solve, so
-the rows do not depend on the blocking, and an angle that shares its class
-with no other keeps the bits of its single-angle solve.  reconstruct_state
-forms each interior field when it is first read.
+X_* = K_*^-1 G_*, y_* = K_*^-1 j_*.  Only the n_harmonics-dimensional
+system depends on the angle, so the angle is an array axis: given an array
+of angles, rotation_matrix, solve_interface and reconstruct_state return
+one row per angle.  The stator repeats every slot pitch tau
+(CouplingPrecomp.period), so R(tau)^T H_st R(tau) = H_st and
+K_int(a + k tau) = K_int(a): solve_interface and rotation_sweep group the
+angles into classes a whole number of periods apart, and form,
+Cholesky-guard and solve one K_int per class, at its first angle, with one
+column per angle of the class (a full-period sweep of n angles has
+n / gcd(n, 6) classes: 20 at 120).  They do not build the whole
+(n_angles, n_h, n_h) stack: classes of equal size are taken in blocks of
+about 128 KiB of K_int, and each block takes its phases once, for K_int,
+the right-hand sides and the flux linkage.  Each class gets the operations
+of its own solve, so the rows do not depend on the blocking, and an angle
+that shares its class with no other keeps the bits of its single-angle
+solve.  reconstruct_state forms each interior field when it is first read.
 
 CouplingPrecomp is the one representation of the coupled system: it holds
 G and j of each side beside the products X, y, H and g, and the harmonic
@@ -77,24 +78,32 @@ def harmonic_orders(n_harmonics: int, multiples_of: int = 1) -> np.ndarray:
     return base * int(multiples_of)
 
 
-def _rotation_layout(orders):
-    """Checked orders with the (row, column) index pairs of R's sin and cos
-    entries."""
+def _partner_columns(orders) -> np.ndarray:
+    """Column p(k) of order -l_k of each column k; checks the orders first."""
     column = {l: k for k, l in enumerate(np.asarray(orders, dtype=int).tolist())}
     if len(column) != len(orders) or any(-l not in column for l in column):
         raise ValueError("harmonic orders must be distinct and closed under negation")
-    cols = np.arange(len(column))
-    return np.array(list(column)), [column[-l] for l in column], cols
+    return np.array([column[-l] for l in column], dtype=np.intp)
 
 
-def _fill_rotation(R, layout, alpha):
-    """Write the angle-dependent entries of R(alpha) into R, whose other
-    entries are zero."""
-    orders, partner, cols = layout
-    phase = orders * np.asarray(alpha, dtype=float)[..., None]
-    R[..., partner, cols] = np.sin(phase)   # an l = 0 column is its own partner:
-    R[..., cols, cols] = np.cos(phase)      # its 0 is overwritten by cos 0 = 1
-    return R
+def _phases(orders, alpha):
+    """cos(l alpha) and sin(l alpha), one row per angle: the entries of R."""
+    phase = np.asarray(orders) * np.asarray(alpha, dtype=float)[..., None]
+    return np.cos(phase), np.sin(phase)
+
+
+def _rotate(v, cos, sin, partner, axis=-1):
+    """R(alpha) v along ``axis`` of v, the phases lying along that axis:
+    (R v)_k = cos(l_k a) v_k - sin(l_k a) v_p(k).  R^T = R(-a) takes -sin."""
+    out = np.take(v, partner, axis=axis) * -sin
+    out += cos * v
+    return out
+
+
+def _congruence(H, cos, sin, partner):
+    """R^T H R per row of phases: R^T on the rows of H, then on the columns."""
+    HR = _rotate(H, cos[..., None, :], -sin[..., None, :], partner)
+    return _rotate(HR, cos[..., None], -sin[..., None], partner, axis=-2)
 
 
 def rotation_matrix(orders, alpha) -> np.ndarray:
@@ -104,9 +113,13 @@ def rotation_matrix(orders, alpha) -> np.ndarray:
     For l > 0 with cos column c and sin column s, R[c,c] = R[s,s] = cos l a
     and R[s,c] = -R[c,s] = sin l a; an l = 0 column is left fixed.
     """
-    layout = _rotation_layout(orders)
-    n_h = layout[0].size
-    return _fill_rotation(np.zeros(np.shape(alpha) + (n_h, n_h)), layout, alpha)
+    partner = _partner_columns(orders)
+    cols = np.arange(partner.size)
+    cos, sin = _phases(orders, alpha)
+    R = np.zeros(np.shape(alpha) + (cols.size, cols.size))
+    R[..., partner, cols] = sin    # an l = 0 column is its own partner:
+    R[..., cols, cols] = cos       # its 0 is overwritten by cos 0 = 1
+    return R
 
 
 @dataclass
@@ -189,15 +202,19 @@ def precompute_side(K: sp.spmatrix, G: np.ndarray, j: np.ndarray) -> SidePrecomp
 
 @dataclass
 class CouplingPrecomp:
-    """Blocks and products reused by every angle solve, and the rotation
-    period of the stator, under which H_st is invariant: R(period)^T H_st
-    R(period) = H_st.  Angles a whole number of periods apart share one
-    interface matrix; with no period given none do."""
+    """Blocks and products reused by every angle solve, the harmonic orders
+    (checked here) with the partner column of order -l of each, and the
+    stator's rotation period: R(period)^T H_st R(period) = H_st, so angles
+    a whole number of periods apart share one interface matrix."""
 
     st: SidePrecomp
     rt: SidePrecomp
     orders: np.ndarray
-    period: float | None = None
+    period: float
+    partner: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.partner = _partner_columns(self.orders)
 
     def verify(self, K_st: sp.spmatrix, K_rt: sp.spmatrix, tol: float = 1e-12) -> float:
         """Max relative deviation of the stored products X, y, H and g from
@@ -227,18 +244,16 @@ class AngleSolution:
 
     @cached_property
     def u_st(self) -> np.ndarray:
-        R = rotation_matrix(self.pre.orders, self.alpha)
-        return self.pre.st.y + matvec(self.pre.st.X, matvec(R, self.lam))
+        Rlam = _rotate(self.lam, *_phases(self.pre.orders, self.alpha), self.pre.partner)
+        return self.pre.st.y + matvec(self.pre.st.X, Rlam)
 
     @cached_property
     def u_rt(self) -> np.ndarray:
         return self.pre.rt.y + matvec(self.pre.rt.X, self.lam)
 
 
-# bytes of one (B, n_h, n_h) float64 stack of interface matrices: a sweep
-# holds at most three such stacks at a time (R, K_int and one temporary),
-# whatever its angle count, so its working set stays in cache; only a class
-# of more than 3 B - 2 angles, whose rotations make up its block, exceeds them
+# bytes of a block's stack of interface matrices, about four of which are
+# live while it is formed: a sweep's working set stays in cache
 _STACK_BYTES = 1 << 17
 
 # two angles share an interface matrix when their difference is within this
@@ -248,19 +263,16 @@ _STACK_BYTES = 1 << 17
 _PERIOD_TOL = 1e-12
 
 
-def _block_angles(n_harmonics: int) -> int:
-    """Angles per block B: 28 at 24 harmonics, 113 at 12."""
+def _block_classes(n_harmonics: int) -> int:
+    """Classes per block C: 28 at 24 harmonics, 113 at 12."""
     return max(1, _STACK_BYTES // (8 * n_harmonics * n_harmonics))
 
 
-def _angle_classes(angles: np.ndarray, period: float | None) -> np.ndarray:
+def _angle_classes(angles: np.ndarray, period: float) -> np.ndarray:
     """Class number of each angle: sorted by residue modulo ``period`` (a
     residue within _PERIOD_TOL below the period counts from 0), angles whose
     residues lie within _PERIOD_TOL of their neighbour's share a class;
-    classes are numbered in the order of their residues.  Without a period
-    every angle is its own class."""
-    if period is None:
-        return np.arange(angles.size)
+    classes are numbered in the order of their residues."""
     r = np.mod(angles, period)
     r[period - r <= _PERIOD_TOL] -= period
     order = np.argsort(r, kind="stable")
@@ -272,58 +284,43 @@ def _angle_classes(angles: np.ndarray, period: float | None) -> np.ndarray:
     return classes
 
 
-def _class_blocks(classes: np.ndarray, step: int) -> list:
+def _class_blocks(classes: np.ndarray, per: int) -> list:
     """Angle indices (C, k) of each block: C classes of k angles each, a
     class's angles in the order given and its first one in column 0.
-    Classes are grouped by size and taken C = max(1, 3 step // (k + 2)) at
-    a time, so that a block's rotations (C k matrices), interface matrices
-    and temporary (C each) fit the three step-matrix stacks of a block of
-    single angles, and every class is solved with its own k columns
-    whatever the block size.  Single angles come step to a block, as
-    without classes."""
+    Classes are grouped by size and taken ``per`` at a time, so every class
+    is solved with its own k columns whatever the block size."""
     sizes = np.bincount(classes)
     members = np.argsort(classes, kind="stable")
     first = np.cumsum(sizes) - sizes
     blocks = []
     for k in sorted(set(sizes.tolist())):
         same, cols = first[sizes == k], np.arange(k)
-        per = max(1, 3 * step // (k + 2))
         blocks += [members[same[start:start + per, None] + cols]
                    for start in range(0, same.size, per)]
     return blocks
 
 
 def _interface_blocks(pre: CouplingPrecomp, angles: np.ndarray, g_st, g_rt):
-    """Solve the interface problem over the 1-D ``angles``, one interface
-    matrix per class of angles a whole number of stator periods apart,
-    yielding (rows, R, lam) per block of classes.  K_int of a class is
-    formed at its first angle, guarded by one Cholesky and solved once for
-    the class's right-hand sides -(R^T g_st + g_rt), one column per angle.
-    R is formed once per angle of the block and serves K_int, the
-    right-hand side and the caller's products with lam; it and K_int live in
-    buffers reused by the next block.  A per-angle right-hand side (one row
-    per angle) is gathered per block, a shared one used as is.  Each class
-    gets the operations of its own solve, so the rows do not depend on the
-    blocking, and angles in classes of their own keep the bits of their
-    single-angle solves."""
-    layout = _rotation_layout(pre.orders)
-    n_h = pre.orders.size
-    blocks = _class_blocks(_angle_classes(angles, pre.period), _block_angles(n_h))
-    R = np.zeros((max((b.size for b in blocks), default=0), n_h, n_h))  # zeros shared by every R
-    K_int = np.empty((max((len(b) for b in blocks), default=0), n_h, n_h))
-    for block in blocks:
+    """Solve the interface problem over the 1-D ``angles``, one K_int per
+    class of angles a whole number of stator periods apart, formed at the
+    class's first angle, yielding (rows, cos, sin, lam) per block of
+    classes.  The phases of the rows' angles serve K_int, the right-hand
+    sides -(R^T g_st + g_rt), one column per angle (g_* shared or one row
+    per angle), and the caller's products with lam.  Each class gets the
+    operations of its own solve, so the rows do not depend on the blocking,
+    and angles in classes of their own keep the bits of their single-angle
+    solves."""
+    per = _block_classes(pre.orders.size)
+    for block in _class_blocks(_angle_classes(angles, pre.period), per):
         n_cls, k = block.shape
         rows = block.reshape(-1)                          # class by class
-        Rb, Kb = R[:rows.size], K_int[:n_cls]
-        _fill_rotation(Rb, layout, angles[rows])
-        Rt = np.swapaxes(Rb, -1, -2)
-        np.matmul(Rt[::k] @ pre.st.H, Rb[::k], out=Kb)   # at each class's first angle
-        Kb += pre.rt.H                                    # H_rt + R^T H_st R
+        cos, sin = _phases(pre.orders, angles[rows])
+        K_int = pre.rt.H + _congruence(pre.st.H, cos[::k], sin[::k], pre.partner)
         gs = g_st[rows] if np.ndim(g_st) > 1 else g_st
         gr = g_rt[rows] if np.ndim(g_rt) > 1 else g_rt
-        f = -(matvec(Rt, gs) + gr).reshape(n_cls, k, n_h)
-        lam = spd_stack_solve(Kb, np.swapaxes(f, -1, -2))
-        yield rows, Rb, np.swapaxes(lam, -1, -2).reshape(rows.size, n_h)
+        f = -(_rotate(gs, cos, -sin, pre.partner) + gr).reshape(n_cls, k, -1)
+        lam = spd_stack_solve(K_int, np.swapaxes(f, -1, -2))
+        yield rows, cos, sin, np.swapaxes(lam, -1, -2).reshape(rows.size, -1)
 
 
 def solve_interface(pre: CouplingPrecomp, alpha,
@@ -335,9 +332,9 @@ def solve_interface(pre: CouplingPrecomp, alpha,
     row each)."""
     angles = np.asarray(alpha, dtype=float)
     lambdas = np.empty((angles.size, pre.orders.size))
-    for rows, _, lam in _interface_blocks(pre, angles.reshape(-1),
-                                          pre.st.g if g_st is None else g_st,
-                                          pre.rt.g if g_rt is None else g_rt):
+    for rows, _, _, lam in _interface_blocks(pre, angles.reshape(-1),
+                                             pre.st.g if g_st is None else g_st,
+                                             pre.rt.g if g_rt is None else g_rt):
         lambdas[rows] = lam
     return lambdas.reshape(angles.shape + pre.orders.shape)
 
@@ -374,10 +371,10 @@ def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
     psi = np.zeros(angles.size)
     if winding_vector is not None:
         chi_X = winding_vector @ pre.st.X    # row vector of length n_harmonics
-    for rows, R, lam in _interface_blocks(pre, angles, pre.st.g, pre.rt.g):
+    for rows, cos, sin, lam in _interface_blocks(pre, angles, pre.st.g, pre.rt.g):
         lambdas[rows] = lam
         if winding_vector is not None:
-            psi[rows] = matvec(chi_X, matvec(R, lam))
+            psi[rows] = matvec(chi_X, _rotate(lam, cos, sin, pre.partner))
     if winding_vector is not None:
         psi = flux_scale * (float(winding_vector @ pre.st.y) + psi)
     return SweepResult(angles=angles, psi=psi, lambdas=lambdas)

@@ -1,5 +1,5 @@
 """Linear algebra contracts: sparse SPD factorization with multi-RHS solves,
-and dense SPD solves and matrix-vector products over stacks.
+dense SPD solves over stacks, and products of one matrix with stacked rows.
 
 The sparse factorization wraps SuperLU in symmetric mode with a
 fill-reducing ordering; one factorization is amortized over the many
@@ -9,7 +9,8 @@ interface systems of the rotor angles come as (n, n_h, n_h) stacks, one
 matrix per class of angles and a block of classes at a time, each with one
 right-hand side or a block of columns, one per angle of its class.  They
 are solved by numpy's stacked gufuncs, which give every matrix the bits of
-its own single solve with the same columns.
+its own single solve with the same columns.  matvec applies one matrix,
+such as X_st or a flux row, to a vector or to each row of a stack.
 """
 from __future__ import annotations
 

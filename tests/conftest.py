@@ -48,7 +48,7 @@ def zero_source_precompute(pre, K_st, K_rt):
     """The same coupled system with both loads j_st, j_rt set to zero."""
     st, rt = (precompute_side(K, side.G, np.zeros_like(side.j))
               for side, K in ((pre.st, K_st), (pre.rt, K_rt)))
-    return CouplingPrecomp(st, rt, pre.orders)
+    return CouplingPrecomp(st, rt, pre.orders, pre.period)
 
 
 def weighted_arc_patch():
