@@ -23,7 +23,10 @@ angle-major free-dof rows; T = A^T C_e A at each Gauss point (A the local
 basis gradients) is then the angle-summed grad u grad p^T, and the element
 contribution is A (nu w (tr T I - T - T^T)), all as batched matrix
 products.  The gradients and weights are the rotor geometry that the dof
-map's assembly plan keeps for the stiffness and the metric.
+map's assembly plan keeps for the stiffness and the metric.  On a closed
+model C_e takes each coefficient with its field sign, and a closure copy's
+contribution is turned back to its global point's frame, since the copy
+moves by the point's turned displacement.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _scatter_add
+from .assembly import _element_signs, _scatter_add
 from .coupling import CouplingPrecomp, solve_interface
 from .design import DesignSpace
 from .errors import DegenerateSignalError
@@ -134,6 +137,9 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
         free = dofmap.free_index[gd]                                # (G, E, L)
         A = grad.reshape(n_batch, n_el, n_loc, 2 * n_q)            # (L, 2Q) per element
         C = _element_values(U, free) @ _element_values(P, free).transpose(0, 1, 3, 2)
+        sg = _element_signs(dofmap, ids, space[0])
+        if sg is not None:
+            C *= sg[..., :, None] * sg[..., None, :]
         CA = (C @ A).reshape(n_batch, n_el, n_loc, n_q, 2).transpose(0, 1, 3, 2, 4)
         T = grad.transpose(0, 1, 3, 4, 2) @ CA                     # (G, E, Q, 2, 2)
         trT = T[..., 0, 0] + T[..., 1, 1]
@@ -144,6 +150,9 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
         M *= (nu[:, None, None] * wdet)[..., None, None]            # nu w (tr T I - T - T^T)
         contrib = A @ M.reshape(n_batch, n_el, 2 * n_q, 2)          # (G, E, L, 2)
         for pid, di, c in zip(ids, design.index[gd], contrib):
+            if dofmap.turn is not None and dofmap.patch_copies[pid] is not None:
+                turned = dofmap.patch_copies[pid].reshape(-1)[space[0]]
+                c[turned] = c[turned] @ dofmap.turn          # T^T c, per row
             valid = di >= 0
             targets[pid], contribs[pid] = di[valid], c[valid]
     targets = np.concatenate([targets[pid] for pid in design.patch_ids])

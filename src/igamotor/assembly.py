@@ -12,8 +12,8 @@ one scatter per quantity.
 * Batches: patches whose knots, degrees, weights and Gauss count have
   equal values share one space table, the rational basis values and
   parametric derivatives at the Gauss points, which do not depend on the
-  control points (the demo rotor's 54 patches share 3, the stator's 108
-  share 1).  Patches on one space are stacked into batches of at most 256
+  control points (the demo rotor pitch's 9 patches share 2, the stator's
+  18 share 1).  Patches on one space are stacked into batches of at most 256
   elements, one refinement-4 patch, and at least one patch.
 * Tables: det J, weight x det J, physical gradients (laid out
   (G, E, L, Q, 2), so the (L, 2Q) element operand is a view) and Gauss
@@ -32,6 +32,13 @@ one scatter per quantity.
   entry's terms in the order of a sequential ``np.add.at``.  So assembled
   quantities are bit-reproducible, and a restricted operator is bitwise
   the unrestricted one with its eliminated rows and columns removed.
+* Closure: on a model glued to itself after a turn (the pole pitch), a
+  function at a closure copy enters with the closure's field sign: the
+  vectors, the coupling moments and the field evaluation take it per
+  function, and an operator entry between a copy and a function that is
+  none takes it once (:func:`_h1_blocks` marks those entries).  The
+  deformation metric takes the turn itself there
+  (:func:`assemble_vector_metric`).
 
 :func:`eval_field` evaluates a field on the basis of
 :func:`igamotor.splines.patch_basis`.
@@ -571,22 +578,14 @@ class AssemblyPlan:
         return min_detj(model.patches, self) if geometry is None else geometry.min_detj
 
 
-def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
-               keep, mass: float = 0.0) -> sp.csr_matrix:
-    """Sum over patches of coeffs[pid] * grad-grad (plus optional mass term)
-    on the dofs of the bool mask ``keep`` (all, with no boundary
-    elimination, when None); patches with a zero coefficient are skipped.
-    The grad-grad blocks come from :meth:`AssemblyPlan.element_tables`.
-    The element entries are summed into the CSR data by one
-    ``np.bincount`` over the plan's scatter in patch/element order, those
-    of dropped dofs into the slot past the data, so every kept entry is the
-    sum of the same terms in the same order as in the unrestricted matrix."""
-    pids = [pid for pid, coeff in enumerate(coeffs) if coeff != 0.0]
-    if not pids:
-        raise AssemblyError("no patch contributes to the operator")
+def _h1_blocks(model: MultipatchModel, dofmap: DofMap, pids, coeffs, mass: float):
+    """The element matrices coeffs[pid] * grad-grad (plus mass times the
+    mass matrix) of the patches ``pids``, from
+    :meth:`AssemblyPlan.element_tables`, flat in patch/element/row/column
+    order, and [(span, cross)] for each of them that holds a closure copy:
+    its slice of the flat array and, per entry, t_row - t_col of the
+    closure-copy flags t of the two functions (E L L, int)."""
     plan = dofmap.plan
-    # the scatter first, so its transients are freed before the blocks exist
-    indptr, indices, slots = plan.scatter(model, pids, keep)
     # each patch's element blocks go straight to their place in patch order,
     # not into per-batch arrays joined at the end (a second 9 MB at refinement 4)
     geometry = plan.geometry(model)
@@ -598,17 +597,52 @@ def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
     sizes = {pid: space[0].size * space[0].shape[1] for ids, space in groups for pid in ids}
     starts = dict(zip(pids, np.cumsum([0] + [sizes[pid] for pid in pids])))
     blocks = np.empty(sum(sizes[pid] for pid in pids))
+    closure = []
     for ids, space, wdet, _, Ge in plan.element_tables(model, pids):
         ke = np.array([coeffs[pid] for pid in ids])[:, None, None, None] * Ge
         if mass:
             val = space[1]
             ke += mass * (val.transpose(0, 2, 1) @ (val * wdet[..., None]))
         for pid, block in zip(ids, ke.reshape(len(ids), -1)):
-            blocks[starts[pid]:starts[pid] + block.size] = block
+            span = slice(starts[pid], starts[pid] + block.size)
+            blocks[span] = block
+            if dofmap.patch_copies[pid] is not None:
+                t = dofmap.patch_copies[pid].reshape(-1)[space[0]].astype(int)   # (E, L)
+                closure.append((span, (t[:, :, None] - t[:, None, :]).reshape(-1)))
+    return blocks, closure
+
+
+def _csr(scatter, weights) -> sp.csr_matrix:
+    """The CSR matrix of the entries ``weights`` summed by one
+    ``np.bincount`` over the slots of ``scatter`` (:func:`_csr_scatter`),
+    those of dropped dofs into the slot past the data."""
+    indptr, indices, slots = scatter
     n = indptr.size - 1
-    data = np.bincount(slots, weights=blocks, minlength=indices.size + 1)[:indices.size]
+    data = np.bincount(slots, weights=weights, minlength=indices.size + 1)[:indices.size]
     # the matrix gets its own index arrays: callers may modify it in place
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+
+
+def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
+               keep, mass: float = 0.0) -> sp.csr_matrix:
+    """Sum over patches of coeffs[pid] * grad-grad (plus optional mass term)
+    on the dofs of the bool mask ``keep`` (all, with no boundary
+    elimination, when None); patches with a zero coefficient are skipped.
+    An entry between a closure copy and a function that is none is taken
+    with the closure's field sign.  The element entries are summed into the
+    CSR data by one ``np.bincount`` over the plan's scatter in
+    patch/element order, so every kept entry is the sum of the same terms
+    in the same order as in the unrestricted matrix."""
+    pids = [pid for pid, coeff in enumerate(coeffs) if coeff != 0.0]
+    if not pids:
+        raise AssemblyError("no patch contributes to the operator")
+    # the scatter first, so its transients are freed before the blocks exist
+    scatter = dofmap.plan.scatter(model, pids, keep)
+    blocks, closure = _h1_blocks(model, dofmap, pids, coeffs, mass)
+    if dofmap.closure_sign != 1.0:
+        for span, cross in closure:
+            blocks[span][cross != 0] *= dofmap.closure_sign
+    return _csr(scatter, blocks)
 
 
 def assemble_stiffness(model: MultipatchModel, dofmap: DofMap,
@@ -622,17 +656,29 @@ def assemble_stiffness(model: MultipatchModel, dofmap: DofMap,
     return _h1_matrix(model, dofmap, coeffs, keep=~dofmap.dirichlet)
 
 
+def _element_signs(dofmap: DofMap, pids, dofs):
+    """(G, E, L) field signs of the element functions ``dofs`` (E, L) of
+    the patches ``pids`` (:meth:`DofMap.patch_signs`), or None when all are
+    1."""
+    signs = [dofmap.patch_signs(pid) for pid in pids]
+    if all(sign is None for sign in signs):
+        return None
+    return np.stack([np.ones(dofmap.patch_maps[pid].size) if sign is None else sign.reshape(-1)
+                     for pid, sign in zip(pids, signs)]).take(dofs, axis=1)
+
+
 def _quadrature(model: MultipatchModel, dofmap: DofMap, pids, n_gauss):
-    """Yields (pids, gd, R, grad, wdet, xy) per batch of the patches
+    """Yields (pids, gd, sg, R, grad, wdet, xy) per batch of the patches
     ``pids`` of ``model`` on the dof map's plan (:func:`_patch_batches`):
-    gd (G, E, L) the element functions' global dofs, R (E, Q, L) their
-    values and :func:`_batch_tables`.  AssemblyError where det J <= 0."""
+    gd (G, E, L) the element functions' global dofs, sg their
+    :func:`_element_signs`, R (E, Q, L) their values and
+    :func:`_batch_tables`.  AssemblyError where det J <= 0."""
     patches = [model.patches[pid] for pid in pids]
     for ids, space, P in _patch_batches(patches, dofmap.plan, n_gauss):
         _, grad, wdet, xy = _batch_tables(space, P)
         batch = [pids[i] for i in ids]
         gd = np.stack([dofmap.patch_maps[pid].reshape(-1) for pid in batch]).take(space[0], axis=1)
-        yield batch, gd, space[1], grad, wdet, xy
+        yield batch, gd, _element_signs(dofmap, batch, space[0]), space[1], grad, wdet, xy
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -650,11 +696,13 @@ def _assemble_vector(model: MultipatchModel, dofmap: DofMap, pids, n_gauss, kern
     """Free-dof vector of the element contributions
     ``kernel(sign, R, grad, wdet, xy)`` (G, E, L) of every batch of
     :func:`_quadrature`, ``sign`` (G, 1, 1) the patches' region signs,
-    summed in patch/element/local order by one :func:`_scatter_add`."""
+    each taken with its function's field sign and summed in
+    patch/element/local order by one :func:`_scatter_add`."""
     parts = {}                  # pid -> (global dofs, contributions)
-    for ids, gd, *tables in _quadrature(model, dofmap, pids, n_gauss):
+    for ids, gd, sg, *tables in _quadrature(model, dofmap, pids, n_gauss):
         sign = np.array([model.tags[pid].sign for pid in ids])[:, None, None]
-        parts.update(zip(ids, zip(gd, kernel(sign, *tables))))
+        values = kernel(sign, *tables)
+        parts.update(zip(ids, zip(gd, values if sg is None else values * sg)))
     if not parts:
         return np.zeros(dofmap.n_free)
     index, values = (np.concatenate([parts[pid][k].reshape(-1) for pid in sorted(parts)])
@@ -665,15 +713,19 @@ def _assemble_vector(model: MultipatchModel, dofmap: DofMap, pids, n_gauss, kern
 def assemble_winding_vector(model: MultipatchModel, dofmap: DofMap,
                             cfg: MachineConfig, phase: int,
                             n_gauss: int | None = None) -> np.ndarray:
-    """Vector of integrals of the phase winding function against the basis.
+    """Vector of integrals of the phase winding function against the basis,
+    over the whole machine.
 
     The winding function is +-n_turns / A_slot on the slots of the phase
     (sign per slot) and zero elsewhere, so chi^T u integrates the turn
     density against u and the flux linkage is pole_pairs * l_z * chi^T u.
+    On a model that is one of ``copies`` sectors every copy adds the same
+    integral (the winding and the field change sign together), so chi is
+    ``copies`` times the model's own.
     """
     def kernel(sign, R, grad, wdet, xy):
         area = wdet.reshape(sign.size, -1).sum(axis=1)[:, None, None]
-        return sign * cfg.n_turns / area * np.einsum("eql,geq->gel", R, wdet)
+        return (model.copies * sign) * cfg.n_turns / area * np.einsum("eql,geq->gel", R, wdet)
 
     pids = [pid for pid, tag in enumerate(model.tags)
             if tag.kind == "coil" and tag.phase == phase]
@@ -717,8 +769,9 @@ def l2_error(model: MultipatchModel, dofmap: DofMap, u_free: np.ndarray,
     exact solution; the per-patch integrals are summed in patch order."""
     u_global = dofmap.expand(u_free)
     sums = {}
-    for ids, gd, R, _, wdet, xy in _quadrature(model, dofmap, range(len(model.patches)), n_gauss):
-        uh = np.einsum("eql,gel->geq", R, u_global[gd])
+    for ids, gd, sg, R, _, wdet, xy in _quadrature(model, dofmap, range(len(model.patches)),
+                                                   n_gauss):
+        uh = np.einsum("eql,gel->geq", R, u_global[gd] if sg is None else u_global[gd] * sg)
         ux = exact(xy[..., 0], xy[..., 1])
         terms = np.stack([(uh - ux) ** 2 * wdet, ux ** 2 * wdet], axis=1)   # (G, 2, E, Q)
         sums.update(zip(ids, terms.reshape(len(ids), 2, -1).sum(axis=-1)))
@@ -739,11 +792,11 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
     """Dense real moments of interface traces against the real harmonics.
 
     Column k holds -(stator) or +(rotor) integrals of w_i h_k(theta) R dtheta
-    over the interface circle, with h_k = cos(l_k theta) for l_k >= 0 and
-    h_k = sin(|l_k| theta) for l_k < 0.  Rows of dofs without interface
-    support are exactly zero.  The elements of every interface edge (edges
-    of one degree) are stacked and evaluated at once, then scattered in
-    edge/element/local order.
+    over the model's interface arc, with h_k = cos(l_k theta) for l_k >= 0
+    and h_k = sin(|l_k| theta) for l_k < 0, each function taken with its
+    field sign.  Rows of dofs without interface support are exactly zero.
+    The elements of every interface edge (edges of one degree) are stacked
+    and evaluated at once, then scattered in edge/element/local order.
     """
     orders = np.asarray(orders, dtype=int)
     if model.side not in ("stator", "rotor"):
@@ -758,11 +811,14 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
     for pid, edge in model.interface_edges:
         kv, w_edge, p_edge = edge_discretization(model.patches[pid], edge)
         edge_globals = dofmap.patch_maps[pid][_edge_index(edge)]
+        signs = dofmap.patch_signs(pid)
+        edge_signs = np.ones(edge_globals.size) if signs is None else signs[_edge_index(edge)]
         # (Ne, Q) weights and (Ne, Q, p+1) basis of the edge's elements
         _, wq, N, dN, first = _basis_table_1d(kv, n_gauss, dofmap.plan.tables)
         local = first[:, None] + np.arange(kv.degree + 1)      # (Ne, p+1)
-        edges.append((edge_globals[local], w_edge[local], p_edge[local], wq, N, dN))
-    index, w, ctrl, wq, N, dN = (np.concatenate(arrays) for arrays in zip(*edges))
+        edges.append((edge_globals[local], edge_signs[local], w_edge[local], p_edge[local],
+                      wq, N, dN))
+    index, field_sign, w, ctrl, wq, N, dN = (np.concatenate(arrays) for arrays in zip(*edges))
     if np.any(w <= 0.0):
         raise ValueError("weights must be positive")
     R, dR = rational_basis(w[:, None, :], N, dN)
@@ -778,26 +834,48 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
     harmonics = np.where(orders >= 0, np.cos(angle), np.sin(angle))  # (Ne, Q, n_h)
     weighted = R * (sign * radius * dtheta * wq)[..., None]
     moments = weighted.transpose(0, 2, 1) @ harmonics          # (Ne, p+1, n_h)
+    moments *= field_sign[..., None]
     G = _scatter_add(index.reshape(-1), moments.reshape(-1, orders.size), dofmap.n_global)
     return G[dofmap.free_globals]
 
 
 def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
                            design_mask: np.ndarray) -> sp.csr_matrix:
-    """H1-type metric for planar deformation fields restricted to masked dofs.
+    """H1-type metric for planar deformation fields of the masked dofs, over
+    the whole machine: (2 n, 2 n) in the stacked [x; y] order of the design
+    vectors, n the masked count.
 
     The bilinear form integrates the Frobenius product of the Jacobians plus
-    the pointwise product of the fields.  Componentwise, it acts on the x
-    and y fields alike, so the returned (n_masked, n_masked) matrix is the
-    scalar block of the componentwise metric.  Only patches holding a
-    masked dof are integrated: the others add nothing to the masked rows
-    and columns.
+    the pointwise product of the fields, ``copies`` times over the model.
+    A closure copy moves by its global point's displacement turned by the
+    model's turn T, so the element block h of two functions, one a closure
+    copy and one not, enters as h T^-1 or h T: the metric is [[A, B], [-B,
+    A]], with A the scalar metric whose such entries carry cos of the turn,
+    and B their sin, signed.  Without a turn (or a closure copy in the
+    metric) it is diag(H, H).  Only patches holding a masked dof are
+    integrated: the others add nothing to the masked rows and columns.
     """
     mask = np.asarray(design_mask, dtype=bool)
     if not mask.any():
         raise ConfigError("design mask selects no degrees of freedom")
-    coeffs = [float(mask[gmap.reshape(-1)].any()) for gmap in dofmap.patch_maps]
-    return _h1_matrix(model, dofmap, coeffs, mass=1.0, keep=mask)
+    copies = float(model.copies)
+    coeffs = [copies * float(mask[gmap.reshape(-1)].any()) for gmap in dofmap.patch_maps]
+    pids = [pid for pid, coeff in enumerate(coeffs) if coeff != 0.0]
+    scatter = dofmap.plan.scatter(model, pids, mask)
+    blocks, closure = _h1_blocks(model, dofmap, pids, coeffs, copies)
+    if dofmap.turn is None or not closure:
+        H = _csr(scatter, blocks)
+        return sp.block_diag([H, H], format="csr")
+    cos, sin = dofmap.turn[0, 0], dofmap.turn[1, 0]
+    # B: sin(phi (t_row - t_col)) h on the entries of the closure patches
+    slots = np.concatenate([scatter[2][span] for span, _ in closure])
+    B = _csr((scatter[0], scatter[1], slots),
+             np.concatenate([blocks[span] * (cross * sin) for span, cross in closure]))
+    B.eliminate_zeros()
+    for span, cross in closure:
+        blocks[span][cross != 0] *= cos
+    A = _csr(scatter, blocks)
+    return sp.bmat([[A, B], [-B, A]], format="csr")
 
 
 # --------------------------------------------------------------------------
@@ -806,10 +884,14 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
 def eval_field(model: MultipatchModel, dofmap: DofMap, u_global: np.ndarray,
                pid: int, xi: float, eta: float):
     """(point, value, physical gradient) of a coefficient field on a patch,
-    from one basis evaluation; the gradient is J^-T (du/dxi, du/deta)."""
+    from one basis evaluation, each coefficient taken with its field sign;
+    the gradient is J^-T (du/dxi, du/deta)."""
     patch = model.patches[pid]
     local, R, R_xi, R_eta = patch_basis(patch, xi, eta)
     P = patch.points[local].reshape(-1, 2)
     c = u_global[dofmap.patch_maps[pid][local].reshape(-1)]
+    signs = dofmap.patch_signs(pid)
+    if signs is not None:
+        c = c * signs[local].reshape(-1)
     dR = np.stack([R_xi, R_eta])                           # (2, L)
     return R @ P, float(R @ c), np.linalg.solve(dR @ P, dR @ c)

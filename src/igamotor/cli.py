@@ -107,6 +107,28 @@ def _write_csv(path: Path, cfg_hash: str, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _turned(angle: float, v: np.ndarray) -> np.ndarray:
+    """The 2-vector v turned by ``angle``."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+
+def _sample(model, dofmap, u_global, r: float, theta: float):
+    """(point, value, gradient) of the field at polar (r, theta), theta in
+    [0, 2 pi), from the model's copy k that holds theta: the model is
+    evaluated at theta - k arc (arc = 2 pi / copies), and the copy's point
+    and gradient are the model's turned by k arc, its value and gradient
+    closure_sign^k times the model's."""
+    arc = 2 * np.pi / model.copies
+    k = min(int(theta // arc), model.copies - 1)
+    pid, xi, eta = locate_polar(model, r, theta - k * arc)
+    point, u, grad = eval_field(model, dofmap, u_global, pid, xi, eta)
+    if k:
+        sign = model.closure_sign ** k
+        point, u, grad = _turned(k * arc, point), sign * u, sign * _turned(k * arc, grad)
+    return point, u, grad
+
+
 def cmd_solve(cfg: RunConfig) -> None:
     mc = cfg.machine
     solver = MachineSolver(mc)
@@ -117,12 +139,14 @@ def cmd_solve(cfg: RunConfig) -> None:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
+    # the coefficients of the modelled pitch, Dirichlet dofs included
     coeff_rows = [("stator", i, v) for i, v in enumerate(dm_st.expand(sol.u_st))]
     coeff_rows += [("rotor", i, v) for i, v in enumerate(dm_rt.expand(sol.u_rt))]
     _write_csv(out / "u_coeffs.csv", cfg.hash, "side,index,value", coeff_rows)
 
-    # polar sample grid at cell centers; rotor samples are taken in the rotor
-    # frame and reported at their laboratory position
+    # polar sample grid at cell centers over the whole machine; rotor
+    # samples are taken in the rotor frame and reported at their laboratory
+    # position
     u_st_g, u_rt_g = dm_st.expand(sol.u_st), dm_rt.expand(sol.u_rt)
     rows = []
     for i in range(n_r):
@@ -131,16 +155,10 @@ def cmd_solve(cfg: RunConfig) -> None:
         for j in range(n_t):
             th = (j + 0.5) * 2.0 * np.pi / n_t
             if rotor_side:
-                pid, xi, eta = locate_polar(rotor, r, (th - alpha) % (2 * np.pi))
-                point, u, grad = eval_field(rotor, dm_rt, u_rt_g, pid, xi, eta)
-                c, s = np.cos(alpha), np.sin(alpha)
-                point = np.array([c * point[0] - s * point[1],
-                                  s * point[0] + c * point[1]])
-                grad = np.array([c * grad[0] - s * grad[1],
-                                 s * grad[0] + c * grad[1]])
+                point, u, grad = _sample(rotor, dm_rt, u_rt_g, r, (th - alpha) % (2 * np.pi))
+                point, grad = _turned(alpha, point), _turned(alpha, grad)
             else:
-                pid, xi, eta = locate_polar(stator, r, th)
-                point, u, grad = eval_field(stator, dm_st, u_st_g, pid, xi, eta)
+                point, u, grad = _sample(stator, dm_st, u_st_g, r, th)
             rows.append((point[0], point[1], u, grad[1], -grad[0]))
     _write_csv(out / "field.csv", cfg.hash, "x,y,u,Bx,By", rows)
 

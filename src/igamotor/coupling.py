@@ -42,6 +42,13 @@ of its own solve, so the rows do not depend on the blocking, and an angle
 that shares its class with no other keeps the bits of its single-angle
 solve.  reconstruct_state forms each interior field when it is first read.
 
+The sides are modelled over one pole pitch, closed antiperiodically: a
+harmonic of order l lives on that model when it is antiperiodic over the
+pitch, and closure_orders keeps those of the configured set, the odd
+multiples of p.  Each side's blocks are then 1/(2p) of the full
+machine's, so lambda is the full machine's; the winding vector, and with
+it the flux linkage and the adjoint load, counts all 2p copies.
+
 CouplingPrecomp is the one representation of the coupled system: it holds
 G and j of each side beside the products X, y, H and g, and the harmonic
 orders.  Each side's K is factored, solved once for the stacked columns
@@ -78,6 +85,18 @@ def harmonic_orders(n_harmonics: int, multiples_of: int = 1) -> np.ndarray:
     return base * int(multiples_of)
 
 
+def closure_orders(orders, copies: int, closure_sign: int) -> np.ndarray:
+    """The orders l of ``orders`` whose harmonics follow the closure of a
+    model that is one of ``copies`` sectors of its side with field sign
+    ``closure_sign``: h(theta + 2 pi / copies) = closure_sign h(theta), so
+    2 l / copies is an integer, odd across an antiperiodic closure (on the
+    pole pitch, the odd multiples of pole_pairs) and even across a periodic
+    one.  The other orders carry no field of such a model."""
+    orders = np.asarray(orders, dtype=int)
+    turns, rest = np.divmod(2 * orders, copies)
+    return orders[(rest == 0) & (turns % 2 == int(closure_sign < 0))]
+
+
 def _partner_columns(orders) -> np.ndarray:
     """Column p(k) of order -l_k of each column k; checks the orders first."""
     column = {l: k for k, l in enumerate(np.asarray(orders, dtype=int).tolist())}
@@ -86,10 +105,22 @@ def _partner_columns(orders) -> np.ndarray:
     return np.array([column[-l] for l in column], dtype=np.intp)
 
 
-def _phases(orders, alpha):
-    """cos(l alpha) and sin(l alpha), one row per angle: the entries of R."""
-    phase = np.asarray(orders) * np.asarray(alpha, dtype=float)[..., None]
-    return np.cos(phase), np.sin(phase)
+def _phases(orders, partner, alpha):
+    """cos(l alpha) and sin(l alpha), one row per angle: the entries of R.
+    They are taken once per |l|, at the columns of l >= 0, and copied to
+    the partner columns p(k) of order -l with the sign of l: cos and sin
+    are even and odd bit for bit."""
+    orders = np.asarray(orders)
+    half = np.flatnonzero(orders >= 0)
+    phase = orders[half] * np.asarray(alpha, dtype=float)[..., None]
+    c, s = np.cos(phase), np.sin(phase)
+    cos = np.empty(phase.shape[:-1] + (partner.size,))
+    sin = np.empty_like(cos)
+    cos[..., half] = c
+    cos[..., partner[half]] = c
+    sin[..., partner[half]] = -s     # an l = 0 column is its own partner:
+    sin[..., half] = s               # its -0 is overwritten by sin 0 = 0
+    return cos, sin
 
 
 def _rotate(v, cos, sin, partner, axis=-1):
@@ -115,7 +146,7 @@ def rotation_matrix(orders, alpha) -> np.ndarray:
     """
     partner = _partner_columns(orders)
     cols = np.arange(partner.size)
-    cos, sin = _phases(orders, alpha)
+    cos, sin = _phases(np.asarray(orders), partner, alpha)
     R = np.zeros(np.shape(alpha) + (cols.size, cols.size))
     R[..., partner, cols] = sin    # an l = 0 column is its own partner:
     R[..., cols, cols] = cos       # its 0 is overwritten by cos 0 = 1
@@ -244,7 +275,8 @@ class AngleSolution:
 
     @cached_property
     def u_st(self) -> np.ndarray:
-        Rlam = _rotate(self.lam, *_phases(self.pre.orders, self.alpha), self.pre.partner)
+        pre = self.pre
+        Rlam = _rotate(self.lam, *_phases(pre.orders, pre.partner, self.alpha), pre.partner)
         return self.pre.st.y + matvec(self.pre.st.X, Rlam)
 
     @cached_property
@@ -314,12 +346,13 @@ def _interface_blocks(pre: CouplingPrecomp, angles: np.ndarray, g_st, g_rt):
     for block in _class_blocks(_angle_classes(angles, pre.period), per):
         n_cls, k = block.shape
         rows = block.reshape(-1)                          # class by class
-        cos, sin = _phases(pre.orders, angles[rows])
+        cos, sin = _phases(pre.orders, pre.partner, angles[rows])
         K_int = pre.rt.H + _congruence(pre.st.H, cos[::k], sin[::k], pre.partner)
         gs = g_st[rows] if np.ndim(g_st) > 1 else g_st
         gr = g_rt[rows] if np.ndim(g_rt) > 1 else g_rt
         f = -(_rotate(gs, cos, -sin, pre.partner) + gr).reshape(n_cls, k, -1)
         lam = spd_stack_solve(K_int, np.swapaxes(f, -1, -2))
+        del K_int, f                 # not held while the next block is formed
         yield rows, cos, sin, np.swapaxes(lam, -1, -2).reshape(rows.size, -1)
 
 

@@ -8,6 +8,10 @@ patch, the interface circle, and the shaft boundary; everything else in
 the deforming patches is free, two components per point.  The magnets
 never move, which is why the shape gradient carries no magnetization term.
 Vectors over the design space are stacked [x-components; y-components].
+
+The geometry is periodic even where the field is antiperiodic: a closure
+copy of a free point moves by the point's displacement turned by the
+model's turn, so the closure stays glued.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ class DesignSpace:
     index: np.ndarray = field(init=False)
     patch_ids: tuple = field(init=False)
     nodes: np.ndarray = field(init=False)   # globals of the design patches' points, in patch order
+    turned: np.ndarray = field(init=False)  # positions in ``nodes`` of closure copies
 
     def __post_init__(self):
         dm = self.dofmap
@@ -57,6 +62,11 @@ class DesignSpace:
             if tag.kind in DEFORM_KINDS
             and mask[dm.patch_maps[pid].reshape(-1)].any())
         self.nodes = np.concatenate([dm.patch_maps[pid].reshape(-1) for pid in self.patch_ids])
+        copies = np.concatenate([np.zeros(dm.patch_maps[pid].size, dtype=bool)
+                                 if dm.patch_copies[pid] is None
+                                 else dm.patch_copies[pid].reshape(-1)
+                                 for pid in self.patch_ids])
+        self.turned = np.flatnonzero(copies if dm.turn is not None else [])
 
     @property
     def n_points(self) -> int:
@@ -77,18 +87,27 @@ class DesignSpace:
         disp[self.free, 1] = w_stacked[self.n_points:]
         return disp
 
+    def node_displacements(self, w_stacked: np.ndarray) -> np.ndarray:
+        """(len(nodes), 2) displacement of every control point of the design
+        patches, in patch order: a closure copy's is its global point's
+        turned by the dof map's turn."""
+        disp = self.displacement(w_stacked)[self.nodes]
+        if self.turned.size:
+            disp[self.turned] = disp[self.turned] @ self.dofmap.turn.T
+        return disp
+
     def displace(self, model: MultipatchModel, w_stacked: np.ndarray,
                  delta: float) -> MultipatchModel:
-        """Control points move by -delta * W; untouched patches are shared
-        (bit-identical) with the input model.
+        """Control points move by -delta * W (a closure copy by its turned
+        displacement); untouched patches are shared (bit-identical) with
+        the input model.
 
         The design patches move in one gathered step; each moved patch
         shares the knots and weights objects of its input patch
         (:meth:`NurbsPatch.with_points`)."""
-        disp = self.displacement(w_stacked)
         parents = [model.patches[pid] for pid in self.patch_ids]
         points = np.concatenate([patch.points.reshape(-1, 2) for patch in parents])
-        moved = points - delta * disp[self.nodes]
+        moved = points - delta * self.node_displacements(w_stacked)
         new_patches = list(model.patches)
         start = 0
         for pid, patch in zip(self.patch_ids, parents):

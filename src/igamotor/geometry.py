@@ -1,12 +1,20 @@
 """Multipatch machine geometry: the parametric demo cross-section, region
 tags, degree-of-freedom gluing and Dirichlet bookkeeping.
 
-The demo machine is a full-circle annular layout built from exact NURBS
-arc sectors (u radial, v angular).  Rotor rings (inner to outer): iron core,
+The demo machine is built over one pole pitch pi/p from exact NURBS arc
+sectors (u radial, v angular).  Rotor rings (inner to outer): iron core,
 magnet ring with iron between poles, rotor half of the air gap.  Stator
 rings: stator half of the air gap, slot/tooth ring, iron yoke.  The two
 sides meet on the circle r = r_interface and are never glued to each other;
 coupling happens weakly through interface harmonics.
+
+The machine is antiperiodic over a pole pitch: the magnets alternate and
+the winding flips sign every pitch, so u(theta + pi/p) = -u(theta).  The
+pitch model closes on itself: its last sector's v1 edge is glued to the
+first sector's v0 edge rotated by the pitch, and the field changes sign
+across that closure.  The full ring is the same construction over 2 p
+pitches, closed by a turn of 2 pi with sign +1; the tests build it as the
+oracle of the pitch.
 """
 from __future__ import annotations
 
@@ -33,9 +41,14 @@ from .splines import (
 EDGES = ("u0", "u1", "v0", "v1")
 
 # Size bounds, so that a config typo exits as a ConfigError instead of
-# exhausting memory.  A refinement-4 design step (47,736 dofs) peaks near
-# 0.4 GB; a million dofs is about 20 times that.
+# exhausting memory.  A refinement-4 design step (7,956 dofs on the pitch)
+# peaks near 118 MB of process RSS, 85 MB of which a refinement-0 run
+# needs too; a million dofs is about 125 times as many.
 MAX_DOFS = 1_000_000
+# Every coupled harmonic order is an odd multiple of pole_pairs, and the
+# interface rule takes about (largest configured order) / 2 Gauss points
+# per element: both stay at most this.
+MAX_ORDER = 4096
 # build_derivative_dft holds 8 n_angles^2 bytes: 134 MB at 4,096 angles.
 MAX_ANGLES = 4096
 
@@ -119,11 +132,16 @@ class MachineConfig:
             raise ConfigError("n_angles=%d exceeds %d" % (self.n_angles, MAX_ANGLES))
         # from MAX_DOFS.bit_length() on, 2 ** refinement alone exceeds the bound
         if self.refinement >= MAX_DOFS.bit_length() or self.n_dofs > MAX_DOFS:
-            raise ConfigError("pole_pairs=%d, refinement=%d imply more than %d dofs"
-                              % (self.pole_pairs, self.refinement, MAX_DOFS))
+            raise ConfigError("refinement=%d implies more than %d dofs"
+                              % (self.refinement, MAX_DOFS))
         if not isinstance(self.harmonics_multiple_of_poles, bool):
             raise ConfigError("harmonics_multiple_of_poles must be true or false, got %r"
                               % (self.harmonics_multiple_of_poles,))
+        largest = (self.n_harmonics // 2) * (self.pole_pairs if self.harmonics_multiple_of_poles
+                                             else 1)
+        if max(self.pole_pairs, largest) > MAX_ORDER:
+            raise ConfigError("pole_pairs=%d, n_harmonics=%d: harmonic orders above %d"
+                              % (self.pole_pairs, self.n_harmonics, MAX_ORDER))
         radii = (self.r_shaft, self.r_rotor_iron, self.r_magnet, self.r_interface,
                  self.r_stator_inner, self.r_slot_outer, self.r_outer)
         if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -158,60 +176,63 @@ class MachineConfig:
                     "n_harmonics=%d too rich for %s trace (%d dofs); need "
                     "2*n_harmonics+1 <= trace dofs" % (self.n_harmonics, side, n_trace))
 
-    def sector_bounds(self):
+    def sector_bounds(self, poles: int = 1):
         """(rotor, stator) lists of the (theta0, theta1) arc of every sector
-        that build_demo_machine forms: gap | magnet | gap per pole and
-        slot | tooth per slot pitch."""
+        that build_demo_machine forms over ``poles`` pole pitches from
+        theta = 0: gap | magnet | gap per pole and slot | tooth per slot
+        pitch, three slot pitches per pole."""
         pitch = 2 * np.pi / (2 * self.pole_pairs)
         gap = 0.5 * (1.0 - self.magnet_span) * pitch
         rotor = []
-        for pole in range(2 * self.pole_pairs):
+        for pole in range(poles):
             a = pole * pitch
             rotor += [(a, a + gap), (a + gap, a + pitch - gap), (a + pitch - gap, a + pitch)]
-        slot_pitch = 2 * np.pi / (6 * self.pole_pairs)
+        slot_pitch = self.stator_period
         stator = []
-        for s in range(6 * self.pole_pairs):
+        for s in range(3 * poles):
             a = s * slot_pitch
             stator += [(a, a + self.slot_span * slot_pitch),
                        (a + self.slot_span * slot_pitch, a + slot_pitch)]
         return rotor, stator
 
     @property
-    def rotor_sectors(self) -> int:
-        return 6 * self.pole_pairs  # gap | magnet | gap per pole
-
-    @property
-    def stator_sectors(self) -> int:
-        return 12 * self.pole_pairs  # slot | tooth per slot pitch
-
-    @property
     def stator_period(self) -> float:
         """Rotation angle that maps the stator onto itself: one slot pitch,
         a slot and a tooth sector of sector_bounds."""
-        return 2 * np.pi / (self.stator_sectors // 2)
+        return 2 * np.pi / (6 * self.pole_pairs)
 
     @property
     def n_dofs(self) -> int:
-        """Glued control points of the demo machine, both sides, Dirichlet
-        dofs included.  Each side has three rings of degree-2 patches with
-        2^r + 2 points per direction: 3 (2^r + 2) - 2 radially, and 2^r + 1
-        angularly per sector around the closed ring, over 6 p rotor and
-        12 p stator sectors."""
+        """Glued control points of the pitch model build_demo_machine forms,
+        both sides, Dirichlet dofs included.  Each side has three rings of
+        degree-2 patches with 2^r + 2 points per direction: 3 (2^r + 2) - 2
+        radially, and 2^r + 1 angularly per sector around the closed pitch,
+        over 3 rotor and 6 stator sectors."""
         cells = 2 ** self.refinement
-        return 18 * self.pole_pairs * (cells + 1) * (3 * cells + 4)
+        return 9 * (cells + 1) * (3 * cells + 4)
 
     @property
     def rotor_trace_dofs(self) -> int:
-        return self.rotor_sectors * (1 + 2 ** self.refinement)
+        """Interface trace dofs of the full machine's rotor: 2 p pitches of
+        3 sectors with 2^r + 1 points each."""
+        return 6 * self.pole_pairs * (1 + 2 ** self.refinement)
 
     @property
     def stator_trace_dofs(self) -> int:
-        return self.stator_sectors * (1 + 2 ** self.refinement)
+        """Interface trace dofs of the full machine's stator: 2 p pitches of
+        6 sectors with 2^r + 1 points each."""
+        return 12 * self.pole_pairs * (1 + 2 ** self.refinement)
 
 
 @dataclass
 class MultipatchModel:
-    """Conforming collection of patches for one side of the machine."""
+    """Conforming collection of patches for one side of the machine.
+
+    The model is one of ``copies`` equal sectors of its side, each the last
+    turned by 2 pi / copies.  Edge a of a ``closure`` connection is edge b
+    turned by that angle, and the field on edge a is ``closure_sign`` times
+    the field on edge b: -1 over an antiperiodic pole pitch, +1 on a
+    periodic sector or the full ring (copies 1, no turn)."""
 
     patches: list
     tags: list
@@ -221,10 +242,24 @@ class MultipatchModel:
     dirichlet_edges: list = field(default_factory=list)  # (patch, edge)
     interface_edges: list = field(default_factory=list)  # (patch, edge)
     meta: dict = field(default_factory=dict)
+    closure: list = field(default_factory=list)        # (pa, ea, pb, eb, reverse)
+    copies: int = 1
+    closure_sign: int = 1
 
     def __post_init__(self):
         if len(self.patches) != len(self.tags):
             raise ValueError("one tag per patch required")
+        if self.closure_sign not in (-1, 1) or self.copies < 1:
+            raise ValueError("closure needs copies >= 1 and sign +-1")
+
+    @property
+    def turn(self) -> Optional[np.ndarray]:
+        """The 2 x 2 rotation by 2 pi / copies from edge b of a closure
+        connection to edge a; None for the full turn of a single copy."""
+        if self.copies == 1:
+            return None
+        c, s = np.cos(2 * np.pi / self.copies), np.sin(2 * np.pi / self.copies)
+        return np.array([[c, -s], [s, c]])
 
     def with_patches(self, patches) -> "MultipatchModel":
         return replace(self, patches=list(patches))
@@ -274,10 +309,16 @@ class DofMap:
     dirichlet: np.ndarray            # bool per global
     free_index: np.ndarray           # global -> free position, -1 if constrained
     free_globals: np.ndarray         # free position -> global
-    points: np.ndarray               # representative control point per global
+    points: np.ndarray               # control point per global: of a copy that is no closure copy
     weights: np.ndarray
     # per patch (knots_u, knots_v, weights): the objects of the NURBS bases numbered
     patch_bases: tuple = field(repr=False)
+    # per patch (n_u, n_v) bool, True at a closure copy of a global, or None
+    # when the patch holds none: its point is the global's point turned by
+    # ``turn`` and its field closure_sign times the global's
+    patch_copies: list = field(repr=False)
+    closure_sign: float
+    turn: Optional[np.ndarray]       # the model's turn; None for the full ring
 
     @cached_property
     def plan(self):
@@ -290,6 +331,14 @@ class DofMap:
     @property
     def n_free(self) -> int:
         return self.free_globals.size
+
+    def patch_signs(self, pid: int) -> Optional[np.ndarray]:
+        """Field factor (n_u, n_v) of the control points of patch ``pid``:
+        closure_sign at a closure copy and 1 elsewhere; None when all are 1."""
+        copies = self.patch_copies[pid]
+        if copies is None or self.closure_sign == 1.0:
+            return None
+        return np.where(copies, self.closure_sign, 1.0)
 
     def expand(self, u_free: np.ndarray) -> np.ndarray:
         """Free-dof vector(s) along axis 0 -> global (zeros on Dirichlet dofs)."""
@@ -310,14 +359,15 @@ def _not_close(a: np.ndarray, b: np.ndarray, sizes: np.ndarray, atol) -> np.ndar
     return ~np.logical_and.reduceat(close, starts)
 
 
-def _check_conforming(model: MultipatchModel, ends):
-    """Raise ConformityError for the first connection whose edges differ in
-    degree or knot count, knots (atol 1e-14), or control data: points
-    (atol 1e-12 max(1, max |point|)) and weights (atol 1e-12).  ``ends``
-    holds per connection the flat control point numbers (patch-major) of
-    both edges, matched in running order.  Every connection is compared in
+def _check_conforming(model: MultipatchModel, conn, ends):
+    """Raise ConformityError for the first connection of ``conn`` whose
+    edges differ in degree or knot count, knots (atol 1e-14), or control
+    data: points (atol 1e-12 max(1, max |point|)) and weights (atol 1e-12).
+    ``ends`` holds per connection the flat control point numbers
+    (patch-major) of both edges, matched in running order.  The connections
+    past the model's connectivity are its closure: their edge b points are
+    compared turned by the model's turn.  Every connection is compared in
     the same few array operations."""
-    conn = model.connectivity
     if not conn:
         return
     knots = [(_edge_knots(model.patches[pa], ea), _edge_knots(model.patches[pb], eb))
@@ -338,6 +388,10 @@ def _check_conforming(model: MultipatchModel, ends):
         points = np.concatenate([p.points.reshape(-1, 2) for p in model.patches])
         weights = np.concatenate([p.weights.reshape(-1) for p in model.patches])
         qa, qb = points[node_a], points[node_b]
+        turn = model.turn
+        if turn is not None:
+            closed = np.repeat(ok >= len(model.connectivity), sizes)
+            qb[closed] = qb[closed] @ turn.T
         # max(1, max |point|) of each edge a: fmax, as Python's max, takes 1 over a NaN
         scale = np.fmax(1.0, np.maximum.reduceat(np.abs(qa).max(axis=1), np.cumsum(sizes) - sizes))
         bad[ok] = (bad_knots[ok]
@@ -351,14 +405,26 @@ def _check_conforming(model: MultipatchModel, ends):
         raise ConformityError("edge (%d,%s)-(%d,%s): %s" % (pa, ea, pb, eb, what))
 
 
+def _glue(ends, total: int):
+    """(count, label per node): the connected components of the graph of
+    the matched node pairs ``ends``, numbered by their lowest node."""
+    rows = np.concatenate([a for a, _ in ends]) if ends else np.zeros(0, dtype=int)
+    cols = np.concatenate([b for _, b in ends]) if ends else np.zeros(0, dtype=int)
+    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
+    count, labels = connected_components(graph, directed=False)
+    return count, labels.astype(int)
+
+
 def build_dof_map(model: MultipatchModel) -> DofMap:
     """Glue matched edges into one global numbering and mark Dirichlet dofs.
 
-    Gluing is the equivalence closure over control points of matched edges:
-    the connected components of the graph of matched node pairs, numbered
-    by their lowest node.  Dirichlet dofs are exactly the control points of
-    the declared boundary edges (their basis functions span the boundary
-    trace).
+    Gluing is the equivalence closure over control points of matched edges,
+    the closure's included: the connected components of the graph of
+    matched node pairs, numbered by their lowest node.  The closure copies
+    are the points glued to edge a of a closure connection by the
+    connectivity alone; a point glued to its own copy is a ConformityError.
+    Dirichlet dofs are exactly the control points of the declared boundary
+    edges (their basis functions span the boundary trace).
     """
     shapes = [(p.n_u, p.n_v) for p in model.patches]
     offsets = np.cumsum([0] + [nu * nv for nu, nv in shapes])
@@ -366,25 +432,33 @@ def build_dof_map(model: MultipatchModel) -> DofMap:
     nodes = [offsets[p] + np.arange(nu * nv).reshape(nu, nv)
              for p, (nu, nv) in enumerate(shapes)]
 
+    conn = list(model.connectivity) + list(model.closure)
     ends = []
-    for pa, ea, pb, eb, reverse in model.connectivity:
+    for pa, ea, pb, eb, reverse in conn:
         nb = nodes[pb][_edge_index(eb)]
         ends.append((nodes[pa][_edge_index(ea)], nb[::-1] if reverse else nb))
-    _check_conforming(model, ends)
-    rows = np.concatenate([a for a, _ in ends]) if ends else np.zeros(0, dtype=int)
-    cols = np.concatenate([b for _, b in ends]) if ends else np.zeros(0, dtype=int)
-    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
-    n_global, labels = connected_components(graph, directed=False)
-    global_of_node = labels.astype(int)
+    _check_conforming(model, conn, ends)
+    n_global, global_of_node = _glue(ends, total)
+    is_copy = np.zeros(total, dtype=bool)
+    if model.closure:
+        _, plain = _glue(ends[:len(model.connectivity)], total)
+        closing = ends[len(model.connectivity):]
+        copies = plain[np.concatenate([a for a, _ in closing])]
+        if np.intersect1d(copies, plain[np.concatenate([b for _, b in closing])]).size:
+            raise ConformityError("closure glues a control point to its own copy")
+        is_copy = np.isin(plain, copies)
 
-    patch_maps = []
+    patch_maps, patch_copies = [], []
     points = np.zeros((n_global, 2))
     weights = np.zeros(n_global)
     for p, (nu, nv) in enumerate(shapes):
         gmap = global_of_node[offsets[p]:offsets[p] + nu * nv].reshape(nu, nv)
+        copy = is_copy[offsets[p]:offsets[p] + nu * nv].reshape(nu, nv)
         patch_maps.append(gmap)
-        points[gmap.reshape(-1)] = model.patches[p].points.reshape(-1, 2)
-        weights[gmap.reshape(-1)] = model.patches[p].weights.reshape(-1)
+        patch_copies.append(copy if copy.any() else None)
+        own = ~copy
+        points[gmap[own]] = model.patches[p].points[own]
+        weights[gmap[own]] = model.patches[p].weights[own]
 
     dirichlet = np.zeros(n_global, dtype=bool)
     for p, edge in model.dirichlet_edges:
@@ -395,7 +469,8 @@ def build_dof_map(model: MultipatchModel) -> DofMap:
     free_index[free_globals] = np.arange(free_globals.size)
     return DofMap(n_global, patch_maps, dirichlet, free_index, free_globals,
                   points, weights,
-                  tuple((p.knots_u, p.knots_v, p.weights) for p in model.patches))
+                  tuple((p.knots_u, p.knots_v, p.weights) for p in model.patches),
+                  patch_copies, float(model.closure_sign), model.turn)
 
 
 def check_mesh_validity(model: MultipatchModel, eps_jacobian: float = 0.0,
@@ -422,7 +497,10 @@ def _tag_to_dict(tag: RegionTag) -> dict:
 
 
 def dump_geometry(model: MultipatchModel) -> str:
-    """JSON text for a model; floats keep full precision (round-trippable)."""
+    """JSON text for a model; floats keep full precision (round-trippable).
+    Besides the patches, it holds the connectivity, the boundary and
+    interface edges, the closure connections, the number of copies the
+    model is of its side and the closure's field sign."""
     doc = {
         "side": model.side,
         "r_interface": model.r_interface,
@@ -441,12 +519,17 @@ def dump_geometry(model: MultipatchModel) -> str:
         "connectivity": [list(c) for c in model.connectivity],
         "dirichlet_edges": [list(e) for e in model.dirichlet_edges],
         "interface_edges": [list(e) for e in model.interface_edges],
+        "closure": [list(c) for c in model.closure],
+        "copies": model.copies,
+        "closure_sign": model.closure_sign,
         "meta": model.meta,
     }
     return json.dumps(doc, indent=1)
 
 
 def load_geometry(text: str) -> MultipatchModel:
+    """The model of :func:`dump_geometry`'s text; a document without a
+    closure is one copy of its side."""
     doc = json.loads(text)
     patches, tags = [], []
     for entry in doc["patches"]:
@@ -466,6 +549,9 @@ def load_geometry(text: str) -> MultipatchModel:
         dirichlet_edges=[tuple(e) for e in doc.get("dirichlet_edges", [])],
         interface_edges=[tuple(e) for e in doc.get("interface_edges", [])],
         meta=doc.get("meta", {}),
+        closure=[tuple(c) for c in doc.get("closure", [])],
+        copies=doc.get("copies", 1),
+        closure_sign=doc.get("closure_sign", 1),
     )
 
 
@@ -489,12 +575,14 @@ def _winding_layout(slot: int):
 
 
 def _build_annular_side(radii, ring_tags, sector_bounds, side, r_interface,
-                        refinement, dirichlet, interface) -> MultipatchModel:
-    """Rings x sectors grid of arc patches with ring/sector connectivity.
+                        refinement, dirichlet, interface, copies, closure_sign) -> MultipatchModel:
+    """Rings x sectors grid of arc patches with ring/sector connectivity,
+    closed from the last sector of each ring to its first.
 
     ``ring_tags(ring, sector) -> RegionTag``; ``dirichlet``/``interface`` are
     "inner"/"outer"/None selecting the u0 edge of ring 0 or the u1 edge of
-    the last ring.
+    the last ring; the side is ``copies`` turns of the sectors, and the
+    field changes by ``closure_sign`` across the closure.
     """
     n_rings = len(radii) - 1
     n_sec = len(sector_bounds)
@@ -512,7 +600,8 @@ def _build_annular_side(radii, ring_tags, sector_bounds, side, r_interface,
     connectivity = []
     for r in range(n_rings):
         for s in range(n_sec):
-            connectivity.append((pid(r, s), "v1", pid(r, (s + 1) % n_sec), "v0", False))
+            if s + 1 < n_sec:
+                connectivity.append((pid(r, s), "v1", pid(r, s + 1), "v0", False))
             if r + 1 < n_rings:
                 connectivity.append((pid(r, s), "u1", pid(r + 1, s), "u0", False))
 
@@ -535,19 +624,29 @@ def _build_annular_side(radii, ring_tags, sector_bounds, side, r_interface,
             "n_rings": n_rings,
             "n_sectors": n_sec,
         },
+        closure=[(pid(r, n_sec - 1), "v1", pid(r, 0), "v0", False) for r in range(n_rings)],
+        copies=copies,
+        closure_sign=closure_sign,
     )
 
 
-def build_demo_machine(cfg: MachineConfig):
-    """Build (stator, rotor) multipatch models of the demo machine.
+def build_demo_machine(cfg: MachineConfig, poles: int = 1):
+    """Build (stator, rotor) multipatch models of the demo machine over
+    ``poles`` pole pitches from theta = 0: one pitch, the model every solve
+    uses, by default; 2 pole_pairs pitches give the full ring.
 
-    The rotor has 2*pole_pairs magnets with alternating radial magnetization
-    inset in the iron of the magnet ring; the stator carries a balanced
-    three-phase winding, one slot per pole per phase.
+    The rotor has a magnet per pole, with radial magnetization alternating
+    from pole to pole, inset in the iron of the magnet ring; the stator
+    carries a balanced three-phase winding, one slot per pole per phase.
+    Each side is 2 pole_pairs / poles copies of the model, closed with the
+    field sign (-1)^poles.
     """
-    rotor_sectors, stator_sectors = cfg.sector_bounds()
+    if poles < 1 or (2 * cfg.pole_pairs) % poles:
+        raise ValueError("poles must divide the %d poles of the machine" % (2 * cfg.pole_pairs))
+    closure = dict(copies=2 * cfg.pole_pairs // poles, closure_sign=(-1) ** poles)
+    rotor_sectors, stator_sectors = cfg.sector_bounds(poles)
     rotor_kinds = []  # per sector of the magnet ring
-    for pole in range(2 * cfg.pole_pairs):
+    for pole in range(poles):
         sign = 1 if pole % 2 == 0 else -1
         rotor_kinds += [RegionTag("rotor_iron"),
                         RegionTag("magnet", sign=sign),
@@ -569,10 +668,11 @@ def build_demo_machine(cfg: MachineConfig):
         refinement=cfg.refinement,
         dirichlet="inner",
         interface="outer",
+        **closure,
     )
 
     slot_tags = []
-    for s in range(6 * cfg.pole_pairs):
+    for s in range(3 * poles):
         phase, sign = _winding_layout(s)
         slot_tags += [RegionTag("coil", phase=phase, sign=sign),
                       RegionTag("stator_iron")]
@@ -593,6 +693,7 @@ def build_demo_machine(cfg: MachineConfig):
         refinement=cfg.refinement,
         dirichlet="outer",
         interface="inner",
+        **closure,
     )
     return stator, rotor
 
@@ -601,8 +702,10 @@ def locate_polar(model: MultipatchModel, r: float, theta: float):
     """Find (patch, xi, eta) for polar coordinates on an as-built annular side.
 
     Valid only for the undeformed demo construction, whose meta carries ring
-    radii and sector bounds.  The radial parameter is linear in r; the
-    angular one is found by a short Newton iteration on the exact arc.
+    radii and sector bounds, and for angles on the model's own arc (one
+    pole pitch for the demo's pitch model).  The radial parameter is linear
+    in r; the angular one is found by a short Newton iteration on the exact
+    arc.
     """
     meta = model.meta
     if "ring_radii" not in meta:

@@ -18,10 +18,12 @@ from .assembly import (
     assemble_vector_metric,
     assemble_winding_vector,
     build_reluctivity_map,
+    coupling_gauss_count,
     detj_quadratic,
 )
 from .coupling import (
     CouplingPrecomp,
+    closure_orders,
     harmonic_orders,
     precompute_side,
     reconstruct_state,
@@ -84,6 +86,11 @@ class MachineSolver:
     """The assembled machine for one configuration, shared by the optimizer
     and every CLI command.
 
+    Both sides are modelled over ``poles`` pole pitches (one; the tests
+    build the full ring, 2 pole_pairs, as the oracle of the pitch).  The
+    coupling keeps the configured harmonic orders that the model's closure
+    admits, the odd multiples of pole_pairs on the pitch (the others vanish
+    by symmetry), integrated with the interface rule of the configured set.
     The stator side (stiffness, coupling moments and the products of its
     one solve, winding) is assembled once; its stiffness and factorization
     are dropped after that solve.  Per rotor geometry only the rotor
@@ -93,22 +100,32 @@ class MachineSolver:
     fixed) and are cached from the initial rotor.
     """
 
-    def __init__(self, cfg: MachineConfig):
+    def __init__(self, cfg: MachineConfig, poles: int = 1):
         self.cfg = cfg
-        self.stator, self.rotor0 = build_demo_machine(cfg)
+        self.stator, self.rotor0 = build_demo_machine(cfg, poles)
         self.dm_st = build_dof_map(self.stator)
         self.dm_rt = build_dof_map(self.rotor0)
-        self.orders = harmonic_orders(
+        configured = harmonic_orders(
             cfg.n_harmonics, cfg.pole_pairs if cfg.harmonics_multiple_of_poles else 1)
+        self.orders = closure_orders(configured, self.rotor0.copies, self.rotor0.closure_sign)
+        if not self.orders.size:
+            raise ConfigError("no configured harmonic order is an odd multiple of "
+                              "pole_pairs=%d: nothing couples the two sides" % cfg.pole_pairs)
         self.angles = sweep_angles(cfg.pole_pairs, cfg.n_angles)
         self.flux_scale = cfg.pole_pairs * cfg.length_z
         self.winding = assemble_winding_vector(self.stator, self.dm_st, cfg, phase=1)
         K_st = assemble_stiffness(self.stator, self.dm_st,
                                   build_reluctivity_map(self.stator, cfg))
-        G_st = assemble_coupling(self.stator, self.dm_st, self.orders)
+
+        def moments(model, dofmap):
+            degree = max(patch.knots_u.degree for patch in model.patches)
+            return assemble_coupling(model, dofmap, self.orders,
+                                     coupling_gauss_count(degree, configured))
+
+        G_st = moments(self.stator, self.dm_st)
         j_st = assemble_rhs(self.stator, self.dm_st, cfg, t=0.0)
         self._st_pre = precompute_side(K_st, G_st, j_st)
-        self._G_rt = assemble_coupling(self.rotor0, self.dm_rt, self.orders)
+        self._G_rt = moments(self.rotor0, self.dm_rt)
         self._j_rt = assemble_rhs(self.rotor0, self.dm_rt, cfg)
         self.relmap_rt = build_reluctivity_map(self.rotor0, cfg)
 
@@ -127,14 +144,13 @@ class MachineSolver:
 
 
 def descent_field(gradient: np.ndarray, metric) -> np.ndarray:
-    """Riesz representative of the stacked [x; y] gradient in the deformation
-    metric.  ``metric`` is its scalar block (assemble_vector_metric): one
-    factorization solves the x and y halves as two columns."""
+    """Riesz representative of the stacked [x; y] gradient in the
+    deformation metric (assemble_vector_metric), which couples x and y at a
+    turned closure: one factorization and one solve of the whole system."""
     g = np.asarray(gradient, dtype=float)
-    n = metric.shape[0]
-    if g.shape != (2 * n,):
-        raise ValueError("gradient length %d != 2 x metric size %d" % (g.size, n))
-    return factorize(metric).solve(g.reshape(2, n).T).T.reshape(-1)
+    if g.shape != (metric.shape[0],):
+        raise ValueError("gradient length %d != metric size %d" % (g.size, metric.shape[0]))
+    return factorize(metric).solve(g)
 
 
 @dataclass
@@ -149,12 +165,13 @@ class LineSearchResult:
 
 def detj_screen(design: DesignSpace, rotor: MultipatchModel, W: np.ndarray):
     """(a, b, c, margin) of :func:`igamotor.assembly.detj_quadratic` over
-    the Gauss points of the design patches of ``rotor`` moved along -W.
-    ``displace`` shares every other patch bit for bit, so these are the only
-    points at which a step can lose mesh validity."""
-    disp = design.displacement(W)
-    return detj_quadratic([rotor.patches[pid] for pid in design.patch_ids],
-                          [disp[design.dofmap.patch_maps[pid]] for pid in design.patch_ids],
+    the Gauss points of the design patches of ``rotor`` moved along -W (a
+    closure copy along its turned displacement).  ``displace`` shares every
+    other patch bit for bit, so these are the only points at which a step
+    can lose mesh validity."""
+    patches = [rotor.patches[pid] for pid in design.patch_ids]
+    stops = np.cumsum([patch.n_u * patch.n_v for patch in patches])[:-1]
+    return detj_quadratic(patches, np.split(design.node_displacements(W), stops),
                           design.dofmap.plan)
 
 

@@ -44,6 +44,15 @@ def machine_stiffness(solver):
     return K_st, assemble_stiffness(solver.rotor0, solver.dm_rt, solver.relmap_rt)
 
 
+def field_signs(dm, pid):
+    """Field sign of every control point of patch ``pid`` of the dof map
+    ``dm``, flat: the closure sign at a closure copy, 1 elsewhere."""
+    flags = dm.patch_copies[pid]
+    if flags is None:
+        return np.ones(dm.patch_maps[pid].size)
+    return np.where(flags.reshape(-1), dm.closure_sign, 1.0)
+
+
 def zero_source_precompute(pre, K_st, K_rt):
     """The same coupled system with both loads j_st, j_rt set to zero."""
     st, rt = (precompute_side(K, side.G, np.zeros_like(side.j))

@@ -22,7 +22,7 @@ from igamotor.geometry import build_demo_machine, build_dof_map, edge_nodes
 from igamotor.linalg import SpdFactorization, factorize, matvec
 from igamotor.optim import MachineSolver
 
-from conftest import coarse_config, machine_stiffness, zero_source_precompute
+from conftest import coarse_config, field_signs, machine_stiffness, zero_source_precompute
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +281,15 @@ def test_design_mask_holds_no_magnet_control_point(refinement):
         assert not design.mask[dm.patch_maps[pid].reshape(-1)].any()
 
 
+def _turn_back(dofmap, pid, dofs, contrib):
+    """Turn the (E, L, 2) contributions of the closure copies among the
+    element functions ``dofs`` back by the dof map's turn, in place: a copy
+    moves by its global point's displacement turned."""
+    if dofmap.turn is not None and dofmap.patch_copies[pid] is not None:
+        turned = dofmap.patch_copies[pid].reshape(-1)[dofs]
+        contrib[turned] = contrib[turned] @ dofmap.turn
+
+
 def _shape_gradient_oracle(model, dofmap, design, u_rt_list, p_rt_list, relmap):
     """The gradient as per-angle einsum contractions: physical gradients of
     every forward and adjoint field, then T = sum over angles of gu gp^T."""
@@ -295,8 +304,9 @@ def _shape_gradient_oracle(model, dofmap, design, u_rt_list, p_rt_list, relmap):
         tab = build_patch_tables(model.patches[pid])
         gd = dofmap.patch_maps[pid].reshape(-1)[tab.dofs]
         di = design.index[gd]
-        gu = np.einsum("eqlc,eln->eqcn", tab.grad, U[gd])
-        gp = np.einsum("eqlc,eln->eqcn", tab.grad, P[gd])
+        sg = field_signs(dofmap, pid)[tab.dofs][..., None]
+        gu = np.einsum("eqlc,eln->eqcn", tab.grad, U[gd] * sg)
+        gp = np.einsum("eqlc,eln->eqcn", tab.grad, P[gd] * sg)
         T = np.einsum("eqcn,eqdn->eqcd", gu, gp)
         trT = T[..., 0, 0] + T[..., 1, 1]
         Tsym = T + T.swapaxes(-1, -2)
@@ -305,6 +315,7 @@ def _shape_gradient_oracle(model, dofmap, design, u_rt_list, p_rt_list, relmap):
         for c in (0, 1):
             contrib[..., c] = np.einsum("eql,eq->el", tab.grad[..., c], nu_w * trT) \
                 - np.einsum("eqld,eqd->el", tab.grad, nu_w[..., None] * Tsym[..., :, c])
+        _turn_back(dofmap, pid, tab.dofs, contrib)
         valid = di >= 0
         np.add.at(g, di[valid], contrib[..., 0][valid])
         np.add.at(g, n_pts + di[valid], contrib[..., 1][valid])
@@ -348,7 +359,8 @@ def _shape_gradient_per_patch_oracle(model, dofmap, design, u_rt_list, p_rt_list
             continue
         n_el, n_q, n_loc = tab.val.shape
         A = tab.grad.transpose(0, 2, 1, 3).reshape(n_el, n_loc, 2 * n_q)
-        C = U[gd] @ P[gd].transpose(0, 2, 1)
+        sg = field_signs(dofmap, pid)[tab.dofs]
+        C = (U[gd] @ P[gd].transpose(0, 2, 1)) * (sg[:, :, None] * sg[:, None, :])
         CA = (C @ A).reshape(n_el, n_loc, n_q, 2).transpose(0, 2, 1, 3)
         T = tab.grad.transpose(0, 1, 3, 2) @ CA
         trT = T[..., 0, 0] + T[..., 1, 1]
@@ -356,8 +368,10 @@ def _shape_gradient_per_patch_oracle(model, dofmap, design, u_rt_list, p_rt_list
         M[..., 0, 0] += trT
         M[..., 1, 1] += trT
         M *= (relmap[model.tags[pid]] * tab.wdet)[..., None, None]
+        contrib = A @ M.reshape(n_el, 2 * n_q, 2)
+        _turn_back(dofmap, pid, tab.dofs, contrib)
         targets.append(di[valid])
-        contribs.append((A @ M.reshape(n_el, 2 * n_q, 2))[valid])
+        contribs.append(contrib[valid])
     targets, contribs = np.concatenate(targets), np.concatenate(contribs)
     return np.concatenate([np.bincount(targets, weights=contribs[:, c],
                                        minlength=design.n_points) for c in (0, 1)])

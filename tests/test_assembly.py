@@ -48,7 +48,7 @@ from igamotor.splines import (
     rational_basis,
 )
 
-from conftest import coarse_config, homogeneous_eval, weighted_arc_patch
+from conftest import coarse_config, field_signs, homogeneous_eval, weighted_arc_patch
 
 
 def square_model(p=1, n_elements=1, tag=RegionTag("rotor_air"), dirichlet=True):
@@ -141,9 +141,18 @@ def _rel_diff(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+def _cross(dm, pid, dofs):
+    """t_row - t_col (E, L, L) of the closure-copy flags t of the element
+    functions ``dofs`` (E, L) of patch ``pid``."""
+    flags = dm.patch_copies[pid]
+    t = np.zeros(dofs.shape, dtype=int) if flags is None else flags.reshape(-1)[dofs].astype(int)
+    return t[:, :, None] - t[:, None, :]
+
+
 def _h1_einsum_oracle(model, dm, coeffs, mass=0.0):
     """The element kernels as einsum contractions summed by a COO -> CSR
-    conversion: the reference for the batched kernels and cached scatter."""
+    conversion, each entry taken with the field signs of its two functions:
+    the reference for the batched kernels and cached scatter."""
     rows, cols, data = [], [], []
     for pid, (patch, coeff) in enumerate(zip(model.patches, coeffs)):
         if coeff == 0.0:
@@ -153,6 +162,8 @@ def _h1_einsum_oracle(model, dm, coeffs, mass=0.0):
         ke = coeff * np.einsum("eqlc,eq,eqmc->elm", tab.grad, tab.wdet, tab.grad)
         if mass:
             ke += mass * np.einsum("eql,eq,eqm->elm", tab.val, tab.wdet, tab.val)
+        sg = field_signs(dm, pid)[tab.dofs]
+        ke *= sg[:, :, None] * sg[:, None, :]
         n_loc = gd.shape[1]
         rows.append(np.repeat(gd, n_loc, axis=1).reshape(-1))
         cols.append(np.tile(gd, (1, n_loc)).reshape(-1))
@@ -265,8 +276,8 @@ def test_eval_field_matches_homogeneous_oracle(coarse_machine, coarse_dofmaps):
         u_global = rng.standard_normal(dm.n_global)
         for pid in range(0, len(model.patches), 5):
             patch = model.patches[pid]
-            ctrl = np.concatenate([patch.points, u_global[dm.patch_maps[pid]][..., None]],
-                                  axis=-1)
+            field = u_global[dm.patch_maps[pid]] * field_signs(dm, pid).reshape(patch.weights.shape)
+            ctrl = np.concatenate([patch.points, field[..., None]], axis=-1)
             for xi, eta in rng.uniform(0.0, 1.0, size=(10, 2)):
                 point, value, grad = eval_field(model, dm, u_global, pid, xi, eta)
                 ref, ref_jac = homogeneous_eval(patch, ctrl, xi, eta)
@@ -280,12 +291,19 @@ def test_eval_field_matches_homogeneous_oracle(coarse_machine, coarse_dofmaps):
 # ---------------------------------------------------------------- winding
 
 def test_winding_balanced_phases_integrate_to_zero(coarse_cfg, coarse_machine, coarse_dofmaps):
+    # on the full ring, u == 1 is exactly representable and no coil dof is
+    # constrained; the pitch holds one slot of each phase (A+, C-, B+), no
+    # closure copy of a coil point, and counts each of its 2 p copies
     stator, _ = coarse_machine
     dm_st, _ = coarse_dofmaps
-    for phase in (1, 2, 3):
-        chi = assemble_winding_vector(stator, dm_st, coarse_cfg, phase)
-        # u == 1 is exactly representable; no coil dof is constrained
+    ring, _ = build_demo_machine(coarse_cfg, 2 * coarse_cfg.pole_pairs)
+    dm_ring = build_dof_map(ring)
+    for phase, sign in ((1, 1), (2, 1), (3, -1)):
+        chi = assemble_winding_vector(ring, dm_ring, coarse_cfg, phase)
         assert abs(chi.sum()) < 1e-12 * np.abs(chi).max()
+        chi = assemble_winding_vector(stator, dm_st, coarse_cfg, phase)
+        expected = sign * stator.copies * coarse_cfg.n_turns
+        assert abs(chi.sum() - expected) < 1e-12 * stator.copies
 
 
 def test_winding_single_slot_turn_count(coarse_cfg):
@@ -306,9 +324,10 @@ def test_winding_scales_with_turns(coarse_cfg, coarse_machine, coarse_dofmaps):
 
 # ---------------------------------------------------------------- coupling
 
-def test_coupling_zero_order_column_sums(coarse_cfg, coarse_machine, coarse_dofmaps):
-    stator, rotor = coarse_machine
-    dm_st, dm_rt = coarse_dofmaps
+def test_coupling_zero_order_column_sums(coarse_cfg):
+    # u == 1 lives on the full ring, not on the antiperiodic pitch
+    stator, rotor = build_demo_machine(coarse_cfg, 2 * coarse_cfg.pole_pairs)
+    dm_st, dm_rt = build_dof_map(stator), build_dof_map(rotor)
     orders = np.array([0, 3, -3])
     circumference = 2 * np.pi * coarse_cfg.r_interface
     G_rt = assemble_coupling(rotor, dm_rt, orders, n_gauss=12)
@@ -341,7 +360,7 @@ def test_coupling_harmonic_orthogonality_improves_with_refinement(coarse_cfg):
     errors = []
     for ref in (0, 1):
         cfg = coarse_config(refinement=ref)
-        _, rotor = __import__("igamotor.geometry", fromlist=["build_demo_machine"]).build_demo_machine(cfg)
+        _, rotor = build_demo_machine(cfg, 2 * cfg.pole_pairs)    # the full circle
         dm = build_dof_map(rotor)
         orders = np.array([-6, -3, 0, 3, 6])
         G = assemble_coupling(rotor, dm, orders)
@@ -391,6 +410,8 @@ def _coupling_point_loop_oracle(model, dm, orders):
         kv, w_edge, p_edge = edge_discretization(patch, edge)
         edge_globals = np.array([dm.patch_maps[pid][i, j]
                                  for i, j in edge_nodes(patch.n_u, patch.n_v, edge)])
+        edge_signs = np.array([field_signs(dm, pid)[i * patch.n_v + j]
+                               for i, j in edge_nodes(patch.n_u, patch.n_v, edge)])
         brk = kv.breakpoints()
         p = kv.degree
         for e in range(brk.size - 1):
@@ -405,7 +426,8 @@ def _coupling_point_loop_oracle(model, dm, orders):
                 harmonics = np.where(orders >= 0, np.cos(orders * theta),
                                      np.sin(-orders * theta))
                 G[edge_globals[span - p:span + 1], :] += (
-                    sign * radius * dtheta * (b - a) * rule.weights[q] * np.outer(R, harmonics))
+                    sign * radius * dtheta * (b - a) * rule.weights[q]
+                    * np.outer(R * edge_signs[span - p:span + 1], harmonics))
     return G[dm.free_globals]
 
 
@@ -441,13 +463,13 @@ def test_coupling_rejects_nonpositive_edge_weights():
 
 # ---------------------------------------------------------------- metric
 
-def test_metric_is_spd_scalar_block(coarse_machine, coarse_dofmaps, rng):
+def test_metric_is_spd_vector_metric(coarse_machine, coarse_dofmaps, rng):
     _, rotor = coarse_machine
     _, dm_rt = coarse_dofmaps
     mask = np.zeros(dm_rt.n_global, dtype=bool)
     mask[dm_rt.free_globals[:50]] = True
     B = assemble_vector_metric(rotor, dm_rt, mask)
-    n = int(mask.sum())
+    n = 2 * int(mask.sum())
     assert B.shape == (n, n)
     assert abs(B - B.T).max() <= 1e-15 * abs(B).max()
     for _ in range(20):
@@ -463,15 +485,35 @@ def _assert_csr_identical(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def _vector_metric_oracle(model, dm, mask, coeffs, h1):
+    """The vector metric on the dofs of ``mask`` from scalar operators
+    ``h1(coeffs, mass, factor)`` on all globals, each element entry taken
+    times ``factor`` of its t_row - t_col (:func:`_cross`): diag(H, H)
+    without a turn, else [[A, B], [-B, A]] with A's entries between a
+    closure copy and a non-copy times cos of the turn and B their sin,
+    signed."""
+    idx = np.flatnonzero(mask)
+    copies = float(model.copies)
+    if dm.turn is None:
+        H = h1(coeffs, copies, lambda cross: 1.0)[idx][:, idx].tocsr()
+        return sp.block_diag([H, H], format="csr")
+    cos, sin = dm.turn[0, 0], dm.turn[1, 0]
+    A = h1(coeffs, copies, lambda cross: np.where(cross != 0, cos, 1.0))[idx][:, idx].tocsr()
+    B = h1(coeffs, copies, lambda cross: cross * sin)[idx][:, idx].tocsr()
+    B.eliminate_zeros()
+    return sp.bmat([[A, B], [-B, A]], format="csr")
+
+
 def test_metric_equals_all_patch_matrix_bitwise(coarse_machine, coarse_dofmaps):
     for model, dm in _machine_cases(coarse_machine, coarse_dofmaps)[1:]:
         mask = DesignSpace(model, dm).mask
         without = [not mask[gmap.reshape(-1)].any() for gmap in dm.patch_maps]
         assert any(without)          # the magnet patches hold no masked dof
-        idx = np.flatnonzero(mask)
-        H = assembly._h1_matrix(model, dm, [1.0] * len(model.patches), mass=1.0, keep=None)
-        _assert_csr_identical(assemble_vector_metric(model, dm, mask),
-                              H[idx][:, idx].tocsr())
+        everywhere = [float(model.copies)] * len(model.patches)
+        expected = _vector_metric_oracle(
+            model, dm, mask, everywhere,
+            lambda coeffs, mass, factor: _h1_per_patch_oracle(model, dm, coeffs, mass, factor))
+        _assert_csr_identical(assemble_vector_metric(model, dm, mask), expected)
 
 
 def test_metric_constant_field_gives_area():
@@ -479,7 +521,7 @@ def test_metric_constant_field_gives_area():
     dm = build_dof_map(model)
     mask = np.ones(dm.n_global, dtype=bool)
     B = assemble_vector_metric(model, dm, mask)
-    w = np.ones(dm.n_global)                       # one component of W = (1, 0), DW = 0
+    w = np.concatenate([np.ones(dm.n_global), np.zeros(dm.n_global)])   # W = (1, 0), DW = 0
     area = patch_area(model.patches[0])
     assert abs(w @ (B @ w) - area) < 1e-12
 
@@ -524,8 +566,8 @@ def test_patch_tables_cold_and_warm_cache_agree(coarse_machine, coarse_dofmaps, 
 def test_mesh_check_min_equals_per_patch_tables_bitwise(coarse_machine):
     stator, rotor = coarse_machine
     patches = list(rotor.patches)
-    p = patches[20]
-    patches[20] = NurbsPatch(p.knots_u, p.knots_v, p.points[::-1].copy(), p.weights[::-1].copy())
+    p = patches[5]
+    patches[5] = NurbsPatch(p.knots_u, p.knots_v, p.points[::-1].copy(), p.weights[::-1].copy())
     folded = rotor.with_patches(patches)
     for model in (stator, rotor, folded):
         ok, min_det = check_mesh_validity(model, 0.0)
@@ -566,11 +608,15 @@ def test_patch_batches_group_by_space_within_256_elements():
         assert P.shape == (len(ids),) + dofs.shape + (2,)
 
 
-def _h1_per_patch_oracle(model, dm, coeffs, mass=0.0):
+def _h1_per_patch_oracle(model, dm, coeffs, mass=0.0, factor=None):
     """The per-patch form of ``_h1_matrix``: one ``build_patch_tables`` and
     one stack of element products per patch, summed into the sorted unique
     (row, col) pairs of all element entries in patch order.  Batching
-    patches and the plan's scatter must not change a bit."""
+    patches and the plan's scatter must not change a bit.  Each entry is
+    taken times ``factor`` of its :func:`_cross`; by default the closure's
+    field sign where one function is a closure copy and the other not."""
+    if factor is None:
+        factor = lambda cross: np.where(cross != 0, dm.closure_sign, 1.0)
     element_dofs, blocks = [], []
     for pid, (patch, coeff) in enumerate(zip(model.patches, coeffs)):
         if coeff == 0.0:
@@ -582,6 +628,7 @@ def _h1_per_patch_oracle(model, dm, coeffs, mass=0.0):
         ke = coeff * (A @ Aw.transpose(0, 2, 1))
         if mass:
             ke += mass * (tab.val.transpose(0, 2, 1) @ (tab.val * tab.wdet[..., None]))
+        ke = ke * factor(_cross(dm, pid, tab.dofs))
         element_dofs.append(dm.patch_maps[pid].reshape(-1)[tab.dofs])
         blocks.append(ke.reshape(-1))
     # the pattern: sorted unique (row, col) pairs of all element entries
@@ -611,11 +658,11 @@ def test_operators_equal_per_patch_loop_bitwise(coarse_cfg, refined_cases):
                               expected[free][:, free].tocsr())
     for model, dm in refined_cases[1:]:
         mask = DesignSpace(model, dm).mask
-        coeffs = [float(mask[gmap.reshape(-1)].any()) for gmap in dm.patch_maps]
-        idx = np.flatnonzero(mask)
-        expected = _h1_per_patch_oracle(model, dm, coeffs, mass=1.0)
-        _assert_csr_identical(assemble_vector_metric(model, dm, mask),
-                              expected[idx][:, idx].tocsr())
+        coeffs = [model.copies * float(mask[gmap.reshape(-1)].any()) for gmap in dm.patch_maps]
+        expected = _vector_metric_oracle(
+            model, dm, mask, coeffs,
+            lambda coeffs, mass, factor: _h1_per_patch_oracle(model, dm, coeffs, mass, factor))
+        _assert_csr_identical(assemble_vector_metric(model, dm, mask), expected)
     for model, _ in refined_cases:
         assert max(len(ids) for ids, _, _ in assembly._patch_batches(model.patches, None)) > 1
 
@@ -628,7 +675,7 @@ def _vector_loop_oracle(model, dm, pids, n_gauss, contribution):
     for pid in pids:
         tab = build_patch_tables(model.patches[pid], n_gauss)
         np.add.at(vec, dm.patch_maps[pid].reshape(-1)[tab.dofs].reshape(-1),
-                  contribution(pid, tab).reshape(-1))
+                  (contribution(pid, tab) * field_signs(dm, pid)[tab.dofs]).reshape(-1))
     return vec[dm.free_globals]
 
 
@@ -638,7 +685,8 @@ def _l2_loop_oracle(model, dm, u_free, exact, n_gauss):
     err2 = ref2 = 0.0
     for pid, patch in enumerate(model.patches):
         tab = build_patch_tables(patch, n_gauss)
-        uh = np.einsum("eql,el->eq", tab.val, u_global[dm.patch_maps[pid].reshape(-1)[tab.dofs]])
+        values = u_global[dm.patch_maps[pid].reshape(-1)[tab.dofs]] * field_signs(dm, pid)[tab.dofs]
+        uh = np.einsum("eql,el->eq", tab.val, values)
         ux = exact(tab.xy[..., 0], tab.xy[..., 1])
         err2 += float(((uh - ux) ** 2 * tab.wdet).sum())
         ref2 += float((ux ** 2 * tab.wdet).sum())
@@ -659,6 +707,7 @@ def _coupling_edge_loop_oracle(model, dm, orders, n_gauss):
         kv, w_edge, p_edge = edge_discretization(patch, edge)
         gmap = dm.patch_maps[pid]
         edge_globals = np.array([gmap[i, j] for i, j in edge_nodes(patch.n_u, patch.n_v, edge)])
+        edge_signs = field_signs(dm, pid).reshape(gmap.shape)[assembly._edge_index(edge)]
         _, wq, N, dN, first = assembly._basis_table_1d(kv, n_gauss, {})
         local = first[:, None] + np.arange(kv.degree + 1)
         R, dR = rational_basis(w_edge[local][:, None, :], N, dN)
@@ -670,7 +719,7 @@ def _coupling_edge_loop_oracle(model, dm, orders, n_gauss):
         angle = theta[..., None] * np.abs(orders)
         harmonics = np.where(orders >= 0, np.cos(angle), np.sin(angle))
         weighted = R * (sign * radius * dtheta * wq)[..., None]
-        moments = weighted.transpose(0, 2, 1) @ harmonics
+        moments = weighted.transpose(0, 2, 1) @ harmonics * edge_signs[local][..., None]
         np.add.at(G, edge_globals[local].reshape(-1), moments.reshape(-1, orders.size))
     return G[dm.free_globals]
 
@@ -700,7 +749,8 @@ def test_vectors_and_coupling_equal_per_patch_loops_bitwise(coarse_cfg, refined_
                             if tag.kind == "coil" and tag.phase == phase]
 
                     def winding(pid, tab):
-                        density = model.tags[pid].sign * coarse_cfg.n_turns / float(tab.wdet.sum())
+                        density = (model.copies * model.tags[pid].sign) * coarse_cfg.n_turns \
+                            / float(tab.wdet.sum())
                         return density * np.einsum("eql,eq->el", tab.val, tab.wdet)
 
                     assert np.array_equal(
@@ -733,11 +783,12 @@ def test_restricted_operators_equal_full_assembly_restricted_bitwise(coarse_cfg,
         _assert_csr_identical(assemble_stiffness(model, dm, relmap),
                               _restrict_oracle(full, ~dm.dirichlet))
     for model, dm in refined_cases[1:]:
+        # the metric on every dof: no masked row or column touches a magnet
+        # patch, which only the unrestricted metric integrates
         mask = DesignSpace(model, dm).mask
-        coeffs = [float(mask[gmap.reshape(-1)].any()) for gmap in dm.patch_maps]
-        full = assembly._h1_matrix(model, dm, coeffs, mass=1.0, keep=None)
+        full = assemble_vector_metric(model, dm, np.ones(dm.n_global, dtype=bool))
         _assert_csr_identical(assemble_vector_metric(model, dm, mask),
-                              _restrict_oracle(full, mask))
+                              _restrict_oracle(full, np.concatenate([mask, mask])))
 
 
 def _module_cache_sizes():

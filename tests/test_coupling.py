@@ -31,7 +31,8 @@ def pre(coarse_pre):
 @pytest.fixture(scope="module")
 def solver24():
     """A refinement-1 machine with 24 pole-multiple harmonics, the harmonic
-    count of the refinement-2 and -4 benchmarks, and its precomputation."""
+    count of the refinement-2 and -4 benchmarks (12 of them, the odd
+    multiples, couple the pitch), and its precomputation."""
     solver = MachineSolver(coarse_config(refinement=1, n_harmonics=24,
                                          harmonics_multiple_of_poles=True))
     return solver, solver.precompute(solver.rotor0)
@@ -81,7 +82,7 @@ def test_phase_update_matches_dense_rotation(orders, alpha):
     A = rng.standard_normal((n, n))
     H, v = A @ A.T, rng.standard_normal(np.shape(alpha) + (n,))
     partner = coupling._partner_columns(orders)
-    cos, sin = coupling._phases(orders, alpha)
+    cos, sin = coupling._phases(orders, partner, alpha)
     R = rotation_matrix(orders, alpha)
     Rt = np.swapaxes(R, -1, -2)
     for got, want in ((coupling._rotate(v, cos, sin, partner), (R @ v[..., None])[..., 0]),
@@ -89,6 +90,21 @@ def test_phase_update_matches_dense_rotation(orders, alpha):
                       (coupling._congruence(H, cos, sin, partner), Rt @ H @ R)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("orders", [harmonic_orders(24, multiples_of=3), harmonic_orders(25),
+                                    np.random.default_rng(4).permutation(harmonic_orders(13))],
+                         ids=["poles", "integers-with-0", "shuffled-with-0"])
+def test_phases_equal_direct_cos_and_sin_bitwise(orders):
+    # cos and sin taken once per |l| and copied to the column of -l with the
+    # sign of l: the bits of np.cos and np.sin of orders * alpha
+    rng = np.random.default_rng(9)
+    partner = coupling._partner_columns(orders)
+    for alpha in [0.37, -2.5] + [rng.uniform(-10.0, 10.0, 120) for _ in range(200)]:
+        cos, sin = coupling._phases(orders, partner, alpha)
+        phase = orders * np.asarray(alpha)[..., None]
+        assert cos.shape == sin.shape == phase.shape
+        assert np.array_equal(cos, np.cos(phase)) and np.array_equal(sin, np.sin(phase))
 
 
 def test_precomputation_checks_the_orders(pre):
@@ -282,7 +298,7 @@ def test_blocked_solves_match_per_angle_solves(solver24, rng):
     # one angle past it, and two full blocks with a partial third
     solver, pre = solver24
     B = coupling._block_classes(pre.orders.size)
-    assert (B, coupling._block_classes(12)) == (28, 113)
+    assert (coupling._block_classes(24), B) == (28, 113)
     chi_X = solver.winding @ pre.st.X
     for n in (1, B - 1, B, B + 1, 2 * B + 3):
         angles = np.linspace(0.0, 2.0, n) + 0.013
@@ -302,7 +318,8 @@ def test_blocked_solves_match_per_angle_solves(solver24, rng):
 def test_sweep_memory_does_not_grow_with_angles(solver24):
     # a sweep holds a few block-sized stacks, not one (n_angles, n_h, n_h)
     # stack per intermediate: past the outputs, its peak is the same for
-    # 120 and 240 angles
+    # 240 and 480 angles, both past two full blocks (113 classes each at
+    # the pitch's 12 columns)
     solver, pre = solver24
 
     def traced_peak(n_angles):
@@ -314,11 +331,11 @@ def test_sweep_memory_does_not_grow_with_angles(solver24):
         finally:
             tracemalloc.stop()
 
-    traced_peak(120)                      # first-call allocations out of the way
-    peak120, _ = traced_peak(120)
-    peak240, outputs240 = traced_peak(240)
-    assert peak120 < 1 << 20
-    assert peak240 - peak120 <= outputs240
+    traced_peak(240)                      # first-call allocations out of the way
+    peak240, _ = traced_peak(240)
+    peak480, outputs480 = traced_peak(480)
+    assert peak240 < 1 << 20
+    assert peak480 - peak240 <= outputs480
 
 
 def test_rotor_field_never_reads_the_stator_solution(pre):

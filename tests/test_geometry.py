@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from igamotor.errors import ConfigError, ConformityError
 from igamotor.geometry import (
     MAX_ANGLES,
     MAX_DOFS,
+    MAX_ORDER,
     MachineConfig,
     MultipatchModel,
     RegionTag,
@@ -65,7 +68,7 @@ def test_config_sector_bounds_are_the_built_sectors(pole_pairs, magnet_span, slo
 
 
 @pytest.mark.parametrize("overrides", [{"n_angles": 10 ** 12}, {"n_angles": MAX_ANGLES + 2},
-                                       {"refinement": 10 ** 5}, {"refinement": 7},
+                                       {"refinement": 10 ** 5}, {"refinement": 8},
                                        {"pole_pairs": 10 ** 9}])
 def test_config_rejects_unbuildable_sizes(overrides):
     # rejected before any machine is built or any array allocated
@@ -75,9 +78,16 @@ def test_config_rejects_unbuildable_sizes(overrides):
 
 def test_config_size_bounds_admit_their_limits():
     assert MachineConfig(n_angles=MAX_ANGLES).n_angles == MAX_ANGLES
-    assert MachineConfig(refinement=6, pole_pairs=4).n_dofs <= MAX_DOFS   # 917,280
+    # the pitch's dofs do not depend on pole_pairs
+    assert MachineConfig(refinement=7, pole_pairs=5).n_dofs <= MAX_DOFS   # 450,468
     with pytest.raises(ConfigError):
-        MachineConfig(refinement=6, pole_pairs=5)                          # 1,146,600
+        MachineConfig(refinement=8)                                        # 1,785,636
+    # every coupled order is an odd multiple of pole_pairs
+    assert MachineConfig(pole_pairs=MAX_ORDER, n_harmonics=2).pole_pairs == MAX_ORDER
+    with pytest.raises(ConfigError):
+        MachineConfig(pole_pairs=MAX_ORDER + 1, n_harmonics=2)
+    with pytest.raises(ConfigError):      # largest configured order 3 x 1366 = 4098
+        MachineConfig(pole_pairs=1366, n_harmonics=6, harmonics_multiple_of_poles=True)
 
 
 @pytest.mark.parametrize("pole_pairs", [2, 3])
@@ -99,10 +109,14 @@ def test_config_validates_index_set():
 # ---------------------------------------------------------------- demo machine
 
 def test_demo_machine_magnet_count(coarse_cfg, coarse_machine):
-    _, rotor = coarse_machine
-    magnets = [t for t in rotor.tags if t.kind == "magnet"]
+    _, pitch = coarse_machine
+    _, ring = build_demo_machine(coarse_cfg, 2 * coarse_cfg.pole_pairs)
+    assert [t.sign for t in pitch.tags if t.kind == "magnet"] == [1]
+    magnets = [t for t in ring.tags if t.kind == "magnet"]
     assert len(magnets) == 2 * coarse_cfg.pole_pairs
     assert sum(t.sign for t in magnets) == 0
+    assert (pitch.copies, pitch.closure_sign) == (2 * coarse_cfg.pole_pairs, -1)
+    assert (ring.copies, ring.closure_sign) == (1, 1)
 
 
 def test_interface_edges_on_circle(coarse_cfg, coarse_machine):
@@ -138,8 +152,8 @@ def test_matched_edge_traces_agree(coarse_machine):
 
 def test_region_areas_sum_to_annulus(coarse_cfg, coarse_machine):
     stator, rotor = coarse_machine
-    rotor_area = sum(patch_area(p, 10) for p in rotor.patches)
-    stator_area = sum(patch_area(p, 10) for p in stator.patches)
+    rotor_area = rotor.copies * sum(patch_area(p, 10) for p in rotor.patches)
+    stator_area = stator.copies * sum(patch_area(p, 10) for p in stator.patches)
     exact_rt = np.pi * (coarse_cfg.r_interface ** 2 - coarse_cfg.r_shaft ** 2)
     exact_st = np.pi * (coarse_cfg.r_outer ** 2 - coarse_cfg.r_interface ** 2)
     assert abs(rotor_area - exact_rt) / exact_rt < 1e-8
@@ -162,7 +176,7 @@ def union_find_numbering(model):
             a = parent[a]
         return a
 
-    for pa, ea, pb, eb, reverse in model.connectivity:
+    for pa, ea, pb, eb, reverse in model.connectivity + model.closure:
         na = edge_nodes(*shapes[pa], ea)
         nb = edge_nodes(*shapes[pb], eb)
         for (ia, ja), (ib, jb) in zip(na, nb[::-1] if reverse else nb):
@@ -415,7 +429,43 @@ def test_geometry_dump_load_round_trip(coarse_machine):
         assert np.array_equal(a.knots_u.knots, b.knots_u.knots)
     assert back.tags == rotor.tags
     assert back.connectivity == rotor.connectivity
+    # the pitch's closure: its connections, turn and field sign
+    assert back.closure == rotor.closure and back.closure
+    assert (back.copies, back.closure_sign) == (rotor.copies, rotor.closure_sign) == (6, -1)
+    a, b = build_dof_map(rotor), build_dof_map(back)
+    assert all(np.array_equal(x, y) for x, y in zip(a.patch_maps, b.patch_maps))
+    assert [x is None or x.tolist() for x in a.patch_copies] == \
+        [x is None or x.tolist() for x in b.patch_copies]
     assert dump_geometry(back) == text
+
+
+def test_closure_glues_turned_copies_with_the_field_sign(coarse_machine):
+    for model in coarse_machine:
+        dm = build_dof_map(model)
+        turn = model.turn
+        edge_a = {(pa, i, j) for pa, ea, _, _, _ in model.closure
+                  for i, j in edge_nodes(model.patches[pa].n_u, model.patches[pa].n_v, ea)}
+        found = set()
+        for pid, copies in enumerate(dm.patch_copies):
+            if copies is None:
+                continue
+            found |= {(pid, i, j) for i, j in zip(*np.nonzero(copies))}
+            # a copy is its global's point turned by pi / p, with field sign -1
+            np.testing.assert_allclose(model.patches[pid].points[copies],
+                                       dm.points[dm.patch_maps[pid][copies]] @ turn.T,
+                                       rtol=0, atol=1e-15)
+            signs = dm.patch_signs(pid)
+            assert (signs[copies] == -1.0).all() and (signs[~copies] == 1.0).all()
+        assert found == edge_a
+        # a closure that misses after the turn is reported like any connection
+        pa, _, pb, _, _ = model.closure[0]
+        with pytest.raises(ConformityError,
+                           match=r"edge \(%d,v1\)-\(%d,v0\): control data differ" % (pa, pb)):
+            build_dof_map(dataclasses.replace(model, copies=2 * model.copies))
+    # a full ring glued by its connectivity too leaves no copy apart from its point
+    ring = build_demo_machine(coarse_config(), 6)[1]
+    with pytest.raises(ConformityError, match="own copy"):
+        build_dof_map(dataclasses.replace(ring, connectivity=ring.connectivity + ring.closure))
 
 
 # ---------------------------------------------------------------- polar lookup
@@ -426,7 +476,7 @@ def test_locate_polar_round_trip(coarse_machine):
     radii = rotor.meta["ring_radii"]
     for _ in range(30):
         r = rng.uniform(radii[0] + 1e-4, radii[-1] - 1e-4)
-        th = rng.uniform(0.0, 2 * np.pi)
+        th = rng.uniform(0.0, 2 * np.pi / rotor.copies)
         pid, xi, eta = locate_polar(rotor, r, th)
         point, _ = eval_patch(rotor.patches[pid], xi, eta)
         np.testing.assert_allclose(point, [r * np.cos(th), r * np.sin(th)], atol=1e-11)

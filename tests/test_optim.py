@@ -45,28 +45,40 @@ def test_descent_field_identities(coarse_machine, coarse_dofmaps, rng):
     _, dm_rt = coarse_dofmaps
     design = DesignSpace(rotor, dm_rt)
     n = design.n_dofs
-    eye = sp.identity(design.n_points, format="csc")
+    eye = sp.identity(n, format="csc")
     assert np.array_equal(descent_field(np.zeros(n), eye), np.zeros(n))
     g = rng.standard_normal(n)
     np.testing.assert_allclose(descent_field(g, eye), g, atol=1e-14)
     B = assemble_vector_metric(rotor, dm_rt, design.mask)
     W = descent_field(g, B)
-    BW = np.concatenate([B @ W[:design.n_points], B @ W[design.n_points:]])
+    BW = B @ W
     assert g @ W > 0.0
     assert abs(g @ W - W @ BW) < 1e-8 * abs(g @ W)
+    # the pitch's metric couples x and y at the closure; W solves it whole
+    assert abs(B[:n // 2, n // 2:]).max() > 0.0
+    assert np.abs(BW - g).max() < 1e-10 * np.abs(g).max()
 
 
-def test_descent_field_matches_block_diagonal_metric(coarse_machine, coarse_dofmaps, rng):
-    # oracle: the componentwise metric as the two-block matrix diag(H, H),
-    # factorized whole
-    _, rotor = coarse_machine
-    _, dm_rt = coarse_dofmaps
+def test_descent_field_matches_block_diagonal_metric(coarse_cfg, rng):
+    # the full ring has no turned closure: its metric is diag(H, H), and
+    # the whole solve matches the solves of the x and y halves with H
+    _, rotor = build_demo_machine(coarse_cfg, 2 * coarse_cfg.pole_pairs)
+    dm_rt = build_dof_map(rotor)
     design = DesignSpace(rotor, dm_rt)
-    H = assemble_vector_metric(rotor, dm_rt, design.mask)
+    M = assemble_vector_metric(rotor, dm_rt, design.mask)
+    n = design.n_points
+    H = M[:n][:, :n]
+    _assert_csr_equal(M, sp.block_diag([H, H], format="csr"))
     g = rng.standard_normal(design.n_dofs)
-    ref = factorize(sp.block_diag([H, H], format="csr")).solve(g)
-    W = descent_field(g, H)
+    ref = np.concatenate([factorize(H).solve(g[:n]), factorize(H).solve(g[n:])])
+    W = descent_field(g, M)
     assert np.abs(W - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _assert_csr_equal(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_descent_field_rejects_mismatched_gradient(coarse_machine, coarse_dofmaps):
@@ -433,15 +445,23 @@ def test_displace_gathers_bitwise_and_shares_the_parent_space(coarse_machine, co
         delta = 3e-5
         moved = design.displace(base, W, delta)
         disp = design.displacement(W)
+        turned = 0
         for pid, (parent, patch) in enumerate(zip(base.patches, moved.patches)):
             if pid not in design.patch_ids:
                 assert patch is parent
                 continue
-            expected = parent.points - delta * disp[dm_rt.patch_maps[pid]]
+            # a closure copy moves by its global point's displacement turned
+            step = disp[dm_rt.patch_maps[pid]]
+            copies = dm_rt.patch_copies[pid]
+            if copies is not None:
+                step[copies] = step[copies] @ dm_rt.turn.T
+                turned += int(np.abs(step[copies]).max() > 0.0)
+            expected = parent.points - delta * step
             assert np.array_equal(patch.points, expected)
             assert patch.knots_u is parent.knots_u and patch.knots_v is parent.knots_v
             assert patch.weights is parent.weights
             assert not patch.points.flags.writeable
+        assert turned
     with pytest.raises(ValueError):
         rotor.patches[0].with_points(np.zeros((2, 2, 2)))
 
