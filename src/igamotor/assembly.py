@@ -37,8 +37,8 @@ one scatter per quantity.
   vectors, the coupling moments and the field evaluation take it per
   function, and an operator entry between a copy and a function that is
   none takes it once (:func:`_h1_blocks` marks those entries).  The
-  deformation metric takes the turn itself there
-  (:func:`assemble_vector_metric`).
+  deformation metric takes the turn there, as a phase on the complex
+  displacement x + iy (:func:`assemble_vector_metric`).
 
 :func:`eval_field` evaluates a field on the basis of
 :func:`igamotor.splines.patch_basis`.
@@ -348,10 +348,11 @@ def _csr_scatter(groups, maps, n_global: int, keep):
     patches in the chunks ``groups`` ([(ids, space)] as from :func:`_group`),
     patch i with the global numbers ``maps[i]`` of its flat control points,
     on the rows and columns of the bool mask ``keep`` (all when None) in
-    their increasing order: canonical CSR ``indptr`` and ``indices``, and
-    ``slots``, the CSR data position of every element-matrix entry in
-    patch/element/row/column order.  An entry in a dropped row or column
-    gets slot ``indices.size``, one past the data.
+    their increasing order: canonical CSR ``indptr`` and ``indices`` (int32
+    unless the sizes need int64), and ``slots`` (intp, the index type
+    ``np.bincount`` reads without a copy), the CSR data position of every
+    element-matrix entry in patch/element/row/column order.  An entry in a
+    dropped row or column gets slot ``indices.size``, one past the data.
 
     The patches of a space share one dof table, so its distinct local
     (row, col) pairs are found once, and only the distinct pairs of each
@@ -406,7 +407,8 @@ def _csr_scatter(groups, maps, n_global: int, keep):
     del order, new
     if pairs.size and pairs[-1] == dropped:
         pairs = pairs[:-1]
-    slots = np.concatenate([inverse[start + positions] for start, positions in where])
+    slots = np.concatenate([inverse[start + positions] for start, positions in where],
+                           dtype=np.intp)
     del inverse
     row = pairs // n
     indptr = np.zeros(n + 1, dtype=index_type)
@@ -531,6 +533,8 @@ class AssemblyPlan:
             return hit
         scatter = _csr_scatter(self.groups(patches), [self._maps[pid].reshape(-1) for pid in pids],
                                self._n_global, keep)
+        # read-only views; the sums read the slots through their base (:func:`_sum_into`)
+        scatter = tuple(arr.view() for arr in scatter)
         for arr in scatter:
             arr.setflags(write=False)
         if cached:
@@ -612,13 +616,23 @@ def _h1_blocks(model: MultipatchModel, dofmap: DofMap, pids, coeffs, mass: float
     return blocks, closure
 
 
+def _sum_into(slots, weights, size: int) -> np.ndarray:
+    """``np.bincount`` of ``weights`` over the intp ``slots``, ``size``
+    bins.  A plan's slots are a read-only view (:meth:`AssemblyPlan.scatter`),
+    and ``np.bincount`` copies a read-only or non-intp index array whole
+    before it sums, so they are read through their writeable base."""
+    if not slots.flags.writeable:
+        slots = slots.base
+    return np.bincount(slots, weights, minlength=size)
+
+
 def _csr(scatter, weights) -> sp.csr_matrix:
     """The CSR matrix of the entries ``weights`` summed by one
     ``np.bincount`` over the slots of ``scatter`` (:func:`_csr_scatter`),
     those of dropped dofs into the slot past the data."""
     indptr, indices, slots = scatter
     n = indptr.size - 1
-    data = np.bincount(slots, weights=weights, minlength=indices.size + 1)[:indices.size]
+    data = _sum_into(slots, weights, indices.size + 1)[:indices.size]
     # the matrix gets its own index arrays: callers may modify it in place
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
@@ -842,18 +856,20 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
 def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
                            design_mask: np.ndarray) -> sp.csr_matrix:
     """H1-type metric for planar deformation fields of the masked dofs, over
-    the whole machine: (2 n, 2 n) in the stacked [x; y] order of the design
-    vectors, n the masked count.
+    the whole machine: the Hermitian (n, n) matrix (complex128) of the
+    complex displacement x + iy, n the masked count.
 
     The bilinear form integrates the Frobenius product of the Jacobians plus
     the pointwise product of the fields, ``copies`` times over the model.
     A closure copy moves by its global point's displacement turned by the
-    model's turn T, so the element block h of two functions, one a closure
-    copy and one not, enters as h T^-1 or h T: the metric is [[A, B], [-B,
-    A]], with A the scalar metric whose such entries carry cos of the turn,
-    and B their sin, signed.  Without a turn (or a closure copy in the
-    metric) it is diag(H, H).  Only patches holding a masked dof are
-    integrated: the others add nothing to the masked rows and columns.
+    model's turn T, which multiplies x + iy by e^{i phi}, so the element
+    entry h of two functions enters times e^{-i cross phi}, cross = t_row -
+    t_col of their closure-copy flags: the real part carries cos phi on the
+    entries between a closure copy and a non-copy, the imaginary part
+    -cross sin phi.  This is [[A, B], [-B, A]] on the stacked real [x; y]
+    written as A - iB.  Without a turn (or a closure copy in the metric) the
+    imaginary part is 0.  Only patches holding a masked dof are integrated:
+    the others add nothing to the masked rows and columns.
     """
     mask = np.asarray(design_mask, dtype=bool)
     if not mask.any():
@@ -861,21 +877,20 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
     copies = float(model.copies)
     coeffs = [copies * float(mask[gmap.reshape(-1)].any()) for gmap in dofmap.patch_maps]
     pids = [pid for pid, coeff in enumerate(coeffs) if coeff != 0.0]
-    scatter = dofmap.plan.scatter(model, pids, mask)
+    indptr, indices, slots = dofmap.plan.scatter(model, pids, mask)
     blocks, closure = _h1_blocks(model, dofmap, pids, coeffs, copies)
-    if dofmap.turn is None or not closure:
-        H = _csr(scatter, blocks)
-        return sp.block_diag([H, H], format="csr")
-    cos, sin = dofmap.turn[0, 0], dofmap.turn[1, 0]
-    # B: sin(phi (t_row - t_col)) h on the entries of the closure patches
-    slots = np.concatenate([scatter[2][span] for span, _ in closure])
-    B = _csr((scatter[0], scatter[1], slots),
-             np.concatenate([blocks[span] * (cross * sin) for span, cross in closure]))
-    B.eliminate_zeros()
-    for span, cross in closure:
-        blocks[span][cross != 0] *= cos
-    A = _csr(scatter, blocks)
-    return sp.bmat([[A, B], [-B, A]], format="csr")
+    data = np.zeros(indices.size + 1, dtype=complex)
+    if dofmap.turn is not None and closure:
+        cos, sin = dofmap.turn[0, 0], dofmap.turn[1, 0]
+        # -sin(phi (t_row - t_col)) h on the entries of the closure patches
+        data.imag = _sum_into(np.concatenate([slots[span] for span, _ in closure]),
+                              np.concatenate([blocks[span] * (cross * -sin)
+                                              for span, cross in closure]), data.size)
+        for span, cross in closure:
+            blocks[span][cross != 0] *= cos
+    data.real = _sum_into(slots, blocks, data.size)
+    n = indptr.size - 1
+    return sp.csr_matrix((data[:-1], indices.copy(), indptr.copy()), shape=(n, n))
 
 
 # --------------------------------------------------------------------------

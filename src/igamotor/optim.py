@@ -144,13 +144,16 @@ class MachineSolver:
 
 
 def descent_field(gradient: np.ndarray, metric) -> np.ndarray:
-    """Riesz representative of the stacked [x; y] gradient in the
-    deformation metric (assemble_vector_metric), which couples x and y at a
-    turned closure: one factorization and one solve of the whole system."""
+    """Riesz representative of the stacked [x; y] gradient in the Hermitian
+    deformation metric H of the complex displacement x + iy
+    (assemble_vector_metric): one factorization of H and one solve of
+    H z = g_x + i g_y, returned stacked as [Re z; Im z]."""
     g = np.asarray(gradient, dtype=float)
-    if g.shape != (metric.shape[0],):
-        raise ValueError("gradient length %d != metric size %d" % (g.size, metric.shape[0]))
-    return factorize(metric).solve(g)
+    n = metric.shape[0]
+    if g.shape != (2 * n,):
+        raise ValueError("gradient length %d != twice the metric size %d" % (g.size, n))
+    z = factorize(metric).solve(g[:n] + 1j * g[n:])
+    return np.concatenate([z.real, z.imag])
 
 
 @dataclass

@@ -468,13 +468,13 @@ def test_metric_is_spd_vector_metric(coarse_machine, coarse_dofmaps, rng):
     _, dm_rt = coarse_dofmaps
     mask = np.zeros(dm_rt.n_global, dtype=bool)
     mask[dm_rt.free_globals[:50]] = True
-    B = assemble_vector_metric(rotor, dm_rt, mask)
-    n = 2 * int(mask.sum())
-    assert B.shape == (n, n)
-    assert abs(B - B.T).max() <= 1e-15 * abs(B).max()
+    H = assemble_vector_metric(rotor, dm_rt, mask)
+    n = int(mask.sum())
+    assert H.shape == (n, n) and H.dtype == np.complex128
+    assert abs(H - H.conj().T).max() <= 1e-15 * abs(H).max()
     for _ in range(20):
-        x = rng.standard_normal(n)
-        assert x @ (B @ x) > 0.0
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert (z.conj() @ (H @ z)).real > 0.0
     with pytest.raises(ConfigError):
         assemble_vector_metric(rotor, dm_rt, np.zeros(dm_rt.n_global, dtype=bool))
 
@@ -486,26 +486,41 @@ def _assert_csr_identical(a, b):
 
 
 def _vector_metric_oracle(model, dm, mask, coeffs, h1):
-    """The vector metric on the dofs of ``mask`` from scalar operators
+    """The vector metric on the dofs of ``mask`` in its real form [[A, B],
+    [-B, A]] on the stacked [x; y], as (A, B), from scalar operators
     ``h1(coeffs, mass, factor)`` on all globals, each element entry taken
-    times ``factor`` of its t_row - t_col (:func:`_cross`): diag(H, H)
-    without a turn, else [[A, B], [-B, A]] with A's entries between a
+    times ``factor`` of its t_row - t_col (:func:`_cross`): A the scalar
+    metric and B empty without a turn, else A with its entries between a
     closure copy and a non-copy times cos of the turn and B their sin,
     signed."""
     idx = np.flatnonzero(mask)
     copies = float(model.copies)
     if dm.turn is None:
-        H = h1(coeffs, copies, lambda cross: 1.0)[idx][:, idx].tocsr()
-        return sp.block_diag([H, H], format="csr")
+        A = h1(coeffs, copies, lambda cross: 1.0)[idx][:, idx].tocsr()
+        return A, sp.csr_matrix(A.shape)
     cos, sin = dm.turn[0, 0], dm.turn[1, 0]
     A = h1(coeffs, copies, lambda cross: np.where(cross != 0, cos, 1.0))[idx][:, idx].tocsr()
     B = h1(coeffs, copies, lambda cross: cross * sin)[idx][:, idx].tocsr()
     B.eliminate_zeros()
-    return sp.bmat([[A, B], [-B, A]], format="csr")
+    return A, B
 
 
-def test_metric_equals_all_patch_matrix_bitwise(coarse_machine, coarse_dofmaps):
-    for model, dm in _machine_cases(coarse_machine, coarse_dofmaps)[1:]:
+def _assert_metric_is_real_form(H, oracle):
+    """The Hermitian metric H is A - iB of the real form (A, B) of
+    :func:`_vector_metric_oracle`, bit for bit: H.real is A, and -H.imag,
+    with its exact zeros dropped, is B (empty without a turn)."""
+    A, B = oracle
+    assert H.dtype == np.complex128
+    _assert_csr_identical(H.real, A)
+    minus_imag = -H.imag
+    minus_imag.eliminate_zeros()
+    _assert_csr_identical(minus_imag, B)
+
+
+def test_metric_equals_all_patch_matrix_bitwise(coarse_cfg, coarse_machine, coarse_dofmaps):
+    _, ring = build_demo_machine(coarse_cfg, 2 * coarse_cfg.pole_pairs)
+    cases = _machine_cases(coarse_machine, coarse_dofmaps)[1:] + [(ring, build_dof_map(ring))]
+    for model, dm in cases:
         mask = DesignSpace(model, dm).mask
         without = [not mask[gmap.reshape(-1)].any() for gmap in dm.patch_maps]
         assert any(without)          # the magnet patches hold no masked dof
@@ -513,17 +528,22 @@ def test_metric_equals_all_patch_matrix_bitwise(coarse_machine, coarse_dofmaps):
         expected = _vector_metric_oracle(
             model, dm, mask, everywhere,
             lambda coeffs, mass, factor: _h1_per_patch_oracle(model, dm, coeffs, mass, factor))
-        _assert_csr_identical(assemble_vector_metric(model, dm, mask), expected)
+        H = assemble_vector_metric(model, dm, mask)
+        _assert_metric_is_real_form(H, expected)
+        if dm.turn is None:          # the full ring: the scalar metric, imaginary part exactly 0
+            assert not H.imag.data.any()
+        else:                        # the pitch: the turn couples x and y at the closure
+            assert expected[1].nnz > 0
 
 
 def test_metric_constant_field_gives_area():
     model = square_model(p=2, n_elements=2, dirichlet=False)
     dm = build_dof_map(model)
     mask = np.ones(dm.n_global, dtype=bool)
-    B = assemble_vector_metric(model, dm, mask)
-    w = np.concatenate([np.ones(dm.n_global), np.zeros(dm.n_global)])   # W = (1, 0), DW = 0
+    H = assemble_vector_metric(model, dm, mask)
+    z = np.ones(dm.n_global, dtype=complex)          # W = (1, 0), DW = 0
     area = patch_area(model.patches[0])
-    assert abs(w @ (B @ w) - area) < 1e-12
+    assert abs(z.conj() @ (H @ z) - area) < 1e-12
 
 
 # ---------------------------------------------------------------- table cache
@@ -662,7 +682,7 @@ def test_operators_equal_per_patch_loop_bitwise(coarse_cfg, refined_cases):
         expected = _vector_metric_oracle(
             model, dm, mask, coeffs,
             lambda coeffs, mass, factor: _h1_per_patch_oracle(model, dm, coeffs, mass, factor))
-        _assert_csr_identical(assemble_vector_metric(model, dm, mask), expected)
+        _assert_metric_is_real_form(assemble_vector_metric(model, dm, mask), expected)
     for model, _ in refined_cases:
         assert max(len(ids) for ids, _, _ in assembly._patch_batches(model.patches, None)) > 1
 
@@ -787,8 +807,7 @@ def test_restricted_operators_equal_full_assembly_restricted_bitwise(coarse_cfg,
         # patch, which only the unrestricted metric integrates
         mask = DesignSpace(model, dm).mask
         full = assemble_vector_metric(model, dm, np.ones(dm.n_global, dtype=bool))
-        _assert_csr_identical(assemble_vector_metric(model, dm, mask),
-                              _restrict_oracle(full, np.concatenate([mask, mask])))
+        _assert_csr_identical(assemble_vector_metric(model, dm, mask), _restrict_oracle(full, mask))
 
 
 def _module_cache_sizes():
@@ -916,8 +935,9 @@ def test_scatter_equals_np_unique_oracle(refinement):
         for keep in (None, ~dm.dirichlet):
             produced = assembly._csr_scatter(groups, maps, dm.n_global, keep)
             expected = _scatter_oracle(groups, maps, dm.n_global, keep)
-            for a, b in zip(produced, expected):
-                assert a.dtype == np.int32 and np.array_equal(a, b)
+            # int32 CSR indices; intp slots, which np.bincount reads in place
+            for a, b, dtype in zip(produced, expected, (np.int32, np.int32, np.intp)):
+                assert a.dtype == dtype and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------- scatter cache

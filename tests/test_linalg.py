@@ -11,6 +11,11 @@ def random_spd(n, rng):
     return sp.csc_matrix(A @ A.T + n * np.eye(n))
 
 
+def random_hpd(n, rng):
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return sp.csc_matrix(A @ A.conj().T + n * np.eye(n))
+
+
 def test_factorize_identity():
     F = factorize(sp.identity(5, format="csc"))
     b = np.arange(5.0)
@@ -29,6 +34,40 @@ def test_factorize_rejects_indefinite_and_singular():
         factorize(sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
     with pytest.raises(FactorizationError):
         factorize(sp.csc_matrix(np.array([[1.0, 0.0], [0.7, 1.0]])))
+
+
+def test_factorize_hermitian_matches_dense_solve(rng):
+    K = random_hpd(30, rng)
+    F = factorize(K)
+    dense = K.toarray()
+    b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    for rhs in (b, b.real, np.column_stack([b, b.conj()])):
+        x = F.solve(rhs)
+        assert x.dtype == np.complex128
+        ref = np.linalg.solve(dense, rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_factorize_rejects_complex_symmetric_and_indefinite_hermitian(rng):
+    S = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    S = S + S.T + 12 * np.eye(6)                    # S = S^T, S != S^H
+    with pytest.raises(FactorizationError, match="not symmetric"):
+        factorize(sp.csc_matrix(S))
+    # eigenvalues -1 and 3: Hermitian, indefinite
+    with pytest.raises(FactorizationError, match="nonpositive pivot"):
+        factorize(sp.csc_matrix(np.array([[1.0, 2j], [-2j, 1.0]])))
+    with pytest.raises(FactorizationError):         # singular: eigenvalues 0 and 2
+        factorize(sp.csc_matrix(np.array([[1.0, 1j], [-1j, 1.0]])))
+
+
+def test_real_factor_refuses_complex_rhs_and_complex_factor_takes_both(rng):
+    real = factorize(random_spd(8, rng))
+    with pytest.raises(ValueError):    # a cast would drop the imaginary part
+        real.solve(np.ones(8) + 1j)
+    assert real.solve(np.ones(8)).dtype == np.float64
+    hermitian = factorize(random_hpd(8, rng))
+    b = rng.standard_normal(8)
+    np.testing.assert_array_equal(hermitian.solve(b), hermitian.solve(b + 0j))
 
 
 def test_machine_stiffness_residual(coarse_cfg, coarse_stiffness, rng):
@@ -128,10 +167,10 @@ def test_spd_stack_solve_rejects_one_bad_matrix(rng, kind):
 
 
 def _sparse_difference_rejects(K):
-    """The symmetry test as the sparse difference K - K^T: True when it
-    rejects K."""
+    """The symmetry test as the sparse difference K - K^H (K - K^T for a
+    real K): True when it rejects K."""
     K = K.tocsc()
-    probe = (K - K.T).tocoo()
+    probe = (K - K.conj().T).tocoo()
     scale = max(1.0, float(np.max(np.abs(K.data))) if K.nnz else 1.0)
     return bool(probe.nnz and float(np.max(np.abs(probe.data))) > 1e-12 * scale)
 
@@ -166,6 +205,31 @@ def test_symmetry_check_decides_as_the_sparse_difference():
     zero = with_entry_1_6(0.0)                      # a stored zero: values symmetric
     assert zero.nnz == sym.nnz + 1
     cases["structurally asymmetric, numerically symmetric"] = (zero, False)
+    # complex: Hermitian K = K^H, so an imaginary part must be antisymmetric
+    herm = sym.astype(complex)
+    herm[0, 5], herm[5, 0] = 0.5 + 0.25j, 0.5 - 0.25j
+    cases["Hermitian"] = (herm.tocsr(), False)
+    symmetric = herm.copy()
+    symmetric[5, 0] = 0.5 + 0.25j                   # K = K^T, not K^H
+    cases["complex symmetric, not Hermitian"] = (symmetric.tocsr(), True)
+    below = herm.copy()
+    below[2, 3] += 1e-13j                           # same pattern, within 1e-12
+    cases["non-Hermitian within tolerance"] = (below.tocsr(), False)
+    beyond = herm.copy()
+    beyond[2, 3] += 1e-9j                           # same pattern, beyond 1e-12
+    cases["non-Hermitian beyond tolerance"] = (beyond.tocsr(), True)
+    diagonal = herm.copy()
+    diagonal[4, 4] += 1e-9j                         # a non-real diagonal entry
+    cases["non-real diagonal"] = (diagonal.tocsr(), True)
+    hcoo = herm.tocoo()
+
+    def with_complex_entry_1_6(value):              # no (6, 1) entry
+        return sp.csr_matrix((np.append(hcoo.data, value),
+                              (np.append(hcoo.row, 1), np.append(hcoo.col, 6))), shape=(n, n))
+
+    cases["complex, structurally asymmetric"] = (with_complex_entry_1_6(1e-3j), True)
+    cases["complex, structurally asymmetric, numerically Hermitian"] = (
+        with_complex_entry_1_6(0j), False)
     for name, (K, rejects) in cases.items():
         for form in (K, K.tocsc()):
             assert _sparse_difference_rejects(form) == rejects, name

@@ -45,40 +45,52 @@ def test_descent_field_identities(coarse_machine, coarse_dofmaps, rng):
     _, dm_rt = coarse_dofmaps
     design = DesignSpace(rotor, dm_rt)
     n = design.n_dofs
-    eye = sp.identity(n, format="csc")
+    eye = sp.identity(design.n_points, dtype=complex, format="csc")   # a Hermitian metric
     assert np.array_equal(descent_field(np.zeros(n), eye), np.zeros(n))
     g = rng.standard_normal(n)
     np.testing.assert_allclose(descent_field(g, eye), g, atol=1e-14)
-    B = assemble_vector_metric(rotor, dm_rt, design.mask)
-    W = descent_field(g, B)
-    BW = B @ W
+    H = assemble_vector_metric(rotor, dm_rt, design.mask)
+    W = descent_field(g, H)
+    m = design.n_points
+    HW = H @ (W[:m] + 1j * W[m:])
+    BW = np.concatenate([HW.real, HW.imag])      # the real form's product
     assert g @ W > 0.0
     assert abs(g @ W - W @ BW) < 1e-8 * abs(g @ W)
     # the pitch's metric couples x and y at the closure; W solves it whole
-    assert abs(B[:n // 2, n // 2:]).max() > 0.0
+    assert abs(H.imag).max() > 0.0
     assert np.abs(BW - g).max() < 1e-10 * np.abs(g).max()
 
 
 def test_descent_field_matches_block_diagonal_metric(coarse_cfg, rng):
-    # the full ring has no turned closure: its metric is diag(H, H), and
-    # the whole solve matches the solves of the x and y halves with H
+    # the full ring has no turned closure: its metric is the real scalar H,
+    # and the complex solve matches the solves of the x and y halves with H
     _, rotor = build_demo_machine(coarse_cfg, 2 * coarse_cfg.pole_pairs)
     dm_rt = build_dof_map(rotor)
     design = DesignSpace(rotor, dm_rt)
     M = assemble_vector_metric(rotor, dm_rt, design.mask)
     n = design.n_points
-    H = M[:n][:, :n]
-    _assert_csr_equal(M, sp.block_diag([H, H], format="csr"))
+    assert M.shape == (n, n) and not M.imag.data.any()
+    H = M.real
     g = rng.standard_normal(design.n_dofs)
     ref = np.concatenate([factorize(H).solve(g[:n]), factorize(H).solve(g[n:])])
     W = descent_field(g, M)
     assert np.abs(W - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def _assert_csr_equal(a, b):
-    assert a.shape == b.shape
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+@pytest.mark.parametrize("refinement", [0, 1, 2])
+def test_descent_field_matches_real_form_solve_on_the_pitch(refinement, rng):
+    # the Hermitian solve equals the solve of the real (2 n, 2 n) form
+    # [[A, B], [-B, A]] of H = A - iB on the stacked [x; y]
+    _, rotor = build_demo_machine(coarse_config(refinement=refinement))
+    dm_rt = build_dof_map(rotor)
+    design = DesignSpace(rotor, dm_rt)
+    H = assemble_vector_metric(rotor, dm_rt, design.mask)
+    A, B = H.real, -H.imag
+    assert B.count_nonzero() > 0
+    g = rng.standard_normal(design.n_dofs)
+    ref = factorize(sp.bmat([[A, B], [-B, A]], format="csr")).solve(g)
+    W = descent_field(g, H)
+    assert np.abs(W - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_descent_field_rejects_mismatched_gradient(coarse_machine, coarse_dofmaps):
