@@ -482,7 +482,8 @@ class AssemblyPlan:
     it, keyed by value (:func:`_space_tables`); the batches of each list of
     the dof map's own patches (a shape update moves control points only,
     so every rotor has the same batches and sparsity patterns); a rotor's
-    CSR scatters per restriction; and the :class:`RotorGeometry` of the
+    CSR scatters per restriction; the closure crosses of each patch
+    (:meth:`closure_cross`, int8); and the :class:`RotorGeometry` of the
     last rotor, keyed by the identity of its patch objects, so the next
     rotor frees a rejected trial's.  Patches on other knots or weights
     objects are grouped and scattered afresh, and a stator, assembled once
@@ -495,9 +496,11 @@ class AssemblyPlan:
         # id of the weights -> (dof map patch id, knots_u, knots_v, weights)
         self._bases = {id(w): (pid, ku, kv, w)
                        for pid, (ku, kv, w) in enumerate(dofmap.patch_bases)}
+        self._copies = dofmap.patch_copies
         self.tables = {}
         self._groups = {}
         self._scatters = {}
+        self._crosses = {}
         self._geometry = None
 
     def _pids(self, patches):
@@ -540,6 +543,23 @@ class AssemblyPlan:
         if cached:
             self._scatters[key] = scatter
         return scatter
+
+    def closure_cross(self, pid: int, dofs):
+        """Per element-matrix entry of patch ``pid``, whose element functions
+        are ``dofs`` (E, L), t_row - t_col of the closure-copy flags t of
+        its two functions (E L L, int8, read-only); None when the patch
+        holds no closure copy.  Kept: it depends on the dof map and the
+        patch's dof table alone."""
+        flags = self._copies[pid]
+        if flags is None:
+            return None
+        key = (pid, id(dofs))           # dof tables live in ``tables`` with the plan
+        hit = self._crosses.get(key)
+        if hit is None:
+            t = flags.reshape(-1)[dofs].astype(np.int8)                   # (E, L)
+            hit = self._crosses[key] = (t[:, :, None] - t[:, None, :]).reshape(-1)
+            hit.setflags(write=False)
+        return hit
 
     def geometry(self, model: MultipatchModel) -> RotorGeometry | None:
         """The kept :class:`RotorGeometry` of a rotor ``model``, built when
@@ -587,8 +607,7 @@ def _h1_blocks(model: MultipatchModel, dofmap: DofMap, pids, coeffs, mass: float
     mass matrix) of the patches ``pids``, from
     :meth:`AssemblyPlan.element_tables`, flat in patch/element/row/column
     order, and [(span, cross)] for each of them that holds a closure copy:
-    its slice of the flat array and, per entry, t_row - t_col of the
-    closure-copy flags t of the two functions (E L L, int)."""
+    its slice of the flat array and :meth:`AssemblyPlan.closure_cross`."""
     plan = dofmap.plan
     # each patch's element blocks go straight to their place in patch order,
     # not into per-batch arrays joined at the end (a second 9 MB at refinement 4)
@@ -610,9 +629,9 @@ def _h1_blocks(model: MultipatchModel, dofmap: DofMap, pids, coeffs, mass: float
         for pid, block in zip(ids, ke.reshape(len(ids), -1)):
             span = slice(starts[pid], starts[pid] + block.size)
             blocks[span] = block
-            if dofmap.patch_copies[pid] is not None:
-                t = dofmap.patch_copies[pid].reshape(-1)[space[0]].astype(int)   # (E, L)
-                closure.append((span, (t[:, :, None] - t[:, None, :]).reshape(-1)))
+            cross = plan.closure_cross(pid, space[0])
+            if cross is not None:
+                closure.append((span, cross))
     return blocks, closure
 
 

@@ -907,6 +907,21 @@ def test_foreign_rotor_geometry_is_rebuilt_not_reused(coarse_cfg, coarse_machine
     assert dm.plan._geometry is not kept and dm.plan._geometry.patches == tuple(copy.patches)
 
 
+def test_closure_crosses_are_kept_on_the_plan(coarse_cfg, coarse_machine, coarse_dofmaps):
+    # a closure patch's crosses are built once per dof map: every later
+    # operator on it reads the same read-only arrays
+    _, rotor = coarse_machine
+    dm = dataclasses.replace(coarse_dofmaps[1])
+    relmap = build_reluctivity_map(rotor, coarse_cfg)
+    coeffs = [relmap[tag] for tag in rotor.tags]
+    pids = list(range(len(rotor.patches)))
+    _, first = assembly._h1_blocks(rotor, dm, pids, coeffs, 0.0)
+    _, again = assembly._h1_blocks(rotor, dm, pids, coeffs, 1.0)
+    assert first and len(again) == len(first)
+    for (span, cross), (span_again, cross_again) in zip(first, again):
+        assert span == span_again and cross_again is cross and not cross.flags.writeable
+
+
 def _scatter_oracle(groups, maps, n_global, keep):
     """The pattern and slots of every element-matrix entry (patch, element,
     row, column order) by ``np.unique`` over all entries."""

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import machine_stiffness
+from igamotor import linalg
+from igamotor.assembly import assemble_vector_metric
+from igamotor.design import DesignSpace
 from igamotor.errors import FactorizationError, SingularSystemError
-from igamotor.linalg import factorize, spd_stack_solve
+from igamotor.geometry import MachineConfig
+from igamotor.linalg import DENSE_MAX_N, factorize, spd_stack_solve
+from igamotor.optim import MachineSolver
 
 
 def random_spd(n, rng):
@@ -16,58 +22,116 @@ def random_hpd(n, rng):
     return sp.csc_matrix(A @ A.conj().T + n * np.eye(n))
 
 
+# the largest order factored densely and the smallest factored by SuperLU:
+# the contract tests run at both
+SIZES = (DENSE_MAX_N, DENSE_MAX_N + 1)
+
+
+def embed(M, n):
+    """M (m, m) on the leading block of an (n, n) CSC matrix, the identity
+    on the rest: M's verdict and pivots at order n."""
+    M = np.asarray(M)
+    return sp.block_diag([sp.csc_matrix(M), sp.identity(n - M.shape[0], dtype=M.dtype)],
+                         format="csc")
+
+
+@pytest.mark.parametrize("n, backend", [(2, "_cholesky"), (DENSE_MAX_N, "_cholesky"),
+                                        (DENSE_MAX_N + 1, "_superlu")])
+def test_backend_is_chosen_by_size(monkeypatch, rng, n, backend):
+    called = []
+    for name in ("_cholesky", "_superlu"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda K, real=real, name=name: called.append(name) or real(K))
+    for K in (random_spd(n, rng), random_hpd(n, rng)):
+        factorize(K)
+    assert called == [backend, backend]
+
+
 def test_factorize_identity():
-    F = factorize(sp.identity(5, format="csc"))
-    b = np.arange(5.0)
-    np.testing.assert_array_equal(F.solve(b), b)
+    for n in SIZES:
+        F = factorize(sp.identity(n, format="csc"))
+        b = np.arange(float(n))
+        np.testing.assert_array_equal(F.solve(b), b)
 
 
 def test_factorize_small_hand_solve():
-    F = factorize(sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
-    np.testing.assert_allclose(F.solve(np.array([1.0, 1.0])), [1 / 3, 1 / 3], atol=1e-15)
+    for n in SIZES:
+        F = factorize(embed([[2.0, 1.0], [1.0, 2.0]], n))
+        b = np.zeros(n)
+        b[:2] = 1.0
+        x = F.solve(b)
+        np.testing.assert_allclose(x[:2], [1 / 3, 1 / 3], atol=1e-15)
+        assert not x[2:].any()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_factorize_rejects_non_square(n):
+    with pytest.raises(FactorizationError, match="not square"):
+        factorize(sp.csc_matrix((n, n + 1)))
 
 
 def test_factorize_rejects_indefinite_and_singular():
-    with pytest.raises(FactorizationError):
-        factorize(sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
-    with pytest.raises(FactorizationError):
-        factorize(sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
-    with pytest.raises(FactorizationError):
-        factorize(sp.csc_matrix(np.array([[1.0, 0.0], [0.7, 1.0]])))
+    for n in SIZES:
+        with pytest.raises(FactorizationError, match="nonpositive pivot"):
+            factorize(embed([[1.0, 2.0], [2.0, 1.0]], n))
+        # singular, eigenvalues 0 and 2: an exactly zero pivot, which the
+        # dense back end reports as nonpositive and SuperLU as a failed factor
+        with pytest.raises(FactorizationError):
+            factorize(embed([[1.0, 1.0], [1.0, 1.0]], n))
+        with pytest.raises(FactorizationError):         # a NaN pivot
+            factorize(embed([[1.0, 0.0], [0.0, np.nan]], n))
+        with pytest.raises(FactorizationError, match="not symmetric"):
+            factorize(embed([[1.0, 0.0], [0.7, 1.0]], n))
 
 
 def test_factorize_hermitian_matches_dense_solve(rng):
-    K = random_hpd(30, rng)
-    F = factorize(K)
-    dense = K.toarray()
-    b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    for rhs in (b, b.real, np.column_stack([b, b.conj()])):
-        x = F.solve(rhs)
-        assert x.dtype == np.complex128
-        ref = np.linalg.solve(dense, rhs)
-        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    for n in SIZES:
+        K = random_hpd(n, rng)
+        F = factorize(K)
+        dense = K.toarray()
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for rhs in (b, b.real, np.column_stack([b, b.conj()])):
+            x = F.solve(rhs)
+            assert x.dtype == np.complex128
+            ref = np.linalg.solve(dense, rhs)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_factorize_rejects_complex_symmetric_and_indefinite_hermitian(rng):
-    S = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    S = S + S.T + 12 * np.eye(6)                    # S = S^T, S != S^H
-    with pytest.raises(FactorizationError, match="not symmetric"):
-        factorize(sp.csc_matrix(S))
-    # eigenvalues -1 and 3: Hermitian, indefinite
-    with pytest.raises(FactorizationError, match="nonpositive pivot"):
-        factorize(sp.csc_matrix(np.array([[1.0, 2j], [-2j, 1.0]])))
-    with pytest.raises(FactorizationError):         # singular: eigenvalues 0 and 2
-        factorize(sp.csc_matrix(np.array([[1.0, 1j], [-1j, 1.0]])))
+    for n in SIZES:
+        S = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        S = S + S.T + 12 * np.eye(6)                    # S = S^T, S != S^H
+        with pytest.raises(FactorizationError, match="not symmetric"):
+            factorize(embed(S, n))
+        # eigenvalues -1 and 3: Hermitian, indefinite
+        with pytest.raises(FactorizationError, match="nonpositive pivot"):
+            factorize(embed(np.array([[1.0, 2j], [-2j, 1.0]]), n))
+        with pytest.raises(FactorizationError):         # singular, as above
+            factorize(embed(np.array([[1.0, 1j], [-1j, 1.0]]), n))
 
 
 def test_real_factor_refuses_complex_rhs_and_complex_factor_takes_both(rng):
-    real = factorize(random_spd(8, rng))
-    with pytest.raises(ValueError):    # a cast would drop the imaginary part
-        real.solve(np.ones(8) + 1j)
-    assert real.solve(np.ones(8)).dtype == np.float64
-    hermitian = factorize(random_hpd(8, rng))
-    b = rng.standard_normal(8)
-    np.testing.assert_array_equal(hermitian.solve(b), hermitian.solve(b + 0j))
+    for n in SIZES:
+        real = factorize(random_spd(n, rng))
+        with pytest.raises(ValueError):    # a cast would drop the imaginary part
+            real.solve(np.ones(n) + 1j)
+        assert real.solve(np.ones(n)).dtype == np.float64
+        hermitian = factorize(random_hpd(n, rng))
+        b = rng.standard_normal(n)
+        np.testing.assert_array_equal(hermitian.solve(b), hermitian.solve(b + 0j))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_solutions_are_fortran_order_of_the_factor_dtype(rng, n):
+    # coupling._solve_columns slices X off the solution of [G j]: X keeps
+    # the layout of a solve of G alone only if solutions are Fortran order
+    for K, dtype in ((random_spd(n, rng), np.float64), (random_hpd(n, rng), np.complex128)):
+        F = factorize(K)
+        assert np.dtype(F.dtype) == dtype
+        x = F.solve(rng.standard_normal((n, 4)))
+        assert x.dtype == dtype and x.flags.f_contiguous
+        assert F.solve(rng.standard_normal(n)).shape == (n,)
 
 
 def test_machine_stiffness_residual(coarse_cfg, coarse_stiffness, rng):
@@ -79,33 +143,36 @@ def test_machine_stiffness_residual(coarse_cfg, coarse_stiffness, rng):
 
 
 def test_solve_multi_contracts(rng):
-    K = random_spd(40, rng)
-    F = factorize(K)
-    assert np.array_equal(F.solve(np.zeros((40, 3))), np.zeros((40, 3)))
-    X = F.solve(K.toarray())
-    np.testing.assert_allclose(X, np.eye(40), atol=1e-10)
-    with pytest.raises(ValueError):    # a cast would drop the imaginary part
-        F.solve(rng.standard_normal(40) + 1j * rng.standard_normal(40))
-    with pytest.raises(ValueError):
-        F.solve(np.zeros((17, 2)))
+    for n in SIZES:
+        K = random_spd(n, rng)
+        F = factorize(K)
+        assert np.array_equal(F.solve(np.zeros((n, 3))), np.zeros((n, 3)))
+        X = F.solve(K.toarray())
+        np.testing.assert_allclose(X, np.eye(n), atol=1e-10)
+        with pytest.raises(ValueError):    # a cast would drop the imaginary part
+            F.solve(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        with pytest.raises(ValueError):
+            F.solve(np.zeros((17, 2)))
 
 
 def test_factorization_reuse_matches_fresh_solves(rng):
-    K = random_spd(30, rng)
-    F = factorize(K)
-    for _ in range(100):
-        b = rng.standard_normal(30)
-        x_reused = F.solve(b)
-        x_fresh = factorize(K).solve(b)
-        assert np.abs(x_reused - x_fresh).max() < 1e-12 * max(1.0, np.abs(x_fresh).max())
+    for n in SIZES:
+        K = random_spd(n, rng)
+        F = factorize(K)
+        for _ in range(100):
+            b = rng.standard_normal(n)
+            x_reused = F.solve(b)
+            x_fresh = factorize(K).solve(b)
+            assert np.abs(x_reused - x_fresh).max() < 1e-12 * max(1.0, np.abs(x_fresh).max())
 
 
 def test_determinism_bitwise(rng):
-    K = random_spd(25, rng)
-    b = rng.standard_normal(25)
-    x1 = factorize(K).solve(b)
-    x2 = factorize(K.copy()).solve(b.copy())
-    assert np.array_equal(x1, x2)
+    for n in SIZES:
+        K = random_spd(n, rng)
+        b = rng.standard_normal(n)
+        x1 = factorize(K).solve(b)
+        x2 = factorize(K.copy()).solve(b.copy())
+        assert np.array_equal(x1, x2)
 
 
 def test_spd_stack_solve_examples(rng):
@@ -184,7 +251,11 @@ def _rejects_as_asymmetric(K):
 
 
 def test_symmetry_check_decides_as_the_sparse_difference():
-    n = 8
+    for n in (8, *SIZES):
+        _check_symmetry_decides_as_the_sparse_difference(n)
+
+
+def _check_symmetry_decides_as_the_sparse_difference(n):
     sym = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
                    format="lil")
     sym[0, 5] = sym[5, 0] = 0.5
@@ -234,3 +305,25 @@ def test_symmetry_check_decides_as_the_sparse_difference():
         for form in (K, K.tocsc()):
             assert _sparse_difference_rejects(form) == rejects, name
             assert _rejects_as_asymmetric(form) == rejects, name
+
+
+@pytest.mark.parametrize("refinement", [0, 1, 2])
+def test_backends_agree_on_the_demo_matrices(refinement, rng):
+    # the demo's stator and rotor stiffness with their right-hand sides
+    # [G j], and its deformation metric with a complex one, each solved by
+    # both back ends whatever its order: every column agrees to 1e-12 of its
+    # largest entry (measured at most 5.2e-14, condition numbers up to 1.1e5,
+    # at 1 and 2 BLAS threads), and a zero column is zero in both
+    solver = MachineSolver(MachineConfig(refinement=refinement, n_harmonics=12, n_angles=12,
+                                         harmonics_multiple_of_poles=True))
+    K_st, K_rt = machine_stiffness(solver)
+    H = assemble_vector_metric(solver.rotor0, solver.dm_rt,
+                               DesignSpace(solver.rotor0, solver.dm_rt).mask)
+    g = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
+    st = solver._st_pre
+    for K, b in ((K_st, np.column_stack([st.G, st.j])),
+                 (K_rt, np.column_stack([solver._G_rt, solver._j_rt])), (H, g[:, None])):
+        dense, sparse = linalg._cholesky(K).solve(b), linalg._superlu(K).solve(b)
+        assert dense.dtype == sparse.dtype and dense.shape == sparse.shape
+        scale = np.abs(sparse).max(axis=0)
+        assert (np.abs(dense - sparse).max(axis=0) <= 1e-12 * scale).all()
