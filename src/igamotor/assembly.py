@@ -45,6 +45,7 @@ one scatter per quantity.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,8 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigError, GeometryError
 from .geometry import DofMap, MachineConfig, MultipatchModel, RegionTag, _edge_index, edge_discretization
-from .splines import KnotVector, NurbsPatch, bspline_basis, patch_basis, rational_basis
+from .splines import (KnotVector, NurbsPatch, bspline_basis_table, patch_basis,
+                      rational_basis)
 
 MU0 = 4e-7 * np.pi
 
@@ -65,9 +67,15 @@ class GaussRule:
     weights: np.ndarray
 
 
+@functools.lru_cache(maxsize=16)
 def gauss_rule(n: int) -> GaussRule:
+    """The n-point rule, formed once per count and shared read-only (the
+    assembly uses a few counts; at most 16 are kept)."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return GaussRule(0.5 * (x + 1.0), 0.5 * w)
+    rule = GaussRule(0.5 * (x + 1.0), 0.5 * w)
+    rule.points.setflags(write=False)
+    rule.weights.setflags(write=False)
+    return rule
 
 
 # --------------------------------------------------------------------------
@@ -84,22 +92,11 @@ def _basis_table_1d(kv: KnotVector, n_gauss: int, tables: dict):
         return hit
     rule = gauss_rule(n_gauss)
     brk = kv.breakpoints()
-    n_el = brk.size - 1
-    p = kv.degree
-    params = np.empty((n_el, n_gauss))
-    weights = np.empty((n_el, n_gauss))
-    vals = np.empty((n_el, n_gauss, p + 1))
-    ders = np.empty((n_el, n_gauss, p + 1))
-    first = np.empty(n_el, dtype=int)
-    for e in range(n_el):
-        a, b = brk[e], brk[e + 1]
-        params[e] = a + (b - a) * rule.points
-        weights[e] = (b - a) * rule.weights
-        for q in range(n_gauss):
-            span, N, dN = bspline_basis(kv, params[e, q])
-            vals[e, q] = N
-            ders[e, q] = dN
-        first[e] = span - p
+    a, b = brk[:-1, None], brk[1:, None]
+    params = a + (b - a) * rule.points
+    weights = (b - a) * rule.weights
+    span, vals, ders = bspline_basis_table(kv, params)
+    first = span[:, -1] - kv.degree
     for arr in (params, weights, vals, ders, first):
         arr.setflags(write=False)
     table = tables[key] = (params, weights, vals, ders, first)

@@ -42,6 +42,19 @@ of its own solve, so the rows do not depend on the blocking, and an angle
 that shares its class with no other keeps the bits of its single-angle
 solve.  reconstruct_state forms each interior field when it is first read.
 
+Of each block, the classes and phases, the matrices R^T H_st R and the
+rotated default loads R^T g_st do not depend on the rotor.  A machine
+(optim.MachineSolver) forms them once over its own angle array, as a
+SweepPlan, and attaches the plan to every rotor's CouplingPrecomp; a sweep,
+interface solve or adjoint handed that very array reads the plan and does
+only H_rt + R^T H_st R, the right-hand sides, the stacked solve and the
+flux product per block, with the operations of the block-by-block path, so
+every row keeps its bits.  Any other array (an offset sweep, a single
+angle) is solved block by block as before, and the plan costs it one
+identity test.  The plan holds n_classes n_h^2 + 3 n_angles n_h doubles:
+57,600 bytes for 120 angles and 12 coupled orders, 11,796,480 bytes for
+MAX_ANGLES = 4,096 angles and 24 coupled orders (2,048 classes).
+
 The sides are modelled over one pole pitch, closed antiperiodically: a
 harmonic of order l lives on that model when it is antiperiodic over the
 pitch, and closure_orders keeps those of the configured set, the odd
@@ -236,16 +249,27 @@ class CouplingPrecomp:
     """Blocks and products reused by every angle solve, the harmonic orders
     (checked here) with the partner column of order -l of each, and the
     stator's rotation period: R(period)^T H_st R(period) = H_st, so angles
-    a whole number of periods apart share one interface matrix."""
+    a whole number of periods apart share one interface matrix.  ``plan``,
+    the stator side of the sweep over the machine's own angles, must be
+    built from the same ``st``, orders and period; its partner columns are
+    taken, not rebuilt."""
 
     st: SidePrecomp
     rt: SidePrecomp
     orders: np.ndarray
     period: float
+    plan: SweepPlan | None = field(default=None, repr=False)
     partner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.partner = _partner_columns(self.orders)
+        plan = self.plan
+        if plan is None:
+            self.partner = _partner_columns(self.orders)
+            return
+        if not (plan.st is self.st and plan.period == self.period
+                and np.array_equal(plan.orders, self.orders)):
+            raise ValueError("sweep plan built for another stator, orders or period")
+        self.partner = plan.partner
 
     def verify(self, K_st: sp.spmatrix, K_rt: sp.spmatrix, tol: float = 1e-12) -> float:
         """Max relative deviation of the stored products X, y, H and g from
@@ -332,25 +356,67 @@ def _class_blocks(classes: np.ndarray, per: int) -> list:
     return blocks
 
 
+def _stator_blocks(H_st, orders, partner, period, angles, g_st=None):
+    """The stator side of the interface solve over the 1-D ``angles``, one
+    (rows, cos, sin, C, Rg) per block of classes: the rows' angle indices,
+    class by class, their phases, C = R^T H_st R at each class's first
+    angle, and R^T g_st per row for a shared ``g_st`` (None without one).
+    Nothing here depends on the rotor."""
+    per = _block_classes(orders.size)
+    for block in _class_blocks(_angle_classes(angles, period), per):
+        k = block.shape[1]
+        rows = block.reshape(-1)                          # class by class
+        cos, sin = _phases(orders, partner, angles[rows])
+        C = _congruence(H_st, cos[::k], sin[::k], partner)
+        yield rows, cos, sin, C, None if g_st is None else _rotate(g_st, cos, -sin, partner)
+
+
+class SweepPlan:
+    """The stator side of the interface solve over one fixed angle array,
+    formed once per machine and shared by every rotor's precomputation:
+    :func:`_stator_blocks` with the default load g_st, kept as a list of
+    n_classes n_h^2 + 3 n_angles n_h doubles.  A solve reads it when it is
+    handed the plan's own ``angles``, a read-only view whose flag cannot be
+    set back, so the plan never goes stale; any other array, equal or not,
+    is solved block by block, to the same bits."""
+
+    def __init__(self, st: SidePrecomp, orders, period: float, angles):
+        own = np.array(angles, dtype=float)
+        if own.ndim != 1:
+            raise ValueError("a sweep plan takes a 1-D angle array")
+        own.setflags(write=False)
+        self.angles = own[:]
+        self.st, self.orders, self.period = st, np.asarray(orders), float(period)
+        self.partner = _partner_columns(self.orders)
+        self.blocks = list(_stator_blocks(st.H, self.orders, self.partner, self.period,
+                                          self.angles, st.g))
+
+
 def _interface_blocks(pre: CouplingPrecomp, angles: np.ndarray, g_st, g_rt):
     """Solve the interface problem over the 1-D ``angles``, one K_int per
     class of angles a whole number of stator periods apart, formed at the
     class's first angle, yielding (rows, cos, sin, lam) per block of
-    classes.  The phases of the rows' angles serve K_int, the right-hand
-    sides -(R^T g_st + g_rt), one column per angle (g_* shared or one row
-    per angle), and the caller's products with lam.  Each class gets the
-    operations of its own solve, so the rows do not depend on the blocking,
-    and angles in classes of their own keep the bits of their single-angle
-    solves."""
-    per = _block_classes(pre.orders.size)
-    for block in _class_blocks(_angle_classes(angles, pre.period), per):
-        n_cls, k = block.shape
-        rows = block.reshape(-1)                          # class by class
-        cos, sin = _phases(pre.orders, pre.partner, angles[rows])
-        K_int = pre.rt.H + _congruence(pre.st.H, cos[::k], sin[::k], pre.partner)
-        gs = g_st[rows] if np.ndim(g_st) > 1 else g_st
+    classes.  The stator side of each block (:func:`_stator_blocks`) is
+    read from ``pre.plan`` when ``angles`` is the plan's own array (an
+    identity test, so any other sweep misses at no cost), and formed block
+    by block otherwise.  The phases of the rows' angles serve K_int, the
+    right-hand sides -(R^T g_st + g_rt), one column per angle (g_* shared
+    or one row per angle), and the caller's products with lam.  Each class
+    gets the operations of its own solve, so the rows do not depend on the
+    blocking or on the plan, and angles in classes of their own keep the
+    bits of their single-angle solves."""
+    plan = pre.plan
+    if plan is not None and angles is plan.angles:
+        blocks = plan.blocks
+    else:
+        blocks = _stator_blocks(pre.st.H, pre.orders, pre.partner, pre.period, angles)
+    for rows, cos, sin, C, Rg in blocks:
+        K_int = pre.rt.H + C
+        if Rg is None or g_st is not pre.st.g:
+            gs = g_st[rows] if np.ndim(g_st) > 1 else g_st
+            Rg = _rotate(gs, cos, -sin, pre.partner)
         gr = g_rt[rows] if np.ndim(g_rt) > 1 else g_rt
-        f = -(_rotate(gs, cos, -sin, pre.partner) + gr).reshape(n_cls, k, -1)
+        f = -(Rg + gr).reshape(C.shape[0], -1, pre.orders.size)
         lam = spd_stack_solve(K_int, np.swapaxes(f, -1, -2))
         del K_int, f                 # not held while the next block is formed
         yield rows, cos, sin, np.swapaxes(lam, -1, -2).reshape(rows.size, -1)
@@ -364,9 +430,9 @@ def solve_interface(pre: CouplingPrecomp, alpha,
     g_* = G_*^T K_*^-1 b_*, shared by all angles or given per angle (one
     row each)."""
     angles = np.asarray(alpha, dtype=float)
+    flat = angles if angles.ndim == 1 else angles.reshape(-1)    # a plan's array stays itself
     lambdas = np.empty((angles.size, pre.orders.size))
-    for rows, _, _, lam in _interface_blocks(pre, angles.reshape(-1),
-                                             pre.st.g if g_st is None else g_st,
+    for rows, _, _, lam in _interface_blocks(pre, flat, pre.st.g if g_st is None else g_st,
                                              pre.rt.g if g_rt is None else g_rt):
         lambdas[rows] = lam
     return lambdas.reshape(angles.shape + pre.orders.shape)

@@ -93,11 +93,16 @@ def factorize(K: sp.spmatrix) -> SpdFactorization:
     (:func:`_superlu`) above.  Both back ends accept and reject the same
     matrices: the matrix must be square, Hermitian to 1e-12 of its largest
     entry, max |K - K^H| <= 1e-12 max(1, max |K|) (K^H = K^T for a real K),
-    and give only positive pivots.  A dense factorization holds its one
-    (n, n) factor; a SuperLU one also holds the L and U copies its pivot
-    check reads."""
+    and give only positive pivots.  A stored entry that is not finite is
+    refused before either back end sees it: the Hermitian test's inf - inf
+    is NaN, which passes its comparison.  A dense factorization holds its
+    one (n, n) factor; a SuperLU one also holds the L and U copies its
+    pivot check reads."""
     if K.shape[0] != K.shape[1]:
         raise FactorizationError("matrix is not square: %r" % (K.shape,))
+    stored = K.data if K.format in ("csr", "csc", "coo") else K.tocsr().data
+    if not np.isfinite(stored).all():
+        raise FactorizationError("matrix has a non-finite entry")
     return _cholesky(K) if K.shape[0] <= DENSE_MAX_N else _superlu(K)
 
 

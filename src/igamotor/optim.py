@@ -23,6 +23,7 @@ from .assembly import (
 )
 from .coupling import (
     CouplingPrecomp,
+    SweepPlan,
     closure_orders,
     harmonic_orders,
     precompute_side,
@@ -94,7 +95,10 @@ class MachineSolver:
     The stator side (stiffness, coupling moments and the products of its
     one solve, winding) is assembled once; its stiffness and factorization
     are dropped after that solve.  Per rotor geometry only the rotor
-    stiffness is rebuilt, factored, solved and dropped.
+    stiffness is rebuilt, factored, solved and dropped.  The stator side
+    of the interface solve over ``angles`` (:class:`igamotor.coupling.
+    SweepPlan`) is formed once too and attached to every precomputation,
+    so a sweep or adjoint over those angles does only the rotor's part.
     The magnet source and rotor coupling moments are invariant under the
     admissible deformations (magnet patches and the interface are masked
     fixed) and are cached from the initial rotor.
@@ -111,7 +115,6 @@ class MachineSolver:
         if not self.orders.size:
             raise ConfigError("no configured harmonic order is an odd multiple of "
                               "pole_pairs=%d: nothing couples the two sides" % cfg.pole_pairs)
-        self.angles = sweep_angles(cfg.pole_pairs, cfg.n_angles)
         self.flux_scale = cfg.pole_pairs * cfg.length_z
         self.winding = assemble_winding_vector(self.stator, self.dm_st, cfg, phase=1)
         K_st = assemble_stiffness(self.stator, self.dm_st,
@@ -125,6 +128,9 @@ class MachineSolver:
         G_st = moments(self.stator, self.dm_st)
         j_st = assemble_rhs(self.stator, self.dm_st, cfg, t=0.0)
         self._st_pre = precompute_side(K_st, G_st, j_st)
+        self.plan = SweepPlan(self._st_pre, self.orders, cfg.stator_period,
+                              sweep_angles(cfg.pole_pairs, cfg.n_angles))
+        self.angles = self.plan.angles
         self._G_rt = moments(self.rotor0, self.dm_rt)
         self._j_rt = assemble_rhs(self.rotor0, self.dm_rt, cfg)
         self.relmap_rt = build_reluctivity_map(self.rotor0, cfg)
@@ -134,7 +140,8 @@ class MachineSolver:
         keeps its products, not its stiffness or factorization."""
         K_rt = assemble_stiffness(rotor, self.dm_rt, self.relmap_rt)
         rt = precompute_side(K_rt, self._G_rt, self._j_rt)
-        return CouplingPrecomp(self._st_pre, rt, self.orders, self.cfg.stator_period)
+        return CouplingPrecomp(self._st_pre, rt, self.orders, self.cfg.stator_period,
+                               self.plan)
 
     def evaluate(self, rotor: MultipatchModel):
         """(sweep with spectrum attached, precomputation) for one rotor."""

@@ -135,6 +135,43 @@ def bspline_basis(kv: KnotVector, x: float):
     return span, N[:p + 1], derivs
 
 
+def bspline_basis_table(kv: KnotVector, x):
+    """:func:`bspline_basis` at every point of the array ``x`` in one pass:
+    (span, values, derivs) with the shape of x, and values and derivs with
+    one more axis of p + 1.  Each point gets the operations of its own
+    scalar call in the same order, so every entry has its bits."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError("parameter outside [0, 1]")
+    U, p, n = kv.knots, kv.degree, kv.n
+    span = np.where(x >= 1.0, n - 1,
+                    np.clip(np.searchsorted(U, x, side="right") - 1, p, n - 1))
+    left = np.empty(x.shape + (p + 1,))
+    right = np.empty_like(left)
+    N = np.zeros_like(left)
+    N[..., 0] = 1.0
+    lower = np.ones(x.shape + (1,))
+    for j in range(1, p + 1):
+        left[..., j] = x - U[span + 1 - j]
+        right[..., j] = U[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            tmp = N[..., r] / (right[..., r + 1] + left[..., j - r])
+            N[..., r] = saved + right[..., r + 1] * tmp
+            saved = left[..., j - r] * tmp
+        N[..., j] = saved
+        if j == p - 1:
+            lower = N[..., :p].copy()
+    derivs = np.zeros_like(left)
+    if p > 0:
+        for r in range(p + 1):
+            j = span - p + r
+            a = lower[..., r - 1] / (U[j + p] - U[j]) if r >= 1 else 0.0
+            b = lower[..., r] / (U[j + p + 1] - U[j + 1]) if r <= p - 1 else 0.0
+            derivs[..., r] = p * (a - b)
+    return span, N, derivs
+
+
 def rational_basis(w, N, *dN):
     """Rational basis R = w N / W and its derivatives w (dN W - N dW) / W^2,
     with W = sum w N, over the last axis (the local functions) of N and of

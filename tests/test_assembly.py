@@ -42,6 +42,7 @@ from igamotor.splines import (
     KnotVector,
     NurbsPatch,
     bspline_basis,
+    bspline_basis_table,
     insert_knots,
     make_arc_patch,
     nurbs_basis,
@@ -69,6 +70,44 @@ def test_gauss_rule_integrates_monomials_exactly():
         for k in range(2 * n):
             exact = 1.0 / (k + 1)
             assert abs(rule.weights @ rule.points ** k - exact) < 1e-14
+
+
+def test_gauss_rule_is_formed_once_per_count_and_read_only():
+    for n in (1, 3, 6):
+        rule = gauss_rule(n)
+        assert gauss_rule(n) is rule
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(rule.points, 0.5 * (x + 1.0))
+        assert np.array_equal(rule.weights, 0.5 * w)
+        assert not (rule.points.flags.writeable or rule.weights.flags.writeable)
+
+
+def _refined_knots(p, refinement, repeated=False):
+    """Clamped degree-p knots on the breakpoints 0, 0.3, 0.55, 1 bisected
+    ``refinement`` times, 0.3 repeated p times when ``repeated``."""
+    brk = np.array([0.0, 0.3, 0.55, 1.0])
+    for _ in range(refinement):
+        brk = np.insert(brk, np.arange(1, brk.size), 0.5 * (brk[:-1] + brk[1:]))
+    interior = list(brk[1:-1]) + ([0.3] * (p - 1) if repeated else [])
+    return KnotVector(np.concatenate([[0.0] * (p + 1), np.sort(interior), [1.0] * (p + 1)]), p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_basis_tables_equal_per_point_basis_bitwise(p):
+    # one vectorized Cox-de Boor pass against one scalar call per point,
+    # at the Gauss points and at every knot, the ends included
+    cases = [_refined_knots(p, r) for r in range(5)] + [_refined_knots(p, 1, repeated=True)]
+    for kv in cases:
+        for n_gauss in (p + 1, p + 2):
+            params, _, vals, ders, first = assembly._basis_table_1d(kv, n_gauss, {})
+            for e, q in np.ndindex(params.shape):
+                span, N, dN = bspline_basis(kv, params[e, q])
+                assert first[e] == span - p
+                assert np.array_equal(vals[e, q], N) and np.array_equal(ders[e, q], dN)
+        spans, N, dN = bspline_basis_table(kv, kv.knots)
+        for x, span, n, dn in zip(kv.knots, spans, N, dN):
+            want = bspline_basis(kv, x)
+            assert span == want[0] and np.array_equal(n, want[1]) and np.array_equal(dn, want[2])
 
 
 def test_bilinear_stiffness_element_matrix():

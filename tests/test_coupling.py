@@ -465,3 +465,85 @@ def test_rows_do_not_depend_on_block_size(solver24, monkeypatch):
     for got in results[1:]:
         for a, b in zip(results[0], got):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture(scope="module", params=[(r, poles) for r in (0, 1, 2) for poles in ("pitch", "ring")],
+                ids=lambda case: "r%d-%s" % case)
+def planned_solver(request):
+    """A 60-angle machine on the pole pitch or the full ring, and its
+    precomputation, which carries the machine's sweep plan."""
+    refinement, model = request.param
+    cfg = coarse_config(refinement=refinement, n_angles=60, harmonics_multiple_of_poles=True)
+    solver = MachineSolver(cfg, 1 if model == "pitch" else 2 * cfg.pole_pairs)
+    return solver, solver.precompute(solver.rotor0)
+
+
+def test_planned_solves_equal_streamed_solves_bitwise(planned_solver, monkeypatch):
+    # the plan's blocks against the same solves formed block by block: every
+    # lambda, psi and adjoint bit, and no stator congruence on the plan's path
+    from igamotor.adjoint import solve_adjoints
+
+    solver, pre = planned_solver
+    angles = solver.angles
+    streamed = CouplingPrecomp(pre.st, pre.rt, pre.orders, pre.period)
+    sens = np.random.default_rng(5).standard_normal(angles.size)
+    g_st = sens[:, None] * (solver.winding @ pre.st.X)
+
+    def solves(p):
+        sweep = rotation_sweep(p, angles, solver.winding, solver.flux_scale)
+        return (sweep.lambdas, sweep.psi, solve_interface(p, angles),
+                solve_interface(p, angles, g_st=g_st, g_rt=0),
+                solve_adjoints(p, solver.winding, sens, angles, solver.flux_scale).lambdas)
+
+    want = solves(streamed)
+    monkeypatch.setattr(coupling, "_congruence", None)
+    for got, ref in zip(solves(pre), want):
+        assert np.array_equal(got, ref)
+
+
+def test_sweep_plan_contents_and_size(planned_solver):
+    solver, pre = planned_solver
+    plan = pre.plan
+    assert plan is solver.plan and pre.partner is plan.partner
+    n_h, n_angles = pre.orders.size, solver.angles.size
+    n_classes = np.unique(coupling._angle_classes(solver.angles, pre.period)).size
+    assert sum(C.shape[0] for _, _, _, C, _ in plan.blocks) == n_classes
+    held = sum(a.nbytes for block in plan.blocks for a in block[1:])
+    assert held == 8 * (n_classes * n_h * n_h + 3 * n_angles * n_h)
+    # the machine's angles are the plan's, read-only for good
+    assert solver.angles is plan.angles
+    with pytest.raises(ValueError):
+        solver.angles.setflags(write=True)
+    # an equal copy is not the plan's array: it is solved block by block
+    copy = np.array(solver.angles)
+    assert np.array_equal(solve_interface(pre, copy), solve_interface(pre, solver.angles))
+
+
+def test_precomputation_refuses_a_plan_of_another_machine(pre, planned_solver):
+    solver, own = planned_solver
+    for st, orders, period in ((pre.st, own.orders, own.period),
+                               (own.st, own.orders[:-1], own.period),
+                               (own.st, own.orders, 2 * own.period)):
+        with pytest.raises(ValueError, match="sweep plan"):
+            CouplingPrecomp(st, own.rt, orders, period, solver.plan)
+
+
+def test_optimization_forms_the_stator_congruences_once_per_machine(monkeypatch):
+    # acceptance 6: 12 sweeps and 11 adjoints, one plan formed by the machine
+    from igamotor.optim import run_optimization
+
+    cfg = coarse_config(n_angles=60, harmonics_multiple_of_poles=True)
+    solver = MachineSolver(cfg)
+    blocks = len(coupling._class_blocks(coupling._angle_classes(solver.angles, cfg.stator_period),
+                                        coupling._block_classes(solver.orders.size)))
+    calls = []
+    congruence = coupling._congruence
+
+    def counted(*args):
+        calls.append(None)
+        return congruence(*args)
+
+    monkeypatch.setattr(coupling, "_congruence", counted)
+    state = run_optimization(cfg)
+    assert len(state.history) == 12
+    assert len(calls) == blocks

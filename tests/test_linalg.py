@@ -85,6 +85,21 @@ def test_factorize_rejects_indefinite_and_singular():
             factorize(embed([[1.0, 0.0], [0.7, 1.0]], n))
 
 
+@pytest.mark.parametrize("n", [5, 200])       # below and above DENSE_MAX_N
+@pytest.mark.parametrize("entries", [{(1, 1): np.inf}, {(1, 3): np.inf, (3, 1): np.inf},
+                                     {(2, 2): np.nan}],
+                         ids=["inf-diagonal", "inf-symmetric-pair", "nan"])
+def test_factorize_refuses_non_finite_entries(n, entries):
+    # both back ends give one verdict: SuperLU alone took the infinite
+    # diagonal, whose inf - inf in the Hermitian test is NaN
+    K = sp.lil_matrix(4.0 * sp.identity(n))
+    for (i, j), value in entries.items():
+        K[i, j] = value
+    for form in (K.tocsr(), K.tocsc(), K):
+        with pytest.raises(FactorizationError, match="non-finite"):
+            factorize(form)
+
+
 def test_factorize_hermitian_matches_dense_solve(rng):
     for n in SIZES:
         K = random_hpd(n, rng)
