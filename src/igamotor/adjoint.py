@@ -98,7 +98,7 @@ def solve_adjoints(pre: CouplingPrecomp, winding_vector: np.ndarray,
     rotor block carries no load, so its adjoint field is X_rt lam.
     """
     coef = -np.asarray(sensitivities, dtype=float) * flux_scale
-    chi_X = np.asarray(winding_vector, dtype=float) @ pre.st.X
+    chi_X = np.asarray(winding_vector, dtype=float) @ pre.plan.st.X
     lambdas = solve_interface(pre, angles, g_st=coef[:, None] * chi_X, g_rt=0)
     return AdjointSet(lambdas, pre.rt.X)
 

@@ -29,7 +29,7 @@ X_* = K_*^-1 G_*, y_* = K_*^-1 j_*.  Only the n_harmonics-dimensional
 system depends on the angle, so the angle is an array axis: given an array
 of angles, rotation_matrix, solve_interface and reconstruct_state return
 one row per angle.  The stator repeats every slot pitch tau
-(CouplingPrecomp.period), so R(tau)^T H_st R(tau) = H_st and
+(SweepPlan.period), so R(tau)^T H_st R(tau) = H_st and
 K_int(a + k tau) = K_int(a): solve_interface and rotation_sweep group the
 angles into classes a whole number of periods apart, and form,
 Cholesky-guard and solve one K_int per class, at its first angle, with one
@@ -43,15 +43,18 @@ that shares its class with no other keeps the bits of its single-angle
 solve.  reconstruct_state forms each interior field when it is first read.
 
 Of each block, the classes and phases, the matrices R^T H_st R and the
-rotated default loads R^T g_st do not depend on the rotor.  A machine
-(optim.MachineSolver) forms them once over its own angle array, as a
-SweepPlan, and attaches the plan to every rotor's CouplingPrecomp; a sweep,
-interface solve or adjoint handed that very array reads the plan and does
-only H_rt + R^T H_st R, the right-hand sides, the stacked solve and the
-flux product per block, with the operations of the block-by-block path, so
+rotated default loads R^T g_st do not depend on the rotor.  They belong to
+the stator side of the coupling, one SweepPlan per machine
+(optim.MachineSolver): the stator's products, the orders with their
+partner columns, the period and the machine's own angle array.  The plan
+forms its blocks over that array when they are first read, so a machine
+that never sweeps it (one solve at one angle) forms none; a sweep,
+interface solve or adjoint handed that very array reads them and does only
+H_rt + R^T H_st R, the right-hand sides, the stacked solve and the flux
+product per block, with the operations of the block-by-block path, so
 every row keeps its bits.  Any other array (an offset sweep, a single
 angle) is solved block by block as before, and the plan costs it one
-identity test.  The plan holds n_classes n_h^2 + 3 n_angles n_h doubles:
+identity test.  The blocks hold n_classes n_h^2 + 3 n_angles n_h doubles:
 57,600 bytes for 120 angles and 12 coupled orders, 11,796,480 bytes for
 MAX_ANGLES = 4,096 angles and 24 coupled orders (2,048 classes).
 
@@ -62,14 +65,15 @@ multiples of p.  Each side's blocks are then 1/(2p) of the full
 machine's, so lambda is the full machine's; the winding vector, and with
 it the flux linkage and the adjoint load, counts all 2p copies.
 
-CouplingPrecomp is the one representation of the coupled system: it holds
-G and j of each side beside the products X, y, H and g, and the harmonic
-orders.  Each side's K is factored, solved once for the stacked columns
-[G j] and dropped with its factorization, since the per-angle stage reads
-only the products.  The full-system oracles (build_full_matrix,
-assemble_full_saddle, full_residual, CouplingPrecomp.verify) take K_st
-and K_rt as arguments; agreement with the directly solved full system is
-the primary correctness oracle.
+CouplingPrecomp, one rotor's coupled system, is the machine's SweepPlan
+and the rotor's products.  A side keeps only X, y, H and g: its K is
+factored, solved once for the stacked columns [G j] and dropped with its
+factorization, and G and j stay with the caller (MachineSolver), since the
+per-angle stage reads only the products.  The full-system oracles
+(build_full_matrix, assemble_full_saddle, full_residual,
+CouplingPrecomp.verify) take each side's (K, G, j) as arguments;
+agreement with the directly solved full system is the primary correctness
+oracle.
 """
 from __future__ import annotations
 
@@ -178,28 +182,28 @@ class FullSaddleSolution:
     block_residuals: np.ndarray
 
 
-def build_full_matrix(pre: CouplingPrecomp, K_st: sp.spmatrix, K_rt: sp.spmatrix,
+def build_full_matrix(pre: CouplingPrecomp, st: tuple, rt: tuple,
                       alpha: float) -> sp.csr_matrix:
-    """Symmetric block matrix of the coupled system at one angle, from the
-    stiffness blocks K_st, K_rt and the precomputation's moment blocks."""
-    Gst_r = pre.st.G @ rotation_matrix(pre.orders, alpha)
+    """Symmetric block matrix of the coupled system at one angle, from K and
+    G of the stator's and the rotor's (K, G, j) and the orders of ``pre``."""
+    (K_st, G_st, _), (K_rt, G_rt, _) = st, rt
+    Gst_r = G_st @ rotation_matrix(pre.plan.orders, alpha)
     return sp.bmat([
         [K_st, None, sp.csr_matrix(-Gst_r)],
-        [None, K_rt, sp.csr_matrix(-pre.rt.G)],
-        [sp.csr_matrix(-Gst_r.T), sp.csr_matrix(-pre.rt.G.T), None],
+        [None, K_rt, sp.csr_matrix(-G_rt)],
+        [sp.csr_matrix(-Gst_r.T), sp.csr_matrix(-G_rt.T), None],
     ], format="csr")
 
 
-def assemble_full_saddle(pre: CouplingPrecomp, K_st: sp.spmatrix, K_rt: sp.spmatrix,
+def assemble_full_saddle(pre: CouplingPrecomp, st: tuple, rt: tuple,
                          alpha: float) -> FullSaddleSolution:
-    """Assemble and solve the full coupled system with the stiffness blocks
-    K_st, K_rt at one angle by a sparse LU of the saddle matrix, independent
-    of the products in ``pre``; the result is the oracle against which the
-    interface elimination is validated."""
-    n_st = pre.st.j.size
-    n_rt = pre.rt.j.size
-    M = build_full_matrix(pre, K_st, K_rt, alpha)
-    b = np.concatenate([pre.st.j, pre.rt.j, np.zeros(pre.orders.size)])
+    """Assemble and solve the full coupled system of the stator's and the
+    rotor's (K, G, j) at one angle by a sparse LU of the saddle matrix,
+    independent of the products in ``pre``; the result is the oracle
+    against which the interface elimination is validated."""
+    j_st, j_rt = st[2], rt[2]
+    M = build_full_matrix(pre, st, rt, alpha)
+    b = np.concatenate([j_st, j_rt, np.zeros(pre.plan.orders.size)])
     try:
         z = real_lu(M).solve(b)
     except Exception as exc:
@@ -207,7 +211,7 @@ def assemble_full_saddle(pre: CouplingPrecomp, K_st: sp.spmatrix, K_rt: sp.spmat
                              "for the trace spaces?): %s" % exc) from exc
     resid = M @ z - b
     scale = max(float(np.linalg.norm(b)), 1e-300)
-    cuts = [n_st, n_st + n_rt]
+    cuts = [j_st.size, j_st.size + j_rt.size]
     block_res = np.array([np.linalg.norm(part) / scale for part in np.split(resid, cuts)])
     u_st, u_rt, lam = np.split(z, cuts)
     return FullSaddleSolution(alpha, u_st, u_rt, lam, M, block_res)
@@ -218,12 +222,10 @@ def assemble_full_saddle(pre: CouplingPrecomp, K_st: sp.spmatrix, K_rt: sp.spmat
 
 @dataclass
 class SidePrecomp:
-    """Angle-independent data of one side: its moment and source blocks and
-    the products of one solve with K, but neither K nor its factorization,
-    which no angle stage reads."""
+    """Angle-independent data of one side: the products of one solve with K
+    of its moment and source blocks G and j, but neither K, its
+    factorization, G nor j, which no angle stage reads."""
 
-    G: np.ndarray
-    j: np.ndarray
     X: np.ndarray          # K^-1 G
     y: np.ndarray          # K^-1 j
     H: np.ndarray          # G^T K^-1 G
@@ -241,44 +243,26 @@ def _solve_columns(K: sp.spmatrix, G: np.ndarray, j: np.ndarray):
 
 def precompute_side(K: sp.spmatrix, G: np.ndarray, j: np.ndarray) -> SidePrecomp:
     X, y = _solve_columns(K, G, j)
-    return SidePrecomp(G, j, X, y, G.T @ X, G.T @ y)
+    return SidePrecomp(X, y, G.T @ X, G.T @ y)
 
 
 @dataclass
 class CouplingPrecomp:
-    """Blocks and products reused by every angle solve, the harmonic orders
-    (checked here) with the partner column of order -l of each, and the
-    stator's rotation period: R(period)^T H_st R(period) = H_st, so angles
-    a whole number of periods apart share one interface matrix.  ``plan``,
-    the stator side of the sweep over the machine's own angles, must be
-    built from the same ``st``, orders and period; its partner columns are
-    taken, not rebuilt."""
+    """One rotor's coupled system: the machine's stator side ``plan``, the
+    one source of the stator products, the orders, their partner columns
+    and the period, and the rotor's products ``rt``."""
 
-    st: SidePrecomp
+    plan: SweepPlan = field(repr=False)
     rt: SidePrecomp
-    orders: np.ndarray
-    period: float
-    plan: SweepPlan | None = field(default=None, repr=False)
-    partner: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        plan = self.plan
-        if plan is None:
-            self.partner = _partner_columns(self.orders)
-            return
-        if not (plan.st is self.st and plan.period == self.period
-                and np.array_equal(plan.orders, self.orders)):
-            raise ValueError("sweep plan built for another stator, orders or period")
-        self.partner = plan.partner
-
-    def verify(self, K_st: sp.spmatrix, K_rt: sp.spmatrix, tol: float = 1e-12) -> float:
+    def verify(self, st: tuple, rt: tuple, tol: float = 1e-12) -> float:
         """Max relative deviation of the stored products X, y, H and g from
-        their recomputation with fresh factorizations of K_st and K_rt."""
+        their recomputation with fresh factorizations, from the stator's and
+        the rotor's (K, G, j)."""
         worst = 0.0
-        for side, K in ((self.st, K_st), (self.rt, K_rt)):
-            X2, y2 = _solve_columns(K, side.G, side.j)
-            for old, new in ((side.X, X2), (side.y, y2),
-                             (side.H, side.G.T @ X2), (side.g, side.G.T @ y2)):
+        for side, (K, G, j) in ((self.plan.st, st), (self.rt, rt)):
+            X2, y2 = _solve_columns(K, G, j)
+            for old, new in ((side.X, X2), (side.y, y2), (side.H, G.T @ X2), (side.g, G.T @ y2)):
                 scale = max(float(np.abs(old).max()), 1e-300)
                 worst = max(worst, float(np.abs(new - old).max()) / scale)
         if worst > tol:
@@ -299,9 +283,9 @@ class AngleSolution:
 
     @cached_property
     def u_st(self) -> np.ndarray:
-        pre = self.pre
-        Rlam = _rotate(self.lam, *_phases(pre.orders, pre.partner, self.alpha), pre.partner)
-        return self.pre.st.y + matvec(self.pre.st.X, Rlam)
+        plan = self.pre.plan
+        Rlam = _rotate(self.lam, *_phases(plan.orders, plan.partner, self.alpha), plan.partner)
+        return plan.st.y + matvec(plan.st.X, Rlam)
 
     @cached_property
     def u_rt(self) -> np.ndarray:
@@ -356,29 +340,14 @@ def _class_blocks(classes: np.ndarray, per: int) -> list:
     return blocks
 
 
-def _stator_blocks(H_st, orders, partner, period, angles, g_st=None):
-    """The stator side of the interface solve over the 1-D ``angles``, one
-    (rows, cos, sin, C, Rg) per block of classes: the rows' angle indices,
-    class by class, their phases, C = R^T H_st R at each class's first
-    angle, and R^T g_st per row for a shared ``g_st`` (None without one).
-    Nothing here depends on the rotor."""
-    per = _block_classes(orders.size)
-    for block in _class_blocks(_angle_classes(angles, period), per):
-        k = block.shape[1]
-        rows = block.reshape(-1)                          # class by class
-        cos, sin = _phases(orders, partner, angles[rows])
-        C = _congruence(H_st, cos[::k], sin[::k], partner)
-        yield rows, cos, sin, C, None if g_st is None else _rotate(g_st, cos, -sin, partner)
-
-
 class SweepPlan:
-    """The stator side of the interface solve over one fixed angle array,
-    formed once per machine and shared by every rotor's precomputation:
-    :func:`_stator_blocks` with the default load g_st, kept as a list of
-    n_classes n_h^2 + 3 n_angles n_h doubles.  A solve reads it when it is
-    handed the plan's own ``angles``, a read-only view whose flag cannot be
-    set back, so the plan never goes stale; any other array, equal or not,
-    is solved block by block, to the same bits."""
+    """The stator side of the coupling, one per machine and shared by every
+    rotor's precomputation: the stator's products ``st``, the harmonic
+    orders (checked here) with the partner column of order -l of each, the
+    stator's rotation period, R(period)^T H_st R(period) = H_st, so angles a
+    whole number of periods apart share one interface matrix, and the
+    machine's own ``angles``, a read-only view whose flag cannot be set
+    back, so the plan never goes stale."""
 
     def __init__(self, st: SidePrecomp, orders, period: float, angles):
         own = np.array(angles, dtype=float)
@@ -388,35 +357,50 @@ class SweepPlan:
         self.angles = own[:]
         self.st, self.orders, self.period = st, np.asarray(orders), float(period)
         self.partner = _partner_columns(self.orders)
-        self.blocks = list(_stator_blocks(st.H, self.orders, self.partner, self.period,
-                                          self.angles, st.g))
+
+    def stator_blocks(self, angles: np.ndarray, g_st=None):
+        """The stator side of the interface solve over the 1-D ``angles``,
+        one (rows, cos, sin, C, Rg) per block of classes: the rows' angle
+        indices, class by class, their phases, C = R^T H_st R at each
+        class's first angle, and R^T g_st per row (None without ``g_st``)."""
+        per = _block_classes(self.orders.size)
+        for block in _class_blocks(_angle_classes(angles, self.period), per):
+            k = block.shape[1]
+            rows = block.reshape(-1)                          # class by class
+            cos, sin = _phases(self.orders, self.partner, angles[rows])
+            C = _congruence(self.st.H, cos[::k], sin[::k], self.partner)
+            Rg = None if g_st is None else _rotate(g_st, cos, -sin, self.partner)
+            yield rows, cos, sin, C, Rg
+
+    @cached_property
+    def blocks(self) -> list:
+        """:meth:`stator_blocks` over the plan's own angles and g_st, formed
+        on first read and kept."""
+        return list(self.stator_blocks(self.angles, self.st.g))
 
 
 def _interface_blocks(pre: CouplingPrecomp, angles: np.ndarray, g_st, g_rt):
     """Solve the interface problem over the 1-D ``angles``, one K_int per
     class of angles a whole number of stator periods apart, formed at the
     class's first angle, yielding (rows, cos, sin, lam) per block of
-    classes.  The stator side of each block (:func:`_stator_blocks`) is
-    read from ``pre.plan`` when ``angles`` is the plan's own array (an
-    identity test, so any other sweep misses at no cost), and formed block
-    by block otherwise.  The phases of the rows' angles serve K_int, the
-    right-hand sides -(R^T g_st + g_rt), one column per angle (g_* shared
-    or one row per angle), and the caller's products with lam.  Each class
-    gets the operations of its own solve, so the rows do not depend on the
-    blocking or on the plan, and angles in classes of their own keep the
-    bits of their single-angle solves."""
+    classes.  The stator side of each block is read from ``pre.plan.blocks``
+    when ``angles`` is the plan's own array (an identity test, so any other
+    sweep misses at no cost), and formed block by block otherwise.  The
+    phases of the rows' angles serve K_int, the right-hand sides
+    -(R^T g_st + g_rt), one column per angle (g_* shared or one row per
+    angle), and the caller's products with lam.  Each class gets the
+    operations of its own solve, so the rows do not depend on the blocking
+    or on the plan, and angles in classes of their own keep the bits of
+    their single-angle solves."""
     plan = pre.plan
-    if plan is not None and angles is plan.angles:
-        blocks = plan.blocks
-    else:
-        blocks = _stator_blocks(pre.st.H, pre.orders, pre.partner, pre.period, angles)
+    blocks = plan.blocks if angles is plan.angles else plan.stator_blocks(angles)
     for rows, cos, sin, C, Rg in blocks:
         K_int = pre.rt.H + C
-        if Rg is None or g_st is not pre.st.g:
+        if Rg is None or g_st is not plan.st.g:
             gs = g_st[rows] if np.ndim(g_st) > 1 else g_st
-            Rg = _rotate(gs, cos, -sin, pre.partner)
+            Rg = _rotate(gs, cos, -sin, plan.partner)
         gr = g_rt[rows] if np.ndim(g_rt) > 1 else g_rt
-        f = -(Rg + gr).reshape(C.shape[0], -1, pre.orders.size)
+        f = -(Rg + gr).reshape(C.shape[0], -1, plan.orders.size)
         lam = spd_stack_solve(K_int, np.swapaxes(f, -1, -2))
         del K_int, f                 # not held while the next block is formed
         yield rows, cos, sin, np.swapaxes(lam, -1, -2).reshape(rows.size, -1)
@@ -431,11 +415,12 @@ def solve_interface(pre: CouplingPrecomp, alpha,
     row each)."""
     angles = np.asarray(alpha, dtype=float)
     flat = angles if angles.ndim == 1 else angles.reshape(-1)    # a plan's array stays itself
-    lambdas = np.empty((angles.size, pre.orders.size))
-    for rows, _, _, lam in _interface_blocks(pre, flat, pre.st.g if g_st is None else g_st,
+    orders = pre.plan.orders
+    lambdas = np.empty((angles.size, orders.size))
+    for rows, _, _, lam in _interface_blocks(pre, flat, pre.plan.st.g if g_st is None else g_st,
                                              pre.rt.g if g_rt is None else g_rt):
         lambdas[rows] = lam
-    return lambdas.reshape(angles.shape + pre.orders.shape)
+    return lambdas.reshape(angles.shape + orders.shape)
 
 
 def reconstruct_state(pre: CouplingPrecomp, alpha, lam: np.ndarray) -> AngleSolution:
@@ -466,30 +451,32 @@ def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
     coefficients (reconstruct_state).
     """
     angles = np.asarray(angles, dtype=float)
-    lambdas = np.empty(angles.shape + pre.orders.shape)
+    plan = pre.plan
+    lambdas = np.empty(angles.shape + plan.orders.shape)
     psi = np.zeros(angles.size)
     if winding_vector is not None:
-        chi_X = winding_vector @ pre.st.X    # row vector of length n_harmonics
-    for rows, cos, sin, lam in _interface_blocks(pre, angles, pre.st.g, pre.rt.g):
+        chi_X = winding_vector @ plan.st.X    # row vector of length n_harmonics
+    for rows, cos, sin, lam in _interface_blocks(pre, angles, plan.st.g, pre.rt.g):
         lambdas[rows] = lam
         if winding_vector is not None:
-            psi[rows] = matvec(chi_X, _rotate(lam, cos, sin, pre.partner))
+            psi[rows] = matvec(chi_X, _rotate(lam, cos, sin, plan.partner))
     if winding_vector is not None:
-        psi = flux_scale * (float(winding_vector @ pre.st.y) + psi)
+        psi = flux_scale * (float(winding_vector @ plan.st.y) + psi)
     return SweepResult(angles=angles, psi=psi, lambdas=lambdas)
 
 
-def full_residual(pre: CouplingPrecomp, K_st: sp.spmatrix, K_rt: sp.spmatrix,
-                  sol: AngleSolution) -> float:
-    """Relative residual of an angle solution in the full coupled system with
-    K_st, K_rt (checks the elimination algebra without the block matrix)."""
-    Gst_r = pre.st.G @ rotation_matrix(pre.orders, sol.alpha)
-    res_st = K_st @ sol.u_st - Gst_r @ sol.lam - pre.st.j
-    res_rt = K_rt @ sol.u_rt - pre.rt.G @ sol.lam - pre.rt.j
-    res_if = -Gst_r.T @ sol.u_st - pre.rt.G.T @ sol.u_rt
+def full_residual(pre: CouplingPrecomp, st: tuple, rt: tuple, sol: AngleSolution) -> float:
+    """Relative residual of an angle solution in the full coupled system of
+    the stator's and the rotor's (K, G, j) (checks the elimination algebra
+    without the block matrix)."""
+    (K_st, G_st, j_st), (K_rt, G_rt, j_rt) = st, rt
+    Gst_r = G_st @ rotation_matrix(pre.plan.orders, sol.alpha)
+    res_st = K_st @ sol.u_st - Gst_r @ sol.lam - j_st
+    res_rt = K_rt @ sol.u_rt - G_rt @ sol.lam - j_rt
+    res_if = -Gst_r.T @ sol.u_st - G_rt.T @ sol.u_rt
     num = np.sqrt(np.linalg.norm(res_st) ** 2 + np.linalg.norm(res_rt) ** 2
                   + np.linalg.norm(res_if) ** 2)
-    scale = max(np.linalg.norm(pre.st.j), np.linalg.norm(pre.rt.j),
+    scale = max(np.linalg.norm(j_st), np.linalg.norm(j_rt),
                 float(np.abs(K_st.data).max()) * np.linalg.norm(sol.u_st),
                 1e-300)
     return float(num / scale)

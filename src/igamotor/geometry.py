@@ -125,8 +125,9 @@ class MachineConfig:
         for f in fields(self):            # every float field: a finite number
             if f.type == "float":
                 object.__setattr__(self, f.name, checked_float(getattr(self, f.name), f.name))
+        # four angles resolve the fundamental, the one harmonic every THD needs
         for name, low in (("pole_pairs", 1), ("refinement", 0), ("n_harmonics", 1),
-                          ("n_angles", 2)):
+                          ("n_angles", 4)):
             object.__setattr__(self, name, checked_int(getattr(self, name), name, low))
         if self.n_angles > MAX_ANGLES:
             raise ConfigError("n_angles=%d exceeds %d" % (self.n_angles, MAX_ANGLES))
@@ -164,6 +165,8 @@ class MachineConfig:
             idx = tuple(checked_int(k, "index_set entry", 0) for k in self.index_set)
             if 1 not in idx:
                 raise ConfigError("index_set must contain the fundamental harmonic 1")
+            if len(set(idx)) != len(idx):
+                raise ConfigError("index_set entries must be distinct, got %r" % (idx,))
             if max(idx) >= self.n_angles // 2:
                 raise ConfigError("index_set exceeds the %d harmonics resolvable "
                                   "from n_angles=%d" % (self.n_angles // 2 - 1,

@@ -94,14 +94,15 @@ class MachineSolver:
     by symmetry), integrated with the interface rule of the configured set.
     The stator side (stiffness, coupling moments and the products of its
     one solve, winding) is assembled once; its stiffness and factorization
-    are dropped after that solve.  Per rotor geometry only the rotor
-    stiffness is rebuilt, factored, solved and dropped.  The stator side
-    of the interface solve over ``angles`` (:class:`igamotor.coupling.
-    SweepPlan`) is formed once too and attached to every precomputation,
-    so a sweep or adjoint over those angles does only the rotor's part.
-    The magnet source and rotor coupling moments are invariant under the
+    are dropped after that solve.  Its products, with the orders, the
+    period and ``angles``, make the machine's :class:`igamotor.coupling.
+    SweepPlan`, which every precomputation shares, so a sweep or adjoint
+    over those angles does only the rotor's part.  Per rotor geometry only
+    the rotor stiffness is rebuilt, factored, solved and dropped.  The
+    magnet source and rotor coupling moments are invariant under the
     admissible deformations (magnet patches and the interface are masked
-    fixed) and are cached from the initial rotor.
+    fixed) and are cached from the initial rotor; the stator's G and j are
+    kept beside them, for the full-system oracles.
     """
 
     def __init__(self, cfg: MachineConfig, poles: int = 1):
@@ -125,11 +126,10 @@ class MachineSolver:
             return assemble_coupling(model, dofmap, self.orders,
                                      coupling_gauss_count(degree, configured))
 
-        G_st = moments(self.stator, self.dm_st)
-        j_st = assemble_rhs(self.stator, self.dm_st, cfg, t=0.0)
-        self._st_pre = precompute_side(K_st, G_st, j_st)
-        self.plan = SweepPlan(self._st_pre, self.orders, cfg.stator_period,
-                              sweep_angles(cfg.pole_pairs, cfg.n_angles))
+        self._G_st = moments(self.stator, self.dm_st)
+        self._j_st = assemble_rhs(self.stator, self.dm_st, cfg, t=0.0)
+        self.plan = SweepPlan(precompute_side(K_st, self._G_st, self._j_st), self.orders,
+                              cfg.stator_period, sweep_angles(cfg.pole_pairs, cfg.n_angles))
         self.angles = self.plan.angles
         self._G_rt = moments(self.rotor0, self.dm_rt)
         self._j_rt = assemble_rhs(self.rotor0, self.dm_rt, cfg)
@@ -139,9 +139,7 @@ class MachineSolver:
         """Reuses the stator products; factors only the rotor side, and
         keeps its products, not its stiffness or factorization."""
         K_rt = assemble_stiffness(rotor, self.dm_rt, self.relmap_rt)
-        rt = precompute_side(K_rt, self._G_rt, self._j_rt)
-        return CouplingPrecomp(self._st_pre, rt, self.orders, self.cfg.stator_period,
-                               self.plan)
+        return CouplingPrecomp(self.plan, precompute_side(K_rt, self._G_rt, self._j_rt))
 
     def evaluate(self, rotor: MultipatchModel):
         """(sweep with spectrum attached, precomputation) for one rotor."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from igamotor.assembly import assemble_stiffness, assemble_winding_vector, build_reluctivity_map
-from igamotor.coupling import CouplingPrecomp, precompute_side
+from igamotor.coupling import CouplingPrecomp, SweepPlan, precompute_side
 from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
 from igamotor.optim import MachineSolver
 from igamotor.splines import NurbsPatch, bspline_basis, insert_knots, make_arc_patch
@@ -35,13 +35,15 @@ def homogeneous_eval(patch, ctrl, xi, eta):
     return S / A, jac
 
 
-def machine_stiffness(solver):
-    """(K_st, K_rt) of ``solver``'s stator and initial rotor: the calls
-    ``MachineSolver`` makes, so the matrices it factored, bit for bit.  The
-    precomputation does not keep them."""
+def machine_sides(solver):
+    """(K, G, j) of ``solver``'s stator and of its initial rotor: K from the
+    calls ``MachineSolver`` makes, so the matrices it factored, bit for bit,
+    and the moment and source blocks it keeps.  The precomputation keeps
+    none of them."""
     K_st = assemble_stiffness(solver.stator, solver.dm_st,
                               build_reluctivity_map(solver.stator, solver.cfg))
-    return K_st, assemble_stiffness(solver.rotor0, solver.dm_rt, solver.relmap_rt)
+    K_rt = assemble_stiffness(solver.rotor0, solver.dm_rt, solver.relmap_rt)
+    return (K_st, solver._G_st, solver._j_st), (K_rt, solver._G_rt, solver._j_rt)
 
 
 def field_signs(dm, pid):
@@ -53,11 +55,17 @@ def field_signs(dm, pid):
     return np.where(flags.reshape(-1), dm.closure_sign, 1.0)
 
 
-def zero_source_precompute(pre, K_st, K_rt):
-    """The same coupled system with both loads j_st, j_rt set to zero."""
-    st, rt = (precompute_side(K, side.G, np.zeros_like(side.j))
-              for side, K in ((pre.st, K_st), (pre.rt, K_rt)))
-    return CouplingPrecomp(st, rt, pre.orders, pre.period)
+def zero_sources(st, rt):
+    """Each side's (K, G, j) with its load j set to zero."""
+    return [(K, G, np.zeros_like(j)) for K, G, j in (st, rt)]
+
+
+def zero_source_precompute(pre, st, rt):
+    """The coupled system of ``pre`` and the sides st, rt, each (K, G, j),
+    with both loads j_st, j_rt set to zero."""
+    plan = pre.plan
+    st0, rt0 = (precompute_side(*side) for side in zero_sources(st, rt))
+    return CouplingPrecomp(SweepPlan(st0, plan.orders, plan.period, plan.angles), rt0)
 
 
 def weighted_arc_patch():
@@ -94,10 +102,10 @@ def coarse_pre(coarse_solver):
 
 
 @pytest.fixture(scope="session")
-def coarse_stiffness(coarse_solver):
-    """(K_st, K_rt) of the coarse machine: the blocks ``coarse_pre`` was
-    computed from."""
-    return machine_stiffness(coarse_solver)
+def coarse_sides(coarse_solver):
+    """(K, G, j) of the coarse machine's stator and rotor: the blocks
+    ``coarse_pre`` was computed from."""
+    return machine_sides(coarse_solver)
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,7 @@ from igamotor.splines import (
     make_arc_patch,
 )
 
-from conftest import machine_stiffness
+from conftest import machine_sides
 
 # Criterion 6 regression lock, recorded on the first verified run of this
 # suite (coarse refinement, n_harmonics=12 restricted to pole multiples,
@@ -56,20 +56,20 @@ def _report(number, name, detail):
 
 
 def _machine_precompute(cfg):
-    """Dof maps, precomputation and the stiffness blocks (K_st, K_rt) that
+    """Dof maps, precomputation and the stator's and rotor's (K, G, j) that
     the full-system oracle reads."""
     solver = MachineSolver(cfg)
     return (solver.dm_st, solver.dm_rt, solver.precompute(solver.rotor0),
-            machine_stiffness(solver))
+            machine_sides(solver))
 
 
 def test_acceptance_1_schur_equals_full_system():
     t0 = time.perf_counter()
     cfg = MachineConfig(refinement=0, n_harmonics=12, n_angles=12)
-    _, _, pre, stiffness = _machine_precompute(cfg)
+    _, _, pre, sides = _machine_precompute(cfg)
     worst = 0.0
     for alpha in sweep_angles(cfg.pole_pairs, 8):
-        full = assemble_full_saddle(pre, *stiffness, float(alpha))
+        full = assemble_full_saddle(pre, *sides, float(alpha))
         fast = solve_at_angle(pre, float(alpha))
         num = np.linalg.norm(np.concatenate([fast.u_st - full.u_st,
                                              fast.u_rt - full.u_rt]))
@@ -164,10 +164,10 @@ def test_acceptance_4_online_cost_scaling():
     states = {}
     for level in levels:
         cfg = MachineConfig(refinement=level, n_harmonics=20, n_angles=12)
-        dm_st, dm_rt, pre, stiffness = _machine_precompute(cfg)
+        dm_st, dm_rt, pre, sides = _machine_precompute(cfg)
         angles = sweep_angles(cfg.pole_pairs, 8)
         rotation_sweep(pre, angles)  # warmup
-        states[level] = (dm_st.n_free + dm_rt.n_free, pre, angles, stiffness)
+        states[level] = (dm_st.n_free + dm_rt.n_free, pre, angles, sides)
     interface_times = {level: [] for level in levels}
     for _ in range(5):  # interleaved to wash out drift
         for level in levels:
@@ -179,11 +179,11 @@ def test_acceptance_4_online_cost_scaling():
     medians = {level: statistics.median(interface_times[level]) for level in levels}
     full_times = {}
     for level in levels:
-        dofs, pre, angles, stiffness = states[level]
+        dofs, pre, angles, sides = states[level]
         samples = []
         for alpha in angles[:2]:
             t0 = time.perf_counter()
-            assemble_full_saddle(pre, *stiffness, float(alpha))
+            assemble_full_saddle(pre, *sides, float(alpha))
             samples.append(time.perf_counter() - t0)
         full_times[level] = statistics.median(samples)
     spread = max(medians.values()) / min(medians.values())

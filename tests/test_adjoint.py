@@ -22,7 +22,7 @@ from igamotor.geometry import build_demo_machine, build_dof_map, edge_nodes
 from igamotor.linalg import SpdFactorization, factorize, matvec
 from igamotor.optim import MachineSolver
 
-from conftest import coarse_config, field_signs, machine_stiffness, zero_source_precompute
+from conftest import coarse_config, field_signs, machine_sides, zero_source_precompute
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +37,10 @@ def forward(solver):
 
 
 @pytest.fixture(scope="module")
-def stiffness(solver):
-    """(K_st, K_rt) of the forward machine: the precomputation keeps neither."""
-    return machine_stiffness(solver)
+def sides(solver):
+    """(K, G, j) of the forward machine's stator and rotor: the
+    precomputation keeps none of them."""
+    return machine_sides(solver)
 
 
 @pytest.fixture(scope="module")
@@ -132,44 +133,45 @@ def _stator_adjoint(pre, K_st, solver, s, angles, adj):
     coef_i = -s_i * flux_scale, one row per angle."""
     coef = -np.asarray(s) * solver.flux_scale
     y_chi = factorize(K_st).solve(solver.winding)
-    R = rotation_matrix(pre.orders, angles)
-    return coef[:, None] * y_chi + matvec(pre.st.X, matvec(R, adj.lambdas))
+    R = rotation_matrix(pre.plan.orders, angles)
+    return coef[:, None] * y_chi + matvec(pre.plan.st.X, matvec(R, adj.lambdas))
 
 
-def test_adjoints_zero_sensitivities_give_zero(forward, solver, stiffness):
+def test_adjoints_zero_sensitivities_give_zero(forward, solver, sides):
     _, pre = forward
     angles = solver.angles[:4]
     adj = solve_adjoints(pre, solver.winding, np.zeros(4), angles, solver.flux_scale)
-    u_st = _stator_adjoint(pre, stiffness[0], solver, np.zeros(4), angles, adj)
+    u_st = _stator_adjoint(pre, sides[0][0], solver, np.zeros(4), angles, adj)
     assert np.array_equal(u_st, np.zeros_like(u_st))
     assert np.array_equal(adj.rotor, np.zeros_like(adj.rotor))
 
 
-def test_adjoint_solves_transposed_system(forward, solver, stiffness, mats):
+def test_adjoint_solves_transposed_system(forward, solver, sides, mats):
     sweep, pre = forward
     s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
-    u_st = _stator_adjoint(pre, stiffness[0], solver, s, solver.angles, adj)
+    u_st = _stator_adjoint(pre, sides[0][0], solver, s, solver.angles, adj)
     for i in (0, 5):
         alpha = solver.angles[i]
-        M = build_full_matrix(pre, *stiffness, alpha)
+        M = build_full_matrix(pre, *sides, alpha)
         asym = (M - M.T).tocoo()
         scale = np.abs(M.data).max()
         assert asym.nnz == 0 or np.abs(asym.data).max() < 1e-12 * scale
         q = np.concatenate([u_st[i], adj.rotor[i], adj.lambdas[i]])
         c = np.concatenate([-s[i] * solver.flux_scale * solver.winding,
-                            np.zeros(pre.rt.y.size + pre.orders.size)])
+                            np.zeros(pre.rt.y.size + pre.plan.orders.size)])
         resid = np.linalg.norm(M @ q - c) / np.linalg.norm(c)
         assert resid < 1e-9
 
 
-def test_solve_adjoints_needs_no_stator_solve(forward, solver, stiffness, mats, monkeypatch):
+def test_solve_adjoints_needs_no_stator_solve(forward, solver, sides, mats, monkeypatch):
     # G_st^T K_st^-1 chi = X_st^T chi: the old form with its stator solve,
     # then the adjoint with every sparse solve raising
     sweep, pre = forward
     s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
     coef = -s * solver.flux_scale
-    g_st = coef[:, None] * (pre.st.G.T @ factorize(stiffness[0]).solve(solver.winding))
+    K_st, G_st, _ = sides[0]
+    g_st = coef[:, None] * (G_st.T @ factorize(K_st).solve(solver.winding))
     lambdas = solve_interface(pre, solver.angles, g_st=g_st, g_rt=0)
     rotor = matvec(pre.rt.X, lambdas)
 
@@ -182,17 +184,18 @@ def test_solve_adjoints_needs_no_stator_solve(forward, solver, stiffness, mats, 
         assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
 
 
-def test_adjoint_duality_identity(forward, solver, stiffness, mats, rng):
+def test_adjoint_duality_identity(forward, solver, sides, mats, rng):
     sweep, pre = forward
     s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
     delta_j = rng.standard_normal(pre.rt.y.size)
-    y_pert = factorize(stiffness[1]).solve(delta_j)
-    g_pert = pre.rt.G.T @ y_pert
+    K_rt, G_rt, _ = sides[1]
+    g_pert = G_rt.T @ factorize(K_rt).solve(delta_j)
     # the stator field of the rotor load delta_j alone (no stator load)
-    lam_pert = solve_interface(pre, solver.angles, g_st=np.zeros(pre.orders.size),
+    lam_pert = solve_interface(pre, solver.angles, g_st=np.zeros(pre.plan.orders.size),
                                g_rt=g_pert)
-    du_st = matvec(pre.st.X, matvec(rotation_matrix(pre.orders, solver.angles), lam_pert))
+    R = rotation_matrix(pre.plan.orders, solver.angles)
+    du_st = matvec(pre.plan.st.X, matvec(R, lam_pert))
     lhs = rhs = 0.0
     for i in range(solver.angles.size):
         lhs += s[i] * solver.flux_scale * float(solver.winding @ du_st[i])
@@ -256,8 +259,8 @@ def test_gradient_zero_outside_deforming_patches(forward, solver, mats):
     assert np.array_equal(g[design.n_points:][iron_only], np.zeros(iron_only.sum()))
 
 
-def test_gradient_zero_for_zero_sources(forward, solver, stiffness):
-    pre0 = zero_source_precompute(forward[1], *stiffness)
+def test_gradient_zero_for_zero_sources(forward, solver, sides):
+    pre0 = zero_source_precompute(forward[1], *sides)
     design = DesignSpace(solver.rotor0, solver.dm_rt)
     n = solver.cfg.n_angles
     zeros = np.zeros(n)

@@ -42,16 +42,22 @@ def test_main_exit_codes(tmp_path):
     assert main(["solve", "--config", str(missing)]) == 2
 
 
+def config_with(tmp_path, key, value):
+    """A config of BASE_MACHINE with the dotted ``key`` ("section.name" or a
+    top-level name) set to ``value``."""
+    doc = {"machine": dict(BASE_MACHINE)}
+    section, _, name = key.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[name] = value
+    return write_config(tmp_path, **doc)
+
+
 REMOVED_KEYS = {"workers": 1, "seed": 1, "bench": {}, "machine.degree": 2,
                 "optimizer.eps_jacobian": 1e-8}
 
 
 @pytest.mark.parametrize("key", list(REMOVED_KEYS))
 def test_removed_top_level_keys_are_config_errors(tmp_path, key):
-    doc = {"machine": dict(BASE_MACHINE)}
-    section, _, name = key.rpartition(".")
-    (doc.setdefault(section, {}) if section else doc)[name] = REMOVED_KEYS[key]
-    cfg_path = write_config(tmp_path, **doc)
+    cfg_path = config_with(tmp_path, key, REMOVED_KEYS[key])
     assert main(["sweep", "--config", str(cfg_path)]) == 2
 
 
@@ -78,27 +84,31 @@ MALFORMED = {
     "tol-nan": ("optimize", "optimizer.tol", float("nan")),
     # magnet sector 0.7 pi: wider than one arc patch
     "pole_pairs-1": ("export", "machine.pole_pairs", 1),
+    # two angles resolve no harmonic: the THD's index set would be empty
+    "n_angles-2": ("sweep", "machine.n_angles", 2),
+    "index_set-repeated": ("sweep", "machine.index_set", [1, 5, 5]),
 }
 
 
 @pytest.mark.parametrize("command, key, value", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_values_are_config_errors(tmp_path, command, key, value):
-    doc = {"machine": dict(BASE_MACHINE)}
-    section, _, name = key.rpartition(".")
-    (doc.setdefault(section, {}) if section else doc)[name] = value
-    cfg_path = write_config(tmp_path, **doc)
+    cfg_path = config_with(tmp_path, key, value)
     assert main([command, "--config", str(cfg_path)]) == 2
 
 
-UNBUILDABLE = {"n_angles-1e12": ("n_angles", 10 ** 12),
-               "refinement-1e5": ("refinement", 10 ** 5),
-               "pole_pairs-1e9": ("pole_pairs", 10 ** 9)}
+UNBUILDABLE = {"n_angles-1e12": ("machine.n_angles", 10 ** 12),
+               "refinement-1e5": ("machine.refinement", 10 ** 5),
+               "pole_pairs-1e9": ("machine.pole_pairs", 10 ** 9),
+               # cli.MAX_SAMPLES + 1 samples, and a typo's 1e9 rows
+               "grid-1000x1001": ("solve", {"grid_r": 1000, "grid_theta": 1001}),
+               "grid_theta-1e9": ("solve.grid_theta", 10 ** 9)}
 
 
 @pytest.mark.parametrize("key, value", list(UNBUILDABLE.values()), ids=list(UNBUILDABLE))
 def test_unbuildable_machines_are_config_errors(tmp_path, key, value):
     # checked when the config loads, before any command builds the machine
-    cfg_path = write_config(tmp_path, machine=dict(BASE_MACHINE, **{key: value}))
+    # or samples its field
+    cfg_path = config_with(tmp_path, key, value)
     with pytest.raises(ConfigError):
         load_config(str(cfg_path))
 

@@ -6,6 +6,7 @@ import pytest
 from igamotor import coupling
 from igamotor.coupling import (
     CouplingPrecomp,
+    SweepPlan,
     assemble_full_saddle,
     build_full_matrix,
     harmonic_orders,
@@ -20,7 +21,7 @@ from igamotor.fourier import SweepResult, attach_spectrum
 from igamotor.linalg import spd_stack_solve
 from igamotor.optim import THD_ROUNDOFF, MachineSolver
 
-from conftest import coarse_config, zero_source_precompute
+from conftest import coarse_config, zero_source_precompute, zero_sources
 
 
 @pytest.fixture(scope="module")
@@ -108,10 +109,12 @@ def test_phases_equal_direct_cos_and_sin_bitwise(orders):
 
 
 def test_precomputation_checks_the_orders(pre):
-    np.testing.assert_array_equal(pre.orders[pre.partner], -pre.orders)
+    # the machine's sweep plan is where the orders and their partners live
+    plan = pre.plan
+    np.testing.assert_array_equal(plan.orders[plan.partner], -plan.orders)
     for bad in ([1, 2], [-1, 1, 1]):
         with pytest.raises(ValueError):
-            CouplingPrecomp(pre.st, pre.rt, np.array(bad), pre.period)
+            SweepPlan(plan.st, np.array(bad), plan.period, plan.angles)
 
 
 def test_interface_path_forms_no_dense_rotation(coarse_cfg, pre, coarse_winding, monkeypatch):
@@ -126,37 +129,36 @@ def test_interface_path_forms_no_dense_rotation(coarse_cfg, pre, coarse_winding,
     angles = sweep_angles(coarse_cfg.pole_pairs, 12) + 0.05     # 2 classes of 6
     sweep = rotation_sweep(pre, angles, coarse_winding, 0.3)
     solve_interface(pre, angles)
-    solve_interface(pre, angles, g_st=np.outer(np.arange(12.0), pre.st.g), g_rt=0)
+    solve_interface(pre, angles, g_st=np.outer(np.arange(12.0), pre.plan.st.g), g_rt=0)
     solve_adjoints(pre, coarse_winding, np.linspace(-1.0, 1.0, 12), angles, 0.3)
     assert np.all(np.isfinite(reconstruct_state(pre, angles, sweep.lambdas).u_st))
     assert np.all(np.isfinite(solve_at_angle(pre, 0.31).u_st))
 
 
-def test_full_matrix_is_hermitian(pre, coarse_stiffness):
-    M = build_full_matrix(pre, *coarse_stiffness, 0.41)
+def test_full_matrix_is_hermitian(pre, coarse_sides):
+    M = build_full_matrix(pre, *coarse_sides, 0.41)
     assert not np.iscomplexobj(M.data)    # real symmetric, hence Hermitian
     scale = np.abs(M.data).max()
     assert np.abs((M - M.T).data).max() < 1e-14 * scale if (M - M.T).nnz else True
 
 
-def test_full_saddle_zero_rhs_gives_zero(pre, coarse_stiffness):
-    sol = assemble_full_saddle(zero_source_precompute(pre, *coarse_stiffness),
-                               *coarse_stiffness, 0.3)
+def test_full_saddle_zero_rhs_gives_zero(pre, coarse_sides):
+    sol = assemble_full_saddle(pre, *zero_sources(*coarse_sides), 0.3)
     assert np.array_equal(sol.u_st, np.zeros_like(sol.u_st))
     assert np.array_equal(sol.lam, np.zeros_like(sol.lam))
 
 
-def test_full_saddle_residuals_and_realness(pre, coarse_stiffness):
-    sol = assemble_full_saddle(pre, *coarse_stiffness, 0.0)
+def test_full_saddle_residuals_and_realness(pre, coarse_sides):
+    sol = assemble_full_saddle(pre, *coarse_sides, 0.0)
     assert np.all(sol.block_residuals < 1e-9)
     assert not any(np.iscomplexobj(u) for u in (sol.u_st, sol.u_rt, sol.lam))
 
 
-def test_schur_matches_full_system(coarse_cfg, pre, coarse_stiffness):
+def test_schur_matches_full_system(coarse_cfg, pre, coarse_sides):
     rng = np.random.default_rng(11)
     period = 2 * np.pi / coarse_cfg.pole_pairs
     for alpha in rng.uniform(0.0, period, size=8):
-        full = assemble_full_saddle(pre, *coarse_stiffness, alpha)
+        full = assemble_full_saddle(pre, *coarse_sides, alpha)
         fast = solve_at_angle(pre, alpha)
         num = np.linalg.norm(np.concatenate([fast.u_st - full.u_st,
                                              fast.u_rt - full.u_rt]))
@@ -164,38 +166,40 @@ def test_schur_matches_full_system(coarse_cfg, pre, coarse_stiffness):
         assert num / den < 1e-10
 
 
-def test_interface_jump_moments_vanish(pre):
+def test_interface_jump_moments_vanish(pre, coarse_sides):
     # third block row evaluated on the reconstructed solution: moments of
     # the trace jump against every coupled harmonic
+    (_, G_st, _), (_, G_rt, _) = coarse_sides
     alpha = 0.23
     sol = solve_at_angle(pre, alpha)
-    R = rotation_matrix(pre.orders, alpha)
-    moments = -(pre.st.G @ R).T @ sol.u_st - pre.rt.G.T @ sol.u_rt
+    R = rotation_matrix(pre.plan.orders, alpha)
+    moments = -(G_st @ R).T @ sol.u_st - G_rt.T @ sol.u_rt
     scale = 2 * np.pi * 0.0525 * np.abs(sol.u_st).max()
     assert np.abs(moments).max() < 1e-9 * scale
 
 
-def test_zero_sources_give_zero_solution(pre, coarse_stiffness):
-    pre0 = zero_source_precompute(pre, *coarse_stiffness)
+def test_zero_sources_give_zero_solution(pre, coarse_sides):
+    pre0 = zero_source_precompute(pre, *coarse_sides)
     sol = solve_at_angle(pre0, 0.7)
     assert np.array_equal(sol.lam, np.zeros_like(sol.lam))
     assert np.array_equal(sol.u_st, np.zeros_like(sol.u_st))
 
 
-def test_precompute_products_verify(pre, coarse_stiffness):
-    assert pre.verify(*coarse_stiffness, tol=1e-12) < 1e-12
+def test_precompute_products_verify(pre, coarse_sides):
+    assert pre.verify(*coarse_sides, tol=1e-12) < 1e-12
 
 
-def test_precompute_column_residuals(pre, coarse_stiffness):
-    for side, K in zip((pre.st, pre.rt), coarse_stiffness):
-        for k in (0, side.G.shape[1] - 1):
-            resid = K @ side.X[:, k] - side.G[:, k]
-            assert np.linalg.norm(resid) < 1e-10 * max(1.0, np.linalg.norm(side.G[:, k]))
+def test_precompute_column_residuals(pre, coarse_sides):
+    for side, (K, G, _) in zip((pre.plan.st, pre.rt), coarse_sides):
+        for k in (0, G.shape[1] - 1):
+            resid = K @ side.X[:, k] - G[:, k]
+            assert np.linalg.norm(resid) < 1e-10 * max(1.0, np.linalg.norm(G[:, k]))
 
 
-def test_realness_invariant(pre, coarse_winding):
+def test_realness_invariant(pre, coarse_sides, coarse_winding):
     # real arithmetic throughout: no stage of the coupling path goes complex
-    arrays = [pre.st.G, pre.st.X, pre.st.H, pre.st.g, pre.rt.G, pre.rt.X, pre.rt.H, pre.rt.g]
+    arrays = [G for _, G, _ in coarse_sides]
+    arrays += [a for side in (pre.plan.st, pre.rt) for a in (side.X, side.H, side.g)]
     for alpha in (0.0, 0.11, 0.9, np.array([0.11, 0.9])):
         sol = solve_at_angle(pre, alpha)
         arrays += [sol.lam, sol.u_st, sol.u_rt]
@@ -203,11 +207,11 @@ def test_realness_invariant(pre, coarse_winding):
     assert all(a.dtype == np.float64 for a in arrays)
 
 
-def test_angle_solution_full_residual(pre, coarse_stiffness):
+def test_angle_solution_full_residual(pre, coarse_sides):
     from igamotor.coupling import full_residual
     for alpha in (0.0, 0.37, 1.8):
         sol = solve_at_angle(pre, alpha)
-        assert full_residual(pre, *coarse_stiffness, sol) < 1e-9
+        assert full_residual(pre, *coarse_sides, sol) < 1e-9
 
 
 def test_rotational_consistency_of_flux(coarse_cfg, pre, coarse_winding):
@@ -239,7 +243,7 @@ def test_stacked_reconstruction_matches_per_angle_calls(coarse_cfg, pre):
     angles = sweep_angles(coarse_cfg.pole_pairs, coarse_cfg.n_angles)
     lambdas = solve_interface(pre, angles)
     stacked = reconstruct_state(pre, angles, lambdas)
-    assert stacked.u_st.shape == (angles.size, pre.st.y.size)
+    assert stacked.u_st.shape == (angles.size, pre.plan.st.y.size)
     for i, alpha in enumerate(angles):
         single = reconstruct_state(pre, alpha, lambdas[i])
         np.testing.assert_allclose(lambdas[i], solve_interface(pre, alpha),
@@ -259,23 +263,23 @@ def _complex_moments(G, orders):
     return Gc
 
 
-def test_real_basis_matches_complex_oracle(coarse_cfg, pre, coarse_winding):
+def test_real_basis_matches_complex_oracle(coarse_cfg, pre, coarse_sides, coarse_winding):
     # the complex harmonic coupling, solved as a Hermitian interface system
     # with diagonal phases e^{i l alpha}, must give the real path's fields
     scale = coarse_cfg.pole_pairs * coarse_cfg.length_z
     angles = np.array([0.0, 0.13, 0.41, 1.7, 2.9])
     sw = rotation_sweep(pre, angles, coarse_winding, scale)
     real = reconstruct_state(pre, angles, sw.lambdas)
-    orders = pre.orders
-    X_st, X_rt = (_complex_moments(side.X, orders) for side in (pre.st, pre.rt))
-    G_st, G_rt = (_complex_moments(side.G, orders) for side in (pre.st, pre.rt))
+    orders = pre.plan.orders
+    X_st, X_rt = (_complex_moments(side.X, orders) for side in (pre.plan.st, pre.rt))
+    G_st, G_rt = (_complex_moments(G, orders) for _, G, _ in coarse_sides)
     H_st, H_rt = G_st.conj().T @ X_st, G_rt.conj().T @ X_rt
-    g_st, g_rt = G_st.conj().T @ pre.st.y, G_rt.conj().T @ pre.rt.y
+    g_st, g_rt = G_st.conj().T @ pre.plan.st.y, G_rt.conj().T @ pre.rt.y
     for i, alpha in enumerate(angles):
         r = np.exp(1j * orders * alpha)
         K_int = H_rt + np.conj(r)[:, None] * H_st * r[None, :]
         lam = np.linalg.solve(K_int, -(np.conj(r) * g_st + g_rt))
-        u_st = pre.st.y + X_st @ (r * lam)
+        u_st = pre.plan.st.y + X_st @ (r * lam)
         u_rt = pre.rt.y + X_rt @ lam
         psi = scale * (coarse_winding @ u_st)
         for ref, got in ((u_st, real.u_st[i]), (u_rt, real.u_rt[i])):
@@ -297,9 +301,9 @@ def test_blocked_solves_match_per_angle_solves(solver24, rng):
     # every block size boundary: one angle, a partial block, one full block,
     # one angle past it, and two full blocks with a partial third
     solver, pre = solver24
-    B = coupling._block_classes(pre.orders.size)
+    B = coupling._block_classes(pre.plan.orders.size)
     assert (coupling._block_classes(24), B) == (28, 113)
-    chi_X = solver.winding @ pre.st.X
+    chi_X = solver.winding @ pre.plan.st.X
     for n in (1, B - 1, B, B + 1, 2 * B + 3):
         angles = np.linspace(0.0, 2.0, n) + 0.013
         single = np.array([solve_interface(pre, alpha) for alpha in angles])
@@ -351,9 +355,9 @@ def test_rotor_field_never_reads_the_stator_solution(pre):
 
     angles = np.array([0.0, 0.3, 1.1])
     lambdas = solve_interface(pre, angles)
-    stator = Watched(pre.st)
-    state = reconstruct_state(CouplingPrecomp(stator, pre.rt, pre.orders, pre.period), angles,
-                              lambdas)
+    stator = Watched(pre.plan.st)
+    plan = SweepPlan(stator, pre.plan.orders, pre.plan.period, pre.plan.angles)
+    state = reconstruct_state(CouplingPrecomp(plan, pre.rt), angles, lambdas)
     reference = reconstruct_state(pre, angles, lambdas)
     np.testing.assert_array_equal(state.u_rt, reference.u_rt)
     assert state.u_rt is state.u_rt               # formed once
@@ -382,15 +386,15 @@ def test_stator_period_is_a_symmetry_of_the_stator_block(period_solver):
     # keeps it (integer orders up to 6 at refinement 0)
     solver, pre = period_solver
     cfg = solver.cfg
-    assert pre.period == cfg.stator_period == 2 * np.pi / (6 * cfg.pole_pairs)
-    H = pre.st.H
+    assert pre.plan.period == cfg.stator_period == 2 * np.pi / (6 * cfg.pole_pairs)
+    H = pre.plan.st.H
 
     def moved(angle):
-        R = rotation_matrix(pre.orders, angle)
+        R = rotation_matrix(pre.plan.orders, angle)
         return np.abs(R.T @ H @ R - H).max() / np.abs(H).max()
 
     assert moved(cfg.stator_period) < 1e-12
-    if 2 * pre.orders.max() >= 6 * cfg.pole_pairs:
+    if 2 * pre.plan.orders.max() >= 6 * cfg.pole_pairs:
         assert moved(cfg.stator_period / 2) > 1e-3
 
 
@@ -400,19 +404,19 @@ def test_grouped_solves_match_per_angle_solves(period_solver):
     # adjoint's lambda agree to 1e-12 relative (measured: 4.9e-14 at most)
     solver, pre = period_solver
     angles = sweep_angles(solver.cfg.pole_pairs, 120) + 0.0123
-    R = rotation_matrix(pre.orders, angles)
+    R = rotation_matrix(pre.plan.orders, angles)
     Rt = np.swapaxes(R, -1, -2)
-    K_int = [pre.rt.H + Rt[i] @ pre.st.H @ R[i] for i in range(angles.size)]
-    chi_X = solver.winding @ pre.st.X
+    K_int = [pre.rt.H + Rt[i] @ pre.plan.st.H @ R[i] for i in range(angles.size)]
+    chi_X = solver.winding @ pre.plan.st.X
     g_st = np.random.default_rng(5).standard_normal(angles.size)[:, None] * chi_X
 
     def per_angle(g, g_rt):
         return np.array([spd_stack_solve(K_int[i], -(Rt[i] @ g[i] + g_rt))
                          for i in range(angles.size)])
 
-    lam = per_angle(np.broadcast_to(pre.st.g, g_st.shape), pre.rt.g)
+    lam = per_angle(np.broadcast_to(pre.plan.st.g, g_st.shape), pre.rt.g)
     adjoint = per_angle(g_st, 0.0)
-    psi = solver.flux_scale * (float(solver.winding @ pre.st.y)
+    psi = solver.flux_scale * (float(solver.winding @ pre.plan.st.y)
                                + np.einsum("j,ijk,ik->i", chi_X, R, lam))
     oracle = attach_spectrum(SweepResult(angles, psi))
     sweep = attach_spectrum(rotation_sweep(pre, angles, solver.winding, solver.flux_scale))
@@ -454,8 +458,8 @@ def test_rows_do_not_depend_on_block_size(solver24, monkeypatch):
     angles = np.concatenate([sweep_angles(p, 120) + 0.0123,
                              np.linspace(0.0, 2.0, 7) + 0.013, sweep_angles(p, 16)])
     g_st = np.random.default_rng(8).standard_normal(angles.size)[:, None] * (
-        solver.winding @ pre.st.X)
-    one_matrix = 8 * pre.orders.size ** 2
+        solver.winding @ pre.plan.st.X)
+    one_matrix = 8 * pre.plan.orders.size ** 2
     results = []
     for stack_bytes in (one_matrix, 5 * one_matrix, coupling._STACK_BYTES, 1 << 24):
         monkeypatch.setattr(coupling, "_STACK_BYTES", stack_bytes)
@@ -484,29 +488,28 @@ def test_planned_solves_equal_streamed_solves_bitwise(planned_solver, monkeypatc
     from igamotor.adjoint import solve_adjoints
 
     solver, pre = planned_solver
-    angles = solver.angles
-    streamed = CouplingPrecomp(pre.st, pre.rt, pre.orders, pre.period)
-    sens = np.random.default_rng(5).standard_normal(angles.size)
-    g_st = sens[:, None] * (solver.winding @ pre.st.X)
+    sens = np.random.default_rng(5).standard_normal(solver.angles.size)
+    g_st = sens[:, None] * (solver.winding @ pre.plan.st.X)
 
-    def solves(p):
-        sweep = rotation_sweep(p, angles, solver.winding, solver.flux_scale)
-        return (sweep.lambdas, sweep.psi, solve_interface(p, angles),
-                solve_interface(p, angles, g_st=g_st, g_rt=0),
-                solve_adjoints(p, solver.winding, sens, angles, solver.flux_scale).lambdas)
+    def solves(angles):
+        sweep = rotation_sweep(pre, angles, solver.winding, solver.flux_scale)
+        return (sweep.lambdas, sweep.psi, solve_interface(pre, angles),
+                solve_interface(pre, angles, g_st=g_st, g_rt=0),
+                solve_adjoints(pre, solver.winding, sens, angles, solver.flux_scale).lambdas)
 
-    want = solves(streamed)
+    want = solves(np.array(solver.angles))     # an equal copy: solved block by block
+    assert pre.plan.blocks                     # formed before the congruence goes
     monkeypatch.setattr(coupling, "_congruence", None)
-    for got, ref in zip(solves(pre), want):
+    for got, ref in zip(solves(solver.angles), want):
         assert np.array_equal(got, ref)
 
 
 def test_sweep_plan_contents_and_size(planned_solver):
     solver, pre = planned_solver
     plan = pre.plan
-    assert plan is solver.plan and pre.partner is plan.partner
-    n_h, n_angles = pre.orders.size, solver.angles.size
-    n_classes = np.unique(coupling._angle_classes(solver.angles, pre.period)).size
+    assert plan is solver.plan
+    n_h, n_angles = pre.plan.orders.size, solver.angles.size
+    n_classes = np.unique(coupling._angle_classes(solver.angles, pre.plan.period)).size
     assert sum(C.shape[0] for _, _, _, C, _ in plan.blocks) == n_classes
     held = sum(a.nbytes for block in plan.blocks for a in block[1:])
     assert held == 8 * (n_classes * n_h * n_h + 3 * n_angles * n_h)
@@ -519,13 +522,23 @@ def test_sweep_plan_contents_and_size(planned_solver):
     assert np.array_equal(solve_interface(pre, copy), solve_interface(pre, solver.angles))
 
 
-def test_precomputation_refuses_a_plan_of_another_machine(pre, planned_solver):
-    solver, own = planned_solver
-    for st, orders, period in ((pre.st, own.orders, own.period),
-                               (own.st, own.orders[:-1], own.period),
-                               (own.st, own.orders, 2 * own.period)):
-        with pytest.raises(ValueError, match="sweep plan"):
-            CouplingPrecomp(st, own.rt, orders, period, solver.plan)
+def test_single_angle_solve_forms_no_sweep_plan_blocks(monkeypatch):
+    # `igamotor solve`: a fresh machine, one precomputation and one angle
+    # form the single angle's own R^T H_st R and none of the plan's blocks
+    calls = []
+    congruence = coupling._congruence
+
+    def counted(*args):
+        calls.append(None)
+        return congruence(*args)
+
+    monkeypatch.setattr(coupling, "_congruence", counted)
+    solver = MachineSolver(coarse_config(n_angles=60, harmonics_multiple_of_poles=True))
+    pre = solver.precompute(solver.rotor0)
+    assert calls == []
+    solve_at_angle(pre, 0.31)
+    assert len(calls) == 1
+    assert "blocks" not in vars(solver.plan)
 
 
 def test_optimization_forms_the_stator_congruences_once_per_machine(monkeypatch):

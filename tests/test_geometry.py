@@ -104,6 +104,12 @@ def test_config_validates_index_set():
         coarse_config(index_set=(3, 5))  # fundamental missing
     with pytest.raises(ConfigError):
         coarse_config(index_set=(1, 6))  # beyond resolvable harmonics (n_angles=12)
+    with pytest.raises(ConfigError, match="distinct"):
+        coarse_config(index_set=(1, 5, 5))  # the THD would count harmonic 5 twice
+    for n_angles in (2, 3):                 # no harmonic resolvable: the default set is empty
+        with pytest.raises(ConfigError, match=">= 4"):
+            coarse_config(n_angles=n_angles)
+    assert coarse_config(n_angles=4, index_set=None).n_angles == 4
 
 
 # ---------------------------------------------------------------- demo machine

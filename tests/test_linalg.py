@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import machine_stiffness
+from conftest import machine_sides
 from igamotor import linalg
 from igamotor.assembly import assemble_vector_metric
 from igamotor.design import DesignSpace
@@ -149,8 +149,8 @@ def test_solutions_are_fortran_order_of_the_factor_dtype(rng, n):
         assert F.solve(rng.standard_normal(n)).shape == (n,)
 
 
-def test_machine_stiffness_residual(coarse_cfg, coarse_stiffness, rng):
-    K_rt = coarse_stiffness[1]
+def test_machine_stiffness_residual(coarse_cfg, coarse_sides, rng):
+    K_rt = coarse_sides[1][0]
     F = factorize(K_rt)
     b = rng.standard_normal(F.n)
     x = F.solve(b)
@@ -331,13 +331,12 @@ def test_backends_agree_on_the_demo_matrices(refinement, rng):
     # at 1 and 2 BLAS threads), and a zero column is zero in both
     solver = MachineSolver(MachineConfig(refinement=refinement, n_harmonics=12, n_angles=12,
                                          harmonics_multiple_of_poles=True))
-    K_st, K_rt = machine_stiffness(solver)
+    (K_st, G_st, j_st), (K_rt, G_rt, j_rt) = machine_sides(solver)
     H = assemble_vector_metric(solver.rotor0, solver.dm_rt,
                                DesignSpace(solver.rotor0, solver.dm_rt).mask)
     g = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
-    st = solver._st_pre
-    for K, b in ((K_st, np.column_stack([st.G, st.j])),
-                 (K_rt, np.column_stack([solver._G_rt, solver._j_rt])), (H, g[:, None])):
+    for K, b in ((K_st, np.column_stack([G_st, j_st])), (K_rt, np.column_stack([G_rt, j_rt])),
+                 (H, g[:, None])):
         dense, sparse = linalg._cholesky(K).solve(b), linalg._superlu(K).solve(b)
         assert dense.dtype == sparse.dtype and dense.shape == sparse.shape
         scale = np.abs(sparse).max(axis=0)

@@ -33,7 +33,7 @@ from igamotor.optim import (
     run_optimization,
 )
 
-from conftest import coarse_config, machine_stiffness
+from conftest import coarse_config, machine_sides
 
 
 def opt_cfg(**kw):
@@ -534,8 +534,8 @@ def test_no_sparse_factorization_is_retained(solver_r1):
 def test_verify_detects_a_corrupted_product(solver_r1):
     # verify factors each K itself, so it still sees drift in the stored X
     _, pre = solver_r1.evaluate(solver_r1.rotor0)
-    stiffness = machine_stiffness(solver_r1)
-    assert pre.verify(*stiffness) < 1e-12
+    sides = machine_sides(solver_r1)
+    assert pre.verify(*sides) < 1e-12
     pre.rt.X[3, 2] += 1e-9 * np.abs(pre.rt.X).max()
     with pytest.raises(StabilityError):
-        pre.verify(*stiffness)
+        pre.verify(*sides)
