@@ -2,7 +2,10 @@
 
 The objective THD(Psi_1 .. Psi_N) sees each rotor position only through the
 flux linkage sample, so the adjoint load at angle i is the winding vector
-scaled by the THD sample sensitivity.  The coupled operator is symmetric,
+scaled by the THD sample sensitivity.  The sensitivities are the THD's
+derivatives with respect to the EMF coefficients, carried back to the
+samples by the transpose of the spectrum map: one inverse real FFT, with
+no sample-to-spectrum matrix formed.  The coupled operator is symmetric,
 so the adjoint solves reuse the forward interface elimination unchanged,
 and the reduced adjoint load G_st^T K_st^-1 chi = X_st^T chi is the flux
 row the forward sweep already forms: the adjoint is one interface solve
@@ -37,29 +40,23 @@ import numpy as np
 from .assembly import _element_signs, _scatter_add
 from .coupling import CouplingPrecomp, solve_interface
 from .design import DesignSpace
-from .errors import DegenerateSignalError
-from .fourier import DerivativeDftMatrices
+from .fourier import DerivativeDft, _thd_terms
 from .geometry import DofMap, MachineConfig, MultipatchModel
 from .linalg import matvec
 
 
 def thd_sample_sensitivities(emf_a: np.ndarray, emf_b: np.ndarray, index_set,
-                             mats: DerivativeDftMatrices) -> np.ndarray:
-    """d THD / d Psi_i for every sample i, by the quotient rule through the
-    sample-to-spectrum matrices."""
-    idx = np.array([k for k in index_set if k != 1], dtype=int)
-    if 1 not in tuple(index_set):
-        raise ValueError("index set must contain the fundamental")
-    D = emf_a[1] ** 2 + emf_b[1] ** 2
-    if D <= 0.0:
-        raise DegenerateSignalError("zero fundamental: THD not differentiable")
-    N = float((emf_a[idx] ** 2 + emf_b[idx] ** 2).sum()) if idx.size else 0.0
-    rest = emf_a[idx] @ mats.M_a[idx] + emf_b[idx] @ mats.M_b[idx]
-    fund = emf_a[1] * mats.M_a[1] + emf_b[1] * mats.M_b[1]
-    out = -np.sqrt(N) / D ** 1.5 * fund
+                             dft: DerivativeDft) -> np.ndarray:
+    """d THD / d Psi_i for every sample i: the quotient rule's derivatives
+    of sqrt(N / D) with respect to the EMF coefficients, carried back to
+    the samples by one transposed derivative DFT."""
+    idx, N, D = _thd_terms(emf_a, emf_b, index_set)
+    spectrum = np.stack([emf_a, emf_b])
+    c = np.zeros_like(spectrum)                  # d THD / d(A_k, B_k)
     if N > 0.0:
-        out += rest / np.sqrt(N * D)
-    return out
+        c[:, idx] = spectrum[:, idx] / np.sqrt(N * D)
+    c[:, 1] = -np.sqrt(N) / D ** 1.5 * spectrum[:, 1]
+    return dft.transpose(*c)
 
 
 @dataclass

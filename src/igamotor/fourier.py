@@ -1,6 +1,7 @@
 """Quantities of interest: flux linkage, EMF spectrum by frequency-domain
-differentiation of the flux linkage, THD, and the linear sample-to-spectrum
-matrices used by the adjoint.
+differentiation of the flux linkage, THD, and the transposed derivative DFT
+that carries the THD's spectral derivatives back to the flux samples for
+the adjoint.
 
 Time is the electrical angle t in [0, 2 pi); the physical electrical
 frequency is an overall scale on all EMF coefficients and cancels in the
@@ -37,7 +38,7 @@ def flux_linkage(u_st: np.ndarray, winding_vector: np.ndarray,
     return float(pole_pairs * length_z * (winding_vector @ u_st))
 
 
-def emf_spectrum(samples: np.ndarray, t: np.ndarray | None = None):
+def emf_spectrum(samples: np.ndarray):
     """Cosine/sine EMF coefficients from uniform flux-linkage samples.
 
     The flux linkage is expanded in a discrete Fourier series over exactly
@@ -49,11 +50,6 @@ def emf_spectrum(samples: np.ndarray, t: np.ndarray | None = None):
     if psi.ndim != 1 or psi.size < 2:
         raise ValueError("need a 1D sample vector of length >= 2")
     n = psi.size
-    if t is not None:
-        t = np.asarray(t, dtype=float)
-        expected = 2.0 * np.pi * np.arange(n) / n
-        if t.shape != (n,) or not np.allclose(t - t[0], expected, atol=1e-12):
-            raise ValueError("samples are not uniform over one period")
     C = np.fft.fft(psi) / n
     n_harm = n // 2
     k = np.arange(n_harm)
@@ -70,57 +66,58 @@ def default_index_set(n_angles: int) -> tuple:
     return tuple(range(1, n_angles // 2))
 
 
-def thd(A: np.ndarray, B: np.ndarray, index_set) -> float:
-    """Root ratio of non-fundamental to fundamental spectral energy."""
+def _thd_terms(A: np.ndarray, B: np.ndarray, index_set):
+    """Check the index set (fundamental present, entries in range, no
+    harmonic summed twice) and return its non-fundamental indices, their
+    spectral energy N and the fundamental's D, so that THD = sqrt(N / D)."""
     index_set = tuple(index_set)
     if 1 not in index_set:
         raise ValueError("index set must contain the fundamental")
     if max(index_set) >= len(A) or min(index_set) < 0:
         raise ValueError("index set exceeds resolvable harmonics")
-    fundamental = A[1] ** 2 + B[1] ** 2
-    if fundamental <= 0.0:
+    rest = [k for k in index_set if k != 1]
+    if len(set(rest)) != len(rest):
+        raise ValueError("index set repeats a harmonic")
+    idx = np.array(rest, dtype=int)
+    D = A[1] ** 2 + B[1] ** 2
+    if D <= 0.0:
         raise DegenerateSignalError("zero fundamental: THD undefined")
-    idx = np.array(index_set, dtype=int)
-    idx = idx[idx != 1]
     # a running sum adds the terms one by one in index-set order
-    rest = np.cumsum(A[idx] ** 2 + B[idx] ** 2)[-1] if idx.size else 0.0
-    return float(np.sqrt(rest / fundamental))
+    N = np.cumsum(A[idx] ** 2 + B[idx] ** 2)[-1] if idx.size else 0.0
+    return idx, N, D
 
 
-# bytes of the complex spectra build_derivative_dft holds at a time: 2 MiB,
-# beside the 8 n_angles^2 bytes of its output (134 MB at 4,096 angles)
-_DFT_BLOCK_BYTES = 1 << 21
+def thd(A: np.ndarray, B: np.ndarray, index_set) -> float:
+    """Root ratio of non-fundamental to fundamental spectral energy."""
+    _, N, D = _thd_terms(A, B, index_set)
+    return float(np.sqrt(N / D))
 
 
 @dataclass(frozen=True)
-class DerivativeDftMatrices:
-    """Real matrices mapping flux samples to EMF cosine/sine coefficients."""
+class DerivativeDft:
+    """emf_spectrum's linear map from n_angles (even) flux samples to the
+    EMF coefficients (A, B), applied transposed without forming it."""
 
-    M_a: np.ndarray
-    M_b: np.ndarray
+    n_angles: int
+
+    def __post_init__(self):
+        if self.n_angles % 2:
+            raise ValueError("n_angles must be even")
+
+    def transpose(self, c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
+        """s with <(A, B), (c_a, c_b)> = <psi, s> for every psi: dA_k/dpsi_j
+        = (2k/n) sin(2 pi jk/n) and dB_k/dpsi_j = -(2k/n) cos(2 pi jk/n), so
+        s = (n/2) irfft(w), one inverse real FFT of the spectrum
+        w_k = (2k/n)(-c_b,k - i c_a,k)."""
+        k = np.arange(self.n_angles // 2)
+        if c_a.shape != k.shape or c_b.shape != k.shape:
+            raise ValueError("need n_angles / 2 coefficients per family")
+        return np.fft.irfft(k * (-c_b - 1j * c_a), self.n_angles)
 
 
-def build_derivative_dft(n_angles: int) -> DerivativeDftMatrices:
-    """Columns are the spectra of unit samples, so M_a s reproduces the A
-    output of emf_spectrum(s) for every s (linearity of the DFT).  The unit
-    samples are transformed as rows of the identity, _DFT_BLOCK_BYTES of
-    complex spectra at a time, with emf_spectrum's operations, so every
-    column has the bits of emf_spectrum of its unit sample."""
-    if n_angles % 2:
-        raise ValueError("n_angles must be even")
-    n_harm = n_angles // 2
-    M_a = np.zeros((n_harm, n_angles))
-    M_b = np.zeros((n_harm, n_angles))
-    k = np.arange(1, n_harm)
-    step = max(1, _DFT_BLOCK_BYTES // (16 * n_angles))
-    for start in range(0, n_angles, step):
-        cols = slice(start, min(start + step, n_angles))
-        E = np.eye(cols.stop - start, n_angles, start)          # unit samples
-        C = np.fft.fft(E, axis=-1) / n_angles
-        C_k, C_minus_k = C[:, 1:n_harm], C[:, :n_harm:-1]     # C[k], C[n - k]
-        M_a[1:, cols] = np.real(1j * k * (C_k - C_minus_k)).T
-        M_b[1:, cols] = np.real(-k * (C_k + C_minus_k)).T
-    return DerivativeDftMatrices(M_a, M_b)
+def build_derivative_dft(n_angles: int) -> DerivativeDft:
+    """The transposed derivative DFT over n_angles (even) samples."""
+    return DerivativeDft(n_angles)
 
 
 def attach_spectrum(sweep: SweepResult, index_set=None) -> SweepResult:
@@ -128,8 +125,7 @@ def attach_spectrum(sweep: SweepResult, index_set=None) -> SweepResult:
     A, B = emf_spectrum(sweep.psi)
     if index_set is None:
         index_set = default_index_set(sweep.psi.size)
-    sweep.emf_a = A
-    sweep.emf_b = B
-    sweep.index_set = tuple(index_set)
-    sweep.thd = thd(A, B, sweep.index_set)
+    index_set = tuple(index_set)
+    value = thd(A, B, index_set)            # checks before any field is set
+    sweep.emf_a, sweep.emf_b, sweep.index_set, sweep.thd = A, B, index_set, value
     return sweep

@@ -49,7 +49,8 @@ MAX_DOFS = 1_000_000
 # interface rule takes about (largest configured order) / 2 Gauss points
 # per element: both stay at most this.
 MAX_ORDER = 4096
-# build_derivative_dft holds 8 n_angles^2 bytes: 134 MB at 4,096 angles.
+# The machine's sweep plan grows with n_angles: 11.8 MB at 4,096 angles
+# and 24 coupled orders (coupling module docstring).
 MAX_ANGLES = 4096
 
 

@@ -237,7 +237,7 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
     solver = MachineSolver(cfg)
     rotor = solver.rotor0
     design = DesignSpace(rotor, solver.dm_rt)
-    mats = build_derivative_dft(cfg.n_angles)
+    dft = build_derivative_dft(cfg.n_angles)
 
     sweep, pre = solver.evaluate(rotor)
     objective = sweep.thd
@@ -256,7 +256,7 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
                                         "nothing to optimize" % objective)
         for it in range(1, opt.max_iterations + 1):
             sens = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b,
-                                            sweep.index_set, mats)
+                                            sweep.index_set, dft)
             adj = solve_adjoints(pre, solver.winding, sens, solver.angles,
                                  solver.flux_scale)
             # the forward rotor fields (15 MB at refinement 4) are passed, not

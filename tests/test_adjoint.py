@@ -44,7 +44,7 @@ def sides(solver):
 
 
 @pytest.fixture(scope="module")
-def mats(solver):
+def dft(solver):
     return build_derivative_dft(solver.cfg.n_angles)
 
 
@@ -90,9 +90,9 @@ def test_design_displace_moves_only_masked(solver):
 
 # ---------------------------------------------------------------- sensitivities
 
-def test_sensitivity_matches_finite_difference(forward, solver, mats):
+def test_sensitivity_matches_finite_difference(forward, solver, dft):
     sweep, _ = forward
-    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
+    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, dft)
     h = 1e-6 * np.abs(sweep.psi).max()
 
     def objective(psi):
@@ -107,22 +107,22 @@ def test_sensitivity_matches_finite_difference(forward, solver, mats):
         assert abs(s[i] - fd) / abs(fd) < 1e-6
 
 
-def test_sensitivity_pure_fundamental_and_scaling(mats, solver):
+def test_sensitivity_pure_fundamental_and_scaling(dft, solver):
     n = solver.cfg.n_angles
     A = np.zeros(n // 2)
     B = np.zeros(n // 2)
     A[1] = 2.0
     idx = tuple(range(1, n // 2))
-    s = thd_sample_sensitivities(A, B, idx, mats)
+    s = thd_sample_sensitivities(A, B, idx, dft)
     assert np.array_equal(s, np.zeros(n))  # non-fundamental sum vanishes
     with pytest.raises(DegenerateSignalError):
-        thd_sample_sensitivities(np.zeros(n // 2), np.zeros(n // 2), idx, mats)
+        thd_sample_sensitivities(np.zeros(n // 2), np.zeros(n // 2), idx, dft)
     rng = np.random.default_rng(1)
     psi = rng.standard_normal(n)
     A1, B1 = emf_spectrum(psi)
     c = 3.7
-    s1 = thd_sample_sensitivities(A1, B1, idx, mats)
-    s2 = thd_sample_sensitivities(c * A1, c * B1, idx, mats)
+    s1 = thd_sample_sensitivities(A1, B1, idx, dft)
+    s2 = thd_sample_sensitivities(c * A1, c * B1, idx, dft)
     np.testing.assert_allclose(s2, s1 / c, rtol=1e-12)
 
 
@@ -146,9 +146,9 @@ def test_adjoints_zero_sensitivities_give_zero(forward, solver, sides):
     assert np.array_equal(adj.rotor, np.zeros_like(adj.rotor))
 
 
-def test_adjoint_solves_transposed_system(forward, solver, sides, mats):
+def test_adjoint_solves_transposed_system(forward, solver, sides, dft):
     sweep, pre = forward
-    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
+    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, dft)
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
     u_st = _stator_adjoint(pre, sides[0][0], solver, s, solver.angles, adj)
     for i in (0, 5):
@@ -164,11 +164,11 @@ def test_adjoint_solves_transposed_system(forward, solver, sides, mats):
         assert resid < 1e-9
 
 
-def test_solve_adjoints_needs_no_stator_solve(forward, solver, sides, mats, monkeypatch):
+def test_solve_adjoints_needs_no_stator_solve(forward, solver, sides, dft, monkeypatch):
     # G_st^T K_st^-1 chi = X_st^T chi: the old form with its stator solve,
     # then the adjoint with every sparse solve raising
     sweep, pre = forward
-    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
+    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, dft)
     coef = -s * solver.flux_scale
     K_st, G_st, _ = sides[0]
     g_st = coef[:, None] * (G_st.T @ factorize(K_st).solve(solver.winding))
@@ -184,9 +184,9 @@ def test_solve_adjoints_needs_no_stator_solve(forward, solver, sides, mats, monk
         assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
 
 
-def test_adjoint_duality_identity(forward, solver, sides, mats, rng):
+def test_adjoint_duality_identity(forward, solver, sides, dft, rng):
     sweep, pre = forward
-    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
+    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, dft)
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
     delta_j = rng.standard_normal(pre.rt.y.size)
     K_rt, G_rt, _ = sides[1]
@@ -205,8 +205,8 @@ def test_adjoint_duality_identity(forward, solver, sides, mats, rng):
 
 # ---------------------------------------------------------------- gradient
 
-def _gradient(solver, sweep, pre, mats, design):
-    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
+def _gradient(solver, sweep, pre, dft, design):
+    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, dft)
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
     u_rt = [reconstruct_state(pre, a, lam).u_rt
             for a, lam in zip(solver.angles, sweep.lambdas)]
@@ -214,10 +214,10 @@ def _gradient(solver, sweep, pre, mats, design):
                                    adj.rotor, solver.relmap_rt)
 
 
-def test_gradient_matches_end_to_end_finite_difference(forward, solver, mats):
+def test_gradient_matches_end_to_end_finite_difference(forward, solver, dft):
     sweep, pre = forward
     design = DesignSpace(solver.rotor0, solver.dm_rt)
-    g = _gradient(solver, sweep, pre, mats, design)
+    g = _gradient(solver, sweep, pre, dft, design)
     rng = np.random.default_rng(9)
     r_gap = solver.cfg.r_interface
     for m in rng.choice(design.n_dofs, size=3, replace=False):
@@ -232,10 +232,10 @@ def test_gradient_matches_end_to_end_finite_difference(forward, solver, mats):
         assert best < 1e-4
 
 
-def test_gradient_linearity_in_direction(forward, solver, mats, rng):
+def test_gradient_linearity_in_direction(forward, solver, dft, rng):
     sweep, pre = forward
     design = DesignSpace(solver.rotor0, solver.dm_rt)
-    g = _gradient(solver, sweep, pre, mats, design)
+    g = _gradient(solver, sweep, pre, dft, design)
     w1 = rng.standard_normal(design.n_dofs)
     w2 = rng.standard_normal(design.n_dofs)
     a, b = 2.5, -1.25
@@ -244,13 +244,13 @@ def test_gradient_linearity_in_direction(forward, solver, mats, rng):
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
-def test_gradient_zero_outside_deforming_patches(forward, solver, mats):
+def test_gradient_zero_outside_deforming_patches(forward, solver, dft):
     sweep, pre = forward
     design = DesignSpace(solver.rotor0, solver.dm_rt)
     air_only = tuple(pid for pid in design.patch_ids
                      if solver.rotor0.tags[pid].kind == "rotor_air")
     design.patch_ids = air_only  # restrict the deforming support
-    g = _gradient(solver, sweep, pre, mats, design)
+    g = _gradient(solver, sweep, pre, dft, design)
     in_air = np.zeros(solver.dm_rt.n_global, dtype=bool)
     for pid in air_only:
         in_air[solver.dm_rt.patch_maps[pid].reshape(-1)] = True
@@ -325,13 +325,13 @@ def _shape_gradient_oracle(model, dofmap, design, u_rt_list, p_rt_list, relmap):
     return g
 
 
-def test_gradient_matches_per_angle_einsum_oracle(forward, solver, mats):
+def test_gradient_matches_per_angle_einsum_oracle(forward, solver, dft):
     sweep, pre = forward
     rng = np.random.default_rng(11)
     rotor0 = solver.rotor0
     space = DesignSpace(rotor0, solver.dm_rt)
     moved = space.displace(rotor0, 1e-5 * rng.standard_normal(space.n_dofs), 1.0)
-    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, mats)
+    s = thd_sample_sensitivities(sweep.emf_a, sweep.emf_b, sweep.index_set, dft)
     adj = solve_adjoints(pre, solver.winding, s, solver.angles, solver.flux_scale)
     u_rt = pre.rt.y + matvec(pre.rt.X, sweep.lambdas)
     for rotor in (rotor0, moved):
