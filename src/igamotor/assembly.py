@@ -40,8 +40,8 @@ one scatter per quantity.
   deformation metric takes the turn there, as a phase on the complex
   displacement x + iy (:func:`assemble_vector_metric`).
 
-:func:`eval_field` evaluates a field on the basis of
-:func:`igamotor.splines.patch_basis`.
+:func:`eval_field` evaluates a field at arrays of points on the basis of
+:func:`igamotor.splines.patch_basis`, one evaluation per patch.
 """
 from __future__ import annotations
 
@@ -913,16 +913,26 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
 # point evaluation
 
 def eval_field(model: MultipatchModel, dofmap: DofMap, u_global: np.ndarray,
-               pid: int, xi: float, eta: float):
-    """(point, value, physical gradient) of a coefficient field on a patch,
-    from one basis evaluation, each coefficient taken with its field sign;
-    the gradient is J^-T (du/dxi, du/deta)."""
-    patch = model.patches[pid]
-    local, R, R_xi, R_eta = patch_basis(patch, xi, eta)
-    P = patch.points[local].reshape(-1, 2)
-    c = u_global[dofmap.patch_maps[pid][local].reshape(-1)]
-    signs = dofmap.patch_signs(pid)
-    if signs is not None:
-        c = c * signs[local].reshape(-1)
-    dR = np.stack([R_xi, R_eta])                           # (2, L)
-    return R @ P, float(R @ c), np.linalg.solve(dR @ P, dR @ c)
+               pid, xi, eta):
+    """(point, value, physical gradient) of a coefficient field at the
+    parameter points (xi, eta) of patches ``pid``, arrays of one shape S
+    (scalars the 0-d case), as shapes S + (2,), S and S + (2,): one basis
+    evaluation per patch, each coefficient taken with its field sign, and
+    the gradient J^-T (du/dxi, du/deta) by one stacked 2 x 2 solve."""
+    shape = np.broadcast(pid, xi, eta).shape
+    pid, xi, eta = (np.broadcast_to(a, shape).reshape(-1) for a in (pid, xi, eta))
+    point, value, grad = np.empty((pid.size, 2)), np.empty(pid.size), np.empty((pid.size, 2))
+    for p in np.unique(pid):
+        at = np.flatnonzero(pid == p)
+        patch = model.patches[p]
+        local, R, R_xi, R_eta = patch_basis(patch, xi[at], eta[at])
+        P = patch.points[local].reshape(R.shape + (2,))
+        c = u_global[dofmap.patch_maps[p][local]].reshape(R.shape)
+        signs = dofmap.patch_signs(p)
+        if signs is not None:
+            c = c * signs[local].reshape(R.shape)
+        dR = np.stack([R_xi, R_eta], axis=-2)                # (n, 2, L)
+        point[at] = np.matmul(R[:, None, :], P)[:, 0, :]
+        value[at] = np.matmul(R[:, None, :], c[:, :, None])[:, 0, 0]
+        grad[at] = np.linalg.solve(dR @ P, dR @ c[:, :, None])[:, :, 0]
+    return point.reshape(shape + (2,)), value.reshape(shape)[()], grad.reshape(shape + (2,))

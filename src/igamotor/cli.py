@@ -35,10 +35,13 @@ from .optim import MachineSolver, OptimizerConfig, run_optimization
 DEFAULT_SOLVE = {"alpha": 0.0, "grid_r": 24, "grid_theta": 90}
 DEFAULT_OPTIMIZE = {"snapshots": False}
 # Bound on solve.grid_r x solve.grid_theta, so that a typo exits as a
-# ConfigError: cmd_solve samples the field point by point, about 0.6 ms
-# per sample on a 2-core VM at any refinement, so a 1000 x 1000 grid takes
-# about 10 minutes and writes a 105 MB field.csv.
+# ConfigError: cmd_solve evaluates about 5-8 us and writes about 7-9 us
+# per sample (refinement 0-3, one core of a 2-core Xeon VM), so a
+# 1000 x 1000 grid takes about 15 s and writes a 105 MB field.csv.
 MAX_SAMPLES = 1_000_000
+# Samples cmd_solve evaluates at once (3.5 MB of working arrays), whatever
+# the grid, beside the (n, 5) array of its rows.
+SAMPLE_BLOCK = 4096
 
 
 def _checked(value, types: tuple, message: str):
@@ -115,60 +118,69 @@ def _write_csv(path: Path, cfg_hash: str, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _turned(angle: float, v: np.ndarray) -> np.ndarray:
-    """The 2-vector v turned by ``angle``."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+def _rotate(xy: np.ndarray, c, s) -> np.ndarray:
+    """The rows of xy (n, 2) turned by the angles of cosines c and sines s."""
+    x, y = xy[:, 0], xy[:, 1]
+    return np.stack([c * x - s * y, s * x + c * y], axis=1)
 
 
-def _sample(model, dofmap, u_global, r: float, theta: float):
-    """(point, value, gradient) of the field at polar (r, theta), theta in
-    [0, 2 pi), from the model's copy k that holds theta: the model is
-    evaluated at theta - k arc (arc = 2 pi / copies), and the copy's point
-    and gradient are the model's turned by k arc, its value and gradient
-    closure_sign^k times the model's."""
+def _side_samples(model, dofmap, u_global, r, theta):
+    """(point, value, gradient) of the field at the polar points (r, theta),
+    theta in [0, 2 pi), each from the model's copy k that holds theta: the
+    model is evaluated at theta - k arc (arc = 2 pi / copies), and the
+    copy's point and gradient are the model's turned by k arc, its value
+    and gradient closure_sign^k times the model's."""
     arc = 2 * np.pi / model.copies
-    k = min(int(theta // arc), model.copies - 1)
-    pid, xi, eta = locate_polar(model, r, theta - k * arc)
-    point, u, grad = eval_field(model, dofmap, u_global, pid, xi, eta)
-    if k:
-        sign = model.closure_sign ** k
-        point, u, grad = _turned(k * arc, point), sign * u, sign * _turned(k * arc, grad)
+    k = np.minimum(theta // arc, model.copies - 1).astype(int)
+    point, u, grad = eval_field(model, dofmap, u_global,
+                                *locate_polar(model, r, theta - k * arc))
+    copy = np.flatnonzero(k)
+    angle, sign = k[copy] * arc, model.closure_sign ** k[copy]
+    c, s = np.cos(angle), np.sin(angle)
+    point[copy] = _rotate(point[copy], c, s)
+    u[copy] = sign * u[copy]
+    grad[copy] = sign[:, None] * _rotate(grad[copy], c, s)
     return point, u, grad
 
 
+def _field_grid(mc: MachineConfig, stator_side, rotor_side, alpha: float,
+                n_r: int, n_t: int) -> np.ndarray:
+    """Rows (x, y, u, Bx, By) of the field at the cell centres of an
+    n_r x n_t polar grid over the whole machine, radius-major, evaluated
+    SAMPLE_BLOCK samples at a time.  Each side is (model, dofmap, u_global);
+    rotor samples are taken in the rotor frame and reported at their
+    laboratory position, turned by alpha."""
+    rows = np.empty((n_r * n_t, 5))
+    c, s = np.cos(alpha), np.sin(alpha)
+    for start in range(0, rows.shape[0], SAMPLE_BLOCK):
+        i, j = np.divmod(np.arange(start, min(start + SAMPLE_BLOCK, rows.shape[0])), n_t)
+        r = mc.r_shaft + (i + 0.5) * (mc.r_outer - mc.r_shaft) / n_r
+        th = (j + 0.5) * 2.0 * np.pi / n_t
+        on_rotor = r < mc.r_interface
+        at = np.flatnonzero(~on_rotor)
+        point, u, grad = _side_samples(*stator_side, r[at], th[at])
+        rows[start + at] = np.column_stack([point, u, grad[:, 1], -grad[:, 0]])
+        at = np.flatnonzero(on_rotor)
+        point, u, grad = _side_samples(*rotor_side, r[at], (th[at] - alpha) % (2 * np.pi))
+        point, grad = _rotate(point, c, s), _rotate(grad, c, s)
+        rows[start + at] = np.column_stack([point, u, grad[:, 1], -grad[:, 0]])
+    return rows
+
+
 def cmd_solve(cfg: RunConfig) -> None:
-    mc = cfg.machine
-    solver = MachineSolver(mc)
-    stator, rotor = solver.stator, solver.rotor0
-    dm_st, dm_rt = solver.dm_st, solver.dm_rt
-    alpha, n_r, n_t = cfg.solve["alpha"], cfg.solve["grid_r"], cfg.solve["grid_theta"]
-    sol = solve_at_angle(solver.precompute(rotor), alpha)
+    solver = MachineSolver(cfg.machine)
+    alpha = cfg.solve["alpha"]
+    sol = solve_at_angle(solver.precompute(solver.rotor0), alpha)
+    sides = {"stator": (solver.stator, solver.dm_st, solver.dm_st.expand(sol.u_st)),
+             "rotor": (solver.rotor0, solver.dm_rt, solver.dm_rt.expand(sol.u_rt))}
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-
     # the coefficients of the modelled pitch, Dirichlet dofs included
-    coeff_rows = [("stator", i, v) for i, v in enumerate(dm_st.expand(sol.u_st))]
-    coeff_rows += [("rotor", i, v) for i, v in enumerate(dm_rt.expand(sol.u_rt))]
-    _write_csv(out / "u_coeffs.csv", cfg.hash, "side,index,value", coeff_rows)
-
-    # polar sample grid at cell centers over the whole machine; rotor
-    # samples are taken in the rotor frame and reported at their laboratory
-    # position
-    u_st_g, u_rt_g = dm_st.expand(sol.u_st), dm_rt.expand(sol.u_rt)
-    rows = []
-    for i in range(n_r):
-        r = mc.r_shaft + (i + 0.5) * (mc.r_outer - mc.r_shaft) / n_r
-        rotor_side = r < mc.r_interface
-        for j in range(n_t):
-            th = (j + 0.5) * 2.0 * np.pi / n_t
-            if rotor_side:
-                point, u, grad = _sample(rotor, dm_rt, u_rt_g, r, (th - alpha) % (2 * np.pi))
-                point, grad = _turned(alpha, point), _turned(alpha, grad)
-            else:
-                point, u, grad = _sample(stator, dm_st, u_st_g, r, th)
-            rows.append((point[0], point[1], u, grad[1], -grad[0]))
-    _write_csv(out / "field.csv", cfg.hash, "x,y,u,Bx,By", rows)
+    _write_csv(out / "u_coeffs.csv", cfg.hash, "side,index,value",
+               [(name, i, v) for name, (_, _, u) in sides.items() for i, v in enumerate(u)])
+    rows = _field_grid(cfg.machine, sides["stator"], sides["rotor"], alpha,
+                       cfg.solve["grid_r"], cfg.solve["grid_theta"])
+    _write_csv(out / "field.csv", cfg.hash, "x,y,u,Bx,By", rows.tolist())
 
 
 def cmd_sweep(cfg: RunConfig) -> None:

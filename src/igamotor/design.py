@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import DofMap, MultipatchModel, edge_nodes
+from .geometry import DofMap, MultipatchModel, _edge_index
 
 DEFORM_KINDS = ("rotor_iron", "rotor_air")
 
@@ -48,9 +48,7 @@ class DesignSpace:
                 in_fixed[flat] = True
         mask = in_deform & ~in_fixed & ~dm.dirichlet
         for pid, edge in self.model.interface_edges:
-            patch = self.model.patches[pid]
-            for i, j in edge_nodes(patch.n_u, patch.n_v, edge):
-                mask[dm.patch_maps[pid][i, j]] = False
+            mask[dm.patch_maps[pid][_edge_index(edge)]] = False
         if not mask.any():
             raise ConfigError("design mask is empty")
         self.mask = mask

@@ -269,21 +269,15 @@ class MultipatchModel:
         return replace(self, patches=list(patches))
 
 
-def edge_nodes(n_u: int, n_v: int, edge: str):
-    """Grid indices (i, j) along an edge, in canonical running order."""
-    if edge == "u0":
-        return [(0, j) for j in range(n_v)]
-    if edge == "u1":
-        return [(n_u - 1, j) for j in range(n_v)]
-    if edge == "v0":
-        return [(i, 0) for i in range(n_u)]
-    if edge == "v1":
-        return [(i, n_v - 1) for i in range(n_u)]
-    raise ValueError("unknown edge %r" % (edge,))
-
-
 _EDGE_SLICES = {"u0": (0, slice(None)), "u1": (-1, slice(None)),
                "v0": (slice(None), 0), "v1": (slice(None), -1)}
+
+
+def edge_nodes(n_u: int, n_v: int, edge: str):
+    """Grid indices (i, j) along an edge, in canonical running order."""
+    rows, cols = np.indices((n_u, n_v))
+    index = _edge_index(edge)
+    return list(zip(rows[index].tolist(), cols[index].tolist()))
 
 
 def _edge_index(edge: str):
@@ -702,44 +696,49 @@ def build_demo_machine(cfg: MachineConfig, poles: int = 1):
     return stator, rotor
 
 
-def locate_polar(model: MultipatchModel, r: float, theta: float):
-    """Find (patch, xi, eta) for polar coordinates on an as-built annular side.
+def locate_polar(model: MultipatchModel, r, theta):
+    """Find (patch, xi, eta) for polar coordinates r, theta, arrays of one
+    shape (scalars the 0-d case), on an as-built annular side.
 
     Valid only for the undeformed demo construction, whose meta carries ring
     radii and sector bounds, and for angles on the model's own arc (one
     pole pitch for the demo's pitch model).  The radial parameter is linear
-    in r; the angular one is found by a short Newton iteration on the exact
-    arc.
+    in r; the sector is the first whose bounds, widened by 1e-12, hold theta;
+    the angular parameter is found by a short Newton iteration on the exact
+    arc, run on each patch's points at once until each has converged.
     """
     meta = model.meta
     if "ring_radii" not in meta:
         raise GeometryError("model does not carry annular construction metadata")
-    radii = meta["ring_radii"]
-    bounds = meta["sector_bounds"]
-    if not radii[0] <= r <= radii[-1]:
-        raise GeometryError("radius %r outside side range" % (r,))
-    theta = float(theta) % (2 * np.pi)
-    ring = min(int(np.searchsorted(radii, r, side="right")) - 1, len(radii) - 2)
-    ring = max(ring, 0)
-    sector = None
-    for s, (a, b) in enumerate(bounds):
-        if a - 1e-12 <= theta <= b + 1e-12:
-            sector = s
-            break
-    if sector is None:
-        raise GeometryError("angle %r not covered by sectors" % (theta,))
+    radii = np.asarray(meta["ring_radii"], dtype=float)
+    bounds = np.asarray(meta["sector_bounds"], dtype=float)
+    shape = np.broadcast(r, theta).shape
+    r, theta = (np.broadcast_to(np.asarray(a, dtype=float), shape).reshape(-1) for a in (r, theta))
+    theta = theta % (2 * np.pi)
+    outside = ~((radii[0] <= r) & (r <= radii[-1]))
+    if outside.any():
+        raise GeometryError("radius %r outside side range" % (float(r[outside][0]),))
+    ring = np.clip(np.searchsorted(radii, r, side="right") - 1, 0, radii.size - 2)
+    first = np.searchsorted(bounds[:, 1] + 1e-12, theta)    # first sector ending at theta or later
+    sector = np.minimum(first, len(bounds) - 1)
+    uncovered = (first == len(bounds)) | ~(bounds[sector, 0] - 1e-12 <= theta)
+    if uncovered.any():
+        raise GeometryError("angle %r not covered by sectors" % (float(theta[uncovered][0]),))
     patch_id = ring * meta["n_sectors"] + sector
-    xi = min(max((r - radii[ring]) / (radii[ring + 1] - radii[ring]), 0.0), 1.0)
-    a, b = bounds[sector]
-    eta = min(max((theta - a) / (b - a), 0.0), 1.0)
-    patch = model.patches[patch_id]
-    for _ in range(30):
-        point, jac = eval_patch(patch, xi, eta)
-        ang = np.arctan2(point[1], point[0]) % (2 * np.pi)
-        diff = (ang - theta + np.pi) % (2 * np.pi) - np.pi
-        if abs(diff) < 1e-13:
-            break
-        r2 = point @ point
-        dth_deta = (point[0] * jac[1, 1] - point[1] * jac[0, 1]) / r2
-        eta = min(max(eta - diff / dth_deta, 0.0), 1.0)
-    return patch_id, float(xi), float(eta)
+    xi = np.minimum(np.maximum((r - radii[ring]) / (radii[ring + 1] - radii[ring]), 0.0), 1.0)
+    a, b = bounds[sector, 0], bounds[sector, 1]
+    eta = np.minimum(np.maximum((theta - a) / (b - a), 0.0), 1.0)
+    for pid in np.unique(patch_id):
+        at = np.flatnonzero(patch_id == pid)
+        for _ in range(30):
+            point, jac = eval_patch(model.patches[pid], xi[at], eta[at])
+            ang = np.arctan2(point[:, 1], point[:, 0]) % (2 * np.pi)
+            diff = (ang - theta[at] + np.pi) % (2 * np.pi) - np.pi
+            open_ = ~(np.abs(diff) < 1e-13)
+            at, point, jac, diff = at[open_], point[open_], jac[open_], diff[open_]
+            if not at.size:
+                break
+            r2 = np.matmul(point[:, None, :], point[:, :, None])[:, 0, 0]
+            dth_deta = (point[:, 0] * jac[:, 1, 1] - point[:, 1] * jac[:, 0, 1]) / r2
+            eta[at] = np.minimum(np.maximum(eta[at] - diff / dth_deta, 0.0), 1.0)
+    return patch_id.reshape(shape)[()], xi.reshape(shape)[()], eta.reshape(shape)[()]

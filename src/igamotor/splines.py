@@ -1,9 +1,12 @@
 """B-spline and NURBS kernels: basis evaluation, first derivatives, surface
 patches and knot insertion.
 
-The rational basis and its derivatives (the quotient rule) are formed in
-one place, :func:`rational_basis`, for any leading axes: point evaluation
-and the batched quadrature tables of :mod:`igamotor.assembly` share it.
+The B-spline basis is evaluated by one Cox-de Boor pass,
+:func:`bspline_basis_table`, on arrays of points, a scalar being the 0-d
+case; the rational basis and its derivatives (the quotient rule) by one
+:func:`rational_basis` for any leading axes.  Point evaluation
+(:func:`patch_basis`, :func:`eval_patch`) and the quadrature tables of
+:mod:`igamotor.assembly` share both, and one span rule.
 
 All parameter domains are normalized to [0, 1]; knot vectors given on another
 range are rescaled on construction.  Indexing is 0-based throughout.  The
@@ -79,6 +82,15 @@ class KnotVector:
         return np.unique(self.knots)
 
 
+def _span(knots: np.ndarray, p: int, x):
+    """Index i of the knot span with knots[i] <= x < knots[i + 1], clamped
+    to the nonempty spans p .. n - 1, for a scalar or an array x; x >= 1
+    evaluates in the last nonempty span n - 1."""
+    n = knots.size - p - 1
+    inside = np.minimum(np.maximum(np.searchsorted(knots, x, side="right") - 1, p), n - 1)
+    return np.where(x >= 1.0, n - 1, inside)
+
+
 def find_span(kv: KnotVector, x: float) -> int:
     """Index i of the knot span with knots[i] <= x < knots[i+1].
 
@@ -86,34 +98,36 @@ def find_span(kv: KnotVector, x: float) -> int:
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("parameter %r outside [0, 1]" % (x,))
-    n, p = kv.n, kv.degree
-    if x >= 1.0:
-        return n - 1
-    span = int(np.searchsorted(kv.knots, x, side="right")) - 1
-    return min(max(span, p), n - 1)
+    return int(_span(kv.knots, kv.degree, x))
 
 
 def bspline_basis(kv: KnotVector, x: float):
-    """Nonzero B-spline basis functions and first derivatives at x.
+    """(span, values, derivs) of the nonzero B-spline basis at x, the 0-d
+    case of :func:`bspline_basis_table`: the values (nonnegative, summing
+    to one) and first derivatives (summing to zero) of the global
+    functions span - p .. span."""
+    span, values, derivs = bspline_basis_table(kv, x)
+    return int(span), values, derivs
 
-    Returns
-    -------
-    span : int
-        Knot span index; the returned values belong to global basis
-        functions span - p .. span.
-    values : ndarray, shape (p + 1,)
-        Basis values; nonnegative, summing to one.
-    derivs : ndarray, shape (p + 1,)
-        First derivatives; summing to zero.
-    """
-    span = find_span(kv, x)
+
+def bspline_basis_table(kv: KnotVector, x):
+    """Nonzero B-spline basis functions and first derivatives at every point
+    of the array ``x`` in one Cox-de Boor pass (The NURBS Book, A2.2 and
+    A2.3): (span, values, derivs), span with the shape of x, values and
+    derivs with one more axis of p + 1.  Every point gets the same
+    operations in the same order, so an entry does not depend on the
+    other points of x."""
+    x = np.asarray(x, dtype=float)
+    if not ((x >= 0.0) & (x <= 1.0)).all():
+        raise ValueError("parameter outside [0, 1]")
     U, p = kv.knots, kv.degree
-    values = np.ones(1)
-    lower = values
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    N = np.zeros(p + 1)
-    N[0] = 1.0
+    # the recursion keeps one entry per local function, an array of the
+    # shape of x; [()] turns a 0-d x and its span into numbers
+    shape, span = x.shape, _span(U, p, x)[()]
+    x = x[()]
+    left, right = [0.0] * (p + 1), [0.0] * (p + 1)
+    N = [1.0] + [0.0] * p
+    lower = N[:1]
     for j in range(1, p + 1):
         left[j] = x - U[span + 1 - j]
         right[j] = U[span + j] - x
@@ -124,52 +138,17 @@ def bspline_basis(kv: KnotVector, x: float):
             saved = left[j - r] * tmp
         N[j] = saved
         if j == p - 1:
-            lower = N[:p].copy()
-    derivs = np.zeros(p + 1)
+            lower = N[:p]
+    values, derivs = np.empty(shape + (p + 1,)), np.zeros(shape + (p + 1,))
+    for r in range(p + 1):
+        values[..., r] = N[r]
     if p > 0:
         for r in range(p + 1):
             j = span - p + r
             a = lower[r - 1] / (U[j + p] - U[j]) if r >= 1 else 0.0
             b = lower[r] / (U[j + p + 1] - U[j + 1]) if r <= p - 1 else 0.0
-            derivs[r] = p * (a - b)
-    return span, N[:p + 1], derivs
-
-
-def bspline_basis_table(kv: KnotVector, x):
-    """:func:`bspline_basis` at every point of the array ``x`` in one pass:
-    (span, values, derivs) with the shape of x, and values and derivs with
-    one more axis of p + 1.  Each point gets the operations of its own
-    scalar call in the same order, so every entry has its bits."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise ValueError("parameter outside [0, 1]")
-    U, p, n = kv.knots, kv.degree, kv.n
-    span = np.where(x >= 1.0, n - 1,
-                    np.clip(np.searchsorted(U, x, side="right") - 1, p, n - 1))
-    left = np.empty(x.shape + (p + 1,))
-    right = np.empty_like(left)
-    N = np.zeros_like(left)
-    N[..., 0] = 1.0
-    lower = np.ones(x.shape + (1,))
-    for j in range(1, p + 1):
-        left[..., j] = x - U[span + 1 - j]
-        right[..., j] = U[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            tmp = N[..., r] / (right[..., r + 1] + left[..., j - r])
-            N[..., r] = saved + right[..., r + 1] * tmp
-            saved = left[..., j - r] * tmp
-        N[..., j] = saved
-        if j == p - 1:
-            lower = N[..., :p].copy()
-    derivs = np.zeros_like(left)
-    if p > 0:
-        for r in range(p + 1):
-            j = span - p + r
-            a = lower[..., r - 1] / (U[j + p] - U[j]) if r >= 1 else 0.0
-            b = lower[..., r] / (U[j + p + 1] - U[j + 1]) if r <= p - 1 else 0.0
             derivs[..., r] = p * (a - b)
-    return span, N, derivs
+    return span, values, derivs
 
 
 def rational_basis(w, N, *dN):
@@ -264,34 +243,32 @@ class NurbsPatch:
         return self.knots_v.n
 
 
-def patch_basis(patch: NurbsPatch, xi: float, eta: float):
-    """Nonzero rational basis at (xi, eta): the two slices of the control
-    grid (points, weights, dof map) it belongs to, and R, R_xi, R_eta
-    flattened in row-major order of that (p_u + 1, p_v + 1) block."""
-    su, Bu, dBu = bspline_basis(patch.knots_u, xi)
-    sv, Bv, dBv = bspline_basis(patch.knots_v, eta)
-    local = (slice(su - patch.knots_u.degree, su + 1),
-             slice(sv - patch.knots_v.degree, sv + 1))
-    R, R_xi, R_eta = rational_basis(patch.weights[local].reshape(-1),
-                                    np.outer(Bu, Bv).reshape(-1),
-                                    np.outer(dBu, Bv).reshape(-1),
-                                    np.outer(Bu, dBv).reshape(-1))
-    return local, R, R_xi, R_eta
+def patch_basis(patch: NurbsPatch, xi, eta):
+    """Nonzero rational basis at the parameter points (xi, eta), two arrays
+    of one shape S (scalars are the 0-d case): the indices (rows, cols) of
+    each point's (p_u + 1, p_v + 1) block of the control grid (points,
+    weights, dof map), and R, R_xi, R_eta flattened in row-major order of
+    that block, shape S + (L,)."""
+    su, Bu, dBu = bspline_basis_table(patch.knots_u, xi)
+    sv, Bv, dBv = bspline_basis_table(patch.knots_v, eta)
+    rows = (su[..., None] + np.arange(-patch.knots_u.degree, 1))[..., :, None]
+    cols = (sv[..., None] + np.arange(-patch.knots_v.degree, 1))[..., None, :]
+    shape = su.shape + (-1,)
+    R, R_xi, R_eta = rational_basis(patch.weights[rows, cols].reshape(shape),
+                                    (Bu[..., :, None] * Bv[..., None, :]).reshape(shape),
+                                    (dBu[..., :, None] * Bv[..., None, :]).reshape(shape),
+                                    (Bu[..., :, None] * dBv[..., None, :]).reshape(shape))
+    return (rows, cols), R, R_xi, R_eta
 
 
-def eval_patch(patch: NurbsPatch, xi: float, eta: float):
-    """Map a parameter point through the patch.
-
-    Returns
-    -------
-    point : ndarray, shape (2,)
-        F(xi, eta).
-    jac : ndarray, shape (2, 2)
-        Columns are dF/dxi and dF/deta.
-    """
+def eval_patch(patch: NurbsPatch, xi, eta):
+    """(F(xi, eta), Jacobian) at parameter points xi, eta of one shape S,
+    scalars the 0-d case: shapes S + (2,) and S + (2, 2), the Jacobian's
+    columns dF/dxi and dF/deta."""
     local, R, R_xi, R_eta = patch_basis(patch, xi, eta)
-    P = patch.points[local].reshape(-1, 2)
-    return R @ P, np.stack([R_xi @ P, R_eta @ P], axis=1)
+    P = patch.points[local].reshape(R.shape + (2,))
+    point, d_xi, d_eta = (np.matmul(r[..., None, :], P)[..., 0, :] for r in (R, R_xi, R_eta))
+    return point, np.stack([d_xi, d_eta], axis=-1)
 
 
 def _insert_one_u(knots: np.ndarray, p: int, Pw: np.ndarray, x: float):
@@ -300,11 +277,7 @@ def _insert_one_u(knots: np.ndarray, p: int, Pw: np.ndarray, x: float):
     ``Pw`` is the homogeneous control grid, shape (n_u, ...): the u index
     first, any further axes (v, patches, coordinates) carried along.
     """
-    n = knots.size - p - 1
-    if x >= 1.0:
-        span = n - 1
-    else:
-        span = min(max(int(np.searchsorted(knots, x, side="right")) - 1, p), n - 1)
+    span = int(_span(knots, p, x))
     Q = np.empty((Pw.shape[0] + 1,) + Pw.shape[1:])
     Q[:span - p + 1] = Pw[:span - p + 1]
     Q[span + 1:] = Pw[span:]

@@ -5,7 +5,7 @@ from igamotor.assembly import assemble_stiffness, assemble_winding_vector, build
 from igamotor.coupling import CouplingPrecomp, SweepPlan, precompute_side
 from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
 from igamotor.optim import MachineSolver
-from igamotor.splines import NurbsPatch, bspline_basis, insert_knots, make_arc_patch
+from igamotor.splines import NurbsPatch, insert_knots, make_arc_patch, rational_basis
 
 
 def coarse_config(**overrides):
@@ -14,13 +14,49 @@ def coarse_config(**overrides):
     return MachineConfig(**base)
 
 
+def scalar_bspline_basis(kv, x):
+    """(span, values, derivs) of the nonzero B-spline basis at the scalar x
+    by the textbook Cox-de Boor recursion, one point at a time (The NURBS
+    Book, A2.1-A2.3): the oracle of ``splines.bspline_basis_table``, with a
+    span search of its own."""
+    U, p, n = kv.knots, kv.degree, kv.n
+    if x >= 1.0:
+        span = n - 1
+    else:
+        span = min(max(int(np.searchsorted(U, x, side="right")) - 1, p), n - 1)
+    lower = np.ones(1)
+    left = np.empty(p + 1)
+    right = np.empty(p + 1)
+    N = np.zeros(p + 1)
+    N[0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = x - U[span + 1 - j]
+        right[j] = U[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            tmp = N[r] / (right[r + 1] + left[j - r])
+            N[r] = saved + right[r + 1] * tmp
+            saved = left[j - r] * tmp
+        N[j] = saved
+        if j == p - 1:
+            lower = N[:p].copy()
+    derivs = np.zeros(p + 1)
+    if p > 0:
+        for r in range(p + 1):
+            j = span - p + r
+            a = lower[r - 1] / (U[j + p] - U[j]) if r >= 1 else 0.0
+            b = lower[r] / (U[j + p + 1] - U[j + 1]) if r <= p - 1 else 0.0
+            derivs[r] = p * (a - b)
+    return span, N, derivs
+
+
 def homogeneous_eval(patch, ctrl, xi, eta):
     """Value S / A and Jacobian columns (S_u A - S A_u) / A^2 of the rational
     map with control data ``ctrl`` (n_u, n_v, d), where S = sum w B ctrl and
     A = sum w B: the homogeneous-coordinate form, an evaluation path that
-    shares nothing with ``splines.rational_basis``."""
-    su, Bu, dBu = bspline_basis(patch.knots_u, xi)
-    sv, Bv, dBv = bspline_basis(patch.knots_v, eta)
+    shares nothing with ``splines.rational_basis`` or the basis table."""
+    su, Bu, dBu = scalar_bspline_basis(patch.knots_u, xi)
+    sv, Bv, dBv = scalar_bspline_basis(patch.knots_v, eta)
     pu, pv = patch.knots_u.degree, patch.knots_v.degree
     wl = patch.weights[su - pu:su + 1, sv - pv:sv + 1]
     Cl = ctrl[su - pu:su + 1, sv - pv:sv + 1, :]
@@ -33,6 +69,98 @@ def homogeneous_eval(patch, ctrl, xi, eta):
     S_v = np.tensordot(Bw_v, Cl, axes=([0, 1], [0, 1]))
     jac = np.stack([(S_u * A - S * A_u) / (A * A), (S_v * A - S * A_v) / (A * A)], axis=1)
     return S / A, jac
+
+
+# The per-point evaluation chain that ``cli._field_grid``, the batched
+# ``geometry.locate_polar`` and ``assembly.eval_field`` replaced: one
+# scalar call chain per sample, kept as their bitwise oracle.
+
+def scalar_patch_basis(patch, xi, eta):
+    """(local slices, R, R_xi, R_eta) of the patch at one parameter point."""
+    su, Bu, dBu = scalar_bspline_basis(patch.knots_u, xi)
+    sv, Bv, dBv = scalar_bspline_basis(patch.knots_v, eta)
+    local = (slice(su - patch.knots_u.degree, su + 1),
+             slice(sv - patch.knots_v.degree, sv + 1))
+    R, R_xi, R_eta = rational_basis(patch.weights[local].reshape(-1),
+                                    np.outer(Bu, Bv).reshape(-1),
+                                    np.outer(dBu, Bv).reshape(-1),
+                                    np.outer(Bu, dBv).reshape(-1))
+    return local, R, R_xi, R_eta
+
+
+def scalar_eval_patch(patch, xi, eta):
+    local, R, R_xi, R_eta = scalar_patch_basis(patch, xi, eta)
+    P = patch.points[local].reshape(-1, 2)
+    return R @ P, np.stack([R_xi @ P, R_eta @ P], axis=1)
+
+
+def scalar_eval_field(model, dofmap, u_global, pid, xi, eta):
+    patch = model.patches[pid]
+    local, R, R_xi, R_eta = scalar_patch_basis(patch, xi, eta)
+    P = patch.points[local].reshape(-1, 2)
+    c = u_global[dofmap.patch_maps[pid][local].reshape(-1)]
+    signs = dofmap.patch_signs(pid)
+    if signs is not None:
+        c = c * signs[local].reshape(-1)
+    dR = np.stack([R_xi, R_eta])
+    return R @ P, float(R @ c), np.linalg.solve(dR @ P, dR @ c)
+
+
+def scalar_locate_polar(model, r, theta):
+    radii = model.meta["ring_radii"]
+    bounds = model.meta["sector_bounds"]
+    assert radii[0] <= r <= radii[-1]
+    theta = float(theta) % (2 * np.pi)
+    ring = max(min(int(np.searchsorted(radii, r, side="right")) - 1, len(radii) - 2), 0)
+    sector = next(s for s, (a, b) in enumerate(bounds) if a - 1e-12 <= theta <= b + 1e-12)
+    patch_id = ring * model.meta["n_sectors"] + sector
+    xi = min(max((r - radii[ring]) / (radii[ring + 1] - radii[ring]), 0.0), 1.0)
+    a, b = bounds[sector]
+    eta = min(max((theta - a) / (b - a), 0.0), 1.0)
+    patch = model.patches[patch_id]
+    for _ in range(30):
+        point, jac = scalar_eval_patch(patch, xi, eta)
+        ang = np.arctan2(point[1], point[0]) % (2 * np.pi)
+        diff = (ang - theta + np.pi) % (2 * np.pi) - np.pi
+        if abs(diff) < 1e-13:
+            break
+        r2 = point @ point
+        dth_deta = (point[0] * jac[1, 1] - point[1] * jac[0, 1]) / r2
+        eta = min(max(eta - diff / dth_deta, 0.0), 1.0)
+    return patch_id, float(xi), float(eta)
+
+
+def _scalar_turned(angle, v):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+
+def _scalar_sample(model, dofmap, u_global, r, theta):
+    arc = 2 * np.pi / model.copies
+    k = min(int(theta // arc), model.copies - 1)
+    pid, xi, eta = scalar_locate_polar(model, r, theta - k * arc)
+    point, u, grad = scalar_eval_field(model, dofmap, u_global, pid, xi, eta)
+    if k:
+        sign = model.closure_sign ** k
+        point, u, grad = (_scalar_turned(k * arc, point), sign * u,
+                          sign * _scalar_turned(k * arc, grad))
+    return point, u, grad
+
+
+def scalar_field_rows(mc, stator_side, rotor_side, alpha, n_r, n_t):
+    """Rows (x, y, u, Bx, By) of ``cli._field_grid``, one sample at a time."""
+    rows = []
+    for i in range(n_r):
+        r = mc.r_shaft + (i + 0.5) * (mc.r_outer - mc.r_shaft) / n_r
+        for j in range(n_t):
+            th = (j + 0.5) * 2.0 * np.pi / n_t
+            if r < mc.r_interface:
+                point, u, grad = _scalar_sample(*rotor_side, r, (th - alpha) % (2 * np.pi))
+                point, grad = _scalar_turned(alpha, point), _scalar_turned(alpha, grad)
+            else:
+                point, u, grad = _scalar_sample(*stator_side, r, th)
+            rows.append((point[0], point[1], u, grad[1], -grad[0]))
+    return np.array(rows)
 
 
 def machine_sides(solver):

@@ -15,7 +15,7 @@ from igamotor.coupling import (
     solve_interface,
     sweep_angles,
 )
-from igamotor.design import DesignSpace
+from igamotor.design import DEFORM_KINDS, DesignSpace
 from igamotor.errors import DegenerateSignalError
 from igamotor.fourier import build_derivative_dft, emf_spectrum, thd
 from igamotor.geometry import build_demo_machine, build_dof_map, edge_nodes
@@ -53,6 +53,28 @@ def dft(solver):
 def test_design_mask_excludes_fixed_regions(solver):
     rotor, dm = solver.rotor0, solver.dm_rt
     design = DesignSpace(rotor, dm)
+    # the mask built point by point, each interface edge's (i, j) written
+    # out, gives the same mask, free list and index at refinements 0-2
+    for refinement in range(3):
+        model = build_demo_machine(coarse_config(refinement=refinement))[1]
+        model_dm = build_dof_map(model)
+        space = DesignSpace(model, model_dm)
+        mask = ~model_dm.dirichlet
+        for pid, tag in enumerate(model.tags):
+            if tag.kind not in DEFORM_KINDS:
+                mask[model_dm.patch_maps[pid].reshape(-1)] = False
+        for pid, edge in model.interface_edges:
+            n_u, n_v = model.patches[pid].n_u, model.patches[pid].n_v
+            nodes = {"u0": [(0, j) for j in range(n_v)], "u1": [(n_u - 1, j) for j in range(n_v)],
+                     "v0": [(i, 0) for i in range(n_u)], "v1": [(i, n_v - 1) for i in range(n_u)]}
+            assert edge_nodes(n_u, n_v, edge) == nodes[edge]
+            for i, j in nodes[edge]:
+                mask[model_dm.patch_maps[pid][i, j]] = False
+        assert mask.tobytes() == space.mask.tobytes()
+        free = np.flatnonzero(mask)
+        index = np.full(model_dm.n_global, -1, dtype=int)
+        index[free] = np.arange(free.size)
+        assert free.tobytes() == space.free.tobytes() and index.tobytes() == space.index.tobytes()
     for pid, tag in enumerate(rotor.tags):
         if tag.kind == "magnet":
             assert not design.mask[dm.patch_maps[pid].reshape(-1)].any()

@@ -41,7 +41,6 @@ from igamotor.geometry import (
 from igamotor.splines import (
     KnotVector,
     NurbsPatch,
-    bspline_basis,
     bspline_basis_table,
     insert_knots,
     make_arc_patch,
@@ -49,7 +48,8 @@ from igamotor.splines import (
     rational_basis,
 )
 
-from conftest import coarse_config, field_signs, homogeneous_eval, weighted_arc_patch
+from conftest import (coarse_config, field_signs, homogeneous_eval, scalar_bspline_basis,
+                      scalar_eval_field, scalar_eval_patch, weighted_arc_patch)
 
 
 def square_model(p=1, n_elements=1, tag=RegionTag("rotor_air"), dirichlet=True):
@@ -101,12 +101,12 @@ def test_basis_tables_equal_per_point_basis_bitwise(p):
         for n_gauss in (p + 1, p + 2):
             params, _, vals, ders, first = assembly._basis_table_1d(kv, n_gauss, {})
             for e, q in np.ndindex(params.shape):
-                span, N, dN = bspline_basis(kv, params[e, q])
+                span, N, dN = scalar_bspline_basis(kv, params[e, q])
                 assert first[e] == span - p
                 assert np.array_equal(vals[e, q], N) and np.array_equal(ders[e, q], dN)
         spans, N, dN = bspline_basis_table(kv, kv.knots)
         for x, span, n, dn in zip(kv.knots, spans, N, dN):
-            want = bspline_basis(kv, x)
+            want = scalar_bspline_basis(kv, x)
             assert span == want[0] and np.array_equal(n, want[1]) and np.array_equal(dn, want[2])
 
 
@@ -275,8 +275,6 @@ def test_rhs_flips_sign_with_magnets(coarse_cfg, coarse_machine, coarse_dofmaps)
 def test_rhs_magnet_against_slow_quadrature_oracle(coarse_cfg):
     # one magnet arc patch; oracle integrates (-M2, M1) . grad w by dense
     # per-point spline evaluation, independent of the table machinery
-    from igamotor.splines import eval_patch
-
     patch = insert_knots(make_arc_patch(0.045, 0.05, 0.2, 0.8), [0.5], [0.5])
     model = MultipatchModel([patch], [RegionTag("magnet", sign=1)])
     dm = build_dof_map(model)
@@ -293,12 +291,12 @@ def test_rhs_magnet_against_slow_quadrature_oracle(coarse_cfg):
                     xi = 0.5 * eu + 0.5 * rule.points[qa]
                     eta = 0.5 * ev + 0.5 * rule.points[qb]
                     w2 = 0.25 * rule.weights[qa] * rule.weights[qb]
-                    xy, jac = eval_patch(model.patches[0], xi, eta)
+                    xy, jac = scalar_eval_patch(model.patches[0], xi, eta)
                     r = np.hypot(*xy)
                     mperp = scale * np.array([-xy[1] / r, xy[0] / r])
                     for g in range(dm.n_global):
                         one_hot[g] = 1.0
-                        _, _, grad = eval_field(model, dm, one_hot, 0, xi, eta)
+                        _, _, grad = scalar_eval_field(model, dm, one_hot, 0, xi, eta)
                         one_hot[g] = 0.0
                         vec[g] += w2 * np.linalg.det(jac) * (mperp @ grad)
     scale_ref = np.abs(vec).max()
@@ -326,6 +324,27 @@ def test_eval_field_matches_homogeneous_oracle(coarse_machine, coarse_dofmaps):
                 assert abs(value - ref[2]) <= 1e-13 * np.abs(u_global).max()
                 assert np.abs(grad - ref_grad).max() <= 1e-13 * np.abs(ref_grad).max()
 
+
+
+def test_batched_eval_field_equals_per_point_chain_bitwise(coarse_machine, coarse_dofmaps):
+    # points on every patch of each side, the closure copies and the patch
+    # ends included, in one (5, n) call: the per-patch groups equal one
+    # scalar call chain per point, bit for bit
+    rng = np.random.default_rng(13)
+    for model, dm in zip(coarse_machine, coarse_dofmaps):
+        u_global = rng.standard_normal(dm.n_global)
+        pid = np.repeat(np.arange(len(model.patches)), 5).reshape(5, -1, order="F")
+        xi, eta = rng.uniform(0.0, 1.0, size=(2,) + pid.shape)
+        xi[0], eta[1] = 0.0, 1.0
+        point, value, grad = eval_field(model, dm, u_global, pid, xi, eta)
+        assert point.shape == grad.shape == pid.shape + (2,) and value.shape == pid.shape
+        for n in np.ndindex(pid.shape):
+            want = scalar_eval_field(model, dm, u_global, pid[n], xi[n], eta[n])
+            got = (point[n], value[n], grad[n])
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
+            scalar = eval_field(model, dm, u_global, int(pid[n]), float(xi[n]), float(eta[n]))
+            assert np.ndim(scalar[1]) == 0
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(scalar, want))
 
 # ---------------------------------------------------------------- winding
 
@@ -413,14 +432,12 @@ def test_coupling_harmonic_orthogonality_improves_with_refinement(coarse_cfg):
         on_iface = np.unique(on_iface)
         thetas = np.linspace(0, 2 * np.pi, 4 * on_iface.size, endpoint=False)
         A = np.zeros((thetas.size, on_iface.size))
-        for row, th in enumerate(thetas):
-            pid, _, eta = locate_polar(rotor, cfg.r_interface, th)
-            basis = np.zeros(dm.n_global)
-            for col, g in enumerate(on_iface):
-                basis[g] = 1.0
-                _, val, _ = eval_field(rotor, dm, basis, pid, 1.0, eta)
-                A[row, col] = val
-                basis[g] = 0.0
+        pid, _, eta = locate_polar(rotor, cfg.r_interface, thetas)
+        basis = np.zeros(dm.n_global)
+        for col, g in enumerate(on_iface):
+            basis[g] = 1.0
+            A[:, col] = eval_field(rotor, dm, basis, pid, 1.0, eta)[1]
+            basis[g] = 0.0
         worst = 0.0
         circ = 2 * np.pi * cfg.r_interface
         for m, lm in enumerate(orders):

@@ -1,10 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from igamotor import cli
 from igamotor.cli import load_config, main
+from igamotor.coupling import solve_at_angle
 from igamotor.errors import ConfigError
+from igamotor.geometry import MachineConfig
+from igamotor.optim import MachineSolver
+
+from conftest import scalar_field_rows
 
 
 BASE_MACHINE = {"refinement": 0, "n_harmonics": 8, "n_angles": 12,
@@ -172,6 +179,53 @@ def test_solve_outputs_and_divergence(tmp_path):
     h_min = min(hr, rs.mean() * ht)
     rel = np.abs(divs).max() * h_min / Bmax
     assert rel < 1e-3
+
+
+def solved_sides(solver, alpha):
+    """(stator, rotor) sides (model, dofmap, u_global) of the solve at alpha."""
+    sol = solve_at_angle(solver.precompute(solver.rotor0), alpha)
+    return ((solver.stator, solver.dm_st, solver.dm_st.expand(sol.u_st)),
+            (solver.rotor0, solver.dm_rt, solver.dm_rt.expand(sol.u_rt)))
+
+
+@pytest.mark.parametrize("refinement", [0, 1])
+def test_field_grid_equals_per_point_chain_bitwise(refinement, monkeypatch):
+    # the batched sampler against one scalar chain per sample, in one block
+    # and in blocks of 50 that split the grid's rows and both sides
+    mc = MachineConfig(**dict(BASE_MACHINE, refinement=refinement))
+    solver = MachineSolver(mc)
+    n_r, n_t = 6, 48
+    r = mc.r_shaft + (np.arange(n_r) + 0.5) * (mc.r_outer - mc.r_shaft) / n_r
+    th = (np.arange(n_t) + 0.5) * 2.0 * np.pi / n_t
+    assert (r < mc.r_interface).any() and (r >= mc.r_interface).any()
+    for alpha in (0.0, 0.05, 2.5):
+        # every one of the 2 p copies holds samples, in the stator frame and
+        # in the rotor frame
+        for angles in (th, (th - alpha) % (2 * np.pi)):
+            assert set((angles // (np.pi / mc.pole_pairs)).astype(int)) == set(range(2 * mc.pole_pairs))
+        stator_side, rotor_side = solved_sides(solver, alpha)
+        want = scalar_field_rows(mc, stator_side, rotor_side, alpha, n_r, n_t).tobytes()
+        for block in (cli.SAMPLE_BLOCK, 50):
+            monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
+            rows = cli._field_grid(mc, stator_side, rotor_side, alpha, n_r, n_t)
+            assert rows.shape == (n_r * n_t, 5) and rows.tobytes() == want
+
+
+def test_field_grid_memory_does_not_grow_with_the_grid():
+    # the sampler's peak beyond its (n, 5) rows at n and 4 n samples: 2 and
+    # 8 blocks of one grid row each, so every block lies on one side (3.54
+    # MB at both sizes; evaluated at once, n samples would take 4 times that)
+    mc = MachineConfig(**BASE_MACHINE)
+    sides = solved_sides(MachineSolver(mc), 0.05)
+    extra = []
+    for n_r in (2, 8):
+        tracemalloc.start()
+        try:
+            rows = cli._field_grid(mc, *sides, 0.05, n_r, cli.SAMPLE_BLOCK)
+            extra.append(tracemalloc.get_traced_memory()[1] - rows.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert extra[1] <= 1.05 * extra[0]
 
 
 def test_sweep_outputs(tmp_path):

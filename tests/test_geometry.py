@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from igamotor.errors import ConfigError, ConformityError
+from igamotor.errors import ConfigError, ConformityError, GeometryError
 from igamotor.geometry import (
     MAX_ANGLES,
     MAX_DOFS,
@@ -23,7 +23,7 @@ from igamotor.geometry import (
 from igamotor.assembly import patch_area
 from igamotor.splines import KnotVector, NurbsPatch, eval_patch, insert_knots, make_arc_patch
 
-from conftest import coarse_config
+from conftest import coarse_config, scalar_locate_polar
 
 
 def square_patch_p2(x0=0.0):
@@ -486,3 +486,33 @@ def test_locate_polar_round_trip(coarse_machine):
         pid, xi, eta = locate_polar(rotor, r, th)
         point, _ = eval_patch(rotor.patches[pid], xi, eta)
         np.testing.assert_allclose(point, [r * np.cos(th), r * np.sin(th)], atol=1e-11)
+
+
+def test_batched_locate_polar_round_trips_at_sector_bounds(coarse_machine):
+    # every sector bound +-1e-13 (theta = 0 and the pitch end included,
+    # short of the uncovered -1e-13 below 0), and angles inside the sectors
+    # whose Newton steps stop at nonzero residuals, on ring radii and inside
+    # rings, on both sides: one batched call equals one call per point, and
+    # the per-point oracle, bit for bit, and maps back onto (r, theta)
+    for model in coarse_machine:
+        radii = np.array(model.meta["ring_radii"])
+        bounds = np.unique(model.meta["sector_bounds"])
+        assert bounds[0] == 0.0 and bounds[-1] == 2 * np.pi / model.copies
+        inside = np.linspace(0.0, bounds[-1], 24)[1:-1] + 1e-3
+        th = np.concatenate([bounds - 1e-13, bounds, bounds + 1e-13, inside])[1:]
+        rs = np.concatenate([radii, 0.5 * (radii[:-1] + radii[1:])])
+        r, th = np.meshgrid(rs, th, indexing="ij")
+        pid, xi, eta = locate_polar(model, r, th)
+        assert pid.shape == xi.shape == eta.shape == r.shape
+        r, th, pid, xi, eta = (a.reshape(-1) for a in (r, th, pid, xi, eta))
+        for n in range(r.size):
+            want = scalar_locate_polar(model, r[n], th[n])
+            assert locate_polar(model, r[n], th[n]) == want == (pid[n], xi[n], eta[n])
+            # a point 1e-13 past a patch end stays at the end: off by r 1e-13
+            point, _ = eval_patch(model.patches[pid[n]], xi[n], eta[n])
+            np.testing.assert_allclose(point, [r[n] * np.cos(th[n]), r[n] * np.sin(th[n])],
+                                       rtol=0.0, atol=1e-14)
+        with pytest.raises(GeometryError, match="not covered"):
+            locate_polar(model, r[:2], np.array([0.1, -1e-13]))
+        with pytest.raises(GeometryError, match="outside side range"):
+            locate_polar(model, np.array([radii[0], radii[-1] + 1e-9]), 0.1)

@@ -16,7 +16,7 @@ from igamotor.splines import (
     scale_patch,
 )
 
-from conftest import homogeneous_eval, weighted_arc_patch
+from conftest import homogeneous_eval, scalar_bspline_basis, scalar_eval_patch, weighted_arc_patch
 
 
 def linear_kv():
@@ -102,6 +102,18 @@ def test_partition_of_unity(kv, x):
     assert abs(ders.sum()) < 1e-11
 
 
+@given(knot_vectors(), st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=80, deadline=None)
+def test_bspline_basis_equals_scalar_recursion_bitwise(kv, x):
+    # the 0-d case of the table against the textbook one-point recursion,
+    # the span search included; the knots themselves hit the span ends
+    for y in (x, *kv.knots):
+        span, vals, ders = bspline_basis(kv, y)
+        want = scalar_bspline_basis(kv, y)
+        assert span == want[0] == find_span(kv, y)
+        assert vals.tobytes() == want[1].tobytes() and ders.tobytes() == want[2].tobytes()
+
+
 @given(knot_vectors(), st.floats(min_value=0.01, max_value=0.99))
 @settings(max_examples=60, deadline=None)
 def test_basis_derivative_matches_finite_difference(kv, x):
@@ -155,6 +167,19 @@ def test_eval_patch_matches_homogeneous_oracle(coarse_machine):
             ref_point, ref_jac = homogeneous_eval(patch, patch.points, xi, eta)
             assert np.abs(point - ref_point).max() <= 1e-13 * np.abs(ref_point).max()
             assert np.abs(jac - ref_jac).max() <= 1e-13 * np.abs(ref_jac).max()
+
+
+def test_batched_eval_patch_equals_per_point_chain_bitwise(coarse_machine):
+    rng = np.random.default_rng(9)
+    for patch in [p for model in coarse_machine for p in model.patches] + [weighted_arc_patch()]:
+        xi, eta = rng.uniform(0.0, 1.0, size=(2, 3, 4))
+        xi[0], eta[1] = 0.0, 1.0
+        point, jac = eval_patch(patch, xi, eta)
+        assert point.shape == (3, 4, 2) and jac.shape == (3, 4, 2, 2)
+        for n in np.ndindex(xi.shape):
+            want_point, want_jac = scalar_eval_patch(patch, xi[n], eta[n])
+            assert point[n].tobytes() == want_point.tobytes()
+            assert jac[n].tobytes() == want_jac.tobytes()
 
 
 def test_eval_patch_identity_square():
