@@ -296,11 +296,6 @@ def detj_quadratic(patches, disps, plan):
     return tuple(np.concatenate([x[i].reshape(-1) for x in out]) for i in range(4))
 
 
-def patch_area(patch: NurbsPatch, n_gauss: int | None = None) -> float:
-    tables = build_patch_tables(patch, n_gauss, require_regular=False)
-    return float(tables.wdet.sum())
-
-
 # --------------------------------------------------------------------------
 # materials and sources
 
@@ -782,32 +777,6 @@ def assemble_rhs(model: MultipatchModel, dofmap: DofMap, cfg: MachineConfig,
 
     pids = [pid for pid, tag in enumerate(model.tags) if tag.kind == "magnet"]
     return _assemble_vector(model, dofmap, pids, n_gauss, kernel)
-
-
-def assemble_load(model: MultipatchModel, dofmap: DofMap, f,
-                  n_gauss: int | None = None) -> np.ndarray:
-    """Free-dof load vector of a scalar source f(x, y) (manufactured cases)."""
-    def kernel(sign, R, grad, wdet, xy):
-        return np.einsum("geq,eql,geq->gel", f(xy[..., 0], xy[..., 1]), R, wdet)
-
-    return _assemble_vector(model, dofmap, range(len(model.patches)), n_gauss, kernel)
-
-
-def l2_error(model: MultipatchModel, dofmap: DofMap, u_free: np.ndarray,
-             exact, n_gauss: int | None = None):
-    """(absolute, relative) L2 distance between a coefficient field and an
-    exact solution; the per-patch integrals are summed in patch order."""
-    u_global = dofmap.expand(u_free)
-    sums = {}
-    for ids, gd, sg, R, _, wdet, xy in _quadrature(model, dofmap, range(len(model.patches)),
-                                                   n_gauss):
-        uh = np.einsum("eql,gel->geq", R, u_global[gd] if sg is None else u_global[gd] * sg)
-        ux = exact(xy[..., 0], xy[..., 1])
-        terms = np.stack([(uh - ux) ** 2 * wdet, ux ** 2 * wdet], axis=1)   # (G, 2, E, Q)
-        sums.update(zip(ids, terms.reshape(len(ids), 2, -1).sum(axis=-1)))
-    # cumsum adds the patches' (error, reference) pairs one after the other
-    err2, ref2 = np.cumsum([sums[pid] for pid in sorted(sums)], axis=0)[-1]
-    return np.sqrt(err2), np.sqrt(err2 / ref2) if ref2 > 0 else np.inf
 
 
 def coupling_gauss_count(degree: int, orders) -> int:

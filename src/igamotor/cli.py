@@ -35,9 +35,9 @@ from .optim import MachineSolver, OptimizerConfig, run_optimization
 DEFAULT_SOLVE = {"alpha": 0.0, "grid_r": 24, "grid_theta": 90}
 DEFAULT_OPTIMIZE = {"snapshots": False}
 # Bound on solve.grid_r x solve.grid_theta, so that a typo exits as a
-# ConfigError: cmd_solve evaluates about 5-8 us and writes about 7-9 us
+# ConfigError: cmd_solve evaluates about 5-8 us and writes about 4-5 us
 # per sample (refinement 0-3, one core of a 2-core Xeon VM), so a
-# 1000 x 1000 grid takes about 15 s and writes a 105 MB field.csv.
+# 1000 x 1000 grid takes about 14-15 s and writes a 105 MB field.csv.
 MAX_SAMPLES = 1_000_000
 # Samples cmd_solve evaluates at once (3.5 MB of working arrays), whatever
 # the grid, beside the (n, 5) array of its rows.
@@ -105,16 +105,12 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(doc)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))  # shortest round-trip decimal
-    return str(v)
-
-
 def _write_csv(path: Path, cfg_hash: str, header: str, rows) -> None:
+    """One line per row of Python scalars: str of a Python float is its
+    shortest round-trip decimal (so a numpy scalar must be converted first,
+    for example by ``tolist``)."""
     lines = ["# config %s" % cfg_hash, header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -177,7 +173,8 @@ def cmd_solve(cfg: RunConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
     # the coefficients of the modelled pitch, Dirichlet dofs included
     _write_csv(out / "u_coeffs.csv", cfg.hash, "side,index,value",
-               [(name, i, v) for name, (_, _, u) in sides.items() for i, v in enumerate(u)])
+               [(name, i, v) for name, (_, _, u) in sides.items()
+                for i, v in enumerate(u.tolist())])
     rows = _field_grid(cfg.machine, sides["stator"], sides["rotor"], alpha,
                        cfg.solve["grid_r"], cfg.solve["grid_theta"])
     _write_csv(out / "field.csv", cfg.hash, "x,y,u,Bx,By", rows.tolist())
@@ -189,7 +186,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "psi.csv", cfg.hash, "angle,psi",
-               [(float(a), float(p)) for a, p in zip(sweep.angles, sweep.psi)])
+               zip(sweep.angles.tolist(), sweep.psi.tolist()))
     _write_csv(out / "spectrum.csv", cfg.hash, "harmonic,A,B,magnitude",
                [(n, float(sweep.emf_a[n]), float(sweep.emf_b[n]),
                  float(np.hypot(sweep.emf_a[n], sweep.emf_b[n])))

@@ -27,9 +27,9 @@ with K_int symmetric positive definite, and the interior fields are
 reconstructed as u_st = y_st + X_st R lam, u_rt = y_rt + X_rt lam with
 X_* = K_*^-1 G_*, y_* = K_*^-1 j_*.  Only the n_harmonics-dimensional
 system depends on the angle, so the angle is an array axis: given an array
-of angles, rotation_matrix, solve_interface and reconstruct_state return
-one row per angle.  The stator repeats every slot pitch tau
-(SweepPlan.period), so R(tau)^T H_st R(tau) = H_st and
+of angles, solve_interface and reconstruct_state return one row per angle.
+The stator repeats every slot pitch tau (SweepPlan.period), so
+R(tau)^T H_st R(tau) = H_st and
 K_int(a + k tau) = K_int(a): solve_interface and rotation_sweep group the
 angles into classes a whole number of periods apart, and form,
 Cholesky-guard and solve one K_int per class, at its first angle, with one
@@ -68,12 +68,13 @@ it the flux linkage and the adjoint load, counts all 2p copies.
 CouplingPrecomp, one rotor's coupled system, is the machine's SweepPlan
 and the rotor's products.  A side keeps only X, y, H and g: its K is
 factored, solved once for the stacked columns [G j] and dropped with its
-factorization, and G and j stay with the caller (MachineSolver), since the
-per-angle stage reads only the products.  The full-system oracles
-(build_full_matrix, assemble_full_saddle, full_residual,
-CouplingPrecomp.verify) take each side's (K, G, j) as arguments;
-agreement with the directly solved full system is the primary correctness
-oracle.
+factorization, since the per-angle stage reads only the products.  The
+stator's G and j are dropped once the plan is built; the rotor's stay with
+MachineSolver, which solves with them for every rotor geometry.
+full_residual, the residual of an angle solution in the coupled system,
+takes each side's (K, G, j) as arguments.  The primary correctness oracle,
+agreement with the full saddle system solved directly, lives with the
+tests (tests/oracles.py), as does the dense R(alpha) it forms.
 """
 from __future__ import annotations
 
@@ -83,9 +84,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import StabilityError
 from .fourier import SweepResult
-from .linalg import factorize, matvec, real_lu, spd_stack_solve
+from .linalg import factorize, matvec, spd_stack_solve
 
 
 def harmonic_orders(n_harmonics: int, multiples_of: int = 1) -> np.ndarray:
@@ -154,69 +154,6 @@ def _congruence(H, cos, sin, partner):
     return _rotate(HR, cos[..., None], -sin[..., None], partner, axis=-2)
 
 
-def rotation_matrix(orders, alpha) -> np.ndarray:
-    """Real orthogonal R(alpha) taking rotor-frame harmonic moments to the
-    stator frame: (n_h, n_h) for one angle, (n, n_h, n_h) for n angles.
-
-    For l > 0 with cos column c and sin column s, R[c,c] = R[s,s] = cos l a
-    and R[s,c] = -R[c,s] = sin l a; an l = 0 column is left fixed.
-    """
-    partner = _partner_columns(orders)
-    cols = np.arange(partner.size)
-    cos, sin = _phases(np.asarray(orders), partner, alpha)
-    R = np.zeros(np.shape(alpha) + (cols.size, cols.size))
-    R[..., partner, cols] = sin    # an l = 0 column is its own partner:
-    R[..., cols, cols] = cos       # its 0 is overwritten by cos 0 = 1
-    return R
-
-
-@dataclass
-class FullSaddleSolution:
-    """Direct solution of the coupled block system (verification oracle)."""
-
-    alpha: float
-    u_st: np.ndarray
-    u_rt: np.ndarray
-    lam: np.ndarray
-    matrix: sp.spmatrix
-    block_residuals: np.ndarray
-
-
-def build_full_matrix(pre: CouplingPrecomp, st: tuple, rt: tuple,
-                      alpha: float) -> sp.csr_matrix:
-    """Symmetric block matrix of the coupled system at one angle, from K and
-    G of the stator's and the rotor's (K, G, j) and the orders of ``pre``."""
-    (K_st, G_st, _), (K_rt, G_rt, _) = st, rt
-    Gst_r = G_st @ rotation_matrix(pre.plan.orders, alpha)
-    return sp.bmat([
-        [K_st, None, sp.csr_matrix(-Gst_r)],
-        [None, K_rt, sp.csr_matrix(-G_rt)],
-        [sp.csr_matrix(-Gst_r.T), sp.csr_matrix(-G_rt.T), None],
-    ], format="csr")
-
-
-def assemble_full_saddle(pre: CouplingPrecomp, st: tuple, rt: tuple,
-                         alpha: float) -> FullSaddleSolution:
-    """Assemble and solve the full coupled system of the stator's and the
-    rotor's (K, G, j) at one angle by a sparse LU of the saddle matrix,
-    independent of the products in ``pre``; the result is the oracle
-    against which the interface elimination is validated."""
-    j_st, j_rt = st[2], rt[2]
-    M = build_full_matrix(pre, st, rt, alpha)
-    b = np.concatenate([j_st, j_rt, np.zeros(pre.plan.orders.size)])
-    try:
-        z = real_lu(M).solve(b)
-    except Exception as exc:
-        raise StabilityError("full saddle system singular (harmonic count too rich "
-                             "for the trace spaces?): %s" % exc) from exc
-    resid = M @ z - b
-    scale = max(float(np.linalg.norm(b)), 1e-300)
-    cuts = [j_st.size, j_st.size + j_rt.size]
-    block_res = np.array([np.linalg.norm(part) / scale for part in np.split(resid, cuts)])
-    u_st, u_rt, lam = np.split(z, cuts)
-    return FullSaddleSolution(alpha, u_st, u_rt, lam, M, block_res)
-
-
 # --------------------------------------------------------------------------
 # precomputation and the interface problem
 
@@ -254,20 +191,6 @@ class CouplingPrecomp:
 
     plan: SweepPlan = field(repr=False)
     rt: SidePrecomp
-
-    def verify(self, st: tuple, rt: tuple, tol: float = 1e-12) -> float:
-        """Max relative deviation of the stored products X, y, H and g from
-        their recomputation with fresh factorizations, from the stator's and
-        the rotor's (K, G, j)."""
-        worst = 0.0
-        for side, (K, G, j) in ((self.plan.st, st), (self.rt, rt)):
-            X2, y2 = _solve_columns(K, G, j)
-            for old, new in ((side.X, X2), (side.y, y2), (side.H, G.T @ X2), (side.g, G.T @ y2)):
-                scale = max(float(np.abs(old).max()), 1e-300)
-                worst = max(worst, float(np.abs(new - old).max()) / scale)
-        if worst > tol:
-            raise StabilityError("precomputed products drift by %.3e" % worst)
-        return worst
 
 
 @dataclass
@@ -468,12 +391,14 @@ def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
 def full_residual(pre: CouplingPrecomp, st: tuple, rt: tuple, sol: AngleSolution) -> float:
     """Relative residual of an angle solution in the full coupled system of
     the stator's and the rotor's (K, G, j) (checks the elimination algebra
-    without the block matrix)."""
+    without the block matrix).  R(alpha) acts by its phases: G_st R lam is
+    G_st (R lam), and (G_st R)^T u_st is R^T (G_st^T u_st)."""
     (K_st, G_st, j_st), (K_rt, G_rt, j_rt) = st, rt
-    Gst_r = G_st @ rotation_matrix(pre.plan.orders, sol.alpha)
-    res_st = K_st @ sol.u_st - Gst_r @ sol.lam - j_st
+    plan = pre.plan
+    cos, sin = _phases(plan.orders, plan.partner, sol.alpha)
+    res_st = K_st @ sol.u_st - G_st @ _rotate(sol.lam, cos, sin, plan.partner) - j_st
     res_rt = K_rt @ sol.u_rt - G_rt @ sol.lam - j_rt
-    res_if = -Gst_r.T @ sol.u_st - G_rt.T @ sol.u_rt
+    res_if = -_rotate(G_st.T @ sol.u_st, cos, -sin, plan.partner) - G_rt.T @ sol.u_rt
     num = np.sqrt(np.linalg.norm(res_st) ** 2 + np.linalg.norm(res_rt) ** 2
                   + np.linalg.norm(res_if) ** 2)
     scale = max(np.linalg.norm(j_st), np.linalg.norm(j_rt),

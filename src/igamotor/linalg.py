@@ -174,14 +174,6 @@ def _superlu(K: sp.spmatrix) -> SpdFactorization:
     return SpdFactorization(lu.solve, n, dtype)
 
 
-def real_lu(S: sp.spmatrix):
-    """Plain sparse LU (general real matrix), for saddle-point oracles."""
-    try:
-        return spla.splu(S.tocsc())
-    except RuntimeError as exc:
-        raise SingularSystemError("sparse LU failed: %s" % exc) from exc
-
-
 def spd_stack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a dense SPD system, or a stack (..., n, n) of them, for one
     right-hand side (..., n) or a block of k columns (..., n, k) per matrix.

@@ -92,17 +92,16 @@ class MachineSolver:
     coupling keeps the configured harmonic orders that the model's closure
     admits, the odd multiples of pole_pairs on the pitch (the others vanish
     by symmetry), integrated with the interface rule of the configured set.
-    The stator side (stiffness, coupling moments and the products of its
-    one solve, winding) is assembled once; its stiffness and factorization
-    are dropped after that solve.  Its products, with the orders, the
-    period and ``angles``, make the machine's :class:`igamotor.coupling.
+    The stator side (stiffness, coupling moments and source, the products
+    of its one solve, winding) is assembled once; of it only the winding
+    and the products are kept.  The products, with the orders, the period
+    and ``angles``, make the machine's :class:`igamotor.coupling.
     SweepPlan`, which every precomputation shares, so a sweep or adjoint
     over those angles does only the rotor's part.  Per rotor geometry only
     the rotor stiffness is rebuilt, factored, solved and dropped.  The
     magnet source and rotor coupling moments are invariant under the
     admissible deformations (magnet patches and the interface are masked
-    fixed) and are cached from the initial rotor; the stator's G and j are
-    kept beside them, for the full-system oracles.
+    fixed) and are cached from the initial rotor.
     """
 
     def __init__(self, cfg: MachineConfig, poles: int = 1):
@@ -126,9 +125,9 @@ class MachineSolver:
             return assemble_coupling(model, dofmap, self.orders,
                                      coupling_gauss_count(degree, configured))
 
-        self._G_st = moments(self.stator, self.dm_st)
-        self._j_st = assemble_rhs(self.stator, self.dm_st, cfg, t=0.0)
-        self.plan = SweepPlan(precompute_side(K_st, self._G_st, self._j_st), self.orders,
+        G_st = moments(self.stator, self.dm_st)
+        j_st = assemble_rhs(self.stator, self.dm_st, cfg, t=0.0)
+        self.plan = SweepPlan(precompute_side(K_st, G_st, j_st), self.orders,
                               cfg.stator_period, sweep_angles(cfg.pole_pairs, cfg.n_angles))
         self.angles = self.plan.angles
         self._G_rt = moments(self.rotor0, self.dm_rt)

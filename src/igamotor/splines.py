@@ -17,7 +17,7 @@ References:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -338,11 +338,6 @@ def insert_knots(patch: NurbsPatch, new_knots_u=(), new_knots_v=()) -> NurbsPatc
     multiplicities may not exceed the degree.
     """
     return insert_knots_stack([patch], new_knots_u, new_knots_v)[0]
-
-
-def scale_patch(patch: NurbsPatch, factor: float) -> NurbsPatch:
-    """Uniformly scaled copy (weights and knots unchanged)."""
-    return replace(patch, points=patch.points * factor)
 
 
 # widest sector one quadratic rational arc spans (90 degrees, rounding allowed)

@@ -1,0 +1,135 @@
+"""Test-only oracles of the library, none of which the pipeline runs: the
+full stator-rotor saddle system solved directly (acceptance 1), its dense
+rotation R(alpha), a recomputation of the precomputed products, and the
+quadrature helpers of the manufactured-solution and area checks."""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from igamotor.assembly import _assemble_vector, _quadrature, build_patch_tables
+from igamotor.coupling import _partner_columns, _phases, _solve_columns
+from igamotor.errors import StabilityError
+
+
+def rotation_matrix(orders, alpha) -> np.ndarray:
+    """Real orthogonal R(alpha) taking rotor-frame harmonic moments to the
+    stator frame: (n_h, n_h) for one angle, (n, n_h, n_h) for n angles.
+
+    For l > 0 with cos column c and sin column s, R[c,c] = R[s,s] = cos l a
+    and R[s,c] = -R[c,s] = sin l a; an l = 0 column is left fixed.
+    """
+    partner = _partner_columns(orders)
+    cols = np.arange(partner.size)
+    cos, sin = _phases(np.asarray(orders), partner, alpha)
+    R = np.zeros(np.shape(alpha) + (cols.size, cols.size))
+    R[..., partner, cols] = sin    # an l = 0 column is its own partner:
+    R[..., cols, cols] = cos       # its 0 is overwritten by cos 0 = 1
+    return R
+
+
+@dataclass
+class FullSaddleSolution:
+    """Direct solution of the coupled block system."""
+
+    alpha: float
+    u_st: np.ndarray
+    u_rt: np.ndarray
+    lam: np.ndarray
+    matrix: sp.spmatrix
+    block_residuals: np.ndarray
+
+
+def build_full_matrix(pre, st: tuple, rt: tuple, alpha: float) -> sp.csr_matrix:
+    """Symmetric block matrix of the coupled system at one angle, from K and
+    G of the stator's and the rotor's (K, G, j) and the orders of ``pre``."""
+    (K_st, G_st, _), (K_rt, G_rt, _) = st, rt
+    Gst_r = G_st @ rotation_matrix(pre.plan.orders, alpha)
+    return sp.bmat([
+        [K_st, None, sp.csr_matrix(-Gst_r)],
+        [None, K_rt, sp.csr_matrix(-G_rt)],
+        [sp.csr_matrix(-Gst_r.T), sp.csr_matrix(-G_rt.T), None],
+    ], format="csr")
+
+
+def assemble_full_saddle(pre, st: tuple, rt: tuple, alpha: float) -> FullSaddleSolution:
+    """Assemble and solve the full coupled system of the stator's and the
+    rotor's (K, G, j) at one angle by a sparse LU of the saddle matrix,
+    independent of the products in ``pre``: the oracle against which the
+    interface elimination is validated."""
+    j_st, j_rt = st[2], rt[2]
+    M = build_full_matrix(pre, st, rt, alpha)
+    b = np.concatenate([j_st, j_rt, np.zeros(pre.plan.orders.size)])
+    try:
+        z = spla.splu(M.tocsc()).solve(b)
+    except RuntimeError as exc:
+        raise StabilityError("full saddle system singular (harmonic count too rich "
+                             "for the trace spaces?): %s" % exc) from exc
+    resid = M @ z - b
+    scale = max(float(np.linalg.norm(b)), 1e-300)
+    cuts = [j_st.size, j_st.size + j_rt.size]
+    block_res = np.array([np.linalg.norm(part) / scale for part in np.split(resid, cuts)])
+    u_st, u_rt, lam = np.split(z, cuts)
+    return FullSaddleSolution(alpha, u_st, u_rt, lam, M, block_res)
+
+
+def dense_full_residual(pre, st: tuple, rt: tuple, sol) -> float:
+    """``coupling.full_residual`` with G_st R(alpha) formed densely."""
+    (K_st, G_st, j_st), (K_rt, G_rt, j_rt) = st, rt
+    Gst_r = G_st @ rotation_matrix(pre.plan.orders, sol.alpha)
+    res_st = K_st @ sol.u_st - Gst_r @ sol.lam - j_st
+    res_rt = K_rt @ sol.u_rt - G_rt @ sol.lam - j_rt
+    res_if = -Gst_r.T @ sol.u_st - G_rt.T @ sol.u_rt
+    num = np.sqrt(np.linalg.norm(res_st) ** 2 + np.linalg.norm(res_rt) ** 2
+                  + np.linalg.norm(res_if) ** 2)
+    scale = max(np.linalg.norm(j_st), np.linalg.norm(j_rt),
+                float(np.abs(K_st.data).max()) * np.linalg.norm(sol.u_st),
+                1e-300)
+    return float(num / scale)
+
+
+def verify_products(pre, st: tuple, rt: tuple, tol: float = 1e-12) -> float:
+    """Max relative deviation of the stored products X, y, H and g of
+    ``pre`` from their recomputation with fresh factorizations, from the
+    stator's and the rotor's (K, G, j); StabilityError above ``tol``."""
+    worst = 0.0
+    for side, (K, G, j) in ((pre.plan.st, st), (pre.rt, rt)):
+        X2, y2 = _solve_columns(K, G, j)
+        for old, new in ((side.X, X2), (side.y, y2), (side.H, G.T @ X2), (side.g, G.T @ y2)):
+            scale = max(float(np.abs(old).max()), 1e-300)
+            worst = max(worst, float(np.abs(new - old).max()) / scale)
+    if worst > tol:
+        raise StabilityError("precomputed products drift by %.3e" % worst)
+    return worst
+
+
+def patch_area(patch, n_gauss: int | None = None) -> float:
+    tables = build_patch_tables(patch, n_gauss, require_regular=False)
+    return float(tables.wdet.sum())
+
+
+def assemble_load(model, dofmap, f, n_gauss: int | None = None) -> np.ndarray:
+    """Free-dof load vector of a scalar source f(x, y) (manufactured cases)."""
+    def kernel(sign, R, grad, wdet, xy):
+        return np.einsum("geq,eql,geq->gel", f(xy[..., 0], xy[..., 1]), R, wdet)
+
+    return _assemble_vector(model, dofmap, range(len(model.patches)), n_gauss, kernel)
+
+
+def l2_error(model, dofmap, u_free: np.ndarray, exact, n_gauss: int | None = None):
+    """(absolute, relative) L2 distance between a coefficient field and an
+    exact solution; the per-patch integrals are summed in patch order."""
+    u_global = dofmap.expand(u_free)
+    sums = {}
+    for ids, gd, sg, R, _, wdet, xy in _quadrature(model, dofmap, range(len(model.patches)),
+                                                   n_gauss):
+        uh = np.einsum("eql,gel->geq", R, u_global[gd] if sg is None else u_global[gd] * sg)
+        ux = exact(xy[..., 0], xy[..., 1])
+        terms = np.stack([(uh - ux) ** 2 * wdet, ux ** 2 * wdet], axis=1)   # (G, 2, E, Q)
+        sums.update(zip(ids, terms.reshape(len(ids), 2, -1).sum(axis=-1)))
+    # cumsum adds the patches' (error, reference) pairs one after the other
+    err2, ref2 = np.cumsum([sums[pid] for pid in sorted(sums)], axis=0)[-1]
+    return np.sqrt(err2), np.sqrt(err2 / ref2) if ref2 > 0 else np.inf

@@ -11,14 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from igamotor.assembly import (
-    assemble_load,
-    assemble_stiffness,
-    assemble_winding_vector,
-    l2_error,
-)
+from igamotor.assembly import assemble_stiffness, assemble_winding_vector
 from igamotor.coupling import (
-    assemble_full_saddle,
     rotation_sweep,
     solve_at_angle,
     solve_interface,
@@ -43,6 +37,7 @@ from igamotor.splines import (
 )
 
 from conftest import machine_sides
+from oracles import assemble_full_saddle, assemble_load, l2_error
 
 # Criterion 6 regression lock, recorded on the first verified run of this
 # suite (coarse refinement, n_harmonics=12 restricted to pole multiples,

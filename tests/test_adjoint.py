@@ -8,13 +8,7 @@ from igamotor.adjoint import (
     thd_sample_sensitivities,
 )
 from igamotor.assembly import build_reluctivity_map
-from igamotor.coupling import (
-    build_full_matrix,
-    reconstruct_state,
-    rotation_matrix,
-    solve_interface,
-    sweep_angles,
-)
+from igamotor.coupling import reconstruct_state, solve_interface, sweep_angles
 from igamotor.design import DEFORM_KINDS, DesignSpace
 from igamotor.errors import DegenerateSignalError
 from igamotor.fourier import build_derivative_dft, emf_spectrum, thd
@@ -23,6 +17,7 @@ from igamotor.linalg import SpdFactorization, factorize, matvec
 from igamotor.optim import MachineSolver
 
 from conftest import coarse_config, field_signs, machine_sides, zero_source_precompute
+from oracles import build_full_matrix, rotation_matrix
 
 
 @pytest.fixture(scope="module")

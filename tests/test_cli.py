@@ -228,6 +228,19 @@ def test_field_grid_memory_does_not_grow_with_the_grid():
     assert extra[1] <= 1.05 * extra[0]
 
 
+def test_csv_values_are_written_by_the_shortest_round_trip_rule(tmp_path):
+    # str of each Python scalar, against the rule the writer had when it
+    # formatted every value itself: repr(float(v)) for a float, str otherwise
+    rows = [(0, -7, "stator", 0.1), (-0.0, 1e16, 1e-7, 5e-324),
+            (np.finfo(float).max, float("inf"), float("-inf"), float("nan")),
+            np.array([[0.1, 2.0 / 3.0, -1e-300, 123456789.0, 1.5]]).tolist()[0]]
+    cli._write_csv(tmp_path / "t.csv", "abc", "h", rows)
+    old = [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+           for row in rows]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(["# config abc", "h"] + old) + "\n"
+    assert old[1] == "-0.0,1e+16,1e-07,5e-324" and old[2] == "1.7976931348623157e+308,inf,-inf,nan"
+
+
 def test_sweep_outputs(tmp_path):
     cfg_path = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg_path)]) == 0

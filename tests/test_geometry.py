@@ -20,10 +20,10 @@ from igamotor.geometry import (
     load_geometry,
     locate_polar,
 )
-from igamotor.assembly import patch_area
 from igamotor.splines import KnotVector, NurbsPatch, eval_patch, insert_knots, make_arc_patch
 
 from conftest import coarse_config, scalar_locate_polar
+from oracles import patch_area
 
 
 def square_patch_p2(x0=0.0):

@@ -34,6 +34,7 @@ from igamotor.optim import (
 )
 
 from conftest import coarse_config, machine_sides
+from oracles import verify_products
 
 
 def opt_cfg(**kw):
@@ -532,10 +533,10 @@ def test_no_sparse_factorization_is_retained(solver_r1):
 
 
 def test_verify_detects_a_corrupted_product(solver_r1):
-    # verify factors each K itself, so it still sees drift in the stored X
+    # the oracle factors each K itself, so it still sees drift in the stored X
     _, pre = solver_r1.evaluate(solver_r1.rotor0)
     sides = machine_sides(solver_r1)
-    assert pre.verify(*sides) < 1e-12
+    assert verify_products(pre, *sides) < 1e-12
     pre.rt.X[3, 2] += 1e-9 * np.abs(pre.rt.X).max()
     with pytest.raises(StabilityError):
-        pre.verify(*sides)
+        verify_products(pre, *sides)

@@ -13,7 +13,6 @@ from igamotor.splines import (
     insert_knots_stack,
     make_arc_patch,
     nurbs_basis,
-    scale_patch,
 )
 
 from conftest import homogeneous_eval, scalar_bspline_basis, scalar_eval_patch, weighted_arc_patch
@@ -190,7 +189,8 @@ def test_eval_patch_identity_square():
 
 
 def test_eval_patch_scaling_scales_jacobian():
-    patch = scale_patch(unit_square_patch(), 2.0)
+    square = unit_square_patch()
+    patch = NurbsPatch(square.knots_u, square.knots_v, 2.0 * square.points, square.weights)
     for xi, eta in [(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)]:
         _, jac = eval_patch(patch, xi, eta)
         np.testing.assert_allclose(jac, 2.0 * np.eye(2), atol=1e-14)
