@@ -10,7 +10,6 @@ from .errors import (
     GeometryError,
     IgaError,
     SingularSystemError,
-    StabilityError,
 )
 from .geometry import (
     MachineConfig,
@@ -51,7 +50,6 @@ __all__ = [
     "GeometryError",
     "IgaError",
     "SingularSystemError",
-    "StabilityError",
     "MachineConfig",
     "MultipatchModel",
     "RegionTag",

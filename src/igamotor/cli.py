@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -39,8 +40,9 @@ DEFAULT_OPTIMIZE = {"snapshots": False}
 # per sample (refinement 0-3, one core of a 2-core Xeon VM), so a
 # 1000 x 1000 grid takes about 14-15 s and writes a 105 MB field.csv.
 MAX_SAMPLES = 1_000_000
-# Samples cmd_solve evaluates at once (3.5 MB of working arrays), whatever
-# the grid, beside the (n, 5) array of its rows.
+# Samples cmd_solve evaluates at once (3.5 MB of working arrays), and rows
+# _write_csv formats at once, whatever the grid, beside the (n, 5) array of
+# its rows: a 1000 x 1000 solve peaks at about 108 MB RSS.
 SAMPLE_BLOCK = 4096
 
 
@@ -106,12 +108,20 @@ def load_config(path: str) -> RunConfig:
 
 
 def _write_csv(path: Path, cfg_hash: str, header: str, rows) -> None:
-    """One line per row of Python scalars: str of a Python float is its
-    shortest round-trip decimal (so a numpy scalar must be converted first,
-    for example by ``tolist``)."""
-    lines = ["# config %s" % cfg_hash, header]
-    lines += [",".join(map(str, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    """One line per row, written SAMPLE_BLOCK rows at a time, so that only
+    one block's text is held.  ``rows`` is a 2-D array, converted block by
+    block by ``tolist``, or an iterable of rows of Python scalars: str of a
+    Python float is its shortest round-trip decimal (so a numpy scalar
+    must be converted first)."""
+    if isinstance(rows, np.ndarray):
+        blocks = (rows[i:i + SAMPLE_BLOCK].tolist() for i in range(0, len(rows), SAMPLE_BLOCK))
+    else:
+        rows = iter(rows)
+        blocks = iter(lambda: list(itertools.islice(rows, SAMPLE_BLOCK)), [])
+    with path.open("w") as out:
+        out.write("# config %s\n%s\n" % (cfg_hash, header))
+        for block in blocks:
+            out.write("".join([",".join(map(str, row)) + "\n" for row in block]))
 
 
 def _rotate(xy: np.ndarray, c, s) -> np.ndarray:
@@ -173,11 +183,11 @@ def cmd_solve(cfg: RunConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
     # the coefficients of the modelled pitch, Dirichlet dofs included
     _write_csv(out / "u_coeffs.csv", cfg.hash, "side,index,value",
-               [(name, i, v) for name, (_, _, u) in sides.items()
-                for i, v in enumerate(u.tolist())])
+               ((name, i, v) for name, (_, _, u) in sides.items()
+                for i, v in enumerate(u.tolist())))
     rows = _field_grid(cfg.machine, sides["stator"], sides["rotor"], alpha,
                        cfg.solve["grid_r"], cfg.solve["grid_theta"])
-    _write_csv(out / "field.csv", cfg.hash, "x,y,u,Bx,By", rows.tolist())
+    _write_csv(out / "field.csv", cfg.hash, "x,y,u,Bx,By", rows)
 
 
 def cmd_sweep(cfg: RunConfig) -> None:

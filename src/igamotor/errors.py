@@ -29,9 +29,5 @@ class SingularSystemError(IgaError):
     """Dense linear system is numerically singular."""
 
 
-class StabilityError(IgaError):
-    """Coupled saddle-point or interface system is singular/unstable."""
-
-
 class DegenerateSignalError(IgaError):
     """Spectral quantity undefined (zero fundamental)."""

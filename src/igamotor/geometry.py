@@ -25,8 +25,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, ConformityError, GeometryError
 from .splines import (
@@ -357,15 +355,16 @@ def _not_close(a: np.ndarray, b: np.ndarray, sizes: np.ndarray, atol) -> np.ndar
     return ~np.logical_and.reduceat(close, starts)
 
 
-def _check_conforming(model: MultipatchModel, conn, ends):
+def _check_conforming(model: MultipatchModel, conn, ends, points, weights):
     """Raise ConformityError for the first connection of ``conn`` whose
     edges differ in degree or knot count, knots (atol 1e-14), or control
     data: points (atol 1e-12 max(1, max |point|)) and weights (atol 1e-12).
     ``ends`` holds per connection the flat control point numbers
-    (patch-major) of both edges, matched in running order.  The connections
-    past the model's connectivity are its closure: their edge b points are
-    compared turned by the model's turn.  Every connection is compared in
-    the same few array operations."""
+    (patch-major) of both edges, matched in running order, into the
+    concatenated control ``points`` (n, 2) and ``weights`` (n,) of the
+    patches.  The connections past the model's connectivity are its
+    closure: their edge b points are compared turned by the model's turn.
+    Every connection is compared in the same few array operations."""
     if not conn:
         return
     knots = [(_edge_knots(model.patches[pa], ea), _edge_knots(model.patches[pb], eb))
@@ -383,8 +382,6 @@ def _check_conforming(model: MultipatchModel, conn, ends):
         node_a = np.concatenate([ends[k][0] for k in ok])
         node_b = np.concatenate([ends[k][1] for k in ok])
         sizes = np.array([ends[k][0].size for k in ok])
-        points = np.concatenate([p.points.reshape(-1, 2) for p in model.patches])
-        weights = np.concatenate([p.weights.reshape(-1) for p in model.patches])
         qa, qb = points[node_a], points[node_b]
         turn = model.turn
         if turn is not None:
@@ -403,70 +400,110 @@ def _check_conforming(model: MultipatchModel, conn, ends):
         raise ConformityError("edge (%d,%s)-(%d,%s): %s" % (pa, ea, pb, eb, what))
 
 
-def _glue(ends, total: int):
-    """(count, label per node): the connected components of the graph of
-    the matched node pairs ``ends``, numbered by their lowest node."""
-    rows = np.concatenate([a for a, _ in ends]) if ends else np.zeros(0, dtype=int)
-    cols = np.concatenate([b for _, b in ends]) if ends else np.zeros(0, dtype=int)
-    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(total, total))
-    count, labels = connected_components(graph, directed=False)
-    return count, labels.astype(int)
+def _join(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the classes of the node pairs (a[k], b[k]) in the forest
+    ``parent``, in place, and return it: then every node of a class points
+    at the class's lowest node.  ``parent`` is the identity, or a result of
+    this function for some of the pairs.
+
+    Each round points every node of a pair at its root (pointer jumping)
+    and hooks the higher of two different roots of a pair onto the lowest
+    root paired with it.  Each class that is not yet one tree merges at
+    least two of its trees per round, so the rounds are O(log pairs), and
+    each reads and writes only the nodes of the pairs."""
+    touched = np.concatenate([a, b])
+    while True:
+        up = parent[touched]
+        while True:
+            upper = parent[up]
+            if np.array_equal(upper, up):
+                break
+            parent[touched] = up = upper
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            return parent
+        ra, rb = ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+
+
+def _number(parent: np.ndarray, node: np.ndarray):
+    """(count, label per node) of the classes of a result of :func:`_join`
+    over the nodes ``node`` (an arange), numbered by their lowest node."""
+    root = parent == node
+    number = np.cumsum(root) - 1
+    return int(number[-1]) + 1 if number.size else 0, number[parent]
+
+
+def _cat(parts) -> np.ndarray:
+    """The concatenated integer arrays ``parts``; empty for no parts."""
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
 
 
 def build_dof_map(model: MultipatchModel) -> DofMap:
     """Glue matched edges into one global numbering and mark Dirichlet dofs.
 
     Gluing is the equivalence closure over control points of matched edges,
-    the closure's included: the connected components of the graph of
-    matched node pairs, numbered by their lowest node.  The closure copies
-    are the points glued to edge a of a closure connection by the
-    connectivity alone; a point glued to its own copy is a ConformityError.
-    Dirichlet dofs are exactly the control points of the declared boundary
-    edges (their basis functions span the boundary trace).
+    the closure's included, numbered by each class's lowest point (patch-major,
+    row-major within a patch).  The closure copies are the points glued to
+    edge a of a closure connection by the connectivity alone; a point glued
+    to its own copy is a ConformityError.  Dirichlet dofs are exactly the
+    control points of the declared boundary edges (their basis functions
+    span the boundary trace).  Every array is written over the concatenated
+    control points of all patches at once.
     """
     shapes = [(p.n_u, p.n_v) for p in model.patches]
-    offsets = np.cumsum([0] + [nu * nv for nu, nv in shapes])
-    total = int(offsets[-1])
-    nodes = [offsets[p] + np.arange(nu * nv).reshape(nu, nv)
-             for p, (nu, nv) in enumerate(shapes)]
+    offsets = np.cumsum([0] + [nu * nv for nu, nv in shapes]).tolist()
+    total = offsets[-1]
+    node = np.arange(total)
+    grids = [node[o:o + nu * nv].reshape(nu, nv) for o, (nu, nv) in zip(offsets, shapes)]
+    points = np.concatenate([p.points.reshape(-1, 2) for p in model.patches])
+    weights = np.concatenate([p.weights.reshape(-1) for p in model.patches])
 
     conn = list(model.connectivity) + list(model.closure)
     ends = []
     for pa, ea, pb, eb, reverse in conn:
-        nb = nodes[pb][_edge_index(eb)]
-        ends.append((nodes[pa][_edge_index(ea)], nb[::-1] if reverse else nb))
-    _check_conforming(model, conn, ends)
-    n_global, global_of_node = _glue(ends, total)
-    is_copy = np.zeros(total, dtype=bool)
+        nb = grids[pb][_edge_index(eb)]
+        ends.append((grids[pa][_edge_index(ea)], nb[::-1] if reverse else nb))
+    _check_conforming(model, conn, ends, points, weights)
+    a, b = _cat([e for e, _ in ends]), _cat([e for _, e in ends])
     if model.closure:
-        _, plain = _glue(ends[:len(model.connectivity)], total)
-        closing = ends[len(model.connectivity):]
-        copies = plain[np.concatenate([a for a, _ in closing])]
-        if np.intersect1d(copies, plain[np.concatenate([b for _, b in closing])]).size:
+        n_plain = sum(e.size for e, _ in ends[:len(model.connectivity)])
+        plain = _join(node.copy(), a[:n_plain], b[:n_plain])
+        copied = np.zeros(total, dtype=bool)
+        copied[plain[a[n_plain:]]] = True
+        if copied[plain[b[n_plain:]]].any():
             raise ConformityError("closure glues a control point to its own copy")
-        is_copy = np.isin(plain, copies)
-
-    patch_maps, patch_copies = [], []
-    points = np.zeros((n_global, 2))
-    weights = np.zeros(n_global)
-    for p, (nu, nv) in enumerate(shapes):
-        gmap = global_of_node[offsets[p]:offsets[p] + nu * nv].reshape(nu, nv)
-        copy = is_copy[offsets[p]:offsets[p] + nu * nv].reshape(nu, nv)
-        patch_maps.append(gmap)
-        patch_copies.append(copy if copy.any() else None)
-        own = ~copy
-        points[gmap[own]] = model.patches[p].points[own]
-        weights[gmap[own]] = model.patches[p].weights[own]
+        is_copy = copied[plain]
+        n_global, global_of_node = _number(_join(plain, a, b), node)
+        has_copy = np.logical_or.reduceat(is_copy, offsets[:-1]).tolist()
+        patch_copies = [is_copy[o:o + nu * nv].reshape(nu, nv) if has else None
+                        for o, (nu, nv), has in zip(offsets, shapes, has_copy)]
+    else:
+        n_global, global_of_node = _number(_join(node.copy(), a, b), node)
+        patch_copies = [None] * len(shapes)
+    patch_maps = [global_of_node[o:o + nu * nv].reshape(nu, nv)
+                  for o, (nu, nv) in zip(offsets, shapes)]
+    # each global takes the control data of its highest node that is no
+    # closure copy: an unglued node is alone in its class, and every node
+    # of a glued class is in the pairs
+    last = np.empty(n_global, dtype=int)
+    last[global_of_node] = node
+    matched = np.concatenate([a, b])
+    if model.closure:
+        matched = matched[~is_copy[matched]]
+    glued = global_of_node[matched]
+    last[glued] = -1
+    np.maximum.at(last, glued, matched)
 
     dirichlet = np.zeros(n_global, dtype=bool)
-    for p, edge in model.dirichlet_edges:
-        dirichlet[patch_maps[p][_edge_index(edge)]] = True
-
+    dirichlet[global_of_node[_cat([grids[p][_edge_index(edge)]
+                                   for p, edge in model.dirichlet_edges])]] = True
     free_globals = np.flatnonzero(~dirichlet)
     free_index = np.full(n_global, -1, dtype=int)
     free_index[free_globals] = np.arange(free_globals.size)
     return DofMap(n_global, patch_maps, dirichlet, free_index, free_globals,
-                  points, weights,
+                  points.take(last, axis=0), weights[last],
                   tuple((p.knots_u, p.knots_v, p.weights) for p in model.patches),
                   patch_copies, float(model.closure_sign), model.turn)
 

@@ -12,7 +12,11 @@ import scipy.sparse.linalg as spla
 
 from igamotor.assembly import _assemble_vector, _quadrature, build_patch_tables
 from igamotor.coupling import _partner_columns, _phases, _solve_columns
-from igamotor.errors import StabilityError
+
+
+class OracleStabilityError(Exception):
+    """An oracle's full saddle system is singular, or the stored products
+    drift from their recomputation."""
 
 
 def rotation_matrix(orders, alpha) -> np.ndarray:
@@ -66,8 +70,8 @@ def assemble_full_saddle(pre, st: tuple, rt: tuple, alpha: float) -> FullSaddleS
     try:
         z = spla.splu(M.tocsc()).solve(b)
     except RuntimeError as exc:
-        raise StabilityError("full saddle system singular (harmonic count too rich "
-                             "for the trace spaces?): %s" % exc) from exc
+        raise OracleStabilityError("full saddle system singular (harmonic count too "
+                                   "rich for the trace spaces?): %s" % exc) from exc
     resid = M @ z - b
     scale = max(float(np.linalg.norm(b)), 1e-300)
     cuts = [j_st.size, j_st.size + j_rt.size]
@@ -94,7 +98,7 @@ def dense_full_residual(pre, st: tuple, rt: tuple, sol) -> float:
 def verify_products(pre, st: tuple, rt: tuple, tol: float = 1e-12) -> float:
     """Max relative deviation of the stored products X, y, H and g of
     ``pre`` from their recomputation with fresh factorizations, from the
-    stator's and the rotor's (K, G, j); StabilityError above ``tol``."""
+    stator's and the rotor's (K, G, j); OracleStabilityError above ``tol``."""
     worst = 0.0
     for side, (K, G, j) in ((pre.plan.st, st), (pre.rt, rt)):
         X2, y2 = _solve_columns(K, G, j)
@@ -102,7 +106,7 @@ def verify_products(pre, st: tuple, rt: tuple, tol: float = 1e-12) -> float:
             scale = max(float(np.abs(old).max()), 1e-300)
             worst = max(worst, float(np.abs(new - old).max()) / scale)
     if worst > tol:
-        raise StabilityError("precomputed products drift by %.3e" % worst)
+        raise OracleStabilityError("precomputed products drift by %.3e" % worst)
     return worst
 
 

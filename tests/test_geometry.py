@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igamotor.errors import ConfigError, ConformityError, GeometryError
 from igamotor.geometry import (
@@ -20,6 +21,7 @@ from igamotor.geometry import (
     load_geometry,
     locate_polar,
 )
+from igamotor.geometry import _join, _number
 from igamotor.splines import KnotVector, NurbsPatch, eval_patch, insert_knots, make_arc_patch
 
 from conftest import coarse_config, scalar_locate_polar
@@ -168,13 +170,10 @@ def test_region_areas_sum_to_annulus(coarse_cfg, coarse_machine):
 
 # ---------------------------------------------------------------- dof map
 
-def union_find_numbering(model):
-    """Global number of every patch node, patch by patch: the equivalence
-    closure of matched edge nodes by union-find, classes numbered in order
-    of their lowest node."""
-    shapes = [(p.n_u, p.n_v) for p in model.patches]
-    offsets = np.cumsum([0] + [nu * nv for nu, nv in shapes])
-    parent = list(range(int(offsets[-1])))
+def union_find_labels(pairs, total):
+    """Label of each of ``total`` nodes: the equivalence closure of the node
+    ``pairs`` by union-find, classes numbered in order of their lowest node."""
+    parent = list(range(total))
 
     def find(a):
         while parent[a] != a:
@@ -182,15 +181,25 @@ def union_find_numbering(model):
             a = parent[a]
         return a
 
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    roots = [find(a) for a in range(total)]
+    return np.unique(roots, return_inverse=True)[1].reshape(-1)
+
+
+def union_find_numbering(model):
+    """Global number of every patch node, patch by patch: the union-find
+    labels of the node pairs of the matched edges, the closure's included."""
+    shapes = [(p.n_u, p.n_v) for p in model.patches]
+    offsets = np.cumsum([0] + [nu * nv for nu, nv in shapes])
+    pairs = []
     for pa, ea, pb, eb, reverse in model.connectivity + model.closure:
         na = edge_nodes(*shapes[pa], ea)
         nb = edge_nodes(*shapes[pb], eb)
-        for (ia, ja), (ib, jb) in zip(na, nb[::-1] if reverse else nb):
-            ra = find(offsets[pa] + ia * shapes[pa][1] + ja)
-            rb = find(offsets[pb] + ib * shapes[pb][1] + jb)
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = [find(a) for a in range(len(parent))]
-    return np.unique(roots, return_inverse=True)[1]
+        pairs += [(offsets[pa] + ia * shapes[pa][1] + ja, offsets[pb] + ib * shapes[pb][1] + jb)
+                  for (ia, ja), (ib, jb) in zip(na, nb[::-1] if reverse else nb)]
+    return union_find_labels(pairs, int(offsets[-1]))
 
 
 def _ring_model(m=4):
@@ -199,9 +208,11 @@ def _ring_model(m=4):
     return MultipatchModel(patches, [RegionTag("rotor_air")] * m, connectivity=conn)
 
 
-@pytest.mark.parametrize("refinement", [0, 1, 2])
+@pytest.mark.parametrize("refinement", [0, 1, 2, 3, 4])
 def test_dof_map_numbering_matches_union_find(refinement):
-    models = list(build_demo_machine(coarse_config(refinement=refinement, n_harmonics=4)))
+    # the pole pitch, closed by its antiperiodic closure, and the full ring
+    cfg = coarse_config(refinement=refinement, n_harmonics=4)
+    models = list(build_demo_machine(cfg)) + list(build_demo_machine(cfg, 2 * cfg.pole_pairs))
     for model in models + [_ring_model()]:
         dm = build_dof_map(model)
         flat = np.concatenate([g.reshape(-1) for g in dm.patch_maps])
@@ -209,6 +220,46 @@ def test_dof_map_numbering_matches_union_find(refinement):
         assert flat.dtype == oracle.dtype
         assert np.array_equal(flat, oracle)
         assert dm.n_global == oracle.max() + 1
+
+
+@st.composite
+def node_pairs(draw):
+    """(total, pairs): a chain through a shuffled run of the nodes, closed
+    to a cycle or not, beside random pairs, self pairs and duplicates, in
+    shuffled order and orientation; nodes off every pair stay isolated."""
+    total = draw(st.integers(1, 80))
+    order = draw(st.permutations(range(total)))
+    length = draw(st.integers(0, total))
+    chain = list(zip(order[:length - 1], order[1:length]))
+    if length > 2 and draw(st.booleans()):
+        chain.append((order[length - 1], order[0]))
+    node = st.integers(0, total - 1)
+    extra = draw(st.lists(st.tuples(node, node), max_size=20))
+    extra += [(a, a) for a in draw(st.lists(node, max_size=4))]
+    pairs = chain + extra
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+    pairs = draw(st.permutations(pairs))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return total, [(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_pairs(), st.data())
+def test_glue_labels_match_union_find(case, data):
+    total, pairs = case
+    a = np.array([p for p, _ in pairs], dtype=int)
+    b = np.array([q for _, q in pairs], dtype=int)
+    oracle = union_find_labels(pairs, total)
+    node = np.arange(total)
+    count, labels = _number(_join(node.copy(), a, b), node)
+    assert labels.dtype == oracle.dtype
+    assert np.array_equal(labels, oracle) and count == oracle.max() + 1
+    # joined in two steps, as the closure is: the first pairs' classes,
+    # then all pairs over that forest
+    split = data.draw(st.integers(0, len(pairs)))
+    forest = _join(node.copy(), a[:split], b[:split])
+    assert np.array_equal(_number(forest, node)[1], union_find_labels(pairs[:split], total))
+    assert np.array_equal(_number(_join(forest, a, b), node)[1], oracle)
 
 
 def test_dof_map_two_patches_share_edge():

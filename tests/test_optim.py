@@ -14,7 +14,7 @@ from igamotor import optim
 from igamotor.assembly import assemble_vector_metric, detj_quadratic
 from igamotor.cli import main
 from igamotor.design import DesignSpace
-from igamotor.errors import ConfigError, DegenerateSignalError, StabilityError
+from igamotor.errors import ConfigError, DegenerateSignalError
 from igamotor.geometry import (
     MachineConfig,
     MultipatchModel,
@@ -34,7 +34,7 @@ from igamotor.optim import (
 )
 
 from conftest import coarse_config, machine_sides
-from oracles import verify_products
+from oracles import OracleStabilityError, verify_products
 
 
 def opt_cfg(**kw):
@@ -538,5 +538,5 @@ def test_verify_detects_a_corrupted_product(solver_r1):
     sides = machine_sides(solver_r1)
     assert verify_products(pre, *sides) < 1e-12
     pre.rt.X[3, 2] += 1e-9 * np.abs(pre.rt.X).max()
-    with pytest.raises(StabilityError):
+    with pytest.raises(OracleStabilityError):
         verify_products(pre, *sides)
