@@ -10,7 +10,8 @@ so the adjoint solves reuse the forward interface elimination unchanged,
 and the reduced adjoint load G_st^T K_st^-1 chi = X_st^T chi is the flux
 row the forward sweep already forms: the adjoint is one interface solve
 over the array of angles, with no stator solve.  Only the rotor block of
-the adjoint state enters the gradient, so only it is reconstructed.
+the adjoint state enters the gradient, and it enters through its interface
+coefficients alone.
 
 The gradient over design directions W (geometry-space basis fields, two
 components per free control point) integrates, per rotor angle,
@@ -20,10 +21,14 @@ components per free control point) integrates, per rotor angle,
 The design space holds no control point of a magnet patch, so W vanishes
 on the magnets and the magnetization source contributes no shape term.
 
-The sum over angles is taken first, per element, as C_e = U_e P_e^T over
-the element's forward and adjoint coefficients, gathered from the
-angle-major free-dof rows; T = A^T C_e A at each Gauss point (A the local
-basis gradients) is then the angle-summed grad u grad p^T, and the element
+Each side's interior field is u = y + X lam (the interface elimination), so
+every adjoint rotor field X_rt mu_a lies in the n_h columns of X_rt.  The
+sum over angles is therefore taken in that basis: Z = U^T Lam (n_free x
+n_h) from the forward free-dof rows U and the adjoint coefficients Lam, one
+matrix product, and per element C_e = Z_e X_e^T, a rank-n_h product of the
+element's rows of Z and X_rt.  No adjoint field and no per-element stack of
+angles is formed.  T = A^T C_e A at each Gauss point (A the local basis
+gradients) is then the angle-summed grad u grad p^T, and the element
 contribution is A (nu w (tr T I - T - T^T)), all as batched matrix
 products.  The gradients and weights are the rotor geometry that the dof
 map's assembly plan keeps for the stiffness and the metric.  On a closed
@@ -42,7 +47,6 @@ from .coupling import CouplingPrecomp, solve_interface
 from .design import DesignSpace
 from .fourier import DerivativeDft, _thd_terms
 from .geometry import DofMap, MachineConfig, MultipatchModel
-from .linalg import matvec
 
 
 def thd_sample_sensitivities(emf_a: np.ndarray, emf_b: np.ndarray, index_set,
@@ -61,23 +65,18 @@ def thd_sample_sensitivities(emf_a: np.ndarray, emf_b: np.ndarray, index_set,
 
 @dataclass
 class AdjointSet:
-    """Adjoint interface coefficients, one row per angle, and the rotor's
-    X_rt.  The rotor fields X_rt lam (n_angles x n_free, 15 MB at
-    refinement 4) are formed on each request, not kept: a caller that
-    holds the set through the metric and the line search does not hold
-    them."""
+    """Adjoint interface coefficients Lam (n_angles x n_h), one row per
+    angle, and the rotor's X_rt (n_free x n_h).  The adjoint rotor field at
+    angle a is X_rt mu_a; :func:`assemble_shape_gradient` takes the set and
+    sums its angles in the columns of X_rt, so no field is formed."""
 
     lambdas: np.ndarray
     X_rt: np.ndarray
 
-    @property
-    def rotor(self) -> np.ndarray:
-        return matvec(self.X_rt, self.lambdas)
-
     def rotor_fields(self):
-        """:attr:`rotor`, under the name ``perfbench/workloads.py`` calls,
-        its last caller; ROADMAP item 2's code change removes it."""
-        return self.rotor
+        """The set itself, under the name ``perfbench/workloads.py`` calls
+        for the gradient's adjoint argument; ROADMAP item 11 removes it."""
+        return self
 
 
 def solve_adjoints(pre: CouplingPrecomp, winding_vector: np.ndarray,
@@ -100,40 +99,47 @@ def solve_adjoints(pre: CouplingPrecomp, winding_vector: np.ndarray,
     return AdjointSet(lambdas, pre.rt.X)
 
 
-def _element_values(V: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """(..., n) coefficients at the element dofs ``free`` (free numbers, -1
-    on an eliminated dof, where the coefficient is 0) of the angle-major
-    free-dof rows V (n, n_free), gathered through the transposed view."""
-    out = V.T[free]
+def _element_rows(V: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """(..., n_h) rows of V (n_free, n_h) at the element dofs ``free``
+    (free numbers, -1 on an eliminated dof, whose row is 0)."""
+    out = V.take(free, axis=0)
     out[free < 0] = 0.0
     return out
 
 
 def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
                             design: DesignSpace,
-                            u_rt_list, p_rt_list,
+                            u_rt_list, adjoints: AdjointSet,
                             reluctivity_by_tag: dict,
                             cfg: MachineConfig | None = None) -> np.ndarray:
     """Gradient entries g_m = dJ(direction W_m) over the free design dofs.
 
-    u_rt_list/p_rt_list hold the per-angle forward and adjoint rotor
-    coefficient vectors (free dofs), one row per angle.  Integrals are
-    restricted to patches where the design basis has support; entries for
-    dofs without support in deforming patches are exactly zero.  The
-    element gradients and weights come from the plan's element tables, so
-    on the optimizer's rotor they are read, not rebuilt.  ``cfg`` is
+    u_rt_list holds the per-angle forward rotor coefficient vectors (free
+    dofs), one row per angle, and ``adjoints`` the adjoint coefficients of
+    the same angles with the rotor's X_rt.  The angles are summed once, in
+    Z = U^T Lam, and each element's C_e = Z_e X_e^T has rank n_h.
+    Integrals are restricted to patches where the design basis has support;
+    entries for dofs without support in deforming patches are exactly zero.
+    The element gradients and weights come from the plan's element tables,
+    so on the optimizer's rotor they are read, not rebuilt.  ``cfg`` is
     ignored: ``perfbench/workloads.py``, its last caller, passes it
-    positionally; ROADMAP item 2's code change removes it.
+    positionally; ROADMAP item 2's code change removes it.  ValueError when
+    U does not hold one free-dof row per adjoint angle.
     """
     U = np.asarray(u_rt_list, dtype=float)          # (NL, n_free)
-    P = np.asarray(p_rt_list, dtype=float)
+    lambdas = adjoints.lambdas                      # (NL, n_h)
+    if U.shape != (lambdas.shape[0], dofmap.n_free):
+        raise ValueError("forward rows %s do not match %d adjoint angles of %d free dofs"
+                         % (U.shape, lambdas.shape[0], dofmap.n_free))
+    Z = U.T @ lambdas                               # (n_free, n_h)
+    X = adjoints.X_rt
     targets, contribs = {}, {}
     for ids, space, wdet, grad, _ in dofmap.plan.element_tables(model, design.patch_ids):
         n_batch, n_el, n_loc, n_q = grad.shape[:4]
         gd = np.stack([dofmap.patch_maps[pid].reshape(-1) for pid in ids])[:, space[0]]
         free = dofmap.free_index[gd]                                # (G, E, L)
         A = grad.reshape(n_batch, n_el, n_loc, 2 * n_q)            # (L, 2Q) per element
-        C = _element_values(U, free) @ _element_values(P, free).transpose(0, 1, 3, 2)
+        C = _element_rows(Z, free) @ _element_rows(X, free).transpose(0, 1, 3, 2)
         sg = _element_signs(dofmap, ids, space[0])
         if sg is not None:
             C *= sg[..., :, None] * sg[..., None, :]

@@ -895,11 +895,11 @@ def eval_field(model: MultipatchModel, dofmap: DofMap, u_global: np.ndarray,
         at = np.flatnonzero(pid == p)
         patch = model.patches[p]
         local, R, R_xi, R_eta = patch_basis(patch, xi[at], eta[at])
-        P = patch.points[local].reshape(R.shape + (2,))
-        c = u_global[dofmap.patch_maps[p][local]].reshape(R.shape)
+        P = patch.points.reshape(-1, 2).take(local, axis=0)
+        c = u_global.take(dofmap.patch_maps[p].reshape(-1).take(local))
         signs = dofmap.patch_signs(p)
         if signs is not None:
-            c = c * signs[local].reshape(R.shape)
+            c = c * signs.reshape(-1).take(local)
         dR = np.stack([R_xi, R_eta], axis=-2)                # (n, 2, L)
         point[at] = np.matmul(R[:, None, :], P)[:, 0, :]
         value[at] = np.matmul(R[:, None, :], c[:, :, None])[:, 0, 0]

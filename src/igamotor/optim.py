@@ -258,12 +258,13 @@ def run_optimization(cfg: MachineConfig, opt: OptimizerConfig | None = None,
                                             sweep.index_set, dft)
             adj = solve_adjoints(pre, solver.winding, sens, solver.angles,
                                  solver.flux_scale)
-            # the forward rotor fields (15 MB at refinement 4) are passed, not
-            # named: nothing holds them through the metric and the line search
+            # the forward rotor fields (2.5 MB at refinement 4) are passed,
+            # not named: nothing holds them through the metric and the line
+            # search
             gradient = assemble_shape_gradient(rotor, solver.dm_rt, design,
                                                reconstruct_state(pre, sweep.angles,
                                                                  sweep.lambdas).u_rt,
-                                               adj.rotor, solver.relmap_rt)
+                                               adj, solver.relmap_rt)
             metric = assemble_vector_metric(rotor, solver.dm_rt, design.mask)
             W = descent_field(gradient, metric)
             if gradient @ W <= 0.0:

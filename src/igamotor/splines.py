@@ -245,20 +245,22 @@ class NurbsPatch:
 
 def patch_basis(patch: NurbsPatch, xi, eta):
     """Nonzero rational basis at the parameter points (xi, eta), two arrays
-    of one shape S (scalars are the 0-d case): the indices (rows, cols) of
-    each point's (p_u + 1, p_v + 1) block of the control grid (points,
-    weights, dof map), and R, R_xi, R_eta flattened in row-major order of
-    that block, shape S + (L,)."""
+    of one shape S (scalars are the 0-d case): the flat indices
+    ``row * n_v + col`` of each point's (p_u + 1, p_v + 1) block of the
+    control grid, in row-major order of that block, shape S + (L,), which
+    ``take`` reads from the flattened points, weights and dof map; and R,
+    R_xi, R_eta in the same order, shape S + (L,)."""
     su, Bu, dBu = bspline_basis_table(patch.knots_u, xi)
     sv, Bv, dBv = bspline_basis_table(patch.knots_v, eta)
     rows = (su[..., None] + np.arange(-patch.knots_u.degree, 1))[..., :, None]
     cols = (sv[..., None] + np.arange(-patch.knots_v.degree, 1))[..., None, :]
     shape = su.shape + (-1,)
-    R, R_xi, R_eta = rational_basis(patch.weights[rows, cols].reshape(shape),
+    local = (rows * patch.n_v + cols).reshape(shape)
+    R, R_xi, R_eta = rational_basis(patch.weights.reshape(-1).take(local),
                                     (Bu[..., :, None] * Bv[..., None, :]).reshape(shape),
                                     (dBu[..., :, None] * Bv[..., None, :]).reshape(shape),
                                     (Bu[..., :, None] * dBv[..., None, :]).reshape(shape))
-    return (rows, cols), R, R_xi, R_eta
+    return local, R, R_xi, R_eta
 
 
 def eval_patch(patch: NurbsPatch, xi, eta):
@@ -266,7 +268,7 @@ def eval_patch(patch: NurbsPatch, xi, eta):
     scalars the 0-d case: shapes S + (2,) and S + (2, 2), the Jacobian's
     columns dF/dxi and dF/deta."""
     local, R, R_xi, R_eta = patch_basis(patch, xi, eta)
-    P = patch.points[local].reshape(R.shape + (2,))
+    P = patch.points.reshape(-1, 2).take(local, axis=0)
     point, d_xi, d_eta = (np.matmul(r[..., None, :], P)[..., 0, :] for r in (R, R_xi, R_eta))
     return point, np.stack([d_xi, d_eta], axis=-1)
 

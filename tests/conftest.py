@@ -11,6 +11,7 @@ from igamotor.assembly import (
 )
 from igamotor.coupling import CouplingPrecomp, SweepPlan, harmonic_orders, precompute_side
 from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
+from igamotor.linalg import matvec
 from igamotor.optim import MachineSolver
 from igamotor.splines import NurbsPatch, insert_knots, make_arc_patch, rational_basis
 
@@ -187,6 +188,13 @@ def machine_sides(solver):
                               build_reluctivity_map(solver.stator, cfg))
     K_rt = assemble_stiffness(solver.rotor0, solver.dm_rt, solver.relmap_rt)
     return (K_st, G_st, j_st), (K_rt, solver._G_rt, solver._j_rt)
+
+
+def adjoint_rotor_fields(adj):
+    """The adjoint rotor fields X_rt lam of an ``AdjointSet``, one row per
+    angle: the library sums the gradient's angles in the columns of X_rt
+    and forms no field."""
+    return matvec(adj.X_rt, adj.lambdas)
 
 
 def field_signs(dm, pid):

@@ -96,7 +96,7 @@ def test_acceptance_2_gradient_matches_finite_differences():
     u_rt = [reconstruct_state(pre, a, lam).u_rt
             for a, lam in zip(solver.angles, sweep.lambdas)]
     gradient = assemble_shape_gradient(solver.rotor0, solver.dm_rt, design, u_rt,
-                                       adj.rotor, solver.relmap_rt)
+                                       adj, solver.relmap_rt)
     rng = np.random.default_rng(20240817)
     directions = rng.choice(design.n_dofs, size=5, replace=False)
     steps = [10.0 ** (-k) * cfg.r_interface for k in range(4, 9)]

@@ -903,17 +903,20 @@ def test_design_pass_builds_each_rotor_patch_table_once(monkeypatch, refinement)
     # stiffness -> shape gradient -> metric on a new rotor: one Jacobian and
     # one set of gradients per rotor patch (three passes over the design
     # patches without the kept geometry)
-    from igamotor.adjoint import assemble_shape_gradient
+    from igamotor.adjoint import AdjointSet, assemble_shape_gradient
 
     cfg = coarse_config(refinement=refinement)
     solver = MachineSolver(cfg)
     design = DesignSpace(solver.rotor0, solver.dm_rt)
     rotor = design.displace(solver.rotor0, 1e-5 * np.ones(design.n_dofs), 1.0)
-    u, p = np.random.default_rng(4).standard_normal((2, 3, solver.dm_rt.n_free))
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((3, solver.dm_rt.n_free))
+    adjoints = AdjointSet(rng.standard_normal((3, 4)),
+                          rng.standard_normal((solver.dm_rt.n_free, 4)))
     jacobians = _count_builds(monkeypatch, "_jacobian")
     gradients = _count_builds(monkeypatch, "_gradients")
     assemble_stiffness(rotor, solver.dm_rt, solver.relmap_rt)
-    assemble_shape_gradient(rotor, solver.dm_rt, design, u, p, solver.relmap_rt)
+    assemble_shape_gradient(rotor, solver.dm_rt, design, u, adjoints, solver.relmap_rt)
     assemble_vector_metric(rotor, solver.dm_rt, design.mask)
     assert check_mesh_validity(rotor, 0.0, solver.dm_rt)[0]
     assert jacobians == gradients == {"patches": len(rotor.patches)}

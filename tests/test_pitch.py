@@ -39,7 +39,7 @@ def _forward_and_gradient(solver):
     adj = solve_adjoints(pre, solver.winding, sens, solver.angles, solver.flux_scale)
     u_rt = reconstruct_state(pre, sweep.angles, sweep.lambdas).u_rt
     return sweep, design, assemble_shape_gradient(solver.rotor0, solver.dm_rt, design, u_rt,
-                                                  adj.rotor, solver.relmap_rt)
+                                                  adj, solver.relmap_rt)
 
 
 def _relative(a, b):
