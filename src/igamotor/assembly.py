@@ -31,7 +31,9 @@ one scatter per quantity.
   into the global numbering by :func:`_scatter_add`, which adds each
   entry's terms in the order of a sequential ``np.add.at``.  So assembled
   quantities are bit-reproducible, and a restricted operator is bitwise
-  the unrestricted one with its eliminated rows and columns removed.
+  the unrestricted one with its eliminated rows and columns removed and
+  the kept ones in the dof map's band order (:class:`DofMap`): the free
+  stiffness and the metric come narrow-banded in their own row order.
 * Closure: on a model glued to itself after a turn (the pole pitch), a
   function at a closure copy enters with the closure's field sign: the
   vectors, the coupling moments and the field evaluation take it per
@@ -335,16 +337,17 @@ def magnetization_perp(sign, cfg: MachineConfig, xy: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # global assembly
 
-def _csr_scatter(groups, maps, n_global: int, keep):
+def _csr_scatter(groups, maps, n_global: int, kept):
     """Sparsity pattern of a matrix assembled from the element matrices of
     patches in the chunks ``groups`` ([(ids, space)] as from :func:`_group`),
     patch i with the global numbers ``maps[i]`` of its flat control points,
-    on the rows and columns of the bool mask ``keep`` (all when None) in
-    their increasing order: canonical CSR ``indptr`` and ``indices`` (int32
-    unless the sizes need int64), and ``slots`` (intp, the index type
-    ``np.bincount`` reads without a copy), the CSR data position of every
-    element-matrix entry in patch/element/row/column order.  An entry in a
-    dropped row or column gets slot ``indices.size``, one past the data.
+    on the rows and columns of the globals ``kept`` in that order (all
+    globals in their own order when None): canonical CSR ``indptr`` and
+    ``indices`` (int32 unless the sizes need int64), and ``slots`` (intp,
+    the index type ``np.bincount`` reads without a copy), the CSR data
+    position of every element-matrix entry in patch/element/row/column
+    order.  An entry in a dropped row or column gets slot
+    ``indices.size``, one past the data.
 
     The patches of a space share one dof table, so its distinct local
     (row, col) pairs are found once, and only the distinct pairs of each
@@ -353,12 +356,12 @@ def _csr_scatter(groups, maps, n_global: int, keep):
     order), so they are ordered by a stable sort, which merges such runs,
     not by the quicksort of ``np.unique``; equal pairs then share a slot.
     Each transient is freed once it has been read."""
-    if keep is None:
+    if kept is None:
         index, n = None, n_global
     else:
-        index = np.cumsum(keep) - 1
-        n = int(index[-1]) + 1
-        index[~keep] = -1
+        index = np.full(n_global, -1, dtype=np.intp)
+        index[kept] = np.arange(kept.size)
+        n = kept.size
     dropped = n * n                        # sorts after every kept pair
     n_entries = sum(len(ids) * space[0].shape[0] * space[0].shape[1] ** 2 for ids, space in groups)
     index_type = np.int32 if max(n_entries, n) < np.iinfo(np.int32).max else np.int64
@@ -485,6 +488,7 @@ class AssemblyPlan:
     def __init__(self, dofmap: DofMap):
         self._maps = dofmap.patch_maps
         self._n_global = dofmap.n_global
+        self._band_order = dofmap.band_order
         # id of the weights -> (dof map patch id, knots_u, knots_v, weights)
         self._bases = {id(w): (pid, ku, kv, w)
                        for pid, (ku, kv, w) in enumerate(dofmap.patch_bases)}
@@ -518,16 +522,19 @@ class AssemblyPlan:
 
     def scatter(self, model: MultipatchModel, pids, keep):
         """:func:`_csr_scatter` of the patches ``pids`` of ``model``,
-        restricted to ``keep``; the arrays are read-only, and kept for a
-        rotor on the dof map's own patches (a stator is assembled once)."""
+        restricted to the globals of the bool mask ``keep`` in the dof
+        map's band order (unrestricted, in global order, when None); the
+        arrays are read-only, and kept for a rotor on the dof map's own
+        patches (a stator is assembled once)."""
         patches = [model.patches[pid] for pid in pids]
         cached = model.side == "rotor" and self._pids(patches) == tuple(pids)
         key = (tuple(pids), None if keep is None else keep.tobytes())
         hit = self._scatters.get(key) if cached else None
         if hit is not None:
             return hit
+        kept = None if keep is None else self._band_order[keep[self._band_order]]
         scatter = _csr_scatter(self.groups(patches), [self._maps[pid].reshape(-1) for pid in pids],
-                               self._n_global, keep)
+                               self._n_global, kept)
         # read-only views; the sums read the slots through their base (:func:`_sum_into`)
         scatter = tuple(arr.view() for arr in scatter)
         for arr in scatter:
@@ -651,8 +658,9 @@ def _csr(scatter, weights) -> sp.csr_matrix:
 def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
                keep, mass: float = 0.0) -> sp.csr_matrix:
     """Sum over patches of coeffs[pid] * grad-grad (plus optional mass term)
-    on the dofs of the bool mask ``keep`` (all, with no boundary
-    elimination, when None); patches with a zero coefficient are skipped.
+    on the dofs of the bool mask ``keep`` in the dof map's band order (all,
+    in global order with no boundary elimination, when None); patches with
+    a zero coefficient are skipped.
     An entry between a closure copy and a function that is none is taken
     with the closure's field sign.  The element entries are summed into the
     CSR data by one ``np.bincount`` over the plan's scatter in
@@ -842,7 +850,8 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
                            design_mask: np.ndarray) -> sp.csr_matrix:
     """H1-type metric for planar deformation fields of the masked dofs, over
     the whole machine: the Hermitian (n, n) matrix (complex128) of the
-    complex displacement x + iy, n the masked count.
+    complex displacement x + iy, n the masked count, its rows in the dof
+    map's band order (:attr:`igamotor.design.DesignSpace.free`).
 
     The bilinear form integrates the Frobenius product of the Jacobians plus
     the pointwise product of the fields, ``copies`` times over the model.

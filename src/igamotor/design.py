@@ -7,7 +7,9 @@ patches deform.  Masked out (held fixed): every control point of a magnet
 patch, the interface circle, and the shaft boundary; everything else in
 the deforming patches is free, two components per point.  The magnets
 never move, which is why the shape gradient carries no magnetization term.
-Vectors over the design space are stacked [x-components; y-components].
+Vectors over the design space are stacked [x-components; y-components],
+each over the free points in the dof map's band order, the row order of
+the deformation metric on them.
 
 The geometry is periodic even where the field is antiperiodic: a closure
 copy of a free point moves by the point's displacement turned by the
@@ -52,7 +54,7 @@ class DesignSpace:
         if not mask.any():
             raise ConfigError("design mask is empty")
         self.mask = mask
-        self.free = np.flatnonzero(mask)
+        self.free = dm.free_globals[mask[dm.free_globals]]     # in the band order
         self.index = np.full(dm.n_global, -1, dtype=int)
         self.index[self.free] = np.arange(self.free.size)
         self.patch_ids = tuple(

@@ -11,28 +11,37 @@ rotor angles of the coupling precomputation.  The order n alone chooses
 the back end, and both accept and reject the same matrices:
 
 * n <= ``DENSE_MAX_N``: one dense LAPACK Cholesky (``potrf``, solved by
-  ``potrs``).  At these orders SuperLU's numeric work is the smaller part
-  of its call, beside the sparse format conversions, the pattern check and
-  the copy of the factor read for its pivots.
-* n > ``DENSE_MAX_N``: SuperLU in symmetric mode with a fill-reducing
-  ordering.
+  ``potrs``).  At these orders the banded path's sparse conversions and
+  pattern check cost more than the dense factor saves.
+* n > ``DENSE_MAX_N``: LAPACK banded Cholesky (``pbtrf``, solved by
+  ``pbtrs``) on the band read from K's pattern.  The operators come
+  restricted to a dof map's band order, ring by ring, where the band is
+  about p radial levels of the side's angles wide
+  (:class:`igamotor.geometry.DofMap`).
 
 Factor plus solve of the demo's matrices (median ms, 2-core VM, one BLAS
-thread; the stiffness with its 7 columns [G j], the metric with one complex
-column):
+thread; the stiffness with its columns [G j], 7 at refinements 0-2 with 12
+harmonics and 13 at 3-4 with the benchmark's 24, the metric with one
+complex column; kd the half-bandwidth; the refinement-4 stator's dense
+array alone would be 216 MB, and was not timed):
 
-    refinement   rotor stiffness      stator stiffness     metric (complex)
-                 n     dense  SuperLU n     dense  SuperLU n     dense  SuperLU
-    0            36    0.05   0.16    72    0.08   0.26    21    0.05   0.14
-    1            81    0.10   0.31    162   0.26   0.60    56    0.08   0.18
-    2            225   0.48   0.70    450   4.12   2.36    174   0.66   0.58
-    3            729   7.75   2.44    1458  51.7   4.46    602   12.3   2.36
+    refinement   rotor stiffness          stator stiffness         metric (complex)
+                 n     kd   dense  band   n     kd   dense  band   n     kd   dense  band
+    0            36    16   0.03   0.08   72    28   0.05   0.14   21    8    0.02   0.07
+    1            81    22   0.06   0.11   162   40   0.18   0.20   56    22   0.06   0.10
+    2            225   34   0.82   0.24   450   64   4.01   0.52   174   34   0.48   0.22
+    3            729   58   9.95   1.22   1458  112  49.1   2.53   602   58   10.1   1.06
+    4            2601  106  283    5.09   5202  208  -      17.2   2226  106  404    5.74
 
 On leading blocks of the refinement-3 matrices the dense factor is the
-faster up to about n = 325 for the real stiffness, but only up to about
-n = 170 for the complex metric (0.84 of SuperLU's time at n = 150, 1.01 at
-175), whose Cholesky costs four real ones; ``DENSE_MAX_N`` = 150 keeps the
-complex matrices on the faster side too.
+faster up to about n = 195 for the real stiffness (0.91 of the banded
+time at n = 175, 1.09 at 200), but only up to about n = 125 for the
+complex metric (0.83 at n = 100, 1.01 at 125, 1.32 at 150), whose
+Cholesky costs four real ones.  ``DENSE_MAX_N`` = 150 lies between the
+two: a complex matrix of 126-150 rows factors up to a third slower than
+in its band, a real one of 151-195 rows about a tenth slower than
+densely.  Every bound from 81 to 161 sends each matrix of the table to
+the same back end.
 
 The dense interface systems are real, and complex input to them is
 rejected rather than cast.  The interface systems of the rotor angles come
@@ -47,7 +56,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import FactorizationError, SingularSystemError
@@ -60,8 +68,8 @@ def _real(a) -> np.ndarray:
     return a
 
 
-# factorize's dense bound, the complex metric's measured crossover rounded
-# down (module docstring)
+# factorize's dense bound, between the measured crossovers of the complex
+# metric and the real stiffness (module docstring)
 DENSE_MAX_N = 150
 
 
@@ -89,21 +97,20 @@ class SpdFactorization:
 
 def factorize(K: sp.spmatrix) -> SpdFactorization:
     """Factorize a sparse real SPD or complex HPD matrix for repeated solves:
-    densely (:func:`_cholesky`) up to ``DENSE_MAX_N`` rows, by SuperLU
-    (:func:`_superlu`) above.  Both back ends accept and reject the same
+    densely (:func:`_cholesky`) up to ``DENSE_MAX_N`` rows, in its band
+    (:func:`_banded`) above.  Both back ends accept and reject the same
     matrices: the matrix must be square, Hermitian to 1e-12 of its largest
     entry, max |K - K^H| <= 1e-12 max(1, max |K|) (K^H = K^T for a real K),
-    and give only positive pivots.  A stored entry that is not finite is
-    refused before either back end sees it: the Hermitian test's inf - inf
-    is NaN, which passes its comparison.  A dense factorization holds its
-    one (n, n) factor; a SuperLU one also holds the L and U copies its
-    pivot check reads."""
+    and give only positive, finite pivots.  A stored entry that is not
+    finite is refused before either back end sees it: the Hermitian test's
+    inf - inf is NaN, which passes its comparison.  A factorization holds
+    its one factor array, (n, n) dense or (kd + 1, n) banded."""
     if K.shape[0] != K.shape[1]:
         raise FactorizationError("matrix is not square: %r" % (K.shape,))
     stored = K.data if K.format in ("csr", "csc", "coo") else K.tocsr().data
     if not np.isfinite(stored).all():
         raise FactorizationError("matrix has a non-finite entry")
-    return _cholesky(K) if K.shape[0] <= DENSE_MAX_N else _superlu(K)
+    return _cholesky(K) if K.shape[0] <= DENSE_MAX_N else _banded(K)
 
 
 def _check_hermitian(asym: np.ndarray, scale: float):
@@ -119,8 +126,8 @@ def _cholesky(K: sp.spmatrix) -> SpdFactorization:
     difference the sparse one stores, and zeros where it stores none, so
     the Hermitian test decides as the sparse difference does.  A leading
     minor that is not positive stops ``potrf`` (info > 0); it, or a pivot
-    that is not finite, is reported as the sparse path reports a
-    nonpositive pivot.  The factor is the one (n, n) array; no other copy
+    that is not finite, is reported as a nonpositive pivot, as the banded
+    path reports it.  The factor is the one (n, n) array; no other copy
     is kept."""
     dtype = complex if np.iscomplexobj(K.data) else float
     # toarray(order="F") of a CSR matrix converts it to CSC first; the copy
@@ -130,48 +137,57 @@ def _cholesky(K: sp.spmatrix) -> SpdFactorization:
     potrf, potrs = ((lapack.zpotrf, lapack.zpotrs) if dtype is complex
                     else (lapack.dpotrf, lapack.dpotrs))
     factor, info = potrf(A, lower=True, clean=False, overwrite_a=True)
-    # a NaN pivot passes potrf's test (SuperLU refuses it as singular)
+    # a NaN pivot may pass potrf's test
     if info > 0 or not np.isfinite(np.diagonal(factor)).all():
         raise FactorizationError("nonpositive pivot: matrix is not positive definite")
     return SpdFactorization(lambda b: potrs(factor, b, lower=True)[0], K.shape[0], dtype)
 
 
-def _superlu(K: sp.spmatrix) -> SpdFactorization:
-    """SuperLU in symmetric mode with a fill-reducing ordering of a square K.
+def _banded(K: sp.spmatrix) -> SpdFactorization:
+    """LAPACK banded Cholesky (``pbtrf``, real or complex by the dtype) of
+    a square K, solved by ``pbtrs``.  The half-bandwidth kd is the largest
+    row - column of a stored entry of the lower triangle, which the factor
+    reads alone (as ``potrf`` does); the (kd + 1, n) band is the one array
+    the factorization holds.  Operators restricted to a dof map's free
+    globals come in its band order, where kd is about p radial levels of
+    the side's angles (:class:`igamotor.geometry.DofMap`).
 
-    When the canonical CSR and CSC forms have equal index arrays (a
-    symmetric pattern), the CSC data is K^T on the CSR pattern, so K - K^H
-    is csr.data - conj(csc.data): the same differences the sparse K - K^H
-    forms, which drops only exact zeros, so the test accepts and rejects
-    exactly as that sparse difference does.  Any other matrix goes through
-    the sparse difference.  With diagonal pivoting preferred, a Hermitian
-    matrix factors with the signs of its eigenvalue inertia on the real
-    parts of the U diagonal, so indefiniteness shows up as a nonpositive
-    pivot.  SuperLU exposes that diagonal only through ``lu.U``, whose
-    first read builds both L and U as CSC copies of the factor, kept on
-    the SuperLU object (and so held by the factorization) for its lifetime.
-    """
+    Duplicate entries are summed first.  The canonical CSR and CSC forms
+    then have equal index arrays when the pattern is symmetric, and the
+    CSC data is K^T on the CSR pattern, so K - K^H is csr.data -
+    conj(csc.data): the same differences the sparse K - K^H forms, which
+    drops only exact zeros, so the test accepts and rejects exactly as
+    that sparse difference does.  Any other matrix goes through the sparse
+    difference.  A leading minor that is not positive stops ``pbtrf``
+    (info > 0); it, or a pivot that is not finite, is reported as the
+    dense path reports it."""
     csr = K.tocsr()
-    K = K.tocsc()
-    n = K.shape[0]
-    dtype = complex if np.iscomplexobj(K.data) else float
-    if (csr.has_canonical_format and K.has_canonical_format
-            and np.array_equal(csr.indptr, K.indptr) and np.array_equal(csr.indices, K.indices)):
-        asym = csr.data - K.data.conj()
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    csc = csr.tocsc()
+    n = csr.shape[0]
+    dtype = complex if np.iscomplexobj(csr.data) else float
+    if (csc.has_canonical_format and np.array_equal(csr.indptr, csc.indptr)
+            and np.array_equal(csr.indices, csc.indices)):
+        asym = csr.data - csc.data.conj()
     else:
-        asym = (K - K.conj().T).tocoo().data
-    _check_hermitian(asym, float(np.max(np.abs(K.data))) if K.nnz else 1.0)
-    del csr, asym                    # the factorization's peak need not hold them
-    try:
-        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise FactorizationError("sparse factorization failed: %s" % exc) from exc
-    del K                            # nor the CSC copy while L and U are copied out
-    pivots = lu.U.diagonal().real
-    if np.any(pivots <= 0.0):
+        asym = (csr - csr.conj().T).tocoo().data
+    _check_hermitian(asym, float(np.max(np.abs(csr.data))) if csr.nnz else 1.0)
+    del csc, asym                    # the band need not coexist with them
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    offset = rows - csr.indices      # row - column of each stored entry
+    lower = offset >= 0
+    offset, cols, data = offset[lower], csr.indices[lower], csr.data[lower]
+    ab = np.zeros((int(offset.max(initial=0)) + 1, n), dtype=dtype, order="F")
+    ab[offset, cols] = data          # LAPACK's lower band: ab[i - j, j] = K[i, j]
+    del rows, offset, lower, cols, data
+    pbtrf, pbtrs = ((lapack.zpbtrf, lapack.zpbtrs) if dtype is complex
+                    else (lapack.dpbtrf, lapack.dpbtrs))
+    factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0 or not np.isfinite(factor[0]).all():
         raise FactorizationError("nonpositive pivot: matrix is not positive definite")
-    return SpdFactorization(lu.solve, n, dtype)
+    return SpdFactorization(lambda b: pbtrs(factor, b, lower=1)[0], n, dtype)
 
 
 def spd_stack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -539,6 +539,12 @@ def _assert_csr_identical(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def _band_rows(dm, mask):
+    """The globals of ``mask`` in the dof map's band order: the rows of an
+    operator restricted to them."""
+    return dm.band_order[mask[dm.band_order]]
+
+
 def _vector_metric_oracle(model, dm, mask, coeffs, h1):
     """The vector metric on the dofs of ``mask`` in its real form [[A, B],
     [-B, A]] on the stacked [x; y], as (A, B), from scalar operators
@@ -546,15 +552,15 @@ def _vector_metric_oracle(model, dm, mask, coeffs, h1):
     times ``factor`` of its t_row - t_col (:func:`_cross`): A the scalar
     metric and B empty without a turn, else A with its entries between a
     closure copy and a non-copy times cos of the turn and B their sin,
-    signed."""
-    idx = np.flatnonzero(mask)
+    signed.  Its rows are the masked globals in the dof map's band order."""
+    idx = _band_rows(dm, mask)
     copies = float(model.copies)
     if dm.turn is None:
-        A = h1(coeffs, copies, lambda cross: 1.0)[idx][:, idx].tocsr()
+        A = _restrict_oracle(h1(coeffs, copies, lambda cross: 1.0), idx)
         return A, sp.csr_matrix(A.shape)
     cos, sin = dm.turn[0, 0], dm.turn[1, 0]
-    A = h1(coeffs, copies, lambda cross: np.where(cross != 0, cos, 1.0))[idx][:, idx].tocsr()
-    B = h1(coeffs, copies, lambda cross: cross * sin)[idx][:, idx].tocsr()
+    A = _restrict_oracle(h1(coeffs, copies, lambda cross: np.where(cross != 0, cos, 1.0)), idx)
+    B = _restrict_oracle(h1(coeffs, copies, lambda cross: cross * sin), idx)
     B.eliminate_zeros()
     return A, B
 
@@ -729,7 +735,7 @@ def test_operators_equal_per_patch_loop_bitwise(coarse_cfg, refined_cases):
         expected = _h1_per_patch_oracle(model, dm, [relmap[tag] for tag in model.tags])
         free = dm.free_globals
         _assert_csr_identical(assemble_stiffness(model, dm, relmap),
-                              expected[free][:, free].tocsr())
+                              _restrict_oracle(expected, free))
     for model, dm in refined_cases[1:]:
         mask = DesignSpace(model, dm).mask
         coeffs = [model.copies * float(mask[gmap.reshape(-1)].any()) for gmap in dm.patch_maps]
@@ -841,10 +847,12 @@ def test_vectors_and_coupling_equal_per_patch_loops_bitwise(coarse_cfg, refined_
                                   _coupling_edge_loop_oracle(model, dm, orders, n_gauss))
 
 
-def _restrict_oracle(mat, keep):
-    """The full matrix with the rows and columns outside ``keep`` removed."""
-    idx = np.flatnonzero(keep)
-    return mat[idx][:, idx].tocsr()
+def _restrict_oracle(mat, idx):
+    """The rows and columns ``idx`` of the full matrix, in that order, as a
+    canonical CSR matrix."""
+    out = mat[idx][:, idx].tocsr()
+    out.sort_indices()
+    return out
 
 
 def test_restricted_operators_equal_full_assembly_restricted_bitwise(coarse_cfg, refined_cases):
@@ -852,13 +860,15 @@ def test_restricted_operators_equal_full_assembly_restricted_bitwise(coarse_cfg,
         relmap = build_reluctivity_map(model, coarse_cfg)
         full = assembly._h1_matrix(model, dm, [relmap[tag] for tag in model.tags], keep=None)
         _assert_csr_identical(assemble_stiffness(model, dm, relmap),
-                              _restrict_oracle(full, ~dm.dirichlet))
+                              _restrict_oracle(full, dm.free_globals))
     for model, dm in refined_cases[1:]:
-        # the metric on every dof: no masked row or column touches a magnet
-        # patch, which only the unrestricted metric integrates
+        # the metric on every dof, its rows all globals in the band order:
+        # no masked row or column touches a magnet patch, which only the
+        # unrestricted metric integrates
         mask = DesignSpace(model, dm).mask
         full = assemble_vector_metric(model, dm, np.ones(dm.n_global, dtype=bool))
-        _assert_csr_identical(assemble_vector_metric(model, dm, mask), _restrict_oracle(full, mask))
+        _assert_csr_identical(assemble_vector_metric(model, dm, mask),
+                              _restrict_oracle(full, np.flatnonzero(mask[dm.band_order])))
 
 
 def _module_cache_sizes():
@@ -976,13 +986,15 @@ def test_closure_crosses_are_kept_on_the_plan(coarse_cfg, coarse_machine, coarse
         assert span == span_again and cross_again is cross and not cross.flags.writeable
 
 
-def _scatter_oracle(groups, maps, n_global, keep):
+def _scatter_oracle(groups, maps, n_global, kept):
     """The pattern and slots of every element-matrix entry (patch, element,
-    row, column order) by ``np.unique`` over all entries."""
-    index = np.arange(n_global) if keep is None else np.cumsum(keep) - 1
-    n = int(index[-1]) + 1
-    if keep is not None:
-        index[~keep] = -1
+    row, column order) by ``np.unique`` over all entries, on the globals
+    ``kept`` in their order (all when None)."""
+    if kept is None:
+        kept = np.arange(n_global)
+    index = np.full(n_global, -1)
+    index[kept] = np.arange(kept.size)
+    n = kept.size
     tables = {i: space[0] for ids, space in groups for i in ids}
     entries = []
     for i in sorted(tables):
@@ -1001,9 +1013,12 @@ def test_scatter_equals_np_unique_oracle(refinement):
         dm = build_dof_map(model)
         groups = assembly._group(model.patches, {})
         maps = [gmap.reshape(-1) for gmap in dm.patch_maps]
-        for keep in (None, ~dm.dirichlet):
-            produced = assembly._csr_scatter(groups, maps, dm.n_global, keep)
-            expected = _scatter_oracle(groups, maps, dm.n_global, keep)
+        # all globals, the free ones in the band order, and half of them
+        # in an order of no pattern
+        shuffled = np.random.default_rng(refinement).permutation(dm.free_globals)
+        for kept in (None, dm.free_globals, shuffled[:shuffled.size // 2]):
+            produced = assembly._csr_scatter(groups, maps, dm.n_global, kept)
+            expected = _scatter_oracle(groups, maps, dm.n_global, kept)
             # int32 CSR indices; intp slots, which np.bincount reads in place
             for a, b, dtype in zip(produced, expected, (np.int32, np.int32, np.intp)):
                 assert a.dtype == dtype and np.array_equal(a, b)

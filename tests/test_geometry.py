@@ -262,6 +262,46 @@ def test_glue_labels_match_union_find(case, data):
     assert np.array_equal(_number(_join(forest, a, b), node)[1], oracle)
 
 
+def _band_order_oracle(model, dm):
+    """The band order of an annular side written out point by point: each
+    global's (radial level, folded angle) from every control point it
+    glues, the closure's copies of the first angle by the angle modulo the
+    side's angle count, which all points of a global must agree on."""
+    n_sectors = model.meta["n_sectors"]
+    keys = {}
+    for pid, gmap in enumerate(dm.patch_maps):
+        ring, sector = divmod(pid, n_sectors)
+        n_u, n_v = gmap.shape
+        n_angles = n_sectors * (n_v - 1)
+        for i in range(n_u):
+            for j in range(n_v):
+                angle = (sector * (n_v - 1) + j) % n_angles
+                folded = 2 * angle if 2 * angle < n_angles else 2 * (n_angles - angle) - 1
+                key = (ring * (n_u - 1) + i, folded)
+                assert keys.setdefault(int(gmap[i, j]), key) == key
+    assert len(set(keys.values())) == len(keys) == dm.n_global
+    return np.array(sorted(keys, key=keys.get))
+
+
+@pytest.mark.parametrize("refinement", [0, 1, 2, 3])
+def test_free_numbering_follows_the_band_order(refinement):
+    # the pole pitch and the full ring: band_order is the point-by-point
+    # order, and the free positions number the non-Dirichlet globals, each
+    # once, in it
+    cfg = coarse_config(refinement=refinement, n_harmonics=4)
+    for model in list(build_demo_machine(cfg)) + list(build_demo_machine(cfg, 2 * cfg.pole_pairs)):
+        dm = build_dof_map(model)
+        assert np.array_equal(dm.band_order, _band_order_oracle(model, dm))
+        assert np.array_equal(np.sort(dm.free_globals), np.flatnonzero(~dm.dirichlet))
+        assert np.array_equal(dm.free_globals, dm.band_order[~dm.dirichlet[dm.band_order]])
+        assert np.array_equal(dm.free_index[dm.free_globals], np.arange(dm.n_free))
+        assert (dm.free_index[dm.dirichlet] == -1).all()
+    # a model without the annular layout keeps the global order
+    dm = build_dof_map(_ring_model())
+    assert np.array_equal(dm.band_order, np.arange(dm.n_global))
+    assert np.array_equal(dm.free_globals, np.arange(dm.n_global))
+
+
 def test_dof_map_two_patches_share_edge():
     model = MultipatchModel(
         patches=[square_patch_p2(0.0), square_patch_p2(1.0)],

@@ -1,13 +1,18 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import machine_sides
 from igamotor import linalg
-from igamotor.assembly import assemble_vector_metric
+from igamotor.assembly import assemble_stiffness, assemble_vector_metric, build_reluctivity_map
 from igamotor.design import DesignSpace
 from igamotor.errors import FactorizationError, SingularSystemError
-from igamotor.geometry import MachineConfig
+from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
 from igamotor.linalg import DENSE_MAX_N, factorize, spd_stack_solve
 from igamotor.optim import MachineSolver
 
@@ -22,7 +27,7 @@ def random_hpd(n, rng):
     return sp.csc_matrix(A @ A.conj().T + n * np.eye(n))
 
 
-# the largest order factored densely and the smallest factored by SuperLU:
+# the largest order factored densely and the smallest factored in its band:
 # the contract tests run at both
 SIZES = (DENSE_MAX_N, DENSE_MAX_N + 1)
 
@@ -36,10 +41,10 @@ def embed(M, n):
 
 
 @pytest.mark.parametrize("n, backend", [(2, "_cholesky"), (DENSE_MAX_N, "_cholesky"),
-                                        (DENSE_MAX_N + 1, "_superlu")])
+                                        (DENSE_MAX_N + 1, "_banded")])
 def test_backend_is_chosen_by_size(monkeypatch, rng, n, backend):
     called = []
-    for name in ("_cholesky", "_superlu"):
+    for name in ("_cholesky", "_banded"):
         real = getattr(linalg, name)
         monkeypatch.setattr(linalg, name,
                             lambda K, real=real, name=name: called.append(name) or real(K))
@@ -75,8 +80,7 @@ def test_factorize_rejects_indefinite_and_singular():
     for n in SIZES:
         with pytest.raises(FactorizationError, match="nonpositive pivot"):
             factorize(embed([[1.0, 2.0], [2.0, 1.0]], n))
-        # singular, eigenvalues 0 and 2: an exactly zero pivot, which the
-        # dense back end reports as nonpositive and SuperLU as a failed factor
+        # singular, eigenvalues 0 and 2: an exactly zero pivot
         with pytest.raises(FactorizationError):
             factorize(embed([[1.0, 1.0], [1.0, 1.0]], n))
         with pytest.raises(FactorizationError):         # a NaN pivot
@@ -90,8 +94,8 @@ def test_factorize_rejects_indefinite_and_singular():
                                      {(2, 2): np.nan}],
                          ids=["inf-diagonal", "inf-symmetric-pair", "nan"])
 def test_factorize_refuses_non_finite_entries(n, entries):
-    # both back ends give one verdict: SuperLU alone took the infinite
-    # diagonal, whose inf - inf in the Hermitian test is NaN
+    # both back ends give one verdict, before either sees the matrix: the
+    # infinite diagonal's inf - inf in the Hermitian test is NaN
     K = sp.lil_matrix(4.0 * sp.identity(n))
     for (i, j), value in entries.items():
         K[i, j] = value
@@ -327,7 +331,7 @@ def test_backends_agree_on_the_demo_matrices(refinement, rng):
     # the demo's stator and rotor stiffness with their right-hand sides
     # [G j], and its deformation metric with a complex one, each solved by
     # both back ends whatever its order: every column agrees to 1e-12 of its
-    # largest entry (measured at most 5.2e-14, condition numbers up to 1.1e5,
+    # largest entry (measured at most 9.3e-14, condition numbers up to 1.1e5,
     # at 1 and 2 BLAS threads), and a zero column is zero in both
     solver = MachineSolver(MachineConfig(refinement=refinement, n_harmonics=12, n_angles=12,
                                          harmonics_multiple_of_poles=True))
@@ -337,7 +341,80 @@ def test_backends_agree_on_the_demo_matrices(refinement, rng):
     g = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
     for K, b in ((K_st, np.column_stack([G_st, j_st])), (K_rt, np.column_stack([G_rt, j_rt])),
                  (H, g[:, None])):
-        dense, sparse = linalg._cholesky(K).solve(b), linalg._superlu(K).solve(b)
+        dense, sparse = linalg._cholesky(K).solve(b), linalg._banded(K).solve(b)
         assert dense.dtype == sparse.dtype and dense.shape == sparse.shape
         scale = np.abs(sparse).max(axis=0)
         assert (np.abs(dense - sparse).max(axis=0) <= 1e-12 * scale).all()
+
+
+def _half_bandwidth(K):
+    coo = K.tocoo()
+    return int(np.abs(coo.row - coo.col).max())
+
+
+def _pitch_operators(refinement):
+    """The pole pitch's free stator and rotor stiffness and the rotor's
+    deformation metric on its design mask, with each side's angle count."""
+    cfg = MachineConfig(refinement=refinement, n_harmonics=4, n_angles=12)
+    out = []
+    for model in build_demo_machine(cfg):            # stator, then rotor
+        dm = build_dof_map(model)
+        n_angles = model.meta["n_sectors"] * (model.patches[0].n_v - 1)
+        out.append((assemble_stiffness(model, dm, build_reluctivity_map(model, cfg)), n_angles))
+    out.append((assemble_vector_metric(model, dm, DesignSpace(model, dm).mask), n_angles))
+    return out
+
+
+@pytest.mark.parametrize("refinement", [0, 1, 2, 3, 4])
+def test_pitch_operators_are_narrow_banded(refinement):
+    # in the band order a row couples rows at most p = 2 radial levels of
+    # n_a angles and 2p folded angles away: kd <= 2 n_a + 4 (measured 106,
+    # 208 and 106 at refinement 4, the stiffness on the bound)
+    for K, n_angles in _pitch_operators(refinement):
+        assert _half_bandwidth(K) <= 2 * n_angles + 4
+
+
+def test_banded_solve_matches_dense_solve():
+    # the refinement-2 stiffness of either side and the complex metric,
+    # all above DENSE_MAX_N: the band's solve is np.linalg.solve's to 1e-12
+    # of the largest entry
+    rng = np.random.default_rng(7)
+    for K, _ in _pitch_operators(2):
+        assert K.shape[0] > DENSE_MAX_N
+        b = rng.standard_normal((K.shape[0], 3)).astype(K.dtype)
+        if np.iscomplexobj(b):
+            b += 1j * rng.standard_normal(b.shape)
+        x = factorize(K).solve(b)
+        ref = np.linalg.solve(K.toarray(), b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_banded_factor_holds_its_band_alone():
+    # the refinement-4 rotor stiffness (2,601 rows, kd 106): the
+    # factorization holds the (kd + 1, n) band and nothing else of that
+    # size, no copy of the factor read for its pivots
+    K = _pitch_operators(4)[1][0]
+    band = (_half_bandwidth(K) + 1) * K.shape[0] * K.data.itemsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        F = factorize(K)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert band <= held < 1.1 * band
+    b = np.ones(K.shape[0])
+    assert np.linalg.norm(K @ F.solve(b) - b) < 1e-10 * np.linalg.norm(b)
+
+
+def test_import_loads_no_sparse_solver():
+    # every igamotor module imported in a fresh process: scipy.sparse.linalg
+    # (and SuperLU with it) stays unloaded
+    code = ("import pkgutil, sys, igamotor\n"
+            "for mod in pkgutil.iter_modules(igamotor.__path__):\n"
+            "    __import__('igamotor.' + mod.name)\n"
+            "assert 'igamotor.cli' in sys.modules and 'scipy.sparse' in sys.modules\n"
+            "sys.exit('scipy.sparse.linalg' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

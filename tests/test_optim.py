@@ -7,7 +7,6 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import Phase, given, settings, strategies as st
 
 from igamotor import optim
@@ -22,7 +21,7 @@ from igamotor.geometry import (
     build_dof_map,
     check_mesh_validity,
 )
-from igamotor.linalg import SpdFactorization, factorize
+from igamotor.linalg import DENSE_MAX_N, SpdFactorization, factorize
 from igamotor.optim import (
     LineSearchResult,
     MachineSolver,
@@ -522,13 +521,29 @@ def solver_r1():
     return MachineSolver(coarse_config(refinement=1, harmonics_multiple_of_poles=True))
 
 
+def _factor_shape(K):
+    """The shape of the factor array ``factorize(K)`` holds: (n, n) dense up
+    to DENSE_MAX_N rows, the (kd + 1, n) band above."""
+    n = K.shape[0]
+    if n <= DENSE_MAX_N:
+        return (n, n)
+    coo = K.tocoo()
+    return (int((coo.row - coo.col).max()) + 1, n)
+
+
 def test_no_sparse_factorization_is_retained(solver_r1):
     # each K is factored for one solve of [G j]: neither the machine nor an
-    # evaluated rotor keeps a factorization, its SuperLU or K itself
+    # evaluated rotor keeps a factorization, its factor array or K itself
+    # (at refinement 1 the rotor's 81 rows are factored densely, the
+    # stator's 162 in their band)
     result = solver_r1.evaluate(solver_r1.rotor0)
     objects = _reachable(solver_r1, result)
     assert any(obj is result[1].rt.X for obj in objects)     # the walk reaches the products
-    assert not [obj for obj in objects if isinstance(obj, (SpdFactorization, spla.SuperLU))]
+    factors = {_factor_shape(K) for K, _, _ in machine_sides(solver_r1)}
+    assert sorted(rows == cols for rows, cols in factors) == [False, True]    # one of each
+    assert not [obj for obj in objects if isinstance(obj, SpdFactorization)]
+    assert not [obj for obj in objects
+                if isinstance(obj, np.ndarray) and obj.shape in factors]
     assert not [obj for obj in objects if sp.issparse(obj)]
 
 
