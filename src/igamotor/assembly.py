@@ -644,49 +644,82 @@ def _sum_into(slots, weights, size: int) -> np.ndarray:
     return np.bincount(slots, weights, minlength=size)
 
 
-def _csr(scatter, weights) -> sp.csr_matrix:
-    """The CSR matrix of the entries ``weights`` summed by one
-    ``np.bincount`` over the slots of ``scatter`` (:func:`_csr_scatter`),
-    those of dropped dofs into the slot past the data."""
+def _phased_matrices(scatter, blocks, closure, phases) -> list:
+    """One CSR matrix per closure phase of ``phases``, each the element
+    entries ``blocks`` summed by one ``np.bincount`` over the slots of
+    ``scatter`` (:func:`_csr_scatter`; those of dropped dofs go to the slot
+    past the data), an entry of closure cross c (``closure`` of
+    :func:`_h1_blocks`) taken times phase^-c.  A real phase (a closure
+    sign, +-1) gives a real matrix, its closure entries times the phase.
+    A complex phase e^{i phi} gives a complex one, cos phi h on the closure
+    entries of the real part and -c sin phi h in the imaginary part.  This
+    is the one closure-phase path of the stiffness, its Bloch modes and
+    the metric.  The closure entries of ``blocks`` are scaled in place for
+    the last phase, on a copy for the others."""
     indptr, indices, slots = scatter
-    n = indptr.size - 1
-    data = _sum_into(slots, weights, indices.size + 1)[:indices.size]
-    # the matrix gets its own index arrays: callers may modify it in place
-    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    n, size = indptr.size - 1, indices.size + 1
+    matrices = []
+    for k, phase in enumerate(phases):
+        weights = blocks if k == len(phases) - 1 else blocks.copy()
+        if isinstance(phase, complex):
+            data = np.zeros(size, dtype=complex)
+            if closure:
+                # -sin(phi (t_row - t_col)) h on the entries of the closure patches
+                data.imag = _sum_into(np.concatenate([slots[span] for span, _ in closure]),
+                                      np.concatenate([weights[span] * (cross * -phase.imag)
+                                                      for span, cross in closure]), size)
+        if phase.real != 1.0:
+            for span, cross in closure:
+                weights[span][cross != 0] *= phase.real
+        if isinstance(phase, complex):
+            data.real = _sum_into(slots, weights, size)
+        else:
+            data = _sum_into(slots, weights, size)
+        # each matrix gets its own index arrays: callers may modify it in place
+        matrices.append(sp.csr_matrix((data[:-1], indices.copy(), indptr.copy()), shape=(n, n)))
+    return matrices
 
 
 def _h1_matrix(model: MultipatchModel, dofmap: DofMap, coeffs,
-               keep, mass: float = 0.0) -> sp.csr_matrix:
+               keep, mass: float = 0.0, phases=None):
     """Sum over patches of coeffs[pid] * grad-grad (plus optional mass term)
     on the dofs of the bool mask ``keep`` in the dof map's band order (all,
     in global order with no boundary elimination, when None); patches with
     a zero coefficient are skipped.
     An entry between a closure copy and a function that is none is taken
-    with the closure's field sign.  The element entries are summed into the
-    CSR data by one ``np.bincount`` over the plan's scatter in
-    patch/element order, so every kept entry is the sum of the same terms
-    in the same order as in the unrestricted matrix."""
+    with the closure's field sign, or, given a list of closure ``phases``,
+    once per phase, which returns a list of matrices
+    (:func:`_phased_matrices`).  The element entries are formed once and
+    summed into the CSR data by one ``np.bincount`` per matrix over the
+    plan's scatter in patch/element order, so every kept entry is the sum
+    of the same terms in the same order as in the unrestricted matrix."""
     pids = [pid for pid, coeff in enumerate(coeffs) if coeff != 0.0]
     if not pids:
         raise AssemblyError("no patch contributes to the operator")
     # the scatter first, so its transients are freed before the blocks exist
     scatter = dofmap.plan.scatter(model, pids, keep)
     blocks, closure = _h1_blocks(model, dofmap, pids, coeffs, mass)
-    if dofmap.closure_sign != 1.0:
-        for span, cross in closure:
-            blocks[span][cross != 0] *= dofmap.closure_sign
-    return _csr(scatter, blocks)
+    if phases is None:
+        return _phased_matrices(scatter, blocks, closure, [dofmap.closure_sign])[0]
+    return _phased_matrices(scatter, blocks, closure, phases)
 
 
 def assemble_stiffness(model: MultipatchModel, dofmap: DofMap,
-                       reluctivity_by_tag: dict) -> sp.csr_matrix:
+                       reluctivity_by_tag: dict, phases=None):
     """Free-dof stiffness matrix of -div(nu grad u); symmetric positive
-    definite after Dirichlet row/column elimination."""
+    definite after Dirichlet row/column elimination.
+
+    Given a list of closure ``phases`` (real +-1 or complex e^{i phi}), one
+    matrix per phase from one set of element blocks and one scatter, each
+    entry between a closure copy and a function that is none taken times
+    the phase, or its conjugate (:func:`_phased_matrices`): on a
+    :func:`igamotor.geometry.periodic_sector`, the Bloch mode matrices
+    K_omega of the model it is a period of, Hermitian positive definite."""
     for tag in set(model.tags):
         if reluctivity_by_tag[tag] <= 0.0:
             raise AssemblyError("reluctivity must be positive for tag %r" % (tag,))
     coeffs = [reluctivity_by_tag[tag] for tag in model.tags]
-    return _h1_matrix(model, dofmap, coeffs, keep=~dofmap.dirichlet)
+    return _h1_matrix(model, dofmap, coeffs, ~dofmap.dirichlet, phases=phases)
 
 
 def _element_signs(dofmap: DofMap, pids, dofs):
@@ -870,21 +903,10 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
         raise ConfigError("design mask selects no degrees of freedom")
     copies = float(model.copies)
     coeffs = [copies * float(mask[gmap.reshape(-1)].any()) for gmap in dofmap.patch_maps]
-    pids = [pid for pid, coeff in enumerate(coeffs) if coeff != 0.0]
-    indptr, indices, slots = dofmap.plan.scatter(model, pids, mask)
-    blocks, closure = _h1_blocks(model, dofmap, pids, coeffs, copies)
-    data = np.zeros(indices.size + 1, dtype=complex)
-    if dofmap.turn is not None and closure:
-        cos, sin = dofmap.turn[0, 0], dofmap.turn[1, 0]
-        # -sin(phi (t_row - t_col)) h on the entries of the closure patches
-        data.imag = _sum_into(np.concatenate([slots[span] for span, _ in closure]),
-                              np.concatenate([blocks[span] * (cross * -sin)
-                                              for span, cross in closure]), data.size)
-        for span, cross in closure:
-            blocks[span][cross != 0] *= cos
-    data.real = _sum_into(slots, blocks, data.size)
-    n = indptr.size - 1
-    return sp.csr_matrix((data[:-1], indices.copy(), indptr.copy()), shape=(n, n))
+    # without a turn the phase is 1: a complex matrix whose imaginary part is 0
+    turn = dofmap.turn
+    phase = complex(1.0) if turn is None else complex(turn[0, 0], turn[1, 0])
+    return _h1_matrix(model, dofmap, coeffs, mask, mass=copies, phases=[phase])[0]
 
 
 # --------------------------------------------------------------------------

@@ -67,10 +67,18 @@ it the flux linkage and the adjoint load, counts all 2p copies.
 
 CouplingPrecomp, one rotor's coupled system, is the machine's SweepPlan
 and the rotor's products.  A side keeps only X, y, H and g: its K is
-factored, solved once for the stacked columns [G j] and dropped with its
+solved once for the stacked columns [G j] and dropped with its
 factorization, since the per-angle stage reads only the products.  The
-stator's G and j are dropped once the plan is built; the rotor's stay with
-MachineSolver, which solves with them for every rotor geometry.
+rotor's K is factored whole.  The stator's never is: the stator is N equal
+slot pitches, so its K is block-circulant over them (up to the closure
+sign) and is solved as N Bloch modes on the first slot pitch
+(linalg.BlochModes, optim.stator_modes): [G_st j_st] is projected onto
+each mode, each mode matrix of a third of the pitch's rows and band is
+factored, solved and dropped in turn, and the mode solutions are summed
+back into X_st and y_st in the pitch's numbering, so H_st, g_st and every
+product downstream keep their form.  The stator's G and j are dropped once
+the plan is built; the rotor's stay with MachineSolver, which solves with
+them for every rotor geometry.
 full_residual, the residual of an angle solution in the coupled system,
 takes each side's (K, G, j) as arguments.  The primary correctness oracle,
 agreement with the full saddle system solved directly, lives with the
@@ -85,7 +93,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fourier import SweepResult
-from .linalg import factorize, matvec, spd_stack_solve
+from .linalg import BlochModes, factorize, matvec, spd_stack_solve
 
 
 def harmonic_orders(n_harmonics: int, multiples_of: int = 1) -> np.ndarray:
@@ -169,16 +177,21 @@ class SidePrecomp:
     g: np.ndarray          # G^T K^-1 j
 
 
-def _solve_columns(K: sp.spmatrix, G: np.ndarray, j: np.ndarray):
+def _solve_columns(K, G: np.ndarray, j: np.ndarray):
     """(X, y) = (K^-1 G, K^-1 j) from one solve of the stacked columns
-    [G j] with a factorization that is freed on return.  The solve returns
-    Fortran order, so X, a column slice, keeps the layout of a solve of G
-    alone, and every product with it its bits."""
-    Xy = factorize(K).solve(np.column_stack([G, j]))
+    [G j]: K is a sparse matrix, whose factorization is freed on return, or
+    the :class:`igamotor.linalg.BlochModes` of one, whose mode factors are
+    freed in turn.  The solve returns Fortran order, so X, a column slice,
+    keeps the layout of a solve of G alone, and every product with it its
+    bits."""
+    system = K if isinstance(K, BlochModes) else factorize(K)
+    Xy = system.solve(np.column_stack([G, j]))
     return Xy[:, :-1], Xy[:, -1]
 
 
-def precompute_side(K: sp.spmatrix, G: np.ndarray, j: np.ndarray) -> SidePrecomp:
+def precompute_side(K, G: np.ndarray, j: np.ndarray) -> SidePrecomp:
+    """One side's products from its stiffness K, a sparse matrix or its
+    Bloch modes (:func:`_solve_columns`), its moments G and its load j."""
     X, y = _solve_columns(K, G, j)
     return SidePrecomp(X, y, G.T @ X, G.T @ y)
 

@@ -355,55 +355,71 @@ class DofMap:
         return full
 
 
-def _not_close(a: np.ndarray, b: np.ndarray, sizes: np.ndarray, atol) -> np.ndarray:
-    """Per segment of the flat arrays a and b (consecutive, of lengths
-    ``sizes``): whether a value fails np.allclose's test |a - b| <= atol +
-    1e-5 |b| (equal infinities pass, NaN never), for all segments in one
-    comparison; ``atol`` is a scalar or one value per segment."""
-    starts = np.cumsum(sizes) - sizes
-    atol = np.repeat(np.broadcast_to(atol, sizes.shape), sizes)
+def _not_close(a: np.ndarray, b: np.ndarray, starts: np.ndarray, atol) -> np.ndarray:
+    """Per segment of the rows of a and b (segments of consecutive rows
+    from the row numbers ``starts``): whether a value fails np.allclose's
+    test |a - b| <= atol + 1e-5 |b| (equal infinities pass, NaN never),
+    for all segments in one comparison; ``atol`` broadcasts against a."""
     with np.errstate(invalid="ignore"):          # inf - inf: decided by a == b
         close = (a == b) | ((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b))
+    if close.ndim > 1:
+        close = close.all(axis=1)
     return ~np.logical_and.reduceat(close, starts)
 
 
-def _check_conforming(model: MultipatchModel, conn, ends, points, weights):
+def _check_conforming(model: MultipatchModel, conn, a, b, size_a, size_b, points, weights):
     """Raise ConformityError for the first connection of ``conn`` whose
     edges differ in degree or knot count, knots (atol 1e-14), or control
     data: points (atol 1e-12 max(1, max |point|)) and weights (atol 1e-12).
-    ``ends`` holds per connection the flat control point numbers
-    (patch-major) of both edges, matched in running order, into the
-    concatenated control ``points`` (n, 2) and ``weights`` (n,) of the
-    patches.  The connections past the model's connectivity are its
-    closure: their edge b points are compared turned by the model's turn.
-    Every connection is compared in the same few array operations."""
+    ``a`` and ``b`` hold the flat control point numbers (patch-major) of
+    the edges a and b of every connection, matched in running order,
+    ``size_a`` and ``size_b`` points per connection, into the concatenated
+    control ``points`` (n, 2) and ``weights`` (n,) of the patches.  The
+    connections past the model's connectivity are its closure: their edge b
+    points are compared turned by the model's turn.  The distinct knot
+    vectors are numbered once and compared only where two edges hold
+    different objects (the patches of a refined model share theirs); the
+    control data of every connection is compared in one pass."""
     if not conn:
         return
-    knots = [(_edge_knots(model.patches[pa], ea), _edge_knots(model.patches[pb], eb))
-             for pa, ea, pb, eb, _ in conn]
-    degree = np.array([[a.degree, b.degree] for a, b in knots])
-    count = np.array([[a.knots.size, b.knots.size] for a, b in knots])
-    mismatch = (degree[:, 0] != degree[:, 1]) | (count[:, 0] != count[:, 1])
+    # per patch the numbers of the knot vectors along its u edges (knots_v)
+    # and along its v edges (knots_u)
+    number, vectors = {}, []
+    for kv in (kv for patch in model.patches for kv in (patch.knots_v, patch.knots_u)):
+        if number.setdefault(id(kv), len(vectors)) == len(vectors):
+            vectors.append(kv)
+    table = np.array([number[id(kv)] for patch in model.patches
+                      for kv in (patch.knots_v, patch.knots_u)]).reshape(-1, 2)
+    ka = table[[c[0] for c in conn], [int(c[1][0] == "v") for c in conn]]
+    kb = table[[c[2] for c in conn], [int(c[3][0] == "v") for c in conn]]
+    mismatch = np.zeros(len(conn), dtype=bool)
     bad_knots = np.zeros(len(conn), dtype=bool)
-    bad = mismatch.copy()
+    apart = np.flatnonzero(ka != kb)
+    for k in apart.tolist():
+        u, v = vectors[ka[k]], vectors[kb[k]]
+        mismatch[k] = u.degree != v.degree or u.knots.size != v.knots.size
+        bad_knots[k] = not mismatch[k] and bool(_not_close(u.knots, v.knots, np.zeros(1, int),
+                                                           1e-14)[0])
+    bad = mismatch | bad_knots
     ok = np.flatnonzero(~mismatch)
     if ok.size:
-        bad_knots[ok] = _not_close(np.concatenate([knots[k][0].knots for k in ok]),
-                                   np.concatenate([knots[k][1].knots for k in ok]),
-                                   count[ok, 0], 1e-14)
-        node_a = np.concatenate([ends[k][0] for k in ok])
-        node_b = np.concatenate([ends[k][1] for k in ok])
-        sizes = np.array([ends[k][0].size for k in ok])
-        qa, qb = points[node_a], points[node_b]
+        if ok.size < len(conn):
+            a, b = a[np.repeat(~mismatch, size_a)], b[np.repeat(~mismatch, size_b)]
+        sizes = size_a[ok]
+        starts = np.cumsum(sizes) - sizes
+        # (x, y, w) of each matched pair's two points
+        qa, qb = (np.column_stack([points[n], weights[n]]) for n in (a, b))
         turn = model.turn
-        if turn is not None:
-            closed = np.repeat(ok >= len(model.connectivity), sizes)
-            qb[closed] = qb[closed] @ turn.T
+        if turn is not None:           # the closure's connections come last
+            plain = int(sizes[ok < len(model.connectivity)].sum())
+            qb[plain:, :2] = qb[plain:, :2] @ turn.T
         # max(1, max |point|) of each edge a: fmax, as Python's max, takes 1 over a NaN
-        scale = np.fmax(1.0, np.maximum.reduceat(np.abs(qa).max(axis=1), np.cumsum(sizes) - sizes))
-        bad[ok] = (bad_knots[ok]
-                   | _not_close(qa.reshape(-1), qb.reshape(-1), 2 * sizes, 1e-12 * scale)
-                   | _not_close(weights[node_a], weights[node_b], sizes, 1e-12))
+        atol = np.empty((qa.shape[0], 3))
+        atol[:, :2] = np.repeat(np.fmax(1.0, np.maximum.reduceat(np.abs(qa[:, :2]).max(axis=1),
+                                                                 starts)), sizes)[:, None]
+        atol[:, :2] *= 1e-12
+        atol[:, 2] = 1e-12
+        bad[ok] |= _not_close(qa, qb, starts, atol)
     if bad.any():
         k = int(np.argmax(bad))
         pa, ea, pb, eb, _ = conn[k]
@@ -504,10 +520,12 @@ def build_dof_map(model: MultipatchModel) -> DofMap:
     for pa, ea, pb, eb, reverse in conn:
         nb = grids[pb][_edge_index(eb)]
         ends.append((grids[pa][_edge_index(ea)], nb[::-1] if reverse else nb))
-    _check_conforming(model, conn, ends, points, weights)
     a, b = _cat([e for e, _ in ends]), _cat([e for _, e in ends])
+    size_a = np.array([e.size for e, _ in ends], dtype=int)
+    _check_conforming(model, conn, a, b, size_a, np.array([e.size for _, e in ends], dtype=int),
+                      points, weights)
     if model.closure:
-        n_plain = sum(e.size for e, _ in ends[:len(model.connectivity)])
+        n_plain = int(size_a[:len(model.connectivity)].sum())
         plain = _join(node.copy(), a[:n_plain], b[:n_plain])
         copied = np.zeros(total, dtype=bool)
         copied[plain[a[n_plain:]]] = True
@@ -546,6 +564,90 @@ def build_dof_map(model: MultipatchModel) -> DofMap:
                   points.take(last, axis=0), weights[last],
                   tuple((p.knots_u, p.knots_v, p.weights) for p in model.patches),
                   patch_copies, float(model.closure_sign), model.turn)
+
+
+def _sector_grid(model: MultipatchModel, n_periods: int):
+    """(n_rings, n_sectors, m) of an annular model of ``n_periods`` equal
+    periods of m sectors each; GeometryError for any other model."""
+    n_rings, n_sectors = model.meta.get("n_rings"), model.meta.get("n_sectors")
+    if (n_rings is None or n_periods < 1 or n_sectors % n_periods
+            or len(model.patches) != n_rings * n_sectors):
+        raise GeometryError("model is no rings x sectors grid of %d periods" % n_periods)
+    return n_rings, n_sectors, n_sectors // n_periods
+
+
+def periodic_sector(model: MultipatchModel, n_periods: int) -> MultipatchModel:
+    """The first of the ``n_periods`` equal periods of an annular model
+    (the stator pitch's slot pitches): the first n_sectors / n_periods
+    sectors of every ring, on the model's own patch objects, with the
+    connections, boundary and interface edges among them, closed across
+    its own seam (the last sector's v1 edge glued to the first's v0 edge,
+    turned by the period).  The sector is one of ``copies * n_periods``
+    copies of its side.  Its closure_sign is +1: an operator of one of
+    its Bloch modes takes that mode's phase across the seam instead
+    (:func:`igamotor.assembly.assemble_stiffness`)."""
+    n_rings, n_sectors, m = _sector_grid(model, n_periods)
+    new = {r * n_sectors + s: r * m + s for r in range(n_rings) for s in range(m)}
+    last = (n_periods - 1) * m             # a closure's edge a lies in the last period
+
+    def mapped(entries):
+        return [(new[e[0]],) + tuple(e[1:]) for e in entries if e[0] in new]
+
+    return MultipatchModel(
+        patches=[model.patches[pid] for pid in new],
+        tags=[model.tags[pid] for pid in new],
+        side=model.side,
+        r_interface=model.r_interface,
+        connectivity=[(new[pa], ea, new[pb], eb, rev) for pa, ea, pb, eb, rev
+                      in model.connectivity if pa in new and pb in new],
+        dirichlet_edges=mapped(model.dirichlet_edges),
+        interface_edges=mapped(model.interface_edges),
+        meta=dict(model.meta, n_sectors=m, sector_bounds=model.meta["sector_bounds"][:m]),
+        closure=[(new[pa - last], ea, new[pb], eb, rev) for pa, ea, pb, eb, rev in model.closure],
+        copies=model.copies * n_periods,
+        closure_sign=1,
+    )
+
+
+def period_images(model: MultipatchModel, dofmap: DofMap, sector: DofMap,
+                  n_periods: int) -> np.ndarray:
+    """(n, n_periods) int: the free position in ``dofmap`` (of ``model``)
+    of the image in period k of each of the n free dofs of ``sector``, the
+    dof map of :func:`periodic_sector` (model, n_periods).  A sector
+    function at a closure copy lies in the next period, so a point of the
+    model in period k is the image of its sector global with exponent k,
+    or k + 1 at a copy on the seam; the model's own closure copies are no
+    free position.  GeometryError unless every sector dof has exactly one
+    image per period."""
+    n_rings, n_sectors, m = _sector_grid(model, n_periods)
+    shapes = {gmap.shape for gmap in dofmap.patch_maps}
+    if len(shapes) != 1:
+        raise GeometryError("the model's patches differ in shape")
+    shape = shapes.pop()
+
+    def stacked(arrays, flags=False):
+        """(n_rings, periods, m, nodes): the per-patch arrays, joined; for
+        ``flags``, a patch's None stands for no flag set."""
+        if flags:
+            arrays = [np.zeros(shape, dtype=bool) if a is None else a for a in arrays]
+        return np.concatenate(arrays).reshape(n_rings, -1, m, shape[0] * shape[1])
+
+    own = stacked(dofmap.patch_maps)
+    keep = ~stacked(dofmap.patch_copies, flags=True)
+    exponent = np.arange(n_periods)[:, None, None] + stacked(sector.patch_copies, flags=True)
+    sector_global = np.zeros(dofmap.n_global, dtype=int)
+    exponent_of = np.full(dofmap.n_global, -1)
+    at = own[keep]
+    sector_global[at] = np.broadcast_to(stacked(sector.patch_maps), own.shape)[keep]
+    exponent_of[at] = np.broadcast_to(exponent, own.shape)[keep]
+    free = dofmap.free_globals
+    row, col = sector.free_index[sector_global[free]], exponent_of[free]
+    images = np.full((sector.n_free, n_periods), -1)
+    if free.size == images.size and (row >= 0).all() and ((col >= 0) & (col < n_periods)).all():
+        images[row, col] = np.arange(free.size)
+    if (images < 0).any():
+        raise GeometryError("the model is not %d images of its first period" % n_periods)
+    return images
 
 
 def check_mesh_validity(model: MultipatchModel, eps_jacobian: float = 0.0,

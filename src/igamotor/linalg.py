@@ -4,7 +4,8 @@ one matrix with stacked rows.
 
 :func:`factorize` takes a real symmetric matrix (the stiffness matrices) or
 a complex Hermitian one (the deformation metric of the pole pitch, whose
-closure turns the complex displacement x + iy by a phase); a complex
+closure turns the complex displacement x + iy by a phase, and the stator's
+complex Bloch modes, whose closure takes the mode's phase); a complex
 right-hand side is solved only by a complex factor, never cast to real.
 One factorization is amortized over the many harmonic right-hand sides and
 rotor angles of the coupling precomputation.  The order n alone chooses
@@ -20,18 +21,22 @@ the back end, and both accept and reject the same matrices:
   (:class:`igamotor.geometry.DofMap`).
 
 Factor plus solve of the demo's matrices (median ms, 2-core VM, one BLAS
-thread; the stiffness with its columns [G j], 7 at refinements 0-2 with 12
-harmonics and 13 at 3-4 with the benchmark's 24, the metric with one
-complex column; kd the half-bandwidth; the refinement-4 stator's dense
-array alone would be 216 MB, and was not timed):
+thread; the stiffness and the stator's modes with their columns [G j], 7
+at refinements 0-2 with 12 harmonics and 13 at 3-4 with the benchmark's
+24, the metric with one complex column; kd the half-bandwidth).  The
+stator is solved as the Bloch modes of its first slot pitch
+(:class:`BlochModes`), a real one (omega = -1) and a complex one (omega =
+e^{i pi/3}) on the pole pitch, each of a third of the pitch's rows and
+band; the pitch's own stiffness (5,202 rows, kd 208 at refinement 4,
+17.2 ms in its band) is no longer factored:
 
-    refinement   rotor stiffness          stator stiffness         metric (complex)
-                 n     kd   dense  band   n     kd   dense  band   n     kd   dense  band
-    0            36    16   0.03   0.08   72    28   0.05   0.14   21    8    0.02   0.07
-    1            81    22   0.06   0.11   162   40   0.18   0.20   56    22   0.06   0.10
-    2            225   34   0.82   0.24   450   64   4.01   0.52   174   34   0.48   0.22
-    3            729   58   9.95   1.22   1458  112  49.1   2.53   602   58   10.1   1.06
-    4            2601  106  283    5.09   5202  208  -      17.2   2226  106  404    5.74
+    refinement   rotor stiffness         stator mode -1          stator mode e^{i pi/3}   metric (complex)
+                 n     kd   dense  band  n     kd  dense  band   n     kd  dense  band    n     kd   dense  band
+    0            36    16   0.03   0.09  24    11  0.02   0.08   24    11  0.03   0.08    21    8    0.03   0.13
+    1            81    22   0.09   0.18  54    16  0.06   0.16   54    16  0.10   0.11    56    22   0.06   0.10
+    2            225   34   0.90   0.24  150   24  0.16   0.29   150   24  1.19   0.22    174   34   1.10   0.23
+    3            729   58   11.4   1.17  486   40  3.55   0.68   486   40  11.9   0.97    602   58   14.5   1.05
+    4            2601  106  288    5.29  1734  72  90.9   2.88   1734  72  212    5.18    2226  106  402    9.69
 
 On leading blocks of the refinement-3 matrices the dense factor is the
 faster up to about n = 195 for the real stiffness (0.91 of the banded
@@ -40,8 +45,11 @@ complex metric (0.83 at n = 100, 1.01 at 125, 1.32 at 150), whose
 Cholesky costs four real ones.  ``DENSE_MAX_N`` = 150 lies between the
 two: a complex matrix of 126-150 rows factors up to a third slower than
 in its band, a real one of 151-195 rows about a tenth slower than
-densely.  Every bound from 81 to 161 sends each matrix of the table to
-the same back end.
+densely.  The complex slot-pitch mode at refinement 2, 150 rows with a
+band narrower than those blocks', is the one matrix of the table on the
+slow side: 1.19 ms dense against 0.22 ms in its band.  Every bound from
+150 to 173 sends each matrix of the table to the same back end; one from
+81 to 149 would send the two refinement-2 modes to their band.
 
 The dense interface systems are real, and complex input to them is
 rejected rather than cast.  The interface systems of the rotor angles come
@@ -113,10 +121,10 @@ def factorize(K: sp.spmatrix) -> SpdFactorization:
     return _cholesky(K) if K.shape[0] <= DENSE_MAX_N else _banded(K)
 
 
-def _check_hermitian(asym: np.ndarray, scale: float):
-    """FactorizationError when an entry of K - K^H, ``asym``, exceeds 1e-12
-    max(1, ``scale``), scale the largest |K|."""
-    if asym.size and float(np.max(np.abs(asym))) > 1e-12 * max(1.0, scale):
+def _check_hermitian(largest: float, scale: float):
+    """FactorizationError when ``largest``, the largest |entry| of K - K^H,
+    exceeds 1e-12 max(1, ``scale``), scale the largest |K|."""
+    if largest > 1e-12 * max(1.0, scale):
         raise FactorizationError("matrix is not symmetric")
 
 
@@ -133,7 +141,8 @@ def _cholesky(K: sp.spmatrix) -> SpdFactorization:
     # toarray(order="F") of a CSR matrix converts it to CSC first; the copy
     # of the C-order array into Fortran order costs a tenth of that at n = 36
     A = np.asfortranarray(K.toarray(), dtype=dtype)
-    _check_hermitian(A - A.conj().T, float(np.abs(A).max(initial=0.0)))
+    _check_hermitian(float(np.abs(A - A.conj().T).max(initial=0.0)),
+                     float(np.abs(A).max(initial=0.0)))
     potrf, potrs = ((lapack.zpotrf, lapack.zpotrs) if dtype is complex
                     else (lapack.dpotrf, lapack.dpotrs))
     factor, info = potrf(A, lower=True, clean=False, overwrite_a=True)
@@ -158,36 +167,95 @@ def _banded(K: sp.spmatrix) -> SpdFactorization:
     conj(csc.data): the same differences the sparse K - K^H forms, which
     drops only exact zeros, so the test accepts and rejects exactly as
     that sparse difference does.  Any other matrix goes through the sparse
-    difference.  A leading minor that is not positive stops ``pbtrf``
-    (info > 0); it, or a pivot that is not finite, is reported as the
-    dense path reports it."""
+    difference.  The lower triangle's entries are written into the band
+    through its flat Fortran positions.  A leading minor that is not
+    positive stops ``pbtrf`` (info > 0); it, or a pivot that is not
+    finite, is reported as the dense path reports it."""
     csr = K.tocsr()
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()
+    n, data = csr.shape[0], csr.data
+    dtype = complex if np.iscomplexobj(data) else float
     csc = csr.tocsc()
-    n = csr.shape[0]
-    dtype = complex if np.iscomplexobj(csr.data) else float
     if (csc.has_canonical_format and np.array_equal(csr.indptr, csc.indptr)
             and np.array_equal(csr.indices, csc.indices)):
-        asym = csr.data - csc.data.conj()
+        asym = data - (csc.data.conj() if dtype is complex else csc.data)
     else:
         asym = (csr - csr.conj().T).tocoo().data
-    _check_hermitian(asym, float(np.max(np.abs(csr.data))) if csr.nnz else 1.0)
-    del csc, asym                    # the band need not coexist with them
+    del csc
+    _check_hermitian(float(np.abs(asym).max(initial=0.0)),
+                     float(np.abs(data).max(initial=0.0)) if csr.nnz else 1.0)
+    del asym                         # the band need not coexist with it
     rows = np.repeat(np.arange(n), np.diff(csr.indptr))
     offset = rows - csr.indices      # row - column of each stored entry
     lower = offset >= 0
-    offset, cols, data = offset[lower], csr.indices[lower], csr.data[lower]
-    ab = np.zeros((int(offset.max(initial=0)) + 1, n), dtype=dtype, order="F")
-    ab[offset, cols] = data          # LAPACK's lower band: ab[i - j, j] = K[i, j]
-    del rows, offset, lower, cols, data
+    kd = int(offset.max(initial=0))
+    ab = np.zeros((kd + 1, n), dtype=dtype, order="F")
+    # LAPACK's lower band ab[i - j, j] = K[i, j], at j kd + i of the flat Fortran array
+    places = np.multiply(csr.indices, kd, dtype=np.intp) + rows
+    ab.reshape(-1, order="F")[places[lower]] = data[lower]
+    del rows, offset, lower, places
     pbtrf, pbtrs = ((lapack.zpbtrf, lapack.zpbtrs) if dtype is complex
                     else (lapack.dpbtrf, lapack.dpbtrs))
     factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0 or not np.isfinite(factor[0]).all():
         raise FactorizationError("nonpositive pivot: matrix is not positive definite")
     return SpdFactorization(lambda b: pbtrs(factor, b, lower=1)[0], n, dtype)
+
+
+def bloch_phases(n_images: int, sign: int) -> list:
+    """The closure phases of the Bloch modes of a model made of ``n_images``
+    turned images of one sector and closed with the field sign ``sign``:
+    the roots omega = e^{i pi t / n} of omega^n = sign with 0 <= t <= n,
+    t of the parity of [sign < 0], one of each complex-conjugate pair.
+    The real roots +-1 are floats, the others complex."""
+    phases = []
+    for t in range(int(sign < 0), n_images + 1, 2):
+        if t in (0, n_images):
+            phases.append(1.0 if t == 0 else -1.0)
+        else:
+            angle = np.pi * t / n_images
+            phases.append(complex(np.cos(angle), np.sin(angle)))
+    return phases
+
+
+class BlochModes:
+    """A real symmetric positive definite system K u = b on a model made of
+    N turned images of one sector, closed with a field sign sigma, held as
+    its Bloch modes: ``matrices``, the sector's Hermitian positive definite
+    K_omega, one per closure phase omega of ``phases``
+    (:func:`bloch_phases`), and ``images`` (n, N), the position in u of the
+    image in period k of each of the sector's n dofs.
+
+    K couples period k to its neighbours alone, and the image past the
+    last period is sigma times the first, so the transform u_omega =
+    sum_k omega^-k u_k over the N roots of omega^N = sigma turns K u = b
+    into the N sector systems K_omega u_omega = b_omega, and u_k = (1/N)
+    sum_omega omega^k u_omega.  For real b the conjugate root gives the
+    conjugate mode, so of each pair one is solved and taken as 2 Re."""
+
+    def __init__(self, matrices: list, phases: list, images: np.ndarray):
+        self.matrices, self.phases, self.images = matrices, phases, images
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve for one real right-hand side or a block of columns, in
+        Fortran order as :meth:`SpdFactorization.solve` returns it: each
+        mode is factored (:func:`factorize`), solved and dropped in turn."""
+        b = _real(b)
+        if b.shape[0] != self.images.size:
+            raise ValueError("right-hand side length %d != %d" % (b.shape[0], self.images.size))
+        n_images = self.images.shape[1]
+        parts = b[self.images]                       # (n, N, ...): the images of each dof
+        modes = np.zeros((n_images,) + parts.shape[:1] + parts.shape[2:])
+        for matrix, phase in zip(self.matrices, self.phases):
+            powers = np.power(phase, np.arange(n_images))             # omega^k
+            u = factorize(matrix).solve(np.matmul(powers.conj(), parts))
+            weight = 1.0 if isinstance(phase, float) else 2.0
+            modes += weight * np.multiply.outer(powers, u).real
+        out = np.empty(b.shape, order="F")
+        out[self.images.T.reshape(-1)] = modes.reshape((-1,) + b.shape[1:]) / n_images
+        return out
 
 
 def spd_stack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .design import DesignSpace
 from .errors import ConfigError, DegenerateSignalError, IgaError
 from .fourier import attach_spectrum, build_derivative_dft
 from .geometry import (
+    DofMap,
     MachineConfig,
     MultipatchModel,
     build_demo_machine,
@@ -42,8 +43,10 @@ from .geometry import (
     check_mesh_validity,
     checked_float,
     checked_int,
+    period_images,
+    periodic_sector,
 )
-from .linalg import factorize
+from .linalg import BlochModes, bloch_phases, factorize
 
 # below this the THD is the rounding noise of a distortion-free spectrum
 THD_ROUNDOFF = 1e4 * np.finfo(float).eps
@@ -83,6 +86,27 @@ class OptimizationState:
     reason: str = ""
 
 
+def stator_modes(stator: MultipatchModel, dofmap: DofMap, cfg: MachineConfig) -> BlochModes:
+    """The stiffness of the stator model ``stator`` (dof map ``dofmap``) as
+    its Bloch modes over the N slot pitches it spans, N = its arc /
+    ``cfg.stator_period`` (3 on the pole pitch, 3 poles in general): its
+    first slot pitch as a :func:`igamotor.geometry.periodic_sector` with a
+    dof map of its own, one mode matrix per closure phase of
+    :func:`igamotor.linalg.bloch_phases` (N, the model's closure sign) from
+    one assembly, and the images of the sector's free dofs among the
+    model's."""
+    n = round(2 * np.pi / (stator.copies * cfg.stator_period))
+    sector = periodic_sector(stator, n)
+    sector_map = build_dof_map(sector)
+    # the sector's patches are the model's own objects: its plan reads the
+    # basis tables the model's plan holds (keyed by value) instead of
+    # forming them again
+    sector_map.plan.tables = dofmap.plan.tables
+    phases = bloch_phases(n, stator.closure_sign)
+    matrices = assemble_stiffness(sector, sector_map, build_reluctivity_map(sector, cfg), phases)
+    return BlochModes(matrices, phases, period_images(stator, dofmap, sector_map, n))
+
+
 class MachineSolver:
     """The assembled machine for one configuration, shared by the optimizer
     and every CLI command.
@@ -92,16 +116,21 @@ class MachineSolver:
     coupling keeps the configured harmonic orders that the model's closure
     admits, the odd multiples of pole_pairs on the pitch (the others vanish
     by symmetry), integrated with the interface rule of the configured set.
-    The stator side (stiffness, coupling moments and source, the products
-    of its one solve, winding) is assembled once; of it only the winding
-    and the products are kept.  The products, with the orders, the period
-    and ``angles``, make the machine's :class:`igamotor.coupling.
-    SweepPlan`, which every precomputation shares, so a sweep or adjoint
-    over those angles does only the rotor's part.  Per rotor geometry only
-    the rotor stiffness is rebuilt, factored, solved and dropped.  The
-    magnet source and rotor coupling moments are invariant under the
-    admissible deformations (magnet patches and the interface are masked
-    fixed) and are cached from the initial rotor.
+    The stator side is solved once: its coupling moments and source are
+    assembled on the model, its stiffness never is.  The model is N equal
+    slot pitches, so its stiffness is solved as N Bloch modes on the first
+    slot pitch (:func:`stator_modes`): a real mode and a complex pair on
+    the pole pitch (N = 3, closure sign -1), each a third of the pitch's
+    rows and band, each factored, solved and dropped in turn.  Of the
+    stator only the winding and the products of that solve are kept.  The
+    products, with the orders, the period and ``angles``, make the
+    machine's :class:`igamotor.coupling.SweepPlan`, which every
+    precomputation shares, so a sweep or adjoint over those angles does
+    only the rotor's part.  Per rotor geometry only the rotor stiffness is
+    rebuilt, factored, solved and dropped.  The magnet source and rotor
+    coupling moments are invariant under the admissible deformations
+    (magnet patches and the interface are masked fixed) and are cached from
+    the initial rotor.
     """
 
     def __init__(self, cfg: MachineConfig, poles: int = 1):
@@ -117,8 +146,6 @@ class MachineSolver:
                               "pole_pairs=%d: nothing couples the two sides" % cfg.pole_pairs)
         self.flux_scale = cfg.pole_pairs * cfg.length_z
         self.winding = assemble_winding_vector(self.stator, self.dm_st, cfg, phase=1)
-        K_st = assemble_stiffness(self.stator, self.dm_st,
-                                  build_reluctivity_map(self.stator, cfg))
 
         def moments(model, dofmap):
             degree = max(patch.knots_u.degree for patch in model.patches)
@@ -127,8 +154,10 @@ class MachineSolver:
 
         G_st = moments(self.stator, self.dm_st)
         j_st = assemble_rhs(self.stator, self.dm_st, cfg, t=0.0)
-        self.plan = SweepPlan(precompute_side(K_st, G_st, j_st), self.orders,
-                              cfg.stator_period, sweep_angles(cfg.pole_pairs, cfg.n_angles))
+        self.plan = SweepPlan(precompute_side(stator_modes(self.stator, self.dm_st, cfg),
+                                              G_st, j_st),
+                              self.orders, cfg.stator_period,
+                              sweep_angles(cfg.pole_pairs, cfg.n_angles))
         self.angles = self.plan.angles
         self._G_rt = moments(self.rotor0, self.dm_rt)
         self._j_rt = assemble_rhs(self.rotor0, self.dm_rt, cfg)

@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
-from igamotor.assembly import (
-    assemble_coupling,
-    assemble_rhs,
-    assemble_stiffness,
-    assemble_winding_vector,
-    build_reluctivity_map,
-    coupling_gauss_count,
-)
-from igamotor.coupling import CouplingPrecomp, SweepPlan, harmonic_orders, precompute_side
+from igamotor.assembly import assemble_stiffness, assemble_winding_vector
+from igamotor.coupling import CouplingPrecomp, SweepPlan, precompute_side
 from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
 from igamotor.linalg import matvec
 from igamotor.optim import MachineSolver
 from igamotor.splines import NurbsPatch, insert_knots, make_arc_patch, rational_basis
+
+from oracles import stator_blocks
 
 
 def coarse_config(**overrides):
@@ -174,20 +169,12 @@ def scalar_field_rows(mc, stator_side, rotor_side, alpha, n_r, n_t):
 def machine_sides(solver):
     """(K, G, j) of ``solver``'s stator and of its initial rotor, from the
     calls ``MachineSolver`` makes, so the blocks it solved with, bit for
-    bit: the stator's assembled again (the solver drops them once its sweep
-    plan is built), with the interface rule of the configured orders, and
-    the rotor's G and j the solver keeps."""
-    cfg = solver.cfg
-    configured = harmonic_orders(cfg.n_harmonics,
-                                 cfg.pole_pairs if cfg.harmonics_multiple_of_poles else 1)
-    degree = max(patch.knots_u.degree for patch in solver.stator.patches)
-    G_st = assemble_coupling(solver.stator, solver.dm_st, solver.orders,
-                             coupling_gauss_count(degree, configured))
-    j_st = assemble_rhs(solver.stator, solver.dm_st, cfg, t=0.0)
-    K_st = assemble_stiffness(solver.stator, solver.dm_st,
-                              build_reluctivity_map(solver.stator, cfg))
+    bit: the stator's assembled again (the solver drops G and j once its
+    sweep plan is built, and solves its stiffness by Bloch modes, never
+    assembled on the model; :func:`oracles.stator_blocks`), and the
+    rotor's G and j the solver keeps."""
     K_rt = assemble_stiffness(solver.rotor0, solver.dm_rt, solver.relmap_rt)
-    return (K_st, G_st, j_st), (K_rt, solver._G_rt, solver._j_rt)
+    return stator_blocks(solver), (K_rt, solver._G_rt, solver._j_rt)
 
 
 def adjoint_rotor_fields(adj):

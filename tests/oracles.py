@@ -1,7 +1,9 @@
 """Test-only oracles of the library, none of which the pipeline runs: the
 full stator-rotor saddle system solved directly (acceptance 1), its dense
-rotation R(alpha), a recomputation of the precomputed products, and the
-quadrature helpers of the manufactured-solution and area checks."""
+rotation R(alpha), the stator's products by one direct factorization of
+the stiffness of the whole stator model (the pipeline solves its Bloch
+modes), a recomputation of the precomputed products, and the quadrature
+helpers of the manufactured-solution and area checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,8 +12,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from igamotor.assembly import _assemble_vector, _quadrature, build_patch_tables
-from igamotor.coupling import _partner_columns, _phases, _solve_columns
+from igamotor.assembly import (_assemble_vector, _quadrature, assemble_coupling, assemble_rhs,
+                               assemble_stiffness, build_patch_tables, build_reluctivity_map,
+                               coupling_gauss_count)
+from igamotor.coupling import _partner_columns, _phases, _solve_columns, harmonic_orders, precompute_side
 
 
 class OracleStabilityError(Exception):
@@ -33,6 +37,28 @@ def rotation_matrix(orders, alpha) -> np.ndarray:
     R[..., partner, cols] = sin    # an l = 0 column is its own partner:
     R[..., cols, cols] = cos       # its 0 is overwritten by cos 0 = 1
     return R
+
+
+def stator_blocks(solver) -> tuple:
+    """(K, G, j) of ``solver``'s stator model: the stiffness assembled on
+    the whole model (the pitch, or the ring), which the solver never forms,
+    and the coupling moments and load it assembles, bit for bit (the
+    interface rule of the configured orders)."""
+    cfg = solver.cfg
+    configured = harmonic_orders(cfg.n_harmonics,
+                                 cfg.pole_pairs if cfg.harmonics_multiple_of_poles else 1)
+    degree = max(patch.knots_u.degree for patch in solver.stator.patches)
+    G = assemble_coupling(solver.stator, solver.dm_st, solver.orders,
+                          coupling_gauss_count(degree, configured))
+    j = assemble_rhs(solver.stator, solver.dm_st, cfg, t=0.0)
+    K = assemble_stiffness(solver.stator, solver.dm_st, build_reluctivity_map(solver.stator, cfg))
+    return K, G, j
+
+
+def stator_direct_products(solver):
+    """The stator's X, y, H and g of ``solver`` by one factorization of the
+    whole model's stiffness: the direct solve the Bloch modes replace."""
+    return precompute_side(*stator_blocks(solver))
 
 
 @dataclass

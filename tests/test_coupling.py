@@ -20,7 +20,7 @@ from igamotor.coupling import (
 )
 from igamotor.fourier import SweepResult, attach_spectrum
 from igamotor.linalg import spd_stack_solve
-from igamotor.optim import THD_ROUNDOFF, MachineSolver
+from igamotor.optim import THD_ROUNDOFF, MachineSolver, stator_modes
 
 from conftest import coarse_config, machine_sides, zero_source_precompute, zero_sources
 from oracles import (
@@ -202,11 +202,13 @@ def test_precompute_products_verify(pre, coarse_sides):
 @pytest.mark.parametrize("multiples", [True, False], ids=["poles", "integers"])
 def test_machine_sides_reproduce_the_stator_products_bitwise(refinement, multiples):
     # the stator's G and j that the tests assemble for the full-system
-    # oracles, solved as the machine solves them, give its plan's X, y, H
-    # and g bit for bit: the oracles read the blocks the solver used
+    # oracles, solved as the machine solves them (by the stiffness's Bloch
+    # modes), give its plan's X, y, H and g bit for bit: the oracles read
+    # the blocks the solver used
     solver = MachineSolver(coarse_config(refinement=refinement,
                                          harmonics_multiple_of_poles=multiples))
-    st = precompute_side(*machine_sides(solver)[0])
+    _, G_st, j_st = machine_sides(solver)[0]
+    st = precompute_side(stator_modes(solver.stator, solver.dm_st, solver.cfg), G_st, j_st)
     for name in ("X", "y", "H", "g"):
         assert np.array_equal(getattr(st, name), getattr(solver.plan.st, name)), name
 

@@ -21,7 +21,7 @@ from igamotor.geometry import (
     build_dof_map,
     check_mesh_validity,
 )
-from igamotor.linalg import DENSE_MAX_N, SpdFactorization, factorize
+from igamotor.linalg import DENSE_MAX_N, BlochModes, SpdFactorization, factorize
 from igamotor.optim import (
     LineSearchResult,
     MachineSolver,
@@ -30,6 +30,7 @@ from igamotor.optim import (
     detj_screen,
     line_search,
     run_optimization,
+    stator_modes,
 )
 
 from conftest import coarse_config, machine_sides
@@ -534,14 +535,18 @@ def _factor_shape(K):
 def test_no_sparse_factorization_is_retained(solver_r1):
     # each K is factored for one solve of [G j]: neither the machine nor an
     # evaluated rotor keeps a factorization, its factor array or K itself
-    # (at refinement 1 the rotor's 81 rows are factored densely, the
-    # stator's 162 in their band)
+    # (at refinement 1 the rotor's 81 rows are factored densely, and the
+    # stator's 162 would be in their band), nor the stator's Bloch modes,
+    # their matrices or their factors (54 rows each, dense)
     result = solver_r1.evaluate(solver_r1.rotor0)
     objects = _reachable(solver_r1, result)
     assert any(obj is result[1].rt.X for obj in objects)     # the walk reaches the products
     factors = {_factor_shape(K) for K, _, _ in machine_sides(solver_r1)}
     assert sorted(rows == cols for rows, cols in factors) == [False, True]    # one of each
-    assert not [obj for obj in objects if isinstance(obj, SpdFactorization)]
+    modes = stator_modes(solver_r1.stator, solver_r1.dm_st, solver_r1.cfg)
+    assert {_factor_shape(K) for K in modes.matrices} == {(54, 54)}
+    factors |= {_factor_shape(K) for K in modes.matrices}
+    assert not [obj for obj in objects if isinstance(obj, (SpdFactorization, BlochModes))]
     assert not [obj for obj in objects
                 if isinstance(obj, np.ndarray) and obj.shape in factors]
     assert not [obj for obj in objects if sp.issparse(obj)]
