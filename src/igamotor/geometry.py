@@ -355,16 +355,11 @@ class DofMap:
         return full
 
 
-def _not_close(a: np.ndarray, b: np.ndarray, starts: np.ndarray, atol) -> np.ndarray:
-    """Per segment of the rows of a and b (segments of consecutive rows
-    from the row numbers ``starts``): whether a value fails np.allclose's
-    test |a - b| <= atol + 1e-5 |b| (equal infinities pass, NaN never),
-    for all segments in one comparison; ``atol`` broadcasts against a."""
+def _close(a: np.ndarray, b: np.ndarray, atol) -> np.ndarray:
+    """Elementwise np.allclose's test |a - b| <= atol + 1e-5 |b| (equal
+    infinities pass, NaN never); ``atol`` broadcasts against a."""
     with np.errstate(invalid="ignore"):          # inf - inf: decided by a == b
-        close = (a == b) | ((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b))
-    if close.ndim > 1:
-        close = close.all(axis=1)
-    return ~np.logical_and.reduceat(close, starts)
+        return (a == b) | ((np.abs(a - b) <= atol + 1e-5 * np.abs(b)) & np.isfinite(b))
 
 
 def _check_conforming(model: MultipatchModel, conn, a, b, size_a, size_b, points, weights):
@@ -379,7 +374,8 @@ def _check_conforming(model: MultipatchModel, conn, a, b, size_a, size_b, points
     points are compared turned by the model's turn.  The distinct knot
     vectors are numbered once and compared only where two edges hold
     different objects (the patches of a refined model share theirs); the
-    control data of every connection is compared in one pass."""
+    control data of every connection is compared in one pass, reduced per
+    connection by one ``np.logical_and.reduceat``."""
     if not conn:
         return
     # per patch the numbers of the knot vectors along its u edges (knots_v)
@@ -398,8 +394,7 @@ def _check_conforming(model: MultipatchModel, conn, a, b, size_a, size_b, points
     for k in apart.tolist():
         u, v = vectors[ka[k]], vectors[kb[k]]
         mismatch[k] = u.degree != v.degree or u.knots.size != v.knots.size
-        bad_knots[k] = not mismatch[k] and bool(_not_close(u.knots, v.knots, np.zeros(1, int),
-                                                           1e-14)[0])
+        bad_knots[k] = not mismatch[k] and not _close(u.knots, v.knots, 1e-14).all()
     bad = mismatch | bad_knots
     ok = np.flatnonzero(~mismatch)
     if ok.size:
@@ -407,19 +402,16 @@ def _check_conforming(model: MultipatchModel, conn, a, b, size_a, size_b, points
             a, b = a[np.repeat(~mismatch, size_a)], b[np.repeat(~mismatch, size_b)]
         sizes = size_a[ok]
         starts = np.cumsum(sizes) - sizes
-        # (x, y, w) of each matched pair's two points
-        qa, qb = (np.column_stack([points[n], weights[n]]) for n in (a, b))
+        qa, qb = points[a], points[b]
         turn = model.turn
         if turn is not None:           # the closure's connections come last
             plain = int(sizes[ok < len(model.connectivity)].sum())
-            qb[plain:, :2] = qb[plain:, :2] @ turn.T
+            qb[plain:] = qb[plain:] @ turn.T
         # max(1, max |point|) of each edge a: fmax, as Python's max, takes 1 over a NaN
-        atol = np.empty((qa.shape[0], 3))
-        atol[:, :2] = np.repeat(np.fmax(1.0, np.maximum.reduceat(np.abs(qa[:, :2]).max(axis=1),
-                                                                 starts)), sizes)[:, None]
-        atol[:, :2] *= 1e-12
-        atol[:, 2] = 1e-12
-        bad[ok] |= _not_close(qa, qb, starts, atol)
+        scale = np.fmax(1.0, np.maximum.reduceat(np.abs(qa).max(axis=1), starts))
+        close = (_close(qa, qb, np.repeat(1e-12 * scale, sizes)[:, None]).all(axis=1)
+                 & _close(weights[a], weights[b], 1e-12))
+        bad[ok] |= ~np.logical_and.reduceat(close, starts)
     if bad.any():
         k = int(np.argmax(bad))
         pa, ea, pb, eb, _ = conn[k]
