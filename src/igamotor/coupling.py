@@ -90,7 +90,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fourier import SweepResult
 from .linalg import BlochModes, factorize, matvec, spd_stack_solve

@@ -611,7 +611,7 @@ def period_images(model: MultipatchModel, dofmap: DofMap, sector: DofMap,
     or k + 1 at a copy on the seam; the model's own closure copies are no
     free position.  GeometryError unless every sector dof has exactly one
     image per period."""
-    n_rings, n_sectors, m = _sector_grid(model, n_periods)
+    n_rings, _, m = _sector_grid(model, n_periods)
     shapes = {gmap.shape for gmap in dofmap.patch_maps}
     if len(shapes) != 1:
         raise GeometryError("the model's patches differ in shape")

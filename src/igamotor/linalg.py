@@ -189,13 +189,15 @@ def _banded(K: sp.spmatrix) -> SpdFactorization:
     del asym                         # the band need not coexist with it
     rows = np.repeat(np.arange(n), np.diff(csr.indptr))
     offset = rows - csr.indices      # row - column of each stored entry
-    lower = offset >= 0
     kd = int(offset.max(initial=0))
-    ab = np.zeros((kd + 1, n), dtype=dtype, order="F")
+    lower = offset >= 0
     # LAPACK's lower band ab[i - j, j] = K[i, j], at j kd + i of the flat Fortran array
-    places = np.multiply(csr.indices, kd, dtype=np.intp) + rows
-    ab.reshape(-1, order="F")[places[lower]] = data[lower]
-    del rows, offset, lower, places
+    places = (np.multiply(csr.indices, kd, dtype=np.intp) + rows)[lower]
+    values = data[lower]
+    del rows, offset, lower          # the band need not coexist with them
+    ab = np.zeros((kd + 1, n), dtype=dtype, order="F")
+    ab.reshape(-1, order="F")[places] = values
+    del places, values
     pbtrf, pbtrs = ((lapack.zpbtrf, lapack.zpbtrs) if dtype is complex
                     else (lapack.dpbtrf, lapack.dpbtrs))
     factor, info = pbtrf(ab, lower=1, overwrite_ab=1)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from conftest import machine_sides
 from igamotor import linalg
@@ -14,7 +15,7 @@ from igamotor.design import DesignSpace
 from igamotor.errors import FactorizationError, SingularSystemError
 from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
 from igamotor.linalg import DENSE_MAX_N, factorize, spd_stack_solve
-from igamotor.optim import MachineSolver
+from igamotor.optim import MachineSolver, stator_modes
 
 
 def random_spd(n, rng):
@@ -405,6 +406,34 @@ def test_banded_factor_holds_its_band_alone():
     assert band <= held < 1.1 * band
     b = np.ones(K.shape[0])
     assert np.linalg.norm(K @ F.solve(b) - b) < 1e-10 * np.linalg.norm(b)
+
+
+def test_banded_factor_reads_the_lower_band_of_k(monkeypatch):
+    # the band handed to pbtrf is K's lower band, ab[i - j, j] = K[i, j],
+    # bit for bit, for the refinement-2 rotor stiffness and metric and the
+    # refinement-3 stator modes (486 rows, the complex one e^{i pi/3})
+    matrices = [K for K, _ in _pitch_operators(2)[1:]]
+    solver = MachineSolver(MachineConfig(refinement=3, n_harmonics=12, n_angles=12,
+                                         harmonics_multiple_of_poles=True))
+    matrices += stator_modes(solver.stator, solver.dm_st, solver.cfg).matrices
+    bands = []
+
+    class Lapack:
+        def __getattr__(self, name):
+            routine = getattr(lapack, name)
+            if not name.endswith("pbtrf"):
+                return routine
+            return lambda ab, **kw: bands.append(ab.copy(order="F")) or routine(ab, **kw)
+
+    monkeypatch.setattr(linalg, "lapack", Lapack())
+    for K in matrices:
+        assert K.shape[0] > DENSE_MAX_N
+        factorize(K)
+        A, kd = K.toarray(), _half_bandwidth(K)
+        ref = np.zeros((kd + 1, K.shape[0]), dtype=K.dtype)
+        for d in range(kd + 1):
+            ref[d, :K.shape[0] - d] = np.diagonal(A, -d)
+        assert np.array_equal(bands.pop(), ref)
 
 
 def test_import_loads_no_sparse_solver():
