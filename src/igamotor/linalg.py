@@ -248,16 +248,17 @@ class BlochModes:
         if b.shape[0] != self.images.size:
             raise ValueError("right-hand side length %d != %d" % (b.shape[0], self.images.size))
         n_images = self.images.shape[1]
-        parts = b[self.images]                       # (n, N, ...): the images of each dof
-        modes = np.zeros((n_images,) + parts.shape[:1] + parts.shape[2:])
+        cols = b.reshape(b.shape[0], -1)
+        parts = cols[self.images]                    # (n, N, m): the images of each dof
+        values = np.zeros((n_images,) + parts.shape[::2])        # (N, n, m): u at image k
         for matrix, phase in zip(self.matrices, self.phases):
             powers = np.power(phase, np.arange(n_images))             # omega^k
             u = factorize(matrix).solve(np.matmul(powers.conj(), parts))
-            weight = 1.0 if isinstance(phase, float) else 2.0
-            modes += weight * np.multiply.outer(powers, u).real
-        out = np.empty(b.shape, order="F")
-        out[self.images.T.reshape(-1)] = modes.reshape((-1,) + b.shape[1:]) / n_images
-        return out
+            weight = (1.0 if isinstance(phase, float) else 2.0) / n_images
+            values += np.multiply.outer(weight * powers, u).real
+        out = np.empty(cols.shape, order="F")
+        out[self.images.T.reshape(-1)] = values.reshape(cols.shape)
+        return out.reshape(b.shape, order="F")
 
 
 def spd_stack_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
