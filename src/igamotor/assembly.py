@@ -40,7 +40,9 @@ one scatter per quantity.
   function, and an operator entry between a copy and a function that is
   none takes it once (:func:`_h1_blocks` marks those entries).  The
   deformation metric takes the turn there, as a phase on the complex
-  displacement x + iy (:func:`assemble_vector_metric`).
+  displacement x + iy (:func:`assemble_vector_metric`), and a Bloch mode
+  of a periodic sector its own phase (:func:`assemble_stiffness`); the
+  sign and both phases are applied by one path, :func:`_phased_matrices`.
 
 :func:`eval_field` evaluates a field at arrays of points on the basis of
 :func:`igamotor.splines.patch_basis`, one evaluation per patch.

@@ -14,7 +14,9 @@ pitch model closes on itself: its last sector's v1 edge is glued to the
 first sector's v0 edge rotated by the pitch, and the field changes sign
 across that closure.  The full ring is the same construction over 2 p
 pitches, closed by a turn of 2 pi with sign +1; the tests build it as the
-oracle of the pitch.
+oracle of the pitch.  The stator's first slot pitch, closed on itself by
+the slot-pitch turn (periodic_sector), is the model its Bloch modes are
+assembled on; period_images numbers its dofs' images on the pitch.
 """
 from __future__ import annotations
 

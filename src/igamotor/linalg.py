@@ -23,20 +23,20 @@ the back end, and both accept and reject the same matrices:
 Factor plus solve of the demo's matrices (median ms, 2-core VM, one BLAS
 thread; the stiffness and the stator's modes with their columns [G j], 7
 at refinements 0-2 with 12 harmonics and 13 at 3-4 with the benchmark's
-24, the metric with one complex column; kd the half-bandwidth).  The
-stator is solved as the Bloch modes of its first slot pitch
-(:class:`BlochModes`), a real one (omega = -1) and a complex one (omega =
-e^{i pi/3}) on the pole pitch, each of a third of the pitch's rows and
-band; the pitch's own stiffness (5,202 rows, kd 208 at refinement 4,
-17.2 ms in its band) is no longer factored:
+24, the metric with one complex column; ref the refinement, kd the
+half-bandwidth).  The stator is solved as the Bloch modes of its first
+slot pitch (:class:`BlochModes`), a real one (omega = -1) and a complex
+one (omega = e^{i pi/3}) on the pole pitch, each of a third of the
+pitch's rows and band; the pitch's own stiffness (5,202 rows, kd 208 at
+refinement 4, 17.2 ms in its band) is no longer factored:
 
-    refinement   rotor stiffness         stator mode -1          stator mode e^{i pi/3}   metric (complex)
-                 n     kd   dense  band  n     kd  dense  band   n     kd  dense  band    n     kd   dense  band
-    0            36    16   0.03   0.09  24    11  0.02   0.08   24    11  0.03   0.08    21    8    0.03   0.13
-    1            81    22   0.09   0.18  54    16  0.06   0.16   54    16  0.10   0.11    56    22   0.06   0.10
-    2            225   34   0.90   0.24  150   24  0.16   0.29   150   24  1.19   0.22    174   34   1.10   0.23
-    3            729   58   11.4   1.17  486   40  3.55   0.68   486   40  11.9   0.97    602   58   14.5   1.05
-    4            2601  106  288    5.29  1734  72  90.9   2.88   1734  72  212    5.18    2226  106  402    9.69
+    ref  rotor stiffness        stator mode -1         mode e^{i pi/3}        metric (complex)
+         n     kd   dense band  n     kd   dense band  n     kd   dense band  n     kd   dense band
+    0    36    16   0.03  0.09  24    11   0.02  0.08  24    11   0.03  0.08  21    8    0.03  0.13
+    1    81    22   0.09  0.18  54    16   0.06  0.16  54    16   0.10  0.11  56    22   0.06  0.10
+    2    225   34   0.90  0.24  150   24   0.16  0.29  150   24   1.19  0.22  174   34   1.10  0.23
+    3    729   58   11.4  1.17  486   40   3.55  0.68  486   40   11.9  0.97  602   58   14.5  1.05
+    4    2601  106  288   5.29  1734  72   90.9  2.88  1734  72   212   5.18  2226  106  402   9.69
 
 On leading blocks of the refinement-3 matrices the dense factor is the
 faster up to about n = 195 for the real stiffness (0.91 of the banded

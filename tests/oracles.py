@@ -15,7 +15,8 @@ import scipy.sparse.linalg as spla
 from igamotor.assembly import (_assemble_vector, _quadrature, assemble_coupling, assemble_rhs,
                                assemble_stiffness, build_patch_tables, build_reluctivity_map,
                                coupling_gauss_count)
-from igamotor.coupling import _partner_columns, _phases, _solve_columns, harmonic_orders, precompute_side
+from igamotor.coupling import (_partner_columns, _phases, _solve_columns, harmonic_orders,
+                               precompute_side)
 
 
 class OracleStabilityError(Exception):
