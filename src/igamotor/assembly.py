@@ -5,10 +5,10 @@ one scatter per quantity.
 
 * Plan: what depends on the dof map alone is owned by its
   :class:`AssemblyPlan` (``DofMap.plan``) and freed with it: the basis
-  tables, the batches of each patch list and the CSR scatters of the
-  rotor's operators.  It serves models on the dof map's own knots and
-  weights objects, which ``DesignSpace.displace`` shares between rotors;
-  other models are grouped and scattered afresh.
+  tables, the batches of each patch list, the CSR scatters of its
+  operators and one kept geometry.  It serves models on the dof map's own
+  knots and weights objects, which ``DesignSpace.displace`` shares between
+  rotors; other models are grouped and scattered afresh.
 * Batches: patches whose knots, degrees, weights and Gauss count have
   equal values share one space table, the rational basis values and
   parametric derivatives at the Gauss points, which do not depend on the
@@ -21,9 +21,9 @@ one scatter per quantity.
   patches, E elements, Q points, L local functions.  Each entry is
   computed as for a single patch, so batching changes no bit;
   :func:`build_patch_tables` is the one-patch case.  The plan keeps the
-  :class:`RotorGeometry` of the last rotor it saw, read by the stiffness,
-  the metric, the shape gradient and the mesh check; the next rotor
-  replaces it.  The stator's tables are built for the one call.
+  :class:`ModelGeometry` of the last model it saw, a rotor or a stator
+  sector alike, read by the stiffness, the metric, the shape gradient and
+  the mesh check; the next model replaces it.
 * One scatter per quantity: element contributions are summed in
   patch/element/local order by one ``np.bincount``, the operators into
   the CSR data through the plan's slots, the vectors and the coupling
@@ -265,14 +265,6 @@ def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
                        detj[0], wdet[0], xy[0])
 
 
-def min_detj(patches, plan) -> float:
-    """Minimum det J over the mesh-check Gauss points of all ``patches``,
-    from the Jacobians of :func:`_patch_batches` on ``plan``; builds no
-    gradients."""
-    return min((float(_jacobian(space, P)[-1].min())
-                for _, space, P in _patch_batches(patches, plan)), default=np.inf)
-
-
 def detj_quadratic(patches, disps, plan):
     """det J at the Gauss points of each patch with its control points moved
     to ``points - delta * disp`` (``disps``: one (n_u, n_v, 2) array per
@@ -416,36 +408,14 @@ def _csr_scatter(groups, maps, n_global: int, kept):
     return indptr, pairs.astype(index_type), slots
 
 
-def _element_tables(jacobians, arrays=None):
-    """Yields (ids, space, wdet, grad, Ge) for each batch of ``jacobians``
-    [(ids, space, j_xi, j_eta, det J)]: :func:`_gradients` and Ge (G, E, L, L),
-    the grad-grad element blocks, the sum over Gauss points of w det J
-    grad R_a . grad R_b.  ``arrays`` yields the (wdet, grad, Ge) arrays to
-    fill per batch; new ones by default.  AssemblyError at the first batch
-    with det J <= 0."""
-    for ids, space, j_xi, j_eta, detj in jacobians:
-        _check_regular(detj)
-        if arrays is None:
-            wdet, grad, Ge = (np.empty(shape) for shape in _table_shapes(detj, space))
-        else:
-            wdet, grad, Ge = next(arrays)
-        _gradients(space, j_xi, j_eta, detj, wdet, grad)
-        n_batch, n_el, n_loc, n_q = grad.shape[:4]
-        # A[g, e] = [grad at point 0 | grad at point 1 | ...]: (L, 2Q), a view
-        A = grad.reshape(n_batch, n_el, n_loc, 2 * n_q)
-        Aw = A * np.repeat(wdet, 2, axis=-1)[..., None, :]
-        np.matmul(A, Aw.transpose(0, 1, 3, 2), out=Ge)
-        yield ids, space, wdet, grad, Ge
-
-
-class RotorGeometry:
-    """The quadrature geometry of one rotor, built once and read by every
+class ModelGeometry:
+    """The quadrature geometry of one model, built once and read by every
     operator on it: det J per batch of :func:`_patch_batches` at
     construction (what the mesh check reads), then, on the first call of
     :meth:`tables`, weight x det J, the physical gradients and the
-    grad-grad element blocks Ge of every patch (:func:`_element_tables`).
-    It holds its patches, so the identity key of :meth:`AssemblyPlan.geometry`
-    stays valid while it lives."""
+    grad-grad element blocks Ge of every patch.  It holds its patches, so
+    the identity key of :meth:`AssemblyPlan.geometry` stays valid while it
+    lives."""
 
     def __init__(self, patches, plan):
         self.patches = tuple(patches)
@@ -455,9 +425,12 @@ class RotorGeometry:
         self._tables = None
 
     def tables(self):
-        """[(ids, space, wdet, grad, Ge)] per batch, ids the patch positions.
+        """[(ids, space, wdet, grad, Ge)] per batch, ids the patch positions:
+        :func:`_gradients` and Ge (G, E, L, L), the sum over Gauss points of
+        w det J grad R_a . grad R_b.  AssemblyError at the first batch with
+        det J <= 0.
 
-        All of them are views of one block, allocated once per rotor: a
+        All of them are views of one block, allocated once per model: a
         block that large is mapped and unmapped whole, so replacing the
         rotor every design step leaves no long-lived arrays scattered among
         the step's temporaries in the heap."""
@@ -467,9 +440,18 @@ class RotorGeometry:
             starts = np.cumsum([0] + sizes)
             block = np.empty(starts[-1])
             views = [block[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes)]
-            arrays = zip(views[0::3], views[1::3], views[2::3])   # (wdet, grad, Ge) per batch
-            self._tables = list(_element_tables(self._jacobians, arrays))
-            self._jacobians = None
+            tables = []
+            for (ids, space, j_xi, j_eta, detj), wdet, grad, Ge in zip(
+                    self._jacobians, views[0::3], views[1::3], views[2::3]):
+                _check_regular(detj)
+                _gradients(space, j_xi, j_eta, detj, wdet, grad)
+                n_batch, n_el, n_loc, n_q = grad.shape[:4]
+                # A[g, e] = [grad at point 0 | grad at point 1 | ...]: (L, 2Q), a view
+                A = grad.reshape(n_batch, n_el, n_loc, 2 * n_q)
+                Aw = A * np.repeat(wdet, 2, axis=-1)[..., None, :]
+                np.matmul(A, Aw.transpose(0, 1, 3, 2), out=Ge)
+                tables.append((ids, space, wdet, grad, Ge))
+            self._tables, self._jacobians = tables, None
         return self._tables
 
 
@@ -478,13 +460,12 @@ class AssemblyPlan:
     ``tables``, the space and 1D tables of every patch assembled through
     it, keyed by value (:func:`_space_tables`); the batches of each list of
     the dof map's own patches (a shape update moves control points only,
-    so every rotor has the same batches and sparsity patterns); a rotor's
-    CSR scatters per restriction; the closure crosses of each patch
-    (:meth:`closure_cross`, int8); and the :class:`RotorGeometry` of the
-    last rotor, keyed by the identity of its patch objects, so the next
-    rotor frees a rejected trial's.  Patches on other knots or weights
-    objects are grouped and scattered afresh, and a stator, assembled once
-    per machine, keeps neither a geometry nor a scatter.
+    so every rotor has the same batches and sparsity patterns); the CSR
+    scatters of its operators per restriction; the closure crosses of each
+    patch (:meth:`closure_cross`, int8); and the :class:`ModelGeometry` of
+    the last model it assembled, keyed by the identity of its patch
+    objects, so the next rotor frees a rejected trial's.  Patches on other
+    knots or weights objects are grouped and scattered afresh.
     """
 
     def __init__(self, dofmap: DofMap):
@@ -526,10 +507,9 @@ class AssemblyPlan:
         """:func:`_csr_scatter` of the patches ``pids`` of ``model``,
         restricted to the globals of the bool mask ``keep`` in the dof
         map's band order (unrestricted, in global order, when None); the
-        arrays are read-only, and kept for a rotor on the dof map's own
-        patches (a stator is assembled once)."""
+        arrays are read-only, and kept for the dof map's own patches."""
         patches = [model.patches[pid] for pid in pids]
-        cached = model.side == "rotor" and self._pids(patches) == tuple(pids)
+        cached = self._pids(patches) == tuple(pids)
         key = (tuple(pids), None if keep is None else keep.tobytes())
         hit = self._scatters.get(key) if cached else None
         if hit is not None:
@@ -562,45 +542,27 @@ class AssemblyPlan:
             hit.setflags(write=False)
         return hit
 
-    def geometry(self, model: MultipatchModel) -> RotorGeometry | None:
-        """The kept :class:`RotorGeometry` of a rotor ``model``, built when
-        its patches are not those of the kept one (which it replaces);
-        None for a model of another side."""
-        if model.side != "rotor":
-            return None
+    def geometry(self, model: MultipatchModel) -> ModelGeometry:
+        """The kept :class:`ModelGeometry` of ``model``, built when its
+        patches are not those of the kept one (which it replaces)."""
         kept = self._geometry
         if kept is None or len(kept.patches) != len(model.patches) or any(
                 a is not b for a, b in zip(kept.patches, model.patches)):
-            self._geometry = None       # free the old rotor's arrays first
-            kept = self._geometry = RotorGeometry(model.patches, self)
+            self._geometry = None       # free the old model's arrays first
+            kept = self._geometry = ModelGeometry(model.patches, self)
         return kept
 
     def element_tables(self, model: MultipatchModel, pids):
-        """Yields (pids, space, wdet, grad, Ge) for batches covering the
-        patches ``pids`` of ``model`` (:func:`_element_tables`, with model
-        patch ids): read from a rotor's kept geometry, built batch by batch
-        for any other model."""
-        geometry = self.geometry(model)
-        if geometry is None:
-            patches = [model.patches[pid] for pid in pids]
-            jacobians = ((ids, space) + _jacobian(space, P)
-                         for ids, space, P in _patch_batches(patches, self))
-            for ids, *tables in _element_tables(jacobians):
-                yield [pids[i] for i in ids], *tables
-            return
+        """Yields (pids, space, wdet, grad, Ge) for the batches of the kept
+        geometry of ``model`` (:meth:`ModelGeometry.tables`) that hold a
+        patch of ``pids``, restricted to those patches."""
         wanted = set(pids)
-        for ids, space, wdet, grad, Ge in geometry.tables():
+        for ids, space, wdet, grad, Ge in self.geometry(model).tables():
             take = [k for k, pid in enumerate(ids) if pid in wanted]
             if len(take) == len(ids):
                 yield ids, space, wdet, grad, Ge
             elif take:
                 yield [ids[k] for k in take], space, wdet[take], grad[take], Ge[take]
-
-    def min_detj(self, model: MultipatchModel) -> float:
-        """:func:`min_detj` of all patches of ``model``, read from a rotor's
-        kept geometry."""
-        geometry = self.geometry(model)
-        return min_detj(model.patches, self) if geometry is None else geometry.min_detj
 
 
 def _h1_blocks(model: MultipatchModel, dofmap: DofMap, pids, coeffs, mass: float):
@@ -612,13 +574,8 @@ def _h1_blocks(model: MultipatchModel, dofmap: DofMap, pids, coeffs, mass: float
     plan = dofmap.plan
     # each patch's element blocks go straight to their place in patch order,
     # not into per-batch arrays joined at the end (a second 9 MB at refinement 4)
-    geometry = plan.geometry(model)
-    if geometry is None:
-        groups = [([pids[i] for i in ids], space)
-                  for ids, space in plan.groups([model.patches[pid] for pid in pids])]
-    else:
-        groups = [(ids, space) for ids, space, *_ in geometry.tables()]
-    sizes = {pid: space[0].size * space[0].shape[1] for ids, space in groups for pid in ids}
+    sizes = {pid: space[0].size * space[0].shape[1]
+             for ids, space, *_ in plan.geometry(model).tables() for pid in ids}
     starts = dict(zip(pids, np.cumsum([0] + [sizes[pid] for pid in pids])))
     blocks = np.empty(sum(sizes[pid] for pid in pids))
     closure = []

@@ -92,7 +92,7 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import SweepResult
-from .linalg import BlochModes, factorize, matvec, spd_stack_solve
+from .linalg import matvec, spd_stack_solve
 
 
 def harmonic_orders(n_harmonics: int, multiples_of: int = 1) -> np.ndarray:
@@ -176,22 +176,16 @@ class SidePrecomp:
     g: np.ndarray          # G^T K^-1 j
 
 
-def _solve_columns(K, G: np.ndarray, j: np.ndarray):
-    """(X, y) = (K^-1 G, K^-1 j) from one solve of the stacked columns
-    [G j]: K is a sparse matrix, whose factorization is freed on return, or
-    the :class:`igamotor.linalg.BlochModes` of one, whose mode factors are
-    freed in turn.  The solve returns Fortran order, so X, a column slice,
-    keeps the layout of a solve of G alone, and every product with it its
-    bits."""
-    system = K if isinstance(K, BlochModes) else factorize(K)
+def precompute_side(system, G: np.ndarray, j: np.ndarray) -> SidePrecomp:
+    """One side's products from ``system``, whose ``solve`` applies K^-1 to
+    a block of columns: the factorization of its stiffness K
+    (:func:`igamotor.linalg.factorize`) or the
+    :class:`igamotor.linalg.BlochModes` of K, its moments G and its load j.
+    One solve of the stacked columns [G j]; the solve returns Fortran
+    order, so X, a column slice, keeps the layout of a solve of G alone,
+    and every product with it its bits."""
     Xy = system.solve(np.column_stack([G, j]))
-    return Xy[:, :-1], Xy[:, -1]
-
-
-def precompute_side(K, G: np.ndarray, j: np.ndarray) -> SidePrecomp:
-    """One side's products from its stiffness K, a sparse matrix or its
-    Bloch modes (:func:`_solve_columns`), its moments G and its load j."""
-    X, y = _solve_columns(K, G, j)
+    X, y = Xy[:, :-1], Xy[:, -1]
     return SidePrecomp(X, y, G.T @ X, G.T @ y)
 
 
@@ -386,6 +380,8 @@ def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
     coefficients (reconstruct_state).
     """
     angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 1:
+        raise ValueError("a rotation sweep takes a 1-D angle array")
     plan = pre.plan
     lambdas = np.empty(angles.shape + plan.orders.shape)
     psi = np.zeros(angles.size)

@@ -648,16 +648,17 @@ def check_mesh_validity(model: MultipatchModel, eps_jacobian: float = 0.0,
                         dofmap: Optional[DofMap] = None):
     """True iff det(J) > eps_jacobian at every quadrature point.
 
-    Returns (valid, min_det); the minimum comes from one batched pass over
-    the patches (:func:`igamotor.assembly.min_detj`).  Given the model's
-    dof map, the pass reuses the patch grouping of its assembly plan, and a
-    rotor's det J is read from (or becomes) the geometry the plan keeps for
-    the operators on that rotor.
+    Returns (valid, min_det); the minimum is ``min_detj`` of the model's
+    :class:`igamotor.assembly.ModelGeometry`, det J from one batched pass
+    over the patches.  Given the model's dof map, it is the geometry the
+    dof map's assembly plan keeps for the operators on that model (read
+    from it, or built and kept); without one, a geometry built for the one
+    call.
     """
-    from .assembly import min_detj  # deferred: assembly imports geometry
+    from .assembly import ModelGeometry  # deferred: assembly imports geometry
 
-    min_det = min_detj(model.patches, None) if dofmap is None else dofmap.plan.min_detj(model)
-    return bool(min_det > eps_jacobian), float(min_det)
+    geometry = ModelGeometry(model.patches, None) if dofmap is None else dofmap.plan.geometry(model)
+    return bool(geometry.min_detj > eps_jacobian), float(geometry.min_detj)
 
 
 # --------------------------------------------------------------------------

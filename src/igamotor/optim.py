@@ -167,7 +167,7 @@ class MachineSolver:
         """Reuses the stator products; factors only the rotor side, and
         keeps its products, not its stiffness or factorization."""
         K_rt = assemble_stiffness(rotor, self.dm_rt, self.relmap_rt)
-        return CouplingPrecomp(self.plan, precompute_side(K_rt, self._G_rt, self._j_rt))
+        return CouplingPrecomp(self.plan, precompute_side(factorize(K_rt), self._G_rt, self._j_rt))
 
     def evaluate(self, rotor: MultipatchModel):
         """(sweep with spectrum attached, precomputation) for one rotor."""

@@ -4,7 +4,7 @@ import pytest
 from igamotor.assembly import assemble_stiffness, assemble_winding_vector
 from igamotor.coupling import CouplingPrecomp, SweepPlan, precompute_side
 from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
-from igamotor.linalg import matvec
+from igamotor.linalg import factorize, matvec
 from igamotor.optim import MachineSolver
 from igamotor.splines import NurbsPatch, insert_knots, make_arc_patch, rational_basis
 
@@ -202,7 +202,7 @@ def zero_source_precompute(pre, st, rt):
     """The coupled system of ``pre`` and the sides st, rt, each (K, G, j),
     with both loads j_st, j_rt set to zero."""
     plan = pre.plan
-    st0, rt0 = (precompute_side(*side) for side in zero_sources(st, rt))
+    st0, rt0 = (precompute_side(factorize(K), G, j) for K, G, j in zero_sources(st, rt))
     return CouplingPrecomp(SweepPlan(st0, plan.orders, plan.period, plan.angles), rt0)
 
 

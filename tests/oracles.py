@@ -15,8 +15,8 @@ import scipy.sparse.linalg as spla
 from igamotor.assembly import (_assemble_vector, _quadrature, assemble_coupling, assemble_rhs,
                                assemble_stiffness, build_patch_tables, build_reluctivity_map,
                                coupling_gauss_count)
-from igamotor.coupling import (_partner_columns, _phases, _solve_columns, harmonic_orders,
-                               precompute_side)
+from igamotor.coupling import _partner_columns, _phases, harmonic_orders, precompute_side
+from igamotor.linalg import factorize
 
 
 class OracleStabilityError(Exception):
@@ -59,7 +59,8 @@ def stator_blocks(solver) -> tuple:
 def stator_direct_products(solver):
     """The stator's X, y, H and g of ``solver`` by one factorization of the
     whole model's stiffness: the direct solve the Bloch modes replace."""
-    return precompute_side(*stator_blocks(solver))
+    K, G, j = stator_blocks(solver)
+    return precompute_side(factorize(K), G, j)
 
 
 @dataclass
@@ -128,8 +129,9 @@ def verify_products(pre, st: tuple, rt: tuple, tol: float = 1e-12) -> float:
     stator's and the rotor's (K, G, j); OracleStabilityError above ``tol``."""
     worst = 0.0
     for side, (K, G, j) in ((pre.plan.st, st), (pre.rt, rt)):
-        X2, y2 = _solve_columns(K, G, j)
-        for old, new in ((side.X, X2), (side.y, y2), (side.H, G.T @ X2), (side.g, G.T @ y2)):
+        fresh = precompute_side(factorize(K), G, j)
+        for name in ("X", "y", "H", "g"):
+            old, new = getattr(side, name), getattr(fresh, name)
             scale = max(float(np.abs(old).max()), 1e-300)
             worst = max(worst, float(np.abs(new - old).max()) / scale)
     if worst > tol:

@@ -14,7 +14,7 @@ import pytest
 from igamotor import linalg
 from igamotor.assembly import assemble_stiffness, build_reluctivity_map
 from igamotor.errors import GeometryError
-from igamotor.geometry import build_dof_map, period_images, periodic_sector
+from igamotor.geometry import build_demo_machine, build_dof_map, period_images, periodic_sector
 from igamotor.linalg import bloch_phases
 from igamotor.optim import MachineSolver, stator_modes
 
@@ -163,3 +163,25 @@ def test_stator_setup_factors_no_pitch_sized_band(monkeypatch):
         tracemalloc.stop()
     assert [n for n, _ in calls] == [K.shape[0] // 3] * 2
     assert all(peak < pitch_band for _, peak in calls), (calls, pitch_band)
+
+
+@pytest.mark.parametrize("refinement", [0, 2])
+def test_mode_matrices_of_a_warm_sector_plan_equal_a_cold_one(refinement):
+    # the second assembly reads the geometry and scatter the sector's plan
+    # kept from the first, and gives every mode matrix bit for bit
+    cfg = coarse_config(refinement=refinement)
+    stator, _ = build_demo_machine(cfg)
+    n = round(2 * np.pi / (stator.copies * cfg.stator_period))
+    sector = periodic_sector(stator, n)
+    relmap = build_reluctivity_map(sector, cfg)
+    phases = bloch_phases(n, stator.closure_sign)
+    sector_map = build_dof_map(sector)
+    cold = assemble_stiffness(sector, sector_map, relmap, phases)
+    kept = sector_map.plan._geometry
+    assert kept is not None and sector_map.plan._scatters
+    warm = assemble_stiffness(sector, sector_map, relmap, phases)
+    assert sector_map.plan._geometry is kept
+    for a, b in zip(warm, cold, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name

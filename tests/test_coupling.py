@@ -277,6 +277,12 @@ def test_sweep_single_angle_matches_solve(pre, coarse_winding):
     np.testing.assert_array_equal(sw.lambdas[0], sol.lam)
 
 
+@pytest.mark.parametrize("angles", [np.zeros((2, 30)), np.array(0.31)], ids=["2-D", "0-d"])
+def test_sweep_rejects_angles_that_are_not_1d(pre, coarse_winding, angles):
+    with pytest.raises(ValueError, match="a rotation sweep takes a 1-D angle array"):
+        rotation_sweep(pre, angles, coarse_winding, 0.3)
+
+
 def test_stacked_reconstruction_matches_per_angle_calls(coarse_cfg, pre):
     # the 12 sweep angles form 2 slot-pitch classes, each solved with the
     # interface matrix of its first angle: lambda agrees with the

@@ -144,7 +144,7 @@ def test_real_factor_refuses_complex_rhs_and_complex_factor_takes_both(rng):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_solutions_are_fortran_order_of_the_factor_dtype(rng, n):
-    # coupling._solve_columns slices X off the solution of [G j]: X keeps
+    # coupling.precompute_side slices X off the solution of [G j]: X keeps
     # the layout of a solve of G alone only if solutions are Fortran order
     for K, dtype in ((random_spd(n, rng), np.float64), (random_hpd(n, rng), np.complex128)):
         F = factorize(K)
