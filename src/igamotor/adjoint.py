@@ -153,7 +153,7 @@ def assemble_shape_gradient(model: MultipatchModel, dofmap: DofMap,
         M *= (nu[:, None, None] * wdet)[..., None, None]            # nu w (tr T I - T - T^T)
         contrib = A @ M.reshape(n_batch, n_el, 2 * n_q, 2)          # (G, E, L, 2)
         for pid, di, c in zip(ids, design.index[gd], contrib):
-            if dofmap.turn is not None and dofmap.patch_copies[pid] is not None:
+            if pid in dofmap.plan.copy_patches:     # an empty turn-back costs 4 numpy calls
                 turned = dofmap.patch_copies[pid].reshape(-1)[space[0]]
                 c[turned] = c[turned] @ dofmap.turn          # T^T c, per row
             valid = di >= 0

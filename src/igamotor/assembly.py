@@ -278,13 +278,13 @@ def detj_quadratic(patches, disps, plan):
     direct det J of a moved patch and of the polynomial, for 0 <= delta <= 1.
     """
     out = []
-    for ids, (dofs, _, Rx, Ry, _), P in _patch_batches(patches, plan):
+    for ids, space, P in _patch_batches(patches, plan):
+        dofs, _, Rx, Ry, _ = space
         D = np.stack([disps[i].reshape(-1, 2) for i in ids]).take(dofs, axis=1)
-        j_xi, j_eta, k_xi, k_eta = Rx @ P, Ry @ P, Rx @ D, Ry @ D
-        a = j_xi[..., 0] * j_eta[..., 1] - j_xi[..., 1] * j_eta[..., 0]
+        j_xi, j_eta, a = _jacobian(space, P)          # a = det J of P, c = det J of D
+        k_xi, k_eta, c = _jacobian(space, D)
         b = (j_xi[..., 0] * k_eta[..., 1] + k_xi[..., 0] * j_eta[..., 1]
              - j_xi[..., 1] * k_eta[..., 0] - k_xi[..., 1] * j_eta[..., 0])
-        c = k_xi[..., 0] * k_eta[..., 1] - k_xi[..., 1] * k_eta[..., 0]
         size = np.abs(P) + np.abs(D)
         m_xi, m_eta = np.abs(Rx) @ size, np.abs(Ry) @ size
         margin = 1e-12 * (m_xi[..., 0] * m_eta[..., 1] + m_xi[..., 1] * m_eta[..., 0])
@@ -461,8 +461,9 @@ class AssemblyPlan:
     it, keyed by value (:func:`_space_tables`); the batches of each list of
     the dof map's own patches (a shape update moves control points only,
     so every rotor has the same batches and sparsity patterns); the CSR
-    scatters of its operators per restriction; the closure crosses of each
-    patch (:meth:`closure_cross`, int8); and the :class:`ModelGeometry` of
+    scatters of its operators per restriction; ``copy_patches``, the ids of
+    the patches that hold a closure copy, and the closure crosses of each
+    of them (:meth:`closure_cross`, int8); and the :class:`ModelGeometry` of
     the last model it assembled, keyed by the identity of its patch
     objects, so the next rotor frees a rejected trial's.  Patches on other
     knots or weights objects are grouped and scattered afresh.
@@ -476,6 +477,8 @@ class AssemblyPlan:
         self._bases = {id(w): (pid, ku, kv, w)
                        for pid, (ku, kv, w) in enumerate(dofmap.patch_bases)}
         self._copies = dofmap.patch_copies
+        self.copy_patches = frozenset(pid for pid, flags in enumerate(self._copies)
+                                      if flags.any())
         self.tables = {}
         self._groups = {}
         self._scatters = {}
@@ -528,16 +531,15 @@ class AssemblyPlan:
     def closure_cross(self, pid: int, dofs):
         """Per element-matrix entry of patch ``pid``, whose element functions
         are ``dofs`` (E, L), t_row - t_col of the closure-copy flags t of
-        its two functions (E L L, int8, read-only); None when the patch
-        holds no closure copy.  Kept: it depends on the dof map and the
+        its two functions (E L L, int8, read-only); None when the patch is
+        not in ``copy_patches``.  Kept: it depends on the dof map and the
         patch's dof table alone."""
-        flags = self._copies[pid]
-        if flags is None:
+        if pid not in self.copy_patches:
             return None
         key = (pid, id(dofs))           # dof tables live in ``tables`` with the plan
         hit = self._crosses.get(key)
         if hit is None:
-            t = flags.reshape(-1)[dofs].astype(np.int8)                   # (E, L)
+            t = self._copies[pid].reshape(-1)[dofs].astype(np.int8)       # (E, L)
             hit = self._crosses[key] = (t[:, :, None] - t[:, None, :]).reshape(-1)
             hit.setflags(write=False)
         return hit
@@ -683,13 +685,11 @@ def assemble_stiffness(model: MultipatchModel, dofmap: DofMap,
 
 def _element_signs(dofmap: DofMap, pids, dofs):
     """(G, E, L) field signs of the element functions ``dofs`` (E, L) of
-    the patches ``pids`` (:meth:`DofMap.patch_signs`), or None when all are
-    1."""
-    signs = [dofmap.patch_signs(pid) for pid in pids]
-    if all(sign is None for sign in signs):
+    the patches ``pids`` (:meth:`DofMap.patch_signs`), or None when the
+    patches hold no closure copy, so that every sign is 1."""
+    if dofmap.plan.copy_patches.isdisjoint(pids):
         return None
-    return np.stack([np.ones(dofmap.patch_maps[pid].size) if sign is None else sign.reshape(-1)
-                     for pid, sign in zip(pids, signs)]).take(dofs, axis=1)
+    return np.stack([dofmap.patch_signs(pid).reshape(-1) for pid in pids]).take(dofs, axis=1)
 
 
 def _quadrature(model: MultipatchModel, dofmap: DofMap, pids, n_gauss):
@@ -810,8 +810,7 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
     for pid, edge in model.interface_edges:
         kv, w_edge, p_edge = edge_discretization(model.patches[pid], edge)
         edge_globals = dofmap.patch_maps[pid][_edge_index(edge)]
-        signs = dofmap.patch_signs(pid)
-        edge_signs = np.ones(edge_globals.size) if signs is None else signs[_edge_index(edge)]
+        edge_signs = dofmap.patch_signs(pid)[_edge_index(edge)]
         # (Ne, Q) weights and (Ne, Q, p+1) basis of the edge's elements
         _, wq, N, dN, first = _basis_table_1d(kv, n_gauss, dofmap.plan.tables)
         local = first[:, None] + np.arange(kv.degree + 1)      # (Ne, p+1)
@@ -853,18 +852,18 @@ def assemble_vector_metric(model: MultipatchModel, dofmap: DofMap,
     t_col of their closure-copy flags: the real part carries cos phi on the
     entries between a closure copy and a non-copy, the imaginary part
     -cross sin phi.  This is [[A, B], [-B, A]] on the stacked real [x; y]
-    written as A - iB.  Without a turn (or a closure copy in the metric) the
-    imaginary part is 0.  Only patches holding a masked dof are integrated:
-    the others add nothing to the masked rows and columns.
+    written as A - iB.  On the full ring, whose turn is the identity (or
+    without a closure copy in the metric), the imaginary part is 0.  Only
+    patches holding a masked dof are integrated: the others add nothing to
+    the masked rows and columns.
     """
     mask = np.asarray(design_mask, dtype=bool)
     if not mask.any():
         raise ConfigError("design mask selects no degrees of freedom")
     copies = float(model.copies)
     coeffs = [copies * float(mask[gmap.reshape(-1)].any()) for gmap in dofmap.patch_maps]
-    # without a turn the phase is 1: a complex matrix whose imaginary part is 0
-    turn = dofmap.turn
-    phase = complex(1.0) if turn is None else complex(turn[0, 0], turn[1, 0])
+    # the identity turn's phase is 1: a complex matrix whose imaginary part is 0
+    phase = complex(dofmap.turn[0, 0], dofmap.turn[1, 0])
     return _h1_matrix(model, dofmap, coeffs, mask, mass=copies, phases=[phase])[0]
 
 
@@ -886,10 +885,8 @@ def eval_field(model: MultipatchModel, dofmap: DofMap, u_global: np.ndarray,
         patch = model.patches[p]
         local, R, R_xi, R_eta = patch_basis(patch, xi[at], eta[at])
         P = patch.points.reshape(-1, 2).take(local, axis=0)
-        c = u_global.take(dofmap.patch_maps[p].reshape(-1).take(local))
-        signs = dofmap.patch_signs(p)
-        if signs is not None:
-            c = c * signs.reshape(-1).take(local)
+        c = (u_global.take(dofmap.patch_maps[p].reshape(-1).take(local))
+             * dofmap.patch_signs(p).reshape(-1).take(local))
         dR = np.stack([R_xi, R_eta], axis=-2)                # (n, 2, L)
         point[at] = np.matmul(R[:, None, :], P)[:, 0, :]
         value[at] = np.matmul(R[:, None, :], c[:, :, None])[:, 0, 0]

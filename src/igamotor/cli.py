@@ -6,7 +6,8 @@ artifact.  Outputs are CSV/JSON files with the config hash embedded as a
 comment line; identical configs produce byte-identical outputs on the same
 machine, library versions and BLAS thread count.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (an output directory that
+cannot be made included, checked before any computation), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -107,6 +108,14 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(doc)
 
 
+def _make_dir(path: Path) -> None:
+    """mkdir -p ``path``; a path that cannot be made is a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create directory %s: %s" % (path, exc)) from exc
+
+
 def _write_csv(path: Path, cfg_hash: str, header: str, rows) -> None:
     """One line per row, written SAMPLE_BLOCK rows at a time, so that only
     one block's text is held.  ``rows`` is a 2-D array, converted block by
@@ -180,7 +189,6 @@ def cmd_solve(cfg: RunConfig) -> None:
     sides = {"stator": (solver.stator, solver.dm_st, solver.dm_st.expand(sol.u_st)),
              "rotor": (solver.rotor0, solver.dm_rt, solver.dm_rt.expand(sol.u_rt))}
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     # the coefficients of the modelled pitch, Dirichlet dofs included
     _write_csv(out / "u_coeffs.csv", cfg.hash, "side,index,value",
                ((name, i, v) for name, (_, _, u) in sides.items()
@@ -194,7 +202,6 @@ def cmd_sweep(cfg: RunConfig) -> None:
     solver = MachineSolver(cfg.machine)
     sweep, _ = solver.evaluate(solver.rotor0)
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "psi.csv", cfg.hash, "angle,psi",
                zip(sweep.angles.tolist(), sweep.psi.tolist()))
     _write_csv(out / "spectrum.csv", cfg.hash, "harmonic,A,B,magnitude",
@@ -218,11 +225,10 @@ def _write_optimization(cfg: RunConfig, state) -> None:
 
 def cmd_optimize(cfg: RunConfig) -> None:
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     callback = None
     if cfg.optimize["snapshots"]:
         snap_dir = out / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
+        _make_dir(snap_dir)
 
         def callback(state):
             (snap_dir / ("rotor_iter_%03d.json" % state.iteration)).write_text(
@@ -240,7 +246,6 @@ def cmd_optimize(cfg: RunConfig) -> None:
 def cmd_export(cfg: RunConfig) -> None:
     stator, rotor = build_demo_machine(cfg.machine)
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     (out / "stator.json").write_text(dump_geometry(stator))
     (out / "rotor.json").write_text(dump_geometry(rotor))
 
@@ -263,6 +268,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        _make_dir(cfg.output_dir)       # before any work, not after the computation
         COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -62,11 +62,8 @@ class DesignSpace:
             if tag.kind in DEFORM_KINDS
             and mask[dm.patch_maps[pid].reshape(-1)].any())
         self.nodes = np.concatenate([dm.patch_maps[pid].reshape(-1) for pid in self.patch_ids])
-        copies = np.concatenate([np.zeros(dm.patch_maps[pid].size, dtype=bool)
-                                 if dm.patch_copies[pid] is None
-                                 else dm.patch_copies[pid].reshape(-1)
-                                 for pid in self.patch_ids])
-        self.turned = np.flatnonzero(copies if dm.turn is not None else [])
+        self.turned = np.flatnonzero(np.concatenate([dm.patch_copies[pid].reshape(-1)
+                                                     for pid in self.patch_ids]))
 
     @property
     def n_points(self) -> int:
@@ -92,8 +89,7 @@ class DesignSpace:
         patches, in patch order: a closure copy's is its global point's
         turned by the dof map's turn."""
         disp = self.displacement(w_stacked)[self.nodes]
-        if self.turned.size:
-            disp[self.turned] = disp[self.turned] @ self.dofmap.turn.T
+        disp[self.turned] = disp[self.turned] @ self.dofmap.turn.T
         return disp
 
     def displace(self, model: MultipatchModel, w_stacked: np.ndarray,

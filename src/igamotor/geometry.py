@@ -13,10 +13,11 @@ the winding flips sign every pitch, so u(theta + pi/p) = -u(theta).  The
 pitch model closes on itself: its last sector's v1 edge is glued to the
 first sector's v0 edge rotated by the pitch, and the field changes sign
 across that closure.  The full ring is the same construction over 2 p
-pitches, closed by a turn of 2 pi with sign +1; the tests build it as the
-oracle of the pitch.  The stator's first slot pitch, closed on itself by
-the slot-pitch turn (periodic_sector), is the model its Bloch modes are
-assembled on; period_images numbers its dofs' images on the pitch.
+pitches, closed by a turn of 2 pi (the identity) with sign +1; the tests
+build it as the oracle of the pitch.  The stator's first slot pitch,
+closed on itself by the slot-pitch turn (periodic_sector), is the model
+its Bloch modes are assembled on; period_images numbers its dofs' images
+on the pitch.
 """
 from __future__ import annotations
 
@@ -253,15 +254,19 @@ class MultipatchModel:
     def __post_init__(self):
         if len(self.patches) != len(self.tags):
             raise ValueError("one tag per patch required")
-        if self.closure_sign not in (-1, 1) or self.copies < 1:
-            raise ValueError("closure needs copies >= 1 and sign +-1")
+        # a bool is no number; a float count of copies would scale the integrals
+        if (type(self.copies) is not int or self.copies < 1
+                or type(self.closure_sign) is not int or self.closure_sign not in (-1, 1)):
+            raise ValueError("closure needs an int copies >= 1 and an int sign +-1, got %r, %r"
+                             % (self.copies, self.closure_sign))
 
     @property
-    def turn(self) -> Optional[np.ndarray]:
+    def turn(self) -> np.ndarray:
         """The 2 x 2 rotation by 2 pi / copies from edge b of a closure
-        connection to edge a; None for the full turn of a single copy."""
+        connection to edge a: exactly ``np.eye(2)`` for the full turn of a
+        single copy, so a product with it changes no bit."""
         if self.copies == 1:
-            return None
+            return np.eye(2)
         c, s = np.cos(2 * np.pi / self.copies), np.sin(2 * np.pi / self.copies)
         return np.array([[c, -s], [s, c]])
 
@@ -323,12 +328,12 @@ class DofMap:
     weights: np.ndarray
     # per patch (knots_u, knots_v, weights): the objects of the NURBS bases numbered
     patch_bases: tuple = field(repr=False)
-    # per patch (n_u, n_v) bool, True at a closure copy of a global, or None
-    # when the patch holds none: its point is the global's point turned by
+    # per patch (n_u, n_v) bool, True at a closure copy of a global (all
+    # False without a closure): its point is the global's point turned by
     # ``turn`` and its field closure_sign times the global's
     patch_copies: list = field(repr=False)
     closure_sign: float
-    turn: Optional[np.ndarray]       # the model's turn; None for the full ring
+    turn: np.ndarray                 # the model's turn; the identity for the full ring
 
     @cached_property
     def plan(self):
@@ -342,13 +347,10 @@ class DofMap:
     def n_free(self) -> int:
         return self.free_globals.size
 
-    def patch_signs(self, pid: int) -> Optional[np.ndarray]:
+    def patch_signs(self, pid: int) -> np.ndarray:
         """Field factor (n_u, n_v) of the control points of patch ``pid``:
-        closure_sign at a closure copy and 1 elsewhere; None when all are 1."""
-        copies = self.patch_copies[pid]
-        if copies is None or self.closure_sign == 1.0:
-            return None
-        return np.where(copies, self.closure_sign, 1.0)
+        closure_sign at a closure copy and 1 elsewhere."""
+        return np.where(self.patch_copies[pid], self.closure_sign, 1.0)
 
     def expand(self, u_free: np.ndarray) -> np.ndarray:
         """Free-dof vector(s) along axis 0 -> global (zeros on Dirichlet dofs)."""
@@ -405,10 +407,9 @@ def _check_conforming(model: MultipatchModel, conn, a, b, size_a, size_b, points
         sizes = size_a[ok]
         starts = np.cumsum(sizes) - sizes
         qa, qb = points[a], points[b]
-        turn = model.turn
-        if turn is not None:           # the closure's connections come last
-            plain = int(sizes[ok < len(model.connectivity)].sum())
-            qb[plain:] = qb[plain:] @ turn.T
+        # the closure's connections come last
+        plain = int(sizes[ok < len(model.connectivity)].sum())
+        qb[plain:] = qb[plain:] @ model.turn.T
         # max(1, max |point|) of each edge a: fmax, as Python's max, takes 1 over a NaN
         scale = np.fmax(1.0, np.maximum.reduceat(np.abs(qa).max(axis=1), starts))
         close = (_close(qa, qb, np.repeat(1e-12 * scale, sizes)[:, None]).all(axis=1)
@@ -492,20 +493,25 @@ def build_dof_map(model: MultipatchModel) -> DofMap:
     Gluing is the equivalence closure over control points of matched edges,
     the closure's included, numbered by each class's lowest point (patch-major,
     row-major within a patch).  The closure copies are the points glued to
-    edge a of a closure connection by the connectivity alone; a point glued
-    to its own copy is a ConformityError.  Dirichlet dofs are exactly the
-    control points of the declared boundary edges (their basis functions
-    span the boundary trace).  The free positions number the globals that
-    are not Dirichlet dofs in the band order (:func:`_band_order`): ring by
-    ring on an annular side, so each sparse operator restricted to them is
-    narrow-banded.  Every array is written over the concatenated control
-    points of all patches at once.
+    edge a of a closure connection by the connectivity alone (none for a
+    model without a closure: every patch's ``patch_copies`` is all False);
+    a point glued to its own copy is a ConformityError.  Dirichlet dofs are
+    exactly the control points of the declared boundary edges (their basis
+    functions span the boundary trace).  The free positions number the
+    globals that are not Dirichlet dofs in the band order
+    (:func:`_band_order`): ring by ring on an annular side, so each sparse
+    operator restricted to them is narrow-banded.  Every array is written
+    over the concatenated control points of all patches at once.
     """
     shapes = [(p.n_u, p.n_v) for p in model.patches]
     offsets = np.cumsum([0] + [nu * nv for nu, nv in shapes]).tolist()
     total = offsets[-1]
     node = np.arange(total)
-    grids = [node[o:o + nu * nv].reshape(nu, nv) for o, (nu, nv) in zip(offsets, shapes)]
+
+    def per_patch(flat):
+        return [flat[o:o + nu * nv].reshape(nu, nv) for o, (nu, nv) in zip(offsets, shapes)]
+
+    grids = per_patch(node)
     points = np.concatenate([p.points.reshape(-1, 2) for p in model.patches])
     weights = np.concatenate([p.weights.reshape(-1) for p in model.patches])
 
@@ -518,31 +524,22 @@ def build_dof_map(model: MultipatchModel) -> DofMap:
     size_a = np.array([e.size for e, _ in ends], dtype=int)
     _check_conforming(model, conn, a, b, size_a, np.array([e.size for _, e in ends], dtype=int),
                       points, weights)
-    if model.closure:
-        n_plain = int(size_a[:len(model.connectivity)].sum())
-        plain = _join(node.copy(), a[:n_plain], b[:n_plain])
-        copied = np.zeros(total, dtype=bool)
-        copied[plain[a[n_plain:]]] = True
-        if copied[plain[b[n_plain:]]].any():
-            raise ConformityError("closure glues a control point to its own copy")
-        is_copy = copied[plain]
-        n_global, global_of_node = _number(_join(plain, a, b), node)
-        has_copy = np.logical_or.reduceat(is_copy, offsets[:-1]).tolist()
-        patch_copies = [is_copy[o:o + nu * nv].reshape(nu, nv) if has else None
-                        for o, (nu, nv), has in zip(offsets, shapes, has_copy)]
-    else:
-        n_global, global_of_node = _number(_join(node.copy(), a, b), node)
-        patch_copies = [None] * len(shapes)
-    patch_maps = [global_of_node[o:o + nu * nv].reshape(nu, nv)
-                  for o, (nu, nv) in zip(offsets, shapes)]
+    n_plain = int(size_a[:len(model.connectivity)].sum())
+    plain = _join(node.copy(), a[:n_plain], b[:n_plain])
+    copied = np.zeros(total, dtype=bool)
+    copied[plain[a[n_plain:]]] = True
+    if copied[plain[b[n_plain:]]].any():
+        raise ConformityError("closure glues a control point to its own copy")
+    is_copy = copied[plain]
+    n_global, global_of_node = _number(_join(plain, a, b), node)
+    patch_copies, patch_maps = per_patch(is_copy), per_patch(global_of_node)
     # each global takes the control data of its highest node that is no
     # closure copy: an unglued node is alone in its class, and every node
     # of a glued class is in the pairs
     last = np.empty(n_global, dtype=int)
     last[global_of_node] = node
     matched = np.concatenate([a, b])
-    if model.closure:
-        matched = matched[~is_copy[matched]]
+    matched = matched[~is_copy[matched]]
     glued = global_of_node[matched]
     last[glued] = -1
     np.maximum.at(last, glued, matched)
@@ -619,16 +616,13 @@ def period_images(model: MultipatchModel, dofmap: DofMap, sector: DofMap,
         raise GeometryError("the model's patches differ in shape")
     shape = shapes.pop()
 
-    def stacked(arrays, flags=False):
-        """(n_rings, periods, m, nodes): the per-patch arrays, joined; for
-        ``flags``, a patch's None stands for no flag set."""
-        if flags:
-            arrays = [np.zeros(shape, dtype=bool) if a is None else a for a in arrays]
+    def stacked(arrays):
+        """(n_rings, periods, m, nodes): the per-patch arrays, joined."""
         return np.concatenate(arrays).reshape(n_rings, -1, m, shape[0] * shape[1])
 
     own = stacked(dofmap.patch_maps)
-    keep = ~stacked(dofmap.patch_copies, flags=True)
-    exponent = np.arange(n_periods)[:, None, None] + stacked(sector.patch_copies, flags=True)
+    keep = ~stacked(dofmap.patch_copies)
+    exponent = np.arange(n_periods)[:, None, None] + stacked(sector.patch_copies)
     sector_global = np.zeros(dofmap.n_global, dtype=int)
     exponent_of = np.full(dofmap.n_global, -1)
     at = own[keep]

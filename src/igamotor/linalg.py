@@ -98,8 +98,8 @@ class SpdFactorization:
         b = np.asarray(b)
         if np.iscomplexobj(b) and self.dtype != complex:
             raise ValueError("complex right-hand side for a real factorization")
-        if b.shape[0] != self.n:
-            raise ValueError("right-hand side length %d != %d" % (b.shape[0], self.n))
+        if b.shape[:1] != (self.n,):
+            raise ValueError("right-hand side shape %s, not %d rows" % (b.shape, self.n))
         return self._solve(np.ascontiguousarray(b, dtype=self.dtype))
 
 
@@ -245,8 +245,8 @@ class BlochModes:
         Fortran order as :meth:`SpdFactorization.solve` returns it: each
         mode is factored (:func:`factorize`), solved and dropped in turn."""
         b = _real(b)
-        if b.shape[0] != self.images.size:
-            raise ValueError("right-hand side length %d != %d" % (b.shape[0], self.images.size))
+        if b.shape[:1] != (self.images.size,):
+            raise ValueError("right-hand side shape %s, not %d rows" % (b.shape, self.images.size))
         n_images = self.images.shape[1]
         cols = b.reshape(b.shape[0], -1)
         parts = cols[self.images]                    # (n, N, m): the images of each dof

@@ -101,10 +101,8 @@ def scalar_eval_field(model, dofmap, u_global, pid, xi, eta):
     patch = model.patches[pid]
     local, R, R_xi, R_eta = scalar_patch_basis(patch, xi, eta)
     P = patch.points[local].reshape(-1, 2)
-    c = u_global[dofmap.patch_maps[pid][local].reshape(-1)]
-    signs = dofmap.patch_signs(pid)
-    if signs is not None:
-        c = c * signs[local].reshape(-1)
+    c = (u_global[dofmap.patch_maps[pid][local].reshape(-1)]
+         * dofmap.patch_signs(pid)[local].reshape(-1))
     dR = np.stack([R_xi, R_eta])
     return R @ P, float(R @ c), np.linalg.solve(dR @ P, dR @ c)
 
@@ -187,10 +185,7 @@ def adjoint_rotor_fields(adj):
 def field_signs(dm, pid):
     """Field sign of every control point of patch ``pid`` of the dof map
     ``dm``, flat: the closure sign at a closure copy, 1 elsewhere."""
-    flags = dm.patch_copies[pid]
-    if flags is None:
-        return np.ones(dm.patch_maps[pid].size)
-    return np.where(flags.reshape(-1), dm.closure_sign, 1.0)
+    return np.where(dm.patch_copies[pid].reshape(-1), dm.closure_sign, 1.0)
 
 
 def zero_sources(st, rt):

@@ -317,9 +317,8 @@ def _turn_back(dofmap, pid, dofs, contrib):
     """Turn the (E, L, 2) contributions of the closure copies among the
     element functions ``dofs`` back by the dof map's turn, in place: a copy
     moves by its global point's displacement turned."""
-    if dofmap.turn is not None and dofmap.patch_copies[pid] is not None:
-        turned = dofmap.patch_copies[pid].reshape(-1)[dofs]
-        contrib[turned] = contrib[turned] @ dofmap.turn
+    turned = dofmap.patch_copies[pid].reshape(-1)[dofs]
+    contrib[turned] = contrib[turned] @ dofmap.turn
 
 
 def _shape_gradient_oracle(model, dofmap, design, u_rt_list, p_rt_list, relmap):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import weakref
 from dataclasses import fields
 
@@ -181,8 +182,7 @@ def _rel_diff(a, b):
 def _cross(dm, pid, dofs):
     """t_row - t_col (E, L, L) of the closure-copy flags t of the element
     functions ``dofs`` (E, L) of patch ``pid``."""
-    flags = dm.patch_copies[pid]
-    t = np.zeros(dofs.shape, dtype=int) if flags is None else flags.reshape(-1)[dofs].astype(int)
+    t = dm.patch_copies[pid].reshape(-1)[dofs].astype(int)
     return t[:, :, None] - t[:, None, :]
 
 
@@ -549,15 +549,13 @@ def _vector_metric_oracle(model, dm, mask, coeffs, h1):
     """The vector metric on the dofs of ``mask`` in its real form [[A, B],
     [-B, A]] on the stacked [x; y], as (A, B), from scalar operators
     ``h1(coeffs, mass, factor)`` on all globals, each element entry taken
-    times ``factor`` of its t_row - t_col (:func:`_cross`): A the scalar
-    metric and B empty without a turn, else A with its entries between a
-    closure copy and a non-copy times cos of the turn and B their sin,
-    signed.  Its rows are the masked globals in the dof map's band order."""
+    times ``factor`` of its t_row - t_col (:func:`_cross`): A with its
+    entries between a closure copy and a non-copy times cos of the turn and
+    B their sin, signed, so on the full ring, whose turn is the identity, A
+    is the scalar metric and B empty.  Its rows are the masked globals in
+    the dof map's band order."""
     idx = _band_rows(dm, mask)
     copies = float(model.copies)
-    if dm.turn is None:
-        A = _restrict_oracle(h1(coeffs, copies, lambda cross: 1.0), idx)
-        return A, sp.csr_matrix(A.shape)
     cos, sin = dm.turn[0, 0], dm.turn[1, 0]
     A = _restrict_oracle(h1(coeffs, copies, lambda cross: np.where(cross != 0, cos, 1.0)), idx)
     B = _restrict_oracle(h1(coeffs, copies, lambda cross: cross * sin), idx)
@@ -590,10 +588,32 @@ def test_metric_equals_all_patch_matrix_bitwise(coarse_cfg, coarse_machine, coar
             lambda coeffs, mass, factor: _h1_per_patch_oracle(model, dm, coeffs, mass, factor))
         H = assemble_vector_metric(model, dm, mask)
         _assert_metric_is_real_form(H, expected)
-        if dm.turn is None:          # the full ring: the scalar metric, imaginary part exactly 0
+        if model.copies == 1:        # the full ring: the scalar metric, imaginary part exactly 0
             assert not H.imag.data.any()
         else:                        # the pitch: the turn couples x and y at the closure
             assert expected[1].nnz > 0
+
+
+def test_closure_data_is_plain_data(coarse_cfg):
+    # without a closure every patch's copy flags are all False and its field
+    # signs all 1; the full ring's turn is the identity, bit for bit
+    from igamotor.geometry import dump_geometry, load_geometry
+
+    square = square_model(p=2, n_elements=2)
+    doc = json.loads(dump_geometry(square))
+    for key in ("closure", "copies", "closure_sign"):
+        del doc[key]
+    for model in (square, load_geometry(json.dumps(doc))):
+        dm = build_dof_map(model)
+        for pid, patch in enumerate(model.patches):
+            copies = dm.patch_copies[pid]
+            assert copies.dtype == bool and copies.shape == (patch.n_u, patch.n_v)
+            assert not copies.any()
+            assert np.array_equal(dm.patch_signs(pid), np.ones((patch.n_u, patch.n_v)))
+    for model in build_demo_machine(coarse_cfg, 2 * coarse_cfg.pole_pairs):
+        assert model.copies == 1
+        for turn in (model.turn, build_dof_map(model).turn):
+            assert turn.dtype == np.float64 and turn.tobytes() == np.eye(2).tobytes()
 
 
 def test_metric_constant_field_gives_area():

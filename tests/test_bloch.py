@@ -70,8 +70,9 @@ def test_bloch_solve_takes_one_column_or_a_block():
     assert block.shape == b.shape and block.flags.f_contiguous
     for k in range(b.shape[1]):
         assert _relative(modes.solve(b[:, k]), block[:, k]) < 1e-14
-    with pytest.raises(ValueError):
-        modes.solve(b.astype(complex))
+    for wrong in (b.astype(complex), np.float64(1.0)):        # a 0-d one has no length
+        with pytest.raises(ValueError):
+            modes.solve(wrong)
 
 
 @pytest.mark.parametrize("n, sign", [(1, -1), (1, 1), (3, -1), (3, 1), (18, 1), (9, -1)])

@@ -51,6 +51,22 @@ def test_main_exit_codes(tmp_path):
     assert main(["solve", "--config", str(missing)]) == 2
 
 
+def test_output_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys):
+    # checked before the command computes anything: exit 2, nothing written;
+    # so is the optimizer's snapshot directory
+    (tmp_path / "file").write_text("")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "snapshots").write_text("")
+    under_file = write_config(tmp_path, "under.json", output_dir=str(tmp_path / "file" / "out"))
+    snapshots = write_config(tmp_path, "snap.json", optimize={"snapshots": True})
+    before = sorted(tmp_path.rglob("*"))
+    runs = [(command, under_file) for command in ("solve", "sweep", "optimize", "export")]
+    for command, cfg_path in runs + [("optimize", snapshots)]:
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def config_with(tmp_path, key, value):
     """A config of BASE_MACHINE with the dotted ``key`` ("section.name" or a
     top-level name) set to ``value``."""

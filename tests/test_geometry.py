@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -531,8 +532,7 @@ def test_geometry_dump_load_round_trip(coarse_machine):
     assert (back.copies, back.closure_sign) == (rotor.copies, rotor.closure_sign) == (6, -1)
     a, b = build_dof_map(rotor), build_dof_map(back)
     assert all(np.array_equal(x, y) for x, y in zip(a.patch_maps, b.patch_maps))
-    assert [x is None or x.tolist() for x in a.patch_copies] == \
-        [x is None or x.tolist() for x in b.patch_copies]
+    assert [x.tolist() for x in a.patch_copies] == [x.tolist() for x in b.patch_copies]
     assert dump_geometry(back) == text
 
 
@@ -544,8 +544,6 @@ def test_closure_glues_turned_copies_with_the_field_sign(coarse_machine):
                   for i, j in edge_nodes(model.patches[pa].n_u, model.patches[pa].n_v, ea)}
         found = set()
         for pid, copies in enumerate(dm.patch_copies):
-            if copies is None:
-                continue
             found |= {(pid, i, j) for i, j in zip(*np.nonzero(copies))}
             # a copy is its global's point turned by pi / p, with field sign -1
             np.testing.assert_allclose(model.patches[pid].points[copies],
@@ -563,6 +561,24 @@ def test_closure_glues_turned_copies_with_the_field_sign(coarse_machine):
     ring = build_demo_machine(coarse_config(), 6)[1]
     with pytest.raises(ConformityError, match="own copy"):
         build_dof_map(dataclasses.replace(ring, connectivity=ring.connectivity + ring.closure))
+
+
+MALFORMED_CLOSURES = {"copies-2.5": ("copies", 2.5), "copies-true": ("copies", True),
+                      "copies-string": ("copies", "6"), "copies-0": ("copies", 0),
+                      "closure_sign-true": ("closure_sign", True),
+                      "closure_sign-float": ("closure_sign", -1.0),
+                      "closure_sign-2": ("closure_sign", 2)}
+
+
+@pytest.mark.parametrize("key, value", list(MALFORMED_CLOSURES.values()),
+                         ids=list(MALFORMED_CLOSURES))
+def test_load_geometry_rejects_a_malformed_closure(coarse_machine, key, value):
+    # copies is an int >= 1 and closure_sign the int +1 or -1, neither a
+    # bool: a float count would scale the winding vector and the metric
+    doc = json.loads(dump_geometry(coarse_machine[1]))
+    doc[key] = value
+    with pytest.raises(ValueError, match="closure needs"):
+        load_geometry(json.dumps(doc))
 
 
 # ---------------------------------------------------------------- polar lookup

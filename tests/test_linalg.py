@@ -171,8 +171,9 @@ def test_solve_multi_contracts(rng):
         np.testing.assert_allclose(X, np.eye(n), atol=1e-10)
         with pytest.raises(ValueError):    # a cast would drop the imaginary part
             F.solve(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        with pytest.raises(ValueError):
-            F.solve(np.zeros((17, 2)))
+        for wrong in (np.zeros((17, 2)), np.float64(1.0)):    # a 0-d one has no length
+            with pytest.raises(ValueError):
+                F.solve(wrong)
 
 
 def test_factorization_reuse_matches_fresh_solves(rng):

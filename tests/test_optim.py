@@ -466,7 +466,7 @@ def test_displace_gathers_bitwise_and_shares_the_parent_space(coarse_machine, co
             # a closure copy moves by its global point's displacement turned
             step = disp[dm_rt.patch_maps[pid]]
             copies = dm_rt.patch_copies[pid]
-            if copies is not None:
+            if copies.any():
                 step[copies] = step[copies] @ dm_rt.turn.T
                 turned += int(np.abs(step[copies]).max() > 0.0)
             expected = parent.points - delta * step
