@@ -32,13 +32,9 @@ from .optim import MachineSolver, OptimizationState, OptimizerConfig, run_optimi
 from .splines import (
     KnotVector,
     NurbsPatch,
-    bspline_basis,
-    eval_curve,
     eval_patch,
-    find_span,
     insert_knots,
     make_arc_patch,
-    nurbs_basis,
 )
 
 __all__ = [
@@ -74,11 +70,7 @@ __all__ = [
     "run_optimization",
     "KnotVector",
     "NurbsPatch",
-    "bspline_basis",
-    "eval_curve",
     "eval_patch",
-    "find_span",
     "insert_knots",
     "make_arc_patch",
-    "nurbs_basis",
 ]

@@ -9,7 +9,9 @@ one scatter per quantity.
   operators and one kept geometry.  It serves models on the dof map's own
   knots and weights objects, which ``DesignSpace.displace`` shares between
   rotors; other models are grouped and scattered afresh.
-* Batches: patches whose knots, degrees, weights and Gauss count have
+* Batches: every patch integral takes one tensor Gauss rule, p + 1
+  points per direction for degree p (:func:`_check_gauss`), the rule the
+  mesh check reads too.  Patches whose knots, degrees and weights have
   equal values share one space table, the rational basis values and
   parametric derivatives at the Gauss points, which do not depend on the
   control points (the demo rotor pitch's 9 patches share 2, the stator's
@@ -168,7 +170,8 @@ def _space_tables(patch: NurbsPatch, n_gauss: int, tables: dict):
 
 
 def _check_gauss(patch: NurbsPatch) -> int:
-    """Gauss points per direction of the mesh check: degree + 1."""
+    """Gauss points per direction of every patch integral and of the mesh
+    check: degree + 1."""
     return max(patch.knots_u.degree, patch.knots_v.degree) + 1
 
 
@@ -176,15 +179,15 @@ def _check_gauss(patch: NurbsPatch) -> int:
 _BATCH_ELEMENTS = 256
 
 
-def _group(patches, tables: dict, n_gauss: int | None = None):
-    """Group ``patches`` by their shared space tables (kept in ``tables``;
-    mesh-check Gauss count when ``n_gauss`` is None) in chunks of at most
-    ``_BATCH_ELEMENTS`` elements, and at least one patch: [(ids, space)],
-    ids the chunk's positions in ``patches``, increasing.  Groups come in
-    order of first appearance and chunks in patch order."""
+def _group(patches, tables: dict):
+    """Group ``patches`` by their shared space tables (kept in ``tables``)
+    in chunks of at most ``_BATCH_ELEMENTS`` elements, and at least one
+    patch: [(ids, space)], ids the chunk's positions in ``patches``,
+    increasing.  Groups come in order of first appearance and chunks in
+    patch order."""
     groups = {}
     for i, patch in enumerate(patches):
-        space = _space_tables(patch, _check_gauss(patch) if n_gauss is None else n_gauss, tables)
+        space = _space_tables(patch, _check_gauss(patch), tables)
         groups.setdefault(id(space), (space, []))[1].append(i)
     chunks = []
     for space, ids in groups.values():
@@ -193,11 +196,11 @@ def _group(patches, tables: dict, n_gauss: int | None = None):
     return chunks
 
 
-def _patch_batches(patches, plan, n_gauss: int | None = None):
+def _patch_batches(patches, plan):
     """Yields (ids, space, P) for each chunk of :func:`_group`, taken from
     ``plan`` (an :class:`AssemblyPlan`, or None for a one-off grouping):
     P the chunk's (G, E, L, 2) local control points."""
-    chunks = _group(patches, {}, n_gauss) if plan is None else plan.groups(patches, n_gauss)
+    chunks = _group(patches, {}) if plan is None else plan.groups(patches)
     for ids, space in chunks:
         P = np.stack([patches[i].points.reshape(-1, 2) for i in ids]).take(space[0], axis=1)
         yield ids, space, P
@@ -242,25 +245,23 @@ def _table_shapes(detj, space):
     return detj.shape, (n_batch, n_el, n_loc, n_q, 2), (n_batch, n_el, n_loc, n_loc)
 
 
-def _batch_tables(space, P, require_regular: bool = True):
+def _batch_tables(space, P):
     """(det J, physical gradients, weight x det J, Gauss points) of a stack
     of patches on one space: (G, E, Q), (G, E, L, Q, 2), (G, E, Q),
     (G, E, Q, 2).  Every entry is computed as for a single patch, so it is
-    bitwise the same in any batch."""
+    bitwise the same in any batch.  AssemblyError where det J <= 0."""
     j_xi, j_eta, detj = _jacobian(space, P)
-    if require_regular:
-        _check_regular(detj)
+    _check_regular(detj)
     wdet, grad = (np.empty(shape) for shape in _table_shapes(detj, space)[:2])
     _gradients(space, j_xi, j_eta, detj, wdet, grad)
     return detj, grad, wdet, space[1] @ P
 
 
-def build_patch_tables(patch: NurbsPatch, n_gauss: int | None = None,
-                       require_regular: bool = True) -> PatchTables:
-    """Tables of one patch: the one-patch batch of :func:`_patch_batches`
-    (mesh-check Gauss count by default), gradients as (E, Q, L, 2)."""
-    (_, space, P), = _patch_batches([patch], None, n_gauss)
-    detj, grad, wdet, xy = _batch_tables(space, P, require_regular)
+def build_patch_tables(patch: NurbsPatch) -> PatchTables:
+    """Tables of one patch: the one-patch batch of :func:`_patch_batches`,
+    gradients as (E, Q, L, 2)."""
+    (_, space, P), = _patch_batches([patch], None)
+    detj, grad, wdet, xy = _batch_tables(space, P)
     return PatchTables(space[0], space[1], np.ascontiguousarray(grad[0].transpose(0, 2, 1, 3)),
                        detj[0], wdet[0], xy[0])
 
@@ -308,9 +309,10 @@ def build_reluctivity_map(model: MultipatchModel, cfg: MachineConfig) -> dict:
     return {tag: reluctivity(tag, cfg) for tag in set(model.tags)}
 
 
-def phase_current(cfg: MachineConfig, phase: int, t: float) -> float:
-    """Balanced three-phase current at electrical angle t."""
-    return cfg.current_amplitude * np.cos(t - 2.0 * np.pi * (phase - 1) / 3.0)
+def phase_current(cfg: MachineConfig, phase: int) -> float:
+    """Current of ``phase`` (1..3) of the balanced three-phase set at
+    electrical angle 0: amplitude times cos(-2 pi (phase - 1) / 3)."""
+    return cfg.current_amplitude * np.cos(-2.0 * np.pi * (phase - 1) / 3.0)
 
 
 def magnetization_perp(sign, cfg: MachineConfig, xy: np.ndarray) -> np.ndarray:
@@ -496,14 +498,14 @@ class AssemblyPlan:
             pids.append(base[0])
         return tuple(pids)
 
-    def groups(self, patches, n_gauss: int | None = None):
+    def groups(self, patches):
         """:func:`_group` of ``patches``, kept for the dof map's own patches."""
         pids = self._pids(patches)
         if pids is None:
-            return _group(patches, self.tables, n_gauss)
-        hit = self._groups.get((pids, n_gauss))
+            return _group(patches, self.tables)
+        hit = self._groups.get(pids)
         if hit is None:
-            hit = self._groups[pids, n_gauss] = _group(patches, self.tables, n_gauss)
+            hit = self._groups[pids] = _group(patches, self.tables)
         return hit
 
     def scatter(self, model: MultipatchModel, pids, keep):
@@ -692,14 +694,14 @@ def _element_signs(dofmap: DofMap, pids, dofs):
     return np.stack([dofmap.patch_signs(pid).reshape(-1) for pid in pids]).take(dofs, axis=1)
 
 
-def _quadrature(model: MultipatchModel, dofmap: DofMap, pids, n_gauss):
+def _quadrature(model: MultipatchModel, dofmap: DofMap, pids):
     """Yields (pids, gd, sg, R, grad, wdet, xy) per batch of the patches
     ``pids`` of ``model`` on the dof map's plan (:func:`_patch_batches`):
     gd (G, E, L) the element functions' global dofs, sg their
     :func:`_element_signs`, R (E, Q, L) their values and
     :func:`_batch_tables`.  AssemblyError where det J <= 0."""
     patches = [model.patches[pid] for pid in pids]
-    for ids, space, P in _patch_batches(patches, dofmap.plan, n_gauss):
+    for ids, space, P in _patch_batches(patches, dofmap.plan):
         _, grad, wdet, xy = _batch_tables(space, P)
         batch = [pids[i] for i in ids]
         gd = np.stack([dofmap.patch_maps[pid].reshape(-1) for pid in batch]).take(space[0], axis=1)
@@ -717,14 +719,14 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return total.reshape((n,) + values.shape[1:])
 
 
-def _assemble_vector(model: MultipatchModel, dofmap: DofMap, pids, n_gauss, kernel) -> np.ndarray:
+def _assemble_vector(model: MultipatchModel, dofmap: DofMap, pids, kernel) -> np.ndarray:
     """Free-dof vector of the element contributions
     ``kernel(sign, R, grad, wdet, xy)`` (G, E, L) of every batch of
     :func:`_quadrature`, ``sign`` (G, 1, 1) the patches' region signs,
     each taken with its function's field sign and summed in
     patch/element/local order by one :func:`_scatter_add`."""
     parts = {}                  # pid -> (global dofs, contributions)
-    for ids, gd, sg, *tables in _quadrature(model, dofmap, pids, n_gauss):
+    for ids, gd, sg, *tables in _quadrature(model, dofmap, pids):
         sign = np.array([model.tags[pid].sign for pid in ids])[:, None, None]
         values = kernel(sign, *tables)
         parts.update(zip(ids, zip(gd, values if sg is None else values * sg)))
@@ -736,8 +738,7 @@ def _assemble_vector(model: MultipatchModel, dofmap: DofMap, pids, n_gauss, kern
 
 
 def assemble_winding_vector(model: MultipatchModel, dofmap: DofMap,
-                            cfg: MachineConfig, phase: int,
-                            n_gauss: int | None = None) -> np.ndarray:
+                            cfg: MachineConfig, phase: int) -> np.ndarray:
     """Vector of integrals of the phase winding function against the basis,
     over the whole machine.
 
@@ -754,19 +755,19 @@ def assemble_winding_vector(model: MultipatchModel, dofmap: DofMap,
 
     pids = [pid for pid, tag in enumerate(model.tags)
             if tag.kind == "coil" and tag.phase == phase]
-    return _assemble_vector(model, dofmap, pids, n_gauss, kernel)
+    return _assemble_vector(model, dofmap, pids, kernel)
 
 
-def assemble_rhs(model: MultipatchModel, dofmap: DofMap, cfg: MachineConfig,
-                 t: float = 0.0, n_gauss: int | None = None) -> np.ndarray:
-    """Source vector: coil currents on the stator side, permanent magnets on
-    the rotor side (assembled once, in the rotor frame)."""
+def assemble_rhs(model: MultipatchModel, dofmap: DofMap, cfg: MachineConfig) -> np.ndarray:
+    """Source vector: coil currents at electrical angle 0
+    (:func:`phase_current`) on the stator side, permanent magnets on the
+    rotor side (assembled once, in the rotor frame)."""
     if model.side == "stator":
         free = np.zeros(dofmap.n_free)
         for phase in (1, 2, 3):
-            current = phase_current(cfg, phase, t)
+            current = phase_current(cfg, phase)
             if current != 0.0:
-                free += current * assemble_winding_vector(model, dofmap, cfg, phase, n_gauss)
+                free += current * assemble_winding_vector(model, dofmap, cfg, phase)
         return free
 
     def kernel(sign, R, grad, wdet, xy):
@@ -776,7 +777,7 @@ def assemble_rhs(model: MultipatchModel, dofmap: DofMap, cfg: MachineConfig,
         return np.einsum("geqc,geqlc,geq->gel", mperp, grad, wdet)
 
     pids = [pid for pid, tag in enumerate(model.tags) if tag.kind == "magnet"]
-    return _assemble_vector(model, dofmap, pids, n_gauss, kernel)
+    return _assemble_vector(model, dofmap, pids, kernel)
 
 
 def coupling_gauss_count(degree: int, orders) -> int:
@@ -787,8 +788,10 @@ def coupling_gauss_count(degree: int, orders) -> int:
 
 
 def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
-                      n_gauss: int | None = None) -> np.ndarray:
-    """Dense real moments of interface traces against the real harmonics.
+                      n_gauss: int) -> np.ndarray:
+    """Dense real moments of interface traces against the real harmonics,
+    by the ``n_gauss``-point rule on every interface element
+    (:func:`coupling_gauss_count`).
 
     Column k holds -(stator) or +(rotor) integrals of w_i h_k(theta) R dtheta
     over the model's interface arc, with h_k = cos(l_k theta) for l_k >= 0
@@ -804,8 +807,6 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
         return np.zeros((dofmap.n_free, orders.size))
     sign = -1.0 if model.side == "stator" else 1.0
     radius = float(model.r_interface)
-    if n_gauss is None:
-        n_gauss = coupling_gauss_count(max(p.knots_u.degree for p in model.patches), orders)
     edges = []
     for pid, edge in model.interface_edges:
         kv, w_edge, p_edge = edge_discretization(model.patches[pid], edge)
@@ -817,8 +818,6 @@ def assemble_coupling(model: MultipatchModel, dofmap: DofMap, orders,
         edges.append((edge_globals[local], edge_signs[local], w_edge[local], p_edge[local],
                       wq, N, dN))
     index, field_sign, w, ctrl, wq, N, dN = (np.concatenate(arrays) for arrays in zip(*edges))
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be positive")
     R, dR = rational_basis(w[:, None, :], N, dN)
     point = R @ ctrl                                            # (Ne, Q, 2)
     tangent = dR @ ctrl

@@ -79,10 +79,10 @@ back into X_st and y_st in the pitch's numbering, so H_st, g_st and every
 product downstream keep their form.  The stator's G and j are dropped once
 the plan is built; the rotor's stay with MachineSolver, which solves with
 them for every rotor geometry.
-full_residual, the residual of an angle solution in the coupled system,
-takes each side's (K, G, j) as arguments.  The primary correctness oracle,
-agreement with the full saddle system solved directly, lives with the
-tests (tests/oracles.py), as does the dense R(alpha) it forms.
+The primary correctness oracle, agreement with the full saddle system
+solved directly, lives with the tests (tests/oracles.py), as do the
+dense R(alpha) it forms and the residual of an angle solution in the
+coupled system.
 """
 from __future__ import annotations
 
@@ -370,10 +370,10 @@ def sweep_angles(pole_pairs: int, n_angles: int) -> np.ndarray:
 
 
 def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
-                   winding_vector: np.ndarray | None = None,
-                   flux_scale: float = 1.0) -> SweepResult:
+                   winding_vector: np.ndarray, flux_scale: float) -> SweepResult:
     """Solve the interface problem at every angle of a 1-D array (one
-    electrical period), block by block.
+    electrical period), block by block, and take the flux linkage
+    flux_scale * chi^T u_st of the winding vector chi at each.
 
     Only the flux linkage samples and the interface coefficients are kept;
     interior fields are reconstructed on demand from the stored
@@ -385,31 +385,9 @@ def rotation_sweep(pre: CouplingPrecomp, angles: np.ndarray,
     plan = pre.plan
     lambdas = np.empty(angles.shape + plan.orders.shape)
     psi = np.zeros(angles.size)
-    if winding_vector is not None:
-        chi_X = winding_vector @ plan.st.X    # row vector of length n_harmonics
+    chi_X = winding_vector @ plan.st.X    # row vector of length n_harmonics
     for rows, cos, sin, lam in _interface_blocks(pre, angles, plan.st.g, pre.rt.g):
         lambdas[rows] = lam
-        if winding_vector is not None:
-            psi[rows] = matvec(chi_X, _rotate(lam, cos, sin, plan.partner))
-    if winding_vector is not None:
-        psi = flux_scale * (float(winding_vector @ plan.st.y) + psi)
+        psi[rows] = matvec(chi_X, _rotate(lam, cos, sin, plan.partner))
+    psi = flux_scale * (float(winding_vector @ plan.st.y) + psi)
     return SweepResult(angles=angles, psi=psi, lambdas=lambdas)
-
-
-def full_residual(pre: CouplingPrecomp, st: tuple, rt: tuple, sol: AngleSolution) -> float:
-    """Relative residual of an angle solution in the full coupled system of
-    the stator's and the rotor's (K, G, j) (checks the elimination algebra
-    without the block matrix).  R(alpha) acts by its phases: G_st R lam is
-    G_st (R lam), and (G_st R)^T u_st is R^T (G_st^T u_st)."""
-    (K_st, G_st, j_st), (K_rt, G_rt, j_rt) = st, rt
-    plan = pre.plan
-    cos, sin = _phases(plan.orders, plan.partner, sol.alpha)
-    res_st = K_st @ sol.u_st - G_st @ _rotate(sol.lam, cos, sin, plan.partner) - j_st
-    res_rt = K_rt @ sol.u_rt - G_rt @ sol.lam - j_rt
-    res_if = -_rotate(G_st.T @ sol.u_st, cos, -sin, plan.partner) - G_rt.T @ sol.u_rt
-    num = np.sqrt(np.linalg.norm(res_st) ** 2 + np.linalg.norm(res_rt) ** 2
-                  + np.linalg.norm(res_if) ** 2)
-    scale = max(np.linalg.norm(j_st), np.linalg.norm(j_rt),
-                float(np.abs(K_st.data).max()) * np.linalg.norm(sol.u_st),
-                1e-300)
-    return float(num / scale)

@@ -278,16 +278,10 @@ _EDGE_SLICES = {"u0": (0, slice(None)), "u1": (-1, slice(None)),
                "v0": (slice(None), 0), "v1": (slice(None), -1)}
 
 
-def edge_nodes(n_u: int, n_v: int, edge: str):
-    """Grid indices (i, j) along an edge, in canonical running order."""
-    rows, cols = np.indices((n_u, n_v))
-    index = _edge_index(edge)
-    return list(zip(rows[index].tolist(), cols[index].tolist()))
-
-
 def _edge_index(edge: str):
-    """Index of an edge in an (n_u, n_v, ...) grid: the edge_nodes of the
-    edge, in their running order, as one basic slice."""
+    """Index of an edge in an (n_u, n_v, ...) grid: the grid points of the
+    edge, in their running order (increasing i along a v edge, j along a
+    u edge), as one basic slice."""
     if edge not in _EDGE_SLICES:
         raise ValueError("unknown edge %r" % (edge,))
     return _EDGE_SLICES[edge]
@@ -325,7 +319,6 @@ class DofMap:
     free_globals: np.ndarray         # free position -> global: the band order's free globals
     band_order: np.ndarray           # every global, in the band order
     points: np.ndarray               # control point per global: of a copy that is no closure copy
-    weights: np.ndarray
     # per patch (knots_u, knots_v, weights): the objects of the NURBS bases numbered
     patch_bases: tuple = field(repr=False)
     # per patch (n_u, n_v) bool, True at a closure copy of a global (all
@@ -552,7 +545,7 @@ def build_dof_map(model: MultipatchModel) -> DofMap:
     free_index = np.full(n_global, -1, dtype=int)
     free_index[free_globals] = np.arange(free_globals.size)
     return DofMap(n_global, patch_maps, dirichlet, free_index, free_globals, band_order,
-                  points.take(last, axis=0), weights[last],
+                  points.take(last, axis=0),
                   tuple((p.knots_u, p.knots_v, p.weights) for p in model.patches),
                   patch_copies, float(model.closure_sign), model.turn)
 
@@ -693,12 +686,47 @@ def dump_geometry(model: MultipatchModel) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _require(doc, keys, what: str):
+    """ValueError unless ``doc`` is a JSON object holding every key of ``keys``."""
+    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise ValueError("%s lacks %s" % (what, ", ".join(map(repr, missing))))
+
+
+def _edge_entries(doc: dict, key: str, width: int, n_patches: int) -> list:
+    """The entries of ``doc[key]`` as tuples: (patch, edge) pairs for width
+    2, connections (pa, ea, pb, eb, reverse) for width 5.  ValueError for
+    an entry of another length, a patch id that is no int in
+    [0, n_patches) and an edge name outside EDGES."""
+    entries = []
+    for entry in doc.get(key, []):
+        if not isinstance(entry, list) or len(entry) != width:
+            raise ValueError("%s entry %r does not have %d entries" % (key, entry, width))
+        for pid, edge in zip(entry[0:4:2], entry[1:4:2]):
+            if type(pid) is not int or not 0 <= pid < n_patches:
+                raise ValueError("%s entry %r: patch id %r is no int in [0, %d)"
+                                 % (key, entry, pid, n_patches))
+            if edge not in EDGES:
+                raise ValueError("%s entry %r: edge %r is none of %s" % (key, entry, edge, EDGES))
+        entries.append(tuple(entry))
+    return entries
+
+
 def load_geometry(text: str) -> MultipatchModel:
     """The model of :func:`dump_geometry`'s text; a document without a
-    closure is one copy of its side."""
+    closure is one copy of its side.  ValueError for a missing required
+    key, a connection that does not have 5 entries or a boundary or
+    interface edge that does not have 2, a patch id that is no int in
+    [0, n_patches) and an edge name outside EDGES: outside text is checked
+    here, once, and not by the model, which every line-search trial
+    rotor constructs."""
     doc = json.loads(text)
+    _require(doc, ("patches",), "geometry document")
     patches, tags = [], []
-    for entry in doc["patches"]:
+    for k, entry in enumerate(doc["patches"]):
+        _require(entry, ("degree_u", "degree_v", "knots_u", "knots_v", "points", "weights",
+                         "tag"), "patch %d" % k)
+        _require(entry["tag"], ("kind",), "tag of patch %d" % k)
         patches.append(NurbsPatch(
             KnotVector(np.array(entry["knots_u"]), entry["degree_u"]),
             KnotVector(np.array(entry["knots_v"]), entry["degree_v"]),
@@ -711,11 +739,11 @@ def load_geometry(text: str) -> MultipatchModel:
         tags=tags,
         side=doc.get("side"),
         r_interface=doc.get("r_interface"),
-        connectivity=[tuple(c) for c in doc.get("connectivity", [])],
-        dirichlet_edges=[tuple(e) for e in doc.get("dirichlet_edges", [])],
-        interface_edges=[tuple(e) for e in doc.get("interface_edges", [])],
+        connectivity=_edge_entries(doc, "connectivity", 5, len(patches)),
+        dirichlet_edges=_edge_entries(doc, "dirichlet_edges", 2, len(patches)),
+        interface_edges=_edge_entries(doc, "interface_edges", 2, len(patches)),
         meta=doc.get("meta", {}),
-        closure=[tuple(c) for c in doc.get("closure", [])],
+        closure=_edge_entries(doc, "closure", 5, len(patches)),
         copies=doc.get("copies", 1),
         closure_sign=doc.get("closure_sign", 1),
     )

@@ -153,7 +153,7 @@ class MachineSolver:
                                      coupling_gauss_count(degree, configured))
 
         G_st = moments(self.stator, self.dm_st)
-        j_st = assemble_rhs(self.stator, self.dm_st, cfg, t=0.0)
+        j_st = assemble_rhs(self.stator, self.dm_st, cfg)
         self.plan = SweepPlan(precompute_side(stator_modes(self.stator, self.dm_st, cfg),
                                               G_st, j_st),
                               self.orders, cfg.stator_period,

@@ -91,25 +91,6 @@ def _span(knots: np.ndarray, p: int, x):
     return np.where(x >= 1.0, n - 1, inside)
 
 
-def find_span(kv: KnotVector, x: float) -> int:
-    """Index i of the knot span with knots[i] <= x < knots[i+1].
-
-    For x == 1 the last nonempty span (index n - 1) is returned.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("parameter %r outside [0, 1]" % (x,))
-    return int(_span(kv.knots, kv.degree, x))
-
-
-def bspline_basis(kv: KnotVector, x: float):
-    """(span, values, derivs) of the nonzero B-spline basis at x, the 0-d
-    case of :func:`bspline_basis_table`: the values (nonnegative, summing
-    to one) and first derivatives (summing to zero) of the global
-    functions span - p .. span."""
-    span, values, derivs = bspline_basis_table(kv, x)
-    return int(span), values, derivs
-
-
 def bspline_basis_table(kv: KnotVector, x):
     """Nonzero B-spline basis functions and first derivatives at every point
     of the array ``x`` in one Cox-de Boor pass (The NURBS Book, A2.2 and
@@ -160,33 +141,6 @@ def rational_basis(w, N, *dN):
     W = wN.sum(axis=-1, keepdims=True)
     return (wN / W,) + tuple(
         w * (d * W - N * (w * d).sum(axis=-1, keepdims=True)) / (W * W) for d in dN)
-
-
-def nurbs_basis(kv: KnotVector, weights, x: float):
-    """Rational basis functions and first derivatives at x.
-
-    ``weights`` must hold one positive weight per basis function.
-    Identical to :func:`bspline_basis` whenever all weights are equal.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (kv.n,):
-        raise ValueError("expected %d weights, got shape %r" % (kv.n, w.shape))
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be positive")
-    span, N, dN = bspline_basis(kv, x)
-    R, dR = rational_basis(w[span - kv.degree:span + 1], N, dN)
-    return span, R, dR
-
-
-def eval_curve(kv: KnotVector, weights, points, x: float):
-    """Point and first derivative of a NURBS curve at parameter x.
-
-    ``points`` has shape (n, d) for any spatial dimension d.
-    """
-    P = np.asarray(points, dtype=float)
-    span, R, dR = nurbs_basis(kv, weights, x)
-    Pl = P[span - kv.degree:span + 1]
-    return R @ Pl, dR @ Pl
 
 
 @dataclass(frozen=True)

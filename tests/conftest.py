@@ -3,10 +3,11 @@ import pytest
 
 from igamotor.assembly import assemble_stiffness, assemble_winding_vector
 from igamotor.coupling import CouplingPrecomp, SweepPlan, precompute_side
-from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
+from igamotor.geometry import MachineConfig, _edge_index, build_demo_machine, build_dof_map
 from igamotor.linalg import factorize, matvec
 from igamotor.optim import MachineSolver
-from igamotor.splines import NurbsPatch, insert_knots, make_arc_patch, rational_basis
+from igamotor.splines import (NurbsPatch, bspline_basis_table, insert_knots, make_arc_patch,
+                              rational_basis)
 
 from oracles import stator_blocks
 
@@ -15,6 +16,14 @@ def coarse_config(**overrides):
     base = dict(refinement=0, n_harmonics=12, n_angles=12)
     base.update(overrides)
     return MachineConfig(**base)
+
+
+def edge_nodes(n_u: int, n_v: int, edge: str):
+    """Grid indices (i, j) along an edge of an (n_u, n_v) control grid, in
+    canonical running order."""
+    rows, cols = np.indices((n_u, n_v))
+    index = _edge_index(edge)
+    return list(zip(rows[index].tolist(), cols[index].tolist()))
 
 
 def scalar_bspline_basis(kv, x):
@@ -51,6 +60,17 @@ def scalar_bspline_basis(kv, x):
             b = lower[r] / (U[j + p + 1] - U[j + 1]) if r <= p - 1 else 0.0
             derivs[r] = p * (a - b)
     return span, N, derivs
+
+
+def curve_points(kv, weights, points, x):
+    """Points (S + (d,)) of the NURBS curve of knots ``kv``, ``weights``
+    (n,) and control ``points`` (n, d) at the parameters x of shape S (a
+    scalar the 0-d case), by the array kernels: the basis table and the
+    rational basis."""
+    span, N, _ = bspline_basis_table(kv, x)
+    local = np.asarray(span)[..., None] + np.arange(-kv.degree, 1)
+    R, = rational_basis(np.asarray(weights)[local], N)
+    return np.matmul(R[..., None, :], np.asarray(points)[local])[..., 0, :]
 
 
 def homogeneous_eval(patch, ctrl, xi, eta):

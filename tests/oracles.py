@@ -2,8 +2,10 @@
 full stator-rotor saddle system solved directly (acceptance 1), its dense
 rotation R(alpha), the stator's products by one direct factorization of
 the stiffness of the whole stator model (the pipeline solves its Bloch
-modes), a recomputation of the precomputed products, and the quadrature
-helpers of the manufactured-solution and area checks."""
+modes), a recomputation of the precomputed products, the residual of an
+angle solution in the coupled system, and the quadrature helpers of the
+manufactured-solution and area checks, on a Gauss rule of their own (the
+library's patch integrals take p + 1 points per direction)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,10 +14,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from igamotor.assembly import (_assemble_vector, _quadrature, assemble_coupling, assemble_rhs,
-                               assemble_stiffness, build_patch_tables, build_reluctivity_map,
-                               coupling_gauss_count)
-from igamotor.coupling import _partner_columns, _phases, harmonic_orders, precompute_side
+from igamotor.assembly import (PatchTables, _batch_tables, _scatter_add, _space_tables,
+                               assemble_coupling, assemble_rhs, assemble_stiffness,
+                               build_reluctivity_map, coupling_gauss_count)
+from igamotor.coupling import _partner_columns, _phases, _rotate, harmonic_orders, precompute_side
 from igamotor.linalg import factorize
 
 
@@ -51,7 +53,7 @@ def stator_blocks(solver) -> tuple:
     degree = max(patch.knots_u.degree for patch in solver.stator.patches)
     G = assemble_coupling(solver.stator, solver.dm_st, solver.orders,
                           coupling_gauss_count(degree, configured))
-    j = assemble_rhs(solver.stator, solver.dm_st, cfg, t=0.0)
+    j = assemble_rhs(solver.stator, solver.dm_st, cfg)
     K = assemble_stiffness(solver.stator, solver.dm_st, build_reluctivity_map(solver.stator, cfg))
     return K, G, j
 
@@ -108,8 +110,27 @@ def assemble_full_saddle(pre, st: tuple, rt: tuple, alpha: float) -> FullSaddleS
     return FullSaddleSolution(alpha, u_st, u_rt, lam, M, block_res)
 
 
+def full_residual(pre, st: tuple, rt: tuple, sol) -> float:
+    """Relative residual of an angle solution in the full coupled system of
+    the stator's and the rotor's (K, G, j) (checks the elimination algebra
+    without the block matrix).  R(alpha) acts by its phases: G_st R lam is
+    G_st (R lam), and (G_st R)^T u_st is R^T (G_st^T u_st)."""
+    (K_st, G_st, j_st), (K_rt, G_rt, j_rt) = st, rt
+    plan = pre.plan
+    cos, sin = _phases(plan.orders, plan.partner, sol.alpha)
+    res_st = K_st @ sol.u_st - G_st @ _rotate(sol.lam, cos, sin, plan.partner) - j_st
+    res_rt = K_rt @ sol.u_rt - G_rt @ sol.lam - j_rt
+    res_if = -_rotate(G_st.T @ sol.u_st, cos, -sin, plan.partner) - G_rt.T @ sol.u_rt
+    num = np.sqrt(np.linalg.norm(res_st) ** 2 + np.linalg.norm(res_rt) ** 2
+                  + np.linalg.norm(res_if) ** 2)
+    scale = max(np.linalg.norm(j_st), np.linalg.norm(j_rt),
+                float(np.abs(K_st.data).max()) * np.linalg.norm(sol.u_st),
+                1e-300)
+    return float(num / scale)
+
+
 def dense_full_residual(pre, st: tuple, rt: tuple, sol) -> float:
-    """``coupling.full_residual`` with G_st R(alpha) formed densely."""
+    """:func:`full_residual` with G_st R(alpha) formed densely."""
     (K_st, G_st, j_st), (K_rt, G_rt, j_rt) = st, rt
     Gst_r = G_st @ rotation_matrix(pre.plan.orders, sol.alpha)
     res_st = K_st @ sol.u_st - Gst_r @ sol.lam - j_st
@@ -139,30 +160,53 @@ def verify_products(pre, st: tuple, rt: tuple, tol: float = 1e-12) -> float:
     return worst
 
 
-def patch_area(patch, n_gauss: int | None = None) -> float:
-    tables = build_patch_tables(patch, n_gauss, require_regular=False)
-    return float(tables.wdet.sum())
+def patch_tables(patch, n_gauss: int) -> PatchTables:
+    """The tables of ``assembly.build_patch_tables`` on an ``n_gauss``-point
+    Gauss rule per direction: the one-patch batch of the same space and
+    batch tables."""
+    space = _space_tables(patch, n_gauss, {})
+    P = patch.points.reshape(-1, 2).take(space[0], axis=0)[None]
+    detj, grad, wdet, xy = _batch_tables(space, P)
+    return PatchTables(space[0], space[1], np.ascontiguousarray(grad[0].transpose(0, 2, 1, 3)),
+                       detj[0], wdet[0], xy[0])
 
 
-def assemble_load(model, dofmap, f, n_gauss: int | None = None) -> np.ndarray:
-    """Free-dof load vector of a scalar source f(x, y) (manufactured cases)."""
-    def kernel(sign, R, grad, wdet, xy):
-        return np.einsum("geq,eql,geq->gel", f(xy[..., 0], xy[..., 1]), R, wdet)
-
-    return _assemble_vector(model, dofmap, range(len(model.patches)), n_gauss, kernel)
+def patch_area(patch, n_gauss: int) -> float:
+    return float(patch_tables(patch, n_gauss).wdet.sum())
 
 
-def l2_error(model, dofmap, u_free: np.ndarray, exact, n_gauss: int | None = None):
+def _patch_functions(dofmap, pid: int, tables: PatchTables):
+    """Global dofs and field signs (E, L) of the element functions of patch
+    ``pid`` on ``tables``."""
+    return (dofmap.patch_maps[pid].reshape(-1)[tables.dofs],
+            dofmap.patch_signs(pid).reshape(-1)[tables.dofs])
+
+
+def assemble_load(model, dofmap, f, n_gauss: int) -> np.ndarray:
+    """Free-dof load vector of a scalar source f(x, y) (manufactured cases),
+    patch by patch, each function taken with its field sign and every sum
+    in patch/element/local order by one ``_scatter_add``."""
+    index, values = [], []
+    for pid, patch in enumerate(model.patches):
+        tab = patch_tables(patch, n_gauss)
+        gd, sg = _patch_functions(dofmap, pid, tab)
+        index.append(gd.reshape(-1))
+        values.append((np.einsum("eq,eql,eq->el", f(tab.xy[..., 0], tab.xy[..., 1]),
+                                 tab.val, tab.wdet) * sg).reshape(-1))
+    return _scatter_add(np.concatenate(index), np.concatenate(values),
+                        dofmap.n_global)[dofmap.free_globals]
+
+
+def l2_error(model, dofmap, u_free: np.ndarray, exact, n_gauss: int):
     """(absolute, relative) L2 distance between a coefficient field and an
     exact solution; the per-patch integrals are summed in patch order."""
     u_global = dofmap.expand(u_free)
-    sums = {}
-    for ids, gd, sg, R, _, wdet, xy in _quadrature(model, dofmap, range(len(model.patches)),
-                                                   n_gauss):
-        uh = np.einsum("eql,gel->geq", R, u_global[gd] if sg is None else u_global[gd] * sg)
-        ux = exact(xy[..., 0], xy[..., 1])
-        terms = np.stack([(uh - ux) ** 2 * wdet, ux ** 2 * wdet], axis=1)   # (G, 2, E, Q)
-        sums.update(zip(ids, terms.reshape(len(ids), 2, -1).sum(axis=-1)))
-    # cumsum adds the patches' (error, reference) pairs one after the other
-    err2, ref2 = np.cumsum([sums[pid] for pid in sorted(sums)], axis=0)[-1]
+    err2 = ref2 = 0.0
+    for pid, patch in enumerate(model.patches):
+        tab = patch_tables(patch, n_gauss)
+        gd, sg = _patch_functions(dofmap, pid, tab)
+        uh = np.einsum("eql,el->eq", tab.val, u_global[gd] * sg)
+        ux = exact(tab.xy[..., 0], tab.xy[..., 1])
+        err2 += float(((uh - ux) ** 2 * tab.wdet).sum())
+        ref2 += float((ux ** 2 * tab.wdet).sum())
     return np.sqrt(err2), np.sqrt(err2 / ref2) if ref2 > 0 else np.inf

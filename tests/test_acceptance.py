@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from igamotor.assembly import assemble_stiffness, assemble_winding_vector
+from igamotor.assembly import assemble_stiffness
 from igamotor.coupling import (
-    rotation_sweep,
     solve_at_angle,
     solve_interface,
     sweep_angles,
@@ -24,19 +23,17 @@ from igamotor.geometry import (
     RegionTag,
     build_demo_machine,
     build_dof_map,
-    edge_nodes,
 )
 from igamotor.optim import MachineSolver, OptimizerConfig, run_optimization
 from igamotor.splines import (
     KnotVector,
-    bspline_basis,
-    eval_curve,
+    bspline_basis_table,
     eval_patch,
     insert_knots,
     make_arc_patch,
 )
 
-from conftest import machine_sides
+from conftest import curve_points, edge_nodes, machine_sides
 from oracles import assemble_full_saddle, assemble_load, l2_error
 
 # Criterion 6 regression lock, recorded on the first verified run of this
@@ -161,7 +158,7 @@ def test_acceptance_4_online_cost_scaling():
         cfg = MachineConfig(refinement=level, n_harmonics=20, n_angles=12)
         dm_st, dm_rt, pre, sides = _machine_precompute(cfg)
         angles = sweep_angles(cfg.pole_pairs, 8)
-        rotation_sweep(pre, angles)  # warmup
+        solve_interface(pre, angles)  # warmup
         states[level] = (dm_st.n_free + dm_rt.n_free, pre, angles, sides)
     interface_times = {level: [] for level in levels}
     for _ in range(5):  # interleaved to wash out drift
@@ -275,12 +272,12 @@ def test_acceptance_7_spline_kernel_suite():
     h = 1e-6
     for kv in kvs:
         for x in np.linspace(0.0, 1.0, 33):
-            _, vals, _ = bspline_basis(kv, x)
+            _, vals, _ = bspline_basis_table(kv, x)
             worst_pu = max(worst_pu, abs(vals.sum() - 1.0))
         for x in np.linspace(0.01, 0.99, 23):
-            span, _, ders = bspline_basis(kv, x)
-            sp_, vp, _ = bspline_basis(kv, x + h)
-            sm_, vm, _ = bspline_basis(kv, x - h)
+            span, _, ders = bspline_basis_table(kv, x)
+            sp_, vp, _ = bspline_basis_table(kv, x + h)
+            sm_, vm, _ = bspline_basis_table(kv, x - h)
             if sp_ != span or sm_ != span:
                 continue
             fd = (vp - vm) / (2 * h)
@@ -302,8 +299,8 @@ def test_acceptance_7_spline_kernel_suite():
     kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
     w = np.array([1.0, np.sqrt(2) / 2, 1.0])
     pts = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    worst_rad = max(abs(np.linalg.norm(eval_curve(kv, w, pts, x)[0]) - 1.0)
-                    for x in np.linspace(0, 1, 41))
+    worst_rad = float(np.abs(np.linalg.norm(curve_points(kv, w, pts, np.linspace(0, 1, 41)),
+                                            axis=-1) - 1.0).max())
     assert worst_rad < 1e-14, "quarter-circle radius off by %.2e" % worst_rad
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

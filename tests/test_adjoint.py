@@ -14,13 +14,14 @@ from igamotor.coupling import reconstruct_state, solve_interface, sweep_angles
 from igamotor.design import DEFORM_KINDS, DesignSpace
 from igamotor.errors import DegenerateSignalError
 from igamotor.fourier import build_derivative_dft, emf_spectrum, thd
-from igamotor.geometry import build_demo_machine, build_dof_map, edge_nodes
+from igamotor.geometry import build_demo_machine, build_dof_map
 from igamotor.linalg import SpdFactorization, factorize, matvec
 from igamotor.optim import MachineSolver
 
 from conftest import (
     adjoint_rotor_fields,
     coarse_config,
+    edge_nodes,
     field_signs,
     machine_sides,
     zero_source_precompute,

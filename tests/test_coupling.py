@@ -9,7 +9,6 @@ from igamotor import coupling
 from igamotor.coupling import (
     CouplingPrecomp,
     SweepPlan,
-    full_residual,
     harmonic_orders,
     precompute_side,
     reconstruct_state,
@@ -27,6 +26,7 @@ from oracles import (
     assemble_full_saddle,
     build_full_matrix,
     dense_full_residual,
+    full_residual,
     rotation_matrix,
     verify_products,
 )
@@ -227,7 +227,7 @@ def test_realness_invariant(pre, coarse_sides, coarse_winding):
     for alpha in (0.0, 0.11, 0.9, np.array([0.11, 0.9])):
         sol = solve_at_angle(pre, alpha)
         arrays += [sol.lam, sol.u_st, sol.u_rt]
-    arrays.append(rotation_sweep(pre, np.array([0.0, 0.11]), coarse_winding).psi)
+    arrays.append(rotation_sweep(pre, np.array([0.0, 0.11]), coarse_winding, 0.3).psi)
     assert all(a.dtype == np.float64 for a in arrays)
 
 

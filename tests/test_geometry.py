@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,14 +19,13 @@ from igamotor.geometry import (
     check_mesh_validity,
     dump_geometry,
     edge_discretization,
-    edge_nodes,
     load_geometry,
     locate_polar,
 )
 from igamotor.geometry import _join, _number
 from igamotor.splines import KnotVector, NurbsPatch, eval_patch, insert_knots, make_arc_patch
 
-from conftest import coarse_config, scalar_locate_polar
+from conftest import coarse_config, edge_nodes, scalar_locate_polar
 from oracles import patch_area
 
 
@@ -578,6 +578,48 @@ def test_load_geometry_rejects_a_malformed_closure(coarse_machine, key, value):
     doc = json.loads(dump_geometry(coarse_machine[1]))
     doc[key] = value
     with pytest.raises(ValueError, match="closure needs"):
+        load_geometry(json.dumps(doc))
+
+
+_DELETE = object()
+
+# (path into the rotor's document, the value put there or _DELETE, what the
+# ValueError names): documents load_geometry refuses, which it used to load
+# into a model that failed later or took the wrong patch; None is "{}"
+MALFORMED_DOCUMENTS = {
+    "empty-document": (None, None, "lacks 'patches'"),
+    "patch-without-knots_u": (("patches", 0, "knots_u"), _DELETE, "lacks 'knots_u'"),
+    "tag-without-kind": (("patches", 0, "tag", "kind"), _DELETE, "lacks 'kind'"),
+    "closure-on-patch-99": (("closure", 0, 0), 99, "patch id 99"),
+    "dirichlet-edge-on-patch-42": (("dirichlet_edges", 0, 0), 42, "patch id 42"),
+    "interface-edge-on-patch-minus-1": (("interface_edges", 0, 0), -1, "patch id -1"),
+    "interface-edge-on-patch-true": (("interface_edges", 0, 0), True, "patch id True"),
+    "connection-to-patch-1.0": (("connectivity", 0, 2), 1.0, "patch id 1.0"),
+    "connection-of-4-entries": (("connectivity", 0, 4), _DELETE, "5 entries"),
+    "dirichlet-edge-of-3-entries": (("dirichlet_edges", 0), [0, "u0", 0], "2 entries"),
+    "closure-on-edge-w1": (("closure", 0, 1), "w1", "edge 'w1'"),
+}
+
+
+@pytest.mark.parametrize("path, value, message", list(MALFORMED_DOCUMENTS.values()),
+                         ids=list(MALFORMED_DOCUMENTS))
+def test_load_geometry_rejects_a_malformed_document(coarse_machine, path, value, message):
+    # outside JSON is checked where it is read: a missing key, a connection
+    # or edge entry of the wrong length, a patch id that is no int in
+    # [0, n_patches) (-1 would wrap to the last patch) and an unknown edge
+    doc = json.loads(dump_geometry(coarse_machine[1]))
+    if path is None:
+        doc = {}
+    else:
+        *head, last = path
+        entry = doc
+        for key in head:
+            entry = entry[key]
+        if value is _DELETE:
+            del entry[last]
+        else:
+            entry[last] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_geometry(json.dumps(doc))
 
 

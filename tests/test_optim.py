@@ -33,7 +33,7 @@ from igamotor.optim import (
     stator_modes,
 )
 
-from conftest import coarse_config, machine_sides
+from conftest import coarse_config, edge_nodes, machine_sides
 from oracles import OracleStabilityError, verify_products
 
 
@@ -374,7 +374,6 @@ def test_run_optimization_short_run_contracts():
         if tag.kind == "magnet":
             assert np.array_equal(state.rotor.patches[pid].points,
                                   rotor0.patches[pid].points)
-    from igamotor.geometry import edge_nodes
     for pid, edge in rotor0.interface_edges:
         patch = rotor0.patches[pid]
         for i, j in edge_nodes(patch.n_u, patch.n_v, edge):

@@ -5,17 +5,16 @@ from hypothesis import given, settings, strategies as st
 from igamotor.splines import (
     KnotVector,
     NurbsPatch,
-    bspline_basis,
-    eval_curve,
+    bspline_basis_table,
     eval_patch,
-    find_span,
     insert_knots,
     insert_knots_stack,
     make_arc_patch,
-    nurbs_basis,
+    rational_basis,
 )
 
-from conftest import homogeneous_eval, scalar_bspline_basis, scalar_eval_patch, weighted_arc_patch
+from conftest import (curve_points, homogeneous_eval, scalar_bspline_basis, scalar_eval_patch,
+                      weighted_arc_patch)
 
 
 def linear_kv():
@@ -51,21 +50,23 @@ def test_knot_vector_rejects_bad_input():
 
 
 def test_find_span_examples():
+    # the span of the basis table's 0-d case, and of an array of points
     kv = KnotVector([0, 0, 0, 1, 2, 3, 3, 3], 2)
-    assert find_span(kv, 0.5) == 3
+    assert bspline_basis_table(kv, 0.5)[0] == 3
     kv1 = linear_kv()
-    assert find_span(kv1, 0.0) == 1
-    assert find_span(kv1, 1.0) == 1
+    assert bspline_basis_table(kv1, 0.0)[0] == 1
+    assert bspline_basis_table(kv1, 1.0)[0] == 1
+    assert bspline_basis_table(kv, [0.0, 0.5, 1.0])[0].tolist() == [2, 3, 4]
     with pytest.raises(ValueError):
-        find_span(kv1, -0.1)
+        bspline_basis_table(kv1, -0.1)
     with pytest.raises(ValueError):
-        find_span(kv1, 1.1)
+        bspline_basis_table(kv1, 1.1)
 
 
 # ---------------------------------------------------------------- basis
 
 def test_bspline_basis_linear_example():
-    span, vals, ders = bspline_basis(linear_kv(), 0.25)
+    span, vals, ders = bspline_basis_table(linear_kv(), 0.25)
     assert span == 1
     np.testing.assert_allclose(vals, [0.75, 0.25], atol=1e-15)
     np.testing.assert_allclose(ders, [-1.0, 1.0], atol=1e-15)
@@ -73,7 +74,7 @@ def test_bspline_basis_linear_example():
 
 def test_bspline_basis_degree_zero():
     kv = KnotVector([0.0, 1.0], 0)
-    span, vals, ders = bspline_basis(kv, 0.5)
+    span, vals, ders = bspline_basis_table(kv, 0.5)
     assert span == 0
     np.testing.assert_allclose(vals, [1.0])
     np.testing.assert_allclose(ders, [0.0])
@@ -94,7 +95,7 @@ def knot_vectors(draw):
 @given(knot_vectors(), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=80, deadline=None)
 def test_partition_of_unity(kv, x):
-    _, vals, ders = bspline_basis(kv, x)
+    _, vals, ders = bspline_basis_table(kv, x)
     assert vals.size == kv.degree + 1
     assert np.all(vals >= -1e-15)
     assert abs(vals.sum() - 1.0) < 1e-14
@@ -107,9 +108,9 @@ def test_bspline_basis_equals_scalar_recursion_bitwise(kv, x):
     # the 0-d case of the table against the textbook one-point recursion,
     # the span search included; the knots themselves hit the span ends
     for y in (x, *kv.knots):
-        span, vals, ders = bspline_basis(kv, y)
+        span, vals, ders = bspline_basis_table(kv, y)
         want = scalar_bspline_basis(kv, y)
-        assert span == want[0] == find_span(kv, y)
+        assert span == want[0]
         assert vals.tobytes() == want[1].tobytes() and ders.tobytes() == want[2].tobytes()
 
 
@@ -117,9 +118,9 @@ def test_bspline_basis_equals_scalar_recursion_bitwise(kv, x):
 @settings(max_examples=60, deadline=None)
 def test_basis_derivative_matches_finite_difference(kv, x):
     h = 1e-6
-    span, _, ders = bspline_basis(kv, x)
-    sp, vp, _ = bspline_basis(kv, x + h)
-    sm, vm, _ = bspline_basis(kv, x - h)
+    span, _, ders = bspline_basis_table(kv, x)
+    sp, vp, _ = bspline_basis_table(kv, x + h)
+    sm, vm, _ = bspline_basis_table(kv, x - h)
     if sp != span or sm != span:
         return  # stencil crosses a knot; derivative may jump
     fd = (vp - vm) / (2 * h)
@@ -128,10 +129,9 @@ def test_basis_derivative_matches_finite_difference(kv, x):
 
 def test_nurbs_basis_reduces_to_bspline_for_equal_weights():
     kv = KnotVector([0, 0, 0, 0.4, 1, 1, 1], 2)
+    _, b, db = bspline_basis_table(kv, 0.3)
     for w in (1.0, 7.0):
-        s0, b, db = bspline_basis(kv, 0.3)
-        s1, r, dr = nurbs_basis(kv, np.full(kv.n, w), 0.3)
-        assert s0 == s1
+        r, dr = rational_basis(np.full(kv.degree + 1, w), b, db)
         np.testing.assert_allclose(r, b, atol=1e-15)
         np.testing.assert_allclose(dr, db, atol=1e-13)
 
@@ -139,11 +139,14 @@ def test_nurbs_basis_reduces_to_bspline_for_equal_weights():
 def test_nurbs_basis_partition_of_unity_and_errors():
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
     w = np.array([1.0, 0.5, 2.0, 1.5])
-    _, r, dr = nurbs_basis(kv, w, 0.7)
+    span, N, dN = bspline_basis_table(kv, 0.7)
+    r, dr = rational_basis(w[span - kv.degree:span + 1], N, dN)
     assert abs(r.sum() - 1.0) < 1e-14
     assert abs(dr.sum()) < 1e-12
+    # the patch, the one holder of NURBS weights, takes positive ones only
+    square = unit_square_patch()
     with pytest.raises(ValueError):
-        nurbs_basis(kv, np.array([1.0, -1.0, 1.0, 1.0]), 0.5)
+        NurbsPatch(square.knots_u, square.knots_v, square.points, np.array([[1.0, -1.0], [1.0, 1.0]]))
 
 
 def test_quarter_circle_curve_radius():
@@ -151,8 +154,10 @@ def test_quarter_circle_curve_radius():
     w = np.array([1.0, np.sqrt(2) / 2, 1.0])
     pts = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     for x in (0.5, 0.123, 0.98):
-        point, _ = eval_curve(kv, w, pts, x)
+        point = curve_points(kv, w, pts, x)
         assert abs(np.linalg.norm(point) - 1.0) < 1e-14
+    radii = np.linalg.norm(curve_points(kv, w, pts, np.linspace(0.0, 1.0, 41)), axis=-1)
+    assert np.abs(radii - 1.0).max() < 1e-14
 
 
 # ---------------------------------------------------------------- patches
