@@ -512,7 +512,9 @@ class AssemblyPlan:
         """:func:`_csr_scatter` of the patches ``pids`` of ``model``,
         restricted to the globals of the bool mask ``keep`` in the dof
         map's band order (unrestricted, in global order, when None); the
-        arrays are read-only, and kept for the dof map's own patches."""
+        arrays are read-only, and kept for the dof map's own patches.  The
+        index arrays are those of every matrix assembled on them, and so
+        the key of their band layout (:func:`igamotor.linalg._layout`)."""
         patches = [model.patches[pid] for pid in pids]
         cached = self._pids(patches) == tuple(pids)
         key = (tuple(pids), None if keep is None else keep.tobytes())
@@ -522,8 +524,11 @@ class AssemblyPlan:
         kept = None if keep is None else self._band_order[keep[self._band_order]]
         scatter = _csr_scatter(self.groups(patches), [self._maps[pid].reshape(-1) for pid in pids],
                                self._n_global, kept)
-        # read-only views; the sums read the slots through their base (:func:`_sum_into`)
-        scatter = tuple(arr.view() for arr in scatter)
+        # read-only: the index arrays themselves, which every matrix on them
+        # shares, and a view of the slots, which the sums read through their
+        # base (:func:`_sum_into`)
+        indptr, indices, slots = scatter
+        scatter = indptr, indices, slots.view()
         for arr in scatter:
             arr.setflags(write=False)
         if cached:
@@ -638,8 +643,10 @@ def _phased_matrices(scatter, blocks, closure, phases) -> list:
             data.real = _sum_into(slots, weights, size)
         else:
             data = _sum_into(slots, weights, size)
-        # each matrix gets its own index arrays: callers may modify it in place
-        matrices.append(sp.csr_matrix((data[:-1], indices.copy(), indptr.copy()), shape=(n, n)))
+        # every matrix shares the plan's read-only index arrays, so an in-place
+        # change of a pattern raises, and the factorization keeps the band
+        # layout of the pattern while they live (:func:`igamotor.linalg._layout`)
+        matrices.append(sp.csr_matrix((data[:-1], indices, indptr), shape=(n, n)))
     return matrices
 
 

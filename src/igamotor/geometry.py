@@ -697,7 +697,9 @@ def _edge_entries(doc: dict, key: str, width: int, n_patches: int) -> list:
     """The entries of ``doc[key]`` as tuples: (patch, edge) pairs for width
     2, connections (pa, ea, pb, eb, reverse) for width 5.  ValueError for
     an entry of another length, a patch id that is no int in
-    [0, n_patches) and an edge name outside EDGES."""
+    [0, n_patches), an edge name outside EDGES and a reverse flag that is
+    no JSON bool (the string "false" is truthy: it would glue the edge
+    reversed)."""
     entries = []
     for entry in doc.get(key, []):
         if not isinstance(entry, list) or len(entry) != width:
@@ -708,6 +710,8 @@ def _edge_entries(doc: dict, key: str, width: int, n_patches: int) -> list:
                                  % (key, entry, pid, n_patches))
             if edge not in EDGES:
                 raise ValueError("%s entry %r: edge %r is none of %s" % (key, entry, edge, EDGES))
+        if width == 5 and type(entry[4]) is not bool:
+            raise ValueError("%s entry %r: reverse %r is no bool" % (key, entry, entry[4]))
         entries.append(tuple(entry))
     return entries
 
@@ -715,11 +719,12 @@ def _edge_entries(doc: dict, key: str, width: int, n_patches: int) -> list:
 def load_geometry(text: str) -> MultipatchModel:
     """The model of :func:`dump_geometry`'s text; a document without a
     closure is one copy of its side.  ValueError for a missing required
-    key, a connection that does not have 5 entries or a boundary or
-    interface edge that does not have 2, a patch id that is no int in
-    [0, n_patches) and an edge name outside EDGES: outside text is checked
-    here, once, and not by the model, which every line-search trial
-    rotor constructs."""
+    key, a tag key that is none of kind, phase and sign, a connection that
+    does not have 5 entries or a boundary or interface edge that does not
+    have 2, a patch id that is no int in [0, n_patches), an edge name
+    outside EDGES and a connection's reverse flag that is no bool: outside
+    text is checked here, once, and not by the model, which every
+    line-search trial rotor constructs."""
     doc = json.loads(text)
     _require(doc, ("patches",), "geometry document")
     patches, tags = [], []
@@ -727,6 +732,9 @@ def load_geometry(text: str) -> MultipatchModel:
         _require(entry, ("degree_u", "degree_v", "knots_u", "knots_v", "points", "weights",
                          "tag"), "patch %d" % k)
         _require(entry["tag"], ("kind",), "tag of patch %d" % k)
+        unknown = sorted(set(entry["tag"]) - {"kind", "phase", "sign"})
+        if unknown:
+            raise ValueError("tag of patch %d: unknown key %s" % (k, ", ".join(map(repr, unknown))))
         patches.append(NurbsPatch(
             KnotVector(np.array(entry["knots_u"]), entry["degree_u"]),
             KnotVector(np.array(entry["knots_v"]), entry["degree_v"]),

@@ -14,42 +14,70 @@ the back end, and both accept and reject the same matrices:
 * n <= ``DENSE_MAX_N``: one dense LAPACK Cholesky (``potrf``, solved by
   ``potrs``).  At these orders the banded path's sparse conversions and
   pattern check cost more than the dense factor saves.
-* n > ``DENSE_MAX_N``: LAPACK banded Cholesky (``pbtrf``, solved by
-  ``pbtrs``) on the band read from K's pattern.  The operators come
-  restricted to a dof map's band order, ring by ring, where the band is
-  about p radial levels of the side's angles wide
+* n > ``DENSE_MAX_N``: LAPACK banded Cholesky (``pbtrf``) on the band
+  read from K's pattern, solved by band triangular solves (``tbtrs``).
+  The operators come restricted to a dof map's band order, ring by ring,
+  where the band is about p radial levels of the side's angles wide
   (:class:`igamotor.geometry.DofMap`).
+
+A pattern's band layout (:func:`_band_layout`: the half-bandwidth, and
+the lower entries' band places and the positions of their mirrors, which
+the Hermitian test reads) depends on the pattern alone.  It is kept for
+a pattern whose index arrays are read-only, as an assembled operator's
+are: the matrices a dof map's plan assembles on one restriction share
+them (:meth:`igamotor.assembly.AssemblyPlan.scatter`), so each design
+step's rotor stiffness and metric, and the stator's second slot-pitch
+mode, read the layout the first matrix built.  A weak reference to the
+pattern's indices frees the layout with them, and so with the dof map; a
+writeable pattern, which may change, gets a layout for the call alone.
+Every call still checks its own entries: finite, Hermitian and with
+positive pivots.
+
+In the band order a right-hand side may start with zero rows: the
+rotor's coupling moments G_rt are nonzero on the interface ring alone,
+the last, and its magnet load j_rt from row 849 of 2,601 at refinement 4
+(G_rt's 12 columns from row 2,550).  The forward solve of each column
+starts at its first nonzero row, and the backward solve runs whole
+(:func:`_band_solve`), with the bits of ``pbtrs``.
 
 Factor plus solve of the demo's matrices (median ms, 2-core VM, one BLAS
 thread; the stiffness and the stator's modes with their columns [G j], 7
 at refinements 0-2 with 12 harmonics and 13 at 3-4 with the benchmark's
 24, the metric with one complex column; ref the refinement, kd the
-half-bandwidth).  The stator is solved as the Bloch modes of its first
-slot pitch (:class:`BlochModes`), a real one (omega = -1) and a complex
-one (omega = e^{i pi/3}) on the pole pitch, each of a third of the
-pitch's rows and band; the pitch's own stiffness (5,202 rows, kd 208 at
-refinement 4, 17.2 ms in its band) is no longer factored:
+half-bandwidth).  The band column reads a kept layout, as every matrix
+after the first on a pattern does; the first builds it, 0.7 ms for the
+refinement-4 rotor's pattern and 1.0 ms for the metric's.  The stator
+is solved as the Bloch modes of its first slot pitch
+(:class:`BlochModes`), a real one (omega = -1) and a complex one (omega
+= e^{i pi/3}) on the pole pitch, each of a third of the pitch's rows and
+band; the pitch's own stiffness (5,202 rows, kd 208 at refinement 4,
+17.2 ms in its band) is no longer factored:
 
     ref  rotor stiffness        stator mode -1         mode e^{i pi/3}        metric (complex)
          n     kd   dense band  n     kd   dense band  n     kd   dense band  n     kd   dense band
-    0    36    16   0.03  0.09  24    11   0.02  0.08  24    11   0.03  0.08  21    8    0.03  0.13
-    1    81    22   0.09  0.18  54    16   0.06  0.16  54    16   0.10  0.11  56    22   0.06  0.10
-    2    225   34   0.90  0.24  150   24   0.16  0.29  150   24   1.19  0.22  174   34   1.10  0.23
-    3    729   58   11.4  1.17  486   40   3.55  0.68  486   40   11.9  0.97  602   58   14.5  1.05
-    4    2601  106  288   5.29  1734  72   90.9  2.88  1734  72   212   5.18  2226  106  402   9.69
+    0    36    16   0.04  0.08  24    11   0.03  0.07  24    11   0.03  0.07  21    8    0.03  0.05
+    1    81    22   0.07  0.10  54    16   0.05  0.08  54    16   0.08  0.09  56    22   0.07  0.08
+    2    225   34   1.06  0.21  150   24   0.21  0.15  150   24   1.07  0.20  174   34   1.35  0.20
+    3    729   58   14.6  1.05  486   40   3.32  0.62  486   40   15.0  1.02  602   58   20.3  1.13
+    4    2601  106  332   5.09  1734  72   108   2.92  1734  72   250   5.80  2226  106  466   7.12
 
-On leading blocks of the refinement-3 matrices the dense factor is the
+Measured before the layout was kept, the same run read 7.19, 3.52, 6.31
+and 7.93 ms in the band at refinement 4 (this VM's speed drifts: the
+previous table read 5.29, 2.88, 5.18 and 9.69).
+
+On leading blocks of the refinement-3 matrices the dense factor was the
 faster up to about n = 195 for the real stiffness (0.91 of the banded
 time at n = 175, 1.09 at 200), but only up to about n = 125 for the
 complex metric (0.83 at n = 100, 1.01 at 125, 1.32 at 150), whose
-Cholesky costs four real ones.  ``DENSE_MAX_N`` = 150 lies between the
-two: a complex matrix of 126-150 rows factors up to a third slower than
-in its band, a real one of 151-195 rows about a tenth slower than
-densely.  The complex slot-pitch mode at refinement 2, 150 rows with a
-band narrower than those blocks', is the one matrix of the table on the
-slow side: 1.19 ms dense against 0.22 ms in its band.  Every bound from
-150 to 173 sends each matrix of the table to the same back end; one from
-81 to 149 would send the two refinement-2 modes to their band.
+Cholesky costs four real ones; these crossovers were measured before
+the layout was kept.  ``DENSE_MAX_N`` = 150 lies between the two: a
+complex matrix of 126-150 rows factors up to a third slower than in its
+band, a real one of 151-195 rows about a tenth slower than densely.  The
+complex slot-pitch mode at refinement 2, 150 rows with a band narrower
+than those blocks', is the one matrix of the table on the slow side:
+1.07 ms dense against 0.20 ms in its band.  Every bound from 150 to 173
+sends each matrix of the table to the same back end; one from 81 to 149
+would send the two refinement-2 modes to their band.
 
 The dense interface systems are real, and complex input to them is
 rejected rather than cast.  The interface systems of the rotor angles come
@@ -61,6 +89,8 @@ matvec applies one matrix, such as X_st or a flux row, to a vector or to
 each row of a stack.
 """
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,58 +182,140 @@ def _cholesky(K: sp.spmatrix) -> SpdFactorization:
     return SpdFactorization(lambda b: potrs(factor, b, lower=True)[0], K.shape[0], dtype)
 
 
+# the kept band layouts, one per read-only pattern: the id of the array
+# that owns its indices -> (weak reference to that array, weak reference to
+# the array that owns its indptr, layout); an entry is dropped when its
+# indices array is freed, so a layout lives as long as its dof map's pattern
+_layouts = {}
+
+
+def _read_only_owner(a: np.ndarray):
+    """The read-only array that owns all of the index array ``a``'s memory
+    (``a`` itself or the base it views whole), or None: a kept layout's key.
+    scipy hands a CSR matrix a fresh view of its indices, so the key is
+    the owner, not the view."""
+    owner = a if a.base is None else a.base
+    if (type(owner) is np.ndarray and not owner.flags.writeable
+            and owner.dtype == a.dtype and owner.size == a.size
+            and owner.__array_interface__["data"][0] == a.__array_interface__["data"][0]):
+        return owner
+    return None
+
+
+def _band_layout(indptr: np.ndarray, indices: np.ndarray):
+    """(kd, lower, places, mirror) of the canonical CSR pattern (``indptr``,
+    ``indices``) of an n x n matrix: the half-bandwidth kd, the largest
+    row - column of a stored entry of the lower triangle; the positions
+    ``lower`` of those entries among the stored ones; ``places``, where
+    each goes in the flat Fortran (kd + 1, n) band, LAPACK's lower band
+    ab[i - j, j] = K[i, j] at j kd + i; and ``mirror``, the position of the
+    entry (j, i) of each of them, or None when the pattern is not
+    symmetric.  The index arrays are int32 where their values fit."""
+    n = indptr.size - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    offset = rows - indices                      # row - column of each stored entry
+    kd = int(offset.max(initial=0))
+    small = np.int32 if max(indices.size, (kd + 1) * n) <= np.iinfo(np.int32).max else np.intp
+    lower = np.flatnonzero(offset >= 0).astype(small)
+    del offset
+    places = (np.multiply(indices, kd, dtype=np.intp) + rows).take(lower).astype(small)
+    del rows
+    # the stored entries' positions in column-major order, by scipy's CSR to
+    # CSC conversion; a symmetric pattern is its own CSC pattern, so the
+    # k-th of them is the entry (j, i) of the k-th stored entry (i, j)
+    order = sp.csr_matrix((np.arange(indices.size, dtype=small), indices, indptr),
+                          shape=(n, n)).tocsc()
+    symmetric = (np.array_equal(order.indptr, indptr)
+                 and np.array_equal(order.indices, indices))
+    return kd, lower, places, order.data.take(lower) if symmetric else None
+
+
+def _layout(csr: sp.csr_matrix):
+    """:func:`_band_layout` of the canonical ``csr``'s pattern: kept in
+    ``_layouts`` while the pattern's read-only indices live, built for this
+    call alone when either index array is writeable (it might change)."""
+    owners = _read_only_owner(csr.indices), _read_only_owner(csr.indptr)
+    if owners[0] is None or owners[1] is None:
+        return _band_layout(csr.indptr, csr.indices)
+    key = id(owners[0])
+    kept = _layouts.get(key)
+    if kept is not None and kept[0]() is owners[0] and kept[1]() is owners[1]:
+        return kept[2]
+    layout = _band_layout(csr.indptr, csr.indices)
+    # the callback holds the dict's pop: it may run as the interpreter ends
+    _layouts[key] = (weakref.ref(owners[0], lambda _, pop=_layouts.pop, key=key: pop(key, None)),
+                     weakref.ref(owners[1]), layout)
+    return layout
+
+
 def _banded(K: sp.spmatrix) -> SpdFactorization:
     """LAPACK banded Cholesky (``pbtrf``, real or complex by the dtype) of
-    a square K, solved by ``pbtrs``.  The half-bandwidth kd is the largest
-    row - column of a stored entry of the lower triangle, which the factor
-    reads alone (as ``potrf`` does); the (kd + 1, n) band is the one array
-    the factorization holds.  Operators restricted to a dof map's free
-    globals come in its band order, where kd is about p radial levels of
-    the side's angles (:class:`igamotor.geometry.DofMap`).
+    a square K, solved by :func:`_band_solve`.  The half-bandwidth kd is
+    the largest row - column of a stored entry of the lower triangle, which
+    the factor reads alone (as ``potrf`` does); the (kd + 1, n) band is the
+    one array the factorization holds.  Operators restricted to a dof map's
+    free globals come in its band order, where kd is about p radial levels
+    of the side's angles (:class:`igamotor.geometry.DofMap`).
 
-    Duplicate entries are summed first.  The canonical CSR and CSC forms
-    then have equal index arrays when the pattern is symmetric, and the
-    CSC data is K^T on the CSR pattern, so K - K^H is csr.data -
-    conj(csc.data): the same differences the sparse K - K^H forms, which
-    drops only exact zeros, so the test accepts and rejects exactly as
-    that sparse difference does.  Any other matrix goes through the sparse
-    difference.  The lower triangle's entries are written into the band
-    through its flat Fortran positions.  A leading minor that is not
-    positive stops ``pbtrf`` (info > 0); it, or a pivot that is not
-    finite, is reported as the dense path reports it."""
+    Duplicate entries are summed first.  The pattern's layout
+    (:func:`_layout`) then gives the lower entries, their band places and,
+    for a symmetric pattern, their mirrors: K - K^H at a lower entry (i,
+    j) is K[i, j] - conj(K[j, i]), and at (j, i) minus its conjugate, of
+    the same magnitude bit for bit, so the lower entries' differences
+    hold the largest |entry| of the sparse K - K^H, which drops only exact
+    zeros; the test accepts and rejects exactly as that sparse difference
+    does.  Any other pattern goes through the sparse difference.  A
+    leading minor that is not positive stops ``pbtrf`` (info > 0); it, or
+    a pivot that is not finite, is reported as the dense path reports
+    it."""
     csr = K.tocsr()
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()
     n, data = csr.shape[0], csr.data
     dtype = complex if np.iscomplexobj(data) else float
-    csc = csr.tocsc()
-    if (csc.has_canonical_format and np.array_equal(csr.indptr, csc.indptr)
-            and np.array_equal(csr.indices, csc.indices)):
-        asym = data - (csc.data.conj() if dtype is complex else csc.data)
+    kd, lower, places, mirror = _layout(csr)
+    values = data.take(lower)
+    if mirror is not None:
+        mirrored = data.take(mirror)
+        asym = values - (mirrored.conj() if dtype is complex else mirrored)
+        del mirrored
     else:
         asym = (csr - csr.conj().T).tocoo().data
-    del csc
     _check_hermitian(float(np.abs(asym).max(initial=0.0)),
                      float(np.abs(data).max(initial=0.0)) if csr.nnz else 1.0)
     del asym                         # the band need not coexist with it
-    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-    offset = rows - csr.indices      # row - column of each stored entry
-    kd = int(offset.max(initial=0))
-    lower = offset >= 0
-    # LAPACK's lower band ab[i - j, j] = K[i, j], at j kd + i of the flat Fortran array
-    places = (np.multiply(csr.indices, kd, dtype=np.intp) + rows)[lower]
-    values = data[lower]
-    del rows, offset, lower          # the band need not coexist with them
     ab = np.zeros((kd + 1, n), dtype=dtype, order="F")
-    ab.reshape(-1, order="F")[places] = values
-    del places, values
-    pbtrf, pbtrs = ((lapack.zpbtrf, lapack.zpbtrs) if dtype is complex
-                    else (lapack.dpbtrf, lapack.dpbtrs))
+    # a fancy assignment reads int32 places at half its speed on intp ones;
+    # an intp copy first costs less than the difference
+    ab.reshape(-1, order="F")[places.astype(np.intp)] = values
+    del values
+    pbtrf = lapack.zpbtrf if dtype is complex else lapack.dpbtrf
     factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0 or not np.isfinite(factor[0]).all():
         raise FactorizationError("nonpositive pivot: matrix is not positive definite")
-    return SpdFactorization(lambda b: pbtrs(factor, b, lower=1)[0], n, dtype)
+    return SpdFactorization(lambda b: _band_solve(factor, b), n, dtype)
+
+
+def _band_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x of L L^H x = b for the lower band ``factor`` of L and a contiguous
+    b of its dtype, one column or a block, in Fortran order: the bits of
+    ``pbtrs``, with less work for a b whose columns start with zero rows.
+    ``pbtrs`` solves each column by a forward and a backward band
+    triangular solve (``tbsv``).  The forward solve of a column whose
+    first nonzero row is s leaves the rows above s zero, and adds only
+    zero products below them, so it runs from s alone, on L's trailing
+    block L[s:, s:] (the band's columns s on): one ``tbtrs`` per group of
+    columns that start in the same row (row 0 for a zero column).  The
+    backward solve L^H x = y then runs whole, one ``tbtrs`` over every
+    column."""
+    tbtrs, trans = (lapack.ztbtrs, "C") if factor.dtype == complex else (lapack.dtbtrs, "T")
+    y = np.array(b.reshape(factor.shape[1], -1), order="F")
+    starts = (y != 0).argmax(axis=0)
+    for start in np.unique(starts):
+        cols = np.flatnonzero(starts == start)
+        y[start:, cols] = tbtrs(factor[:, start:], y[start:, cols], uplo="L", overwrite_b=1)[0]
+    return tbtrs(factor, y, uplo="L", trans=trans, overwrite_b=1)[0].reshape(b.shape)
 
 
 def bloch_phases(n_images: int, sign: int) -> list:

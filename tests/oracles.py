@@ -2,7 +2,8 @@
 full stator-rotor saddle system solved directly (acceptance 1), its dense
 rotation R(alpha), the stator's products by one direct factorization of
 the stiffness of the whole stator model (the pipeline solves its Bloch
-modes), a recomputation of the precomputed products, the residual of an
+modes), one side's products by LAPACK's own banded solve ``pbtrs``, a
+recomputation of the precomputed products, the residual of an
 angle solution in the coupled system, and the quadrature helpers of the
 manufactured-solution and area checks, on a Gauss rule of their own (the
 library's patch integrals take p + 1 points per direction)."""
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from igamotor.assembly import (PatchTables, _batch_tables, _scatter_add, _space_tables,
                                assemble_coupling, assemble_rhs, assemble_stiffness,
@@ -63,6 +65,30 @@ def stator_direct_products(solver):
     whole model's stiffness: the direct solve the Bloch modes replace."""
     K, G, j = stator_blocks(solver)
     return precompute_side(factorize(K), G, j)
+
+
+def lower_band(K) -> np.ndarray:
+    """LAPACK's lower band of K, ab[i - j, j] = K[i, j] for the (kd + 1, n)
+    Fortran array, kd the largest row - column of a stored entry, read from
+    K's dense diagonals."""
+    A, coo = K.toarray(), K.tocoo()
+    kd = int(np.abs(coo.row - coo.col).max(initial=0))
+    ab = np.zeros((kd + 1, K.shape[0]), dtype=K.dtype, order="F")
+    for d in range(kd + 1):
+        ab[d, :K.shape[0] - d] = np.diagonal(A, -d)
+    return ab
+
+
+def pbtrs_side(K, G, j):
+    """X, y, H and g of :func:`igamotor.coupling.precompute_side` for the
+    real K, its band (:func:`lower_band`) factored by ``dpbtrf`` and [G j]
+    solved by ``dpbtrs``, a forward and a backward band solve of every
+    column in full."""
+    factor, info = lapack.dpbtrf(lower_band(K), lower=1)
+    assert info == 0
+    Xy = lapack.dpbtrs(factor, np.column_stack([G, j]), lower=1)[0]
+    X, y = Xy[:, :-1], Xy[:, -1]
+    return X, y, G.T @ X, G.T @ y
 
 
 @dataclass

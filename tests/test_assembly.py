@@ -1098,17 +1098,26 @@ def test_scatter_cache_misses_on_a_different_dof_map(coarse_machine, coarse_dofm
     assert np.array_equal(K_perm[perm][:, perm].toarray(), K.toarray())
 
 
-def test_scatter_arrays_are_read_only_and_not_handed_out(coarse_machine, coarse_dofmaps):
+def test_scatter_index_arrays_are_shared_and_read_only(coarse_machine, coarse_dofmaps):
+    # every matrix on the plan's scatter holds its read-only index arrays
+    # (the kept band layout's key), so an in-place write to a pattern raises
     _, rotor = coarse_machine
     _, dm = coarse_dofmaps
     dm = dataclasses.replace(dm)
-    K = assembly._h1_matrix(rotor, dm, [1.0] * len(rotor.patches), keep=None)
+    ones = [1.0] * len(rotor.patches)
+    K = assembly._h1_matrix(rotor, dm, ones, keep=None)
+    K2 = assembly._h1_matrix(rotor, dm, [2.0] * len(rotor.patches), keep=None)
     (indptr, indices, slots), = dm.plan._scatters.values()
     for arr in (indptr, indices, slots):
         with pytest.raises(ValueError):
             arr[0] = 1
-    assert not np.shares_memory(K.indices, indices)
-    assert not np.shares_memory(K.indptr, indptr)
+    for M in (K, K2):
+        assert M.indptr is indptr
+        assert M.indices.base is indices and M.indices.size == indices.size
+        for arr in (M.indptr, M.indices):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+    assert np.array_equal(K2.data, 2.0 * K.data)
 
 
 # ---------------------------------------------------------------- manufactured

@@ -598,6 +598,12 @@ MALFORMED_DOCUMENTS = {
     "connection-of-4-entries": (("connectivity", 0, 4), _DELETE, "5 entries"),
     "dirichlet-edge-of-3-entries": (("dirichlet_edges", 0), [0, "u0", 0], "2 entries"),
     "closure-on-edge-w1": (("closure", 0, 1), "w1", "edge 'w1'"),
+    "connection-reversed-by-string-false": (("connectivity", 0, 4), "false",
+                                            "connectivity entry [0, 'v1', 1, 'v0', 'false']: "
+                                            "reverse 'false' is no bool"),
+    "closure-reversed-by-int-1": (("closure", 0, 4), 1, "reverse 1 is no bool"),
+    "tag-with-unknown-key": (("patches", 2, "tag", "colour"), "red",
+                             "tag of patch 2: unknown key 'colour'"),
 }
 
 
@@ -606,7 +612,8 @@ MALFORMED_DOCUMENTS = {
 def test_load_geometry_rejects_a_malformed_document(coarse_machine, path, value, message):
     # outside JSON is checked where it is read: a missing key, a connection
     # or edge entry of the wrong length, a patch id that is no int in
-    # [0, n_patches) (-1 would wrap to the last patch) and an unknown edge
+    # [0, n_patches) (-1 would wrap to the last patch), an unknown edge, a
+    # reverse flag that is no bool and a tag key RegionTag does not take
     doc = json.loads(dump_geometry(coarse_machine[1]))
     if path is None:
         doc = {}

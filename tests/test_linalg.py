@@ -1,7 +1,9 @@
+import gc
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,11 +13,13 @@ from scipy.linalg import lapack
 from conftest import machine_sides
 from igamotor import linalg
 from igamotor.assembly import assemble_stiffness, assemble_vector_metric, build_reluctivity_map
+from igamotor.coupling import precompute_side
 from igamotor.design import DesignSpace
 from igamotor.errors import FactorizationError, SingularSystemError
 from igamotor.geometry import MachineConfig, build_demo_machine, build_dof_map
 from igamotor.linalg import DENSE_MAX_N, factorize, spd_stack_solve
 from igamotor.optim import MachineSolver, stator_modes
+from oracles import lower_band, pbtrs_side
 
 
 def random_spd(n, rng):
@@ -394,17 +398,24 @@ def test_banded_solve_matches_dense_solve():
 def test_banded_factor_holds_its_band_alone():
     # the refinement-4 rotor stiffness (2,601 rows, kd 106): the
     # factorization holds the (kd + 1, n) band and nothing else of that
-    # size, no copy of the factor read for its pivots
+    # size, no copy of the factor read for its pivots.  The pattern's kept
+    # layout, built by the first call, is three int32 arrays of one entry
+    # per lower entry, about half the stored entries: their positions,
+    # band places and mirrors (6.26 bytes per stored entry measured)
     K = _pitch_operators(4)[1][0]
     band = (_half_bandwidth(K) + 1) * K.shape[0] * K.data.itemsize
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         F = factorize(K)
-        held = tracemalloc.get_traced_memory()[0] - before
+        del F
+        layout = tracemalloc.get_traced_memory()[0] - before
+        F = factorize(K)
+        held = tracemalloc.get_traced_memory()[0] - before - layout
     finally:
         tracemalloc.stop()
     assert band <= held < 1.1 * band
+    assert 0 < layout < 6.5 * K.nnz
     b = np.ones(K.shape[0])
     assert np.linalg.norm(K @ F.solve(b) - b) < 1e-10 * np.linalg.norm(b)
 
@@ -430,11 +441,156 @@ def test_banded_factor_reads_the_lower_band_of_k(monkeypatch):
     for K in matrices:
         assert K.shape[0] > DENSE_MAX_N
         factorize(K)
-        A, kd = K.toarray(), _half_bandwidth(K)
-        ref = np.zeros((kd + 1, K.shape[0]), dtype=K.dtype)
-        for d in range(kd + 1):
-            ref[d, :K.shape[0] - d] = np.diagonal(A, -d)
-        assert np.array_equal(bands.pop(), ref)
+        assert np.array_equal(bands.pop(), lower_band(K))
+
+
+def _counting_layouts(monkeypatch):
+    """The calls of linalg._band_layout from here on, one entry each."""
+    calls = []
+    build = linalg._band_layout
+    monkeypatch.setattr(linalg, "_band_layout",
+                        lambda *args: calls.append(1) or build(*args))
+    return calls
+
+
+def _on_pattern(K, data):
+    """A CSR matrix of ``data`` on K's own index arrays."""
+    return sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
+
+
+@pytest.fixture(scope="module")
+def solver_r2():
+    # the rotor stiffness (225 rows) and the metric (174) are banded here
+    return MachineSolver(MachineConfig(refinement=2, n_harmonics=12, n_angles=12,
+                                       harmonics_multiple_of_poles=True))
+
+
+def test_band_layout_is_built_once_per_read_only_pattern(monkeypatch, solver_r2):
+    # two rotor precomputations and a matrix of other data on the same
+    # pattern read one layout; the metric's pattern builds its own
+    calls = _counting_layouts(monkeypatch)
+    K = assemble_stiffness(solver_r2.rotor0, solver_r2.dm_rt, solver_r2.relmap_rt)
+    assert not K.indices.flags.writeable and not K.indptr.flags.writeable
+    solver_r2.precompute(solver_r2.rotor0)
+    solver_r2.precompute(solver_r2.rotor0)
+    factorize(K)
+    factorize(_on_pattern(K, 2.0 * K.data))
+    assert len(calls) == 1
+    mask = DesignSpace(solver_r2.rotor0, solver_r2.dm_rt).mask
+    for _ in range(2):
+        factorize(assemble_vector_metric(solver_r2.rotor0, solver_r2.dm_rt, mask))
+    assert len(calls) == 2
+
+
+def test_band_layout_is_freed_with_its_dof_map():
+    solver = MachineSolver(MachineConfig(refinement=2, n_harmonics=12, n_angles=12,
+                                         harmonics_multiple_of_poles=True))
+    K = assemble_stiffness(solver.rotor0, solver.dm_rt, solver.relmap_rt)
+    F = factorize(K)
+    key = id(K.indices.base)
+    layout = weakref.ref(linalg._layouts[key][2][1])
+    dofmap = weakref.ref(solver.dm_rt)
+    del solver, K, F
+    gc.collect()
+    assert dofmap() is None
+    assert layout() is None
+    assert key not in linalg._layouts
+
+
+def test_band_layout_is_not_kept_for_a_writeable_pattern(monkeypatch, solver_r2):
+    calls = _counting_layouts(monkeypatch)
+    K = assemble_stiffness(solver_r2.rotor0, solver_r2.dm_rt, solver_r2.relmap_rt).copy()
+    assert K.indices.flags.writeable
+    kept = len(linalg._layouts)
+    factorize(K)
+    factorize(K)
+    assert len(calls) == 2
+    assert len(linalg._layouts) == kept
+
+
+def test_kept_band_layout_still_checks_every_matrix(monkeypatch, solver_r2):
+    # matrices on a kept pattern are tested as they come: an entry off
+    # symmetry, a NaN and a negated (indefinite) K are refused
+    K = assemble_stiffness(solver_r2.rotor0, solver_r2.dm_rt, solver_r2.relmap_rt)
+    factorize(K)
+    calls = _counting_layouts(monkeypatch)
+    row = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    off = np.flatnonzero(row != K.indices)[0]
+    asymmetric = K.data.copy()
+    asymmetric[off] *= 1.001
+    nan = K.data.copy()
+    nan[off] = np.nan
+    for data, message in ((asymmetric, "not symmetric"), (nan, "non-finite"),
+                          (-K.data, "nonpositive pivot")):
+        with pytest.raises(FactorizationError, match=message):
+            factorize(_on_pattern(K, data))
+    assert calls == []
+
+
+def test_kept_band_layout_gives_the_bits_of_a_fresh_one(monkeypatch, solver_r2):
+    # the rotor stiffness and the complex metric: the factor on the kept
+    # layout is the factor on one built from a writeable copy, bit for bit
+    factors = []
+
+    class Lapack:
+        def __getattr__(self, name):
+            routine = getattr(lapack, name)
+            if not name.endswith("pbtrf"):
+                return routine
+            return lambda ab, **kw: (lambda out: factors.append(out[0].copy()) or out)(
+                routine(ab, **kw))
+
+    mask = DesignSpace(solver_r2.rotor0, solver_r2.dm_rt).mask
+    matrices = [assemble_stiffness(solver_r2.rotor0, solver_r2.dm_rt, solver_r2.relmap_rt),
+                assemble_vector_metric(solver_r2.rotor0, solver_r2.dm_rt, mask)]
+    for K in matrices:
+        factorize(K)                           # the layout is kept from here on
+    monkeypatch.setattr(linalg, "lapack", Lapack())
+    for K in matrices:
+        factorize(K)
+        factorize(K.copy())
+        kept, fresh = factors[-2:]
+        assert kept.dtype == K.dtype
+        assert np.array_equal(kept.view(np.uint8), fresh.view(np.uint8))
+
+
+def _band_factor(K):
+    factor, info = (lapack.zpbtrf if np.iscomplexobj(K.data) else lapack.dpbtrf)(
+        lower_band(K), lower=1)
+    assert info == 0
+    return factor
+
+
+def test_band_solve_gives_the_bits_of_pbtrs(rng):
+    # real and complex factors (the refinement-2 rotor stiffness and
+    # metric); columns that start in row 0, below it, in the last row and
+    # nowhere (all zero), two starting in one row, and a 1-D b
+    for K, _ in _pitch_operators(2)[1:]:
+        factor = _band_factor(K)
+        pbtrs = lapack.zpbtrs if factor.dtype == complex else lapack.dpbtrs
+        n = K.shape[0]
+        b = rng.standard_normal((n, 7)).astype(K.dtype)
+        if factor.dtype == complex:
+            b += 1j * rng.standard_normal(b.shape)
+        for col, start in enumerate([0, 40, n, 40, n - 1, 7, 200]):
+            b[:start, col] = 0.0
+        for rhs in (b, b[:, 1], b[:, 3:5], b[:, 2], np.zeros(n, dtype=K.dtype)):
+            rhs = np.ascontiguousarray(rhs)
+            x = linalg._band_solve(factor, rhs)
+            ref = pbtrs(factor, rhs, lower=1)[0]
+            assert x.shape == rhs.shape and x.dtype == ref.dtype
+            assert x.flags.f_contiguous
+            assert np.array_equal(x, ref)
+
+
+def test_rotor_precompute_gives_the_bits_of_pbtrs(solver_r2):
+    # X, y, H and g of the refinement-2 rotor: G's columns start in the
+    # band order's last rows, j's further up
+    K = assemble_stiffness(solver_r2.rotor0, solver_r2.dm_rt, solver_r2.relmap_rt)
+    side = precompute_side(factorize(K), solver_r2._G_rt, solver_r2._j_rt)
+    for got, ref in zip((side.X, side.y, side.H, side.g),
+                        pbtrs_side(K, solver_r2._G_rt, solver_r2._j_rt)):
+        assert np.array_equal(got, ref)
 
 
 def test_import_loads_no_sparse_solver():
